@@ -31,10 +31,9 @@ let of_rule_id id = List.find_opt (fun r -> rule_id r = id) all
 let is_bootstrap g id =
   match (Dfg.node g id).Dfg.kind with Op.Bootstrap _ -> true | _ -> false
 
-(* Mirrors Passes.Ms_opt's hoisting candidacy without mutating: a
-   modswitch under a single-use producer whose operands all have a level
-   to spend.  A modswitch consumed exclusively by bootstraps is also
-   redundant: the bootstrap resets the level it just dropped. *)
+(* A modswitch {!Passes.Ms_opt} could hoist.  A modswitch consumed
+   exclusively by bootstraps is also redundant: the bootstrap resets the
+   level it just dropped. *)
 let redundant_modswitch prm info g =
   let outs = Dfg.outputs g in
   List.concat_map
@@ -53,49 +52,16 @@ let redundant_modswitch prm info g =
               "redundant-modswitch"
               "modswitch feeds only bootstrap nodes, which discard the dropped level";
           ]
-        else begin
-          let producer = n.Dfg.args.(0) in
-          let p = Dfg.node g producer in
-          if p.Dfg.users <> [ m ] || List.mem producer outs then []
-          else begin
-            let level = info.(producer).Scale_check.level in
-            let ok_levels target =
-              level >= 1
-              && Array.for_all
-                   (fun a ->
-                     (not (Op.produces_ct (Dfg.node g a).Dfg.kind))
-                     || info.(a).Scale_check.level >= 1)
-                   (Dfg.node g target).Dfg.args
-              && Ckks.Evaluator.capacity_ok prm
-                   ~scale_bits:info.(producer).Scale_check.scale_bits ~level:(level - 1)
-            in
-            let candidate =
-              match p.Dfg.kind with
-              | Op.Rotate _ | Op.Add_cc | Op.Add_cp | Op.Mul_cp ->
-                  if ok_levels producer then Some producer else None
-              | Op.Relin ->
-                  let mul = p.Dfg.args.(0) in
-                  let mn = Dfg.node g mul in
-                  if
-                    mn.Dfg.kind = Op.Mul_cc
-                    && mn.Dfg.users = [ producer ]
-                    && (not (List.mem mul outs))
-                    && ok_levels mul
-                  then Some mul
-                  else None
-              | _ -> None
-            in
-            match candidate with
-            | Some target ->
-                [
-                  Diag.hint ~node:m ~hint:"compile with ms_opt to hoist it"
-                    "redundant-modswitch"
-                    "modswitch can be hoisted above %s node %d to run it one level lower"
-                    (Op.name p.Dfg.kind) target;
-                ]
-            | None -> []
-          end
-        end
+        else
+          match Passes.Ms_opt.hoist_target prm (Array.get info) g m with
+          | Some target ->
+              [
+                Diag.hint ~node:m ~hint:"compile with ms_opt to hoist it" "redundant-modswitch"
+                  "modswitch can be hoisted above %s node %d to run it one level lower"
+                  (Op.name (Dfg.node g n.Dfg.args.(0)).Dfg.kind)
+                  target;
+              ]
+          | None -> []
       end)
     (Dfg.live_nodes g)
 

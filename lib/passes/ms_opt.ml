@@ -1,66 +1,99 @@
 open Fhe_ir
 
-(* One hoist: delete modswitch [m] and re-insert modswitches on the
-   ciphertext operands of [target] (which may be the producer itself, or
-   the mul_cc under a relin). *)
-let hoist g ~m ~producer ~target =
-  let target_node = Dfg.node g target in
-  Array.iteri
-    (fun i a ->
-      if Op.produces_ct (Dfg.node g a).Dfg.kind then
-        ignore (Dfg.wrap_operand g ~user:target ~arg_index:i Op.Modswitch))
-    target_node.Dfg.args;
-  Dfg.replace_uses g ~old_id:m ~new_id:producer;
-  Dfg.kill g m
+let hoist_target prm info g m =
+  let n = Dfg.node g m in
+  if n.Dfg.dead || n.Dfg.kind <> Op.Modswitch then None
+  else begin
+    let producer = n.Dfg.args.(0) in
+    let p = Dfg.node g producer in
+    let outs = Dfg.outputs g in
+    if p.Dfg.users <> [ m ] || List.mem producer outs then None
+    else begin
+      let { Scale_check.level; scale_bits; _ } = info producer in
+      let ok_levels target =
+        (* Every ciphertext operand of [target] must have a level to
+           spend, and multiplications must keep capacity at the lower
+           level. *)
+        level >= 1
+        && Array.for_all
+             (fun a ->
+               (not (Op.produces_ct (Dfg.node g a).Dfg.kind))
+               || (info a).Scale_check.level >= 1)
+             (Dfg.node g target).Dfg.args
+        && Ckks.Evaluator.capacity_ok prm ~scale_bits ~level:(level - 1)
+      in
+      match p.Dfg.kind with
+      | Op.Rotate _ | Op.Add_cc | Op.Add_cp | Op.Mul_cp ->
+          if ok_levels producer then Some producer else None
+      | Op.Relin ->
+          let mul = p.Dfg.args.(0) in
+          let mn = Dfg.node g mul in
+          if
+            mn.Dfg.kind = Op.Mul_cc
+            && mn.Dfg.users = [ producer ]
+            && (not (List.mem mul outs))
+            && ok_levels mul
+          then Some mul
+          else None
+      | _ -> None
+    end
+  end
+
+module Ids = Set.Make (Int)
 
 let run prm g =
+  let info = ref (Scale_check.infer prm g) in
+  let get id = !info.(id) in
+  (* Each hoist appends modswitch nodes past the inferred array. *)
+  let set id i =
+    let len = Array.length !info in
+    if id >= len then begin
+      let grown = Array.make (max (id + 1) (2 * len)) i in
+      Array.blit !info 0 grown 0 len;
+      info := grown
+    end;
+    !info.(id) <- i
+  in
+  let lower id =
+    let i = get id in
+    { i with Scale_check.level = i.Scale_check.level - 1 }
+  in
+  let is_modswitch id = (Dfg.node g id).Dfg.kind = Op.Modswitch in
+  let work =
+    ref
+      (List.fold_left
+         (fun s n -> if is_modswitch n.Dfg.id then Ids.add n.Dfg.id s else s)
+         Ids.empty (Dfg.live_nodes g))
+  in
   let hoists = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let info = Scale_check.infer prm g in
-    let try_node node =
-      if (not node.Dfg.dead) && node.Dfg.kind = Op.Modswitch && not !changed then begin
-        let m = node.Dfg.id in
-        let producer = node.Dfg.args.(0) in
-        let p = Dfg.node g producer in
-        if p.Dfg.users = [ m ] && not (List.mem producer (Dfg.outputs g)) then begin
-          let level = info.(producer).Scale_check.level in
-          let ok_levels target =
-            (* Every ciphertext operand of [target] must have a level to
-               spend, and multiplications must keep capacity at the lower
-               level. *)
-            level >= 1
-            && Array.for_all
-                 (fun a ->
-                   (not (Op.produces_ct (Dfg.node g a).Dfg.kind))
-                   || info.(a).Scale_check.level >= 1)
-                 (Dfg.node g target).Dfg.args
-            && Ckks.Evaluator.capacity_ok prm
-                 ~scale_bits:info.(producer).Scale_check.scale_bits ~level:(level - 1)
-          in
-          match p.Dfg.kind with
-          | Op.Rotate _ | Op.Add_cc | Op.Add_cp | Op.Mul_cp ->
-              if ok_levels producer then begin
-                hoist g ~m ~producer ~target:producer;
-                incr hoists;
-                changed := true
-              end
-          | Op.Relin -> (
-              let mul = p.Dfg.args.(0) in
-              let mul_node = Dfg.node g mul in
-              if mul_node.Dfg.kind = Op.Mul_cc && mul_node.Dfg.users = [ producer ]
-                 && (not (List.mem mul (Dfg.outputs g)))
-                 && ok_levels mul
-              then begin
-                hoist g ~m ~producer ~target:mul;
-                incr hoists;
-                changed := true
-              end)
-          | _ -> ()
-        end
-      end
-    in
-    List.iter try_node (Dfg.live_nodes g)
+  while not (Ids.is_empty !work) do
+    let m = Ids.min_elt !work in
+    work := Ids.remove m !work;
+    match hoist_target prm get g m with
+    | None -> ()
+    | Some target ->
+        (* Delete [m] and re-insert modswitches on the ciphertext operands
+           of [target] (the producer itself, or the mul_cc under a
+           relin).  Only the new modswitches, [target] and the relin
+           change level; every downstream node reads the producer at the
+           level it read [m] at. *)
+        let producer = (Dfg.node g m).Dfg.args.(0) in
+        Array.iteri
+          (fun i a ->
+            if Op.produces_ct (Dfg.node g a).Dfg.kind then begin
+              let w = Dfg.wrap_operand g ~user:target ~arg_index:i Op.Modswitch in
+              set w (lower a);
+              work := Ids.add w !work
+            end)
+          (Dfg.node g target).Dfg.args;
+        set target (lower target);
+        if producer <> target then set producer (lower producer);
+        Dfg.replace_uses g ~old_id:m ~new_id:producer;
+        Dfg.kill g m;
+        (* A modswitch reading [m] now reads a single-use producer. *)
+        List.iter
+          (fun u -> if is_modswitch u then work := Ids.add u !work)
+          (Dfg.node g producer).Dfg.users;
+        incr hoists
   done;
   !hoists

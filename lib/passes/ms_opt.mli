@@ -7,6 +7,33 @@
     "modswitch optimisation" the paper grants ReSBM_max for lowering
     excessively bootstrapped ciphertexts.  Hoisting stops at inputs,
     constants, bootstraps and SMOs, and respects the capacity constraint
-    when crossing multiplications.  Returns the number of hoists. *)
+    when crossing multiplications.
+
+    The pass is a worklist over modswitch ids.  It runs
+    {!Fhe_ir.Scale_check.infer} once, seeds a min-id set with every live
+    modswitch, and repeatedly pops the smallest id, hoisting it when
+    {!hoist_target} accepts it.  Popping the smallest id keeps the
+    lowest-eligible-id-first order of a fixpoint that re-infers the whole
+    graph before each hoist, so both produce the same graph.  A hoist
+    re-queues the modswitches it creates on the target's operands and the
+    modswitch users of the deleted modswitch — the only nodes a hoist can
+    make eligible — and a node that is no longer eligible when popped is
+    dropped.
+
+    After each hoist the inferred levels are patched locally, not
+    recomputed: the target and, under a relin, the relin drop one level,
+    and each new modswitch gets its operand's info one level lower.
+    Scales never change, and every other node keeps its level, because
+    the producer now delivers the level the deleted modswitch delivered.
+    The cost is one [infer] plus O(hoists · log n) set operations. *)
+
+val hoist_target :
+  Ckks.Params.t -> (int -> Fhe_ir.Scale_check.info) -> Fhe_ir.Dfg.t -> int -> int option
+(** [hoist_target prm info g m] is the node whose ciphertext operands
+    receive the modswitch when the live modswitch [m] is hoisted — its
+    single-use producer, or the mul_cc under a single-use relin — or
+    [None] when [m] cannot move.  [info] gives each node's inferred scale
+    and level.  Does not mutate [g]. *)
 
 val run : Ckks.Params.t -> Fhe_ir.Dfg.t -> int
+(** Hoist to a fixpoint; returns the number of hoists. *)

@@ -296,60 +296,6 @@ let maxflow_cut_separates =
       go 0;
       not seen.(n - 1))
 
-(* --- Stoer-Wagner ------------------------------------------------------- *)
-
-let stoer_wagner_triangle () =
-  let g = Graphlib.Stoer_wagner.create 3 in
-  Graphlib.Stoer_wagner.add_edge g 0 1 1.0;
-  Graphlib.Stoer_wagner.add_edge g 1 2 1.0;
-  Graphlib.Stoer_wagner.add_edge g 0 2 10.0;
-  let v, side = Graphlib.Stoer_wagner.min_cut g in
-  check_float ~eps:1e-9 "isolate node 1" 2.0 v;
-  (* one side must be exactly {1} *)
-  let ones = Array.to_list side |> List.filteri (fun i b -> b && i = 1) in
-  checkb "side isolates node 1"
-    true
-    (side.(1) && (not side.(0)) && (not side.(2)) || ((not side.(1)) && side.(0) && side.(2)));
-  ignore ones
-
-let stoer_wagner_two_nodes () =
-  let g = Graphlib.Stoer_wagner.create 2 in
-  Graphlib.Stoer_wagner.add_edge g 0 1 7.5;
-  let v, _ = Graphlib.Stoer_wagner.min_cut g in
-  check_float ~eps:1e-9 "single edge" 7.5 v
-
-let brute_force_global_cut edges n =
-  let best = ref infinity in
-  for mask = 1 to (1 lsl n) - 2 do
-    let v =
-      List.fold_left
-        (fun acc (u, w, c) ->
-          let su = mask land (1 lsl u) <> 0 and sw = mask land (1 lsl w) <> 0 in
-          if su <> sw then acc +. c else acc)
-        0.0 edges
-    in
-    if v < !best then best := v
-  done;
-  !best
-
-let stoer_wagner_matches_brute_force =
-  qcheck ~count:100 "Stoer-Wagner equals brute-force global min cut"
-    QCheck2.Gen.(pair (int_range 2 7) (int_bound 100_000))
-    (fun (n, seed) ->
-      let rng = Ckks.Prng.create (Int64.of_int seed) in
-      let edges = ref [] in
-      for u = 0 to n - 2 do
-        for v = u + 1 to n - 1 do
-          (* keep the graph connected: always add the chain edge *)
-          if v = u + 1 || Ckks.Prng.float rng < 0.4 then
-            edges := (u, v, float_of_int (1 + Ckks.Prng.int rng ~bound:9)) :: !edges
-        done
-      done;
-      let g = Graphlib.Stoer_wagner.create n in
-      List.iter (fun (u, v, c) -> Graphlib.Stoer_wagner.add_edge g u v c) !edges;
-      let v, _ = Graphlib.Stoer_wagner.min_cut g in
-      Float.abs (v -. brute_force_global_cut !edges n) < 1e-6)
-
 let suite =
   [
     case "digraph: basics" digraph_basics;
@@ -373,7 +319,4 @@ let suite =
     case "maxflow: wide star construction (10k edges)" maxflow_wide_star_construction;
     case "maxflow: work counters" maxflow_stats_counters;
     maxflow_cut_separates;
-    case "stoer-wagner: triangle" stoer_wagner_triangle;
-    case "stoer-wagner: two nodes" stoer_wagner_two_nodes;
-    stoer_wagner_matches_brute_force;
   ]

@@ -197,6 +197,149 @@ let ms_opt_never_hurts =
           Latency.total prm managed <= before +. 1e-6
       | exception Resbm.Btsmgr.No_plan _ -> true)
 
+(* The pre-worklist pass, kept as a test oracle: re-infer the whole graph,
+   hoist the lowest-id eligible modswitch, repeat until none is left.
+   O(hoists x nodes); the worklist pass must reproduce it exactly. *)
+let reference_ms_opt prm g =
+  let hoists = ref 0 in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    let info = Scale_check.infer prm g in
+    let try_node node =
+      if (not node.Dfg.dead) && node.Dfg.kind = Op.Modswitch && not !changed then begin
+        let m = node.Dfg.id in
+        let producer = node.Dfg.args.(0) in
+        let p = Dfg.node g producer in
+        if p.Dfg.users = [ m ] && not (List.mem producer (Dfg.outputs g)) then begin
+          let level = info.(producer).Scale_check.level in
+          let ok_levels target =
+            level >= 1
+            && Array.for_all
+                 (fun a ->
+                   (not (Op.produces_ct (Dfg.node g a).Dfg.kind))
+                   || info.(a).Scale_check.level >= 1)
+                 (Dfg.node g target).Dfg.args
+            && Ckks.Evaluator.capacity_ok prm
+                 ~scale_bits:info.(producer).Scale_check.scale_bits ~level:(level - 1)
+          in
+          let hoist target =
+            Array.iteri
+              (fun i a ->
+                if Op.produces_ct (Dfg.node g a).Dfg.kind then
+                  ignore (Dfg.wrap_operand g ~user:target ~arg_index:i Op.Modswitch))
+              (Dfg.node g target).Dfg.args;
+            Dfg.replace_uses g ~old_id:m ~new_id:producer;
+            Dfg.kill g m;
+            incr hoists;
+            changed := true
+          in
+          match p.Dfg.kind with
+          | Op.Rotate _ | Op.Add_cc | Op.Add_cp | Op.Mul_cp ->
+              if ok_levels producer then hoist producer
+          | Op.Relin ->
+              let mul = p.Dfg.args.(0) in
+              let mul_node = Dfg.node g mul in
+              if mul_node.Dfg.kind = Op.Mul_cc && mul_node.Dfg.users = [ producer ]
+                 && (not (List.mem mul (Dfg.outputs g)))
+                 && ok_levels mul
+              then hoist mul
+          | _ -> ()
+        end
+      end
+    in
+    List.iter try_node (Dfg.live_nodes g)
+  done;
+  !hoists
+
+let ms_opt_managers = List.filter (fun m -> m.Resbm.Variants.ms_opt) Resbm.Variants.all
+
+(* The post-apply graph [mgr] hands to Ms_opt. *)
+let managed_for mgr g =
+  fst (Resbm.Driver.compile ~config:mgr.Resbm.Variants.config prm g)
+
+(* Oracle and worklist pass on copies of one graph: same hoist count, same
+   structural export. *)
+let agrees_with_reference managed =
+  let a = Dfg.copy managed and b = Dfg.copy managed in
+  let expected = reference_ms_opt prm a in
+  let got = Passes.Ms_opt.run prm b in
+  (expected, got, Dfg.export a = Dfg.export b)
+
+let ms_opt_matches_reference_on_models () =
+  checki "four ms_opt managers" 4 (List.length ms_opt_managers);
+  List.iter
+    (fun model ->
+      let g = (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      List.iter
+        (fun mgr ->
+          let what = model.Nn.Model.name ^ "/" ^ mgr.Resbm.Variants.name in
+          let expected, got, same = agrees_with_reference (managed_for mgr g) in
+          checkb (what ^ " hoists") true (expected > 0);
+          checki (what ^ " hoist count") expected got;
+          checkb (what ^ " export") true same)
+        ms_opt_managers)
+    [ Nn.Model.resnet20; Nn.Model.alexnet; Nn.Model.tiny ]
+
+let ms_opt_matches_reference_random =
+  qcheck ~count:30 "worklist hoisting equals the re-infer fixpoint"
+    (random_dfg_gen ~max_nodes:40 ~max_depth:12)
+    (fun ((seed, _, _) as params) ->
+      let mgr = List.nth ms_opt_managers (seed mod List.length ms_opt_managers) in
+      match managed_for mgr (build_random_dfg params) with
+      | managed ->
+          let expected, got, same = agrees_with_reference managed in
+          expected = got && same
+      | exception Resbm.Btsmgr.No_plan _ -> true)
+
+let ms_opt_chain_requeues () =
+  (* the outer modswitch reads a modswitch, so it can move only once the
+     inner one has been hoisted above the rotation; the inner one is
+     inserted afterwards, so the outer one has the lower id and is popped,
+     and dropped, first: it must be queued again by the inner hoist *)
+  let g = Dfg.create () in
+  let x = Dfg.input g "x" in
+  let r = Dfg.rotate g x 1 in
+  let outer = Dfg.modswitch g r in
+  ignore (Dfg.insert_after g ~tail:r ~heads:[ outer ] Op.Modswitch);
+  Dfg.set_outputs g [ outer ];
+  checki "two hoists" 2 (Passes.Ms_opt.run prm g);
+  checkb "valid" true (Result.is_ok (Scale_check.run prm g));
+  checki "rotation is the output" r (List.hd (Dfg.outputs g));
+  let ms1 = (Dfg.node g r).Dfg.args.(0) in
+  let ms2 = (Dfg.node g ms1).Dfg.args.(0) in
+  checkb "two modswitches above the rotation" true
+    ((Dfg.node g ms1).Dfg.kind = Op.Modswitch && (Dfg.node g ms2).Dfg.kind = Op.Modswitch);
+  checki "chain starts at the input" x (Dfg.node g ms2).Dfg.args.(0)
+
+let ms_opt_square_wraps_both_operands () =
+  let g = Dfg.create () in
+  let x = Dfg.input g "x" in
+  let y = Dfg.mul_cc g x x in
+  let m = Dfg.modswitch g y in
+  Dfg.set_outputs g [ m ];
+  checki "one hoist" 1 (Passes.Ms_opt.run prm g);
+  checkb "valid" true (Result.is_ok (Scale_check.run prm g));
+  let mul = (Dfg.node g y).Dfg.args.(0) in
+  let args = (Dfg.node g mul).Dfg.args in
+  checkb "two distinct modswitches" true
+    (args.(0) <> args.(1)
+    && Array.for_all (fun a -> (Dfg.node g a).Dfg.kind = Op.Modswitch) args)
+
+let ms_opt_leaves_no_hoistable_hint () =
+  let g = (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
+  List.iter
+    (fun mgr ->
+      let managed = managed_for mgr g in
+      ignore (Passes.Ms_opt.run prm managed);
+      let hoistable =
+        List.filter
+          (fun d -> d.Analysis.Diag.hint = Some "compile with ms_opt to hoist it")
+          (Analysis.Lint.run ~rules:[ Analysis.Lint.Redundant_modswitch ] prm managed)
+      in
+      checki (mgr.Resbm.Variants.name ^ " hoistable hints") 0 (List.length hoistable))
+    ms_opt_managers
+
 let suite =
   [
     case "dce: removes dead chains" dce_removes_dead_chain;
@@ -215,4 +358,9 @@ let suite =
     case "ms-opt: respects sharing" ms_opt_respects_sharing;
     ms_opt_preserves_semantics;
     ms_opt_never_hurts;
+    case "ms-opt: matches the re-infer fixpoint on models" ms_opt_matches_reference_on_models;
+    ms_opt_matches_reference_random;
+    case "ms-opt: modswitch chain re-queues" ms_opt_chain_requeues;
+    case "ms-opt: mul_cc x x wraps both operands" ms_opt_square_wraps_both_operands;
+    case "ms-opt: no hoistable lint hint after the pass" ms_opt_leaves_no_hoistable_hint;
   ]
