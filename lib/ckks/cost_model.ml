@@ -55,15 +55,21 @@ let filled op =
   end;
   row
 
-let tables = Hashtbl.create 16
+(* Filled once at module initialisation and never mutated, so concurrent
+   planner domains read it without synchronisation. *)
+let tables = Array.of_list (List.map filled all_ops)
 
 let table op =
-  match Hashtbl.find_opt tables op with
-  | Some t -> t
-  | None ->
-      let t = filled op in
-      Hashtbl.add tables op t;
-      t
+  tables.(match op with
+          | Add_cp -> 0
+          | Add_cc -> 1
+          | Mul_cp -> 2
+          | Mul_cc -> 3
+          | Rotate -> 4
+          | Relin -> 5
+          | Rescale -> 6
+          | Bootstrap -> 7
+          | Modswitch -> 8)
 
 let cost op ~level =
   match op with

@@ -133,5 +133,5 @@ let run ?(fuel = Fuel.unlimited) regioned prm ~region ~lbts ~subgraph =
   in
   let node_of = Array.make !next_flow (-1) in
   Array.iteri (fun i id -> node_of.(i) <- id) node_at;
-  Hashtbl.iter (fun p (fn, _) -> node_of.(fn) <- p) producers;
+  Det.iter_sorted (fun p (fn, _) -> node_of.(fn) <- p) producers;
   { Cut.edges; value = mc.Graphlib.Maxflow.value; sink_side; cert = Some cert; node_of }

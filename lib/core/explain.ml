@@ -309,7 +309,8 @@ let digest prm ~(managed : Dfg.t) (report : Report.t) =
         Hashtbl.replace t k (1 + Option.value (Hashtbl.find_opt t k) ~default:0))
       ns;
     Obj
-      (List.sort compare (Hashtbl.fold (fun k c acc -> (string_of_int k, Int c) :: acc) t []))
+      (List.sort compare
+         (List.map (fun (k, c) -> (string_of_int k, Int c)) (Det.sorted_bindings t)))
   in
   let region_of id =
     if id < Array.length report.Report.region_of then report.Report.region_of.(id)
@@ -421,10 +422,7 @@ let digest prm ~(managed : Dfg.t) (report : Report.t) =
       | _ -> ())
     live;
   let management =
-    List.sort compare
-      (Hashtbl.fold
-         (fun k (count, v) acc -> (k, List [ v; Int count ]) :: acc)
-         mgmt [])
+    List.map (fun (k, (count, v)) -> (k, List [ v; Int count ])) (Det.sorted_bindings mgmt)
   in
   let stats = report.Report.stats in
   Obj

@@ -5,6 +5,9 @@ type t = {
   region_of : int array;
   regions : int array array;
   count : int;
+  region_muls : int list array;
+  mul_cc : bool array;
+  mul_cp : bool array;
 }
 
 let build ?(sink = true) dfg =
@@ -53,7 +56,20 @@ let build ?(sink = true) dfg =
   let buckets = Array.make count [] in
   List.iter (fun id -> buckets.(region_of.(id)) <- id :: buckets.(region_of.(id))) order;
   let regions = Array.map (fun ids -> Array.of_list (List.rev ids)) buckets in
-  { dfg; region_of; regions; count }
+  let kind id = (Dfg.node dfg id).Dfg.kind in
+  let region_muls =
+    Array.map (fun ids -> List.filter (fun id -> Op.is_mul (kind id)) (Array.to_list ids)) regions
+  in
+  let has k = Array.map (List.exists (fun id -> kind id = k)) region_muls in
+  {
+    dfg;
+    region_of;
+    regions;
+    count;
+    region_muls;
+    mul_cc = has Op.Mul_cc;
+    mul_cp = has Op.Mul_cp;
+  }
 
 let members t r =
   if r < 0 || r >= t.count then invalid_arg "Region.members";
@@ -63,15 +79,9 @@ let ct_members t r =
   Array.to_list (members t r)
   |> List.filter (fun id -> Op.produces_ct (Dfg.node t.dfg id).Dfg.kind)
 
-let muls t r =
-  Array.to_list (members t r)
-  |> List.filter (fun id -> Op.is_mul (Dfg.node t.dfg id).Dfg.kind)
-
-let has_mul_cc t r =
-  List.exists (fun id -> (Dfg.node t.dfg id).Dfg.kind = Op.Mul_cc) (muls t r)
-
-let has_mul_cp t r =
-  List.exists (fun id -> (Dfg.node t.dfg id).Dfg.kind = Op.Mul_cp) (muls t r)
+let muls t r = t.region_muls.(r)
+let has_mul_cc t r = t.mul_cc.(r)
+let has_mul_cp t r = t.mul_cp.(r)
 
 let live_out t r =
   let outs = Dfg.outputs t.dfg in

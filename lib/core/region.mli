@@ -20,6 +20,9 @@ type t = private {
   region_of : int array;  (** node id -> region index. *)
   regions : int array array;  (** region index -> member node ids, topo order. *)
   count : int;
+  region_muls : int list array;  (** region index -> its multiplications, topo order. *)
+  mul_cc : bool array;  (** region index -> holds a [Mul_cc]. *)
+  mul_cp : bool array;  (** region index -> holds a [Mul_cp]. *)
 }
 
 val build : ?sink:bool -> Fhe_ir.Dfg.t -> t
@@ -35,7 +38,8 @@ val ct_members : t -> int -> int list
 (** Ciphertext-producing members only (plaintext constants excluded). *)
 
 val muls : t -> int -> int list
-(** Multiplication nodes of a region. *)
+(** Multiplication nodes of a region, in topological order.  This and the
+    two predicates below are computed once by {!build} and read in O(1). *)
 
 val has_mul_cc : t -> int -> bool
 val has_mul_cp : t -> int -> bool

@@ -21,10 +21,15 @@ type key = {
 
 (* The per-compile cache is lock-protected so parallel segment scans can
    share it.  Concurrent misses may compute the same entry twice; both
-   computes are deterministic and equal, so first-add-wins is safe. *)
-type cache = { tbl : (key, result) Hashtbl.t; lock : Mutex.t }
+   computes are deterministic and equal, so first-add-wins is safe.  The
+   SMOPLC memo (templates by region, cuts by region and entry level —
+   SMOPLC reads neither [rescales] nor [bts]) lives here too, under the
+   same lock, so it dies with the compile. *)
+type cache = { tbl : (key, result) Hashtbl.t; smo : Smoplc.memo; lock : Mutex.t }
 
-let create_cache () = { tbl = Hashtbl.create 256; lock = Mutex.create () }
+let create_cache () =
+  let lock = Mutex.create () in
+  { tbl = Hashtbl.create 256; smo = Smoplc.create_memo ~lock (); lock }
 
 (* A cross-compile memo keyed by region *content* rather than region
    index: entries survive model edits for every region whose hash is
@@ -54,6 +59,11 @@ module Memo = struct
   let create () = { tbl = Hashtbl.create 512; lock = Mutex.create (); hits = 0; misses = 0 }
   let stats t = Mutex.protect t.lock (fun () -> (t.hits, t.misses))
   let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
+
+  let evaluated t =
+    Mutex.protect t.lock (fun () -> Det.sorted_keys t.tbl)
+    |> List.map (fun k -> (k.m_hash, k.m_entry_level, k.m_rescales))
+    |> List.sort_uniq compare
 end
 
 exception Infeasible of string
@@ -181,7 +191,7 @@ let region_end_bts_cut regioned ~region ~subgraph =
   ignore region;
   { Cut.edges; value = 0.0; sink_side = []; cert = None; node_of = [||] }
 
-let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
+let compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
   let g = regioned.Region.dfg in
   let members = Region.ct_members regioned region in
   if members = [] && rescales = 0 && bts = None then
@@ -196,7 +206,8 @@ let compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescale
       if rescales = 0 then None
       else
         match smo_mode with
-        | Smo_min_cut -> Some (Smoplc.run ?fuel regioned prm ~region ~level:entry_level)
+        | Smo_min_cut ->
+            Some (Smoplc.run ?fuel ~memo:cache.smo regioned prm ~region ~level:entry_level)
         | Smo_eva -> Some (eva_cut regioned ~region)
         | Smo_pars -> Some (pars_cut regioned ~region)
     in
@@ -373,7 +384,7 @@ let eval ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
              degraded compiles stay reproducible. *)
           Obs.incr "region_eval.computes";
           let r =
-            compute ?fuel regioned prm ~smo_mode ~bts_mode ~region ~entry_level
+            compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
               ~rescales ~bts
           in
           cache_add r;

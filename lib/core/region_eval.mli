@@ -51,6 +51,10 @@ module Memo : sig
 
   val size : t -> int
   (** Number of memoised region solutions. *)
+
+  val evaluated : t -> (int64 * int * int) list
+  (** Distinct [(region hash, entry level, rescales)] of the memoised
+      solutions, sorted — what a planner run asked for, for tests. *)
 end
 
 exception Infeasible of string

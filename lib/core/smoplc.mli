@@ -13,10 +13,33 @@
     to be closed under predecessors, guaranteeing that every path from a
     multiplication to a live-out crosses the cut exactly once.
 
-    Edges from [Mul_cc] to its mandatory [Relin] are uncuttable. *)
+    Edges from [Mul_cc] to its mandatory [Relin] are uncuttable.
 
-val run : ?fuel:Fuel.t -> Region.t -> Ckks.Params.t -> region:int -> level:int -> Cut.t
-(** Each call spends one unit of [fuel] (default {!Fuel.unlimited}).
+    Only the capacities depend on [level], so a solve has two steps.  The
+    region's {e template} — members, entry flags, in-region predecessors,
+    out-degrees and the arc list in insertion order, each arc naming the
+    member whose weight caps it or marked infinite — is built once per
+    region.  Each [(region, level)] solve then computes the weights, adds
+    the template's arcs to a fresh {!Graphlib.Maxflow} network and runs
+    one min-cut, so cuts and certificates do not depend on whether the
+    template was fresh or reused. *)
+
+type memo
+(** Per-compile memo: templates by region and cuts by [(region, level)].
+    Keyed by region index, so one memo serves one regioned DFG only.
+    {!Region_eval.cache} owns one; nothing is kept between compiles. *)
+
+val create_memo : ?lock:Mutex.t -> unit -> memo
+(** [lock] (default a fresh mutex) guards both tables, so worker domains
+    may share the memo.  Concurrent misses may solve the same pair twice;
+    the first result stored wins. *)
+
+val run :
+  ?fuel:Fuel.t -> ?memo:memo -> Region.t -> Ckks.Params.t -> region:int -> level:int -> Cut.t
+(** A solve spends one unit of [fuel] (default {!Fuel.unlimited}) and
+    counts one [smoplc.cuts].  A [(region, level)] already in [memo]
+    returns the stored cut without spending fuel or counting, so
+    {!Driver.planner_steps} stays equal to the fuel spent.
     @raise Invalid_argument on an empty region or [level < 1].
     @raise Fuel.Exhausted when the step budget runs out. *)
 

@@ -1742,12 +1742,17 @@ module Explain = struct
         let prev = Option.value (Hashtbl.find_opt buckets r.bucket) ~default:[] in
         Hashtbl.replace buckets r.bucket ({ leaf_label = r.label; leaf_cost = r.cost } :: prev))
       rows;
+    (* Drained in label order; both levels are re-sorted by cost below. *)
+    let bindings tbl =
+      List.sort (fun (a, _) (b, _) -> compare a b)
+        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) (* det-ok: sorted above *)
+    in
     let groups =
-      Hashtbl.fold
-        (fun glabel buckets acc ->
+      List.map
+        (fun (glabel, buckets) ->
           let bs =
-            Hashtbl.fold
-              (fun blabel leaves acc ->
+            List.map
+              (fun (blabel, leaves) ->
                 let leaves =
                   List.sort
                     (fun a b -> by_cost a.leaf_cost a.leaf_label b.leaf_cost b.leaf_label)
@@ -1767,9 +1772,8 @@ module Explain = struct
                   leaves = shown;
                   folded;
                   folded_cost;
-                }
-                :: acc)
-              buckets []
+                })
+              (bindings buckets)
           in
           let bs =
             List.sort
@@ -1778,9 +1782,8 @@ module Explain = struct
           in
           let cost = List.fold_left (fun s b -> s +. b.bucket_cost) 0.0 bs in
           let count = List.fold_left (fun s b -> s + b.bucket_count) 0 bs in
-          { group_label = glabel; group_cost = cost; group_count = count; buckets = bs }
-          :: acc)
-        group_tbl []
+          { group_label = glabel; group_cost = cost; group_count = count; buckets = bs })
+        (bindings group_tbl)
     in
     let groups =
       List.sort

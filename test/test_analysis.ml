@@ -276,6 +276,16 @@ let lint_source_scan () =
   checkb "missing directories scan clean" true
     (Analysis.Lint.scan_planner_sources ~dir = [])
 
+(* The library sources themselves must scan clean: the same check the CI
+   lint step runs with [--sources lib --deny-warnings]. *)
+let lint_source_scan_repo_clean () =
+  let dir = Filename.concat Filename.parent_dir_name "lib" in
+  checkb "lib/ is present" true (Sys.file_exists (Filename.concat dir "core"));
+  check (Alcotest.list Alcotest.string) "no diagnostics" []
+    (List.map
+       (fun (d : Analysis.Diag.t) -> d.Analysis.Diag.message)
+       (Analysis.Lint.scan_planner_sources ~dir))
+
 (* --- Scale_check const handling (satellite regression) --------------------- *)
 
 (* The same program with the shared constant created first vs last: the
@@ -395,6 +405,7 @@ let suite =
     case "lint: clean graph is quiet" lint_clean_graph_is_quiet;
     case "lint: rule ids roundtrip" lint_rule_ids_roundtrip;
     case "lint: source scan flags unsorted hashtbl drains" lint_source_scan;
+    case "lint: library sources scan clean" lint_source_scan_repo_clean;
     case "scale_check: const levels ignore numbering" const_levels_ignore_numbering;
     case "scale_check: no max_int leak on malformed graphs" malformed_graph_no_maxint_leak;
     case "driver: verify-each across all models and managers" verify_each_matrix;

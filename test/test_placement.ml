@@ -100,6 +100,195 @@ let paths_cross_cut_once =
       done;
       !ok)
 
+(* Test-only oracle: SMOPLC as it was before the template/solve split,
+   building the whole flow network from the DFG on every call.  The
+   template path must reproduce it bit for bit, certificates included. *)
+let oracle_smoplc regioned ~region ~level =
+  let g = regioned.Resbm.Region.dfg in
+  let cost_of ~level id =
+    let node = Dfg.node g id in
+    match Op.cost_op node.Dfg.kind with
+    | None -> 0.0
+    | Some op -> float_of_int node.Dfg.freq *. Ckks.Cost_model.cost op ~level
+  in
+  let nodes = Resbm.Region.ct_members regioned region in
+  let index = Hashtbl.create 32 in
+  List.iteri (fun i id -> Hashtbl.add index id i) nodes;
+  let in_region id = Hashtbl.mem index id in
+  let k = List.length nodes in
+  let net = Graphlib.Maxflow.create (k + 2) in
+  let s = k and t = k + 1 in
+  let rs_cost id =
+    float_of_int (Dfg.node g id).Dfg.freq *. Ckks.Cost_model.cost Ckks.Cost_model.Rescale ~level
+  in
+  let linc = Hashtbl.create 32 in
+  let is_entry =
+    let muls = Resbm.Region.muls regioned region in
+    if muls <> [] then fun id -> List.mem id muls
+    else fun id -> not (List.exists in_region (Dfg.preds g id))
+  in
+  List.iter
+    (fun id ->
+      let v =
+        if is_entry id then 0.0
+        else
+          let own = cost_of ~level id -. cost_of ~level:(level - 1) id in
+          List.fold_left
+            (fun acc p -> acc +. Option.value (Hashtbl.find_opt linc p) ~default:0.0)
+            own (Dfg.preds g id)
+      in
+      Hashtbl.add linc id v)
+    nodes;
+  let is_liveout id =
+    List.mem id (Dfg.outputs g) || List.exists (fun u -> not (in_region u)) (Dfg.succs g id)
+  in
+  let forces_sink id =
+    match (Dfg.node g id).Dfg.kind with
+    | Op.Add_cc ->
+        List.exists
+          (fun p -> Op.produces_ct (Dfg.node g p).Dfg.kind && not (in_region p))
+          (Dfg.preds g id)
+    | _ -> false
+  in
+  List.iter
+    (fun id ->
+      let i = Hashtbl.find index id in
+      if is_entry id then Resbm.Maxflow_util.add_with_reverse net ~src:s ~dst:i ~cap:infinity;
+      let internal_heads = List.filter in_region (Dfg.succs g id) in
+      let degree = List.length internal_heads + if is_liveout id then 1 else 0 in
+      if degree > 0 then begin
+        let weight =
+          if (Dfg.node g id).Dfg.kind = Op.Mul_cc then infinity
+          else (rs_cost id +. Hashtbl.find linc id) /. float_of_int degree
+        in
+        List.iter
+          (fun h ->
+            Resbm.Maxflow_util.add_with_reverse net ~src:i ~dst:(Hashtbl.find index h)
+              ~cap:weight)
+          internal_heads;
+        if is_liveout id then Resbm.Maxflow_util.add_with_reverse net ~src:i ~dst:t ~cap:weight
+      end;
+      if forces_sink id then Graphlib.Maxflow.add_edge net ~src:i ~dst:t ~cap:infinity)
+    nodes;
+  let mc = Graphlib.Maxflow.min_cut net ~source:s ~sink:t in
+  let cert = Graphlib.Maxflow.certificate net ~source:s ~sink:t mc in
+  let node_at = Array.of_list nodes in
+  let edges =
+    List.filter_map
+      (fun (u, v) ->
+        if u = s then None
+        else if v = t then Some (Resbm.Cut.Boundary_out { tail = node_at.(u) })
+        else Some (Resbm.Cut.Internal { tail = node_at.(u); head = node_at.(v) }))
+      mc.Graphlib.Maxflow.edges
+  in
+  let sink_side = List.filteri (fun i _ -> not mc.Graphlib.Maxflow.source_side.(i)) nodes in
+  let node_of = Array.append node_at [| -1; -1 |] in
+  { Resbm.Cut.edges; value = mc.Graphlib.Maxflow.value; sink_side; cert = Some cert; node_of }
+
+(* Field-by-field equality, floats compared bit for bit. *)
+let same_cut (a : Resbm.Cut.t) (b : Resbm.Cut.t) =
+  let bits x = Int64.bits_of_float x in
+  let same_arc (x : Graphlib.Maxflow.flow_arc) (y : Graphlib.Maxflow.flow_arc) =
+    x.fa_src = y.fa_src && x.fa_dst = y.fa_dst
+    && bits x.fa_cap = bits y.fa_cap
+    && bits x.fa_flow = bits y.fa_flow
+  in
+  a.edges = b.edges
+  && bits a.value = bits b.value
+  && a.sink_side = b.sink_side && a.node_of = b.node_of
+  &&
+  match (a.cert, b.cert) with
+  | Some ca, Some cb ->
+      ca.cert_nodes = cb.cert_nodes && ca.cert_source = cb.cert_source
+      && ca.cert_sink = cb.cert_sink
+      && bits ca.cert_value = bits cb.cert_value
+      && ca.cert_source_side = cb.cert_source_side
+      && Array.length ca.cert_arcs = Array.length cb.cert_arcs
+      && Array.for_all2 same_arc ca.cert_arcs cb.cert_arcs
+  | None, None -> true
+  | _ -> false
+
+(* Every non-empty region at every level in [1, l_max]: the memoised run,
+   a cold run and the oracle agree.  Returns the mismatching pairs. *)
+let smoplc_mismatches r =
+  let memo = Resbm.Smoplc.create_memo () in
+  let bad = ref [] in
+  for region = 0 to r.Resbm.Region.count - 1 do
+    if Resbm.Region.ct_members r region <> [] then
+      for level = 1 to prm.Ckks.Params.l_max do
+        let cold = Resbm.Smoplc.run r prm ~region ~level in
+        if not (same_cut cold (oracle_smoplc r ~region ~level)) then
+          bad := (region, level) :: !bad;
+        ignore (Resbm.Smoplc.run ~memo r prm ~region ~level);
+        if not (same_cut cold (Resbm.Smoplc.run ~memo r prm ~region ~level)) then
+          bad := (region, -level) :: !bad
+      done
+  done;
+  List.rev !bad
+
+let smoplc_matches_oracle_on_models () =
+  List.iter
+    (fun model ->
+      let r = Resbm.Region.build (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+        (model.Nn.Model.name ^ ": (region, level) mismatches")
+        [] (smoplc_mismatches r))
+    [ Nn.Model.resnet20; Nn.Model.alexnet; Nn.Model.tiny ]
+
+let smoplc_matches_oracle_random =
+  qcheck ~count:40 "smoplc template solve equals the per-call oracle"
+    (random_dfg_gen ~max_nodes:40 ~max_depth:6)
+    (fun params -> smoplc_mismatches (Resbm.Region.build (build_random_dfg params)) = [])
+
+(* A memo hit is free: no fuel, no [smoplc.cuts], no max-flow run. *)
+let smoplc_memo_hit_is_free () =
+  let g, _ = conv_region_graph ~channels:16 in
+  let r = Resbm.Region.build g in
+  let memo = Resbm.Smoplc.create_memo () in
+  let fuel = Resbm.Fuel.create ~stage:"test" 10 in
+  let p = Obs.Profile.create () in
+  Obs.with_profile p (fun () ->
+      for _ = 1 to 3 do
+        ignore (Resbm.Smoplc.run ~fuel ~memo r prm ~region:1 ~level:2)
+      done;
+      ignore (Resbm.Smoplc.run ~fuel ~memo r prm ~region:1 ~level:3));
+  checki "fuel spent once per (region, level)" 8 (Resbm.Fuel.remaining fuel);
+  checki "smoplc.cuts" 2 (Obs.Profile.counter p "smoplc.cuts");
+  checki "maxflow.runs" 2 (Obs.Profile.counter p "maxflow.runs")
+
+(* The fuel metered by a finite budget equals the steps the profile
+   counters report, and SMOPLC solves each distinct (region, entry level)
+   with a rescale exactly once per compile. *)
+let planner_fuel_matches_counters () =
+  let g = (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
+  let spent m = Obs.Metrics.counter_value ~labels:[ ("stage", "plan") ] m "planner_fuel_spent_total" in
+  let m = Obs.Metrics.create () in
+  let _, report =
+    Obs.with_metrics m (fun () ->
+        Resbm.Driver.compile ~fuel:(Resbm.Fuel.create 1_000_000) prm g)
+  in
+  let steps = Resbm.Driver.planner_steps report.Resbm.Report.profile in
+  checkb "fuel was spent" true (steps > 0);
+  checki "fuel spent = planner steps" steps (spent m);
+  let r = Resbm.Region.build g in
+  let memo = Resbm.Region_eval.Memo.create () in
+  let p = Obs.Profile.create () and m = Obs.Metrics.create () in
+  ignore
+    (Obs.with_metrics m (fun () ->
+         Obs.with_profile p (fun () ->
+             Resbm.Btsmgr.plan ~fuel:(Resbm.Fuel.create 1_000_000)
+               ~memo:(memo, Int64.of_int) r prm)));
+  let pairs =
+    Resbm.Region_eval.Memo.evaluated memo
+    |> List.filter_map (fun (h, level, rescales) ->
+           if rescales > 0 then Some (h, level) else None)
+    |> List.sort_uniq compare
+  in
+  checki "smoplc.cuts = distinct (region, entry level) pairs" (List.length pairs)
+    (Obs.Profile.counter p "smoplc.cuts");
+  checki "plan fuel spent = planner steps" (Resbm.Driver.planner_steps p) (spent m)
+
 (* --- BTSPLC ---------------------------------------------------------------- *)
 
 let bts_cut_groups_shared_rescale () =
@@ -227,6 +416,11 @@ let suite =
     case "scalemgr: bootstrap resets scale" scalemgr_bts_resets_scale;
     case "scalemgr: stacked rescales" scalemgr_multi_rescale;
     scalemgr_early_rescaling;
+    case "smoplc: equals the per-call oracle on ResNet-20, AlexNet, Tiny"
+      smoplc_matches_oracle_on_models;
+    smoplc_matches_oracle_random;
+    case "smoplc: a memo hit spends no fuel and counts no cut" smoplc_memo_hit_is_free;
+    case "smoplc: planner fuel equals the step counters" planner_fuel_matches_counters;
   ]
 
 (* Theorem 1 (practical form): SMOPLC's min-cut region latency does not
