@@ -187,7 +187,7 @@ let noise_margin ?magnitude_cap ?const_magnitude ~min_precision_bits prm g =
    hashtable in physical (hash) order — OCaml hashtable iteration order
    depends on insertion history and the random seed, and a planner
    decision taken in that order silently breaks plan reproducibility and
-   the parallel/cached bit-identity contract.  Planner sources drain
+   the cold/warm bit-identity contract.  Planner sources drain
    through [Det] instead (det.ml itself is the sanctioned wrapper and is
    exempt, as is any line carrying a [det-ok] marker). *)
 let contains hay needle =

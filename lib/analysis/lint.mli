@@ -57,7 +57,7 @@ val scan_planner_sources : dir:string -> Diag.t list
     - ["unsorted-hashtbl-drain"] — a [Hashtbl.iter] / [Hashtbl.fold] call
       site in a [.ml] file: hash-order iteration makes planner decisions
       depend on insertion history and seed, breaking plan reproducibility
-      and the parallel/cached bit-identity contract; planner code drains
+      and the cold/warm bit-identity contract; planner code drains
       through [Det].  [det.ml] itself and lines marked [(* det-ok *)] are
       exempt.
     - ["stdout-in-lib"] — a raw stdout call ([print_*],

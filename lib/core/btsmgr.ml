@@ -71,7 +71,7 @@ let cross_edges_by_consumer regioned =
   by_rb
 
 let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Full)
-    ?(jobs = 1) ?memo regioned prm =
+    ?jobs:_ ?memo regioned prm =
   let count = regioned.Region.count in
   let last = count - 1 in
   let cache = Region_eval.create_cache () in
@@ -235,13 +235,6 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
            segment, a bootstrap at each source) — the O(regions) eager
            scan used by the last fallback tier. *)
         let scan_last = match segment_scan with `Full -> last | `Adjacent -> src + 1 in
-        (* Candidate evaluation at a given [dst] reads only src-indexed DP
-           state (boundary scale/level, prod_level), all fixed for the
-           whole dst scan — so a chunk of destinations can be evaluated on
-           worker domains and folded sequentially in dst order, with the
-           exact early-stop of the sequential scan.  The lookahead may
-           evaluate (and meter) a few segments past the stopping dst; the
-           DP folds none of them, so the resulting plan is bit-identical. *)
         let fold_candidates d candidates =
           Obs.incr ~by:(List.length candidates) "btsmgr.candidates";
           List.iter
@@ -255,60 +248,24 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
               end)
             candidates
         in
-        if jobs <= 1 then
-          while !continue_scan && !dst <= scan_last do
-            let candidates =
-              (if src = 0 then
-                 match try_segment ~src ~dst:!dst ~no_bts:true with
-                 | Some s -> [ s ]
-                 | None | (exception Not_found) -> []
-               else [])
-              @
-              match try_segment ~src ~dst:!dst ~no_bts:false with
-              | Some s -> [ s ]
-              | None ->
-                  continue_scan := false;
-                  []
-              | exception Not_found -> []
-            in
-            fold_candidates !dst candidates;
-            incr dst
-          done
-        else
-          while !continue_scan && !dst <= scan_last do
-            let base = !dst in
-            let chunk = min jobs (scan_last - base + 1) in
-            (* Slot 2i = no-bts candidate for dst base+i, slot 2i+1 = bts
-               candidate; deterministic order regardless of scheduling. *)
-            let evald =
-              Par.tabulate ~jobs ~label:"segment_scan" (2 * chunk) (fun t ->
-                  let d = base + (t / 2) in
-                  let no_bts = t land 1 = 0 in
-                  if no_bts && src <> 0 then `Skip
-                  else
-                    match try_segment ~src ~dst:d ~no_bts with
-                    | Some s -> `Seg s
-                    | None -> `Stop
-                    | exception Not_found -> `Infeasible)
-            in
-            for i = 0 to chunk - 1 do
-              if !continue_scan then begin
-                let d = base + i in
-                let candidates =
-                  (match evald.(2 * i) with `Seg s -> [ s ] | _ -> [])
-                  @
-                  match evald.((2 * i) + 1) with
-                  | `Seg s -> [ s ]
-                  | `Stop ->
-                      continue_scan := false;
-                      []
-                  | `Infeasible | `Skip -> []
-                in
-                fold_candidates d candidates
-              end
-            done;
-            dst := base + chunk
-          done
+        while !continue_scan && !dst <= scan_last do
+          let candidates =
+            (if src = 0 then
+               match try_segment ~src ~dst:!dst ~no_bts:true with
+               | Some s -> [ s ]
+               | None | (exception Not_found) -> []
+             else [])
+            @
+            match try_segment ~src ~dst:!dst ~no_bts:false with
+            | Some s -> [ s ]
+            | None ->
+                continue_scan := false;
+                []
+            | exception Not_found -> []
+          in
+          fold_candidates !dst candidates;
+          incr dst
+        done
       end
     done;
     if min_lat.(last) = infinity then

@@ -69,12 +69,10 @@ val plan :
     the linear-time eager strategy of the last fallback tier — no search,
     a bootstrap at every boundary.
 
-    [jobs] (default 1) fans candidate-segment evaluations — and through
-    them the per-region min-cut solves — across a {!Par} domain pool in
-    dst-ordered chunks.  The resulting plan is bit-identical to the
-    sequential scan for any [jobs]; with a {e finite} [fuel] the lookahead
-    may meter a few extra segment evaluations past the DP's stopping
-    point, so exhaustion can trigger at a different step than at [jobs=1].
+    [jobs] is ignored: planning is single-domain.  The parameter exists
+    only so existing [~jobs:1] callers still compile.  The scan is
+    deterministic for every [fuel] budget: the same budget exhausts at the
+    same step.
 
     [memo] is a cross-compile {!Region_eval.Memo} plus per-region content
     hashes (see {!Plan_cache}): region solutions are reused across

@@ -1,9 +1,8 @@
 (* Deterministic hashtable draining for planner code.
 
    [Hashtbl.iter]/[Hashtbl.fold] enumerate buckets in hash order: stable
-   for a fixed population history, but a landmine once planning is
-   domain-parallel (population order races) and for any content hash that
-   folds over the result.  Planner code must drain hashtables through
+   for a fixed population history, but a landmine once that history
+   changes and for any content hash that folds over the result.  Planner code must drain hashtables through
    these sorted helpers; `Analysis.Lint.scan_planner_sources` flags raw
    iteration as a lint violation. *)
 

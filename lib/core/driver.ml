@@ -15,7 +15,7 @@ let () =
 let compile_seq = Atomic.make 0
 
 let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
-    ~fallbacks ~jobs ~cache prm g =
+    ~fallbacks ~cache prm g =
   let profile = match profile with Some p -> p | None -> Obs.Profile.create () in
   Obs.with_profile profile @@ fun () ->
   Obs.with_log_ctx ~compile_id:(Atomic.fetch_and_add compile_seq 1) @@ fun () ->
@@ -27,7 +27,6 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
     ~fields:
       [
         ("manager", Obs.Json.String name);
-        ("jobs", Obs.Json.Int jobs);
         ("nodes", Obs.Json.Int (Fhe_ir.Dfg.node_count g));
       ]
     "compiling";
@@ -67,7 +66,7 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
               (Plan_cache.memo c, fun r -> hashes.(r)))
             cache
         in
-        Btsmgr.plan ~config ~fuel ~segment_scan ~jobs ?memo regioned prm)
+        Btsmgr.plan ~config ~fuel ~segment_scan ?memo regioned prm)
   in
   let outcome = phase "apply" (fun () -> Plan.apply regioned prm plan) in
   let managed = outcome.Plan.dfg in
@@ -243,8 +242,7 @@ let run_certify prm managed (report : Report.t) =
 
 let compile ?(config = Btsmgr.resbm_config) ?(name = "ReSBM") ?(ms_opt = false)
     ?(verify_each = false) ?(certify = false) ?profile ?(fuel = Fuel.unlimited)
-    ?(segment_scan = `Full) ?(fallbacks = []) ?jobs ?cache prm g =
-  let jobs = Par.resolve jobs in
+    ?(segment_scan = `Full) ?(fallbacks = []) ?cache prm g =
   let certified (managed, report) =
     if certify then run_certify prm managed report;
     (managed, report)
@@ -253,7 +251,7 @@ let compile ?(config = Btsmgr.resbm_config) ?(name = "ReSBM") ?(ms_opt = false)
   | None ->
       certified
         (compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
-           ~fallbacks ~jobs ~cache:None prm g)
+           ~fallbacks ~cache:None prm g)
   | Some c -> (
       let ckey = Plan_cache.key ~config ~name ~ms_opt ~segment_scan prm g in
       match Plan_cache.find c ckey with
@@ -279,7 +277,7 @@ let compile ?(config = Btsmgr.resbm_config) ?(name = "ReSBM") ?(ms_opt = false)
             "plan not cached, compiling cold";
           let managed, report =
             compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel
-              ~segment_scan ~fallbacks ~jobs ~cache:(Some c) prm g
+              ~segment_scan ~fallbacks ~cache:(Some c) prm g
           in
           (* Certify before storing so a refuted plan never persists. *)
           let managed, report = certified (managed, report) in
@@ -342,7 +340,7 @@ let degrade_reason = function
   | _ -> None
 
 let compile_robust ?(chain = default_chain) ?fuel_steps ?(ms_opt = false)
-    ?(verify_each = false) ?profile ?jobs ?cache prm g =
+    ?(verify_each = false) ?profile ?jobs:_ ?cache prm g =
   if chain = [] then invalid_arg "Driver.compile_robust: empty chain";
   let rec go fallbacks = function
     | [] -> assert false
@@ -350,7 +348,7 @@ let compile_robust ?(chain = default_chain) ?fuel_steps ?(ms_opt = false)
         (* Terminal tier: unlimited fuel — it must either plan or raise
            the real failure for the caller. *)
         compile ~config:tier.tier_config ~name:tier.tier_name ~ms_opt ~verify_each
-          ?profile ~segment_scan:tier.tier_scan ~fallbacks:(List.rev fallbacks) ?jobs
+          ?profile ~segment_scan:tier.tier_scan ~fallbacks:(List.rev fallbacks)
           ?cache prm g
     | tier :: rest -> (
         let fuel =
@@ -361,7 +359,7 @@ let compile_robust ?(chain = default_chain) ?fuel_steps ?(ms_opt = false)
         match
           compile ~config:tier.tier_config ~name:tier.tier_name ~ms_opt ~verify_each
             ?profile ~fuel ~segment_scan:tier.tier_scan
-            ~fallbacks:(List.rev fallbacks) ?jobs ?cache prm g
+            ~fallbacks:(List.rev fallbacks) ?cache prm g
         with
         | result -> result
         | exception e -> (

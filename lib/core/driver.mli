@@ -35,7 +35,6 @@ val compile :
   ?fuel:Fuel.t ->
   ?segment_scan:[ `Full | `Adjacent ] ->
   ?fallbacks:(string * string) list ->
-  ?jobs:int ->
   ?cache:Plan_cache.t ->
   Ckks.Params.t ->
   Fhe_ir.Dfg.t ->
@@ -69,12 +68,6 @@ val compile :
     timed as a span, and the min-cut / planner counters are collected, in
     the ambient {!Obs} profile: a caller-supplied [?profile], or a fresh
     one otherwise.  Either way it is returned in {!Report.t.profile}.
-
-    [jobs] (default: {!Par.resolve}, i.e. [RESBM_JOBS] or 1) fans the
-    DP's candidate-segment evaluations and min-cut solves across a
-    domain pool; the plan and every deterministic report field are
-    bit-identical to [jobs = 1] (only [compile_ms] and the profile,
-    which measure wall clock, differ).
 
     [cache] consults a {!Plan_cache} before planning and stores the
     result after: a hit returns a bit-identical plan and report (with
@@ -144,4 +137,7 @@ val compile_robust :
     broken input rather than a planner dead-end (e.g.
     [Invalid_argument]) are not caught; the terminal tier's failure, if
     any, escapes as-is.
+
+    [jobs] is ignored: planning is single-domain.  The parameter exists
+    only so existing [~jobs:1] callers still compile.
     @raise Invalid_argument on an empty [chain]. *)

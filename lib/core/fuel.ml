@@ -1,10 +1,7 @@
-(* The budget lives in an [Atomic] so the same counter can be shared by
-   worker domains during parallel planning: spends race on a CAS loop, so
-   accounting stays exact (never over- or under-counted) and a failed
-   spend consumes nothing — identical to the old single-domain semantics.
-   Under parallelism the *order* of spends is nondeterministic, so a
-   finite budget may exhaust at a different step than a sequential run;
-   bit-identity contracts therefore only cover unlimited-fuel compiles. *)
+(* The budget lives in an [Atomic] so a caller may share one counter
+   across its own domains: spends race on a CAS loop, so accounting stays
+   exact (never over- or under-counted) and a failed spend consumes
+   nothing. *)
 type t = { stage : string; capacity : int; used : int Atomic.t }
 
 exception Exhausted of string

@@ -12,12 +12,10 @@
     are deterministic, so whether a compile degrades — and to which tier —
     is reproducible across machines and runs.
 
-    The counter is atomic: one budget may be shared across the worker
-    domains of a parallel plan and total accounting stays exact.  Note
-    that with [jobs > 1] the {e order} of spends depends on scheduling,
-    so a finite budget can exhaust at a different planning step than the
-    sequential run would — bit-identity guarantees between sequential and
-    parallel compiles only hold for unlimited fuel. *)
+    Planning is single-domain, so the order of spends is fixed: a given
+    budget exhausts at the same planning step on every run.  The counter
+    is still atomic, so a caller may share one budget across its own
+    domains with exact total accounting. *)
 
 type t
 

@@ -19,17 +19,13 @@ type key = {
   bts_mode : bts_mode;
 }
 
-(* The per-compile cache is lock-protected so parallel segment scans can
-   share it.  Concurrent misses may compute the same entry twice; both
-   computes are deterministic and equal, so first-add-wins is safe.  The
+(* The per-compile cache lives inside one {!Btsmgr.plan} call.  The
    SMOPLC memo (templates by region, cuts by region and entry level —
-   SMOPLC reads neither [rescales] nor [bts]) lives here too, under the
-   same lock, so it dies with the compile. *)
-type cache = { tbl : (key, result) Hashtbl.t; smo : Smoplc.memo; lock : Mutex.t }
+   SMOPLC reads neither [rescales] nor [bts]) lives here too, so it dies
+   with the compile. *)
+type cache = { tbl : (key, result) Hashtbl.t; smo : Smoplc.memo }
 
-let create_cache () =
-  let lock = Mutex.create () in
-  { tbl = Hashtbl.create 256; smo = Smoplc.create_memo ~lock (); lock }
+let create_cache () = { tbl = Hashtbl.create 256; smo = Smoplc.create_memo () }
 
 (* A cross-compile memo keyed by region *content* rather than region
    index: entries survive model edits for every region whose hash is
@@ -339,11 +335,8 @@ let compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~r
 let eval ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
     ~rescales ~bts =
   let key = { region; entry_level; rescales; bts; smo_mode; bts_mode } in
-  let cache_add r =
-    Mutex.protect cache.lock (fun () ->
-        if not (Hashtbl.mem cache.tbl key) then Hashtbl.add cache.tbl key r)
-  in
-  match Mutex.protect cache.lock (fun () -> Hashtbl.find_opt cache.tbl key) with
+  let cache_add r = Hashtbl.add cache.tbl key r in
+  match Hashtbl.find_opt cache.tbl key with
   | Some r -> r
   | None -> (
       let mkey =

@@ -31,9 +31,8 @@ type result = {
 }
 
 type cache
-(** Per-compile memo, keyed by region index and candidate plan.
-    Lock-protected: safe to share across the worker domains of one
-    parallel segment scan. *)
+(** Per-compile memo, keyed by region index and candidate plan.  One
+    {!Btsmgr.plan} call creates and owns it. *)
 
 val create_cache : unit -> cache
 

@@ -136,18 +136,10 @@ let solve tp ~level =
   let node_of = Array.append tp.node_at [| -1; -1 |] in
   { Cut.edges; value = mc.Graphlib.Maxflow.value; sink_side; cert = Some cert; node_of }
 
-(* Per-compile memo: templates by region, cuts by (region, level).  The
-   lock is shared with the owning [Region_eval] cache; concurrent misses
-   may solve the same pair twice, both results are equal, and the first
-   add wins. *)
-type memo = {
-  templates : (int, template) Hashtbl.t;
-  cuts : (int * int, Cut.t) Hashtbl.t;
-  lock : Mutex.t;
-}
+(* Per-compile memo: templates by region, cuts by (region, level). *)
+type memo = { templates : (int, template) Hashtbl.t; cuts : (int * int, Cut.t) Hashtbl.t }
 
-let create_memo ?(lock = Mutex.create ()) () =
-  { templates = Hashtbl.create 64; cuts = Hashtbl.create 256; lock }
+let create_memo () = { templates = Hashtbl.create 64; cuts = Hashtbl.create 256 }
 
 let run ?(fuel = Fuel.unlimited) ?memo regioned prm ~region ~level =
   ignore prm;
@@ -155,16 +147,12 @@ let run ?(fuel = Fuel.unlimited) ?memo regioned prm ~region ~level =
     match memo with
     | None -> compute ()
     | Some m -> (
-        match Mutex.protect m.lock (fun () -> Hashtbl.find_opt (tbl m) key) with
+        match Hashtbl.find_opt (tbl m) key with
         | Some v -> v
         | None ->
             let v = compute () in
-            Mutex.protect m.lock (fun () ->
-                match Hashtbl.find_opt (tbl m) key with
-                | Some first -> first
-                | None ->
-                    Hashtbl.add (tbl m) key v;
-                    v))
+            Hashtbl.add (tbl m) key v;
+            v)
   in
   memoised (fun m -> m.cuts) (region, level) (fun () ->
       Fuel.spend fuel;

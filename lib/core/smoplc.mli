@@ -29,10 +29,7 @@ type memo
     Keyed by region index, so one memo serves one regioned DFG only.
     {!Region_eval.cache} owns one; nothing is kept between compiles. *)
 
-val create_memo : ?lock:Mutex.t -> unit -> memo
-(** [lock] (default a fresh mutex) guards both tables, so worker domains
-    may share the memo.  Concurrent misses may solve the same pair twice;
-    the first result stored wins. *)
+val create_memo : unit -> memo
 
 val run :
   ?fuel:Fuel.t -> ?memo:memo -> Region.t -> Ckks.Params.t -> region:int -> level:int -> Cut.t

@@ -45,5 +45,6 @@ val compile :
   Ckks.Params.t ->
   Fhe_ir.Dfg.t ->
   Fhe_ir.Dfg.t * Report.t
-(** [verify_each], [certify], [jobs] and [cache] are forwarded to
-    {!Driver.compile}. *)
+(** [verify_each], [certify] and [cache] are forwarded to
+    {!Driver.compile}.  [jobs] is ignored: planning is single-domain.  The
+    parameter exists only so existing [~jobs:1] callers still compile. *)

@@ -354,18 +354,6 @@ module Profile = struct
       (fun (k, v) -> Format.fprintf ppf "@ %-32s %10d" k v)
       (counters t);
     Format.fprintf ppf "@]"
-
-  (* Fold a worker domain's profile into [into]: spans are re-anchored to
-     [into]'s epoch, counters and series merge by name.  Call after the
-     worker has joined — neither profile may be concurrently mutated. *)
-  let merge ~into src =
-    let offset = 1000.0 *. (src.epoch -. into.epoch) in
-    let adjusted =
-      List.rev_map (fun s -> { s with start_ms = s.start_ms +. offset }) src.finished
-    in
-    into.finished <- List.rev_append adjusted into.finished;
-    List.iter (fun (k, v) -> incr ~by:v into k) (counters src);
-    List.iter (fun (k, vs) -> List.iter (observe into k) vs) (all_series src)
 end
 
 module Trace = struct
@@ -814,9 +802,8 @@ end
    in by the ambient helpers at the bottom of this file) plus free-form
    structured fields, and a simulated-clock stamp when a trace was
    ambient at emission time so the record lands as an instant on the
-   execution timeline.  The sink is mutex-protected: parallel-planner
-   workers share their parent's sink the same way they share the metrics
-   registry. *)
+   execution timeline.  The sink is mutex-protected, like the metrics
+   registry, so a caller may share one across its own domains. *)
 module Log = struct
   type level = Debug | Info | Warn | Error
 
@@ -1033,11 +1020,7 @@ module Log = struct
       rs
 end
 
-(* Runtime telemetry: GC pressure deltas around a computation, and
-   per-worker accounting for the parallel planner's domain pool — tasks
-   executed, busy vs idle wall time, queue wait — exported as one
-   Perfetto track per worker domain so pool utilization is visible next
-   to the compile and execution timelines. *)
+(* Runtime telemetry: GC pressure deltas around a computation. *)
 module Rt = struct
   type gc_delta = {
     minor_words : float;
@@ -1059,148 +1042,6 @@ module Rt = struct
         major_collections = b.Gc.major_collections - a.Gc.major_collections;
         top_heap_words = b.Gc.top_heap_words;
       } )
-
-  type task_span = { t_index : int; t_start_ms : float; t_dur_ms : float }
-
-  type worker = {
-    w_id : int;  (* slot in the pool, 0-based *)
-    w_domain : int;  (* OCaml domain id the worker ran on *)
-    w_tasks : int;
-    w_busy_ms : float;
-    w_idle_ms : float;  (* pool wall time not spent inside tasks *)
-    w_queue_wait_ms : float;  (* spawn-to-first-task latency *)
-    w_spans : task_span list;  (* per-task spans, start relative to pool start *)
-  }
-
-  type pool = {
-    p_seq : int;
-    p_label : string;
-    p_jobs : int;
-    p_tasks : int;
-    p_start_ms : float;  (* relative to collector creation *)
-    p_wall_ms : float;
-    p_workers : worker list;
-  }
-
-  type t = {
-    epoch : float;
-    lock : Mutex.t;
-    mutable seq : int;
-    mutable rpools : pool list;  (* reverse completion order *)
-  }
-
-  let create () =
-    { epoch = Unix.gettimeofday (); lock = Mutex.create (); seq = 0; rpools = [] }
-
-  let now_ms t = 1000.0 *. (Unix.gettimeofday () -. t.epoch)
-
-  let record_pool t ~label ~jobs ~tasks ~wall_ms workers =
-    Mutex.protect t.lock (fun () ->
-        let p =
-          {
-            p_seq = t.seq;
-            p_label = label;
-            p_jobs = jobs;
-            p_tasks = tasks;
-            p_start_ms = Float.max 0.0 (now_ms t -. wall_ms);
-            p_wall_ms = wall_ms;
-            p_workers = workers;
-          }
-        in
-        t.seq <- t.seq + 1;
-        t.rpools <- p :: t.rpools)
-
-  let pools t = Mutex.protect t.lock (fun () -> List.rev t.rpools)
-
-  let worker_to_json w =
-    Json.Obj
-      [
-        ("id", Json.Int w.w_id);
-        ("domain", Json.Int w.w_domain);
-        ("tasks", Json.Int w.w_tasks);
-        ("busy_ms", Json.Float w.w_busy_ms);
-        ("idle_ms", Json.Float w.w_idle_ms);
-        ("queue_wait_ms", Json.Float w.w_queue_wait_ms);
-      ]
-
-  let to_json t =
-    Json.List
-      (List.map
-         (fun p ->
-           Json.Obj
-             [
-               ("seq", Json.Int p.p_seq);
-               ("label", Json.String p.p_label);
-               ("jobs", Json.Int p.p_jobs);
-               ("tasks", Json.Int p.p_tasks);
-               ("start_ms", Json.Float p.p_start_ms);
-               ("wall_ms", Json.Float p.p_wall_ms);
-               ("workers", Json.List (List.map worker_to_json p.p_workers));
-             ])
-         (pools t))
-
-  (* One Perfetto thread per (pool, worker): task spans as "X" events so
-     gaps — idle workers, a straggler task — are visually obvious. *)
-  let chrome_events ?(pid = 2) ?(name = "resbm planner pool") t =
-    match pools t with
-    | [] -> []
-    | ps ->
-        let meta =
-          Json.Obj
-            [
-              ("name", Json.String "process_name");
-              ("ph", Json.String "M");
-              ("pid", Json.Int pid);
-              ("tid", Json.Int 0);
-              ("args", Json.Obj [ ("name", Json.String name) ]);
-            ]
-        in
-        let per_pool p =
-          let tid w = (p.p_seq * 64) + w.w_id + 1 in
-          List.concat_map
-            (fun w ->
-              let tname =
-                Printf.sprintf "%s#%d w%d (domain %d)" p.p_label p.p_seq w.w_id
-                  w.w_domain
-              in
-              Json.Obj
-                [
-                  ("name", Json.String "thread_name");
-                  ("ph", Json.String "M");
-                  ("pid", Json.Int pid);
-                  ("tid", Json.Int (tid w));
-                  ("args", Json.Obj [ ("name", Json.String tname) ]);
-                ]
-              :: Json.Obj
-                   [
-                     ("name", Json.String "thread_sort_index");
-                     ("ph", Json.String "M");
-                     ("pid", Json.Int pid);
-                     ("tid", Json.Int (tid w));
-                     ("args", Json.Obj [ ("sort_index", Json.Int (tid w)) ]);
-                   ]
-              :: List.map
-                   (fun s ->
-                     Json.Obj
-                       [
-                         ("name", Json.String (Printf.sprintf "task %d" s.t_index));
-                         ("cat", Json.String "pool");
-                         ("ph", Json.String "X");
-                         ("ts", Json.Float (Trace.usec (p.p_start_ms +. s.t_start_ms)));
-                         ("dur", Json.Float (Trace.usec s.t_dur_ms));
-                         ("pid", Json.Int pid);
-                         ("tid", Json.Int (tid w));
-                         ( "args",
-                           Json.Obj
-                             [
-                               ("index", Json.Int s.t_index);
-                               ("pool", Json.String p.p_label);
-                             ] );
-                       ])
-                   w.w_spans)
-            p.p_workers
-        in
-        meta :: List.concat_map per_pool ps
 end
 
 (* Aggregate metrics: a registry of counters, gauges and log-bucketed
@@ -1242,9 +1083,8 @@ module Metrics = struct
     counters : (string * labels, int ref) Hashtbl.t;
     gauges : (string * labels, float ref) Hashtbl.t;
     hists : (string * labels, hist) Hashtbl.t;
-    (* Mutators take this lock: a registry is shared with worker domains
-       during parallel planning so exact counters (fuel metering, cache
-       traffic) survive the fan-out. *)
+    (* Mutators take this lock so a registry a caller shares across its
+       own domains keeps exact counters. *)
     lock : Mutex.t;
   }
 
@@ -2744,11 +2584,9 @@ let profile_chrome_events ?(pid = 0) ?(name = "resbm compile") p =
 let chrome_trace events =
   Json.Obj [ ("traceEvents", Json.List events); ("displayTimeUnit", Json.String "ms") ]
 
-(* Ambient state is domain-local: a freshly spawned worker domain sees
-   None for all three handles, so helpers are silent there unless the
-   work-pool explicitly re-installs the parent's handles (Par does this
-   for metrics, and gives each worker its own profile to merge later).
-   Within one domain the save/restore discipline is unchanged. *)
+(* Ambient state is domain-local: a domain a library caller spawns sees
+   None for every handle until it installs its own.  Within one domain
+   each [with_*] saves and restores the previous handle. *)
 let current_profile : Profile.t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
@@ -2852,16 +2690,6 @@ let log_debug ~event ?fields msg = log ~level:Log.Debug ~event ~msg ?fields ()
 let log_info ~event ?fields msg = log ~level:Log.Info ~event ~msg ?fields ()
 let log_warn ~event ?fields msg = log ~level:Log.Warn ~event ~msg ?fields ()
 let log_error ~event ?fields msg = log ~level:Log.Error ~event ~msg ?fields ()
-
-(* --- ambient runtime telemetry ------------------------------------------- *)
-
-let current_rt_key : Rt.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let current_rt () = Domain.DLS.get current_rt_key
-
-let with_rt rt f =
-  let saved = Domain.DLS.get current_rt_key in
-  Domain.DLS.set current_rt_key (Some rt);
-  Fun.protect f ~finally:(fun () -> Domain.DLS.set current_rt_key saved)
 
 (* A profile span that additionally publishes the phase's GC pressure
    into the ambient metrics registry.  The deltas go to Metrics only —

@@ -78,11 +78,6 @@ module Profile : sig
 
   val pp : Format.formatter -> t -> unit
   (** Top-level phase durations and counters, one per line. *)
-
-  val merge : into:t -> t -> unit
-  (** Fold a worker domain's profile into [into]: spans re-anchored to
-      [into]'s epoch, counters and series merged by name.  Only call
-      after the worker has joined — neither side may be mutating. *)
 end
 
 (** Runtime execution tracing — a ring-buffered flight recorder of per-op
@@ -246,8 +241,8 @@ end
     simulated-clock stamp when a trace was ambient at emission time — so
     a record emitted mid-execution lands as an instant on the execution
     timeline, correlated with the op spans around it.  The sink is
-    mutex-protected and shared with parallel-planner worker domains the
-    same way the metrics registry is. *)
+    mutex-protected, like the metrics registry, so a caller may share one
+    across its own domains. *)
 module Log : sig
   type level = Debug | Info | Warn | Error
 
@@ -324,9 +319,7 @@ module Log : sig
       pid 0) at its host timestamp.  Wrap with {!chrome_trace}. *)
 end
 
-(** Runtime telemetry: GC pressure deltas around a computation, and
-    per-worker accounting for the parallel planner's domain pool,
-    exported as one Perfetto track per worker domain. *)
+(** Runtime telemetry: GC pressure deltas around a computation. *)
 module Rt : sig
   type gc_delta = {
     minor_words : float;
@@ -338,54 +331,6 @@ module Rt : sig
 
   val gc_sample : (unit -> 'a) -> 'a * gc_delta
   (** Run [f] between two [Gc.quick_stat] snapshots. *)
-
-  type task_span = {
-    t_index : int;  (** Task index within the pool run. *)
-    t_start_ms : float;  (** Relative to pool start. *)
-    t_dur_ms : float;
-  }
-
-  type worker = {
-    w_id : int;  (** Slot in the pool, 0-based. *)
-    w_domain : int;  (** OCaml domain id the worker ran on. *)
-    w_tasks : int;
-    w_busy_ms : float;
-    w_idle_ms : float;  (** Pool wall time not spent inside tasks. *)
-    w_queue_wait_ms : float;  (** Spawn-to-first-task latency. *)
-    w_spans : task_span list;
-  }
-
-  type pool = {
-    p_seq : int;
-    p_label : string;
-    p_jobs : int;
-    p_tasks : int;
-    p_start_ms : float;  (** Relative to collector creation. *)
-    p_wall_ms : float;
-    p_workers : worker list;
-  }
-
-  type t
-
-  val create : unit -> t
-
-  val now_ms : t -> float
-  (** Milliseconds since collector creation. *)
-
-  val record_pool :
-    t -> label:string -> jobs:int -> tasks:int -> wall_ms:float -> worker list -> unit
-  (** Append one completed pool run; called by {!Resbm.Par} after the
-      workers have joined.  Thread-safe. *)
-
-  val pools : t -> pool list
-  (** Recorded pool runs, in completion order. *)
-
-  val to_json : t -> Json.t
-
-  val chrome_events : ?pid:int -> ?name:string -> t -> Json.t list
-  (** One Perfetto thread per (pool, worker) on its own process (default
-      pid 2), task spans as ["X"] events — gaps show idle workers.  [[]]
-      when no pools were recorded.  Wrap with {!chrome_trace}. *)
 end
 
 (** Aggregate metrics: a registry of counters, gauges and log-bucketed
@@ -768,8 +713,7 @@ val metric_set : ?labels:Metrics.labels -> string -> float -> unit
 
 val with_log : Log.t -> (unit -> 'a) -> 'a
 (** Install [sink] as the ambient log sink for the extent of the callback
-    (restoring the previous one after, also on exceptions).  {!Resbm.Par}
-    re-installs the parent's sink in worker domains, like metrics. *)
+    (restoring the previous one after, also on exceptions). *)
 
 val current_log : unit -> Log.t option
 
@@ -796,13 +740,6 @@ val log_info : event:string -> ?fields:(string * Json.t) list -> string -> unit
 val log_warn : event:string -> ?fields:(string * Json.t) list -> string -> unit
 val log_error : event:string -> ?fields:(string * Json.t) list -> string -> unit
 (** [log_error ~event msg] = [log ~level:Error ~event ~msg ()]. *)
-
-val with_rt : Rt.t -> (unit -> 'a) -> 'a
-(** Install [rt] as the ambient runtime-telemetry collector for the
-    extent of the callback.  {!Resbm.Par} records one pool entry per
-    [tabulate] fan-out into it. *)
-
-val current_rt : unit -> Rt.t option
 
 val gc_span : string -> (unit -> 'a) -> 'a
 (** {!span}, plus — when a metrics registry is ambient — the phase's GC

@@ -144,7 +144,7 @@ let percentile sorted p =
       let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
       List.nth l (max 0 (min (n - 1) (rank - 1)))
 
-let run ?jobs ?cache cfg =
+let run ?jobs:_ ?cache cfg =
   if cfg.dim < 1 then invalid_arg "Scheduler.run: dim below 1";
   if cfg.duration_ms < 0.0 then invalid_arg "Scheduler.run: negative duration";
   if cfg.queue_depth < 1 then invalid_arg "Scheduler.run: queue_depth below 1";
@@ -160,7 +160,7 @@ let run ?jobs ?cache cfg =
       cfg.l_max
   in
   let managed, plan_report =
-    Resbm.Driver.compile_robust ?jobs ?cache prm lowered.Nn.Lowering.dfg
+    Resbm.Driver.compile_robust ?cache prm lowered.Nn.Lowering.dfg
   in
   let region_of =
     let attr = plan_report.Resbm.Report.region_of in

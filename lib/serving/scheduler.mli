@@ -19,7 +19,7 @@
     Everything — arrivals, payloads, fault plans, evaluator noise,
     backoff — is deterministic in [seed] over the simulated clock, so a
     campaign report serialises byte-for-byte identically across runs and
-    across planner [jobs] values.  Recovery latency is accounted {e per
+    plan-cache temperatures.  Recovery latency is accounted {e per
     request}: each successful batch's recovery cost is split across its
     members (the per-request sum equals the batch total exactly), and
     every arrival terminates as completed, shed, or failed exactly
@@ -135,9 +135,11 @@ type report = {
 }
 
 val run : ?jobs:int -> ?cache:Resbm.Plan_cache.t -> config -> report
-(** Run a campaign.  [jobs]/[cache] feed the planner
-    ({!Resbm.Driver.compile_robust}), whose plans are bit-identical at
-    any job count — the report does not depend on them.  Metrics
+(** Run a campaign.  [cache] feeds the planner
+    ({!Resbm.Driver.compile_robust}), whose plans are bit-identical warm
+    or cold — the report does not depend on it.  [jobs] is ignored:
+    planning is single-domain.  The parameter exists only so existing
+    [~jobs:1] callers still compile.  Metrics
     ([serve_*] counters, [service_latency_ms] / [serve_queue_depth] /
     [serve_batch_size] histograms, [serve_queue_depth_peak] gauge), log
     events ([serve.admit] / [serve.shed] / [serve.batch.formed] /

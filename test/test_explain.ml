@@ -1,17 +1,17 @@
 (* Resbm.Explain + Obs.Explain: full cost attribution, certificate-derived
-   bootstrap rationales, byte-identical rendering across job counts and
-   cache temperature, and the renumbering-stability contract of the
+   bootstrap rationales, byte-identical rendering across runs and cache
+   temperature, and the renumbering-stability contract of the
    structural plan digest. *)
 open Test_util
 open Fhe_ir
 
 let prm = Ckks.Params.default
 
-let compile ?jobs ?cache ?(prm = prm) model =
+let compile ?cache ?(prm = prm) model =
   let lowered = Nn.Lowering.lower model in
   let orig = Dfg.node_count lowered.Nn.Lowering.dfg in
   let managed, report =
-    Resbm.Variants.compile ?jobs ?cache Resbm.Variants.resbm prm
+    Resbm.Variants.compile ?cache Resbm.Variants.resbm prm
       lowered.Nn.Lowering.dfg
   in
   (orig, managed, report)
@@ -83,18 +83,15 @@ let rationales_carry_certificates () =
             (cf.Resbm.Explain.cf_delta >= 0.0 || cf.Resbm.Explain.cf_value = infinity))
     rs
 
-(* --- byte-identical across jobs and cache temperature ----------------------- *)
+(* --- byte-identical across runs and cache temperature ----------------------- *)
 
 let explain_deterministic () =
-  let ref_text =
-    let orig, managed, report = compile ~jobs:1 Nn.Model.lenet5 in
+  let uncached () =
+    let orig, managed, report = compile Nn.Model.lenet5 in
     render ~orig managed report
   in
-  let jobs4 =
-    let orig, managed, report = compile ~jobs:4 Nn.Model.lenet5 in
-    render ~orig managed report
-  in
-  check Alcotest.string "jobs 1 vs jobs 4" ref_text jobs4;
+  let ref_text = uncached () in
+  check Alcotest.string "run 1 vs run 2" ref_text (uncached ());
   let dir = Filename.temp_file "resbm_explain" "" in
   Sys.remove dir;
   let cache = Resbm.Plan_cache.create ~dir () in
@@ -228,7 +225,7 @@ let suite =
   [
     case "attribution covers 100% of predicted latency" attribution_is_complete;
     case "every bootstrap carries certificate evidence" rationales_carry_certificates;
-    case "explain output is byte-identical across jobs and cache" explain_deterministic;
+    case "explain output is byte-identical across runs and cache" explain_deterministic;
     case "self plan-diff reports no differences" digest_self_diff_is_empty;
     case "a real plan change is detected" digest_detects_change;
     digest_renumbering_invariant;

@@ -1,27 +1,12 @@
 (* The flight-deck observability tier: the Log ring buffer (overflow,
-   filtering, ambient context, JSONL round-trip), Rt pool telemetry and
-   its Perfetto export, Health verdicts and exit codes, gc_span metric
+   filtering, ambient context, JSONL round-trip) and its Perfetto
+   instants, Health verdicts and exit codes, gc_span metric
    publication, the stdout-in-lib source lint, the informational GC
    bench columns — and the headline contract that installing all of it
    changes no compile result bit. *)
 open Test_util
-open Fhe_ir
 
 let prm = Ckks.Params.default
-
-(* Same deterministic snapshot as test_parallel_cache: everything a
-   compile promises to reproduce bit-for-bit. *)
-let fingerprint ((g : Dfg.t), (r : Resbm.Report.t)) =
-  ( Dfg.export g,
-    r.Resbm.Report.manager,
-    r.Resbm.Report.latency_ms,
-    r.Resbm.Report.stats,
-    r.Resbm.Report.segments,
-    r.Resbm.Report.repair_bootstraps,
-    r.Resbm.Report.ms_opt_hoists,
-    r.Resbm.Report.region_count,
-    Array.to_list r.Resbm.Report.region_of,
-    r.Resbm.Report.fallbacks )
 
 (* --- the log ring --------------------------------------------------------- *)
 
@@ -129,7 +114,7 @@ let flight_off_identity =
         List.nth all (Hashtbl.hash params mod List.length all)
       in
       let compile g =
-        match Resbm.Variants.compile ~jobs:2 mgr prm g with
+        match Resbm.Variants.compile mgr prm g with
         | r -> Some (fingerprint r)
         | exception Resbm.Btsmgr.No_plan _ -> None
       in
@@ -137,60 +122,9 @@ let flight_off_identity =
       let flown =
         Obs.with_log (Obs.Log.create ()) @@ fun () ->
         Obs.with_metrics (Obs.Metrics.create ()) @@ fun () ->
-        Obs.with_rt (Obs.Rt.create ()) @@ fun () ->
         compile (build_random_dfg params)
       in
       plain = flown)
-
-(* --- Rt pool telemetry ----------------------------------------------------- *)
-
-let sequential_pool_records_nothing () =
-  let rt = Obs.Rt.create () in
-  Obs.with_rt rt (fun () -> ignore (Resbm.Par.tabulate ~jobs:1 8 Fun.id));
-  checkb "jobs=1 takes the sequential path" true (Obs.Rt.pools rt = []);
-  checkb "no pools means no perfetto track" true (Obs.Rt.chrome_events rt = [])
-
-let parallel_pool_accounts_every_task () =
-  let rt = Obs.Rt.create () in
-  Obs.with_rt rt (fun () ->
-      ignore (Resbm.Par.tabulate ~jobs:4 ~label:"flight_test" 33 Fun.id));
-  match Obs.Rt.pools rt with
-  | [ p ] ->
-      check Alcotest.string "label" "flight_test" p.Obs.Rt.p_label;
-      checki "jobs" 4 p.Obs.Rt.p_jobs;
-      checki "tasks" 33 p.Obs.Rt.p_tasks;
-      checki "one worker row per slot" 4 (List.length p.Obs.Rt.p_workers);
-      checkb "workers listed in slot order" true
-        (List.map (fun w -> w.Obs.Rt.w_id) p.Obs.Rt.p_workers = [ 0; 1; 2; 3 ]);
-      checki "per-worker task counts sum to the pool" 33
-        (List.fold_left (fun acc w -> acc + w.Obs.Rt.w_tasks) 0 p.Obs.Rt.p_workers);
-      let indices =
-        List.concat_map
-          (fun w -> List.map (fun s -> s.Obs.Rt.t_index) w.Obs.Rt.w_spans)
-          p.Obs.Rt.p_workers
-      in
-      checkb "every task index spanned exactly once" true
-        (List.sort compare indices = List.init 33 Fun.id);
-      checkb "span counts match task counts" true
-        (List.for_all
-           (fun w -> List.length w.Obs.Rt.w_spans = w.Obs.Rt.w_tasks)
-           p.Obs.Rt.p_workers)
-  | ps -> Alcotest.failf "expected 1 pool, got %d" (List.length ps)
-
-let rt_export_is_deterministic () =
-  (* Same collector, two exports: the merged per-domain timeline must
-     serialise identically — worker rows are already in slot order, so
-     the export never depends on drain interleaving. *)
-  let rt = Obs.Rt.create () in
-  Obs.with_rt rt (fun () ->
-      ignore (Resbm.Par.tabulate ~jobs:4 20 Fun.id);
-      ignore (Resbm.Par.tabulate ~jobs:2 7 Fun.id));
-  checki "both fan-outs recorded" 2 (List.length (Obs.Rt.pools rt));
-  let export () = Obs.Json.to_string (Obs.Json.List (Obs.Rt.chrome_events rt)) in
-  check Alcotest.string "chrome export is stable" (export ()) (export ());
-  check Alcotest.string "json export is stable"
-    (Obs.Json.to_string (Obs.Rt.to_json rt))
-    (Obs.Json.to_string (Obs.Rt.to_json rt))
 
 let gc_span_publishes_pressure () =
   let m = Obs.Metrics.create () in
@@ -413,9 +347,6 @@ let suite =
     case "log jsonl round-trip is exact" jsonl_round_trip;
     case "log instants land on the right process" log_instants_land_on_the_right_process;
     flight_off_identity;
-    case "rt: sequential pool records nothing" sequential_pool_records_nothing;
-    case "rt: parallel pool accounts every task" parallel_pool_accounts_every_task;
-    case "rt: perfetto export is deterministic" rt_export_is_deterministic;
     case "gc_span publishes pressure to ambient metrics" gc_span_publishes_pressure;
     case "metrics json round-trip is stable" metrics_json_round_trip;
     case "health: vacuous run is healthy" health_vacuous_run_is_healthy;

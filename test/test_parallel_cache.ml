@@ -1,136 +1,37 @@
-(* Domain-parallel planning and the content-addressed plan cache: the Par
-   pool's ordering/exception/fuel contracts, bit-identity of plans across
-   job counts, warm-cache identity, key sensitivity, the incremental
-   region memo, and the on-disk tier. *)
+(* The content-addressed plan cache: warm-cache identity on fixtures and
+   random graphs, key sensitivity, the incremental region memo, and the
+   on-disk tier. *)
 open Test_util
 open Fhe_ir
 
 let prm = Ckks.Params.default
 
-(* Everything a compile promises to reproduce bit-for-bit: the managed
-   graph's structural snapshot plus every deterministic report field.
-   Wall-clock ([compile_ms]) and the profile are explicitly excluded. *)
-let fingerprint ((g : Dfg.t), (r : Resbm.Report.t)) =
-  ( Dfg.export g,
-    r.Resbm.Report.manager,
-    r.Resbm.Report.latency_ms,
-    r.Resbm.Report.stats,
-    r.Resbm.Report.segments,
-    r.Resbm.Report.repair_bootstraps,
-    r.Resbm.Report.ms_opt_hoists,
-    r.Resbm.Report.region_count,
-    Array.to_list r.Resbm.Report.region_of,
-    r.Resbm.Report.fallbacks )
-
-(* --- the Par pool -------------------------------------------------------- *)
-
-let par_tabulate_matches_sequential () =
-  let f i = (i * 31) mod 17 in
-  for jobs = 1 to 5 do
-    checkb
-      (Printf.sprintf "jobs=%d returns input order" jobs)
-      true
-      (Resbm.Par.tabulate ~jobs 33 f = Array.init 33 f)
-  done;
-  checkb "empty input" true (Resbm.Par.tabulate ~jobs:4 0 f = [||]);
-  checkb "more jobs than tasks" true (Resbm.Par.tabulate ~jobs:64 3 f = Array.init 3 f);
-  checkb "map composes" true
-    (Resbm.Par.map ~jobs:3 string_of_int (Array.init 10 Fun.id)
-    = Array.init 10 string_of_int)
-
-exception Marker of int
-
-let par_reraises_smallest_index () =
-  (* Several tasks fail; the pool must re-raise the failure a sequential
-     run would hit first, independent of scheduling. *)
-  for _ = 1 to 10 do
-    match
-      Resbm.Par.tabulate ~jobs:4 50 (fun i ->
-          if i mod 7 = 3 then raise (Marker i) else i)
-    with
-    | _ -> Alcotest.fail "expected Marker"
-    | exception Marker i -> checki "smallest failing index wins" 3 i
-  done
-
-let par_fuel_accounting_is_exact () =
-  (* Racing CAS spends from four domains must account exactly: no spend
-     lost, no spend double-counted, failed spends consume nothing. *)
-  let m = Obs.Metrics.create () in
-  Obs.with_metrics m (fun () ->
-      let fuel = Resbm.Fuel.create ~stage:"par" 100 in
-      ignore (Resbm.Par.tabulate ~jobs:4 100 (fun _ -> Resbm.Fuel.spend fuel));
-      checki "budget fully drained" 0 (Resbm.Fuel.remaining fuel));
-  checki "every spend counted exactly once" 100
-    (Obs.Metrics.counter_value ~labels:[ ("stage", "par") ] m "planner_fuel_spent_total");
-  let m = Obs.Metrics.create () in
-  Obs.with_metrics m (fun () ->
-      let fuel = Resbm.Fuel.create ~stage:"par" 30 in
-      (match Resbm.Par.tabulate ~jobs:4 100 (fun _ -> Resbm.Fuel.spend fuel) with
-      | _ -> Alcotest.fail "expected exhaustion"
-      | exception Resbm.Fuel.Exhausted stage ->
-          check Alcotest.string "stage" "par" stage);
-      checki "exhausted at zero" 0 (Resbm.Fuel.remaining fuel));
-  checki "successful spends only" 30
-    (Obs.Metrics.counter_value ~labels:[ ("stage", "par") ] m "planner_fuel_spent_total");
-  checkb "exhaustions counted" true
-    (Obs.Metrics.counter_value ~labels:[ ("stage", "par") ] m
-       "planner_fuel_exhausted_total"
-    >= 1)
-
-(* --- bit-identity across job counts -------------------------------------- *)
-
-let compile_opt ?jobs ?cache mgr p g =
-  match Resbm.Variants.compile ?jobs ?cache mgr p g with
+let compile_opt ?cache mgr p g =
+  match Resbm.Variants.compile ?cache mgr p g with
   | r -> Some r
   | exception Resbm.Btsmgr.No_plan _ -> None
 
-let jobs_identity_all_managers () =
-  (* Every manager, two fixture programs, jobs in {1, 2, 4}: the plan and
-     every deterministic report field must be bit-identical. *)
-  List.iter
-    (fun (p, mk_g, label) ->
-      List.iter
-        (fun (mgr : Resbm.Variants.manager) ->
-          match compile_opt ~jobs:1 mgr p (mk_g ()) with
-          | None -> ()
-          | Some base ->
-              let fp = fingerprint base in
-              List.iter
-                (fun jobs ->
-                  match compile_opt ~jobs mgr p (mk_g ()) with
-                  | None ->
-                      Alcotest.failf "%s/%s: jobs=%d found no plan" label
-                        mgr.Resbm.Variants.name jobs
-                  | Some r ->
-                      checkb
-                        (Printf.sprintf "%s/%s: jobs=%d bit-identical" label
-                           mgr.Resbm.Variants.name jobs)
-                        true
-                        (fingerprint r = fp))
-                [ 2; 4 ])
-        Resbm.Variants.all)
-    [
-      (prm, fig3_poly, "fig3");
-      (Ckks.Params.fig1, fig1_block, "fig1");
-      (prm, fig5_program, "fig5");
-    ]
+(* --- warm cache ----------------------------------------------------------- *)
 
-let jobs_identity_random =
-  qcheck ~count:40 "random graphs plan bit-identically at any job count"
+let cache_identity_random =
+  qcheck ~count:40 "random graphs plan bit-identically cold and warm"
     (random_dfg_gen ~max_nodes:40 ~max_depth:8)
     (fun params ->
       let mgr =
         let all = Resbm.Variants.all in
         List.nth all (Hashtbl.hash params mod List.length all)
       in
-      match compile_opt ~jobs:1 mgr prm (build_random_dfg params) with
+      match compile_opt mgr prm (build_random_dfg params) with
       | None -> true
-      | Some base ->
-          (match compile_opt ~jobs:3 mgr prm (build_random_dfg params) with
+      | Some base -> (
+          let cache = Resbm.Plan_cache.create () in
+          match compile_opt ~cache mgr prm (build_random_dfg params) with
           | None -> false
-          | Some r -> fingerprint r = fingerprint base))
-
-(* --- warm cache ----------------------------------------------------------- *)
+          | Some cold ->
+              let warm = Resbm.Variants.compile ~cache mgr prm (build_random_dfg params) in
+              (Resbm.Plan_cache.stats cache).Resbm.Plan_cache.hits = 1
+              && fingerprint cold = fingerprint base
+              && fingerprint warm = fingerprint base))
 
 let warm_cache_identity () =
   let cache = Resbm.Plan_cache.create () in
@@ -286,11 +187,7 @@ let lru_eviction_is_bounded () =
 
 let suite =
   [
-    case "par: tabulate matches sequential evaluation" par_tabulate_matches_sequential;
-    case "par: smallest-index exception wins" par_reraises_smallest_index;
-    case "par: fuel accounting is exact across domains" par_fuel_accounting_is_exact;
-    case "plans are bit-identical at jobs 1, 2, 4" jobs_identity_all_managers;
-    jobs_identity_random;
+    cache_identity_random;
     case "warm cache compiles are bit-identical" warm_cache_identity;
     case "warm hits hand out private graphs" warm_hit_graph_is_private;
     case "cache key tracks every compile input" key_sensitivity;

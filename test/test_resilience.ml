@@ -598,6 +598,54 @@ let fuel_spend_is_metered () =
        ~labels:[ ("stage", "test") ]
        m "planner_fuel_exhausted_total")
 
+let fuel_drains_exactly () =
+  (* One spend per unit: a drained budget reads 0, spends past it raise
+     without consuming, and the metric counts successful spends only. *)
+  let m = Obs.Metrics.create () in
+  Obs.with_metrics m (fun () ->
+      let fuel = Resbm.Fuel.create ~stage:"drain" 100 in
+      for _ = 1 to 100 do
+        Resbm.Fuel.spend fuel
+      done;
+      checki "budget fully drained" 0 (Resbm.Fuel.remaining fuel));
+  checki "every spend counted exactly once" 100
+    (Obs.Metrics.counter_value ~labels:[ ("stage", "drain") ] m "planner_fuel_spent_total");
+  let m = Obs.Metrics.create () in
+  Obs.with_metrics m (fun () ->
+      let fuel = Resbm.Fuel.create ~stage:"drain" 30 in
+      (match
+         for _ = 1 to 100 do
+           Resbm.Fuel.spend fuel
+         done
+       with
+      | () -> Alcotest.fail "expected exhaustion"
+      | exception Resbm.Fuel.Exhausted stage -> check Alcotest.string "stage" "drain" stage);
+      checki "exhausted at zero" 0 (Resbm.Fuel.remaining fuel));
+  checki "successful spends only" 30
+    (Obs.Metrics.counter_value ~labels:[ ("stage", "drain") ] m "planner_fuel_spent_total");
+  let fuel = Resbm.Fuel.create ~stage:"drain" 5 in
+  (match Resbm.Fuel.spend ~cost:6 fuel with
+  | () -> Alcotest.fail "expected exhaustion"
+  | exception Resbm.Fuel.Exhausted _ -> ());
+  checki "a failed spend consumes nothing" 5 (Resbm.Fuel.remaining fuel)
+
+let finite_fuel_degrades_reproducibly () =
+  (* Half the planning steps of an unlimited ResNet-20 compile: the same
+     budget must exhaust at the same step, so both degraded compiles pick
+     the same tier and the same plan. *)
+  let dfg () = (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
+  let _, full = Resbm.Variants.compile Resbm.Variants.resbm prm (dfg ()) in
+  let fuel_steps = Resbm.Driver.planner_steps full.Resbm.Report.profile / 2 in
+  checkb "the budget bounds real work" true (fuel_steps > 0);
+  let degraded () = Resbm.Driver.compile_robust ~fuel_steps prm (dfg ()) in
+  let ((_, a) as ra) = degraded () in
+  let ((_, b) as rb) = degraded () in
+  checkb "the resbm tier ran out of fuel" true (a.Resbm.Report.fallbacks <> []);
+  checkb "same fallbacks" true (a.Resbm.Report.fallbacks = b.Resbm.Report.fallbacks);
+  check Alcotest.string "same terminal manager" a.Resbm.Report.manager
+    b.Resbm.Report.manager;
+  checkb "same plan" true (fingerprint ra = fingerprint rb)
+
 (* --- chaos campaigns ------------------------------------------------------ *)
 
 let chaos_config =
@@ -671,4 +719,7 @@ let suite =
     case "fuel spend and exhaustion are metered" fuel_spend_is_metered;
     case "chaos campaign is byte-deterministic" chaos_campaign_is_deterministic;
     case "chaos campaign recovers injected faults" chaos_campaign_recovers;
+    case "fuel: spends drain a budget exactly" fuel_drains_exactly;
+    case "compile_robust: a finite budget degrades reproducibly"
+      finite_fuel_degrades_reproducibly;
   ]

@@ -108,9 +108,8 @@ let scheduler_is_deterministic () =
   let a = render (run det_config) in
   let b = render (run det_config) in
   check Alcotest.string "byte-identical reports across runs" a b;
-  let j1 = render (Serving.Scheduler.run ~jobs:1 ~cache det_config) in
-  let j4 = render (Serving.Scheduler.run ~jobs:4 ~cache det_config) in
-  check Alcotest.string "byte-identical reports across planner jobs" j1 j4
+  let cold = render (Serving.Scheduler.run ~cache:(Resbm.Plan_cache.create ()) det_config) in
+  check Alcotest.string "byte-identical reports cold and warm" a cold
 
 (* --- conservation: every arrival terminates exactly once ---------------- *)
 
@@ -292,7 +291,7 @@ let suite =
     case "batcher capacity respects slots and max_batch" batcher_capacity;
     case "pack/unpack round-trips block payloads" batcher_pack_roundtrip;
     case "batch formation policy: full, degraded, max-wait" batcher_decide_policies;
-    case "campaign reports are byte-deterministic (runs and jobs)"
+    case "campaign reports are byte-deterministic (runs and cache)"
       scheduler_is_deterministic;
     conservation_under_random_load;
     case "a retry that cannot fit its deadline is shed immediately"

@@ -126,3 +126,18 @@ let build_random_dfg (seed, node_budget, max_depth) =
   in
   Dfg.set_outputs g sinks;
   g
+
+(* Everything a compile promises to reproduce bit-for-bit: the managed
+   graph's structural snapshot plus every deterministic report field.
+   Wall-clock ([compile_ms]) and the profile are explicitly excluded. *)
+let fingerprint ((g : Dfg.t), (r : Resbm.Report.t)) =
+  ( Dfg.export g,
+    r.Resbm.Report.manager,
+    r.Resbm.Report.latency_ms,
+    r.Resbm.Report.stats,
+    r.Resbm.Report.segments,
+    r.Resbm.Report.repair_bootstraps,
+    r.Resbm.Report.ms_opt_hoists,
+    r.Resbm.Report.region_count,
+    Array.to_list r.Resbm.Report.region_of,
+    r.Resbm.Report.fallbacks )
