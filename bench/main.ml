@@ -347,7 +347,7 @@ let fig4 () =
   Format.printf "  waterline (Fhelipe):  %8.3f ms@." eva;
   Format.printf "  lazy (DaCapo/PARS):   %8.3f ms@." pars;
   Format.printf "  (paper's Region 2: 131.832 vs 142.616 vs 143.860 ms)@.";
-  let cut = Resbm.Smoplc.run r p ~region:1 ~level:1 in
+  let cut = Resbm.Smoplc.run r ~region:1 ~level:1 in
   Format.printf "  chosen cut: %a@." Resbm.Cut.pp cut
 
 (* --- Figure 5: sub-optimality ----------------------------------------------------------- *)

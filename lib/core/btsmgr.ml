@@ -81,6 +81,10 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
     Region_eval.eval ~fuel ?memo cache regioned prm ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
   in
+  let region_latency ~region ~entry_level ~rescales ~bts =
+    Region_eval.latency ~fuel ?memo cache regioned prm ~smo_mode:config.smo_mode
+      ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
+  in
   (* DP table dimensions: one row per region boundary, l_max + 1 candidate
      bootstrap targets per segment evaluation. *)
   Obs.observe "btsmgr.dp_regions" (float_of_int count);
@@ -99,8 +103,7 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
         |];
       segments = [];
       dp_latency_ms =
-        (eval ~region:0 ~entry_level:prm.Ckks.Params.input_level ~rescales:0 ~bts:None)
-          .Region_eval.latency_ms;
+        region_latency ~region:0 ~entry_level:prm.Ckks.Params.input_level ~rescales:0 ~bts:None;
     }
   else begin
     let min_lat = Array.make count infinity in
@@ -172,12 +175,11 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
         let latency = ref 0.0 in
         (try
            for r = src to dst - 1 do
-             let res =
-               eval ~region:r ~entry_level:levels.(r - src)
-                 ~rescales:sp.Scalemgr.infos.(r - src).rescales
-                 ~bts:(if r = src then bts_target else None)
-             in
-             latency := !latency +. res.Region_eval.latency_ms
+             latency :=
+               !latency
+               +. region_latency ~region:r ~entry_level:levels.(r - src)
+                    ~rescales:sp.Scalemgr.infos.(r - src).rescales
+                    ~bts:(if r = src then bts_target else None)
            done
          with Region_eval.Infeasible _ -> raise_notrace Not_found);
         (* Exact repair pricing: values produced before [src] (levels
@@ -323,8 +325,8 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
             }
         done)
       !segments;
-    let final_eval =
-      eval ~region:last ~entry_level:boundary_level.(last) ~rescales:0 ~bts:None
+    let final_latency =
+      region_latency ~region:last ~entry_level:boundary_level.(last) ~rescales:0 ~bts:None
     in
     actions.(last) <-
       {
@@ -337,6 +339,6 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
     {
       actions;
       segments = List.map (fun (s, d, _) -> (s, d)) !segments;
-      dp_latency_ms = min_lat.(last) +. final_eval.Region_eval.latency_ms;
+      dp_latency_ms = min_lat.(last) +. final_latency;
     }
   end

@@ -1,56 +1,52 @@
 open Fhe_ir
 
-let op_cost g ~level id =
-  let node = Dfg.node g id in
-  match Op.cost_op node.Dfg.kind with
+let op_cost (s : Region.slot) ~level =
+  match Op.cost_op s.Region.kind with
   | None -> 0.0
-  | Some op -> float_of_int node.Dfg.freq *. Ckks.Cost_model.cost op ~level
+  | Some op -> float_of_int s.Region.freq *. Ckks.Cost_model.cost op ~level
 
-let run ?(fuel = Fuel.unlimited) regioned prm ~region ~lbts ~subgraph =
+let cut ?(fuel = Fuel.unlimited) (shape : Region.shape) ~lbts ~subgraph =
   Fuel.spend fuel;
-  ignore region;
   if lbts < 1 then invalid_arg "Btsplc.run: bootstrap target below 1";
   if subgraph = [] then invalid_arg "Btsplc.run: empty subgraph";
-  ignore prm;
-  let g = regioned.Region.dfg in
-  let index = Hashtbl.create 32 in
-  List.iteri (fun i id -> Hashtbl.add index id i) subgraph;
-  let in_sub id = Hashtbl.mem index id in
+  let slots = shape.Region.slots in
+  let index = Array.make (Array.length slots) (-1) in
+  List.iteri (fun i s -> index.(s) <- i) subgraph;
+  let in_sub s = index.(s) >= 0 in
   let k = List.length subgraph in
   let unit_cost = Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:lbts in
-  let bts_cost id = float_of_int (Dfg.node g id).Dfg.freq *. unit_cost in
-  let internal_succs id = List.filter in_sub (Dfg.succs g id) in
-  let is_sink id = internal_succs id = [] in
-  let is_liveout id =
-    List.mem id (Dfg.outputs g)
-    || List.exists (fun u -> not (in_sub u)) (Dfg.succs g id)
+  let bts_cost s = float_of_int slots.(s).Region.freq *. unit_cost in
+  let internal_succs s = List.filter in_sub slots.(s).Region.succs in
+  let is_sink s = internal_succs s = [] in
+  (* In-region successors are the only ones a shape names; any other
+     consumer makes the slot live-out. *)
+  let is_liveout s =
+    slots.(s).Region.live_out
+    || List.exists (fun u -> not (in_sub u)) slots.(s).Region.succs
   in
   (* Cumulative increase of running a node and its in-subgraph successors
      at l_bts instead of level 0 (Algorithm 5, lines 5-10, reverse topo). *)
-  let linc = Hashtbl.create 32 in
+  let linc = Array.make k 0.0 in
   List.iter
-    (fun id ->
-      let v =
-        if is_sink id then 0.0
-        else
-          let own = op_cost g ~level:lbts id -. op_cost g ~level:0 id in
+    (fun s ->
+      if not (is_sink s) then
+        linc.(index.(s)) <-
           List.fold_left
-            (fun acc m -> acc +. Option.value (Hashtbl.find_opt linc m) ~default:0.0)
-            own (internal_succs id)
-      in
-      Hashtbl.add linc id v)
+            (fun acc m -> acc +. linc.(index.(m)))
+            (op_cost slots.(s) ~level:lbts -. op_cost slots.(s) ~level:0)
+            (internal_succs s))
     (List.rev subgraph);
   (* External ciphertext producers feeding the subgraph.  A bootstrap on a
      boundary edge is inserted once after the producer and serves every
      head it feeds, so each producer becomes one flow node whose
      source-side arc carries the full (grouped) insertion cost. *)
-  let external_preds id =
+  let external_preds s =
     List.filter
-      (fun p -> Op.produces_ct (Dfg.node g p).Dfg.kind && not (in_sub p))
-      (Dfg.preds g id)
+      (fun p -> Op.produces_ct slots.(p).Region.kind && not (in_sub p))
+      slots.(s).Region.preds
   in
   let producers = Hashtbl.create 8 in
-  (* producer id -> (flow node, heads) *)
+  (* producer slot -> (flow node, heads) *)
   let next_flow = ref (k + 2) in
   List.iter
     (fun h ->
@@ -65,7 +61,7 @@ let run ?(fuel = Fuel.unlimited) regioned prm ~region ~lbts ~subgraph =
     subgraph;
   let net = Graphlib.Maxflow.create !next_flow in
   let s = k and t = k + 1 in
-  (* Source-side arcs through the producer nodes, in producer-id order:
+  (* Source-side arcs through the producer nodes, in producer-slot order:
      arc insertion order steers the augmenting-path search, so bucket
      order would leak into min-cut tie-breaks. *)
   Det.iter_sorted
@@ -75,38 +71,38 @@ let run ?(fuel = Fuel.unlimited) regioned prm ~region ~lbts ~subgraph =
           (fun acc h ->
             let indeg =
               List.length (external_preds h)
-              + List.length (List.filter in_sub (Dfg.preds g h))
+              + List.length (List.filter in_sub slots.(h).Region.preds)
             in
-            acc +. (Hashtbl.find linc h /. float_of_int (max indeg 1)))
+            acc +. (linc.(index.(h)) /. float_of_int (max indeg 1)))
           0.0 heads
       in
       Maxflow_util.add_with_reverse net ~src:s ~dst:fn ~cap:(bts_cost p +. share);
       List.iter
-        (fun h -> Graphlib.Maxflow.add_edge net ~src:fn ~dst:(Hashtbl.find index h) ~cap:infinity)
+        (fun h -> Graphlib.Maxflow.add_edge net ~src:fn ~dst:index.(h) ~cap:infinity)
         heads)
     producers;
   List.iter
-    (fun id ->
-      let i = Hashtbl.find index id in
-      let int_preds = List.filter in_sub (Dfg.preds g id) in
-      let indeg = List.length (external_preds id) + List.length int_preds in
+    (fun sl ->
+      let i = index.(sl) in
+      let int_preds = List.filter in_sub slots.(sl).Region.preds in
+      let indeg = List.length (external_preds sl) + List.length int_preds in
       (* Entry nodes with no inputs at all still anchor to the source so
          their downstream paths get covered. *)
       if indeg = 0 then Maxflow_util.add_with_reverse net ~src:s ~dst:i ~cap:infinity;
       let weight_in =
         if indeg = 0 then infinity
-        else if (Dfg.node g id).Dfg.kind = Op.Relin then infinity
+        else if slots.(sl).Region.kind = Op.Relin then infinity
           (* never separate a relin from its multiplication *)
-        else (bts_cost id +. Hashtbl.find linc id) /. float_of_int indeg
+        else (bts_cost sl +. linc.(i)) /. float_of_int indeg
       in
       List.iter
         (fun p ->
-          let wp = if (Dfg.node g p).Dfg.kind = Op.Mul_cc then infinity else weight_in in
-          Maxflow_util.add_with_reverse net ~src:(Hashtbl.find index p) ~dst:i ~cap:wp)
+          let wp = if slots.(p).Region.kind = Op.Mul_cc then infinity else weight_in in
+          Maxflow_util.add_with_reverse net ~src:index.(p) ~dst:i ~cap:wp)
         int_preds;
       (* Baseline: bootstrap after the live-out producers (region end). *)
-      if is_sink id || is_liveout id then
-        Maxflow_util.add_with_reverse net ~src:i ~dst:t ~cap:(bts_cost id))
+      if is_sink sl || is_liveout sl then
+        Maxflow_util.add_with_reverse net ~src:i ~dst:t ~cap:(bts_cost sl))
     subgraph;
   let mc = Graphlib.Maxflow.min_cut net ~source:s ~sink:t in
   let cert = Graphlib.Maxflow.certificate net ~source:s ~sink:t mc in
@@ -132,6 +128,14 @@ let run ?(fuel = Fuel.unlimited) regioned prm ~region ~lbts ~subgraph =
     List.filteri (fun i _ -> not mc.Graphlib.Maxflow.source_side.(i)) subgraph
   in
   let node_of = Array.make !next_flow (-1) in
-  Array.iteri (fun i id -> node_of.(i) <- id) node_at;
+  Array.iteri (fun i s -> node_of.(i) <- s) node_at;
   Det.iter_sorted (fun p (fn, _) -> node_of.(fn) <- p) producers;
   { Cut.edges; value = mc.Graphlib.Maxflow.value; sink_side; cert = Some cert; node_of }
+
+let run ?fuel regioned ~lbts ~subgraph =
+  let region = match subgraph with id :: _ -> regioned.Region.region_of.(id) | [] -> 0 in
+  let ids = Region.slots regioned region in
+  let slot_of = Hashtbl.create (Array.length ids) in
+  Array.iteri (fun s id -> Hashtbl.replace slot_of id s) ids;
+  let subgraph = List.map (Hashtbl.find slot_of) subgraph in
+  Cut.relabel (Array.get ids) (cut ?fuel (Region.shape regioned region) ~lbts ~subgraph)

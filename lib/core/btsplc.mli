@@ -12,15 +12,14 @@
     in-degree.  Bootstrapping at the region's end (after the live-out
     producers) is the zero-increase baseline. *)
 
-val run :
-  ?fuel:Fuel.t ->
-  Region.t ->
-  Ckks.Params.t ->
-  region:int ->
-  lbts:int ->
-  subgraph:int list ->
-  Cut.t
-(** [subgraph] lists the level-0 member ids (topological order).  Each
-    call spends one unit of [fuel] (default {!Fuel.unlimited}).
+val cut : ?fuel:Fuel.t -> Region.shape -> lbts:int -> subgraph:int list -> Cut.t
+(** The min-cut of a shape's level-0 [subgraph] (member slots, topological
+    order), naming slots (see {!Cut.relabel}); producer helper nodes map
+    to the producing slot.  Each call spends one unit of [fuel] (default
+    {!Fuel.unlimited}).
     @raise Invalid_argument on an empty subgraph or [lbts < 1].
     @raise Fuel.Exhausted when the step budget runs out. *)
+
+val run : ?fuel:Fuel.t -> Region.t -> lbts:int -> subgraph:int list -> Cut.t
+(** {!cut} over node ids: [subgraph] lists level-0 member ids of one
+    region (topological order); the cut names node ids. *)

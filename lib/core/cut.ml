@@ -22,3 +22,16 @@ let pp ppf t =
     t.edges
 
 let sink_side_mem t id = List.mem id t.sink_side
+
+let relabel f t =
+  let edge = function
+    | Internal { tail; head } -> Internal { tail = f tail; head = f head }
+    | Boundary_in { head } -> Boundary_in { head = f head }
+    | Boundary_out { tail } -> Boundary_out { tail = f tail }
+  in
+  {
+    t with
+    edges = List.map edge t.edges;
+    sink_side = List.map f t.sink_side;
+    node_of = Array.map (fun n -> if n < 0 then n else f n) t.node_of;
+  }

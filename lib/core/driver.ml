@@ -58,14 +58,8 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
   let plan =
     phase "plan" (fun () ->
         (* The incremental tier: thread the cache's region-solution memo,
-           keyed by per-region content hashes, into the DP's evals. *)
-        let memo =
-          Option.map
-            (fun c ->
-              let hashes = Plan_cache.region_hashes prm regioned in
-              (Plan_cache.memo c, fun r -> hashes.(r)))
-            cache
-        in
+           keyed by region shape, into the DP's evals. *)
+        let memo = Option.map Plan_cache.memo cache in
         Btsmgr.plan ~config ~fuel ~segment_scan ?memo regioned prm)
   in
   let outcome = phase "apply" (fun () -> Plan.apply regioned prm plan) in

@@ -14,9 +14,9 @@ open Fhe_ir
    Three tiers:
    - in-memory LRU of compiled plans (graph + report), exact-key;
    - optional on-disk tier (one JSON file per key) surviving processes;
-   - an incremental tier: a {!Region_eval.Memo} keyed by region *content*
-     hash, so re-planning an edited model re-solves only regions whose
-     hash changed. *)
+   - an incremental tier: a {!Region_eval.Memo} keyed by the parameters
+     and the exact region shape, so re-planning an edited or renumbered
+     model re-solves only region shapes it has not seen. *)
 
 (* ---------- FNV-1a ---------- *)
 
@@ -90,8 +90,6 @@ let mix_params h (prm : Ckks.Params.t) =
   |> Fun.flip mix_int prm.Ckks.Params.input_scale_bits
   |> Fun.flip mix_int prm.Ckks.Params.bootstrap_depth
 
-let ctx_hash prm = mix_int64 (mix_params fnv_offset prm) (Lazy.force cost_fingerprint)
-
 let mix_graph h g =
   let h = ref (mix_int h (Dfg.node_count g)) in
   List.iter
@@ -125,44 +123,6 @@ let key ~(config : Btsmgr.config) ~name ~ms_opt ~segment_scan prm g =
   let h = mix_params h prm in
   let h = mix_int64 h (Lazy.force cost_fingerprint) in
   hex (mix_graph h g)
-
-(* Per-region content hash: everything {!Region_eval.compute} reads about
-   a region besides the explicit memo-key fields — members (ids, kinds,
-   freqs, args), the kind/freq of external producers feeding them, each
-   member's live-out shape — plus the parameter/cost context.  Actual
-   node ids are hashed on purpose: memoised cut results name nodes by id,
-   so they may only transfer between graphs where the region's ids are
-   identical (true for prefix-preserving model edits). *)
-let region_hashes prm (regioned : Region.t) =
-  let g = regioned.Region.dfg in
-  let outputs = Dfg.outputs g in
-  let ctx = ctx_hash prm in
-  Array.init regioned.Region.count (fun r ->
-      let members = Region.members regioned r in
-      let h = ref (mix_int (mix_int64 fnv_offset ctx) (Array.length members)) in
-      Array.iter
-        (fun id ->
-          let n = Dfg.node g id in
-          h := mix_int !h id;
-          h := mix_kind !h n.Dfg.kind;
-          h := mix_int !h n.Dfg.freq;
-          Array.iter (fun a -> h := mix_int !h a) n.Dfg.args;
-          List.iter
-            (fun p ->
-              if regioned.Region.region_of.(p) <> r then begin
-                let pn = Dfg.node g p in
-                h := mix_int !h p;
-                h := mix_kind !h pn.Dfg.kind;
-                h := mix_int !h pn.Dfg.freq
-              end)
-            (Dfg.preds g id);
-          let out =
-            List.mem id outputs
-            || List.exists (fun u -> regioned.Region.region_of.(u) <> r) (Dfg.succs g id)
-          in
-          h := mix_bool !h out)
-        members;
-      !h)
 
 (* ---------- the cache ---------- *)
 

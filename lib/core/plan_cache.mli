@@ -10,9 +10,9 @@
     - an optional on-disk tier (one JSON file per key under [dir]),
       surviving processes — reports loaded from disk carry an empty
       profile and recomputed stats, deterministic fields identical;
-    - an incremental tier: a {!Region_eval.Memo} keyed by region
-      {e content} hash ({!region_hashes}), so re-planning an edited model
-      re-solves only regions whose hash changed.
+    - an incremental tier: a {!Region_eval.Memo} keyed by the parameters
+      and the exact {!Region.shape}, so re-planning an edited or
+      renumbered model re-solves only region shapes it has not seen.
 
     Hits and misses are counted on the ambient {!Obs} metrics as
     [plan_cache_{hits,misses,evictions}_total] and on the ambient profile
@@ -52,13 +52,6 @@ val store : t -> string -> Fhe_ir.Dfg.t -> Report.t -> unit
 val memo : t -> Region_eval.Memo.t
 (** The incremental region-solution memo, to thread into
     {!Driver.compile} / {!Btsmgr.plan}. *)
-
-val region_hashes : Ckks.Params.t -> Region.t -> int64 array
-(** Per-region content hashes for the incremental tier: members (ids,
-    kinds, freqs, args), external producer kind/freq, live-out shape,
-    plus parameters and cost-model fingerprint.  Node ids are included
-    deliberately — memoised cuts name nodes by id and only transfer when
-    the region's ids are unchanged. *)
 
 val dir : t -> string option
 

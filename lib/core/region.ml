@@ -1,5 +1,27 @@
 open Fhe_ir
 
+type slot = {
+  kind : Op.kind;
+  freq : int;
+  preds : int list;
+  succs : int list;
+  live_out : bool;
+}
+
+type shape = { members : int; slots : slot array; hash : int }
+
+module Shape = struct
+  type t = shape
+
+  (* [compare] short-cuts on physical equality, which interned shapes of
+     one regioned DFG always have; shapes hold no floats, so [compare = 0]
+     is structural equality. *)
+  let equal a b = a == b || (a.hash = b.hash && compare a b = 0)
+  let hash s = s.hash
+end
+
+module Shape_tbl = Hashtbl.Make (Shape)
+
 type t = {
   dfg : Dfg.t;
   region_of : int array;
@@ -8,7 +30,81 @@ type t = {
   region_muls : int list array;
   mul_cc : bool array;
   mul_cp : bool array;
+  shapes : shape array;
+  slot_ids : int array array;
 }
+
+(* Names label values, not structure: two regions that differ only in
+   which input or weight they read solve identically. *)
+let erase_names = function
+  | Op.Input { level; scale_bits; _ } -> Op.Input { name = ""; level; scale_bits }
+  | Op.Const _ -> Op.Const { name = "" }
+  | k -> k
+
+(* Every region's shape and slot -> node id map.  Slots are the members in
+   topological order, then the external producers the members read, in
+   ascending id order.  Equal shapes are interned, so regions repeating
+   one block share one physical shape. *)
+let shapes_of dfg region_of regions =
+  let outputs = Array.make (Array.length region_of) false in
+  List.iter (fun o -> outputs.(o) <- true) (Dfg.outputs dfg);
+  let slot_of = Array.make (Array.length region_of) (-1) in
+  let interned = Shape_tbl.create 64 in
+  let per_region =
+    Array.mapi
+      (fun r members ->
+        Array.iteri (fun i id -> slot_of.(id) <- i) members;
+        let preds = Array.map (Dfg.preds dfg) members in
+        let external_ =
+          Array.fold_left
+            (fun acc ps -> List.filter (fun p -> region_of.(p) <> r) ps @ acc)
+            [] preds
+          |> List.sort_uniq compare
+        in
+        let n = Array.length members in
+        List.iteri (fun j p -> slot_of.(p) <- n + j) external_;
+        let ids = Array.append members (Array.of_list external_) in
+        let slots =
+          Array.mapi
+            (fun i id ->
+              let node = Dfg.node dfg id in
+              let kind = erase_names node.Dfg.kind and freq = node.Dfg.freq in
+              if i >= n then { kind; freq; preds = []; succs = []; live_out = false }
+              else
+                let succs = Dfg.succs dfg id in
+                {
+                  kind;
+                  freq;
+                  preds = List.map (fun p -> slot_of.(p)) preds.(i);
+                  succs =
+                    List.filter_map
+                      (fun u -> if region_of.(u) = r then Some slot_of.(u) else None)
+                      succs;
+                  live_out = outputs.(id) || List.exists (fun u -> region_of.(u) <> r) succs;
+                })
+            ids
+        in
+        (* Kinds, freqs and live-out flags spread the shapes well enough
+           and equality settles the rest: a structural hash of every slot
+           cost about as much as the rest of the shape build. *)
+        let hash =
+          Array.fold_left
+            (fun h s -> (h * 65599) + Hashtbl.hash s.kind + (31 * s.freq) + Bool.to_int s.live_out)
+            n slots
+          land max_int
+        in
+        let shape = { members = n; slots; hash } in
+        let shape =
+          match Shape_tbl.find_opt interned shape with
+          | Some s -> s
+          | None ->
+              Shape_tbl.add interned shape shape;
+              shape
+        in
+        (shape, ids))
+      regions
+  in
+  (Array.map fst per_region, Array.map snd per_region)
 
 let build ?(sink = true) dfg =
   (match Dfg.validate dfg with
@@ -61,6 +157,7 @@ let build ?(sink = true) dfg =
     Array.map (fun ids -> List.filter (fun id -> Op.is_mul (kind id)) (Array.to_list ids)) regions
   in
   let has k = Array.map (List.exists (fun id -> kind id = k)) region_muls in
+  let shapes, slot_ids = shapes_of dfg region_of regions in
   {
     dfg;
     region_of;
@@ -69,6 +166,8 @@ let build ?(sink = true) dfg =
     region_muls;
     mul_cc = has Op.Mul_cc;
     mul_cp = has Op.Mul_cp;
+    shapes;
+    slot_ids;
   }
 
 let members t r =
@@ -79,6 +178,8 @@ let ct_members t r =
   Array.to_list (members t r)
   |> List.filter (fun id -> Op.produces_ct (Dfg.node t.dfg id).Dfg.kind)
 
+let shape t r = t.shapes.(r)
+let slots t r = t.slot_ids.(r)
 let muls t r = t.region_muls.(r)
 let has_mul_cc t r = t.mul_cc.(r)
 let has_mul_cp t r = t.mul_cp.(r)

@@ -15,6 +15,42 @@
     prefers Figure 3b over Figure 3a: the off-critical-path [a1*x]
     multiplication sinks next to its use and executes at a lower level. *)
 
+(** {1 Region shapes}
+
+    A region's {e shape} is the id-free content the planners read: its
+    {e slots} are the members in topological order, then the external
+    producers the members read, in ascending id order.  Regions with equal
+    shapes have equal cuts, certificates and latencies slot for slot, so
+    the planner solves each shape once and maps the solution back to node
+    ids through {!slots}. *)
+
+type slot = private {
+  kind : Fhe_ir.Op.kind;  (** [Input]/[Const] names erased. *)
+  freq : int;
+  preds : int list;
+      (** Members: {!Fhe_ir.Dfg.preds} as slots, in order.  [[]] for an
+          external producer. *)
+  succs : int list;
+      (** Members: in-region {!Fhe_ir.Dfg.succs} as slots, in order.  [[]]
+          for an external producer. *)
+  live_out : bool;  (** A DFG output or consumed outside the region. *)
+}
+
+type shape = private {
+  members : int;  (** Slots [0 .. members - 1] are the members. *)
+  slots : slot array;
+  hash : int;  (** Precomputed content hash. *)
+}
+
+module Shape : sig
+  type t = shape
+
+  val equal : t -> t -> bool
+  val hash : t -> int
+end
+
+module Shape_tbl : Hashtbl.S with type key = shape
+
 type t = private {
   dfg : Fhe_ir.Dfg.t;
   region_of : int array;  (** node id -> region index. *)
@@ -23,6 +59,8 @@ type t = private {
   region_muls : int list array;  (** region index -> its multiplications, topo order. *)
   mul_cc : bool array;  (** region index -> holds a [Mul_cc]. *)
   mul_cp : bool array;  (** region index -> holds a [Mul_cp]. *)
+  shapes : shape array;  (** region index -> shape; equal shapes are shared. *)
+  slot_ids : int array array;  (** region index -> slot -> node id. *)
 }
 
 val build : ?sink:bool -> Fhe_ir.Dfg.t -> t
@@ -36,6 +74,13 @@ val members : t -> int -> int array
 
 val ct_members : t -> int -> int list
 (** Ciphertext-producing members only (plaintext constants excluded). *)
+
+val shape : t -> int -> shape
+(** The region's shape, computed once by {!build}. *)
+
+val slots : t -> int -> int array
+(** Slot -> node id of a region: [slots t r] maps positions in
+    [shape t r] back to the DFG. *)
 
 val muls : t -> int -> int list
 (** Multiplication nodes of a region, in topological order.  This and the

@@ -11,7 +11,7 @@ type result = {
 }
 
 type key = {
-  region : int;
+  shape : Region.shape;
   entry_level : int;
   rescales : int;
   bts : int option;
@@ -19,46 +19,59 @@ type key = {
   bts_mode : bts_mode;
 }
 
-(* The per-compile cache lives inside one {!Btsmgr.plan} call.  The
-   SMOPLC memo (templates by region, cuts by region and entry level —
-   SMOPLC reads neither [rescales] nor [bts]) lives here too, so it dies
-   with the compile. *)
-type cache = { tbl : (key, result) Hashtbl.t; smo : Smoplc.memo }
+let key_equal a b =
+  a.entry_level = b.entry_level && a.rescales = b.rescales && a.bts = b.bts
+  && a.smo_mode = b.smo_mode && a.bts_mode = b.bts_mode
+  && Region.Shape.equal a.shape b.shape
 
-let create_cache () = { tbl = Hashtbl.create 256; smo = Smoplc.create_memo () }
+let key_hash k =
+  Hashtbl.hash (k.shape.Region.hash, k.entry_level, k.rescales, k.bts, k.smo_mode, k.bts_mode)
 
-(* A cross-compile memo keyed by region *content* rather than region
-   index: entries survive model edits for every region whose hash is
-   unchanged, which is what makes re-planning after a single-layer edit
-   incremental.  The hash (supplied by the caller, see
-   {!Plan_cache.region_hashes}) covers the region's members, their
-   external producers and live-out shape, the CKKS parameters and the
-   cost-model fingerprint — everything [compute] reads besides the
-   explicit key fields below. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal = key_equal
+  let hash = key_hash
+end)
+
+(* The per-compile cache lives inside one {!Btsmgr.plan} call and holds
+   solutions by shape, naming slots.  The SMOPLC memo (templates by
+   shape, cuts by shape and entry level — SMOPLC reads neither [rescales]
+   nor [bts]) lives here too, so it dies with the compile. *)
+type cache = { tbl : result Key_tbl.t; smo : Smoplc.memo }
+
+let create_cache () = { tbl = Key_tbl.create 256; smo = Smoplc.create_memo () }
+
+(* A cross-compile memo keyed by the parameters and the exact region
+   shape, compared by equality: a solution serves every region of that
+   shape in any later compile, whatever its node ids, which is what makes
+   re-planning an edited or renumbered model incremental.  Solutions are
+   stored naming slots, as in the per-compile cache. *)
 module Memo = struct
-  type mkey = {
-    m_hash : int64;
-    m_entry_level : int;
-    m_rescales : int;
-    m_bts : int option;
-    m_smo : smo_mode;
-    m_bts_mode : bts_mode;
-  }
+  type mkey = { prm : Ckks.Params.t; key : key }
+
+  module Tbl = Hashtbl.Make (struct
+    type t = mkey
+
+    let equal a b = a.prm = b.prm && key_equal a.key b.key
+    let hash k = Hashtbl.hash (Hashtbl.hash k.prm, key_hash k.key)
+  end)
 
   type t = {
-    tbl : (mkey, result) Hashtbl.t;
+    tbl : result Tbl.t;
     lock : Mutex.t;
     mutable hits : int;
     mutable misses : int;
   }
 
-  let create () = { tbl = Hashtbl.create 512; lock = Mutex.create (); hits = 0; misses = 0 }
+  let create () = { tbl = Tbl.create 512; lock = Mutex.create (); hits = 0; misses = 0 }
   let stats t = Mutex.protect t.lock (fun () -> (t.hits, t.misses))
-  let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
+  let size t = Mutex.protect t.lock (fun () -> Tbl.length t.tbl)
 
   let evaluated t =
-    Mutex.protect t.lock (fun () -> Det.sorted_keys t.tbl)
-    |> List.map (fun k -> (k.m_hash, k.m_entry_level, k.m_rescales))
+    Mutex.protect t.lock (fun () ->
+        Tbl.fold (fun k _ acc -> k.key :: acc) t.tbl [] (* det-ok: sorted below *))
+    |> List.map (fun k -> (k.shape, k.entry_level, k.rescales))
     |> List.sort_uniq compare
 end
 
@@ -66,15 +79,24 @@ exception Infeasible of string
 
 let infeasible fmt = Format.kasprintf (fun m -> raise (Infeasible m)) fmt
 
-let node_cost g ~level id =
-  let node = Dfg.node g id in
-  match Op.cost_op node.Dfg.kind with
+(* Everything below reads a region through its shape and names slots:
+   [sh.slots.(s)] is slot [s], members are [0 .. sh.members - 1]. *)
+
+let node_cost (s : Region.slot) ~level =
+  match Op.cost_op s.Region.kind with
   | None -> 0.0
-  | Some op -> float_of_int node.Dfg.freq *. Ckks.Cost_model.cost op ~level
+  | Some op -> float_of_int s.Region.freq *. Ckks.Cost_model.cost op ~level
+
+let kind (sh : Region.shape) s = sh.Region.slots.(s).Region.kind
+
+let ct_members (sh : Region.shape) =
+  List.filter (fun s -> Op.produces_ct (kind sh s)) (List.init sh.Region.members Fun.id)
+
+let liveout (sh : Region.shape) s = sh.Region.slots.(s).Region.live_out
 
 (* Distinct tails of a cut (one inserted operation serves all cut edges
    sharing a tail), with the external producers of boundary-in heads. *)
-let cut_tails g cut ~subgraph_mem =
+let cut_tails (sh : Region.shape) cut ~subgraph_mem =
   let tails = Hashtbl.create 8 in
   List.iter
     (fun edge ->
@@ -84,48 +106,34 @@ let cut_tails g cut ~subgraph_mem =
       | Cut.Boundary_in { head } ->
           List.iter
             (fun p ->
-              if Op.produces_ct (Dfg.node g p).Dfg.kind && not (subgraph_mem p) then
+              if Op.produces_ct (kind sh p) && not (subgraph_mem p) then
                 Hashtbl.replace tails p ())
-            (Dfg.preds g head))
+            sh.Region.slots.(head).Region.preds)
     cut.Cut.edges;
   Det.sorted_keys tails
 
-let liveout regioned region id =
-  let g = regioned.Region.dfg in
-  List.mem id (Dfg.outputs g)
-  || List.exists (fun u -> regioned.Region.region_of.(u) <> region) (Dfg.succs g id)
-
 (* Forced cut of EVA's waterline strategy: a rescale immediately after
    every multiplication unit (Mul_cp directly; Mul_cc through its relin). *)
-let eva_cut regioned ~region =
-  let g = regioned.Region.dfg in
-  let members = Region.ct_members regioned region in
-  let unit_output id =
-    let node = Dfg.node g id in
-    match node.Dfg.kind with
-    | Op.Mul_cp -> true
-    | Op.Relin -> true
-    | _ -> false
+let eva_cut sh =
+  let members = ct_members sh in
+  let unit_output s =
+    match kind sh s with Op.Mul_cp -> true | Op.Relin -> true | _ -> false
   in
-  let in_region id = regioned.Region.region_of.(id) = region && Op.produces_ct (Dfg.node g id).Dfg.kind in
+  let in_region s = s < sh.Region.members && Op.produces_ct (kind sh s) in
   let edges =
     List.concat_map
-      (fun id ->
-        if not (unit_output id) then []
+      (fun s ->
+        if not (unit_output s) then []
         else
           let internal =
-            Dfg.succs g id |> List.filter in_region
-            |> List.map (fun head -> Cut.Internal { tail = id; head })
+            sh.Region.slots.(s).Region.succs |> List.filter in_region
+            |> List.map (fun head -> Cut.Internal { tail = s; head })
           in
-          if liveout regioned region id then Cut.Boundary_out { tail = id } :: internal
-          else internal)
+          if liveout sh s then Cut.Boundary_out { tail = s } :: internal else internal)
       members
   in
   let sink_side =
-    List.filter
-      (fun id ->
-        not (unit_output id) && not (Op.is_mul (Dfg.node g id).Dfg.kind))
-      members
+    List.filter (fun s -> (not (unit_output s)) && not (Op.is_mul (kind sh s))) members
   in
   { Cut.edges; value = 0.0; sink_side; cert = None; node_of = [||] }
 
@@ -134,62 +142,55 @@ let eva_cut regioned ~region =
    level.  Joins with cross-region operands (residual adds) still need
    their in-region operand rescaled first for the scales to match, so they
    and their descendants sit below the cut. *)
-let pars_cut regioned ~region =
-  let g = regioned.Region.dfg in
-  let members = Region.ct_members regioned region in
-  let in_region id =
-    regioned.Region.region_of.(id) = region && Op.produces_ct (Dfg.node g id).Dfg.kind
-  in
+let pars_cut sh =
+  let members = ct_members sh in
+  let in_region s = s < sh.Region.members && Op.produces_ct (kind sh s) in
   let forced = Hashtbl.create 8 in
   List.iter
-    (fun id ->
+    (fun s ->
+      let preds = sh.Region.slots.(s).Region.preds in
       let cross_join =
-        (Dfg.node g id).Dfg.kind = Op.Add_cc
-        && List.exists
-             (fun p -> Op.produces_ct (Dfg.node g p).Dfg.kind && not (in_region p))
-             (Dfg.preds g id)
+        kind sh s = Op.Add_cc
+        && List.exists (fun p -> Op.produces_ct (kind sh p) && not (in_region p)) preds
       in
-      let pred_forced = List.exists (Hashtbl.mem forced) (Dfg.preds g id) in
-      if cross_join || pred_forced then Hashtbl.add forced id ())
+      let pred_forced = List.exists (Hashtbl.mem forced) preds in
+      if cross_join || pred_forced then Hashtbl.add forced s ())
     members;
   let edges =
     List.concat_map
-      (fun id ->
-        if Hashtbl.mem forced id then []
+      (fun s ->
+        if Hashtbl.mem forced s then []
         else
           let internal =
-            Dfg.succs g id
+            sh.Region.slots.(s).Region.succs
             |> List.filter (fun u -> in_region u && Hashtbl.mem forced u)
-            |> List.map (fun head -> Cut.Internal { tail = id; head })
+            |> List.map (fun head -> Cut.Internal { tail = s; head })
           in
-          if liveout regioned region id then Cut.Boundary_out { tail = id } :: internal
-          else internal)
+          if liveout sh s then Cut.Boundary_out { tail = s } :: internal else internal)
       members
   in
   { Cut.edges; value = 0.0; sink_side = List.filter (Hashtbl.mem forced) members; cert = None; node_of = [||] }
 
 (* Forced bootstrap placement at the region's end (Fhelipe / DaCapo):
    bootstrap every live-out of the level-0 subgraph. *)
-let region_end_bts_cut regioned ~region ~subgraph =
+let region_end_bts_cut sh ~subgraph =
   let in_sub = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.add in_sub id ()) subgraph;
-  let g = regioned.Region.dfg in
+  List.iter (fun s -> Hashtbl.add in_sub s ()) subgraph;
   let edges =
     List.filter_map
-      (fun id ->
+      (fun s ->
         let out =
-          List.mem id (Dfg.outputs g)
-          || List.exists (fun u -> not (Hashtbl.mem in_sub u)) (Dfg.succs g id)
+          liveout sh s
+          || List.exists (fun u -> not (Hashtbl.mem in_sub u)) sh.Region.slots.(s).Region.succs
         in
-        if out then Some (Cut.Boundary_out { tail = id }) else None)
+        if out then Some (Cut.Boundary_out { tail = s }) else None)
       subgraph
   in
-  ignore region;
   { Cut.edges; value = 0.0; sink_side = []; cert = None; node_of = [||] }
 
-let compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
-  let g = regioned.Region.dfg in
-  let members = Region.ct_members regioned region in
+(* One region solution, naming slots.  [region] only labels errors. *)
+let compute ?fuel cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
+  let members = ct_members sh in
   if members = [] && rescales = 0 && bts = None then
     { latency_ms = 0.0; smo_cut = None; bts_cut = None; bts_subgraph = [] }
   else begin
@@ -202,15 +203,14 @@ let compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~r
       if rescales = 0 then None
       else
         match smo_mode with
-        | Smo_min_cut ->
-            Some (Smoplc.run ?fuel ~memo:cache.smo regioned prm ~region ~level:entry_level)
-        | Smo_eva -> Some (eva_cut regioned ~region)
-        | Smo_pars -> Some (pars_cut regioned ~region)
+        | Smo_min_cut -> Some (Smoplc.cut ?fuel ~memo:cache.smo sh ~level:entry_level)
+        | Smo_eva -> Some (eva_cut sh)
+        | Smo_pars -> Some (pars_cut sh)
     in
-    let member_level id =
+    let member_level s =
       match smo_cut with
       | None -> entry_level
-      | Some cut -> if Cut.sink_side_mem cut id then low_level else entry_level
+      | Some cut -> if Cut.sink_side_mem cut s then low_level else entry_level
     in
     let bts_subgraph =
       match bts with
@@ -224,20 +224,22 @@ let compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~r
                  reset the scale to q *before* a multiplication and shift
                  the whole downstream scale chain (visible when the entry
                  scale differs from q, i.e. q_w < q). *)
-              let muls = Region.muls regioned region in
+              let muls =
+                List.filter (fun s -> Op.is_mul (kind sh s)) (List.init sh.Region.members Fun.id)
+              in
               if muls = [] then members
               else begin
                 let below = Hashtbl.create 16 in
                 List.iter (fun m -> Hashtbl.add below m ()) muls;
-                let member id = List.mem id members in
+                let member s = List.mem s members in
                 List.iter
-                  (fun id ->
+                  (fun s ->
                     if
-                      (not (Hashtbl.mem below id))
-                      && List.exists (Hashtbl.mem below) (Dfg.preds g id)
-                    then Hashtbl.add below id ())
+                      (not (Hashtbl.mem below s))
+                      && List.exists (Hashtbl.mem below) sh.Region.slots.(s).Region.preds
+                    then Hashtbl.add below s ())
                   members;
-                List.filter (fun id -> Hashtbl.mem below id && not (List.mem id muls) && member id) members
+                List.filter (fun s -> Hashtbl.mem below s && not (List.mem s muls) && member s) members
               end)
     in
     let bts_cut =
@@ -247,36 +249,34 @@ let compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~r
           if bts_subgraph = [] then None
           else
             match bts_mode with
-            | Bts_min_cut ->
-                Some (Btsplc.run ?fuel regioned prm ~region ~lbts ~subgraph:bts_subgraph)
-            | Bts_region_end ->
-                Some (region_end_bts_cut regioned ~region ~subgraph:bts_subgraph))
+            | Bts_min_cut -> Some (Btsplc.cut ?fuel sh ~lbts ~subgraph:bts_subgraph)
+            | Bts_region_end -> Some (region_end_bts_cut sh ~subgraph:bts_subgraph))
     in
-    let final_level id =
+    let final_level s =
       match (bts, bts_cut) with
-      | Some lbts, Some cut when Cut.sink_side_mem cut id -> lbts
-      | _ -> member_level id
+      | Some lbts, Some cut when Cut.sink_side_mem cut s -> lbts
+      | _ -> member_level s
     in
     let op_latency =
       List.fold_left
-        (fun acc id -> acc +. node_cost g ~level:(final_level id) id)
+        (fun acc s -> acc +. node_cost sh.Region.slots.(s) ~level:(final_level s))
         0.0 members
     in
+    let freq s = float_of_int sh.Region.slots.(s).Region.freq in
     let rescale_latency =
       match smo_cut with
       | None -> 0.0
       | Some cut ->
-          let tails = cut_tails g cut ~subgraph_mem:(fun _ -> true) in
+          let tails = cut_tails sh cut ~subgraph_mem:(fun _ -> true) in
           List.fold_left
             (fun acc tail ->
-              let freq = float_of_int (Dfg.node g tail).Dfg.freq in
               let stacked = ref 0.0 in
               for i = 0 to rescales - 1 do
                 stacked :=
                   !stacked
                   +. Ckks.Cost_model.cost Ckks.Cost_model.Rescale ~level:(entry_level - i)
               done;
-              acc +. (freq *. !stacked))
+              acc +. (freq tail *. !stacked))
             0.0 tails
     in
     let bts_latency =
@@ -285,14 +285,12 @@ let compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~r
       | Some lbts -> (
           let unit_cost = Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:lbts in
           let tails_cost tails =
-            List.fold_left
-              (fun acc tail -> acc +. (float_of_int (Dfg.node g tail).Dfg.freq *. unit_cost))
-              0.0 tails
+            List.fold_left (fun acc tail -> acc +. (freq tail *. unit_cost)) 0.0 tails
           in
           match bts_cut with
           | Some cut ->
-              let subgraph_mem id = List.mem id bts_subgraph in
-              let base = tails_cost (cut_tails g cut ~subgraph_mem) in
+              let subgraph_mem s = List.mem s bts_subgraph in
+              let base = tails_cost (cut_tails sh cut ~subgraph_mem) in
               (* Rescale tips whose live-out branch bypasses the subgraph
                  carry their own bootstrap, unless the bootstrap cut sits
                  directly on the boundary (then the insertion is shared). *)
@@ -315,13 +313,11 @@ let compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~r
               base +. boundary_extra
           | None -> (
               match smo_cut with
-              | Some cut -> tails_cost (cut_tails g cut ~subgraph_mem:(fun _ -> true))
+              | Some cut -> tails_cost (cut_tails sh cut ~subgraph_mem:(fun _ -> true))
               | None ->
                   (* neither a rescale nor a level-0 subgraph: the
                      bootstrap lands on the region's live-out edges *)
-                  let outs =
-                    List.filter (fun id -> liveout regioned region id) members
-                  in
+                  let outs = List.filter (liveout sh) members in
                   if outs = [] then unit_cost else tails_cost outs))
     in
     {
@@ -332,44 +328,31 @@ let compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level ~r
     }
   end
 
-let eval ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
+(* The region's solution naming slots: the per-compile cache, then the
+   cross-compile [memo], then a fresh solve stored in both. *)
+let solution ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
     ~rescales ~bts =
-  let key = { region; entry_level; rescales; bts; smo_mode; bts_mode } in
-  let cache_add r = Hashtbl.add cache.tbl key r in
-  match Hashtbl.find_opt cache.tbl key with
+  let shape = Region.shape regioned region in
+  let key = { shape; entry_level; rescales; bts; smo_mode; bts_mode } in
+  match Key_tbl.find_opt cache.tbl key with
   | Some r -> r
   | None -> (
-      let mkey =
-        Option.map
-          (fun (m, hash_of) ->
-            ( m,
-              {
-                Memo.m_hash = hash_of region;
-                m_entry_level = entry_level;
-                m_rescales = rescales;
-                m_bts = bts;
-                m_smo = smo_mode;
-                m_bts_mode = bts_mode;
-              } ))
-          memo
-      in
+      let mkey = { Memo.prm; key } in
       let from_memo =
-        match mkey with
-        | None -> None
-        | Some (m, k) ->
+        Option.bind memo (fun m ->
             Mutex.protect m.Memo.lock (fun () ->
-                match Hashtbl.find_opt m.Memo.tbl k with
+                match Memo.Tbl.find_opt m.Memo.tbl mkey with
                 | Some r ->
                     m.Memo.hits <- m.Memo.hits + 1;
                     Some r
                 | None ->
                     m.Memo.misses <- m.Memo.misses + 1;
-                    None)
+                    None))
       in
       match from_memo with
       | Some r ->
           Obs.incr "region_eval.memo_hits";
-          cache_add r;
+          Key_tbl.add cache.tbl key r;
           r
       | None ->
           (* Fuel is deliberately absent from both keys: a hit costs no
@@ -377,13 +360,32 @@ let eval ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
              degraded compiles stay reproducible. *)
           Obs.incr "region_eval.computes";
           let r =
-            compute ?fuel cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
-              ~rescales ~bts
+            compute ?fuel cache shape ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts
           in
-          cache_add r;
-          (match mkey with
-          | Some (m, k) ->
+          Key_tbl.add cache.tbl key r;
+          Option.iter
+            (fun m ->
               Mutex.protect m.Memo.lock (fun () ->
-                  if not (Hashtbl.mem m.Memo.tbl k) then Hashtbl.add m.Memo.tbl k r)
-          | None -> ());
+                  if not (Memo.Tbl.mem m.Memo.tbl mkey) then Memo.Tbl.add m.Memo.tbl mkey r))
+            memo;
           r)
+
+let latency ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
+    ~rescales ~bts =
+  (solution ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
+     ~rescales ~bts)
+    .latency_ms
+
+let eval ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
+    ~rescales ~bts =
+  let r =
+    solution ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
+      ~rescales ~bts
+  in
+  let id = Array.get (Region.slots regioned region) in
+  {
+    r with
+    smo_cut = Option.map (Cut.relabel id) r.smo_cut;
+    bts_cut = Option.map (Cut.relabel id) r.bts_cut;
+    bts_subgraph = List.map id r.bts_subgraph;
+  }

@@ -6,7 +6,10 @@
     rescale cut run at the entry level, nodes between the cuts at
     [entry - rescales], and nodes below the bootstrap cut at the bootstrap
     target.  Results are memoised — the paper's "caching min-cut results"
-    — since the DP revisits regions once per candidate entry level.
+    — by region {!Region.shape} rather than region index: the DP revisits
+    regions once per candidate entry level, and networks repeat one block,
+    so each (shape, entry level, rescales, bts, modes) is solved once and
+    mapped back to each region's node ids through {!Region.slots}.
 
     Placement {e modes} select how the cuts are chosen, which is how the
     paper's substitution variants and baselines are realised on one
@@ -31,15 +34,17 @@ type result = {
 }
 
 type cache
-(** Per-compile memo, keyed by region index and candidate plan.  One
-    {!Btsmgr.plan} call creates and owns it. *)
+(** Per-compile memo, keyed by region shape and candidate plan, holding
+    solutions that name slots.  One {!Btsmgr.plan} call creates and owns
+    it. *)
 
 val create_cache : unit -> cache
 
-(** Cross-compile memo keyed by region {e content} hash instead of region
-    index, so entries survive model edits for all regions whose hash did
-    not change — the incremental tier of the plan cache.  The hash is
-    supplied by the caller per region (see {!Plan_cache.region_hashes}). *)
+(** Cross-compile memo keyed by the CKKS parameters, the exact region
+    shape (compared by equality, never by hash alone) and the candidate
+    plan, so a solution serves every later region of that shape whatever
+    its node ids — edited and renumbered models included.  The
+    incremental tier of the plan cache. *)
 module Memo : sig
   type t
 
@@ -51,16 +56,16 @@ module Memo : sig
   val size : t -> int
   (** Number of memoised region solutions. *)
 
-  val evaluated : t -> (int64 * int * int) list
-  (** Distinct [(region hash, entry level, rescales)] of the memoised
-      solutions, sorted — what a planner run asked for, for tests. *)
+  val evaluated : t -> (Region.shape * int * int) list
+  (** Distinct [(shape, entry level, rescales)] of the memoised solutions,
+      sorted — what a planner run asked for, for tests. *)
 end
 
 exception Infeasible of string
 
 val eval :
   ?fuel:Fuel.t ->
-  ?memo:Memo.t * (int -> int64) ->
+  ?memo:Memo.t ->
   cache ->
   Region.t ->
   Ckks.Params.t ->
@@ -71,11 +76,28 @@ val eval :
   rescales:int ->
   bts:int option ->
   result
-(** [fuel] (default unlimited) is spent by the min-cut solvers on a cache
+(** The region's solution under a candidate plan, naming node ids.
+    [fuel] (default unlimited) is spent by the min-cut solvers on a cache
     miss; hits are free, and fuel is not part of the memo key, so degraded
     compiles remain deterministic.  [memo] is an optional cross-compile
-    memo plus the content hash of each region index; consulted after the
-    per-compile [cache], populated on compute.
+    memo, consulted after the per-compile [cache] and populated on
+    compute.
     @raise Infeasible when the region cannot run at the requested level
     (e.g. rescaling at level 0).
     @raise Fuel.Exhausted when the step budget runs out. *)
+
+val latency :
+  ?fuel:Fuel.t ->
+  ?memo:Memo.t ->
+  cache ->
+  Region.t ->
+  Ckks.Params.t ->
+  smo_mode:smo_mode ->
+  bts_mode:bts_mode ->
+  region:int ->
+  entry_level:int ->
+  rescales:int ->
+  bts:int option ->
+  float
+(** [(eval ...).latency_ms] without mapping the cuts back to node ids —
+    what the DP's inner loop reads. *)

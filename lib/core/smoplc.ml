@@ -1,22 +1,23 @@
 open Fhe_ir
 
-let cost_of g ~level id =
-  let node = Dfg.node g id in
-  match Op.cost_op node.Dfg.kind with
+let cost_of (s : Region.slot) ~level =
+  match Op.cost_op s.Region.kind with
   | None -> 0.0
-  | Some op -> float_of_int node.Dfg.freq *. Ckks.Cost_model.cost op ~level
+  | Some op -> float_of_int s.Region.freq *. Ckks.Cost_model.cost op ~level
 
-let region_latency_terms regioned prm ~region ~level =
-  ignore prm;
-  let g = regioned.Region.dfg in
-  List.map (fun id -> (id, cost_of g ~level id)) (Region.ct_members regioned region)
+let region_latency_terms regioned ~region ~level =
+  let shape = Region.shape regioned region and ids = Region.slots regioned region in
+  List.init shape.Region.members Fun.id
+  |> List.filter_map (fun s ->
+         let slot = shape.Region.slots.(s) in
+         if Op.produces_ct slot.Region.kind then Some (ids.(s), cost_of slot ~level) else None)
 
-(* The level-independent half of Algorithm 4: everything about a region's
+(* The level-independent half of Algorithm 4: everything about a shape's
    flow network except its capacities.  Member [i] is flow node [i]; the
    super-source is [k] and the super-sink [k + 1]. *)
 type template = {
-  g : Dfg.t;
-  node_at : int array;  (* flow node -> DFG node id, topological *)
+  slots : Region.slot array;
+  node_at : int array;  (* flow node -> slot, topological *)
   entry : bool array;
   preds : int array array;  (* in-region predecessors, in [Dfg.preds] order *)
   degree : int array;  (* in-region successors, plus one when live-out *)
@@ -26,18 +27,19 @@ type template = {
   arcs : (int * int * int) array;
 }
 
-let template regioned ~region =
-  let g = regioned.Region.dfg in
-  let nodes = Region.ct_members regioned region in
+let template (shape : Region.shape) =
+  let slots = shape.Region.slots in
+  let kind s = slots.(s).Region.kind in
+  let members = List.init shape.Region.members Fun.id in
+  let nodes = List.filter (fun s -> Op.produces_ct (kind s)) members in
   if nodes = [] then invalid_arg "Smoplc.run: empty region";
   let node_at = Array.of_list nodes in
   let k = Array.length node_at in
-  let index = Hashtbl.create (2 * k) in
-  Array.iteri (fun i id -> Hashtbl.add index id i) node_at;
-  let in_region id = Hashtbl.mem index id in
+  let index = Array.make (Array.length slots) (-1) in
+  Array.iteri (fun i s -> index.(s) <- i) node_at;
+  let in_region s = index.(s) >= 0 in
   let s = k and t = k + 1 in
-  let kind id = (Dfg.node g id).Dfg.kind in
-  let preds = Array.map (Dfg.preds g) node_at and succs = Array.map (Dfg.succs g) node_at in
+  let preds = Array.map (fun s -> slots.(s).Region.preds) node_at in
   (* Flow sources are the multiplications — the only nodes where the scale
      increases (Table 1) — so paths that merely pass through the region
      (rotations of live-ins sunk next to their use) are never rescaled:
@@ -45,38 +47,40 @@ let template regioned ~region =
      multiplications (e.g. the input region when fresh ciphertexts exceed
      the waterline) fall back to their entry nodes. *)
   let entry =
-    if Region.muls regioned region <> [] then Array.map (fun id -> Op.is_mul (kind id)) node_at
+    if List.exists (fun s -> Op.is_mul (kind s)) members then
+      Array.map (fun s -> Op.is_mul (kind s)) node_at
     else Array.map (fun ps -> not (List.exists in_region ps)) preds
   in
-  let outs = Dfg.outputs g in
   let arcs = ref [] in
   let arc src dst w = arcs := (src, dst, w) :: !arcs in
   let degree =
     Array.mapi
-      (fun i id ->
+      (fun i slot ->
         if entry.(i) then arc s i (-1);
-        let internal_heads = List.filter in_region succs.(i) in
-        let liveout = List.mem id outs || List.exists (fun u -> not (in_region u)) succs.(i) in
+        let internal_heads = List.filter in_region slots.(slot).Region.succs in
+        let liveout = slots.(slot).Region.live_out in
         let degree = List.length internal_heads + if liveout then 1 else 0 in
-        List.iter (fun h -> arc i (Hashtbl.find index h) i) internal_heads;
+        List.iter (fun h -> arc i index.(h) i) internal_heads;
         if liveout then arc i t i;
         (* A member consuming a ciphertext produced outside the region
            (e.g. a residual add) sees that operand at the region's entry
            scale, which is the post-rescale scale: force such nodes below
            the cut so the scales on both sides of the join agree. *)
         if
-          kind id = Op.Add_cc
+          kind slot = Op.Add_cc
           && List.exists (fun p -> Op.produces_ct (kind p) && not (in_region p)) preds.(i)
         then arc i t (-1);
         degree)
       node_at
   in
   {
-    g;
+    slots;
     node_at;
     entry;
     preds =
-      Array.map (fun ps -> Array.of_list (List.filter_map (Hashtbl.find_opt index) ps)) preds;
+      Array.map
+        (fun ps -> Array.of_list (List.map (Array.get index) (List.filter in_region ps)))
+        preds;
     degree;
     arcs = Array.of_list (List.rev !arcs);
   }
@@ -86,7 +90,7 @@ let template regioned ~region =
 let solve tp ~level =
   let k = Array.length tp.node_at in
   let s = k and t = k + 1 in
-  let cost i ~level = cost_of tp.g ~level tp.node_at.(i) in
+  let cost i ~level = cost_of tp.slots.(tp.node_at.(i)) ~level in
   (* Cumulative latency increase relative to rescaling right after the
      sources (Algorithm 4, lines 5-10).  Members are topological, so every
      in-region predecessor is already summed. *)
@@ -101,11 +105,11 @@ let solve tp ~level =
   done;
   let weight =
     Array.init k (fun i ->
-        let node = Dfg.node tp.g tp.node_at.(i) in
+        let slot = tp.slots.(tp.node_at.(i)) in
         if tp.degree.(i) = 0 then 0.0
-        else if node.Dfg.kind = Op.Mul_cc then infinity
+        else if slot.Region.kind = Op.Mul_cc then infinity
         else
-          ((float_of_int node.Dfg.freq *. Ckks.Cost_model.cost Ckks.Cost_model.Rescale ~level)
+          ((float_of_int slot.Region.freq *. Ckks.Cost_model.cost Ckks.Cost_model.Rescale ~level)
           +. linc.(i))
           /. float_of_int tp.degree.(i))
   in
@@ -136,26 +140,42 @@ let solve tp ~level =
   let node_of = Array.append tp.node_at [| -1; -1 |] in
   { Cut.edges; value = mc.Graphlib.Maxflow.value; sink_side; cert = Some cert; node_of }
 
-(* Per-compile memo: templates by region, cuts by (region, level). *)
-type memo = { templates : (int, template) Hashtbl.t; cuts : (int * int, Cut.t) Hashtbl.t }
+(* Per-compile memo, one entry per shape: its template once built, and
+   its cuts by level. *)
+type entry = { mutable tp : template option; cuts : (int, Cut.t) Hashtbl.t }
+type memo = entry Region.Shape_tbl.t
 
-let create_memo () = { templates = Hashtbl.create 64; cuts = Hashtbl.create 256 }
+let create_memo () = Region.Shape_tbl.create 64
 
-let run ?(fuel = Fuel.unlimited) ?memo regioned prm ~region ~level =
-  ignore prm;
-  let memoised tbl key compute =
+let cut ?(fuel = Fuel.unlimited) ?memo shape ~level =
+  let e =
     match memo with
-    | None -> compute ()
+    | None -> { tp = None; cuts = Hashtbl.create 1 }
     | Some m -> (
-        match Hashtbl.find_opt (tbl m) key with
-        | Some v -> v
+        match Region.Shape_tbl.find_opt m shape with
+        | Some e -> e
         | None ->
-            let v = compute () in
-            Hashtbl.add (tbl m) key v;
-            v)
+            let e = { tp = None; cuts = Hashtbl.create 8 } in
+            Region.Shape_tbl.add m shape e;
+            e)
   in
-  memoised (fun m -> m.cuts) (region, level) (fun () ->
+  match Hashtbl.find_opt e.cuts level with
+  | Some c -> c
+  | None ->
       Fuel.spend fuel;
       if level < 1 then invalid_arg "Smoplc.run: rescaling needs level >= 1";
-      let tp = memoised (fun m -> m.templates) region (fun () -> template regioned ~region) in
-      solve tp ~level)
+      let tp =
+        match e.tp with
+        | Some tp -> tp
+        | None ->
+            let tp = template shape in
+            e.tp <- Some tp;
+            tp
+      in
+      let c = solve tp ~level in
+      Hashtbl.add e.cuts level c;
+      c
+
+let run ?fuel ?memo regioned ~region ~level =
+  let ids = Region.slots regioned region in
+  Cut.relabel (Array.get ids) (cut ?fuel ?memo (Region.shape regioned region) ~level)

@@ -15,32 +15,36 @@
 
     Edges from [Mul_cc] to its mandatory [Relin] are uncuttable.
 
-    Only the capacities depend on [level], so a solve has two steps.  The
-    region's {e template} — members, entry flags, in-region predecessors,
-    out-degrees and the arc list in insertion order, each arc naming the
-    member whose weight caps it or marked infinite — is built once per
-    region.  Each [(region, level)] solve then computes the weights, adds
-    the template's arcs to a fresh {!Graphlib.Maxflow} network and runs
-    one min-cut, so cuts and certificates do not depend on whether the
-    template was fresh or reused. *)
+    The solve reads only the region's {!Region.shape}, so regions of one
+    shape share one cut, named by slot.  Only the capacities depend on
+    [level], so a solve has two steps.  The shape's {e template} —
+    members, entry flags, in-region predecessors, out-degrees and the arc
+    list in insertion order, each arc naming the member whose weight caps
+    it or marked infinite — is built once per shape.  Each
+    [(shape, level)] solve then computes the weights, adds the template's
+    arcs to a fresh {!Graphlib.Maxflow} network and runs one min-cut, so
+    cuts and certificates do not depend on whether the template was fresh
+    or reused. *)
 
 type memo
-(** Per-compile memo: templates by region and cuts by [(region, level)].
-    Keyed by region index, so one memo serves one regioned DFG only.
+(** Per-compile memo: templates by shape and cuts by [(shape, level)].
     {!Region_eval.cache} owns one; nothing is kept between compiles. *)
 
 val create_memo : unit -> memo
 
-val run :
-  ?fuel:Fuel.t -> ?memo:memo -> Region.t -> Ckks.Params.t -> region:int -> level:int -> Cut.t
-(** A solve spends one unit of [fuel] (default {!Fuel.unlimited}) and
-    counts one [smoplc.cuts].  A [(region, level)] already in [memo]
+val cut : ?fuel:Fuel.t -> ?memo:memo -> Region.shape -> level:int -> Cut.t
+(** The min-cut of a shape at [level], naming slots (see {!Cut.relabel}).
+    A solve spends one unit of [fuel] (default {!Fuel.unlimited}) and
+    counts one [smoplc.cuts].  A [(shape, level)] already in [memo]
     returns the stored cut without spending fuel or counting, so
     {!Driver.planner_steps} stays equal to the fuel spent.
-    @raise Invalid_argument on an empty region or [level < 1].
+    @raise Invalid_argument on a shape without ciphertext members or
+    [level < 1].
     @raise Fuel.Exhausted when the step budget runs out. *)
 
-val region_latency_terms :
-  Region.t -> Ckks.Params.t -> region:int -> level:int -> (int * float) list
+val run : ?fuel:Fuel.t -> ?memo:memo -> Region.t -> region:int -> level:int -> Cut.t
+(** {!cut} of the region's shape, relabelled to node ids. *)
+
+val region_latency_terms : Region.t -> region:int -> level:int -> (int * float) list
 (** Per-node latency (node id, ms) of the region at a uniform [level] —
     exposed for tests and the examples that reproduce Figure 4. *)

@@ -1811,6 +1811,8 @@ module Bench_diff = struct
     digest : Json.t option;
         (* structural plan digest (renumbering-stable; see Resbm.Explain).
            Optional on both sides so old baselines diff cleanly. *)
+    counters : (string * int) list option;
+        (* deterministic work counters (the profile's [counters] object) *)
   }
 
   type source = {
@@ -1957,7 +1959,16 @@ module Bench_diff = struct
                 | None -> None
               in
               let digest = Json.member "plan_digest" mgr_json in
-              Ok ({ model; manager; metrics; compile; warm; digest } :: acc))
+              let counters =
+                match Json.member "counters" mgr_json with
+                | Some (Json.Obj kvs) ->
+                    Some
+                      (List.filter_map
+                         (function k, Json.Int v -> Some (k, v) | _ -> None)
+                         kvs)
+                | _ -> None
+              in
+              Ok ({ model; manager; metrics; compile; warm; digest; counters } :: acc))
             (Ok acc) managers)
         (Ok []) models
     in
@@ -2026,6 +2037,38 @@ module Bench_diff = struct
                               verdict;
                             })
                     deterministic_metrics
+                in
+                (* Work counters gate exactly, like the metrics above: a
+                   planner that does more or less work for the same plan
+                   invalidates the baseline.  Profiles omit zero counters,
+                   so a name absent on one side reads as 0.  Fewer counts
+                   read as improved, except cache hits. *)
+                let counter_cells =
+                  match (b.counters, c.counters) with
+                  | Some bc, Some cc ->
+                      let get l name =
+                        float_of_int (Option.value (List.assoc_opt name l) ~default:0)
+                      in
+                      List.sort_uniq compare (List.map fst bc @ List.map fst cc)
+                      |> List.map (fun name ->
+                             let bv = get bc name and cv = get cc name in
+                             {
+                               cmodel = b.model;
+                               cmanager = b.manager;
+                               metric = "counters." ^ name;
+                               base = bv;
+                               cand = cv;
+                               wall_clock = false;
+                               informational = false;
+                               tolerance = 0.0;
+                               verdict =
+                                 (if bv = cv then Unchanged
+                                  else if
+                                    (cv < bv) <> String.ends_with ~suffix:"hits" name
+                                  then Improved
+                                  else Regressed);
+                             })
+                  | _ -> []
                 in
                 let wall =
                   match (b.compile, c.compile) with
@@ -2153,7 +2196,7 @@ module Bench_diff = struct
                       | _ -> None)
                     informational_metrics
                 in
-                det @ wall @ warm_band @ speedup @ info)
+                det @ counter_cells @ wall @ warm_band @ speedup @ info)
           base.rows
       in
       let plan_drift =

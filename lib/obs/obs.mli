@@ -503,6 +503,9 @@ module Bench_diff : sig
         (** Structural plan digest ([plan_digest] cell field), when the
             bench recorded one.  Renumbering-stable (see [Resbm.Explain]);
             optional on both sides so old baselines diff cleanly. *)
+    counters : (string * int) list option;
+        (** Deterministic work counters (the [counters] object: planner,
+            max-flow and pass counts), when the bench recorded them. *)
   }
 
   type source = {
@@ -567,7 +570,10 @@ module Bench_diff : sig
     (outcome, string) result
   (** Compare candidate against base.  Deterministic metrics compare
       exactly (NaN on both sides is unchanged; NaN on one side is
-      incomparable); compile medians — cold ([compile_ms]) and warm
+      incomparable).  When both rows carry [counters], every counter
+      compares exactly as a [counters.<name>] cell (absent reads as 0;
+      fewer counts is [Improved], except for [*hits] counters), so a change in planner work gates like
+      a changed plan; compile medians — cold ([compile_ms]) and warm
       ([compile_warm_ms]) — compare within
       [max (noise_mult * (mad_base + mad_cand)) min_tolerance_ms]
       (defaults 4.0 and 0.5 ms).  When both candidate summaries exist, a

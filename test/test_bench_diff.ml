@@ -13,8 +13,8 @@ let metrics ?(latency = 100.0) ?(bts = 10.0) ?(rescales = 20.0) ?(nodes = 50.0)
     ("predicted_precision_bits", precision);
   ]
 
-let row ?compile ?warm ?digest model manager metrics =
-  { Obs.Bench_diff.model; manager; metrics; compile; warm; digest }
+let row ?compile ?warm ?digest ?counters model manager metrics =
+  { Obs.Bench_diff.model; manager; metrics; compile; warm; digest; counters }
 
 let src ?(l_max = 16) rows =
   {
@@ -211,6 +211,62 @@ let outcome_json_roundtrip () =
       | Some (Obs.Json.List [ _ ]) -> ()
       | _ -> Alcotest.fail "missing rows not reported")
 
+(* --- work counters ------------------------------------------------------- *)
+
+(* Counters gate exactly: fewer max-flow runs for the same plan is drift,
+   as a better bootstrap count is; a counter that drops to zero leaves the
+   profile and reads as 0; rows without counters add no cells. *)
+let counters_gate_exactly () =
+  let base_counters =
+    [ ("maxflow.runs", 3941); ("region_eval.memo_hits", 65); ("smoplc.cuts", 3240) ]
+  in
+  let base = src [ row ~counters:base_counters "m" "g" (metrics ()) ] in
+  let o = diff_ok base base in
+  checki "one cell per counter" 8 (List.length o.Obs.Bench_diff.cells);
+  checki "identical counters pass" 0 (Obs.Bench_diff.exit_code o);
+  let cand =
+    src
+      [
+        row
+          ~counters:[ ("maxflow.runs", 423); ("region_eval.memo_hits", 136) ]
+          "m" "g" (metrics ());
+      ]
+  in
+  let o = diff_ok base cand in
+  checkb "fewer runs improve" true
+    (verdict_of o "counters.maxflow.runs" = Obs.Bench_diff.Improved);
+  checkb "more cache hits improve" true
+    (verdict_of o "counters.region_eval.memo_hits" = Obs.Bench_diff.Improved);
+  checkb "a vanished counter reads as zero" true
+    (verdict_of o "counters.smoplc.cuts" = Obs.Bench_diff.Improved);
+  checki "an improvement still fails `Changed" 2 (Obs.Bench_diff.exit_code o);
+  checki "an improvement passes `Regressed" 0
+    (Obs.Bench_diff.exit_code ~fail_on:`Regressed o);
+  let o = diff_ok cand base in
+  checkb "more work regresses" true
+    (verdict_of o "counters.maxflow.runs" = Obs.Bench_diff.Regressed);
+  checki "a regression fails `Regressed" 2 (Obs.Bench_diff.exit_code ~fail_on:`Regressed o);
+  let o = diff_ok base (src [ row "m" "g" (metrics ()) ]) in
+  checki "a row without counters adds no cells" 5 (List.length o.Obs.Bench_diff.cells)
+
+let load_reads_counters () =
+  let file =
+    {|{"bench": "resbm", "schema_version": 2, "l_max": 16,
+       "models": [{"model": "m",
+                   "managers": [{"manager": "g", "latency_ms": 1.0,
+                                 "counters": {"maxflow.runs": 423, "smoplc.cuts": 276}},
+                                {"manager": "h", "latency_ms": 1.0}]}]}|}
+  in
+  match Obs.Bench_diff.load file with
+  | Error m -> Alcotest.failf "load failed: %s" m
+  | Ok s -> (
+      match s.Obs.Bench_diff.rows with
+      | [ g; h ] ->
+          checkb "counters read" true
+            (g.Obs.Bench_diff.counters = Some [ ("maxflow.runs", 423); ("smoplc.cuts", 276) ]);
+          checkb "absent counters stay absent" true (h.Obs.Bench_diff.counters = None)
+      | _ -> Alcotest.fail "expected two rows")
+
 let suite =
   [
     case "identical files pass the gate" identical_passes;
@@ -222,4 +278,6 @@ let suite =
     case "load reads header, cells, nan and absences" load_roundtrip;
     case "different l_max refuses to diff" l_max_mismatch;
     case "outcome report JSON round-trips" outcome_json_roundtrip;
+    case "work counters gate exactly" counters_gate_exactly;
+    case "load reads the counters object" load_reads_counters;
   ]

@@ -130,28 +130,6 @@ let digest_detects_change () =
   checkb "a different plan produces a non-empty diff" true
     (Obs.Explain.diff_json d d' <> [])
 
-(* Renumber a graph: map node i to perm(i), rewriting args and outputs.
-   The digest must not see the difference — its keys are content labels,
-   not ids. *)
-let renumber seed g =
-  let nodes, outputs = Dfg.export g in
-  let n = Array.length nodes in
-  let perm = Array.init n (fun i -> i) in
-  let st = Random.State.make [| 0xD16E57; seed |] in
-  for i = n - 1 downto 1 do
-    let j = Random.State.int st (i + 1) in
-    let t = perm.(i) in
-    perm.(i) <- perm.(j);
-    perm.(j) <- t
-  done;
-  let nodes' = Array.make n nodes.(0) in
-  Array.iteri
-    (fun i (x : Dfg.exported_node) ->
-      nodes'.(perm.(i)) <-
-        { x with Dfg.ex_args = Array.map (fun a -> perm.(a)) x.Dfg.ex_args })
-    nodes;
-  Dfg.import (nodes', List.map (fun o -> perm.(o)) outputs)
-
 let digest_of ?(prm = prm) g =
   let managed, report = Resbm.Variants.compile Resbm.Variants.resbm prm g in
   Resbm.Explain.digest prm ~managed report
@@ -186,6 +164,7 @@ let bench_rows digest =
       compile = None;
       warm = None;
       digest;
+      counters = None;
     };
   ]
 

@@ -94,9 +94,9 @@ let key_sensitivity () =
 
 (* --- incremental region memo ---------------------------------------------- *)
 
-(* Layered chain whose prefix is id-identical between the two variants:
-   appending a layer must leave the earlier regions' content hashes (and
-   so their memoised cuts) untouched. *)
+(* Layered chain whose prefix is identical between the two variants:
+   appending a layer must leave the earlier regions' shapes (and so their
+   memoised cuts) untouched. *)
 let layered ~layers =
   let g = Dfg.create () in
   let x = Dfg.input g "x" in
@@ -127,17 +127,55 @@ let memo_reuses_clean_regions () =
   checkb "memo-assisted plan equals the from-scratch plan" true
     (fingerprint incremental = fingerprint scratch)
 
-let region_hashes_localise_edits () =
+(* The memo is keyed by id-free shapes compared by equality, so a
+   renumbered model replans from the solutions of the original: every
+   renumbered region whose shape was solved before is a hit, and the plan
+   equals a memo-free compile's.  (Renumbering can reorder a region's
+   members or use lists, and so its shape, so not every region hits.) *)
+let memo_serves_renumbered_models () =
+  let cache = Resbm.Plan_cache.create () in
+  let mgr = Resbm.Variants.resbm in
+  let g = (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
+  ignore (Resbm.Variants.compile ~cache mgr prm g);
+  let s1 = Resbm.Plan_cache.stats cache in
+  let g' = renumber 7 g in
+  let warm = Resbm.Variants.compile ~cache mgr prm g' in
+  let s2 = Resbm.Plan_cache.stats cache in
+  checki "the renumbered program misses the plan tier" 2 s2.Resbm.Plan_cache.misses;
+  checkb "renumbered regions replan from the memo" true
+    (s2.Resbm.Plan_cache.memo_hits > s1.Resbm.Plan_cache.memo_hits);
+  checkb "memo-assisted plan equals the memo-free plan" true
+    (fingerprint warm = fingerprint (Resbm.Variants.compile mgr prm g'))
+
+(* Shapes are id-free and local: appending a layer keeps every earlier
+   region's shape, a repeated layer shares one interned shape, and
+   shifting every node id leaves the shapes unchanged. *)
+let region_shapes_localise_edits () =
   let r3 = Resbm.Region.build (layered ~layers:3) in
   let r4 = Resbm.Region.build (layered ~layers:4) in
-  let h3 = Resbm.Plan_cache.region_hashes prm r3 in
-  let h4 = Resbm.Plan_cache.region_hashes prm r4 in
-  checkb "partitions are non-trivial" true (Array.length h3 >= 2);
-  checkb "first region's content hash survives the tail edit" true
-    (Array.length h4 >= Array.length h3 && h3.(0) = h4.(0));
-  checkb "params are part of the content" true
-    (let h3' = Resbm.Plan_cache.region_hashes (Ckks.Params.with_l_max prm 9) r3 in
-     h3'.(0) <> h3.(0))
+  let shape = Resbm.Region.shape and same = Resbm.Region.Shape.equal in
+  checkb "partitions are non-trivial" true (r3.Resbm.Region.count >= 4);
+  checkb "every region keeps its shape across the tail edit" true
+    (List.for_all
+       (fun r -> same (shape r3 r) (shape r4 r))
+       (List.init r3.Resbm.Region.count Fun.id));
+  checkb "a repeated layer shares one physical shape" true (shape r4 2 == shape r4 4);
+  let shifted =
+    let g = Dfg.create () in
+    ignore (Dfg.const g "unused");
+    let x = Dfg.input g "x" in
+    let v = ref x in
+    for i = 1 to 3 do
+      v := Dfg.mul_cc g !v !v;
+      v := Dfg.mul_cp g !v (Dfg.const g (Printf.sprintf "w%d" i))
+    done;
+    Dfg.set_outputs g [ !v ];
+    Resbm.Region.build g
+  in
+  checkb "shifted ids leave the shapes unchanged" true
+    (List.for_all
+       (fun r -> same (shape r3 r) (shape shifted r))
+       (List.init (r3.Resbm.Region.count - 1) (fun r -> r + 1)))
 
 (* --- on-disk tier ---------------------------------------------------------- *)
 
@@ -192,7 +230,8 @@ let suite =
     case "warm hits hand out private graphs" warm_hit_graph_is_private;
     case "cache key tracks every compile input" key_sensitivity;
     case "memo replans only dirty regions" memo_reuses_clean_regions;
-    case "region hashes localise edits" region_hashes_localise_edits;
+    case "region shapes localise edits" region_shapes_localise_edits;
     case "disk tier round-trips across cache instances" disk_tier_survives_processes;
     case "lru eviction respects capacity" lru_eviction_is_bounded;
+    case "memo replans a renumbered model" memo_serves_renumbered_models;
   ]

@@ -21,14 +21,14 @@ let conv_region_graph ~channels =
 let smo_cut_exists () =
   let g, _ = conv_region_graph ~channels:16 in
   let r = Resbm.Region.build g in
-  let cut = Resbm.Smoplc.run r prm ~region:1 ~level:2 in
+  let cut = Resbm.Smoplc.run r ~region:1 ~level:2 in
   checkb "non-empty cut" true (cut.Resbm.Cut.edges <> []);
   checkb "finite value" true (Float.is_finite cut.Resbm.Cut.value)
 
 let smo_cut_prefers_cheap_tail () =
   let g, repack = conv_region_graph ~channels:64 in
   let r = Resbm.Region.build g in
-  let cut = Resbm.Smoplc.run r prm ~region:1 ~level:2 in
+  let cut = Resbm.Smoplc.run r ~region:1 ~level:2 in
   (* with 64 channels, rescaling each mul costs 64x; the cut must use the
      frequency-1 repack live-out edge *)
   check (Alcotest.list Alcotest.bool) "single boundary edge" [ true ]
@@ -42,7 +42,7 @@ let smo_cut_respects_relin () =
   let m = Dfg.mul_cc g x x in
   Dfg.set_outputs g [ m ];
   let r = Resbm.Region.build g in
-  let cut = Resbm.Smoplc.run r prm ~region:1 ~level:2 in
+  let cut = Resbm.Smoplc.run r ~region:1 ~level:2 in
   (* the only legal position is after the relin, never between mul and
      relin *)
   List.iter
@@ -64,7 +64,7 @@ let paths_cross_cut_once =
       for region = 1 to r.Resbm.Region.count - 1 do
         let members = Resbm.Region.ct_members r region in
         if Resbm.Region.muls r region <> [] && members <> [] then begin
-          let cut = Resbm.Smoplc.run r prm ~region ~level:2 in
+          let cut = Resbm.Smoplc.run r ~region ~level:2 in
           let crossing = Hashtbl.create 16 in
           List.iter
             (fun e ->
@@ -216,11 +216,11 @@ let smoplc_mismatches r =
   for region = 0 to r.Resbm.Region.count - 1 do
     if Resbm.Region.ct_members r region <> [] then
       for level = 1 to prm.Ckks.Params.l_max do
-        let cold = Resbm.Smoplc.run r prm ~region ~level in
+        let cold = Resbm.Smoplc.run r ~region ~level in
         if not (same_cut cold (oracle_smoplc r ~region ~level)) then
           bad := (region, level) :: !bad;
-        ignore (Resbm.Smoplc.run ~memo r prm ~region ~level);
-        if not (same_cut cold (Resbm.Smoplc.run ~memo r prm ~region ~level)) then
+        ignore (Resbm.Smoplc.run ~memo r ~region ~level);
+        if not (same_cut cold (Resbm.Smoplc.run ~memo r ~region ~level)) then
           bad := (region, -level) :: !bad
       done
   done;
@@ -250,15 +250,15 @@ let smoplc_memo_hit_is_free () =
   let p = Obs.Profile.create () in
   Obs.with_profile p (fun () ->
       for _ = 1 to 3 do
-        ignore (Resbm.Smoplc.run ~fuel ~memo r prm ~region:1 ~level:2)
+        ignore (Resbm.Smoplc.run ~fuel ~memo r ~region:1 ~level:2)
       done;
-      ignore (Resbm.Smoplc.run ~fuel ~memo r prm ~region:1 ~level:3));
+      ignore (Resbm.Smoplc.run ~fuel ~memo r ~region:1 ~level:3));
   checki "fuel spent once per (region, level)" 8 (Resbm.Fuel.remaining fuel);
   checki "smoplc.cuts" 2 (Obs.Profile.counter p "smoplc.cuts");
   checki "maxflow.runs" 2 (Obs.Profile.counter p "maxflow.runs")
 
 (* The fuel metered by a finite budget equals the steps the profile
-   counters report, and SMOPLC solves each distinct (region, entry level)
+   counters report, and SMOPLC solves each distinct (shape, entry level)
    with a rescale exactly once per compile. *)
 let planner_fuel_matches_counters () =
   let g = (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
@@ -278,16 +278,124 @@ let planner_fuel_matches_counters () =
     (Obs.with_metrics m (fun () ->
          Obs.with_profile p (fun () ->
              Resbm.Btsmgr.plan ~fuel:(Resbm.Fuel.create 1_000_000)
-               ~memo:(memo, Int64.of_int) r prm)));
+               ~memo r prm)));
   let pairs =
     Resbm.Region_eval.Memo.evaluated memo
     |> List.filter_map (fun (h, level, rescales) ->
            if rescales > 0 then Some (h, level) else None)
     |> List.sort_uniq compare
   in
-  checki "smoplc.cuts = distinct (region, entry level) pairs" (List.length pairs)
+  checki "smoplc.cuts = distinct (shape, entry level) pairs" (List.length pairs)
     (Obs.Profile.counter p "smoplc.cuts");
   checki "plan fuel spent = planner steps" (Resbm.Driver.planner_steps p) (spent m)
+
+(* --- Region_eval: shape-cached solutions against cold solves --------------- *)
+
+let same_result (a : Resbm.Region_eval.result) (b : Resbm.Region_eval.result) =
+  Int64.bits_of_float a.latency_ms = Int64.bits_of_float b.latency_ms
+  && Option.equal same_cut a.smo_cut b.smo_cut
+  && Option.equal same_cut a.bts_cut b.bts_cut
+  && a.bts_subgraph = b.bts_subgraph
+
+(* A solution mapped back to a region names that region's nodes only:
+   members, plus the producers feeding them for boundary helper nodes. *)
+let names_region_nodes r region (res : Resbm.Region_eval.result) =
+  let members = Array.to_list (Resbm.Region.members r region) in
+  let mem id = List.mem id members in
+  let feeds id =
+    mem id || List.exists (fun m -> List.mem id (Dfg.preds r.Resbm.Region.dfg m)) members
+  in
+  let cut_ok (c : Resbm.Cut.t) =
+    List.for_all
+      (function
+        | Resbm.Cut.Internal { tail; head } -> mem tail && mem head
+        | Resbm.Cut.Boundary_in { head } -> mem head
+        | Resbm.Cut.Boundary_out { tail } -> mem tail)
+      c.edges
+    && List.for_all mem c.sink_side
+    && Array.for_all (fun n -> n < 0 || feeds n) c.node_of
+  in
+  Option.fold ~none:true ~some:cut_ok res.smo_cut
+  && Option.fold ~none:true ~some:cut_ok res.bts_cut
+  && List.for_all mem res.bts_subgraph
+
+(* Every region over a grid of candidate plans and all six mode pairs: the
+   shape-cached eval (one cache and one cross-compile memo for the whole
+   graph, so repeated shapes are served from another region's solution),
+   a fresh cache served from that memo, and a cold solve on a fresh cache
+   per call must agree exactly — or raise the same exception.  The cold
+   solution must name only the region's own nodes, and its SMOPLC cut
+   must equal the id-based per-call oracle's.  Returns the mismatching
+   (region, entry level, rescales). *)
+let region_eval_mismatches r =
+  let open Resbm.Region_eval in
+  let cache = create_cache () and memo = Memo.create () in
+  let bad = ref [] in
+  for region = 0 to r.Resbm.Region.count - 1 do
+    List.iter
+      (fun (entry_level, rescales, bts) ->
+        List.iter
+          (fun (smo_mode, bts_mode) ->
+            let eval ?memo cache =
+              match
+                eval ?memo cache r prm ~smo_mode ~bts_mode ~region ~entry_level ~rescales
+                  ~bts
+              with
+              | res -> Ok res
+              | exception e -> Error (Printexc.to_string e)
+            in
+            let cold = eval (create_cache ()) in
+            let cold_ok =
+              match cold with
+              | Error _ -> true
+              | Ok res ->
+                  names_region_nodes r region res
+                  &&
+                  match (smo_mode, res.smo_cut) with
+                  | Smo_min_cut, Some cut ->
+                      same_cut cut (oracle_smoplc r ~region ~level:entry_level)
+                  | _ -> true
+            in
+            let agrees = function
+              | Ok a -> (match cold with Ok b -> same_result a b | Error _ -> false)
+              | Error e -> cold = Error e
+            in
+            if
+              not
+                (cold_ok
+                && agrees (eval ~memo cache)
+                && agrees (eval ~memo (create_cache ())))
+            then
+              bad := (region, entry_level, rescales) :: !bad)
+          [
+            (Smo_min_cut, Bts_min_cut);
+            (Smo_min_cut, Bts_region_end);
+            (Smo_eva, Bts_min_cut);
+            (Smo_eva, Bts_region_end);
+            (Smo_pars, Bts_min_cut);
+            (Smo_pars, Bts_region_end);
+          ])
+      [
+        (1, 0, None); (1, 1, None); (1, 1, Some 3); (2, 2, Some 1); (3, 1, Some 12);
+        (9, 2, None); (16, 1, Some 16); (16, 0, Some 5); (0, 1, None);
+      ]
+  done;
+  List.sort_uniq compare !bad
+
+let region_eval_matches_cold_on_models () =
+  List.iter
+    (fun model ->
+      let r = Resbm.Region.build (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      check
+        (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int))
+        (model.Nn.Model.name ^ ": (region, entry level, rescales) mismatches")
+        [] (region_eval_mismatches r))
+    [ Nn.Model.resnet20; Nn.Model.squeezenet ]
+
+let region_eval_matches_cold_random =
+  qcheck ~count:40 "shape-cached region eval equals a cold solve"
+    (random_dfg_gen ~max_nodes:40 ~max_depth:6)
+    (fun params -> region_eval_mismatches (Resbm.Region.build (build_random_dfg params)) = [])
 
 (* --- BTSPLC ---------------------------------------------------------------- *)
 
@@ -306,7 +414,7 @@ let bts_cut_groups_shared_rescale () =
   Dfg.set_outputs g [ o1; o2 ];
   let reg = Resbm.Region.build g in
   let subgraph = [ r1; r2; r3 ] in
-  let cut = Resbm.Btsplc.run reg prm ~region:1 ~lbts:4 ~subgraph in
+  let cut = Resbm.Btsplc.run reg ~lbts:4 ~subgraph in
   (* all cut edges must be boundary-in (bootstrap directly after the
      shared producer) *)
   checkb "boundary-in cut" true
@@ -321,11 +429,11 @@ let bts_cut_rejects_bad_args () =
   let g = fig3_poly () in
   let reg = Resbm.Region.build g in
   checkb "lbts 0 rejected" true
-    (match Resbm.Btsplc.run reg prm ~region:1 ~lbts:0 ~subgraph:[ 1 ] with
+    (match Resbm.Btsplc.run reg ~lbts:0 ~subgraph:[ 1 ] with
     | _ -> false
     | exception Invalid_argument _ -> true);
   checkb "empty subgraph rejected" true
-    (match Resbm.Btsplc.run reg prm ~region:1 ~lbts:1 ~subgraph:[] with
+    (match Resbm.Btsplc.run reg ~lbts:1 ~subgraph:[] with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -484,4 +592,10 @@ let bts_min_cut_dominates_region_end =
 let theorem_suite =
   [ min_cut_dominates_forced_placements; bts_min_cut_dominates_region_end ]
 
-let suite = suite @ theorem_suite
+let suite =
+  suite @ theorem_suite
+  @ [
+      case "region_eval: shape-cached eval equals a cold solve on ResNet-20, SqueezeNet"
+        region_eval_matches_cold_on_models;
+      region_eval_matches_cold_random;
+    ]

@@ -141,3 +141,25 @@ let fingerprint ((g : Dfg.t), (r : Resbm.Report.t)) =
     r.Resbm.Report.region_count,
     Array.to_list r.Resbm.Report.region_of,
     r.Resbm.Report.fallbacks )
+
+(* Renumber a graph: map node i to perm(i) for a seeded random
+   permutation, rewriting args and outputs.  Plan digests and the region
+   memo must not see the difference. *)
+let renumber seed g =
+  let nodes, outputs = Dfg.export g in
+  let n = Array.length nodes in
+  let perm = Array.init n (fun i -> i) in
+  let st = Random.State.make [| 0xD16E57; seed |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let nodes' = Array.make n nodes.(0) in
+  Array.iteri
+    (fun i (x : Dfg.exported_node) ->
+      nodes'.(perm.(i)) <-
+        { x with Dfg.ex_args = Array.map (fun a -> perm.(a)) x.Dfg.ex_args })
+    nodes;
+  Dfg.import (nodes', List.map (fun o -> perm.(o)) outputs)
