@@ -1934,7 +1934,7 @@ let serve_cmd =
       & info [ "slo-ms" ] ~docv:"MS"
           ~doc:
             "Per-request deadline after arrival; 0 derives 3x the fault-free \
-             reference batch latency.")
+             batch latency.")
   in
   let max_batch =
     Arg.(

@@ -93,5 +93,5 @@ val liveness : Fhe_ir.Dfg.t -> liveness
 (** Backward liveness over def-use chains.  Output persistence is not
     modelled (a value appears only while some consumer still needs it),
     so these sets are a lower bound on any schedule-based live set —
-    {!Fhe_ir.Liveness} and {!Fhe_ir.Interp.Session.is_live} must contain
+    {!Fhe_ir.Liveness} and {!Fhe_ir.Interp.Session.live_cts} must contain
     them, which is exactly what the cross-validation tests assert. *)

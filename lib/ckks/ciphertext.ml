@@ -11,9 +11,16 @@ type t = {
    rounding, no absorption), so any corruption that changes a slot's
    representable value changes the checksum — including single-slot
    deltas far below the noise floor, which the err-based boundary
-   validator cannot see. *)
-let checksum slots =
-  Array.fold_left (fun acc v -> Int64.logxor acc (Int64.bits_of_float v)) 0L slots
+   validator cannot see.  A [for] loop over a local ref, not a fold:
+   without flambda the fold's closure boxes one [Int64] per slot, while
+   the loop keeps the accumulator unboxed — this runs on every evaluator
+   op and every boundary integrity check. *)
+let[@inline] checksum slots =
+  let acc = ref 0L in
+  for i = 0 to Array.length slots - 1 do
+    acc := Int64.logxor !acc (Int64.bits_of_float slots.(i))
+  done;
+  !acc
 
 let make ~slots ~scale_bits ~level ~size ~err =
   if scale_bits <= 0 then invalid_arg "Ciphertext.make: scale must be positive";

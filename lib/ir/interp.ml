@@ -21,39 +21,36 @@ exception Missing_input of string
 
 type value = Ct of Ckks.Ciphertext.t | Pt of Ckks.Plaintext.t
 
+module Ints = Map.Make (Int)
+
 let headroom = Obs.Trace.headroom_bits
 
-(* Noise-budget summary over the executed ciphertexts: min headroom across
-   the run, headroom of each bootstrap's operand (the budget left at the
-   moment the manager spends a refresh — how close the plan cut it), and
-   the [top_k] nodes with the least headroom. *)
-let summarise_noise g values ~top_k =
-  let ct_err id =
-    match Hashtbl.find_opt values id with Some (Ct c) -> Some c.Ckks.Ciphertext.err | _ -> None
-  in
+(* Noise-budget summary over every executed ciphertext, in execution
+   order: min headroom across the run, headroom of each bootstrap's
+   operand (the budget left at the moment the manager spends a refresh —
+   how close the plan cut it), and the [top_k] nodes with the least
+   headroom.  [err.(id)] is the noise bound of the last ciphertext node
+   [id] produced; the session frees values at their last use, so the
+   summary cannot read them back. *)
+let summarise_noise g order err ~top_k =
+  let is_ct id = Op.produces_ct (Dfg.node g id).Dfg.kind in
   let min_bits = ref Float.infinity and min_node = ref (-1) in
   let bts = ref [] and all = ref [] in
-  List.iter
+  Array.iter
     (fun id ->
-      match ct_err id with
-      | None -> ()
-      | Some err ->
-          let bits = headroom err in
-          all := (id, bits) :: !all;
-          if bits < !min_bits then begin
-            min_bits := bits;
-            min_node := id
-          end;
-          (match (Dfg.node g id).Dfg.kind with
-          | Op.Bootstrap _ -> (
-              match (Dfg.node g id).Dfg.args with
-              | [| a |] -> (
-                  match ct_err a with
-                  | Some e -> bts := (id, headroom e) :: !bts
-                  | None -> ())
-              | _ -> ())
-          | _ -> ()))
-    (Dfg.topo_order g);
+      if is_ct id then begin
+        let bits = headroom err.(id) in
+        all := (id, bits) :: !all;
+        if bits < !min_bits then begin
+          min_bits := bits;
+          min_node := id
+        end;
+        let node = Dfg.node g id in
+        match (node.Dfg.kind, node.Dfg.args) with
+        | Op.Bootstrap _, [| a |] when is_ct a -> bts := (id, headroom err.(a)) :: !bts
+        | _ -> ()
+      end)
+    order;
   let noisiest =
     List.filteri
       (fun i _ -> i < top_k)
@@ -73,8 +70,11 @@ module Session = struct
     info : Scale_check.info array;
     trace : Obs.Trace.t option;
     region_of : int -> int;
-    values : (int, value) Hashtbl.t;
     sched : Liveness.schedule;
+    mutable cts : Ckks.Ciphertext.t Ints.t;  (* live ciphertexts *)
+    mutable pts : Ckks.Plaintext.t Ints.t;  (* live plaintexts *)
+    err : float array;  (* per node: noise bound of its latest ciphertext *)
+    mutable pos : int;  (* position in [order] of the next node to execute *)
     mutable latency : float;
     mutable ops : int;
     mutable costs : node_cost list;  (* reversed *)
@@ -82,9 +82,13 @@ module Session = struct
 
   type t = session
 
+  (* Persistent maps make a checkpoint O(1): it shares the live values
+     (and their immutable slot arrays) with the session instead of
+     copying them. *)
   type snapshot = {
     snap_at : int;
-    saved : (int * value) list;
+    s_cts : Ckks.Ciphertext.t Ints.t;
+    s_pts : Ckks.Plaintext.t Ints.t;
     snap_bytes : float;
     s_latency : float;
     s_ops : int;
@@ -123,8 +127,11 @@ module Session = struct
       info;
       trace;
       region_of;
-      values = Hashtbl.create (Dfg.node_count g);
       sched = Liveness.schedule g;
+      cts = Ints.empty;
+      pts = Ints.empty;
+      err = Array.make (Dfg.node_count g) 0.0;
+      pos = 0;
       latency = 0.0;
       ops = 0;
       costs = [];
@@ -138,20 +145,15 @@ module Session = struct
   let region_of s id = s.region_of id
   let latency_ms s = s.latency
 
-  let ct_opt s id =
-    match Hashtbl.find_opt s.values id with Some (Ct c) -> Some c | _ -> None
-
-  let set_ct s id c = Hashtbl.replace s.values id (Ct c)
-
   let ct s id =
-    match Hashtbl.find_opt s.values id with
-    | Some (Ct c) -> c
-    | _ -> invalid_arg "Interp: expected ciphertext value"
+    match Ints.find_opt id s.cts with
+    | Some c -> c
+    | None -> invalid_arg "Interp: expected ciphertext value"
 
   let pt s id =
-    match Hashtbl.find_opt s.values id with
-    | Some (Pt p) -> p
-    | _ -> invalid_arg "Interp: expected plaintext value"
+    match Ints.find_opt id s.pts with
+    | Some p -> p
+    | None -> invalid_arg "Interp: expected plaintext value"
 
   let exec_raw s env id =
     let node = Dfg.node s.g id in
@@ -208,7 +210,25 @@ module Session = struct
         s.costs <-
           { node = id; op = Op.name kind; region = s.region_of id; cost_ms = cost }
           :: s.costs);
-    Hashtbl.replace s.values id v
+    (* Keep the result only while a later node (or the output list) needs
+       it, and free every operand whose last use this was — outputs never
+       are, their last use being [max_int].  The session then holds
+       exactly the values live at [pos]. *)
+    let at = s.sched.Liveness.order_index.(id) in
+    let last_use = s.sched.Liveness.last_use in
+    (match v with
+    | Ct c ->
+        s.err.(id) <- c.Ckks.Ciphertext.err;
+        if last_use.(id) > at then s.cts <- Ints.add id c s.cts
+    | Pt p -> if last_use.(id) > at then s.pts <- Ints.add id p s.pts);
+    Array.iter
+      (fun a ->
+        if last_use.(a) = at then begin
+          s.cts <- Ints.remove a s.cts;
+          s.pts <- Ints.remove a s.pts
+        end)
+      node.Dfg.args;
+    s.pos <- at + 1
 
   let exec s env id =
     match s.trace with
@@ -234,50 +254,24 @@ module Session = struct
       s.latency <-
         s.latency +. Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:c.Ckks.Ciphertext.level;
       s.ops <- s.ops + 1;
-      set_ct s id c';
+      s.cts <- Ints.add id c' s.cts;
+      s.err.(id) <- c'.Ckks.Ciphertext.err;
       c'
     in
     match s.trace with Some tr -> Obs.with_trace tr go | None -> go ()
 
-  let is_live s ~at id = Liveness.live_at s.sched ~at id
+  let live_cts s = Ints.bindings s.cts
 
-  let live_cts s ~at =
-    List.sort compare
-      (Hashtbl.fold (* det-ok: result is sorted by node id *)
-         (fun id v acc ->
-           match v with
-           | Ct c when is_live s ~at id -> (id, c) :: acc
-           | _ -> acc)
-         s.values [])
-
-  (* A checkpoint keeps only the values still needed at position [at]:
-     outputs, plus any value with a use at or after [at].  Everything
-     downstream of [at] is recomputed on rollback, so dead values need
-     not be retained — this is what makes the liveness-derived memory
-     budget meaningful. *)
-  let snapshot s ~at =
+  let snapshot s =
     let prm = Ckks.Evaluator.params s.ev in
-    let saved =
-      (* Sorted by node id so [snap_bytes] (a float sum) and the saved
-         list are independent of hash order. *)
-      List.sort
-        (fun (a, _) (b, _) -> compare a b)
-        (Hashtbl.fold (* det-ok: result is sorted by node id *)
-           (fun id v acc -> if is_live s ~at id then (id, v) :: acc else acc)
-           s.values [])
-    in
-    let snap_bytes =
-      List.fold_left
-        (fun acc (_, v) ->
-          match v with
-          | Ct c -> acc +. Liveness.ciphertext_bytes prm ~level:c.Ckks.Ciphertext.level
-          | Pt _ -> acc)
-        0.0 saved
-    in
     {
-      snap_at = at;
-      saved;
-      snap_bytes;
+      snap_at = s.pos;
+      s_cts = s.cts;
+      s_pts = s.pts;
+      snap_bytes =
+        Ints.fold
+          (fun _ c acc -> acc +. Liveness.ciphertext_bytes prm ~level:c.Ckks.Ciphertext.level)
+          s.cts 0.0;
       s_latency = s.latency;
       s_ops = s.ops;
       s_costs = s.costs;
@@ -287,8 +281,9 @@ module Session = struct
   let snapshot_bytes snap = snap.snap_bytes
 
   let rollback s snap =
-    Hashtbl.reset s.values;
-    List.iter (fun (id, v) -> Hashtbl.replace s.values id v) snap.saved;
+    s.cts <- snap.s_cts;
+    s.pts <- snap.s_pts;
+    s.pos <- snap.snap_at;
     s.latency <- snap.s_latency;
     s.ops <- snap.s_ops;
     s.costs <- snap.s_costs;
@@ -310,7 +305,7 @@ module Session = struct
       latency_ms = s.latency;
       op_count = s.ops;
       node_costs = List.rev s.costs;
-      noise = summarise_noise s.g s.values ~top_k:5;
+      noise = summarise_noise s.g s.sched.Liveness.order s.err ~top_k:5;
     }
 end
 

@@ -69,9 +69,11 @@ module Session : sig
   type t
 
   type snapshot
-  (** A checkpoint: the values still live at a given execution position
-      (everything downstream is recomputed on rollback) plus the latency
-      and op counters at that point. *)
+  (** A checkpoint: the values live at an execution position (everything
+      downstream is recomputed on rollback) plus the latency and op
+      counters at that point.  It shares the session's persistent value
+      maps — and through them the ciphertexts' immutable slot arrays —
+      so taking one is O(1) and copies nothing. *)
 
   val create :
     ?trace:Obs.Trace.t -> ?region_of:(int -> int) -> Ckks.Evaluator.t -> Dfg.t -> t
@@ -97,38 +99,38 @@ module Session : sig
   (** Simulated latency accumulated so far (including charged backoff). *)
 
   val exec : t -> env -> int -> unit
-  (** Execute one node: publishes the {!Ckks.Fault.site}, installs trace
-      attribution, runs the evaluator op, accumulates latency/op counts.
-      @raise Ckks.Evaluator.Fhe_error as the evaluator does.
+  (** Execute the next node of {!order}: publishes the
+      {!Ckks.Fault.site}, installs trace attribution, runs the evaluator
+      op, accumulates latency/op counts.  The session holds only live
+      values: the result is kept only if it is an output or used later,
+      and each operand is freed at its {!Liveness.schedule} last use.
+      @raise Ckks.Evaluator.Fhe_error as the evaluator does (the session
+      is then unchanged).
       @raise Missing_input when [env] lacks a named input. *)
 
-  val ct_opt : t -> int -> Ckks.Ciphertext.t option
-  (** The ciphertext computed for a node, when there is one. *)
-
-  val live_cts : t -> at:int -> (int * Ckks.Ciphertext.t) list
-  (** Computed ciphertexts still needed at position [at] of {!order}
-      (outputs, or used at or after [at]), ascending node id — the state a
-      supervisor validates at a region boundary. *)
-
-  val set_ct : t -> int -> Ckks.Ciphertext.t -> unit
-  (** Replace a node's computed ciphertext (recovery writes repaired
-      values back this way). *)
+  val live_cts : t -> (int * Ckks.Ciphertext.t) list
+  (** The ciphertexts live at the current position — every executed
+      ciphertext node that is an output or has a use still to execute
+      ({!Liveness.live_at}) — ascending node id: the state a supervisor
+      validates at a region boundary. *)
 
   val refresh : t -> int -> Ckks.Ciphertext.t
-  (** Panic re-bootstrap of node's ciphertext in place
+  (** Panic re-bootstrap of a live node's ciphertext in place
       ({!Ckks.Evaluator.refresh}): bootstrap-priced, level/scale
       preserved, noise estimate reset.  Returns the refreshed ct. *)
 
-  val snapshot : t -> at:int -> snapshot
-  (** Checkpoint for resuming at position [at] of {!order} (the index of
-      the next node to execute).  Keeps outputs and every value with a
-      use at or after [at]; dead values are dropped, which is what makes
-      a liveness-derived checkpoint budget meaningful. *)
+  val snapshot : t -> snapshot
+  (** O(1) checkpoint for resuming at the current position (the index in
+      {!order} of the next node to execute).  It holds exactly the live
+      values — outputs and every value with a use at or after that
+      position — which is what makes a liveness-derived checkpoint
+      budget meaningful. *)
 
   val snapshot_at : snapshot -> int
   val snapshot_bytes : snapshot -> float
   (** Estimated ciphertext bytes held by the checkpoint
-      ({!Liveness.ciphertext_bytes} per live ct). *)
+      ({!Liveness.ciphertext_bytes} per live ct, summed in node-id
+      order). *)
 
   val rollback : t -> snapshot -> int
   (** Restore values and counters from the checkpoint; returns the
@@ -144,7 +146,10 @@ module Session : sig
 
   val finish : t -> result
   (** Collect outputs and summaries.  The session must have executed every
-      node in {!order}. *)
+      node in {!order}.  The noise summary covers every executed
+      ciphertext, freed or not — it reads a per-node noise bound recorded
+      by {!exec} and {!refresh}, so after a {!rollback} it still counts
+      the values dropped before the checkpoint. *)
 end
 
 val run :

@@ -37,9 +37,9 @@ let schedule g =
 
 let live_at sched ~at id = sched.is_output.(id) || sched.last_use.(id) >= at
 
-let analyse prm g =
-  let info = Scale_check.infer prm g in
-  let sched = schedule g in
+let analyse ?info ?sched prm g =
+  let info = match info with Some i -> i | None -> Scale_check.infer prm g in
+  let sched = match sched with Some s -> s | None -> schedule g in
   let live = Hashtbl.create 64 in
   let live_bytes = ref 0.0 and live_count = ref 0 in
   let peak_live = ref 0 and peak_bytes = ref 0.0 and total = ref 0 in

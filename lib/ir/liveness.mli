@@ -15,8 +15,6 @@ type report = {
   final_live : int;  (** Live at the end (the program outputs). *)
 }
 
-val analyse : Ckks.Params.t -> Dfg.t -> report
-
 (** A materialised execution schedule with liveness bounds — the shared
     substrate for every position-based liveness query ({!analyse}, the
     interpreter's checkpointing, recovery's boundary validation).  All
@@ -31,6 +29,11 @@ type schedule = {
 }
 
 val schedule : Dfg.t -> schedule
+
+val analyse : ?info:Scale_check.info array -> ?sched:schedule -> Ckks.Params.t -> Dfg.t -> report
+(** Peak working set over the schedule.  Pass [?info] and [?sched] to
+    reuse an existing {!Scale_check} result and {!schedule} (as the
+    interpreter session holds them) instead of recomputing both. *)
 
 val live_at : schedule -> at:int -> int -> bool
 (** [live_at sched ~at id]: is [id]'s value still needed at position [at]

@@ -93,7 +93,8 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
     match config.checkpoint_budget_bytes with
     | Some b -> b
     | None ->
-        Float.max (2.0 *. (Fhe_ir.Liveness.analyse prm g).Fhe_ir.Liveness.peak_bytes) 1.0
+        let live = Fhe_ir.Liveness.analyse ~info ~sched:(Session.schedule s) prm g in
+        Float.max (2.0 *. live.Fhe_ir.Liveness.peak_bytes) 1.0
   in
   (* Position [i] is a boundary when the next node starts a new region (or
      the run is complete).  With no [region_of] only 0 and [n] qualify. *)
@@ -105,14 +106,7 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
      re-execution saved by a checkpoint at position [p] over its next-older
      retained neighbour at [q] is [exec_prefix.(p) -. exec_prefix.(q)].
      Lazy because fault-free runs under a generous budget never evict. *)
-  let exec_prefix =
-    lazy
-      (let p = Array.make (n + 1) 0.0 in
-       for i = 0 to n - 1 do
-         p.(i + 1) <- p.(i) +. Fhe_ir.Latency.node_cost prm g info order.(i)
-       done;
-       p)
-  in
+  let exec_prefix = lazy (Fhe_ir.Latency.prefix_costs prm g info order) in
   let retries = ref 0 and refreshes = ref 0 in
   let n_checkpoints = ref 0 and evictions = ref 0 in
   let bytes_peak = ref 0.0 and backoff_total = ref 0.0 in
@@ -122,6 +116,9 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
   let fault_mark = ref start_mark in
   let attempts = ref 0 in
   let checkpoints = ref [] (* newest first *) in
+  (* Bytes of the retained checkpoints, kept as a running total: the sizes
+     are integer-valued floats, so adding and subtracting stays exact. *)
+  let retained = ref 0.0 in
   let pos = ref 0 in
   let instant name detail =
     match trace with
@@ -132,12 +129,11 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
     (match !checkpoints with
     | cp :: _ when Session.snapshot_at cp = i -> ()
     | _ ->
-        checkpoints := Session.snapshot s ~at:i :: !checkpoints;
+        let cp = Session.snapshot s in
+        checkpoints := cp :: !checkpoints;
         incr n_checkpoints;
-        let total =
-          List.fold_left (fun a c -> a +. Session.snapshot_bytes c) 0.0 !checkpoints
-        in
-        bytes_peak := Float.max !bytes_peak total;
+        retained := !retained +. Session.snapshot_bytes cp;
+        bytes_peak := Float.max !bytes_peak !retained;
         (* Evict down to the budget by MINIMUM marginal re-execution
            value, never touching the newest (it is the rollback target).
            A checkpoint's value is the simulated latency of the span it
@@ -147,8 +143,8 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
            guarding the most expensive suffix of the run; value-based
            eviction keeps it and sheds the cheapest span instead.  Ties
            evict the oldest, matching the previous policy. *)
-        let rec evict_to_budget lst total =
-          if total <= budget then lst
+        let rec evict_to_budget lst =
+          if !retained <= budget then lst
           else
             match lst with
             | [] | [ _ ] -> lst
@@ -167,11 +163,10 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
                   end
                 done;
                 incr evictions;
-                let rest' = List.filteri (fun j _ -> j <> !best) rest in
-                evict_to_budget (newest :: rest')
-                  (total -. Session.snapshot_bytes arr.(!best))
+                retained := !retained -. Session.snapshot_bytes arr.(!best);
+                evict_to_budget (newest :: List.filteri (fun j _ -> j <> !best) rest)
         in
-        checkpoints := evict_to_budget !checkpoints total);
+        checkpoints := evict_to_budget !checkpoints);
     attempts := 0;
     fault_mark := injected_now ()
   in
@@ -222,7 +217,7 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
     else raise (Ckks.Evaluator.Fhe_error e)
   in
   let handle_boundary i =
-    let live = Session.live_cts s ~at:i in
+    let live = Session.live_cts s in
     (* Slot-integrity first: a corrupted slot far below the noise floor
        changes neither level, scale nor the bookkept noise estimate, so
        the structural and noise validators wave it through — only the

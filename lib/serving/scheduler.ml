@@ -115,7 +115,6 @@ type report = {
 let arrival_salt = 0xA881DA7E5L
 let payload_salt = 0x1A6E5L
 let chaos_salt = 0xFA017L
-let reference_salt = 0x5107BA7CL
 let ev_salt = 0x9E3779B97F4A7C15L
 
 let sorted_counts kvs =
@@ -178,19 +177,17 @@ let run ?jobs:_ ?cache cfg =
     Fhe_ir.Noise_check.analyse ~const_magnitude prm managed
   in
   let ev_base = Int64.logxor cfg.seed ev_salt in
-  (* One fault-free full-width reference run prices a batch: slot batching
-     is SIMD, so a full batch costs the same simulated latency as a solo
-     inference — this estimate drives admission control and the auto-SLO. *)
+  (* The fault-free latency of one batch prices it: slot batching is
+     SIMD, so a full batch costs the same simulated latency as a solo
+     inference — this estimate drives admission control and the auto-SLO.
+     It is the static cost of the execution order, bit for bit what a
+     fault-free run would accumulate, so no reference run is needed. *)
   let est_batch_ms =
-    let image =
-      (Nn.Dataset.images ~seed:(Int64.logxor cfg.seed reference_salt) ~dim:wide
-         ~count:1 ()).(0)
+    let order = (Fhe_ir.Liveness.schedule managed).Fhe_ir.Liveness.order in
+    let costs =
+      Fhe_ir.Latency.prefix_costs prm managed (Fhe_ir.Scale_check.infer prm managed) order
     in
-    let env =
-      { Fhe_ir.Interp.inputs = [ (lowered.Nn.Lowering.input_name, image) ]; consts }
-    in
-    (Fhe_ir.Interp.run (Ckks.Evaluator.create ~seed:ev_base prm) managed env)
-      .Fhe_ir.Interp.latency_ms
+    costs.(Array.length order)
   in
   let slo_ms = if cfg.slo_ms > 0.0 then cfg.slo_ms else 3.0 *. est_batch_ms in
   let max_wait_ms = if cfg.max_wait_ms > 0.0 then cfg.max_wait_ms else slo_ms /. 4.0 in

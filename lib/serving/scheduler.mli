@@ -38,7 +38,7 @@ type config = {
   duration_ms : float;  (** Arrival-window length (simulated). *)
   slo_ms : float;
       (** Per-request deadline after arrival; [<= 0] derives
-          [3 * est_batch_ms] from the fault-free reference run. *)
+          [3 * est_batch_ms], the fault-free batch latency. *)
   max_batch : int;  (** Requests per batch cap (also capped by slots). *)
   max_wait_ms : float;
       (** Batch fill wait bound; [<= 0] derives [slo / 4]. *)
@@ -107,7 +107,9 @@ type report = {
   config_seed : int64;
   model : string;
   slot_capacity : int;  (** Requests one batch can pack. *)
-  est_batch_ms : float;  (** Fault-free full-batch reference latency. *)
+  est_batch_ms : float;
+      (** Fault-free full-batch latency, priced statically
+          ({!Fhe_ir.Latency.prefix_costs} over the execution order). *)
   slo_ms : float;  (** Resolved (possibly derived) SLO. *)
   max_wait_ms : float;  (** Resolved batch-fill wait. *)
   arrivals : int;

@@ -284,6 +284,46 @@ let eval_mul_accuracy =
       in
       Float.abs (sum.(0) -. (x +. y)) < 1e-6 && Float.abs (prod.(0) -. (x *. y)) < 1e-6)
 
+(* --- ciphertext slot checksum ----------------------------------------------- *)
+
+(* The fold definition the loop replaced. *)
+let fold_checksum slots =
+  Array.fold_left (fun acc v -> Int64.logxor acc (Int64.bits_of_float v)) 0L slots
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The checksum runs on every evaluator op and every boundary integrity
+   check, so it must not box an [Int64] per slot.  [checksum] is measured
+   against an empty array — a call that is not inlined returns its
+   result boxed, the same for both — and [integrity_ok], which compares
+   the result unboxed, must allocate nothing at all. *)
+let checksum_allocates_nothing () =
+  let slots = Array.init 128 (fun i -> (float_of_int i *. 0.37) -. 20.0) in
+  let ct = Ckks.Ciphertext.make ~slots ~scale_bits:40 ~level:3 ~size:2 ~err:1e-9 in
+  let sum slots () = ignore (Sys.opaque_identity (Ckks.Ciphertext.checksum slots)) in
+  let ok () = ignore (Sys.opaque_identity (Ckks.Ciphertext.integrity_ok ct)) in
+  ok ();
+  sum slots ();
+  check_float ~eps:0.0 "checksum: 0 words per slot on 128 slots"
+    (minor_words (sum [||]))
+    (minor_words (sum slots));
+  check_float ~eps:0.0 "integrity_ok: 0 minor words on 128 slots" 0.0 (minor_words ok)
+
+let checksum_matches_fold =
+  let special =
+    List.map Int64.float_of_bits
+      [ 0L; Int64.min_int (* -0.0 *); 0x7FF8000000000000L; 0x7FF0000000000001L;
+        0xFFF8DEADBEEF0001L; 0x7FFFFFFFFFFFFFFFL; 0x7FF0000000000000L ]
+  in
+  qcheck ~count:300 "checksum equals the XOR fold (-0.0, NaN payloads)"
+    QCheck2.Gen.(
+      array_size (int_range 0 300)
+        (oneof [ map Int64.float_of_bits int64; float; oneofl special ]))
+    (fun slots -> Int64.equal (Ckks.Ciphertext.checksum slots) (fold_checksum slots))
+
 let suite =
   [
     case "params: defaults" params_defaults;
@@ -316,4 +356,6 @@ let suite =
     case "evaluator: capacity formula" eval_capacity_formula;
     case "evaluator: op counting" eval_op_count;
     eval_mul_accuracy;
+    case "ciphertext: checksum allocates nothing per slot" checksum_allocates_nothing;
+    checksum_matches_fold;
   ]

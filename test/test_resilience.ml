@@ -529,6 +529,103 @@ let recovery_faultoff_identity =
                  && a.Ckks.Ciphertext.scale_bits = b.Ckks.Ciphertext.scale_bits)
                r1.Interp.outputs r2.Interp.outputs)
 
+(* --- live-only session: differential against the liveness definition ----- *)
+
+(* Drive a session node by node and, at every region boundary (the
+   positions {!Resilience.Recovery.run} validates and checkpoints at),
+   hold [live_cts] against its definition: every executed ciphertext node
+   that is an output or still has a use ahead ({!Liveness.live_at}),
+   carrying the very value [exec] produced.  At each boundary a snapshot,
+   a run on to the next boundary and a rollback must restore exactly that
+   set, and the replayed span must then reach the next boundary again. *)
+let live_set_matches_definition ~region_of ev managed env =
+  let s = Interp.Session.create ev managed in
+  let order = Interp.Session.order s in
+  let sched = Interp.Session.schedule s in
+  let n = Array.length order in
+  let produced = Hashtbl.create 64 in
+  let is_ct id = Op.produces_ct (Dfg.node managed id).Dfg.kind in
+  let expected at =
+    List.filter
+      (fun id ->
+        let p = sched.Liveness.order_index.(id) in
+        p >= 0 && p < at && is_ct id && Liveness.live_at sched ~at id)
+      (List.init (Dfg.node_count managed) Fun.id)
+  in
+  let same got want =
+    List.length got = List.length want
+    && List.for_all2
+         (fun (i, c) j ->
+           i = j
+           && match Hashtbl.find_opt produced j with Some c' -> c == c' | None -> false)
+         got want
+  in
+  let boundary i =
+    i = n || i = 0 || region_of order.(i - 1) <> region_of order.(i)
+  in
+  let exec_to_boundary from =
+    let i = ref from in
+    let continue = ref true in
+    while !continue do
+      let id = order.(!i) in
+      Interp.Session.exec s env id;
+      incr i;
+      (match List.assoc_opt id (Interp.Session.live_cts s) with
+      | Some c -> Hashtbl.replace produced id c
+      | None -> ());
+      continue := not (boundary !i)
+    done;
+    !i
+  in
+  let ok = ref (same (Interp.Session.live_cts s) (expected 0)) in
+  let pos = ref 0 in
+  while !ok && !pos < n do
+    let p = !pos in
+    let snap = Interp.Session.snapshot s in
+    let q = exec_to_boundary p in
+    ok := !ok && same (Interp.Session.live_cts s) (expected q);
+    (* The span just run wrote only nodes at [p, q), none of which is in
+       [expected p]: the restored set must be the pre-snapshot values. *)
+    let resume = Interp.Session.rollback s snap in
+    ok := !ok && resume = p && same (Interp.Session.live_cts s) (expected p);
+    let q' = exec_to_boundary p in
+    ok := !ok && q' = q && same (Interp.Session.live_cts s) (expected q);
+    pos := q
+  done;
+  !ok
+
+let live_cts_matches_definition_resnet20 () =
+  let l_max = 16 and dim = 16 in
+  let prm16 =
+    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = l_max } l_max
+  in
+  let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
+  let managed, report = Resbm.Driver.compile_robust prm16 lowered.Nn.Lowering.dfg in
+  let attr = report.Resbm.Report.region_of in
+  let region_of id = if id >= 0 && id < Array.length attr then attr.(id) else -1 in
+  let image = (Nn.Dataset.images ~seed:31L ~dim ~count:1 ()).(0) in
+  let env =
+    {
+      Interp.inputs = [ (lowered.Nn.Lowering.input_name, image) ];
+      consts = Nn.Lowering.resolver lowered ~dim;
+    }
+  in
+  checkb "live_cts and snapshot round trips match the definition at every boundary" true
+    (live_set_matches_definition ~region_of (Ckks.Evaluator.create ~seed:5L prm16) managed env)
+
+let live_cts_matches_definition_random =
+  qcheck ~count:30 "live_cts matches Liveness.live_at at every boundary"
+    (random_dfg_gen ~max_nodes:30 ~max_depth:8)
+    (fun params ->
+      let g = build_random_dfg params in
+      match Resbm.Driver.compile prm g with
+      | exception Resbm.Btsmgr.No_plan _ -> true
+      | managed, report ->
+          let env = { Interp.inputs = [ ("x", input_env ~dim 13L) ]; consts = const_env ~dim } in
+          let attr = report.Resbm.Report.region_of in
+          let region_of id = if id < Array.length attr then attr.(id) else -1 in
+          live_set_matches_definition ~region_of (Ckks.Evaluator.create ~seed:3L prm) managed env)
+
 (* --- graceful planner degradation ---------------------------------------- *)
 
 let robust_compile_no_degradation () =
@@ -712,6 +809,9 @@ let suite =
     case "eviction keeps the highest-value checkpoint"
       recovery_eviction_keeps_expensive_guard;
     recovery_faultoff_identity;
+    case "live_cts and snapshots match the liveness definition (ResNet-20)"
+      live_cts_matches_definition_resnet20;
+    live_cts_matches_definition_random;
     case "compile_robust: first tier wins when healthy" robust_compile_no_degradation;
     case "compile_robust: fuel exhaustion degrades to eager"
       robust_compile_degrades_on_fuel;

@@ -111,6 +111,73 @@ let scheduler_is_deterministic () =
   let cold = render (Serving.Scheduler.run ~cache:(Resbm.Plan_cache.create ()) det_config) in
   check Alcotest.string "byte-identical reports cold and warm" a cold
 
+(* Byte-for-byte pin of a ResNet-20 chaos campaign whose batches roll
+   back: recovery, checkpointing, batch pricing and the scheduler all
+   feed this report, so any behavioural drift in them changes the
+   digest. *)
+let resnet20_chaos_report_is_pinned () =
+  let cfg =
+    {
+      base_config with
+      Serving.Scheduler.model = "resnet20";
+      l_max = 16;
+      seed = 0x5E17EL;
+      arrival = Serving.Scheduler.Poisson 40.0;
+      duration_ms = 1000.0;
+      chaos_rate = 0.05;
+    }
+  in
+  let r = run cfg in
+  checki "in-batch rollbacks" 6
+    (List.fold_left
+       (fun a (b : Serving.Scheduler.batch_report) -> a + b.Serving.Scheduler.retries)
+       0 r.Serving.Scheduler.batches);
+  check Alcotest.string "report digest" "00f5914eb6f9c6519e3b6ed3b55cd6bf"
+    (Digest.to_hex (Digest.string (Obs.Json.to_string (Serving.Scheduler.to_json r))))
+
+(* --- batch pricing ------------------------------------------------------ *)
+
+(* A fault-free run of [model] at [l_max] on [dim]-slot inputs, and the
+   static price of its execution order. *)
+let ran_and_priced model ~l_max ~dim =
+  let prm =
+    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = l_max } l_max
+  in
+  let lowered = Nn.Lowering.lower model in
+  let managed, _ = Resbm.Driver.compile_robust ~cache prm lowered.Nn.Lowering.dfg in
+  let env =
+    {
+      Fhe_ir.Interp.inputs =
+        [ (lowered.Nn.Lowering.input_name, (Nn.Dataset.images ~seed:3L ~dim ~count:1 ()).(0)) ];
+      consts = Nn.Lowering.resolver lowered ~dim;
+    }
+  in
+  let ran =
+    (Fhe_ir.Interp.run (Ckks.Evaluator.create ~seed:3L prm) managed env).Fhe_ir.Interp.latency_ms
+  in
+  let order = (Fhe_ir.Liveness.schedule managed).Fhe_ir.Liveness.order in
+  let priced =
+    (Fhe_ir.Latency.prefix_costs prm managed (Fhe_ir.Scale_check.infer prm managed) order)
+      .(Array.length order)
+  in
+  (ran, priced)
+
+(* The scheduler prices a batch statically: the cost of the execution
+   order must equal, bit for bit, the latency a fault-free run
+   accumulates. *)
+let static_batch_price_is_bit_exact () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (model, l_max) ->
+      let ran, priced = ran_and_priced model ~l_max ~dim:16 in
+      check Alcotest.int64
+        (model.Nn.Model.name ^ ": priced = run latency, bit for bit")
+        (bits ran) (bits priced))
+    [ (Nn.Model.tiny, 9); (Nn.Model.lenet5, 9); (Nn.Model.resnet20, 16) ];
+  let ran, _ = ran_and_priced Nn.Model.tiny ~l_max:9 ~dim:(4 * 16) in
+  check Alcotest.int64 "scheduler estimate = run latency" (bits ran)
+    (bits (run base_config).Serving.Scheduler.est_batch_ms)
+
 (* --- conservation: every arrival terminates exactly once ---------------- *)
 
 let check_conservation (r : Serving.Scheduler.report) =
@@ -169,7 +236,7 @@ let retry_that_cannot_fit_is_shed () =
     }
   in
   let est = (run probe).Serving.Scheduler.est_batch_ms in
-  checkb "reference run produced a latency estimate" true (est > 0.0);
+  checkb "the batch was priced" true (est > 0.0);
   let cfg =
     {
       probe with
@@ -293,6 +360,10 @@ let suite =
     case "batch formation policy: full, degraded, max-wait" batcher_decide_policies;
     case "campaign reports are byte-deterministic (runs and cache)"
       scheduler_is_deterministic;
+    case "pinned ResNet-20 chaos campaign report (rolls back)"
+      resnet20_chaos_report_is_pinned;
+    case "static batch price equals the run latency, bit for bit"
+      static_batch_price_is_bit_exact;
     conservation_under_random_load;
     case "a retry that cannot fit its deadline is shed immediately"
       retry_that_cannot_fit_is_shed;
