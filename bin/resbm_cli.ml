@@ -12,7 +12,6 @@
      cache                     on-disk plan cache stats / clear
      bench-diff                gate a candidate bench file against a baseline
      explain                   cost waterfall + per-bootstrap min-cut rationale
-     plan-diff                 renumbering-stable structural diff of compiled plans
      chaos                     seeded fault-injection campaign + recovery report
      serve                     simulated slot-batched serving campaign (deadlines, SLO)
      metrics                   aggregate-metrics dump (Prometheus text or JSON)
@@ -89,14 +88,6 @@ let write_json path json =
    together as a "flight" file that [resbm health] can judge offline. *)
 type flight = { fl_log : Obs.Log.t; fl_metrics : Obs.Metrics.t }
 
-let with_flight log_out f =
-  match log_out with
-  | None -> f None
-  | Some _ ->
-      let fl = { fl_log = Obs.Log.create (); fl_metrics = Obs.Metrics.create () } in
-      Obs.with_log fl.fl_log @@ fun () ->
-      Obs.with_metrics fl.fl_metrics @@ fun () -> f (Some fl)
-
 let flight_json fl =
   (* Stamp the drop gauge at export time so the flight file carries its
      own loss accounting (read back by Health's ring-overflow rule). *)
@@ -163,16 +154,38 @@ let load_flight path =
       in
       (records, metrics)
 
-let log_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "log-out" ] ~docv:"FILE"
-        ~doc:
-          "Collect structured logs and aggregate metrics during the command and \
-           write them as a flight file to $(docv) (judged offline by $(b,resbm \
-           health --in)).  Chrome trace exports made by the same invocation gain \
-           the log instants.")
+(* The [--log-out] term: a runner for a command body that returns its exit
+   code.  With a path, the body runs under a fresh flight collector and the
+   flight file is written when it returns — before a non-zero code exits,
+   so a failed gate still leaves its flight behind. *)
+let flight_arg =
+  let log_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "log-out" ] ~docv:"FILE"
+          ~doc:
+            "Collect structured logs and aggregate metrics during the command and \
+             write them as a flight file to $(docv) (judged offline by $(b,resbm \
+             health --in)).  Chrome trace exports made by the same invocation gain \
+             the log instants.")
+  in
+  let with_flight log_out f =
+    let code =
+      match log_out with
+      | None -> f None
+      | Some path ->
+          let fl = { fl_log = Obs.Log.create (); fl_metrics = Obs.Metrics.create () } in
+          let code =
+            Obs.with_log fl.fl_log @@ fun () ->
+            Obs.with_metrics fl.fl_metrics @@ fun () -> f (Some fl)
+          in
+          write_flight path fl;
+          code
+    in
+    if code <> 0 then exit code
+  in
+  Term.(const with_flight $ log_out)
 
 let profile_arg =
   Arg.(
@@ -346,8 +359,8 @@ let list_cmd =
 
 let compile_cmd =
   let run model manager l_max verify_each verbose emit_path profile_path trace_out robust
-      fuel cache_flag log_out =
-    with_flight log_out @@ fun fl ->
+      fuel cache_flag with_flight =
+    with_flight @@ fun fl ->
     let model = or_die (resolve_model model) in
     let prm = params_for l_max in
     let lowered = Nn.Lowering.lower model in
@@ -393,9 +406,6 @@ let compile_cmd =
              (Obs.profile_chrome_events ~pid:0 report.Resbm.Report.profile @ extra));
         Format.printf "wrote compile-pipeline Chrome trace to %s@." path
     | None -> ());
-    (match (log_out, fl) with
-    | Some path, Some fl -> write_flight path fl
-    | _ -> ());
     if verbose then begin
       (* one scale/level inference shared by every analysis below *)
       let info = Fhe_ir.Scale_check.infer prm managed in
@@ -427,11 +437,12 @@ let compile_cmd =
           steps
           (Resbm.Driver.calibrated_fuel_steps [ report ])
     end;
-    match emit_path with
+    (match emit_path with
     | Some path ->
         Fhe_ir.Emit.write_file ~program_name:model.Nn.Model.name prm ~path managed;
         Format.printf "emitted C program to %s@." path
-    | None -> ()
+    | None -> ());
+    0
   in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print latency/noise/memory analyses.")
@@ -482,7 +493,7 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Compile a model and print the management report.")
     Term.(
       const run $ model_arg $ manager_arg $ l_max_arg $ verify_each $ verbose $ emit_path
-      $ profile_arg $ trace_out $ robust $ fuel $ cache_arg $ log_out_arg)
+      $ profile_arg $ trace_out $ robust $ fuel $ cache_arg $ flight_arg)
 
 (* --- run -------------------------------------------------------------------- *)
 
@@ -528,8 +539,8 @@ let run_cmd =
 (* --- trace ------------------------------------------------------------------- *)
 
 let trace_cmd =
-  let run model manager l_max dim out jsonl summary verify_each log_out =
-    with_flight log_out @@ fun fl ->
+  let run model manager l_max dim out jsonl summary verify_each with_flight =
+    with_flight @@ fun fl ->
     let model = or_die (resolve_model model) in
     let manager = or_die (resolve_manager manager) in
     let prm = params_for l_max in
@@ -554,19 +565,17 @@ let trace_cmd =
     | Some path -> write_chrome_trace ?flight:fl path report tr
     | None -> ());
     (match jsonl with Some path -> write_jsonl path tr | None -> ());
-    (match (log_out, fl) with
-    | Some path, Some fl -> write_flight path fl
-    | _ -> ());
     match outcome with
     | Error msg ->
         Format.eprintf
           "error: execution failed (the trace above ends with the fhe_error \
            instant):@.%s@."
           msg;
-        exit 2
+        2
     | Ok result ->
         if summary then print_trace_summary report tr result;
-        if verify_each then begin
+        if not verify_each then 0
+        else begin
           let const_magnitude name =
             Array.fold_left
               (fun acc v -> Float.max acc (Float.abs v))
@@ -577,15 +586,17 @@ let trace_cmd =
           let mismatches =
             Fhe_ir.Noise_check.check_trace static (Obs.Trace.op_events tr)
           in
-          if mismatches = [] then
+          if mismatches = [] then begin
             Format.printf "noise cross-validation: traced noise within the static \
-                           estimate on every attributed op@."
+                           estimate on every attributed op@.";
+            0
+          end
           else begin
             Format.eprintf "error: traced noise exceeds the static estimate:@.";
             List.iter
               (fun m -> Format.eprintf "  %a@." Fhe_ir.Noise_check.pp_trace_mismatch m)
               mismatches;
-            exit 2
+            2
           end
         end
   in
@@ -631,7 +642,7 @@ let trace_cmd =
           timeline (per-op events, noise/level/scale counter tracks) for Perfetto.")
     Term.(
       const run $ model_arg $ manager_arg $ l_max_arg $ dim $ out $ jsonl $ summary
-      $ verify_each $ log_out_arg)
+      $ verify_each $ flight_arg)
 
 (* --- regions ------------------------------------------------------------------ *)
 
@@ -1027,8 +1038,7 @@ let cache_cmd =
 (* --- bench-diff ------------------------------------------------------------------ *)
 
 let bench_diff_cmd =
-  let run base_path cand_path json_path fail_on noise_mult min_tolerance strict_wallclock
-      all =
+  let run base_path cand_path json_path fail_on all =
     let load path =
       let content =
         try
@@ -1048,9 +1058,7 @@ let bench_diff_cmd =
           exit 1
     in
     let base = load base_path and cand = load cand_path in
-    match
-      Obs.Bench_diff.diff ~noise_mult ~min_tolerance_ms:min_tolerance ~base ~cand ()
-    with
+    match Obs.Bench_diff.diff ~base ~cand with
     | Error msg ->
         Format.eprintf "error: %s@." msg;
         exit 1
@@ -1061,7 +1069,7 @@ let bench_diff_cmd =
             write_json path (Obs.Bench_diff.outcome_to_json outcome);
             Format.printf "wrote diff report to %s@." path
         | None -> ());
-        exit (Obs.Bench_diff.exit_code ~fail_on ~strict_wallclock outcome)
+        exit (Obs.Bench_diff.exit_code ~fail_on outcome)
   in
   let base_path =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BASELINE" ~doc:"Baseline bench JSON.")
@@ -1083,28 +1091,10 @@ let bench_diff_cmd =
       value & opt when_c `Changed
       & info [ "fail-on" ] ~docv:"WHEN"
           ~doc:
-            "When to exit non-zero: $(b,changed) (default) on any deterministic drift \
-             — improvements too, since they invalidate the committed baseline — or \
-             misaligned rows; $(b,regressed) only on deterministic regressions; \
+            "When to exit non-zero: $(b,changed) (default) on any changed cell or \
+             plan drift — improvements too, since they invalidate the committed \
+             baseline — or misaligned rows; $(b,regressed) only on regressions; \
              $(b,never) to always report and exit 0.")
-  in
-  let noise_mult =
-    Arg.(
-      value & opt float 4.0
-      & info [ "noise-mult" ] ~docv:"X"
-          ~doc:"Wall-clock tolerance multiplier over the runs' summed MADs.")
-  in
-  let min_tolerance =
-    Arg.(
-      value & opt float 0.5
-      & info [ "min-tolerance" ] ~docv:"MS"
-          ~doc:"Wall-clock tolerance floor in milliseconds.")
-  in
-  let strict_wallclock =
-    Arg.(
-      value & flag
-      & info [ "strict-wallclock" ]
-          ~doc:"Let out-of-tolerance wall-clock regressions fail the gate too.")
   in
   let all =
     Arg.(value & flag & info [ "all" ] ~doc:"Print every cell, not just the changed ones.")
@@ -1112,12 +1102,11 @@ let bench_diff_cmd =
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
-         "Compare two bench JSON files cell by cell: deterministic planner metrics \
-          exactly, wall-clock compile times within a MAD-derived noise band.  Exit 0 \
-          when the gate passes, 2 when it fails, 1 on unreadable input.")
-    Term.(
-      const run $ base_path $ cand_path $ json_path $ fail_on $ noise_mult
-      $ min_tolerance $ strict_wallclock $ all)
+         "Compare two bench JSON files cell by cell: deterministic planner metrics, \
+          work counters and plan digests exactly; the candidate's warm-cache \
+          speedup against its 5x floor.  Exit 0 when the gate passes, 2 when it \
+          fails, 1 on unreadable input.")
+    Term.(const run $ base_path $ cand_path $ json_path $ fail_on $ all)
 
 (* --- explain ---------------------------------------------------------------------- *)
 
@@ -1287,316 +1276,12 @@ let explain_cmd =
       const run $ model_arg $ manager_arg $ l_max_arg $ cache_arg $ top_arg
       $ trace_path $ json_path)
 
-(* --- plan-diff -------------------------------------------------------------------- *)
-
-let plan_snapshot_schema = 1
-
-let plan_snapshot_json ~l_max cells =
-  Obs.Json.Obj
-    [
-      ("plan_snapshot", Obs.Json.String "resbm");
-      ("schema_version", Obs.Json.Int plan_snapshot_schema);
-      ("l_max", Obs.Json.Int l_max);
-      ( "cells",
-        Obs.Json.List
-          (List.map
-             (fun (model, manager, digest) ->
-               Obs.Json.Obj
-                 [
-                   ("model", Obs.Json.String model);
-                   ("manager", Obs.Json.String manager);
-                   ("digest", digest);
-                 ])
-             cells) );
-    ]
-
-let load_plan_snapshot path =
-  let content =
-    try
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error msg ->
-      Format.eprintf "error: cannot read %s: %s@." path msg;
-      exit 2
-  in
-  match Obs.Json.of_string content with
-  | Error msg ->
-      Format.eprintf "error: %s: %s@." path msg;
-      exit 2
-  | Ok json ->
-      (match Obs.Json.member "plan_snapshot" json with
-      | Some (Obs.Json.String "resbm") -> ()
-      | _ ->
-          Format.eprintf "error: %s is not a resbm plan snapshot@." path;
-          exit 2);
-      (match Obs.Json.member "schema_version" json with
-      | Some (Obs.Json.Int v) when v = plan_snapshot_schema -> ()
-      | Some (Obs.Json.Int v) ->
-          Format.eprintf "error: %s: snapshot schema %d is not supported@." path v;
-          exit 2
-      | _ ->
-          Format.eprintf "error: %s: unversioned plan snapshot@." path;
-          exit 2);
-      let l_max =
-        match Obs.Json.member "l_max" json with
-        | Some (Obs.Json.Int l) -> l
-        | _ ->
-            Format.eprintf "error: %s: snapshot lacks l_max@." path;
-            exit 2
-      in
-      let cells =
-        match Obs.Json.member "cells" json with
-        | Some (Obs.Json.List cs) ->
-            List.filter_map
-              (fun c ->
-                match
-                  ( Obs.Json.member "model" c,
-                    Obs.Json.member "manager" c,
-                    Obs.Json.member "digest" c )
-                with
-                | Some (Obs.Json.String m), Some (Obs.Json.String g), Some d ->
-                    Some (m, g, d)
-                | _ -> None)
-              cs
-        | _ -> []
-      in
-      (l_max, cells)
-
-let plan_diff_cmd =
-  let run base_path cand_path write_path models managers l_max cache_flag
-      json_path perfetto_path =
-    let cache = cache_of ~flag:cache_flag in
-    let split s =
-      String.split_on_char ',' s
-      |> List.map String.trim
-      |> List.filter (fun x -> x <> "")
-    in
-    let compute_cells ~l_max pairs =
-      let prm = params_for l_max in
-      let lowered_tbl = Hashtbl.create 8 in
-      List.map
-        (fun (model_name, manager_name) ->
-          let model = or_die (resolve_model model_name) in
-          let manager = or_die (resolve_manager manager_name) in
-          let lowered =
-            match Hashtbl.find_opt lowered_tbl model.Nn.Model.name with
-            | Some l -> l
-            | None ->
-                let l = Nn.Lowering.lower model in
-                Hashtbl.add lowered_tbl model.Nn.Model.name l;
-                l
-          in
-          let managed, report =
-            Resbm.Variants.compile ?cache manager prm
-              lowered.Nn.Lowering.dfg
-          in
-          ( model.Nn.Model.name,
-            manager.Resbm.Variants.name,
-            Resbm.Explain.digest prm ~managed report ))
-        pairs
-    in
-    match (write_path, base_path, cand_path) with
-    | Some out, None, None ->
-        (* Snapshot mode: compile the matrix and commit its digests. *)
-        let pairs =
-          List.concat_map
-            (fun m -> List.map (fun g -> (m, g)) (split managers))
-            (split models)
-        in
-        if pairs = [] then or_die (Error (`Msg "no model/manager cells given"));
-        let cells = compute_cells ~l_max pairs in
-        write_json out (plan_snapshot_json ~l_max cells);
-        Format.printf "wrote plan snapshot (%d cells, l_max %d) to %s@."
-          (List.length cells) l_max out
-    | Some _, _, _ ->
-        or_die (Error (`Msg "--write takes no positional snapshot arguments"))
-    | None, None, _ ->
-        or_die
-          (Error (`Msg "pass a BASELINE snapshot (and optionally a CANDIDATE)"))
-    | None, Some base_path, cand ->
-        let base_l_max, base_cells = load_plan_snapshot base_path in
-        let cand_label, cand_l_max, cand_cells =
-          match cand with
-          | Some p ->
-              let l, cs = load_plan_snapshot p in
-              (p, l, cs)
-          | None ->
-              (* Drift mode: recompute the baseline's matrix from source. *)
-              let pairs = List.map (fun (m, g, _) -> (m, g)) base_cells in
-              ("(recomputed)", base_l_max, compute_cells ~l_max:base_l_max pairs)
-        in
-        if base_l_max <> cand_l_max then begin
-          Format.eprintf "error: snapshots are from different sweeps (l_max %d vs %d)@."
-            base_l_max cand_l_max;
-          exit 2
-        end;
-        let key (m, g, _) = (m, g) in
-        let missing =
-          List.filter (fun c -> not (List.exists (fun c' -> key c' = key c) cand_cells))
-            base_cells
-        and added =
-          List.filter (fun c -> not (List.exists (fun c' -> key c' = key c) base_cells))
-            cand_cells
-        in
-        let drift = ref [] in
-        List.iter
-          (fun (m, g, base_digest) ->
-            match
-              List.find_opt (fun (m', g', _) -> m' = m && g' = g) cand_cells
-            with
-            | None -> ()
-            | Some (_, _, cand_digest) -> (
-                match Obs.Explain.diff_json base_digest cand_digest with
-                | [] -> ()
-                | changes -> drift := ((m, g), changes) :: !drift))
-          base_cells;
-        let drift = List.rev !drift in
-        List.iter
-          (fun (m, g, _) -> Format.printf "%s/%s: missing from candidate@." m g)
-          missing;
-        List.iter
-          (fun (m, g, _) -> Format.printf "%s/%s: added in candidate@." m g)
-          added;
-        List.iter
-          (fun ((m, g), changes) ->
-            Format.printf "%s/%s: %d structural change%s@." m g (List.length changes)
-              (if List.length changes = 1 then "" else "s");
-            List.iter
-              (fun c -> Format.printf "  %a@." Obs.Explain.pp_change c)
-              changes)
-          drift;
-        let clean = missing = [] && added = [] && drift = [] in
-        if clean then
-          Format.printf "%d cells compared against %s: plans are structurally identical@."
-            (List.length base_cells) cand_label
-        else
-          Format.printf "plan drift: %d cell%s changed, %d missing, %d added@."
-            (List.length drift)
-            (if List.length drift = 1 then "" else "s")
-            (List.length missing) (List.length added);
-        let all_changes =
-          List.concat_map
-            (fun ((m, g), changes) ->
-              List.map
-                (fun (c : Obs.Explain.change) ->
-                  { c with Obs.Explain.path = m :: g :: c.Obs.Explain.path })
-                changes)
-            drift
-        in
-        (match json_path with
-        | Some path ->
-            let open Obs.Json in
-            write_json path
-              (Obj
-                 [
-                   ("plan_diff", String "resbm");
-                   ("l_max", Int base_l_max);
-                   ("base", String base_path);
-                   ("candidate", String cand_label);
-                   ( "missing",
-                     List (List.map (fun (m, g, _) -> List [ String m; String g ]) missing)
-                   );
-                   ( "added",
-                     List (List.map (fun (m, g, _) -> List [ String m; String g ]) added)
-                   );
-                   ("changes", List (List.map Obs.Explain.change_to_json all_changes));
-                   ( "summary",
-                     Obj
-                       [
-                         ("cells", Int (List.length base_cells));
-                         ("drifted", Int (List.length drift));
-                         ("missing", Int (List.length missing));
-                         ("added", Int (List.length added));
-                       ] );
-                 ]);
-            Format.printf "wrote plan diff to %s@." path
-        | None -> ());
-        (match perfetto_path with
-        | Some path ->
-            write_json path (Obs.Explain.perfetto_overlay all_changes);
-            Format.printf
-              "wrote Perfetto overlay to %s (load on top of an execution trace)@." path
-        | None -> ());
-        if not clean then exit 1
-  in
-  let base_path =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"BASELINE" ~doc:"Baseline plan snapshot JSON.")
-  in
-  let cand_path =
-    Arg.(
-      value
-      & pos 1 (some string) None
-      & info [] ~docv:"CANDIDATE"
-          ~doc:
-            "Candidate plan snapshot JSON; when omitted, the baseline's matrix is \
-             recompiled from source and compared against the file (drift mode).")
-  in
-  let write_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "write" ] ~docv:"FILE"
-          ~doc:
-            "Snapshot mode: compile the $(b,--models) x $(b,--managers) matrix at \
-             $(b,--l-max) and write the digests to $(docv) instead of diffing.")
-  in
-  let models =
-    Arg.(
-      value & opt string "resnet20,squeezenet"
-      & info [ "models" ] ~docv:"M1,M2,.." ~doc:"Models for $(b,--write).")
-  in
-  let managers =
-    Arg.(
-      value & opt string "all"
-      & info [ "managers" ] ~docv:"G1,G2,.." ~doc:"Managers for $(b,--write).")
-  in
-  let managers =
-    Term.(
-      const (fun s -> if String.lowercase_ascii (String.trim s) = "all" then
-               String.concat "," (List.map (fun m -> m.Resbm.Variants.name) Resbm.Variants.all)
-             else s)
-      $ managers)
-  in
-  let json_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Write the structural diff as JSON to $(docv).")
-  in
-  let perfetto_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "perfetto" ] ~docv:"FILE"
-          ~doc:
-            "Write the changes as a Perfetto instant-event overlay to $(docv), \
-             loadable on top of a $(b,resbm trace) timeline.")
-  in
-  Cmd.v
-    (Cmd.info "plan-diff"
-       ~doc:
-         "Structurally diff compiled plans.  Digests are keyed by content (node \
-          and region hashes), so the comparison is stable under node renumbering: \
-          only real placement, level/scale, boundary or cut-value changes count.  \
-          $(b,--write) records a snapshot; one positional recompiles the matrix \
-          and diffs against it (CI drift gate); two positionals diff two \
-          snapshots.  Exit 0 when identical, 1 on drift, 2 on unreadable input.")
-    Term.(
-      const run $ base_path $ cand_path $ write_path $ models $ managers $ l_max_arg
-      $ cache_arg $ json_path $ perfetto_path)
-
 (* --- chaos ------------------------------------------------------------------------ *)
 
 let chaos_cmd =
   let run models trials seed l_max dim rate budget max_attempts backoff max_backoff
-      floor no_retries from_trace json_path min_recovery log_out =
-    with_flight log_out @@ fun fl ->
+      floor no_retries from_trace json_path min_recovery with_flight =
+    with_flight @@ fun fl ->
     let models =
       String.split_on_char ',' models
       |> List.map String.trim
@@ -1670,9 +1355,6 @@ let chaos_cmd =
         write_json path (Resilience.Chaos.to_json report);
         Format.printf "wrote campaign report to %s@." path
     | None -> ());
-    (match (log_out, fl) with
-    | Some path, Some fl -> write_flight path fl
-    | _ -> ());
     let clean_broken =
       List.filter
         (fun (m : Resilience.Chaos.model_summary) ->
@@ -1687,14 +1369,15 @@ let chaos_cmd =
              runs must be bit-identical)@."
             m.Resilience.Chaos.model)
         clean_broken;
-      exit 2
-    end;
-    match min_recovery with
-    | Some r when report.Resilience.Chaos.overall_recovery_rate < r ->
-        Format.eprintf "error: recovery rate %.3f below required %.3f@."
-          report.Resilience.Chaos.overall_recovery_rate r;
-        exit 2
-    | _ -> ()
+      2
+    end
+    else
+      match min_recovery with
+      | Some r when report.Resilience.Chaos.overall_recovery_rate < r ->
+          Format.eprintf "error: recovery rate %.3f below required %.3f@."
+            report.Resilience.Chaos.overall_recovery_rate r;
+          2
+      | _ -> 0
   in
   let models =
     Arg.(
@@ -1803,7 +1486,7 @@ let chaos_cmd =
     Term.(
       const run $ models $ trials $ seed $ l_max_arg $ dim $ rate $ budget $ max_attempts
       $ backoff $ max_backoff $ floor $ no_retries $ from_trace $ json_path
-      $ min_recovery $ log_out_arg)
+      $ min_recovery $ flight_arg)
 
 (* --- serve ------------------------------------------------------------------------ *)
 
@@ -1811,8 +1494,8 @@ let serve_cmd =
   let run model l_max dim seed arrival_rate duration slo_ms max_batch max_wait
       queue_depth chaos_rate chaos_budget max_retries retry_backoff max_backoff
       recovery_attempts breaker_window breaker_threshold breaker_cooldown json_path
-      min_goodput min_attainment cache_flag log_out =
-    with_flight log_out @@ fun fl ->
+      min_goodput min_attainment cache_flag with_flight =
+    with_flight @@ fun _ ->
     ignore (or_die (resolve_model model));
     let seed =
       match Int64.of_string_opt seed with
@@ -1883,9 +1566,6 @@ let serve_cmd =
         write_json path (Serving.Scheduler.to_json report);
         Format.printf "wrote campaign report to %s@." path
     | None -> ());
-    (match (log_out, fl) with
-    | Some path, Some fl -> write_flight path fl
-    | _ -> ());
     let breached = ref false in
     if r.Serving.Scheduler.goodput_rps < min_goodput then begin
       Format.eprintf "error: goodput %.2f rps below required %.2f@."
@@ -1897,7 +1577,7 @@ let serve_cmd =
         r.Serving.Scheduler.slo_attainment min_attainment;
       breached := true
     end;
-    if !breached then exit 2
+    if !breached then 2 else 0
   in
   let model =
     Arg.(
@@ -2049,7 +1729,7 @@ let serve_cmd =
       $ max_batch $ max_wait $ queue_depth $ chaos_rate $ chaos_budget $ max_retries
       $ retry_backoff $ max_backoff $ recovery_attempts $ breaker_window
       $ breaker_threshold $ breaker_cooldown $ json_path $ min_goodput
-      $ min_attainment $ cache_arg $ log_out_arg)
+      $ min_attainment $ cache_arg $ flight_arg)
 
 (* --- metrics ---------------------------------------------------------------------- *)
 
@@ -2290,7 +1970,6 @@ let () =
             cache_cmd;
             bench_diff_cmd;
             explain_cmd;
-            plan_diff_cmd;
             chaos_cmd;
             serve_cmd;
             metrics_cmd;

@@ -3,11 +3,10 @@
     structural plan digest.
 
     This is the graph-aware producer half of the explain stack; the
-    generic rendering half (waterfall folding, JSON diffing, Perfetto
-    overlays) is {!Obs.Explain}.  Surfaced by [resbm explain] and
-    [resbm plan-diff], and embedded per bench cell as [plan_digest] so
-    [resbm bench-diff] can explain a gated metric regression at the plan
-    level. *)
+    generic rendering half (waterfall folding, JSON diffing) is
+    {!Obs.Explain}.  Surfaced by [resbm explain], and embedded per bench
+    cell as [plan_digest] so [resbm bench-diff] gates plan drift and can
+    explain a metric change at the plan level. *)
 
 val labels : Fhe_ir.Dfg.t -> int64 array
 (** Canonical content labels, indexed by node id: [label(n)] hashes the

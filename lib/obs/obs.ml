@@ -615,185 +615,16 @@ module Trace = struct
   let to_jsonl t = List.map (fun e -> Json.to_string (event_to_json e)) (events t)
 end
 
-(* Multi-trial measurement statistics: wall-clock timings are noisy, so a
-   single-shot number is useless as a regression baseline.  Everything
-   here is deterministic given the input sample and the seed — the
-   bootstrap confidence interval uses its own splitmix64 stream, never the
-   global Random state — so two runs over the same data produce
-   byte-identical summaries. *)
+(* The midpoint-averaged median, for the few multi-trial timings the bench
+   harness still summarises (Table 3 and the warm-cache ratio). *)
 module Stat = struct
-  let sorted xs =
+  let median xs =
     let a = Array.of_list xs in
     Array.sort compare a;
-    a
-
-  let median_sorted a =
     let n = Array.length a in
     if n = 0 then nan
     else if n land 1 = 1 then a.(n / 2)
     else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
-
-  let median xs = median_sorted (sorted xs)
-
-  let mean xs =
-    match xs with
-    | [] -> nan
-    | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-  (* Median absolute deviation around [center] (default: the median).
-     Unscaled — this is a tolerance band, not a sigma estimate. *)
-  let mad ?center xs =
-    match xs with
-    | [] -> nan
-    | _ ->
-        let c = match center with Some c -> c | None -> median xs in
-        median (List.map (fun v -> Float.abs (v -. c)) xs)
-
-  (* splitmix64: tiny, seedable, and good enough for bootstrap resampling. *)
-  let splitmix_next state =
-    let open Int64 in
-    state := add !state 0x9E3779B97F4A7C15L;
-    let z = !state in
-    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-    logxor z (shift_right_logical z 31)
-
-  let rand_int state ~bound =
-    Int64.to_int (Int64.rem (Int64.shift_right_logical (splitmix_next state) 1)
-                    (Int64.of_int bound))
-
-  type summary = {
-    trials : int;
-    warmup : int;
-    mean : float;
-    median : float;
-    mad : float;
-    min : float;
-    max : float;
-    ci95 : float * float;
-    values : float list;
-  }
-
-  (* Percentile bootstrap of the median: resample with replacement
-     [resamples] times, take the 2.5th/97.5th percentiles of the resampled
-     medians. *)
-  let bootstrap_ci ~seed ~resamples values =
-    match values with
-    | [] -> (nan, nan)
-    | [ v ] -> (v, v)
-    | _ ->
-        let a = Array.of_list values in
-        let n = Array.length a in
-        let state = ref (Int64.of_int seed) in
-        let medians =
-          Array.init resamples (fun _ ->
-              median_sorted
-                (let r = Array.init n (fun _ -> a.(rand_int state ~bound:n)) in
-                 Array.sort compare r;
-                 r))
-        in
-        Array.sort compare medians;
-        let pick q =
-          let i = int_of_float (Float.round (q *. float_of_int (resamples - 1))) in
-          medians.(max 0 (min (resamples - 1) i))
-        in
-        (pick 0.025, pick 0.975)
-
-  let summarise ?(seed = 0x5EED) ?(resamples = 200) ?(warmup = 0) values =
-    let a = sorted values in
-    let n = Array.length a in
-    {
-      trials = n;
-      warmup;
-      mean = mean values;
-      median = median_sorted a;
-      mad = mad values;
-      min = (if n = 0 then nan else a.(0));
-      max = (if n = 0 then nan else a.(n - 1));
-      ci95 = bootstrap_ci ~seed ~resamples values;
-      values;
-    }
-
-  (* [sample ~trials f] runs [f] warmup + trials times and summarises the
-     measurements [f] returns (e.g. a compile's self-reported wall time).
-     Warmup runs are discarded: they absorb cold caches and allocator
-     ramp-up so the retained trials are comparable. *)
-  let sample ?(warmup = 1) ?seed ?resamples ~trials f =
-    if trials < 1 then invalid_arg "Stat.sample: trials must be >= 1";
-    for _ = 1 to warmup do
-      ignore (f ())
-    done;
-    let values = List.init trials (fun _ -> f ()) in
-    summarise ?seed ?resamples ~warmup values
-
-  let time ?warmup ?seed ?resamples ~trials f =
-    sample ?warmup ?seed ?resamples ~trials (fun () ->
-        let t = Timer.start () in
-        f ();
-        Timer.elapsed_ms t)
-
-  let to_json s =
-    let lo, hi = s.ci95 in
-    Json.Obj
-      [
-        ("trials", Json.Int s.trials);
-        ("warmup", Json.Int s.warmup);
-        ("mean", Json.Float s.mean);
-        ("median", Json.Float s.median);
-        ("mad", Json.Float s.mad);
-        ("min", Json.Float s.min);
-        ("max", Json.Float s.max);
-        ("ci95", Json.List [ Json.Float lo; Json.Float hi ]);
-        ("values", Json.List (List.map (fun v -> Json.Float v) s.values));
-      ]
-
-  let number = function
-    | Json.Int i -> Some (float_of_int i)
-    | Json.Float f -> Some f
-    | Json.Null -> Some nan
-    | _ -> None
-
-  let of_json j =
-    let num field =
-      match Option.bind (Json.member field j) number with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "summary field %S missing or not a number" field)
-    in
-    let int field =
-      match Json.member field j with
-      | Some (Json.Int i) -> Ok i
-      | _ -> Error (Printf.sprintf "summary field %S missing or not an int" field)
-    in
-    let ( let* ) = Result.bind in
-    let* trials = int "trials" in
-    let* warmup = int "warmup" in
-    let* mean = num "mean" in
-    let* median = num "median" in
-    let* mad = num "mad" in
-    let* min = num "min" in
-    let* max = num "max" in
-    let* ci95 =
-      match Json.member "ci95" j with
-      | Some (Json.List [ a; b ]) -> (
-          match (number a, number b) with
-          | Some lo, Some hi -> Ok (lo, hi)
-          | _ -> Error "ci95 entries not numbers")
-      | _ -> Error "summary field \"ci95\" missing or malformed"
-    in
-    let* values =
-      match Json.member "values" j with
-      | Some (Json.List vs) ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | v :: rest -> (
-                match number v with
-                | Some f -> go (f :: acc) rest
-                | None -> Error "values entry not a number")
-          in
-          go [] vs
-      | _ -> Error "summary field \"values\" missing or malformed"
-    in
-    Ok { trials; warmup; mean; median; mad; min; max; ci95; values }
 end
 
 (* Leveled structured logging: a ring-buffered flight recorder of log
@@ -1517,13 +1348,6 @@ module Metrics = struct
     m
 end
 
-(* Baseline regression gating: load two BENCH_resbm.json files, align
-   rows by (model, manager), compare deterministic metrics exactly and
-   wall-clock compile times within a MAD-derived noise band, and emit a
-   per-cell verdict.  Deterministic metrics (bootstrap counts, simulated
-   latency, node counts, predicted precision) come from the cost model
-   and planner, so any drift at all is a real behaviour change; compile
-   times are host wall-clock and only drift outside the band matters. *)
 (* Generic explanation rendering: hierarchical cost waterfalls and
    structural JSON diffs.  Everything here is presentation-layer — the
    graph-aware logic that produces the rows and digests lives in
@@ -1770,66 +1594,37 @@ module Explain = struct
     Format.fprintf ppf "%-40s %s -> %s"
       (path_to_string c.path)
       (side c.before) (side c.after)
-
-  (* A Perfetto-loadable overlay: one instant event per structural change,
-     so a plan diff can be dropped on top of an execution timeline and
-     scrubbed change by change. *)
-  let perfetto_overlay ?(pid = 99) changes =
-    let event i c =
-      Json.Obj
-        [
-          ("name", Json.String (path_to_string c.path));
-          ("ph", Json.String "i");
-          ("ts", Json.Int (i * 10));
-          ("pid", Json.Int pid);
-          ("tid", Json.Int 1);
-          ("s", Json.String "g");
-          ( "args",
-            Json.Obj
-              [
-                ("before", Option.value c.before ~default:Json.Null);
-                ("after", Option.value c.after ~default:Json.Null);
-              ] );
-        ]
-    in
-    Json.Obj
-      [
-        ("traceEvents", Json.List (List.mapi event changes));
-        ("displayTimeUnit", Json.String "ms");
-      ]
 end
 
+(* Baseline regression gating: load two BENCH_resbm.json files, align
+   rows by (model, manager), and emit a per-cell verdict.  Every cell but
+   one comes from the cost model and planner (simulated latency,
+   bootstrap and rescale counts, node counts, predicted precision, work
+   counters, plan digests), so any drift at all is a real behaviour
+   change and compares exactly.  The exception is [warm_speedup], a
+   host-independent ratio gated against a floor. *)
 module Bench_diff = struct
-  let schema_version = 2
+  let schema_version = 3
+  let warm_speedup_min = 5.0
 
   type row = {
     model : string;
     manager : string;
     metrics : (string * float) list;
-    compile : Stat.summary option;
-    warm : Stat.summary option;
-    digest : Json.t option;
-        (* structural plan digest (renumbering-stable; see Resbm.Explain).
-           Optional on both sides so old baselines diff cleanly. *)
-    counters : (string * int) list option;
+    warm_speedup : float;
+    digest : Json.t;  (* structural plan digest (renumbering-stable; see Resbm.Explain) *)
+    counters : (string * int) list;
         (* deterministic work counters (the profile's [counters] object) *)
   }
 
-  type source = {
-    version : int;
-    git_rev : string;
-    trials : int;
-    l_max : int;
-    rows : row list;
-  }
+  type source = { version : int; git_rev : string; l_max : int; rows : row list }
 
-  type verdict = Unchanged | Improved | Regressed | Within_noise | Incomparable
+  type verdict = Unchanged | Improved | Regressed | Incomparable
 
   let verdict_to_string = function
     | Unchanged -> "unchanged"
     | Improved -> "improved"
     | Regressed -> "regressed"
-    | Within_noise -> "within-noise"
     | Incomparable -> "incomparable"
 
   type cell = {
@@ -1838,9 +1633,6 @@ module Bench_diff = struct
     metric : string;
     base : float;
     cand : float;
-    wall_clock : bool;
-    informational : bool;  (* reported, never gated *)
-    tolerance : float;  (* 0 for exact comparisons *)
     verdict : verdict;
   }
 
@@ -1849,10 +1641,9 @@ module Bench_diff = struct
     missing : (string * string) list;  (* rows in base absent from candidate *)
     added : (string * string) list;  (* rows in candidate absent from base *)
     plan_drift : ((string * string) * Explain.change list) list;
-        (* per (model, manager): structural plan-digest changes, when both
-           sides carry a digest.  Non-empty drift accompanies (and gates
-           like) a deterministic change — it is the plan-level explanation
-           of WHERE a metric regression came from. *)
+        (* per (model, manager): structural plan-digest changes.  Non-empty
+           drift accompanies (and gates like) a metric change — it is the
+           plan-level explanation of WHERE a metric regression came from. *)
   }
 
   (* The deterministic per-manager metrics and their preferred direction. *)
@@ -1865,16 +1656,13 @@ module Bench_diff = struct
       ("predicted_precision_bits", `Higher);
     ]
 
-  (* GC cells from Obs.Rt bench sampling: reported for trend-watching but
-     never gated — allocation pressure is build- and runtime-sensitive,
-     and baselines written before these columns existed simply lack them
-     (a missing side yields no cell, not a failure). *)
-  let informational_metrics =
-    [ "gc_minor_words"; "gc_major_words"; "gc_top_heap_words" ]
-
   (* --- loading ------------------------------------------------------------ *)
 
-  let number = Stat.number
+  let number = function
+    | Json.Int i -> Some (float_of_int i)
+    | Json.Float f -> Some f
+    | Json.Null -> Some nan
+    | _ -> None
 
   let load content =
     let ( let* ) = Result.bind in
@@ -1911,9 +1699,6 @@ module Bench_diff = struct
     let git_rev =
       match Json.member "git_rev" json with Some (Json.String s) -> s | _ -> "unknown"
     in
-    let trials =
-      match Json.member "trials" json with Some (Json.Int t) -> t | _ -> 1
-    in
     let* models =
       match Json.member "models" json with
       | Some (Json.List ms) -> Ok ms
@@ -1943,43 +1728,44 @@ module Bench_diff = struct
               in
               let metrics =
                 List.filter_map
-                  (fun name ->
+                  (fun (name, _) ->
                     Option.bind (Json.member name mgr_json) number
                     |> Option.map (fun v -> (name, v)))
-                  (List.map fst deterministic_metrics @ informational_metrics)
+                  deterministic_metrics
               in
-              let compile =
-                match Json.member "compile_stat" mgr_json with
-                | Some j -> Result.to_option (Stat.of_json j)
-                | None -> None
+              let* warm_speedup =
+                match Option.bind (Json.member "warm_speedup" mgr_json) number with
+                | Some v -> Ok v
+                | None ->
+                    Error (Printf.sprintf "row %s/%s has no warm_speedup" model manager)
               in
-              let warm =
-                match Json.member "compile_warm_stat" mgr_json with
-                | Some j -> Result.to_option (Stat.of_json j)
-                | None -> None
+              let* digest =
+                match Json.member "plan_digest" mgr_json with
+                | Some d -> Ok d
+                | None ->
+                    Error (Printf.sprintf "row %s/%s has no plan_digest" model manager)
               in
-              let digest = Json.member "plan_digest" mgr_json in
-              let counters =
+              let* counters =
                 match Json.member "counters" mgr_json with
                 | Some (Json.Obj kvs) ->
-                    Some
+                    Ok
                       (List.filter_map
                          (function k, Json.Int v -> Some (k, v) | _ -> None)
                          kvs)
-                | _ -> None
+                | _ ->
+                    Error (Printf.sprintf "row %s/%s has no counters object" model manager)
               in
-              Ok ({ model; manager; metrics; compile; warm; digest; counters } :: acc))
+              Ok ({ model; manager; metrics; warm_speedup; digest; counters } :: acc))
             (Ok acc) managers)
         (Ok []) models
     in
-    Ok { version; git_rev; trials; l_max; rows = List.rev rows }
+    Ok { version; git_rev; l_max; rows = List.rev rows }
 
   (* --- diffing ------------------------------------------------------------ *)
 
   let float_equal a b = (Float.is_nan a && Float.is_nan b) || a = b
 
-  let diff ?(noise_mult = 4.0) ?(min_tolerance_ms = 0.5) ?(warm_speedup_min = 5.0)
-      ~base ~cand () =
+  let diff ~base ~cand =
     if base.l_max <> cand.l_max then
       Error
         (Printf.sprintf "l_max differs (%d vs %d): the files measure different sweeps"
@@ -1998,256 +1784,102 @@ module Bench_diff = struct
             if List.exists (fun b -> key b = key r) base.rows then None else Some (key r))
           cand.rows
       in
+      let paired =
+        List.filter_map (fun b -> Option.map (fun c -> (b, c)) (cand_of (key b))) base.rows
+      in
       let cells =
         List.concat_map
-          (fun b ->
-            match cand_of (key b) with
-            | None -> []
-            | Some c ->
-                let det =
-                  List.filter_map
-                    (fun (metric, direction) ->
-                      let bv = List.assoc_opt metric b.metrics
-                      and cv = List.assoc_opt metric c.metrics in
-                      match (bv, cv) with
-                      | None, None -> None
-                      | _ ->
-                          let bv = Option.value bv ~default:nan
-                          and cv = Option.value cv ~default:nan in
-                          let verdict =
-                            if float_equal bv cv then Unchanged
+          (fun (b, c) ->
+            let cell metric bv cv verdict =
+              {
+                cmodel = b.model;
+                cmanager = b.manager;
+                metric;
+                base = bv;
+                cand = cv;
+                verdict;
+              }
+            in
+            let det =
+              List.filter_map
+                (fun (metric, direction) ->
+                  match
+                    (List.assoc_opt metric b.metrics, List.assoc_opt metric c.metrics)
+                  with
+                  | None, None -> None
+                  | bv, cv ->
+                      let bv = Option.value bv ~default:nan
+                      and cv = Option.value cv ~default:nan in
+                      Some
+                        (cell metric bv cv
+                           (if float_equal bv cv then Unchanged
                             else if Float.is_nan bv || Float.is_nan cv then Incomparable
                             else if
-                              match direction with
-                              | `Lower -> cv < bv
-                              | `Higher -> cv > bv
+                              match direction with `Lower -> cv < bv | `Higher -> cv > bv
                             then Improved
-                            else Regressed
-                          in
-                          Some
-                            {
-                              cmodel = b.model;
-                              cmanager = b.manager;
-                              metric;
-                              base = bv;
-                              cand = cv;
-                              wall_clock = false;
-                              informational = false;
-                              tolerance = 0.0;
-                              verdict;
-                            })
-                    deterministic_metrics
-                in
-                (* Work counters gate exactly, like the metrics above: a
-                   planner that does more or less work for the same plan
-                   invalidates the baseline.  Profiles omit zero counters,
-                   so a name absent on one side reads as 0.  Fewer counts
-                   read as improved, except cache hits. *)
-                let counter_cells =
-                  match (b.counters, c.counters) with
-                  | Some bc, Some cc ->
-                      let get l name =
-                        float_of_int (Option.value (List.assoc_opt name l) ~default:0)
-                      in
-                      List.sort_uniq compare (List.map fst bc @ List.map fst cc)
-                      |> List.map (fun name ->
-                             let bv = get bc name and cv = get cc name in
-                             {
-                               cmodel = b.model;
-                               cmanager = b.manager;
-                               metric = "counters." ^ name;
-                               base = bv;
-                               cand = cv;
-                               wall_clock = false;
-                               informational = false;
-                               tolerance = 0.0;
-                               verdict =
-                                 (if bv = cv then Unchanged
-                                  else if
-                                    (cv < bv) <> String.ends_with ~suffix:"hits" name
-                                  then Improved
-                                  else Regressed);
-                             })
-                  | _ -> []
-                in
-                let wall =
-                  match (b.compile, c.compile) with
-                  | Some sb, Some sc ->
-                      let tolerance =
-                        Float.max
-                          (noise_mult *. (sb.Stat.mad +. sc.Stat.mad))
-                          min_tolerance_ms
-                      in
-                      let d = sc.Stat.median -. sb.Stat.median in
-                      let verdict =
-                        if d = 0.0 then Unchanged
-                        else if Float.abs d <= tolerance then Within_noise
-                        else if d < 0.0 then Improved
-                        else Regressed
-                      in
-                      [
-                        {
-                          cmodel = b.model;
-                          cmanager = b.manager;
-                          metric = "compile_ms";
-                          base = sb.Stat.median;
-                          cand = sc.Stat.median;
-                          wall_clock = true;
-                          informational = false;
-                          tolerance;
-                          verdict;
-                        };
-                      ]
-                  | _ -> []
-                in
-                (* Warm (cache-hit) compile wall band, same tolerance rule
-                   as the cold band. *)
-                let warm_band =
-                  match (b.warm, c.warm) with
-                  | Some sb, Some sc ->
-                      let tolerance =
-                        Float.max
-                          (noise_mult *. (sb.Stat.mad +. sc.Stat.mad))
-                          min_tolerance_ms
-                      in
-                      let d = sc.Stat.median -. sb.Stat.median in
-                      let verdict =
-                        if d = 0.0 then Unchanged
-                        else if Float.abs d <= tolerance then Within_noise
-                        else if d < 0.0 then Improved
-                        else Regressed
-                      in
-                      [
-                        {
-                          cmodel = b.model;
-                          cmanager = b.manager;
-                          metric = "compile_warm_ms";
-                          base = sb.Stat.median;
-                          cand = sc.Stat.median;
-                          wall_clock = true;
-                          informational = false;
-                          tolerance;
-                          verdict;
-                        };
-                      ]
-                  | _ -> []
-                in
-                (* The warm-cache contract gate: the CANDIDATE's cold/warm
-                   median ratio must clear [warm_speedup_min] — a cache
-                   that stopped hitting shows up here as Regressed even
-                   when every absolute timing is within noise.  Not a
-                   wall-clock cell: the ratio is self-normalising, so it
-                   gates under every fail_on mode. *)
-                let speedup =
-                  match (c.compile, c.warm) with
-                  | Some cold, Some cwarm when cwarm.Stat.median > 0.0 ->
-                      let cand_speedup = cold.Stat.median /. cwarm.Stat.median in
-                      let base_speedup =
-                        match (b.compile, b.warm) with
-                        | Some bc, Some bw when bw.Stat.median > 0.0 ->
-                            bc.Stat.median /. bw.Stat.median
-                        | _ -> nan
-                      in
-                      [
-                        {
-                          cmodel = b.model;
-                          cmanager = b.manager;
-                          metric = "warm_speedup";
-                          base = base_speedup;
-                          cand = cand_speedup;
-                          wall_clock = false;
-                          informational = false;
-                          tolerance = warm_speedup_min;
-                          verdict =
-                            (if cand_speedup >= warm_speedup_min then Unchanged
-                             else Regressed);
-                        };
-                      ]
-                  | _ -> []
-                in
-                (* Informational GC cells: only when both sides carry the
-                   column, so old baselines diff cleanly against new
-                   candidates. *)
-                let info =
-                  List.filter_map
-                    (fun metric ->
-                      match
-                        ( List.assoc_opt metric b.metrics,
-                          List.assoc_opt metric c.metrics )
-                      with
-                      | Some bv, Some cv ->
-                          Some
-                            {
-                              cmodel = b.model;
-                              cmanager = b.manager;
-                              metric;
-                              base = bv;
-                              cand = cv;
-                              wall_clock = false;
-                              informational = true;
-                              tolerance = 0.0;
-                              verdict =
-                                (if float_equal bv cv then Unchanged
-                                 else if Float.is_nan bv || Float.is_nan cv then
-                                   Incomparable
-                                 else if cv < bv then Improved
-                                 else Regressed);
-                            }
-                      | _ -> None)
-                    informational_metrics
-                in
-                det @ counter_cells @ wall @ warm_band @ speedup @ info)
-          base.rows
+                            else Regressed)))
+                deterministic_metrics
+            in
+            (* Work counters gate exactly, like the metrics above: a planner
+               that does more or less work for the same plan invalidates the
+               baseline.  Profiles omit zero counters, so a name absent on
+               one side reads as 0.  Fewer counts read as improved, except
+               cache hits. *)
+            let counter_cells =
+              let get l name =
+                float_of_int (Option.value (List.assoc_opt name l) ~default:0)
+              in
+              List.sort_uniq compare (List.map fst b.counters @ List.map fst c.counters)
+              |> List.map (fun name ->
+                     let bv = get b.counters name and cv = get c.counters name in
+                     cell ("counters." ^ name) bv cv
+                       (if bv = cv then Unchanged
+                        else if (cv < bv) <> String.ends_with ~suffix:"hits" name then
+                          Improved
+                        else Regressed))
+            in
+            (* The warm-cache contract: the CANDIDATE's cold/warm compile
+               median ratio must clear [warm_speedup_min] — a cache that
+               stopped hitting shows up here as Regressed.  The ratio is
+               self-normalising, so the host it ran on does not matter and
+               the baseline's own ratio is shown, never compared. *)
+            let speedup =
+              cell "warm_speedup" b.warm_speedup c.warm_speedup
+                (if c.warm_speedup >= warm_speedup_min then Unchanged else Regressed)
+            in
+            det @ counter_cells @ [ speedup ])
+          paired
       in
       let plan_drift =
         List.filter_map
-          (fun b ->
-            match cand_of (key b) with
-            | None -> None
-            | Some c -> (
-                match (b.digest, c.digest) with
-                | Some db, Some dc -> (
-                    match Explain.diff_json db dc with
-                    | [] -> None
-                    | changes -> Some (key b, changes))
-                | _ -> None))
-          base.rows
+          (fun (b, c) ->
+            match Explain.diff_json b.digest c.digest with
+            | [] -> None
+            | changes -> Some (key b, changes))
+          paired
       in
       Ok { cells; missing; added; plan_drift }
     end
 
   (* --- gating -------------------------------------------------------------- *)
 
-  let deterministic_changes o =
-    List.filter
-      (fun c -> (not c.wall_clock) && (not c.informational) && c.verdict <> Unchanged)
-      o.cells
-
-  let regressions ?(strict_wallclock = false) o =
-    List.filter
-      (fun c ->
-        match c.verdict with
-        | Regressed | Incomparable ->
-            (not c.informational) && (strict_wallclock || not c.wall_clock)
-        | _ -> false)
-      o.cells
+  let changes o = List.filter (fun c -> c.verdict <> Unchanged) o.cells
 
   (* 0 = pass, 2 = gate failure.  [`Changed] (the default) treats any
-     deterministic drift — improvements included — as a failure: a better
-     bootstrap count still invalidates the committed baseline, and the
-     baseline refresh must be deliberate. *)
-  let exit_code ?(fail_on = `Changed) ?(strict_wallclock = false) o =
+     drift — improvements included — as a failure: a better bootstrap
+     count still invalidates the committed baseline, and the baseline
+     refresh must be deliberate. *)
+  let exit_code ?(fail_on = `Changed) o =
     let aligned_bad = o.missing <> [] || o.added <> [] in
     let failed =
       match fail_on with
       | `Never -> false
-      | `Regressed -> aligned_bad || regressions ~strict_wallclock o <> []
-      | `Changed ->
+      | `Regressed ->
           aligned_bad
-          || deterministic_changes o <> []
-          || o.plan_drift <> []
-          || (strict_wallclock
-             && List.exists (fun c -> c.wall_clock && c.verdict = Regressed) o.cells)
+          || List.exists
+               (fun c -> c.verdict = Regressed || c.verdict = Incomparable)
+               o.cells
+      | `Changed -> aligned_bad || changes o <> [] || o.plan_drift <> []
     in
     if failed then 2 else 0
 
@@ -2261,14 +1893,12 @@ module Bench_diff = struct
         ("metric", Json.String c.metric);
         ("base", Json.Float c.base);
         ("candidate", Json.Float c.cand);
-        ("wall_clock", Json.Bool c.wall_clock);
-        ("informational", Json.Bool c.informational);
-        ("tolerance", Json.Float c.tolerance);
         ("verdict", Json.String (verdict_to_string c.verdict));
       ]
 
+  let count o v = List.length (List.filter (fun c -> c.verdict = v) o.cells)
+
   let outcome_to_json o =
-    let count v = List.length (List.filter (fun c -> c.verdict = v) o.cells) in
     let pair_json (m, g) =
       Json.Obj [ ("model", Json.String m); ("manager", Json.String g) ]
     in
@@ -2292,11 +1922,10 @@ module Bench_diff = struct
         ( "summary",
           Json.Obj
             [
-              ("unchanged", Json.Int (count Unchanged));
-              ("improved", Json.Int (count Improved));
-              ("regressed", Json.Int (count Regressed));
-              ("within_noise", Json.Int (count Within_noise));
-              ("incomparable", Json.Int (count Incomparable));
+              ("unchanged", Json.Int (count o Unchanged));
+              ("improved", Json.Int (count o Improved));
+              ("regressed", Json.Int (count o Regressed));
+              ("incomparable", Json.Int (count o Incomparable));
               ("missing", Json.Int (List.length o.missing));
               ("added", Json.Int (List.length o.added));
               ( "plan_drift",
@@ -2313,13 +1942,10 @@ module Bench_diff = struct
     else Printf.sprintf "%.3f" v
 
   let pp_cell ppf c =
-    Format.fprintf ppf "%-12s %-12s %-25s %12s -> %-12s %s%s" c.cmodel c.cmanager
-      (c.metric
-      ^ if c.wall_clock then " (wall)" else if c.informational then " (info)" else "")
+    Format.fprintf ppf "%-12s %-12s %-25s %12s -> %-12s %s%s" c.cmodel c.cmanager c.metric
       (value_text c.base) (value_text c.cand)
       (verdict_to_string c.verdict)
-      (if c.wall_clock && c.tolerance > 0.0 then
-         Printf.sprintf " (tolerance %.3f ms)" c.tolerance
+      (if c.metric = "warm_speedup" then Printf.sprintf " (floor %.1f)" warm_speedup_min
        else "")
 
   let pp_outcome ?(all = false) ppf o =
@@ -2328,8 +1954,7 @@ module Bench_diff = struct
     in
     Format.fprintf ppf "@[<v>";
     if interesting = [] && o.missing = [] && o.added = [] && o.plan_drift = [] then
-      Format.fprintf ppf "no changes: %d cells identical or within noise@,"
-        (List.length o.cells)
+      Format.fprintf ppf "no changes: %d cells unchanged@," (List.length o.cells)
     else begin
       List.iter (fun c -> Format.fprintf ppf "%a@," pp_cell c) interesting;
       List.iter
@@ -2349,12 +1974,10 @@ module Bench_diff = struct
             changes)
         o.plan_drift
     end;
-    let count v = List.length (List.filter (fun c -> c.verdict = v) o.cells) in
     Format.fprintf ppf
-      "%d cells: %d unchanged, %d improved, %d regressed, %d within-noise, %d \
-       incomparable%s%s@]"
-      (List.length o.cells) (count Unchanged) (count Improved) (count Regressed)
-      (count Within_noise) (count Incomparable)
+      "%d cells: %d unchanged, %d improved, %d regressed, %d incomparable%s%s@]"
+      (List.length o.cells) (count o Unchanged) (count o Improved) (count o Regressed)
+      (count o Incomparable)
       (if o.missing <> [] then Printf.sprintf ", %d missing" (List.length o.missing)
        else "")
       (if o.added <> [] then Printf.sprintf ", %d added" (List.length o.added) else "")
@@ -2401,7 +2024,7 @@ module Health = struct
 
   type verdict = { healthy : bool; checks : check list }
 
-  let evaluate ?(thresholds = default_thresholds) ?(records = []) ?bench m =
+  let evaluate ?(thresholds = default_thresholds) ?(records = []) m =
     let counters = Metrics.all_counters m in
     let gauges = Metrics.all_gauges m in
     let hists = Metrics.all_histograms m in
@@ -2524,42 +2147,7 @@ module Health = struct
         ~threshold:0.0
         (Printf.sprintf "%.0f trace events / log records lost to ring wrap-around" v)
     in
-    let wall =
-      match bench with
-      | None -> []
-      | Some (base, cand) -> (
-          match Bench_diff.diff ~base ~cand () with
-          | Error msg ->
-              [
-                check "wallclock-band" ~applicable:true ~warn_only:false ~ok:false
-                  ~value:nan ~threshold:0.0 ("bench diff failed: " ^ msg);
-              ]
-          | Ok o ->
-              let regs =
-                List.filter
-                  (fun c ->
-                    c.Bench_diff.wall_clock && c.Bench_diff.verdict = Bench_diff.Regressed)
-                  o.Bench_diff.cells
-              in
-              [
-                check "wallclock-band" ~applicable:true ~warn_only:false ~ok:(regs = [])
-                  ~value:(float_of_int (List.length regs))
-                  ~threshold:0.0
-                  (if regs = [] then "all wall-clock cells within the noise band"
-                   else
-                     String.concat "; "
-                       (List.map
-                          (fun c ->
-                            Printf.sprintf "%s/%s %s %.3f -> %.3f (tolerance %.3f ms)"
-                              c.Bench_diff.cmodel c.Bench_diff.cmanager
-                              c.Bench_diff.metric c.Bench_diff.base c.Bench_diff.cand
-                              c.Bench_diff.tolerance)
-                          regs));
-              ])
-    in
-    let checks =
-      [ headroom; recovery; slo; fallbacks; refutations; errors; gc; rings ] @ wall
-    in
+    let checks = [ headroom; recovery; slo; fallbacks; refutations; errors; gc; rings ] in
     { healthy = not (List.exists (fun c -> c.severity = Fail) checks); checks }
 
   let exit_code v = if v.healthy then 0 else 2

@@ -186,50 +186,10 @@ module Trace : sig
   (** One compact JSON object per event, chronological. *)
 end
 
-(** Multi-trial measurement statistics.  Wall-clock timings are noisy;
-    everything here is deterministic given the input sample and the seed
-    (the bootstrap confidence interval uses its own splitmix64 stream), so
-    two runs over the same data produce identical summaries. *)
+(** The median the bench harness summarises multi-trial timings with. *)
 module Stat : sig
   val median : float list -> float
   (** Midpoint-averaged median; [nan] on the empty list. *)
-
-  val mean : float list -> float
-
-  val mad : ?center:float -> float list -> float
-  (** Median absolute deviation around [center] (default: the median).
-      Unscaled — a tolerance band, not a sigma estimate. *)
-
-  type summary = {
-    trials : int;  (** Retained measurements (excludes warmup). *)
-    warmup : int;  (** Discarded leading runs. *)
-    mean : float;
-    median : float;
-    mad : float;
-    min : float;
-    max : float;
-    ci95 : float * float;  (** Seeded percentile-bootstrap 95% CI of the median. *)
-    values : float list;  (** The retained measurements, in run order. *)
-  }
-
-  val summarise : ?seed:int -> ?resamples:int -> ?warmup:int -> float list -> summary
-  (** Summarise an existing sample.  [resamples] (default 200) bootstrap
-      rounds seeded by [seed] (default 0x5EED); [warmup] is recorded in the
-      summary but no values are dropped. *)
-
-  val sample :
-    ?warmup:int -> ?seed:int -> ?resamples:int -> trials:int -> (unit -> float) -> summary
-  (** Run [f] [warmup] (default 1) + [trials] times and summarise the
-      values it returns (e.g. a compile's self-reported wall time).
-      Warmup runs are discarded.  Raises [Invalid_argument] when
-      [trials < 1]. *)
-
-  val time :
-    ?warmup:int -> ?seed:int -> ?resamples:int -> trials:int -> (unit -> unit) -> summary
-  (** Like {!sample} but measures each call of [f] with {!Timer}. *)
-
-  val to_json : summary -> Json.t
-  val of_json : Json.t -> (summary, string) result
 end
 
 (** Leveled structured logging — a ring-buffered flight recorder of log
@@ -410,11 +370,10 @@ module Metrics : sig
 end
 
 (** Generic explanation rendering: hierarchical cost waterfalls with
-    deterministic top-k folding, a structural JSON diff, and a Perfetto
-    overlay for diffs.  Pure presentation — the graph-aware producers
-    (cost attribution, bootstrap rationale, plan digests) live in
-    [Resbm.Explain] and feed this module, so any subsystem can reuse the
-    same rendering. *)
+    deterministic top-k folding and a structural JSON diff.  Pure
+    presentation — the graph-aware producers (cost attribution, bootstrap
+    rationale, plan digests) live in [Resbm.Explain] and feed this module,
+    so any subsystem can reuse the same rendering. *)
 module Explain : sig
   (** One attributed cost: a leaf at [group] / [bucket] / [label] in the
       hierarchy (e.g. region / op-kind / node). *)
@@ -477,46 +436,35 @@ module Explain : sig
   val path_to_string : string list -> string
   val change_to_json : change -> Json.t
   val pp_change : Format.formatter -> change -> unit
-
-  val perfetto_overlay : ?pid:int -> change list -> Json.t
-  (** A Chrome/Perfetto trace with one instant event per change, loadable
-      on top of an execution timeline (default pid 99 keeps the overlay on
-      its own track). *)
 end
 
 (** Baseline regression gating over two bench JSON files: align rows by
-    (model, manager), compare deterministic metrics exactly and wall-clock
-    compile times within a MAD-derived noise band. *)
+    (model, manager) and compare every cell exactly, except the
+    [warm_speedup] ratio, which is gated against {!warm_speedup_min}. *)
 module Bench_diff : sig
   val schema_version : int
   (** The bench-file schema this build reads and writes. *)
+
+  val warm_speedup_min : float
+  (** The plan-cache contract: a candidate's cold/warm compile median
+      ratio must reach this (5.0). *)
 
   type row = {
     model : string;
     manager : string;
     metrics : (string * float) list;  (** Deterministic metric cells. *)
-    compile : Stat.summary option;  (** Multi-trial wall-clock compile stats. *)
-    warm : Stat.summary option;
-        (** Warm (plan-cache hit) compile stats, when the bench recorded
-            them ([compile_warm_stat]). *)
-    digest : Json.t option;
-        (** Structural plan digest ([plan_digest] cell field), when the
-            bench recorded one.  Renumbering-stable (see [Resbm.Explain]);
-            optional on both sides so old baselines diff cleanly. *)
-    counters : (string * int) list option;
+    warm_speedup : float;  (** Cold/warm compile median ratio. *)
+    digest : Json.t;
+        (** Structural plan digest ([plan_digest] cell field).
+            Renumbering-stable (see [Resbm.Explain]). *)
+    counters : (string * int) list;
         (** Deterministic work counters (the [counters] object: planner,
-            max-flow and pass counts), when the bench recorded them. *)
+            max-flow and pass counts). *)
   }
 
-  type source = {
-    version : int;
-    git_rev : string;
-    trials : int;
-    l_max : int;
-    rows : row list;
-  }
+  type source = { version : int; git_rev : string; l_max : int; rows : row list }
 
-  type verdict = Unchanged | Improved | Regressed | Within_noise | Incomparable
+  type verdict = Unchanged | Improved | Regressed | Incomparable
 
   val verdict_to_string : verdict -> string
 
@@ -526,11 +474,6 @@ module Bench_diff : sig
     metric : string;
     base : float;
     cand : float;
-    wall_clock : bool;
-    informational : bool;
-        (** Reported but never gated (the {!informational_metrics} GC
-            cells). *)
-    tolerance : float;  (** 0 for exact comparisons. *)
     verdict : verdict;
   }
 
@@ -539,61 +482,40 @@ module Bench_diff : sig
     missing : (string * string) list;  (** Rows in base absent from candidate. *)
     added : (string * string) list;  (** Rows in candidate absent from base. *)
     plan_drift : ((string * string) * Explain.change list) list;
-        (** Per (model, manager): structural plan-digest changes, computed
-            when both sides carry a digest.  The plan-level explanation
-            that accompanies a gated metric regression; non-empty drift
-            fails the [`Changed] gate like any deterministic change. *)
+        (** Per (model, manager): structural plan-digest changes.  The
+            plan-level explanation that accompanies a metric change;
+            non-empty drift fails the [`Changed] gate like any other
+            change. *)
   }
 
-  val deterministic_metrics : (string * [ `Lower | `Higher ]) list
-  (** The compared metrics and which direction counts as an improvement. *)
-
-  val informational_metrics : string list
-  (** GC cells sampled by the bench harness ([gc_minor_words],
-      [gc_major_words], [gc_top_heap_words]): diffed when both sides
-      carry them (missing on either side yields no cell, so old
-      baselines diff cleanly), reported with [informational = true], and
-      excluded from every gate. *)
-
   val load : string -> (source, string) result
-  (** Parse a bench file's contents.  Refuses unversioned files, wrong
-      [schema_version]s, and files that are not resbm bench output, each
-      with a distinct diagnostic. *)
+  (** Parse a bench file's contents.  Refuses unversioned files, other
+      [schema_version]s, files that are not resbm bench output, and rows
+      without [warm_speedup], [plan_digest] or [counters], each with a
+      distinct diagnostic. *)
 
-  val diff :
-    ?noise_mult:float ->
-    ?min_tolerance_ms:float ->
-    ?warm_speedup_min:float ->
-    base:source ->
-    cand:source ->
-    unit ->
-    (outcome, string) result
-  (** Compare candidate against base.  Deterministic metrics compare
-      exactly (NaN on both sides is unchanged; NaN on one side is
-      incomparable).  When both rows carry [counters], every counter
-      compares exactly as a [counters.<name>] cell (absent reads as 0;
-      fewer counts is [Improved], except for [*hits] counters), so a change in planner work gates like
-      a changed plan; compile medians — cold ([compile_ms]) and warm
-      ([compile_warm_ms]) — compare within
-      [max (noise_mult * (mad_base + mad_cand)) min_tolerance_ms]
-      (defaults 4.0 and 0.5 ms).  When both candidate summaries exist, a
-      non-wall-clock [warm_speedup] cell gates the plan-cache contract:
-      the candidate's cold/warm median ratio must reach
-      [warm_speedup_min] (default 5.0) or the cell is [Regressed].
-      [Error] when the files' [l_max] differ. *)
+  val diff : base:source -> cand:source -> (outcome, string) result
+  (** Compare candidate against base.  The deterministic metrics
+      ([latency_ms], [bootstrap_count], [executed_rescales], [nodes] and
+      the higher-is-better [predicted_precision_bits]) compare exactly
+      (NaN on both sides is unchanged; NaN on one side is incomparable).  Every counter compares exactly as a
+      [counters.<name>] cell (absent reads as 0; fewer counts is
+      [Improved], except for [*hits] counters), so a change in planner
+      work gates like a changed plan.  The [warm_speedup] cell is
+      [Regressed] when the candidate's ratio is below
+      {!warm_speedup_min}, else [Unchanged].  [Error] when the files'
+      [l_max] differ. *)
 
-  val deterministic_changes : outcome -> cell list
-  val regressions : ?strict_wallclock:bool -> outcome -> cell list
+  val changes : outcome -> cell list
+  (** Cells whose verdict is not [Unchanged]. *)
 
-  val exit_code :
-    ?fail_on:[ `Changed | `Regressed | `Never ] -> ?strict_wallclock:bool -> outcome -> int
+  val exit_code : ?fail_on:[ `Changed | `Regressed | `Never ] -> outcome -> int
   (** 0 = pass, 2 = gate failure.  [`Changed] (default) fails on any
-      deterministic drift — improvements included, since they invalidate
-      the committed baseline — and on misaligned rows; [`Regressed] only on
-      regressions/incomparable cells and misaligned rows.  Wall-clock cells
-      participate only with [strict_wallclock]. *)
+      changed cell or plan drift — improvements included, since they
+      invalidate the committed baseline — and on misaligned rows;
+      [`Regressed] only on regressed/incomparable cells and misaligned
+      rows. *)
 
-  val cell_to_json : cell -> Json.t
   val outcome_to_json : outcome -> Json.t
 
   val pp_outcome : ?all:bool -> Format.formatter -> outcome -> unit
@@ -646,13 +568,11 @@ module Health : sig
   val evaluate :
     ?thresholds:thresholds ->
     ?records:Log.record list ->
-    ?bench:Bench_diff.source * Bench_diff.source ->
     Metrics.t ->
     verdict
-  (** Run every rule.  [records] feed the refutation and error-log rules;
-      [bench] (base, candidate) adds a wall-clock band rule reusing
-      {!Bench_diff.diff}.  [Warn]-severity findings (error-level logs,
-      ring overflow) never flip the verdict to unhealthy. *)
+  (** Run every rule.  [records] feed the refutation and error-log rules.
+      [Warn]-severity findings (error-level logs, ring overflow) never flip
+      the verdict to unhealthy. *)
 
   val exit_code : verdict -> int
   (** 0 = healthy, 2 = unhealthy. *)

@@ -1,6 +1,6 @@
 (* Obs.Bench_diff: bench-file loading diagnostics, row alignment, verdicts
-   for deterministic and wall-clock metrics, NaN semantics, and the gate's
-   exit-code contract. *)
+   for deterministic metrics and counters, the warm-speedup floor, NaN
+   semantics, and the gate's exit-code contract. *)
 open Test_util
 
 let metrics ?(latency = 100.0) ?(bts = 10.0) ?(rescales = 20.0) ?(nodes = 50.0)
@@ -13,20 +13,21 @@ let metrics ?(latency = 100.0) ?(bts = 10.0) ?(rescales = 20.0) ?(nodes = 50.0)
     ("predicted_precision_bits", precision);
   ]
 
-let row ?compile ?warm ?digest ?counters model manager metrics =
-  { Obs.Bench_diff.model; manager; metrics; compile; warm; digest; counters }
-
-let src ?(l_max = 16) rows =
+let row ?(warm_speedup = 100.0) ?(counters = []) model manager metrics =
   {
-    Obs.Bench_diff.version = Obs.Bench_diff.schema_version;
-    git_rev = "test";
-    trials = 3;
-    l_max;
-    rows;
+    Obs.Bench_diff.model;
+    manager;
+    metrics;
+    warm_speedup;
+    digest = Obs.Json.Obj [];
+    counters;
   }
 
-let diff_ok ?noise_mult ?min_tolerance_ms base cand =
-  match Obs.Bench_diff.diff ?noise_mult ?min_tolerance_ms ~base ~cand () with
+let src ?(l_max = 16) rows =
+  { Obs.Bench_diff.version = Obs.Bench_diff.schema_version; git_rev = "test"; l_max; rows }
+
+let diff_ok base cand =
+  match Obs.Bench_diff.diff ~base ~cand with
   | Ok o -> o
   | Error m -> Alcotest.failf "diff failed: %s" m
 
@@ -42,12 +43,13 @@ let verdict_of o metric =
 let identical_passes () =
   let s = src [ row "ResNet20" "ReSBM" (metrics ()) ] in
   let o = diff_ok s s in
-  checki "five deterministic cells" 5 (List.length o.Obs.Bench_diff.cells);
+  checki "five metric cells and the warm-speedup cell" 6
+    (List.length o.Obs.Bench_diff.cells);
   checkb "all unchanged" true
     (List.for_all
        (fun c -> c.Obs.Bench_diff.verdict = Obs.Bench_diff.Unchanged)
        o.Obs.Bench_diff.cells);
-  checkb "no drift" true (Obs.Bench_diff.deterministic_changes o = []);
+  checkb "no drift" true (Obs.Bench_diff.changes o = []);
   checki "gate passes" 0 (Obs.Bench_diff.exit_code o)
 
 let direction_semantics () =
@@ -100,54 +102,44 @@ let nan_semantics () =
   checki "incomparable fails `Regressed" 2
     (Obs.Bench_diff.exit_code ~fail_on:`Regressed o)
 
-(* --- wall-clock tolerance -------------------------------------------------- *)
+(* --- warm-cache contract ---------------------------------------------------- *)
 
-let wallclock_tolerance () =
-  let with_compile values = Obs.Stat.summarise ~seed:1 values in
-  let base = src [ row ~compile:(with_compile [ 10.0; 10.0; 10.0 ]) "m" "g" (metrics ()) ] in
-  (* zero MAD on both sides leaves the 0.5 ms floor: 10.3 is inside it *)
-  let cand = src [ row ~compile:(with_compile [ 10.3; 10.3; 10.3 ]) "m" "g" (metrics ()) ] in
-  let o = diff_ok base cand in
-  checkb "drift inside the floor is noise" true
-    (verdict_of o "compile_ms" = Obs.Bench_diff.Within_noise);
-  checki "noise never gates" 0 (Obs.Bench_diff.exit_code o);
-  (* 2 ms of drift clears the floor *)
-  let cand = src [ row ~compile:(with_compile [ 12.0; 12.0; 12.0 ]) "m" "g" (metrics ()) ] in
-  let o = diff_ok base cand in
-  checkb "drift beyond tolerance regresses" true
-    (verdict_of o "compile_ms" = Obs.Bench_diff.Regressed);
-  checki "wall-clock alone never fails the default gate" 0 (Obs.Bench_diff.exit_code o);
-  checki "strict wall-clock gates it" 2
-    (Obs.Bench_diff.exit_code ~strict_wallclock:true o);
-  (* a noisy baseline widens the band: MADs of 1 give 4*(1+1) = 8 ms *)
-  let base =
-    src [ row ~compile:(with_compile [ 9.0; 10.0; 11.0 ]) "m" "g" (metrics ()) ]
-  in
-  let cand =
-    src [ row ~compile:(with_compile [ 15.0; 16.0; 17.0 ]) "m" "g" (metrics ()) ]
-  in
-  let o = diff_ok base cand in
-  checkb "mad-scaled band absorbs 6 ms on noisy runs" true
-    (verdict_of o "compile_ms" = Obs.Bench_diff.Within_noise);
-  (* faster candidate is an improvement, not a regression *)
-  let cand = src [ row ~compile:(with_compile [ 1.0; 1.0; 1.0 ]) "m" "g" (metrics ()) ] in
-  let o = diff_ok base cand in
-  checkb "large speed-up is an improvement" true
-    (verdict_of o "compile_ms" = Obs.Bench_diff.Improved);
-  checki "wall-clock improvement passes even strict" 0
-    (Obs.Bench_diff.exit_code ~strict_wallclock:true o)
+(* The candidate's cold/warm ratio must reach 5: below it the cell
+   regresses under every failing policy, at it the cell passes.  The
+   baseline's own ratio is host time and never compared. *)
+let warm_speedup_gate () =
+  let base = src [ row ~warm_speedup:2000.0 "m" "g" (metrics ()) ] in
+  let o = diff_ok base (src [ row ~warm_speedup:4.9 "m" "g" (metrics ()) ]) in
+  checkb "4.9 regresses" true (verdict_of o "warm_speedup" = Obs.Bench_diff.Regressed);
+  checki "4.9 fails `Changed" 2 (Obs.Bench_diff.exit_code o);
+  checki "4.9 fails `Regressed" 2 (Obs.Bench_diff.exit_code ~fail_on:`Regressed o);
+  checki "4.9 passes `Never" 0 (Obs.Bench_diff.exit_code ~fail_on:`Never o);
+  let o = diff_ok base (src [ row ~warm_speedup:5.0 "m" "g" (metrics ()) ]) in
+  checkb "5.0 is unchanged" true (verdict_of o "warm_speedup" = Obs.Bench_diff.Unchanged);
+  checki "5.0 passes `Changed" 0 (Obs.Bench_diff.exit_code o);
+  let o = diff_ok base (src [ row ~warm_speedup:nan "m" "g" (metrics ()) ]) in
+  checki "an unmeasured ratio fails" 2 (Obs.Bench_diff.exit_code o)
 
 (* --- loading --------------------------------------------------------------- *)
 
-let bench_file ?(version = Obs.Bench_diff.schema_version) () =
+let manager_row =
+  {|{"manager": "g", "latency_ms": 100.0, "bootstrap_count": 10, "nodes": 50,
+     "predicted_precision_bits": null, "warm_speedup": 900.5,
+     "counters": {"maxflow.runs": 423, "smoplc.cuts": 276},
+     "plan_digest": {"headline": {"bootstrap_count": 10}}}|}
+
+let bench_file ?(version = Obs.Bench_diff.schema_version) ?(manager = manager_row) () =
   Printf.sprintf
-    {|{"bench": "resbm", "schema_version": %d, "git_rev": "abc", "trials": 3,
-       "l_max": 16,
-       "models": [{"model": "m",
-                   "managers": [{"manager": "g", "latency_ms": 100.0,
-                                 "bootstrap_count": 10, "nodes": 50,
-                                 "predicted_precision_bits": null}]}]}|}
-    version
+    {|{"bench": "resbm", "schema_version": %d, "git_rev": "abc", "l_max": 16,
+       "models": [{"model": "m", "managers": [%s]}]}|}
+    version manager
+
+(* [manager_row] without one of its fields. *)
+let without field =
+  match Obs.Json.of_string manager_row with
+  | Ok (Obs.Json.Obj kvs) ->
+      Obs.Json.to_string (Obs.Json.Obj (List.remove_assoc field kvs))
+  | _ -> Alcotest.fail "bad fixture"
 
 let load_diagnostics () =
   let err s =
@@ -165,7 +157,23 @@ let load_diagnostics () =
   checkb "unversioned files are refused" true
     (starts_with "unversioned bench file" (err {|{"bench": "resbm", "l_max": 16}|}));
   checkb "future versions are refused with the version named" true
-    (starts_with "schema_version 99 is not supported" (err (bench_file ~version:99 ())))
+    (starts_with "schema_version 99 is not supported" (err (bench_file ~version:99 ())));
+  check Alcotest.string "schema 2 files are refused with a regenerate hint"
+    "schema_version 2 is not supported (this build reads version 3); regenerate both \
+     files with `bench -- json`"
+    (err (bench_file ~version:2 ()));
+  let row_errors =
+    List.map
+      (fun field -> err (bench_file ~manager:(without field) ()))
+      [ "plan_digest"; "counters"; "warm_speedup" ]
+  in
+  check (Alcotest.list Alcotest.string) "rows missing a required field are refused"
+    [
+      "row m/g has no plan_digest";
+      "row m/g has no counters object";
+      "row m/g has no warm_speedup";
+    ]
+    row_errors
 
 let load_roundtrip () =
   match Obs.Bench_diff.load (bench_file ()) with
@@ -183,12 +191,16 @@ let load_roundtrip () =
         | None -> false);
       checkb "absent cells stay absent" true
         (List.assoc_opt "executed_rescales" r.Obs.Bench_diff.metrics = None);
-      checkb "no compile stats in this file" true (r.Obs.Bench_diff.compile = None)
+      check_float "warm speedup" 900.5 r.Obs.Bench_diff.warm_speedup;
+      checkb "plan digest kept verbatim" true
+        (r.Obs.Bench_diff.digest
+        = Obs.Json.Obj
+            [ ("headline", Obs.Json.Obj [ ("bootstrap_count", Obs.Json.Int 10) ]) ])
 
 let l_max_mismatch () =
   let base = src ~l_max:16 [ row "m" "g" (metrics ()) ] in
   let cand = src ~l_max:12 [ row "m" "g" (metrics ()) ] in
-  match Obs.Bench_diff.diff ~base ~cand () with
+  match Obs.Bench_diff.diff ~base ~cand with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "diff compared files from different sweeps"
 
@@ -215,14 +227,14 @@ let outcome_json_roundtrip () =
 
 (* Counters gate exactly: fewer max-flow runs for the same plan is drift,
    as a better bootstrap count is; a counter that drops to zero leaves the
-   profile and reads as 0; rows without counters add no cells. *)
+   profile and reads as 0. *)
 let counters_gate_exactly () =
   let base_counters =
     [ ("maxflow.runs", 3941); ("region_eval.memo_hits", 65); ("smoplc.cuts", 3240) ]
   in
   let base = src [ row ~counters:base_counters "m" "g" (metrics ()) ] in
   let o = diff_ok base base in
-  checki "one cell per counter" 8 (List.length o.Obs.Bench_diff.cells);
+  checki "one cell per counter" 9 (List.length o.Obs.Bench_diff.cells);
   checki "identical counters pass" 0 (Obs.Bench_diff.exit_code o);
   let cand =
     src
@@ -245,26 +257,22 @@ let counters_gate_exactly () =
   let o = diff_ok cand base in
   checkb "more work regresses" true
     (verdict_of o "counters.maxflow.runs" = Obs.Bench_diff.Regressed);
-  checki "a regression fails `Regressed" 2 (Obs.Bench_diff.exit_code ~fail_on:`Regressed o);
-  let o = diff_ok base (src [ row "m" "g" (metrics ()) ]) in
-  checki "a row without counters adds no cells" 5 (List.length o.Obs.Bench_diff.cells)
+  checki "a regression fails `Regressed" 2 (Obs.Bench_diff.exit_code ~fail_on:`Regressed o)
 
 let load_reads_counters () =
-  let file =
-    {|{"bench": "resbm", "schema_version": 2, "l_max": 16,
-       "models": [{"model": "m",
-                   "managers": [{"manager": "g", "latency_ms": 1.0,
-                                 "counters": {"maxflow.runs": 423, "smoplc.cuts": 276}},
-                                {"manager": "h", "latency_ms": 1.0}]}]}|}
+  let empty =
+    {|{"manager": "h", "latency_ms": 1.0, "warm_speedup": 10, "counters": {},
+       "plan_digest": {}}|}
   in
-  match Obs.Bench_diff.load file with
+  match Obs.Bench_diff.load (bench_file ~manager:(manager_row ^ "," ^ empty) ()) with
   | Error m -> Alcotest.failf "load failed: %s" m
   | Ok s -> (
       match s.Obs.Bench_diff.rows with
       | [ g; h ] ->
           checkb "counters read" true
-            (g.Obs.Bench_diff.counters = Some [ ("maxflow.runs", 423); ("smoplc.cuts", 276) ]);
-          checkb "absent counters stay absent" true (h.Obs.Bench_diff.counters = None)
+            (g.Obs.Bench_diff.counters = [ ("maxflow.runs", 423); ("smoplc.cuts", 276) ]);
+          checkb "an empty counters object reads as no counters" true
+            (h.Obs.Bench_diff.counters = [])
       | _ -> Alcotest.fail "expected two rows")
 
 let suite =
@@ -273,7 +281,7 @@ let suite =
     case "verdicts follow each metric's direction" direction_semantics;
     case "missing and added rows always gate" misaligned_rows_gate;
     case "nan cells: equal-missing vs incomparable" nan_semantics;
-    case "wall-clock drift uses the mad band" wallclock_tolerance;
+    case "warm_speedup gates the plan-cache floor" warm_speedup_gate;
     case "load rejects bad files with distinct diagnostics" load_diagnostics;
     case "load reads header, cells, nan and absences" load_roundtrip;
     case "different l_max refuses to diff" l_max_mismatch;

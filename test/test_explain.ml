@@ -161,10 +161,9 @@ let bench_rows digest =
       Obs.Bench_diff.model = "m";
       manager = "g";
       metrics = [ ("latency_ms", 100.0) ];
-      compile = None;
-      warm = None;
+      warm_speedup = 100.0;
       digest;
-      counters = None;
+      counters = [];
     };
   ]
 
@@ -172,7 +171,6 @@ let bench_src rows =
   {
     Obs.Bench_diff.version = Obs.Bench_diff.schema_version;
     git_rev = "test";
-    trials = 1;
     l_max = 16;
     rows;
   }
@@ -183,22 +181,18 @@ let bench_diff_carries_plan_drift () =
   let diff base cand =
     match
       Obs.Bench_diff.diff ~base:(bench_src (bench_rows base))
-        ~cand:(bench_src (bench_rows cand)) ()
+        ~cand:(bench_src (bench_rows cand))
     with
     | Ok o -> o
     | Error m -> Alcotest.failf "diff failed: %s" m
   in
-  let o = diff (Some d) (Some d') in
+  let o = diff d d' in
   checkb "metric-identical rows still report plan drift" true
     (o.Obs.Bench_diff.plan_drift <> []);
   checki "plan drift alone fails the `Changed gate" 2 (Obs.Bench_diff.exit_code o);
-  let o = diff (Some d) (Some d) in
+  let o = diff d d in
   checkb "identical digests: no drift" true (o.Obs.Bench_diff.plan_drift = []);
-  checki "and the gate passes" 0 (Obs.Bench_diff.exit_code o);
-  (* digest missing on either side (old baseline) never gates *)
-  let o = diff None (Some d') in
-  checkb "one-sided digests diff cleanly" true (o.Obs.Bench_diff.plan_drift = []);
-  checki "old baselines still pass" 0 (Obs.Bench_diff.exit_code o)
+  checki "and the gate passes" 0 (Obs.Bench_diff.exit_code o)
 
 let suite =
   [

@@ -1,9 +1,8 @@
 (* The flight-deck observability tier: the Log ring buffer (overflow,
    filtering, ambient context, JSONL round-trip) and its Perfetto
    instants, Health verdicts and exit codes, gc_span metric
-   publication, the stdout-in-lib source lint, the informational GC
-   bench columns — and the headline contract that installing all of it
-   changes no compile result bit. *)
+   publication, the stdout-in-lib source lint — and the headline
+   contract that installing all of it changes no compile result bit. *)
 open Test_util
 
 let prm = Ckks.Params.default
@@ -273,72 +272,6 @@ let lint_flags_raw_stdout () =
            (fun d -> d.Analysis.Diag.severity = Analysis.Diag.Warning)
            diags))
 
-(* --- informational bench columns ------------------------------------------- *)
-
-let bench_source ?(latency = 100.0) ?gc_minor () =
-  let gc =
-    match gc_minor with
-    | None -> ""
-    | Some w -> Printf.sprintf {|, "gc_minor_words": %f|} w
-  in
-  Printf.sprintf
-    {|{"bench": "resbm", "schema_version": 2, "git_rev": "test", "trials": 1,
-       "l_max": 9,
-       "models": [{"model": "tiny", "managers": [
-         {"manager": "resbm", "latency_ms": %f, "bootstrap_count": 3.0,
-          "executed_rescales": 5.0, "nodes": 40.0,
-          "predicted_precision_bits": 20.0%s}]}]}|}
-    latency gc
-
-let load_source s =
-  match Obs.Bench_diff.load s with
-  | Ok src -> src
-  | Error e -> Alcotest.failf "bench load failed: %s" e
-
-let bench_gc_columns_are_informational () =
-  let base = load_source (bench_source ~gc_minor:1000.0 ()) in
-  let cand = load_source (bench_source ~gc_minor:5000.0 ()) in
-  match Obs.Bench_diff.diff ~base ~cand () with
-  | Error e -> Alcotest.failf "diff failed: %s" e
-  | Ok o ->
-      let gc =
-        match
-          List.find_opt (fun c -> c.Obs.Bench_diff.metric = "gc_minor_words")
-            o.Obs.Bench_diff.cells
-        with
-        | Some c -> c
-        | None -> Alcotest.fail "gc cell missing"
-      in
-      checkb "reported as informational" true gc.Obs.Bench_diff.informational;
-      checkb "5x allocation shows as regressed" true
-        (gc.Obs.Bench_diff.verdict = Obs.Bench_diff.Regressed);
-      checkb "excluded from deterministic changes" true
-        (Obs.Bench_diff.deterministic_changes o = []);
-      checkb "excluded from regressions" true (Obs.Bench_diff.regressions o = []);
-      checki "never gates" 0 (Obs.Bench_diff.exit_code o)
-
-let bench_missing_gc_column_tolerated () =
-  (* An old baseline without the GC columns diffs cleanly against a new
-     candidate that has them: no cell, no gate. *)
-  let base = load_source (bench_source ()) in
-  let cand = load_source (bench_source ~gc_minor:5000.0 ()) in
-  (match Obs.Bench_diff.diff ~base ~cand () with
-  | Error e -> Alcotest.failf "diff failed: %s" e
-  | Ok o ->
-      checkb "one-sided column yields no cell" true
-        (not
-           (List.exists (fun c -> c.Obs.Bench_diff.informational)
-              o.Obs.Bench_diff.cells));
-      checki "old baseline still passes" 0 (Obs.Bench_diff.exit_code o));
-  (* while deterministic drift still gates as before *)
-  let faster = load_source (bench_source ~latency:90.0 ()) in
-  match Obs.Bench_diff.diff ~base ~cand:faster () with
-  | Error e -> Alcotest.failf "diff failed: %s" e
-  | Ok o ->
-      checkb "deterministic drift detected" true
-        (Obs.Bench_diff.deterministic_changes o <> []);
-      checki "deterministic drift gates" 2 (Obs.Bench_diff.exit_code o)
-
 let suite =
   [
     case "log ring drops oldest records on overflow" ring_overflow_drops_oldest;
@@ -354,6 +287,4 @@ let suite =
     case "health: warn-only rules never flip the verdict" health_warn_rules_never_flip;
     case "health: refutations gate from the log stream" health_refutations_fail_from_logs;
     case "lint: stdout-in-lib flags raw prints" lint_flags_raw_stdout;
-    case "bench: gc columns diff informationally" bench_gc_columns_are_informational;
-    case "bench: missing gc columns tolerated" bench_missing_gc_column_tolerated;
   ]
