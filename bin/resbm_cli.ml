@@ -14,8 +14,7 @@
      explain                   cost waterfall + per-bootstrap min-cut rationale
      chaos                     seeded fault-injection campaign + recovery report
      serve                     simulated slot-batched serving campaign (deadlines, SLO)
-     metrics                   aggregate-metrics dump (Prometheus text or JSON)
-     health                    rule-based health verdict over a flight file or fresh run
+     health                    rule-based health verdict over a flight file
 
    Exit codes: 0 success, 1 usage error, 2 verifier/lint/trace/gate failure.
 
@@ -26,7 +25,8 @@
      resbm sweep --model resnet20 --l-max 16,14,12,10
      resbm lint --model resnet20 --deny-warnings
      resbm bench-diff bench/baseline/BENCH_small.json BENCH_resbm.json --json diff.json
-     resbm metrics --model tiny --dim 16 --format prom *)
+     resbm trace --model tiny --dim 16 --log-out flight.json
+     resbm health --in flight.json *)
 
 open Cmdliner
 
@@ -1731,223 +1731,36 @@ let serve_cmd =
       $ breaker_threshold $ breaker_cooldown $ json_path $ min_goodput
       $ min_attainment $ cache_arg $ flight_arg)
 
-(* --- metrics ---------------------------------------------------------------------- *)
-
-let metrics_cmd =
-  let run model manager l_max dim format out serve =
-    let model_name = model in
-    let m = Obs.Metrics.create () in
-    (* Everything below runs with the registry installed, so the Driver and
-       Evaluator hot paths publish into it; the flight-recorded trace is
-       folded in afterwards for the per-op and per-region distributions. *)
-    let failure =
-      if serve then begin
-        (* A small pinned serving campaign under light chaos: populates the
-           serve_* counters, the service_latency_ms / serve_queue_depth
-           histograms (whose stats carry p50/p99) and the queue-depth-peak
-           gauge, so the dump shows the serving schema end to end. *)
-        ignore (or_die (resolve_model model_name));
-        let cfg =
-          {
-            Serving.Scheduler.default with
-            Serving.Scheduler.model = model_name;
-            l_max;
-            dim;
-            arrival = Serving.Scheduler.Poisson 24.0;
-            duration_ms = 500.0;
-            chaos_rate = 0.05;
-          }
-        in
-        Obs.with_metrics m (fun () ->
-            ignore (Serving.Scheduler.run cfg);
-            None)
-      end
-      else begin
-        let model = or_die (resolve_model model) in
-        let manager = or_die (resolve_manager manager) in
-        let prm = params_for l_max in
-        let lowered = Nn.Lowering.lower model in
-        Obs.with_metrics m (fun () ->
-            let managed, report =
-              Resbm.Variants.compile manager prm lowered.Nn.Lowering.dfg
-            in
-            let tr, outcome = traced_inference prm lowered ~managed ~report ~dim in
-            ignore (Obs.Metrics.of_trace ~into:m tr);
-            match outcome with Ok _ -> None | Error msg -> Some msg)
-      end
-    in
-    let rendered =
-      match format with
-      | `Prometheus -> Obs.Metrics.to_prometheus m
-      | `Json -> Obs.Json.to_string (Obs.Metrics.to_json m) ^ "\n"
-    in
-    (match out with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc rendered;
-        close_out oc;
-        Format.printf "wrote metrics to %s@." path
-    | None -> print_string rendered);
-    match failure with
-    | None -> ()
-    | Some msg ->
-        Format.eprintf
-          "error: traced execution failed (metrics above cover the run up to the \
-           failure): %s@."
-          msg;
-        exit 2
-  in
-  let dim =
-    Arg.(value & opt int 64 & info [ "dim" ] ~docv:"D" ~doc:"Slots per synthetic image.")
-  in
-  let format =
-    let fmt_c = Arg.enum [ ("prom", `Prometheus); ("json", `Json) ] in
-    Arg.(
-      value & opt fmt_c `Prometheus
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: $(b,prom) (Prometheus text exposition) or $(b,json).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
-  in
-  let serve =
-    Arg.(
-      value & flag
-      & info [ "serve" ]
-          ~doc:
-            "Run a small pinned-seed serving campaign (light chaos) instead of a \
-             traced inference, populating the serve_* counters and the \
-             service-latency / queue-depth histograms (p50/p99 in their stats).")
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Compile a model and run one flight-recorded simulated inference with the \
-          aggregate-metrics registry installed (or, with $(b,--serve), a small \
-          serving campaign), then dump every counter, gauge and latency/noise \
-          histogram as Prometheus text or JSON.")
-    Term.(const run $ model_arg $ manager_arg $ l_max_arg $ dim $ format $ out $ serve)
-
 (* --- health ----------------------------------------------------------------------- *)
 
 let health_cmd =
-  let run in_file model manager l_max dim json headroom_floor recovery_floor slo_floor
-      max_fallbacks max_refutations gc_ceiling =
-    let thresholds =
-      {
-        Obs.Health.headroom_floor_bits = headroom_floor;
-        recovery_rate_floor = recovery_floor;
-        slo_attainment_floor = slo_floor;
-        max_fallbacks;
-        max_refutations;
-        gc_major_words_ceiling = gc_ceiling;
-      }
-    in
-    let records, metrics =
-      match in_file with
-      | Some path -> load_flight path
-      | None ->
-          (* No flight file: compile + one flight-recorded inference
-             in-process with every collector installed, and judge that. *)
-          let model = or_die (resolve_model model) in
-          let manager = or_die (resolve_manager manager) in
-          let prm = params_for l_max in
-          let lowered = Nn.Lowering.lower model in
-          let log = Obs.Log.create () in
-          let m = Obs.Metrics.create () in
-          Obs.with_log log @@ fun () ->
-          Obs.with_metrics m @@ fun () ->
-          let managed, report =
-            try Resbm.Variants.compile manager prm lowered.Nn.Lowering.dfg
-            with Resbm.Driver.Verification_failed (pass, diags) ->
-              Format.eprintf "error: verification failed after pass %s:@." pass;
-              List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
-              exit 2
-          in
-          let tr, outcome = traced_inference prm lowered ~managed ~report ~dim in
-          ignore (Obs.Metrics.of_trace ~into:m tr);
-          (match outcome with
-          | Ok _ -> ()
-          | Error msg -> Obs.log_error ~event:"run.failed" msg);
-          Obs.Metrics.set m "log_dropped_records" (float_of_int (Obs.Log.dropped log));
-          (Obs.Log.records log, m)
-    in
-    let verdict = Obs.Health.evaluate ~thresholds ~records metrics in
+  let run in_file json =
+    let records, metrics = load_flight in_file in
+    let verdict = Obs.Health.evaluate ~records metrics in
     if json then print_string (Obs.Json.to_string (Obs.Health.to_json verdict) ^ "\n")
     else Format.printf "%a@." Obs.Health.pp verdict;
     exit (Obs.Health.exit_code verdict)
   in
   let in_file =
     Arg.(
-      value
+      required
       & opt (some string) None
       & info [ "in" ] ~docv:"FILE"
           ~doc:
-            "Judge a flight file written by $(b,--log-out) instead of running \
-             anything; its records and metrics feed every rule.")
-  in
-  let dim =
-    Arg.(value & opt int 64 & info [ "dim" ] ~docv:"D" ~doc:"Slots per synthetic image.")
+            "The flight file to judge, as written by $(b,--log-out); its records and \
+             metrics feed every rule.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the verdict as JSON.")
-  in
-  let headroom_floor =
-    Arg.(
-      value & opt float 4.0
-      & info [ "headroom-floor" ] ~docv:"BITS"
-          ~doc:"Fail when the worst traced noise headroom falls below $(docv) bits.")
-  in
-  let recovery_floor =
-    Arg.(
-      value & opt float 0.9
-      & info [ "recovery-floor" ] ~docv:"RATE"
-          ~doc:
-            "Fail when the chaos recovered/faulted ratio falls below $(docv) \
-             (vacuous without chaos counters in the flight).")
-  in
-  let slo_floor =
-    Arg.(
-      value & opt float 0.95
-      & info [ "slo-floor" ] ~docv:"RATE"
-          ~doc:
-            "Fail when the serving completed/admitted ratio falls below $(docv) \
-             (vacuous without serving counters in the flight).")
-  in
-  let max_fallbacks =
-    Arg.(
-      value & opt int 0
-      & info [ "max-fallbacks" ] ~docv:"N"
-          ~doc:"Fail when more than $(docv) planner tier fallbacks were recorded.")
-  in
-  let max_refutations =
-    Arg.(
-      value & opt int 0
-      & info [ "max-refutations" ] ~docv:"N"
-          ~doc:
-            "Fail when more than $(docv) certificate or plan-cache refutations were \
-             recorded (counters or error-level log records).")
-  in
-  let gc_ceiling =
-    Arg.(
-      value & opt float 2e9
-      & info [ "gc-ceiling" ] ~docv:"WORDS"
-          ~doc:"Fail when major-heap promotion across compile phases exceeds $(docv).")
   in
   Cmd.v
     (Cmd.info "health"
        ~doc:
          "Evaluate rule-based health checks (noise headroom, chaos recovery rate, \
           planner fallbacks, refutations, GC pressure, log anomalies) over a flight \
-          file ($(b,--in)) or over a fresh in-process compile + traced inference.  \
-          Exit 0 when healthy, 2 when any rule fails.")
-    Term.(
-      const run $ in_file $ model_arg $ manager_arg $ l_max_arg $ dim $ json
-      $ headroom_floor $ recovery_floor $ slo_floor $ max_fallbacks $ max_refutations
-      $ gc_ceiling)
+          file written by $(b,--log-out).  Exit 0 when healthy, 2 when any rule \
+          fails.")
+    Term.(const run $ in_file $ json)
 
 let () =
   let info =
@@ -1972,6 +1785,5 @@ let () =
             explain_cmd;
             chaos_cmd;
             serve_cmd;
-            metrics_cmd;
             health_cmd;
           ]))

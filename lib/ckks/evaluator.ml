@@ -50,7 +50,7 @@ let () =
     | _ -> None)
 
 let error ?node ?(level = -1) ?(scale_bits = -1) ?(noise = nan) cause ~op message =
-  let node = match node with Some n -> n | None -> Fault.site () in
+  let node = match node with Some n -> n | None -> Obs.current_node () in
   let headroom_bits =
     if Float.is_nan noise then nan else Obs.Trace.headroom_bits noise
   in

@@ -12,10 +12,11 @@
       to [q].
 
     A violated constraint raises {!Fhe_error} carrying a structured
-    {!error}: the {!cause}, the op name, the DFG node ({!Fault.site}) when
-    the interpreter attributed one, and the scheme state at the raise site
-    (level, scale, noise headroom) — so recovery policies and diagnostics
-    dispatch on the cause rather than on message substrings.
+    {!error}: the {!cause}, the op name, the DFG node
+    ({!Obs.current_node}) when the interpreter attributed one, and the
+    scheme state at the raise site (level, scale, noise headroom) — so
+    recovery policies and diagnostics dispatch on the cause rather than on
+    message substrings.
     {!error_message} recovers the legacy human-readable string; messages
     are unchanged from the unstructured era.  This is how the test suite
     proves that unmanaged programs fail (Figure 1a) while compiled ones
@@ -62,7 +63,7 @@ val cause_name : cause -> string
 type error = {
   cause : cause;
   op : string;  (** operation that raised, e.g. ["mul_cc"] *)
-  node : int;  (** DFG node ({!Fault.site}) at raise time; [-1] = none *)
+  node : int;  (** DFG node ({!Obs.current_node}) at raise time; [-1] = none *)
   level : int;  (** operand/result level at the raise site; [-1] unknown *)
   scale_bits : int;  (** scale at the raise site; [-1] unknown *)
   headroom_bits : float;  (** noise headroom at the raise site; [nan] unknown *)
@@ -88,7 +89,7 @@ val error :
   op:string ->
   string ->
   error
-(** Build an error; [node] defaults to the current {!Fault.site},
+(** Build an error; [node] defaults to {!Obs.current_node},
     [headroom_bits] is derived from [noise] when given. *)
 
 val raise_error : error -> 'a

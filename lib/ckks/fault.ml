@@ -38,8 +38,10 @@ let rng t = t.prng
 let injected t = t.count
 let injections t = List.rev t.log
 
-(* Ambient install: a plain global, same discipline as Obs.with_trace —
-   the evaluator's fault-off path is one option check per op. *)
+(* Ambient install: the evaluator's fault-off path is one option check per
+   op, as for Obs.with_trace.  It is a process global rather than a field
+   of Obs's domain-local context because Obs cannot name [t] (this library
+   depends on obs, not the other way round). *)
 let installed : t option ref = ref None
 
 let with_faults t f =
@@ -48,13 +50,6 @@ let with_faults t f =
   Fun.protect ~finally:(fun () -> installed := saved) f
 
 let current () = !installed
-
-(* The execution-site context is independent of any installed injector:
-   the interpreter publishes it unconditionally (one int store per node)
-   so structured errors are node-attributed even in fault-free runs. *)
-let site_ctx = ref (-1)
-let set_site node = site_ctx := node
-let site () = !site_ctx
 
 let budget_left t = t.plan.budget < 0 || t.count < t.plan.budget
 
@@ -85,7 +80,7 @@ let rule_applies r ~op ~node =
 let draw t ~op =
   if not (budget_left t) then None
   else begin
-    let node = site () in
+    let node = Obs.current_node () in
     (* Try rules in plan order; the probability draw happens only for
        rules whose filters match, so the stream consumption — and hence
        the whole campaign — is a deterministic function of the executed

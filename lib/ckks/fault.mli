@@ -13,12 +13,9 @@
     in the evaluator is a single option check per operation.  Every
     injection is recorded as a ["fault"] trace instant (when a trace is
     installed) and counted in the [fhe_faults_total] metric, labelled by
-    fault kind and op.
-
-    The module also owns the ambient {e site} context: the interpreter
-    publishes the DFG node id it is about to execute ({!set_site}) so
-    injections and structured evaluator errors can be attributed to a
-    node even when no trace is installed. *)
+    fault kind and op.  Per-node targeting and attribution read the
+    executing node from the ambient context ({!Obs.current_node}), which
+    the interpreter publishes before each node. *)
 
 type kind =
   | Noise_spike  (** multiply the noise estimate by [2^mag] and jitter slots *)
@@ -49,7 +46,7 @@ type injection = {
   index : int;  (** 0-based injection ordinal within the run *)
   inj_kind : kind;
   inj_op : string;
-  inj_node : int;  (** site at injection time; -1 when unattributed *)
+  inj_node : int;  (** executing node at injection time; -1 when unattributed *)
   inj_mag : float;
 }
 
@@ -64,11 +61,12 @@ val rng : t -> Prng.t
     consumed by injection. *)
 
 val draw : t -> op:string -> (kind * float) option
-(** Decide whether a fault fires for the operation [op] at the current
-    {!site}.  Rules are tried in plan order; the first that matches the
-    op/node filters and wins its probability draw fires.  A firing is
-    logged, traced and counted before this returns.  Returns the kind and
-    magnitude, or [None] (no matching rule won, or budget exhausted). *)
+(** Decide whether a fault fires for the operation [op] at the executing
+    node ({!Obs.current_node}).  Rules are tried in plan order; the first
+    that matches the op/node filters and wins its probability draw fires.
+    A firing is logged, traced and counted before this returns.  Returns
+    the kind and magnitude, or [None] (no matching rule won, or budget
+    exhausted). *)
 
 val injected : t -> int
 (** Number of injections so far (recovery snapshots this at checkpoints
@@ -81,10 +79,3 @@ val with_faults : t -> (unit -> 'a) -> 'a
 (** Install the injector ambiently for the callback (exception-safe). *)
 
 val current : unit -> t option
-
-val set_site : int -> unit
-(** Publish the DFG node about to execute ([-1] = none).  Read by
-    {!draw} for per-node rule targeting and by the evaluator for error
-    attribution. *)
-
-val site : unit -> int

@@ -85,10 +85,6 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
     Region_eval.latency ~fuel ?memo cache regioned prm ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
   in
-  (* DP table dimensions: one row per region boundary, l_max + 1 candidate
-     bootstrap targets per segment evaluation. *)
-  Obs.observe "btsmgr.dp_regions" (float_of_int count);
-  Obs.observe "btsmgr.dp_levels" (float_of_int (l_max + 1));
   if count = 1 then
     {
       actions =

@@ -107,8 +107,6 @@ let cut ?(fuel = Fuel.unlimited) (shape : Region.shape) ~lbts ~subgraph =
   let mc = Graphlib.Maxflow.min_cut net ~source:s ~sink:t in
   let cert = Graphlib.Maxflow.certificate net ~source:s ~sink:t mc in
   Obs.incr "btsplc.cuts";
-  Obs.observe "btsplc.cut_value" mc.Graphlib.Maxflow.value;
-  Obs.observe "btsplc.subgraph_nodes" (float_of_int k);
   let node_at = Array.of_list subgraph in
   let producer_heads = Hashtbl.create 8 in
   Det.iter_sorted (fun _ (fn, heads) -> Hashtbl.add producer_heads fn heads) producers;

@@ -246,19 +246,21 @@ let apply regioned prm (plan : Btsmgr.plan) =
                           Hashtbl.replace levels b want;
                           Hashtbl.replace scales b q;
                           incr repair_count;
-                          if Sys.getenv_opt "RESBM_DEBUG" <> None then
-                            Format.eprintf
-                              "repair: %%%d (%s, region %s, have L%d) -> L%d for join %%%d \
-                               (region %s)@."
-                              a
-                              (Op.name (Dfg.node g a).Dfg.kind)
-                              (match region_of a with
-                              | Some r -> string_of_int r
-                              | None -> "?")
-                              (level_of a) want id
-                              (match region_of id with
-                              | Some r -> string_of_int r
-                              | None -> "?");
+                          let region n =
+                            Obs.Json.Int (Option.value (region_of n) ~default:(-1))
+                          in
+                          Obs.log_debug ~event:"plan.repair"
+                            ~fields:
+                              [
+                                ("operand", Obs.Json.Int a);
+                                ("operand_op", Obs.Json.String (Op.name (Dfg.node g a).Dfg.kind));
+                                ("operand_region", region a);
+                                ("have_level", Obs.Json.Int (level_of a));
+                                ("want_level", Obs.Json.Int want);
+                                ("join", Obs.Json.Int id);
+                                ("join_region", region id);
+                              ]
+                            "repair bootstrap for a level-deficient join operand";
                           b
                     in
                     Dfg.set_arg g ~user:id ~arg_index:i bts

@@ -141,10 +141,7 @@ type t = {
   mutable disk_hits : int;
 }
 
-let default_capacity =
-  match Option.bind (Sys.getenv_opt "RESBM_CACHE_CAP") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> 64
+let default_capacity = 64
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -539,8 +536,7 @@ let evict_locked t =
         Hashtbl.remove t.tbl k;
         t.evictions <- t.evictions + 1;
         Obs.metric_incr "plan_cache_evictions_total";
-        Obs.log_debug ~event:"plan_cache.evicted" "evicted the least-recently-used plan";
-        Obs.incr "plan_cache.evictions"
+        Obs.log_debug ~event:"plan_cache.evicted" "evicted the least-recently-used plan"
   done
 
 let insert_mem t k g r =
@@ -574,7 +570,6 @@ let find t k =
   match mem with
   | Some hit ->
       Obs.metric_incr "plan_cache_hits_total";
-      Obs.incr "plan_cache.hits";
       Some (checkout timer hit)
   | None -> (
       match disk_load t k with
@@ -584,14 +579,11 @@ let find t k =
               t.disk_hits <- t.disk_hits + 1);
           insert_mem t k g r;
           Obs.metric_incr "plan_cache_hits_total";
-          Obs.incr "plan_cache.hits";
           Obs.log_debug ~event:"plan_cache.disk_hit" "plan loaded from the disk tier";
-          Obs.incr "plan_cache.disk_hits";
           Some (checkout timer (g, r))
       | None ->
           Mutex.protect t.lock (fun () -> t.misses <- t.misses + 1);
           Obs.metric_incr "plan_cache_misses_total";
-          Obs.incr "plan_cache.misses";
           None)
 
 let store t k g (r : Report.t) =

@@ -14,14 +14,14 @@
       and the exact {!Region.shape}, so re-planning an edited or
       renumbered model re-solves only region shapes it has not seen.
 
-    Hits and misses are counted on the ambient {!Obs} metrics as
-    [plan_cache_{hits,misses,evictions}_total] and on the ambient profile
-    as [plan_cache.*] counters.  All operations are mutex-protected. *)
+    Hits and misses are counted once per ledger: in {!stats} and on the
+    ambient {!Obs} metrics as [plan_cache_{hits,misses,evictions}_total].
+    All operations are mutex-protected. *)
 
 type t
 
 val default_capacity : int
-(** LRU capacity from [RESBM_CACHE_CAP] (default 64). *)
+(** LRU capacity of {!create} without [?capacity]: 64. *)
 
 val create : ?capacity:int -> ?dir:string -> unit -> t
 (** [create ()] is a process-local cache; pass [dir] to add the on-disk

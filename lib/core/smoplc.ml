@@ -122,8 +122,6 @@ let solve tp ~level =
   let mc = Graphlib.Maxflow.min_cut net ~source:s ~sink:t in
   let cert = Graphlib.Maxflow.certificate net ~source:s ~sink:t mc in
   Obs.incr "smoplc.cuts";
-  Obs.observe "smoplc.cut_value" mc.Graphlib.Maxflow.value;
-  Obs.observe "smoplc.region_nodes" (float_of_int k);
   let edges =
     List.filter_map
       (fun (u, v) ->

@@ -183,7 +183,6 @@ let min_cut net ~source ~sink =
         net.adj.(u)
   done;
   let edges = List.rev !edges in
-  Obs.observe "maxflow.cut_value" value;
   Obs.incr ~by:(List.length edges) "maxflow.cut_edges";
   { value; source_side = side; edges }
 

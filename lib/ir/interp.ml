@@ -159,10 +159,10 @@ module Session = struct
     let node = Dfg.node s.g id in
     (* Attribution for the events the evaluator is about to record: node
        identity, region, loop frequency and the freq-weighted Table 2
-       cost of this node.  The execution site is published even when no
-       trace is installed, so structured errors and fault injections are
-       node-attributed on untraced runs too. *)
-    Ckks.Fault.set_site id;
+       cost of this node.  The executing node is published even when no
+       trace is installed, so structured errors, fault injections and log
+       records are node-attributed on untraced runs too. *)
+    Obs.set_node id;
     let cost =
       match node.Dfg.kind with
       | Op.Input _ | Op.Const _ -> 0.0
@@ -238,7 +238,7 @@ module Session = struct
   let refresh s id =
     let c = ct s id in
     let go () =
-      Ckks.Fault.set_site id;
+      Obs.set_node id;
       (match s.trace with
       | Some tr ->
           Obs.Trace.set_ctx tr
@@ -296,7 +296,7 @@ module Session = struct
     | None -> ())
 
   let clear_ctx s =
-    Ckks.Fault.set_site (-1);
+    Obs.set_node (-1);
     match s.trace with Some tr -> Obs.Trace.set_ctx tr None | None -> ()
 
   let finish s =

@@ -266,7 +266,6 @@ module Profile = struct
     mutable finished : span list;  (* reverse completion order *)
     mutable stack : (string * float) list;  (* open spans *)
     counters : (string, int) Hashtbl.t;
-    series : (string, float list ref) Hashtbl.t;  (* reverse order *)
   }
 
   let create () =
@@ -275,7 +274,6 @@ module Profile = struct
       finished = [];
       stack = [];
       counters = Hashtbl.create 16;
-      series = Hashtbl.create 16;
     }
 
   let now_ms t = 1000.0 *. (Unix.gettimeofday () -. t.epoch)
@@ -285,14 +283,6 @@ module Profile = struct
       (by + Option.value (Hashtbl.find_opt t.counters name) ~default:0)
 
   let counter t name = Option.value (Hashtbl.find_opt t.counters name) ~default:0
-
-  let observe t name v =
-    match Hashtbl.find_opt t.series name with
-    | Some r -> r := v :: !r
-    | None -> Hashtbl.add t.series name (ref [ v ])
-
-  let series t name =
-    match Hashtbl.find_opt t.series name with Some r -> List.rev !r | None -> []
 
   let span t name f =
     let start = now_ms t in
@@ -312,10 +302,6 @@ module Profile = struct
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters [] (* det-ok: sorted *)
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-  let all_series t =
-    Hashtbl.fold (fun k r acc -> (k, List.rev !r) :: acc) t.series [] (* det-ok: sorted *)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
   let to_json t =
     let span_json s =
       Json.Obj
@@ -326,24 +312,10 @@ module Profile = struct
           ("dur_ms", Json.Float s.dur_ms);
         ]
     in
-    let series_json (name, values) =
-      let count = List.length values in
-      let sum = List.fold_left ( +. ) 0.0 values in
-      ( name,
-        Json.Obj
-          [
-            ("count", Json.Int count);
-            ("sum", Json.Float sum);
-            ("min", Json.Float (List.fold_left Float.min infinity values));
-            ("max", Json.Float (List.fold_left Float.max neg_infinity values));
-            ("values", Json.List (List.map (fun v -> Json.Float v) values));
-          ] )
-    in
     Json.Obj
       [
         ("spans", Json.List (List.map span_json (spans t)));
         ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
-        ("series", Json.Obj (List.map series_json (all_series t)));
       ]
 
   let pp ppf t =
@@ -629,8 +601,8 @@ end
 
 (* Leveled structured logging: a ring-buffered flight recorder of log
    records, the narrative companion to Trace's op events.  Records carry
-   automatic context (compile id, pass, region, node, domain id — filled
-   in by the ambient helpers at the bottom of this file) plus free-form
+   automatic context (compile id, pass, executing node, domain id —
+   filled in by the ambient helpers at the bottom of this file) plus free-form
    structured fields, and a simulated-clock stamp when a trace was
    ambient at emission time so the record lands as an instant on the
    execution timeline.  The sink is mutex-protected, like the metrics
@@ -876,9 +848,8 @@ module Rt = struct
 end
 
 (* Aggregate metrics: a registry of counters, gauges and log-bucketed
-   histograms, exposable as Prometheus text or JSON.  Unlike Profile
-   (which keeps every observation of a series), a histogram is constant
-   space: observations land in log2-spaced buckets with half-step
+   histograms, exposable as JSON.  A histogram is constant space:
+   observations land in log2-spaced buckets with half-step
    resolution, and quantiles are estimated by interpolating inside the
    covering bucket — exact min/max are tracked so the estimate is always
    clamped into the observed range. *)
@@ -1223,90 +1194,6 @@ module Metrics = struct
           Ok ())
     in
     Ok t
-
-  (* --- Prometheus text exposition ---------------------------------------- *)
-
-  let sanitize name =
-    String.map
-      (fun c ->
-        match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c | _ -> '_')
-      name
-
-  let escape_label_value v =
-    let buf = Buffer.create (String.length v) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      v;
-    Buffer.contents buf
-
-  let label_text labels =
-    match labels with
-    | [] -> ""
-    | _ ->
-        "{"
-        ^ String.concat ","
-            (List.map
-               (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (sanitize k) (escape_label_value v))
-               labels)
-        ^ "}"
-
-  let prom_float f =
-    if Float.is_nan f then "NaN"
-    else if f = infinity then "+Inf"
-    else if f = neg_infinity then "-Inf"
-    else Json.float_repr f
-
-  let to_prometheus ?(namespace = "resbm") t =
-    let buf = Buffer.create 4096 in
-    let full name = sanitize (namespace ^ "_" ^ name) in
-    let typed = Hashtbl.create 16 in
-    let type_line name kind =
-      if not (Hashtbl.mem typed name) then begin
-        Hashtbl.add typed name ();
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
-      end
-    in
-    List.iter
-      (fun ((name, labels), r) ->
-        let n = full name in
-        type_line n "counter";
-        Buffer.add_string buf (Printf.sprintf "%s%s %d\n" n (label_text labels) !r))
-      (sorted_bindings t.counters);
-    List.iter
-      (fun ((name, labels), r) ->
-        let n = full name in
-        type_line n "gauge";
-        Buffer.add_string buf
-          (Printf.sprintf "%s%s %s\n" n (label_text labels) (prom_float !r)))
-      (sorted_bindings t.gauges);
-    List.iter
-      (fun ((name, labels), h) ->
-        let n = full name in
-        type_line n "histogram";
-        let cum = cumulative_buckets h in
-        List.iter
-          (fun (le, c) ->
-            let ls = labels @ [ ("le", prom_float le) ] in
-            Buffer.add_string buf (Printf.sprintf "%s_bucket%s %d\n" n (label_text ls) c))
-          cum;
-        let needs_inf =
-          match List.rev cum with (le, _) :: _ -> le <> infinity | [] -> true
-        in
-        if needs_inf then begin
-          let ls = labels @ [ ("le", "+Inf") ] in
-          Buffer.add_string buf
-            (Printf.sprintf "%s_bucket%s %d\n" n (label_text ls) h.count)
-        end;
-        Buffer.add_string buf
-          (Printf.sprintf "%s_sum%s %s\n" n (label_text labels) (prom_float h.sum));
-        Buffer.add_string buf (Printf.sprintf "%s_count%s %d\n" n (label_text labels) h.count))
-      (sorted_bindings t.hists);
-    Buffer.contents buf
 
   (* --- folds from the other observability tiers --------------------------- *)
 
@@ -2215,49 +2102,64 @@ let profile_chrome_events ?(pid = 0) ?(name = "resbm compile") p =
 let chrome_trace events =
   Json.Obj [ ("traceEvents", Json.List events); ("displayTimeUnit", Json.String "ms") ]
 
-(* Ambient state is domain-local: a domain a library caller spawns sees
-   None for every handle until it installs its own.  Within one domain
-   each [with_*] saves and restores the previous handle. *)
-let current_profile : Profile.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* The ambient context: every handle the instrumentation sites read, in
+   one domain-local record.  A domain a library caller spawns gets a fresh
+   record (no handles, no node) until it installs its own; within one
+   domain each [with_*] sets one field and restores it after, also on an
+   exception.  The fields are mutable so the interpreter's per-node
+   {!set_node} is a store, not an allocation. *)
+type ctx = {
+  mutable profile : Profile.t option;
+  mutable trace : Trace.t option;
+  mutable metrics : Metrics.t option;
+  mutable log : Log.t option;
+  mutable compile_id : int;  (* -1 = outside any compile *)
+  mutable pass : string;  (* "" = no pass *)
+  mutable node : int;  (* DFG node executing; -1 = none *)
+}
 
-let current () = Domain.DLS.get current_profile
+let ctx_key : ctx Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        profile = None;
+        trace = None;
+        metrics = None;
+        log = None;
+        compile_id = -1;
+        pass = "";
+        node = -1;
+      })
+
+let ctx () = Domain.DLS.get ctx_key
+
+let scoped get set v f =
+  let c = ctx () in
+  let saved = get c in
+  set c v;
+  Fun.protect f ~finally:(fun () -> set c saved)
 
 let with_profile p f =
-  let saved = Domain.DLS.get current_profile in
-  Domain.DLS.set current_profile (Some p);
-  Fun.protect f ~finally:(fun () -> Domain.DLS.set current_profile saved)
+  scoped (fun c -> c.profile) (fun c v -> c.profile <- v) (Some p) f
+
+let current () = (ctx ()).profile
 
 let incr ?by name =
   match current () with Some p -> Profile.incr ?by p name | None -> ()
 
-let observe name v =
-  match current () with Some p -> Profile.observe p name v | None -> ()
-
 let span name f = match current () with Some p -> Profile.span p name f | None -> f ()
 
-let current_trace_key : Trace.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let current_trace () = Domain.DLS.get current_trace_key
-
-let with_trace tr f =
-  let saved = Domain.DLS.get current_trace_key in
-  Domain.DLS.set current_trace_key (Some tr);
-  Fun.protect f ~finally:(fun () -> Domain.DLS.set current_trace_key saved)
+let with_trace tr f = scoped (fun c -> c.trace) (fun c v -> c.trace <- v) (Some tr) f
+let current_trace () = (ctx ()).trace
 
 let trace_instant ~name ?node ?detail () =
   match current_trace () with
   | Some tr -> Trace.instant tr ~name ?node ?detail ()
   | None -> ()
 
-let current_metrics_key : Metrics.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let current_metrics () = Domain.DLS.get current_metrics_key
-
 let with_metrics m f =
-  let saved = Domain.DLS.get current_metrics_key in
-  Domain.DLS.set current_metrics_key (Some m);
-  Fun.protect f ~finally:(fun () -> Domain.DLS.set current_metrics_key saved)
+  scoped (fun c -> c.metrics) (fun c v -> c.metrics <- v) (Some m) f
+
+let current_metrics () = (ctx ()).metrics
 
 let metric_incr ?by ?labels name =
   match current_metrics () with
@@ -2274,48 +2176,36 @@ let metric_set ?labels name v =
   | Some m -> Metrics.set ?labels m name v
   | None -> ()
 
+let set_node n = (ctx ()).node <- n
+let current_node () = (ctx ()).node
+
 (* --- ambient structured logging ------------------------------------------ *)
 
-let current_log_key : Log.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let current_log () = Domain.DLS.get current_log_key
+let with_log sink f = scoped (fun c -> c.log) (fun c v -> c.log <- v) (Some sink) f
 
-let with_log sink f =
-  let saved = Domain.DLS.get current_log_key in
-  Domain.DLS.set current_log_key (Some sink);
-  Fun.protect f ~finally:(fun () -> Domain.DLS.set current_log_key saved)
-
-(* Ambient log context: merged, never replaced — entering a pass inside a
-   compile keeps the compile id.  When no sink is installed the context
-   is not even read, so un-logged callers pay one option check. *)
-type log_ctx = { lc_compile_id : int; lc_pass : string; lc_region : int; lc_node : int }
-
-let no_log_ctx = { lc_compile_id = -1; lc_pass = ""; lc_region = -1; lc_node = -1 }
-
-let current_log_ctx_key : log_ctx Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> no_log_ctx)
-
-let with_log_ctx ?compile_id ?pass ?region ?node f =
-  match Domain.DLS.get current_log_key with
-  | None -> f ()
-  | Some _ ->
-      let saved = Domain.DLS.get current_log_ctx_key in
-      Domain.DLS.set current_log_ctx_key
-        {
-          lc_compile_id = Option.value compile_id ~default:saved.lc_compile_id;
-          lc_pass = Option.value pass ~default:saved.lc_pass;
-          lc_region = Option.value region ~default:saved.lc_region;
-          lc_node = Option.value node ~default:saved.lc_node;
-        };
-      Fun.protect f ~finally:(fun () -> Domain.DLS.set current_log_ctx_key saved)
+(* Entering a pass inside a compile keeps the compile id.  When no sink is
+   installed the context is not even read, so un-logged callers pay one
+   option check. *)
+let with_log_ctx ?compile_id ?pass f =
+  if Option.is_none (ctx ()).log then f ()
+  else
+    let f =
+      match pass with
+      | None -> f
+      | Some p -> fun () -> scoped (fun c -> c.pass) (fun c v -> c.pass <- v) p f
+    in
+    match compile_id with
+    | None -> f ()
+    | Some id -> scoped (fun c -> c.compile_id) (fun c v -> c.compile_id <- v) id f
 
 let log ~level ~event ?(msg = "") ?fields () =
-  match Domain.DLS.get current_log_key with
+  let c = ctx () in
+  match c.log with
   | None -> ()
   | Some sink ->
-      let ctx = Domain.DLS.get current_log_ctx_key in
-      let sim_ms = Option.map Trace.clock_ms (current_trace ()) in
-      Log.record sink ~level ~event ~msg ?sim_ms ~compile_id:ctx.lc_compile_id
-        ~pass:ctx.lc_pass ~region:ctx.lc_region ~node:ctx.lc_node ?fields ()
+      let sim_ms = Option.map Trace.clock_ms c.trace in
+      Log.record sink ~level ~event ~msg ?sim_ms ~compile_id:c.compile_id ~pass:c.pass
+        ~node:c.node ?fields ()
 
 let log_debug ~event ?fields msg = log ~level:Log.Debug ~event ~msg ?fields ()
 let log_info ~event ?fields msg = log ~level:Log.Info ~event ~msg ?fields ()

@@ -1,13 +1,13 @@
 (** Lightweight observability for the compile pipeline.
 
-    Three primitives — wall-clock {e spans}, monotonic {e counters} and
-    float {e series} — collected into a {!Profile.t} and serialised as
-    JSON with no external dependencies.  The compiler driver installs a
-    profile as the ambient collector for the dynamic extent of one
-    compile ({!with_profile}); instrumentation sites deep in the pipeline
-    (min-cut engine, planners) record through the module-level
-    conveniences, which are no-ops when no profile is installed, so
-    un-profiled callers pay only an option check. *)
+    Two primitives — wall-clock {e spans} and monotonic {e counters} —
+    collected into a {!Profile.t} and serialised as JSON with no external
+    dependencies.  The compiler driver installs a profile as the ambient
+    collector for the dynamic extent of one compile ({!with_profile});
+    instrumentation sites deep in the pipeline (min-cut engine, planners)
+    record through the module-level conveniences, which are no-ops when
+    no profile is installed, so un-profiled callers pay only an option
+    check. *)
 
 module Json : sig
   type t =
@@ -56,25 +56,15 @@ module Profile : sig
   val counter : t -> string -> int
   (** Current value of a counter; 0 when never incremented. *)
 
-  val observe : t -> string -> float -> unit
-  (** Append one observation to a named series. *)
-
-  val series : t -> string -> float list
-  (** Observations of one series in insertion order; [[]] when absent. *)
-
   val spans : t -> span list
   (** Completed spans in chronological (start time) order. *)
 
   val counters : t -> (string * int) list
   (** All counters, sorted by name. *)
 
-  val all_series : t -> (string * float list) list
-  (** All series, sorted by name, observations in insertion order. *)
-
   val to_json : t -> Json.t
   (** [{"spans": [{name, depth, start_ms, dur_ms}],
-       "counters": {name: int},
-       "series": {name: {count, sum, min, max, values}}}] *)
+       "counters": {name: int}}] *)
 
   val pp : Format.formatter -> t -> unit
   (** Top-level phase durations and counters, one per line. *)
@@ -195,9 +185,9 @@ end
 (** Leveled structured logging — a ring-buffered flight recorder of log
     records, the narrative companion to {!Trace}'s op events.
 
-    Records carry automatic context (compile id, pass, region, node,
+    Records carry automatic context (compile id, pass, executing node,
     emitting domain) filled in by the ambient helpers ({!with_log},
-    {!with_log_ctx}, {!log_info} …), free-form structured fields, and a
+    {!with_log_ctx}, {!set_node}, {!log_info} …), free-form structured fields, and a
     simulated-clock stamp when a trace was ambient at emission time — so
     a record emitted mid-execution lands as an instant on the execution
     timeline, correlated with the op spans around it.  The sink is
@@ -294,8 +284,7 @@ module Rt : sig
 end
 
 (** Aggregate metrics: a registry of counters, gauges and log-bucketed
-    histograms with quantile estimation, exposable as Prometheus text or
-    JSON.  Histograms are constant space — log2-spaced buckets with
+    histograms with quantile estimation, exposable as JSON.  Histograms are constant space — log2-spaced buckets with
     half-step resolution covering ~1e-6 .. ~5e11 — and quantiles are
     interpolated inside the covering bucket, clamped to the exact observed
     min/max. *)
@@ -362,11 +351,6 @@ module Metrics : sig
       recovered from the serialised bounds, so
       [to_json (of_json (to_json m))] equals [to_json m].  Missing
       sections are tolerated (they load as empty). *)
-
-  val to_prometheus : ?namespace:string -> t -> string
-  (** Prometheus text exposition (default namespace ["resbm"]); metric and
-      label names are sanitised, histograms expose [_bucket]/[_sum]/[_count]
-      series with cumulative [le] labels ending at [+Inf]. *)
 end
 
 (** Generic explanation rendering: hierarchical cost waterfalls with
@@ -592,6 +576,15 @@ val profile_chrome_events : ?pid:int -> ?name:string -> Profile.t -> Json.t list
 val chrome_trace : Json.t list -> Json.t
 (** Wrap event objects as [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
 
+(** {1 Ambient context}
+
+    One domain-local record holds every ambient handle — profile, trace,
+    metrics registry, log sink — plus the log context (compile id, pass)
+    and the DFG node executing.  Each [with_*] sets one field for the
+    extent of its callback and restores it after, also on exceptions.  A
+    domain spawned by a library caller starts with no handles and node
+    [-1], and what it installs never reaches its parent. *)
+
 val with_profile : Profile.t -> (unit -> 'a) -> 'a
 (** Install [p] as the ambient profile for the extent of the callback
     (restoring the previous one after, also on exceptions). *)
@@ -600,9 +593,6 @@ val current : unit -> Profile.t option
 
 val incr : ?by:int -> string -> unit
 (** Increment a counter on the ambient profile; no-op when none. *)
-
-val observe : string -> float -> unit
-(** Append to a series on the ambient profile; no-op when none. *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** Time [f] as a span on the ambient profile; just runs [f] when none. *)
@@ -637,14 +627,19 @@ val metric_observe : ?labels:Metrics.labels -> string -> float -> unit
 val metric_set : ?labels:Metrics.labels -> string -> float -> unit
 (** Set a gauge on the ambient registry; no-op when none. *)
 
+val set_node : int -> unit
+(** Publish the DFG node about to execute ([-1] = none).  The interpreter
+    sets it before each node, whether or not anything else is installed;
+    fault rules target it, evaluator errors and log records carry it. *)
+
+val current_node : unit -> int
+(** The executing node published by {!set_node}; [-1] outside execution. *)
+
 val with_log : Log.t -> (unit -> 'a) -> 'a
 (** Install [sink] as the ambient log sink for the extent of the callback
     (restoring the previous one after, also on exceptions). *)
 
-val current_log : unit -> Log.t option
-
-val with_log_ctx :
-  ?compile_id:int -> ?pass:string -> ?region:int -> ?node:int -> (unit -> 'a) -> 'a
+val with_log_ctx : ?compile_id:int -> ?pass:string -> (unit -> 'a) -> 'a
 (** Attach context to every record emitted inside the callback.  Fields
     merge with the enclosing context (entering a pass keeps the compile
     id); when no sink is installed the callback runs directly and the
@@ -657,9 +652,9 @@ val log :
   ?fields:(string * Json.t) list ->
   unit ->
   unit
-(** Emit one record on the ambient sink with the ambient context and — if
-    a trace is also ambient — the current simulated clock; no-op when no
-    sink is installed. *)
+(** Emit one record on the ambient sink with the ambient context (compile
+    id, pass, executing node) and — if a trace is also ambient — the
+    current simulated clock; no-op when no sink is installed. *)
 
 val log_debug : event:string -> ?fields:(string * Json.t) list -> string -> unit
 val log_info : event:string -> ?fields:(string * Json.t) list -> string -> unit

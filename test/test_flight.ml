@@ -39,27 +39,115 @@ let ambient_context_attribution () =
   let sink = Obs.Log.create () in
   Obs.with_log sink (fun () ->
       Obs.log_info ~event:"outer" "before any context";
-      Obs.with_log_ctx ~compile_id:7 ~pass:"plan" (fun () ->
-          Obs.with_log_ctx ~region:3 ~node:11 (fun () ->
+      Obs.with_log_ctx ~compile_id:7 (fun () ->
+          Obs.with_log_ctx ~pass:"plan" (fun () ->
+              Obs.set_node 11;
               Obs.log_warn ~event:"inner"
                 ~fields:[ ("k", Obs.Json.Int 1) ]
-                "nested context")));
+                "nested context";
+              Obs.set_node (-1))));
   (* outside the callback the sink is gone: emission is a no-op *)
   Obs.log_error ~event:"orphan" "no ambient sink";
   match Obs.Log.records sink with
   | [ outer; inner ] ->
       checki "no context: compile_id unattributed" (-1) outer.Obs.Log.compile_id;
       check Alcotest.string "no context: pass empty" "" outer.Obs.Log.pass;
+      checki "no context: node unattributed" (-1) outer.Obs.Log.node;
       checki "nested: compile id from the outer frame" 7 inner.Obs.Log.compile_id;
-      check Alcotest.string "nested: pass from the outer frame" "plan"
+      check Alcotest.string "nested: pass from the inner frame" "plan"
         inner.Obs.Log.pass;
-      checki "nested: region from the inner frame" 3 inner.Obs.Log.region;
-      checki "nested: node from the inner frame" 11 inner.Obs.Log.node;
+      checki "ambient log records carry no region" (-1) inner.Obs.Log.region;
+      checki "node from the context" 11 inner.Obs.Log.node;
       checki "emitting domain recorded" ((Domain.self () :> int)) inner.Obs.Log.domain;
       checkb "structured fields kept" true
         (inner.Obs.Log.fields = [ ("k", Obs.Json.Int 1) ]);
       checkb "level helper sets the level" true (inner.Obs.Log.level = Obs.Log.Warn)
   | rs -> Alcotest.failf "expected 2 records, got %d" (List.length rs)
+
+(* The context is domain-local: a spawned domain starts with no handles
+   and node -1, and what it installs stays in that domain. *)
+let spawned_domain_starts_empty () =
+  let p = Obs.Profile.create () in
+  let sink = Obs.Log.create () in
+  let child_sink = Obs.Log.create () in
+  Obs.with_profile p @@ fun () ->
+  Obs.with_trace (Obs.Trace.create ()) @@ fun () ->
+  Obs.with_metrics (Obs.Metrics.create ()) @@ fun () ->
+  Obs.with_log sink @@ fun () ->
+  Obs.with_log_ctx ~compile_id:5 ~pass:"plan" @@ fun () ->
+  Obs.set_node 9;
+  let child =
+    Domain.spawn (fun () ->
+        let fresh =
+          Obs.current () = None
+          && Obs.current_trace () = None
+          && Obs.current_metrics () = None
+          && Obs.current_node () = -1
+        in
+        (* no sink here yet: this record must reach no one *)
+        Obs.log_info ~event:"child.orphan" "";
+        Obs.with_profile (Obs.Profile.create ()) (fun () ->
+            Obs.with_log child_sink (fun () ->
+                Obs.with_log_ctx ~compile_id:99 (fun () ->
+                    Obs.set_node 42;
+                    Obs.log_info ~event:"child" "")));
+        fresh)
+  in
+  checkb "spawned domain sees no handle and node -1" true (Domain.join child);
+  checkb "parent profile kept" true
+    (match Obs.current () with Some q -> q == p | None -> false);
+  checki "parent node kept" 9 (Obs.current_node ());
+  Obs.log_info ~event:"parent" "";
+  Obs.set_node (-1);
+  (match Obs.Log.records child_sink with
+  | [ r ] ->
+      checki "child record: own compile id" 99 r.Obs.Log.compile_id;
+      check Alcotest.string "child record: no inherited pass" "" r.Obs.Log.pass;
+      checki "child record: own node" 42 r.Obs.Log.node
+  | rs -> Alcotest.failf "child sink: expected 1 record, got %d" (List.length rs));
+  match Obs.Log.records sink with
+  | [ r ] ->
+      check Alcotest.string "only the parent's record" "parent" r.Obs.Log.event;
+      checki "parent compile id kept" 5 r.Obs.Log.compile_id;
+      check Alcotest.string "parent pass kept" "plan" r.Obs.Log.pass;
+      checki "parent record node" 9 r.Obs.Log.node
+  | rs -> Alcotest.failf "parent sink: expected 1 record, got %d" (List.length rs)
+
+(* A record emitted while the interpreter executes a node carries that
+   node; the const resolver runs inside each [Const] node's execution.
+   After [Interp.run] returns or raises the node is -1 again. *)
+let interp_publishes_executing_node () =
+  let p = Ckks.Params.fig1 in
+  let managed, _ = Resbm.Driver.compile p (fig1_block ()) in
+  let d = 8 in
+  let is_const_node name id =
+    id >= 0
+    && (Fhe_ir.Dfg.node managed id).Fhe_ir.Dfg.kind = Fhe_ir.Op.Const { name }
+  in
+  let consts name =
+    Obs.log_info ~event:"const" ~fields:[ ("name", Obs.Json.String name) ] "";
+    const_env ~dim:d name
+  in
+  let env = { Fhe_ir.Interp.inputs = [ ("x", input_env ~dim:d 5L) ]; consts } in
+  let sink = Obs.Log.create () in
+  Obs.with_log sink (fun () ->
+      ignore (Fhe_ir.Interp.run (Ckks.Evaluator.create p) managed env));
+  checki "node cleared after run returns" (-1) (Obs.current_node ());
+  let records = Obs.Log.records sink in
+  checkb "every const resolved under the log" true (List.length records >= 8);
+  List.iter
+    (fun (r : Obs.Log.record) ->
+      match r.Obs.Log.fields with
+      | [ ("name", Obs.Json.String name) ] ->
+          checkb ("record carries the node of " ^ name) true
+            (is_const_node name r.Obs.Log.node)
+      | _ -> Alcotest.fail "unexpected record fields")
+    records;
+  let failing = { env with Fhe_ir.Interp.consts = (fun _ -> failwith "resolver") } in
+  (match Fhe_ir.Interp.run (Ckks.Evaluator.create p) managed failing with
+  | _ -> Alcotest.fail "expected the resolver failure"
+  | exception Failure _ -> ());
+  checki "node cleared after run raises" (-1) (Obs.current_node ())
 
 let jsonl_round_trip () =
   let sink = Obs.Log.create () in
@@ -287,4 +375,6 @@ let suite =
     case "health: warn-only rules never flip the verdict" health_warn_rules_never_flip;
     case "health: refutations gate from the log stream" health_refutations_fail_from_logs;
     case "lint: stdout-in-lib flags raw prints" lint_flags_raw_stdout;
+    case "spawned domain starts with an empty context" spawned_domain_starts_empty;
+    case "interp publishes the executing node" interp_publishes_executing_node;
   ]

@@ -1,6 +1,5 @@
 (* Obs.Stat and Obs.Metrics: the median, histogram bucket and quantile
-   edge cases, Prometheus exposition, and the JSON round-trip through the
-   strict Obs parser. *)
+   edge cases and the JSON round-trip through the strict Obs parser. *)
 open Test_util
 
 (* --- Stat ----------------------------------------------------------------- *)
@@ -100,29 +99,6 @@ let labels_canonicalised () =
   Obs.Metrics.set m "g" 2.5;
   checkb "gauge keeps the last assignment" true (Obs.Metrics.gauge m "g" = Some 2.5)
 
-(* --- Prometheus exposition ------------------------------------------------- *)
-
-let prometheus_exposition () =
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.incr m ~by:3 ~labels:[ ("op", "mul.cc") ] "fhe ops-total";
-  Obs.Metrics.set m "clock" 12.5;
-  Obs.Metrics.observe m "lat" 1.0;
-  Obs.Metrics.observe m "lat" 4.0;
-  let text = Obs.Metrics.to_prometheus m in
-  let has needle =
-    let nl = String.length needle and tl = String.length text in
-    let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
-    go 0
-  in
-  checkb "metric names are sanitised" true (has "resbm_fhe_ops_total");
-  checkb "label values escape dots verbatim" true (has "{op=\"mul.cc\"}");
-  checkb "counter TYPE line" true (has "# TYPE resbm_fhe_ops_total counter");
-  checkb "gauge TYPE line" true (has "# TYPE resbm_clock gauge");
-  checkb "histogram TYPE line" true (has "# TYPE resbm_lat histogram");
-  checkb "cumulative buckets end at +Inf" true (has "resbm_lat_bucket{le=\"+Inf\"} 2");
-  checkb "histogram sum series" true (has "resbm_lat_sum 5");
-  checkb "histogram count series" true (has "resbm_lat_count 2")
-
 (* --- JSON round-trip through the strict parser ----------------------------- *)
 
 let metrics_json_roundtrip () =
@@ -199,7 +175,6 @@ let suite =
     case "hist: quantiles ordered and clamped" hist_quantiles_ordered;
     case "hist: under/overflow keep exact min/max" hist_extreme_values;
     case "labels canonicalised, gauges overwrite" labels_canonicalised;
-    case "prometheus exposition" prometheus_exposition;
     case "metrics JSON round-trips strict parser" metrics_json_roundtrip;
     case "of_trace folds ops, regions, instants" of_trace_folds;
     case "ambient registry install/restore" ambient_install;

@@ -27,15 +27,6 @@ let counter_semantics () =
     [ ("x", 42); ("y", 1) ]
     (Obs.Profile.counters p)
 
-let series_semantics () =
-  let p = Obs.Profile.create () in
-  check (Alcotest.list (Alcotest.float 0.0)) "absent series empty" []
-    (Obs.Profile.series p "v");
-  Obs.Profile.observe p "v" 1.5;
-  Obs.Profile.observe p "v" 2.5;
-  check (Alcotest.list (Alcotest.float 0.0)) "insertion order" [ 1.5; 2.5 ]
-    (Obs.Profile.series p "v")
-
 (* --- Spans --------------------------------------------------------------- *)
 
 let span_semantics () =
@@ -69,19 +60,15 @@ let ambient_noop_and_install () =
   checkb "no ambient profile by default" true (Obs.current () = None);
   (* conveniences must be harmless without a profile *)
   Obs.incr "nope";
-  Obs.observe "nope" 1.0;
   checki "span passes through" 3 (Obs.span "s" (fun () -> 3));
   let p = Obs.Profile.create () in
   Obs.with_profile p (fun () ->
       Obs.incr "hit";
-      Obs.observe "val" 2.0;
       ignore (Obs.span "timed" (fun () -> ()));
       checkb "installed" true
         (match Obs.current () with Some q -> q == p | None -> false));
   checkb "restored after" true (Obs.current () = None);
   checki "counter recorded" 1 (Obs.Profile.counter p "hit");
-  check (Alcotest.list (Alcotest.float 0.0)) "series recorded" [ 2.0 ]
-    (Obs.Profile.series p "val");
   checki "span recorded" 1 (List.length (Obs.Profile.spans p))
 
 let ambient_maxflow_counters () =
@@ -142,25 +129,14 @@ let json_float_roundtrip =
 let json_profile_serialisation () =
   let p = Obs.Profile.create () in
   Obs.Profile.incr ~by:3 p "c";
-  Obs.Profile.observe p "s" 1.0;
-  Obs.Profile.observe p "s" 3.0;
   ignore (Obs.Profile.span p "phase" (fun () -> ()));
   let json = Obs.Profile.to_json p in
   (match Obs.Json.of_string (Obs.Json.to_string json) with
   | Ok v -> checkb "profile JSON round-trips" true (v = json)
   | Error m -> Alcotest.fail m);
-  (match Obs.Json.member "counters" json with
+  match Obs.Json.member "counters" json with
   | Some (Obs.Json.Obj [ ("c", Obs.Json.Int 3) ]) -> ()
-  | _ -> Alcotest.fail "counters object malformed");
-  match Obs.Json.member "series" json with
-  | Some (Obs.Json.Obj [ ("s", series) ]) -> (
-      (match Obs.Json.member "count" series with
-      | Some (Obs.Json.Int 2) -> ()
-      | _ -> Alcotest.fail "series count");
-      match Obs.Json.member "sum" series with
-      | Some (Obs.Json.Float sum) -> check_float ~eps:1e-9 "series sum" 4.0 sum
-      | _ -> Alcotest.fail "series sum")
-  | _ -> Alcotest.fail "series object malformed"
+  | _ -> Alcotest.fail "counters object malformed"
 
 (* --- Compile-pipeline profile regression ----------------------------------- *)
 
@@ -180,8 +156,6 @@ let compile_profile_regression () =
   checkb "maxflow ran" true (Obs.Profile.counter p "maxflow.runs" > 0);
   checkb "bfs phases counted" true (Obs.Profile.counter p "maxflow.bfs_phases" > 0);
   checkb "augmenting paths counted" true (Obs.Profile.counter p "maxflow.aug_paths" > 0);
-  checkb "per-region cut values recorded" true (Obs.Profile.series p "smoplc.cut_value" <> []);
-  checkb "DP dimensions recorded" true (Obs.Profile.series p "btsmgr.dp_regions" <> []);
   (* the full report serialises and parses back identically *)
   let json = Resbm.Report.to_json report in
   match Obs.Json.of_string (Obs.Json.to_string json) with
@@ -205,7 +179,6 @@ let suite =
   [
     case "timer: monotone" timer_monotone;
     case "counter: semantics" counter_semantics;
-    case "series: semantics" series_semantics;
     case "span: nesting and results" span_semantics;
     case "span: recorded on exception" span_records_on_exception;
     case "ambient: no-op without profile, records with one" ambient_noop_and_install;
