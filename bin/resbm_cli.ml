@@ -8,7 +8,7 @@
      regions                   show the region partition of a model
      sweep                     l_max sweep for one model (Figure 7 style)
      lint                      verify + lint a compiled model
-     certify                   re-check min-cut certificates + abstract-interpretation safety
+     certify                   re-check min-cut certificates + level and noise safety
      cache                     on-disk plan cache stats / clear
      bench-diff                gate a candidate bench file against a baseline
      explain                   cost waterfall + per-bootstrap min-cut rationale
@@ -937,8 +937,8 @@ let certify_cmd =
        ~doc:
          "Compile the model/manager matrix and check every plan's evidence: re-verify \
           each min-cut optimality certificate (LP duality), prove level/capacity \
-          safety by interval abstract interpretation, and prove noise safety by a \
-          sound noise-bound analysis.  Warm plan-cache hits re-check their stored \
+          safety by re-deriving the Table 1 scale rules, and check the static noise \
+          estimate against the modulus chain.  Warm plan-cache hits re-check their stored \
           certificates, so a corrupted cache entry is refuted rather than served.  \
           Exit 2 when any plan is refuted.")
     Term.(

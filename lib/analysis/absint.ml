@@ -1,7 +1,7 @@
-(* Concrete abstract-interpretation analyses on top of the generic
-   Dataflow engine: level/scale intervals, a sound noise bound, and
-   def-use liveness.  Each is a DOMAIN plus a transfer function; the
-   engine supplies ordering, joins and convergence. *)
+(* Certification checks over a managed DFG.  The graph is a DAG with fixed
+   input levels, so each forward fact is one fold in [Dfg.topo_order] and
+   liveness is one fold in reverse: level/scale intervals re-derived from
+   Table 1, modulus fit of the noise model, and def-use liveness. *)
 
 open Fhe_ir
 
@@ -11,65 +11,15 @@ open Fhe_ir
 
 type interval = { s_lo : int; s_hi : int; l_lo : int; l_hi : int; is_ct : bool }
 
-type scale_value = Bot | Iv of interval
-
-(* Widening blows a still-moving bound to its extreme; scales are bounded
-   by [max_scale_bits] rather than [max_int] so arithmetic on widened
-   values cannot overflow. *)
-let max_scale_bits = 1 lsl 20
-
-let max_level_bound = 1 lsl 20
-
-module Scale_domain = struct
-  type t = scale_value
-
-  let bottom = Bot
-  let equal (a : t) (b : t) = a = b
-
-  let join_iv a b =
-    {
-      s_lo = min a.s_lo b.s_lo;
-      s_hi = max a.s_hi b.s_hi;
-      l_lo = min a.l_lo b.l_lo;
-      l_hi = max a.l_hi b.l_hi;
-      is_ct = a.is_ct || b.is_ct;
-    }
-
-  let join a b =
-    match (a, b) with
-    | Bot, v | v, Bot -> v
-    | Iv a, Iv b -> Iv (join_iv a b)
-
-  let widen old v =
-    match (old, v) with
-    | Bot, v -> v
-    | v, Bot -> v
-    | Iv o, Iv n ->
-        Iv
-          {
-            s_lo = (if n.s_lo < o.s_lo then 0 else o.s_lo);
-            s_hi = (if n.s_hi > o.s_hi then max_scale_bits else o.s_hi);
-            l_lo = (if n.l_lo < o.l_lo then 0 else o.l_lo);
-            l_hi = (if n.l_hi > o.l_hi then max_level_bound else o.l_hi);
-            is_ct = o.is_ct || n.is_ct;
-          }
-end
-
-module Scale_solver = Dataflow.Make (Scale_domain)
-
-let exact ~s ~l ~is_ct = Iv { s_lo = s; s_hi = s; l_lo = l; l_hi = l; is_ct }
+let exact ~s ~l ~is_ct = { s_lo = s; s_hi = s; l_lo = l; l_hi = l; is_ct }
 
 (* Mirrors the lenient Scale_check propagation (Table 1 with clamping) on
    intervals.  Constants are plaintexts: their encoding scale is the
    waterline for multiplications and the ciphertext's scale for additions,
    so consumers never read a constant's own entry beyond [is_ct]. *)
-let scale_transfer (prm : Ckks.Params.t) (node : Dfg.node) ~get _joined =
+let scale_transfer (prm : Ckks.Params.t) (iv : interval array) (node : Dfg.node) =
   let q = prm.scale_bits and qw = prm.waterline_bits in
-  let arg i =
-    match get node.args.(i) with
-    | Iv v -> v
-    | Bot -> { s_lo = qw; s_hi = qw; l_lo = 0; l_hi = 0; is_ct = false }
-  in
+  let arg i = iv.(node.args.(i)) in
   let ct_operand () =
     let a = arg 0 in
     if a.is_ct || Array.length node.args < 2 then a
@@ -99,230 +49,135 @@ let scale_transfer (prm : Ckks.Params.t) (node : Dfg.node) ~get _joined =
       let c = ct_operand () in
       let s_lo = min c.s_lo (if a.is_ct && b.is_ct then min a.s_lo b.s_lo else c.s_lo)
       and s_hi = max c.s_hi (if a.is_ct && b.is_ct then max a.s_hi b.s_hi else c.s_hi) in
-      Iv { s_lo; s_hi; l_lo; l_hi; is_ct = true }
-  | Op.Add_cp -> Iv { (ct_operand ()) with is_ct = true }
+      { s_lo; s_hi; l_lo; l_hi; is_ct = true }
+  | Op.Add_cp -> { (ct_operand ()) with is_ct = true }
   | Op.Mul_cc ->
       let a = arg 0 and b = arg 1 in
       let l_lo, l_hi = join_level a b in
-      Iv { s_lo = a.s_lo + b.s_lo; s_hi = a.s_hi + b.s_hi; l_lo; l_hi; is_ct = true }
+      { s_lo = a.s_lo + b.s_lo; s_hi = a.s_hi + b.s_hi; l_lo; l_hi; is_ct = true }
   | Op.Mul_cp ->
       let a = ct_operand () in
-      Iv { a with s_lo = a.s_lo + qw; s_hi = a.s_hi + qw; is_ct = true }
-  | Op.Rotate _ | Op.Relin -> Iv { (arg 0) with is_ct = true }
+      { a with s_lo = a.s_lo + qw; s_hi = a.s_hi + qw; is_ct = true }
+  | Op.Rotate _ | Op.Relin -> { (arg 0) with is_ct = true }
   | Op.Rescale ->
       let a = arg 0 in
-      Iv
-        {
-          s_lo = max (a.s_lo - q) 1;
-          s_hi = max (a.s_hi - q) 1;
-          l_lo = max (a.l_lo - 1) 0;
-          l_hi = max (a.l_hi - 1) 0;
-          is_ct = true;
-        }
+      {
+        s_lo = max (a.s_lo - q) 1;
+        s_hi = max (a.s_hi - q) 1;
+        l_lo = max (a.l_lo - 1) 0;
+        l_hi = max (a.l_hi - 1) 0;
+        is_ct = true;
+      }
   | Op.Modswitch ->
       let a = arg 0 in
-      Iv { a with l_lo = max (a.l_lo - 1) 0; l_hi = max (a.l_hi - 1) 0; is_ct = true }
+      { a with l_lo = max (a.l_lo - 1) 0; l_hi = max (a.l_hi - 1) 0; is_ct = true }
   | Op.Bootstrap target -> exact ~s:q ~l:target ~is_ct:true
 
-let solve_intervals prm g =
-  Scale_solver.solve g ~init:(fun _ -> Bot) ~transfer:(scale_transfer prm)
+(* An entry the fold never computes — a dead node, read only as the
+   argument of a malformed graph — is a level-0 plaintext at the
+   waterline. *)
+let solve_intervals (prm : Ckks.Params.t) g =
+  let qw = prm.waterline_bits in
+  let iv = Array.make (Dfg.node_count g) (exact ~s:qw ~l:0 ~is_ct:false) in
+  List.iter
+    (fun id -> iv.(id) <- scale_transfer prm iv (Dfg.node g id))
+    (Dfg.topo_order g);
+  iv
 
-let check_levels ?scales prm g =
-  Obs.span "absint.levels" @@ fun () ->
-  let r = solve_intervals prm g in
-  let concrete =
-    match scales with Some s -> s | None -> Scale_check.infer prm g
-  in
+let check_levels ~(scales : Scale_check.info array) prm g =
+  let iv = solve_intervals prm g in
   let ds = ref [] in
   let err ~node rule fmt = Format.kasprintf (fun m -> ds := Diag.error ~node rule "%s" m :: !ds) fmt in
   List.iter
     (fun (n : Dfg.node) ->
       let id = n.id in
       if Op.produces_ct n.kind then begin
-        match r.Scale_solver.output.(id) with
-        | Bot -> err ~node:id "absint-bottom" "ciphertext never reached by the analysis"
-        | Iv v ->
-            (* Worst corner: highest scale at lowest level. *)
-            if not (Ckks.Evaluator.capacity_ok prm ~scale_bits:v.s_hi ~level:v.l_lo) then
-              err ~node:id "absint-capacity"
-                "cannot prove capacity: scale interval reaches 2^%d at level %d" v.s_hi
-                v.l_lo;
-            (match n.kind with
-            | Op.Rescale | Op.Modswitch -> (
-                match r.Scale_solver.output.(n.args.(0)) with
-                | Iv a when a.l_lo < 1 ->
-                    err ~node:id "absint-level" "level may underflow: operand level interval reaches %d"
-                      a.l_lo
-                | _ -> ())
-            | _ -> ());
-            (* The concrete lenient propagation must lie inside the
-               abstraction — this is the soundness cross-check. *)
-            let c = concrete.(id) in
-            if c.Scale_check.is_ct
-               && (c.Scale_check.scale_bits < v.s_lo
-                  || c.Scale_check.scale_bits > v.s_hi
-                  || c.Scale_check.level < v.l_lo
-                  || c.Scale_check.level > v.l_hi)
-            then
-              err ~node:id "absint-diverged"
-                "concrete (2^%d, L%d) escapes the abstract interval ([%d,%d], [L%d,L%d])"
-                c.Scale_check.scale_bits c.Scale_check.level v.s_lo v.s_hi v.l_lo v.l_hi
+        let v = iv.(id) in
+        (* Worst corner: highest scale at lowest level. *)
+        if not (Ckks.Evaluator.capacity_ok prm ~scale_bits:v.s_hi ~level:v.l_lo) then
+          err ~node:id "absint-capacity"
+            "cannot prove capacity: scale interval reaches 2^%d at level %d" v.s_hi v.l_lo;
+        (* A dead operand (malformed graph) carries no level to judge. *)
+        (match n.kind with
+        | Op.Rescale | Op.Modswitch when not (Dfg.node g n.args.(0)).dead ->
+            let a = iv.(n.args.(0)) in
+            if a.l_lo < 1 then
+              err ~node:id "absint-level" "level may underflow: operand level interval reaches %d"
+                a.l_lo
+        | _ -> ());
+        (* The concrete lenient propagation must lie inside the
+           re-derived interval — the cross-check of two independent
+           readings of Table 1. *)
+        let c = scales.(id) in
+        if c.Scale_check.is_ct
+           && (c.Scale_check.scale_bits < v.s_lo
+              || c.Scale_check.scale_bits > v.s_hi
+              || c.Scale_check.level < v.l_lo
+              || c.Scale_check.level > v.l_hi)
+        then
+          err ~node:id "absint-diverged"
+            "concrete (2^%d, L%d) escapes the abstract interval ([%d,%d], [L%d,L%d])"
+            c.Scale_check.scale_bits c.Scale_check.level v.s_lo v.s_hi v.l_lo v.l_hi
       end)
     (Dfg.live_nodes g);
   Diag.sort !ds
 
 (* ------------------------------------------------------------------ *)
-(* Sound noise bound.                                                  *)
+(* Noise fit.                                                          *)
 (* ------------------------------------------------------------------ *)
-
-type noise_bound = { mag : float; noise : float }
-
-type noise_value = NBot | Nv of noise_bound
-
-module Noise_domain = struct
-  type t = noise_value
-
-  let bottom = NBot
-  let equal (a : t) (b : t) = a = b
-
-  let join a b =
-    match (a, b) with
-    | NBot, v | v, NBot -> v
-    | Nv a, Nv b -> Nv { mag = Float.max a.mag b.mag; noise = Float.max a.noise b.noise }
-
-  let widen old v =
-    match (old, v) with
-    | NBot, v -> v
-    | v, NBot -> v
-    | Nv o, Nv n ->
-        Nv
-          {
-            mag = (if n.mag > o.mag then infinity else o.mag);
-            noise = (if n.noise > o.noise then infinity else o.noise);
-          }
-end
-
-module Noise_solver = Dataflow.Make (Noise_domain)
-
-let rms2 a b = sqrt ((a *. a) +. (b *. b))
-let pow2 bits = 2.0 ** bits
-
-(* Mirrors Noise_check's RMS model on upper bounds.  Every rule is
-   monotone in both components, so propagating per-node upper bounds
-   yields a sound over-approximation of the concrete estimate. *)
-let noise_transfer ~input_magnitude ~magnitude_cap ~const_magnitude
-    (scales : Scale_check.info array) (node : Dfg.node) ~get _joined =
-  let arg i = match get node.args.(i) with Nv v -> v | NBot -> { mag = 0.0; noise = 0.0 } in
-  let cap m = Float.min m magnitude_cap in
-  let scale_bits id = float_of_int scales.(id).Scale_check.scale_bits in
-  let fresh = pow2 (Noise_check.fresh_noise_bits -. scale_bits node.id) in
-  let v =
-    match node.kind with
-    | Op.Input _ -> { mag = input_magnitude; noise = fresh }
-    | Op.Const { name } ->
-        { mag = const_magnitude name; noise = pow2 (-.scale_bits node.id) }
-    | Op.Add_cc | Op.Add_cp ->
-        let a = arg 0 and b = arg 1 in
-        { mag = cap (a.mag +. b.mag); noise = rms2 a.noise b.noise }
-    | Op.Mul_cc | Op.Mul_cp ->
-        let a = arg 0 and b = arg 1 in
-        {
-          mag = cap (a.mag *. b.mag);
-          noise = rms2 (rms2 (a.mag *. b.noise) (b.mag *. a.noise)) fresh;
-        }
-    | Op.Rotate _ | Op.Relin ->
-        let a = arg 0 in
-        {
-          a with
-          noise = rms2 a.noise (pow2 (Noise_check.rotate_noise_bits -. scale_bits node.id));
-        }
-    | Op.Rescale ->
-        let a = arg 0 in
-        { a with noise = rms2 a.noise fresh }
-    | Op.Modswitch -> arg 0
-    | Op.Bootstrap _ ->
-        let a = arg 0 in
-        { a with noise = rms2 a.noise (pow2 (-.Noise_check.bootstrap_precision_bits)) }
-  in
-  Nv v
 
 (* Headroom the encoding needs on top of the scaled signal: sign bit plus
    rounding conventions — small, but not zero (a full-capacity scale with
    magnitude exactly 1.0 is legal for the evaluator). *)
 let encoding_slack_bits = 2.0
 
-let check_noise ?(input_magnitude = 1.0) ?(magnitude_cap = 1.0)
-    ?(const_magnitude = fun _ -> 1.0) ?scales prm g =
-  Obs.span "absint.noise" @@ fun () ->
-  let scales =
-    match scales with Some s -> s | None -> Scale_check.infer prm g
-  in
-  let r =
-    Noise_solver.solve g
-      ~init:(fun _ -> NBot)
-      ~transfer:(noise_transfer ~input_magnitude ~magnitude_cap ~const_magnitude scales)
-  in
-  let reference =
-    Noise_check.analyse ~input_magnitude ~magnitude_cap ~const_magnitude prm g
-  in
+let check_noise ~(scales : Scale_check.info array) prm g =
+  let per_node = (Noise_check.analyse prm g).Noise_check.per_node in
   let q = prm.Ckks.Params.scale_bits and q0 = prm.Ckks.Params.q0_bits in
   let ds = ref [] in
-  let err ~node rule fmt = Format.kasprintf (fun m -> ds := Diag.error ~node rule "%s" m :: !ds) fmt in
   let is_output = Array.make (Dfg.node_count g) false in
   List.iter (fun o -> is_output.(o) <- true) (Dfg.outputs g);
-  (* Modulus-fit is a cannot-prove finding, not a refutation: the bound
-     is a worst-case over-approximation (on deep circuits it is orders of
+  (* Modulus-fit is a cannot-prove finding, not a refutation: the model
+     is a worst-case magnitude bound (on deep circuits it is orders of
      magnitude above the run — {!Fhe_ir.Noise_check.check_trace}'s own
      tolerance is two orders), and scale-capacity fit is already proven
      by {!check_levels}.  Summarised as one graph-level warning naming
-     the worst node.  Error severity is reserved for soundness breaks:
-     a bound below the concrete estimate, a NaN bound, or an unreached
-     ciphertext. *)
+     the worst node.  Error severity is reserved for a NaN estimate. *)
   let unproven = ref 0 and worst_node = ref (-1) and worst_bits = ref neg_infinity in
   let worst_modulus = ref 0 in
   List.iter
     (fun (n : Dfg.node) ->
       let id = n.id in
       if Op.produces_ct n.kind then begin
-        match r.Noise_solver.output.(id) with
-        | NBot -> err ~node:id "absint-bottom" "ciphertext never reached by the noise analysis"
-        | Nv v ->
-            let s = scales.(id).Scale_check.scale_bits
-            and l = scales.(id).Scale_check.level in
-            if Float.is_nan v.mag || Float.is_nan v.noise then
-              err ~node:id "absint-noise-nan" "noise bound is NaN (mag %g, noise %g)"
-                v.mag v.noise
-            else begin
-              (* Scaled signal plus noise fitting the RNS modulus chain
-                 q0 * q^level at this level. *)
-              let modulus_bits = float_of_int (q0 + (l * q)) in
-              let signal_bits =
-                if v.mag +. v.noise <= 0.0 then neg_infinity
-                else Float.log2 (v.mag +. v.noise) +. float_of_int s
-              in
-              if signal_bits > modulus_bits +. encoding_slack_bits then begin
-                incr unproven;
-                if signal_bits -. modulus_bits > !worst_bits then begin
-                  worst_bits := signal_bits -. modulus_bits;
-                  worst_node := id;
-                  worst_modulus := q0 + (l * q)
-                end
-              end
-            end;
-            (* The abstraction must dominate the concrete estimate. *)
-            let c = reference.Noise_check.per_node.(id) in
-            if
-              v.mag +. 1e-12 < c.Noise_check.magnitude
-              || v.noise +. 1e-12 < c.Noise_check.noise *. (1.0 -. 1e-9)
-            then
-              err ~node:id "absint-diverged"
-                "abstract bound (mag %g, noise %g) below the concrete estimate (mag %g, noise %g)"
-                v.mag v.noise c.Noise_check.magnitude c.Noise_check.noise;
-            if is_output.(id) && v.noise >= v.mag && v.mag > 0.0 then
-              ds :=
-                Diag.warning ~node:id "absint-precision"
-                  "output noise bound %g reaches the signal bound %g" v.noise v.mag
-                :: !ds
+        let { Noise_check.magnitude = mag; noise } = per_node.(id) in
+        let s = scales.(id).Scale_check.scale_bits and l = scales.(id).Scale_check.level in
+        if Float.is_nan mag || Float.is_nan noise then
+          ds :=
+            Diag.error ~node:id "absint-noise-nan" "noise bound is NaN (mag %g, noise %g)" mag
+              noise
+            :: !ds
+        else begin
+          (* Scaled signal plus noise fitting the RNS modulus chain
+             q0 * q^level at this level. *)
+          let modulus_bits = float_of_int (q0 + (l * q)) in
+          let signal_bits =
+            if mag +. noise <= 0.0 then neg_infinity
+            else Float.log2 (mag +. noise) +. float_of_int s
+          in
+          if signal_bits > modulus_bits +. encoding_slack_bits then begin
+            incr unproven;
+            if signal_bits -. modulus_bits > !worst_bits then begin
+              worst_bits := signal_bits -. modulus_bits;
+              worst_node := id;
+              worst_modulus := q0 + (l * q)
+            end
+          end
+        end;
+        if is_output.(id) && noise >= mag && mag > 0.0 then
+          ds :=
+            Diag.warning ~node:id "absint-precision"
+              "output noise bound %g reaches the signal bound %g" noise mag
+            :: !ds
       end)
     (Dfg.live_nodes g);
   if !unproven > 0 then
@@ -342,29 +197,24 @@ let check_noise ?(input_magnitude = 1.0) ?(magnitude_cap = 1.0)
 
 module Int_set = Set.Make (Int)
 
-module Live_domain = struct
-  type t = Int_set.t
-
-  let bottom = Int_set.empty
-  let equal = Int_set.equal
-  let join = Int_set.union
-  let widen = Int_set.union
-end
-
-module Live_solver = Dataflow.Make (Live_domain)
-
 type liveness = { live_in : Int_set.t array; live_out : Int_set.t array }
 
 let liveness g =
-  let uses (node : Dfg.node) =
-    Array.fold_left
-      (fun acc a ->
-        if Op.produces_ct (Dfg.node g a).Dfg.kind then Int_set.add a acc else acc)
-      Int_set.empty node.args
-  in
-  let r =
-    Live_solver.solve ~direction:Dataflow.Backward g
-      ~init:(fun _ -> Int_set.empty)
-      ~transfer:(fun node ~get:_ after -> Int_set.union (uses node) (Int_set.remove node.id after))
-  in
-  { live_in = r.Live_solver.output; live_out = r.Live_solver.input }
+  let n = Dfg.node_count g in
+  let live_in = Array.make n Int_set.empty and live_out = Array.make n Int_set.empty in
+  List.iter
+    (fun id ->
+      let node = Dfg.node g id in
+      let after =
+        List.fold_left (fun acc u -> Int_set.union acc live_in.(u)) Int_set.empty node.users
+      in
+      let uses =
+        Array.fold_left
+          (fun acc a ->
+            if Op.produces_ct (Dfg.node g a).Dfg.kind then Int_set.add a acc else acc)
+          Int_set.empty node.args
+      in
+      live_out.(id) <- after;
+      live_in.(id) <- Int_set.union uses (Int_set.remove id after))
+    (List.rev (Dfg.topo_order g));
+  { live_in; live_out }

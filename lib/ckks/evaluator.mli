@@ -139,3 +139,19 @@ val refresh : t -> Ciphertext.t -> Ciphertext.t
 val capacity_ok : Params.t -> scale_bits:int -> level:int -> bool
 (** The paper's capacity constraint
     [level >= ceil(scale_bits / q_bits) - 1]. *)
+
+(** {1 Noise model}
+
+    The RMS error the evaluator injects, in bits.  {!Fhe_ir.Noise_check}
+    propagates the same constants at compile time. *)
+
+val fresh_noise_bits : float
+(** Encryption, multiplication and rescaling add [2^(fresh - scale_bits)]. *)
+
+val rotate_noise_bits : float
+(** Key switching (rotation, relinearisation) adds
+    [2^(rotate - scale_bits)]. *)
+
+val bootstrap_precision_bits : float
+(** Bootstrapping (and {!refresh}) adds [2^-precision], independent of the
+    scale. *)

@@ -205,7 +205,7 @@ let certify_diags prm managed (report : Report.t) =
           e.Report.ce_cert)
       report.Report.certificates
   in
-  (* One concrete scale pass feeds both abstract checks' cross-validation. *)
+  (* One concrete scale pass feeds both checks. *)
   let scales = Fhe_ir.Scale_check.infer prm managed in
   let levels =
     Obs.span "certify.levels" (fun () -> Analysis.Absint.check_levels ~scales prm managed)

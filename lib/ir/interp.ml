@@ -157,12 +157,14 @@ module Session = struct
 
   let exec_raw s env id =
     let node = Dfg.node s.g id in
+    let region = s.region_of id in
     (* Attribution for the events the evaluator is about to record: node
        identity, region, loop frequency and the freq-weighted Table 2
-       cost of this node.  The executing node is published even when no
-       trace is installed, so structured errors, fault injections and log
-       records are node-attributed on untraced runs too. *)
-    Obs.set_node id;
+       cost of this node.  The executing node and its region are
+       published even when no trace is installed, so structured errors,
+       fault injections and log records are attributed on untraced runs
+       too. *)
+    Obs.set_node ~region id;
     let cost =
       match node.Dfg.kind with
       | Op.Input _ | Op.Const _ -> 0.0
@@ -174,7 +176,7 @@ module Session = struct
           (Some
              {
                Obs.Trace.node = id;
-               region = s.region_of id;
+               region;
                freq = node.Dfg.freq;
                cost_ms = cost;
              })
@@ -208,7 +210,7 @@ module Session = struct
         s.latency <- s.latency +. cost;
         s.ops <- s.ops + node.Dfg.freq;
         s.costs <-
-          { node = id; op = Op.name kind; region = s.region_of id; cost_ms = cost }
+          { node = id; op = Op.name kind; region; cost_ms = cost }
           :: s.costs);
     (* Keep the result only while a later node (or the output list) needs
        it, and free every operand whose last use this was — outputs never
@@ -238,14 +240,15 @@ module Session = struct
   let refresh s id =
     let c = ct s id in
     let go () =
-      Obs.set_node id;
+      let region = s.region_of id in
+      Obs.set_node ~region id;
       (match s.trace with
       | Some tr ->
           Obs.Trace.set_ctx tr
             (Some
                {
                  Obs.Trace.node = id;
-                 region = s.region_of id;
+                 region;
                  freq = 1;
                  cost_ms = Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:c.Ckks.Ciphertext.level;
                })
@@ -296,7 +299,7 @@ module Session = struct
     | None -> ())
 
   let clear_ctx s =
-    Obs.set_node (-1);
+    Obs.set_node ~region:(-1) (-1);
     match s.trace with Some tr -> Obs.Trace.set_ctx tr None | None -> ()
 
   let finish s =

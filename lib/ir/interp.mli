@@ -99,12 +99,12 @@ module Session : sig
   (** Simulated latency accumulated so far (including charged backoff). *)
 
   val exec : t -> env -> int -> unit
-  (** Execute the next node of {!order}: publishes it as the executing
-      node ({!Obs.set_node}), installs trace attribution, runs the
-      evaluator op, accumulates latency/op counts.  The session holds only
-      live values: the result is kept only if it is an output or used
-      later, and each operand is freed at its {!Liveness.schedule} last
-      use.
+  (** Execute the next node of {!order}: publishes it and its region as
+      the executing node ({!Obs.set_node}), installs trace attribution,
+      runs the evaluator op, accumulates latency/op counts.  The session
+      holds only live values: the result is kept only if it is an output
+      or used later, and each operand is freed at its
+      {!Liveness.schedule} last use.
       @raise Ckks.Evaluator.Fhe_error as the evaluator does (the session
       is then unchanged).
       @raise Missing_input when [env] lacks a named input. *)
@@ -142,8 +142,9 @@ module Session : sig
       installed) — retry backoff is charged this way. *)
 
   val clear_ctx : t -> unit
-  (** Clear the published executing node and trace attribution; call when
-      abandoning or finishing a session ({!run} does this on all paths). *)
+  (** Clear the published executing node, its region and trace
+      attribution; call when abandoning or finishing a session ({!run}
+      does this on all paths). *)
 
   val finish : t -> result
   (** Collect outputs and summaries.  The session must have executed every

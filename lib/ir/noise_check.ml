@@ -9,11 +9,6 @@ type report = {
 let rms2 a b = sqrt ((a *. a) +. (b *. b))
 let pow2 bits = 2.0 ** bits
 
-(* Mirrors Ckks.Evaluator's noise constants. *)
-let fresh_noise_bits = 10.0
-let rotate_noise_bits = 12.0
-let bootstrap_precision_bits = 22.0
-
 let analyse ?(input_magnitude = 1.0) ?(magnitude_cap = 1.0)
     ?(const_magnitude = fun _ -> 1.0) prm g =
   let scales = Scale_check.infer prm g in
@@ -24,7 +19,7 @@ let analyse ?(input_magnitude = 1.0) ?(magnitude_cap = 1.0)
       let node = Dfg.node g id in
       let arg i = per_node.(node.Dfg.args.(i)) in
       let scale_bits id = float_of_int scales.(id).Scale_check.scale_bits in
-      let fresh = pow2 (fresh_noise_bits -. scale_bits id) in
+      let fresh = pow2 (Ckks.Evaluator.fresh_noise_bits -. scale_bits id) in
       let v =
         match node.Dfg.kind with
         | Op.Input _ -> { magnitude = input_magnitude; noise = fresh }
@@ -43,14 +38,16 @@ let analyse ?(input_magnitude = 1.0) ?(magnitude_cap = 1.0)
             }
         | Op.Rotate _ | Op.Relin ->
             let a = arg 0 in
-            { a with noise = rms2 a.noise (pow2 (rotate_noise_bits -. scale_bits id)) }
+            let extra = pow2 (Ckks.Evaluator.rotate_noise_bits -. scale_bits id) in
+            { a with noise = rms2 a.noise extra }
         | Op.Rescale ->
             let a = arg 0 in
             { a with noise = rms2 a.noise fresh }
         | Op.Modswitch -> arg 0
         | Op.Bootstrap _ ->
             let a = arg 0 in
-            { a with noise = rms2 a.noise (pow2 (-.bootstrap_precision_bits)) }
+            let extra = pow2 (-.Ckks.Evaluator.bootstrap_precision_bits) in
+            { a with noise = rms2 a.noise extra }
       in
       per_node.(id) <- v)
     (Dfg.topo_order g);

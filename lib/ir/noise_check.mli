@@ -24,16 +24,6 @@ type report = {
   output_precision_bits : float;  (** [-log2 output_noise]. *)
 }
 
-(** {1 Model constants}
-
-    The RMS noise constants mirrored from {!Ckks.Evaluator}, exported so
-    independent analyses (e.g. {!Analysis.Absint}) can prove themselves
-    against the same model rather than duplicating magic numbers. *)
-
-val fresh_noise_bits : float
-val rotate_noise_bits : float
-val bootstrap_precision_bits : float
-
 val analyse :
   ?input_magnitude:float ->
   ?magnitude_cap:float ->

@@ -2107,7 +2107,7 @@ let chrome_trace events =
    record (no handles, no node) until it installs its own; within one
    domain each [with_*] sets one field and restores it after, also on an
    exception.  The fields are mutable so the interpreter's per-node
-   {!set_node} is a store, not an allocation. *)
+   {!set_node} is two stores, not an allocation. *)
 type ctx = {
   mutable profile : Profile.t option;
   mutable trace : Trace.t option;
@@ -2116,6 +2116,7 @@ type ctx = {
   mutable compile_id : int;  (* -1 = outside any compile *)
   mutable pass : string;  (* "" = no pass *)
   mutable node : int;  (* DFG node executing; -1 = none *)
+  mutable region : int;  (* its region; -1 = none or unattributed *)
 }
 
 let ctx_key : ctx Domain.DLS.key =
@@ -2128,6 +2129,7 @@ let ctx_key : ctx Domain.DLS.key =
         compile_id = -1;
         pass = "";
         node = -1;
+        region = -1;
       })
 
 let ctx () = Domain.DLS.get ctx_key
@@ -2176,7 +2178,11 @@ let metric_set ?labels name v =
   | Some m -> Metrics.set ?labels m name v
   | None -> ()
 
-let set_node n = (ctx ()).node <- n
+let set_node ~region n =
+  let c = ctx () in
+  c.node <- n;
+  c.region <- region
+
 let current_node () = (ctx ()).node
 
 (* --- ambient structured logging ------------------------------------------ *)
@@ -2205,7 +2211,7 @@ let log ~level ~event ?(msg = "") ?fields () =
   | Some sink ->
       let sim_ms = Option.map Trace.clock_ms c.trace in
       Log.record sink ~level ~event ~msg ?sim_ms ~compile_id:c.compile_id ~pass:c.pass
-        ~node:c.node ?fields ()
+        ~region:c.region ~node:c.node ?fields ()
 
 let log_debug ~event ?fields msg = log ~level:Log.Debug ~event ~msg ?fields ()
 let log_info ~event ?fields msg = log ~level:Log.Info ~event ~msg ?fields ()

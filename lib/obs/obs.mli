@@ -185,12 +185,13 @@ end
 (** Leveled structured logging — a ring-buffered flight recorder of log
     records, the narrative companion to {!Trace}'s op events.
 
-    Records carry automatic context (compile id, pass, executing node,
-    emitting domain) filled in by the ambient helpers ({!with_log},
-    {!with_log_ctx}, {!set_node}, {!log_info} …), free-form structured fields, and a
-    simulated-clock stamp when a trace was ambient at emission time — so
-    a record emitted mid-execution lands as an instant on the execution
-    timeline, correlated with the op spans around it.  The sink is
+    Records carry automatic context (compile id, pass, executing node and
+    region, emitting domain) filled in by the ambient helpers
+    ({!with_log}, {!with_log_ctx}, {!set_node}, {!log_info} …), free-form
+    structured fields, and a simulated-clock stamp when a trace was
+    ambient at emission time — so a record emitted mid-execution lands as
+    an instant on its region's thread of the execution timeline,
+    correlated with the op spans around it.  The sink is
     mutex-protected, like the metrics registry, so a caller may share one
     across its own domains. *)
 module Log : sig
@@ -580,10 +581,11 @@ val chrome_trace : Json.t list -> Json.t
 
     One domain-local record holds every ambient handle — profile, trace,
     metrics registry, log sink — plus the log context (compile id, pass)
-    and the DFG node executing.  Each [with_*] sets one field for the
-    extent of its callback and restores it after, also on exceptions.  A
-    domain spawned by a library caller starts with no handles and node
-    [-1], and what it installs never reaches its parent. *)
+    and the DFG node executing with its region.  Each [with_*] sets one
+    field for the extent of its callback and restores it after, also on
+    exceptions.  A domain spawned by a library caller starts with no
+    handles and node [-1], and what it installs never reaches its
+    parent. *)
 
 val with_profile : Profile.t -> (unit -> 'a) -> 'a
 (** Install [p] as the ambient profile for the extent of the callback
@@ -627,10 +629,11 @@ val metric_observe : ?labels:Metrics.labels -> string -> float -> unit
 val metric_set : ?labels:Metrics.labels -> string -> float -> unit
 (** Set a gauge on the ambient registry; no-op when none. *)
 
-val set_node : int -> unit
-(** Publish the DFG node about to execute ([-1] = none).  The interpreter
-    sets it before each node, whether or not anything else is installed;
-    fault rules target it, evaluator errors and log records carry it. *)
+val set_node : region:int -> int -> unit
+(** Publish the DFG node about to execute and its region ([-1] = none).
+    The interpreter sets both before each node, whether or not anything
+    else is installed; fault rules target the node, evaluator errors
+    carry it, and log records carry both. *)
 
 val current_node : unit -> int
 (** The executing node published by {!set_node}; [-1] outside execution. *)
@@ -653,8 +656,8 @@ val log :
   unit ->
   unit
 (** Emit one record on the ambient sink with the ambient context (compile
-    id, pass, executing node) and — if a trace is also ambient — the
-    current simulated clock; no-op when no sink is installed. *)
+    id, pass, executing node and region) and — if a trace is also ambient
+    — the current simulated clock; no-op when no sink is installed. *)
 
 val log_debug : event:string -> ?fields:(string * Json.t) list -> string -> unit
 val log_info : event:string -> ?fields:(string * Json.t) list -> string -> unit

@@ -1,7 +1,7 @@
 (* Certified plans: adversarial checks on the min-cut optimality
-   certificates, the abstract-interpretation engine behind [resbm
-   certify], the shared liveness schedule, fuel calibration, and the
-   retry-less chaos mode.
+   certificates, the level and noise checks behind [resbm certify], the
+   shared liveness schedule, fuel calibration, and the retry-less chaos
+   mode.
 
    The corruption tests are the point of the certificate design: a
    checker that only re-runs the planner would agree with any planner
@@ -194,66 +194,7 @@ let cert_accepts_planner_style_cuts =
       Analysis.Certify.ok (Analysis.Certify.check ~value:cut.MF.value cert)
       && (cut.MF.value = infinity || Float.abs (cut.MF.value -. expect) < 1e-6))
 
-(* --- Dataflow engine --------------------------------------------------- *)
-
-module Depth_domain = struct
-  type t = int
-
-  let bottom = -1
-  let equal = Int.equal
-  let join = Int.max
-  let widen = Int.max
-end
-
-module Depth_solver = Analysis.Dataflow.Make (Depth_domain)
-
-let dataflow_forward_depth () =
-  let g = fig1_block () in
-  let r =
-    Depth_solver.solve g
-      ~init:(fun _ -> -1)
-      ~transfer:(fun (n : Fhe_ir.Dfg.node) ~get _ ->
-        if Array.length n.Fhe_ir.Dfg.args = 0 then 0
-        else 1 + Array.fold_left (fun acc a -> Int.max acc (get a)) 0 n.Fhe_ir.Dfg.args)
-  in
-  (* Reference: the same recursion computed directly in topo order. *)
-  let expected = Array.make (Fhe_ir.Dfg.node_count g) 0 in
-  List.iter
-    (fun id ->
-      let n = Fhe_ir.Dfg.node g id in
-      expected.(id) <-
-        (if Array.length n.Fhe_ir.Dfg.args = 0 then 0
-         else 1 + Array.fold_left (fun acc a -> Int.max acc expected.(a)) 0 n.Fhe_ir.Dfg.args))
-    (Fhe_ir.Dfg.topo_order g);
-  Array.iteri
-    (fun id d -> checki (Printf.sprintf "node %d depth" id) expected.(id) d)
-    r.Depth_solver.output;
-  (* A DAG swept in topo order reaches the fixpoint in one visit per
-     node — the engine must not revisit. *)
-  checki "one visit per node" (Fhe_ir.Dfg.node_count g) r.Depth_solver.steps
-
-let dataflow_backward_height () =
-  let g = fig1_block () in
-  let outputs = Fhe_ir.Dfg.outputs g in
-  let r =
-    Depth_solver.solve ~direction:Analysis.Dataflow.Backward g
-      ~init:(fun _ -> -1)
-      ~transfer:(fun (n : Fhe_ir.Dfg.node) ~get:_ flowed ->
-        if List.mem n.Fhe_ir.Dfg.id outputs then 0 else flowed + 1)
-  in
-  let expected = Array.make (Fhe_ir.Dfg.node_count g) (-1) in
-  List.iter
-    (fun id ->
-      let users = Fhe_ir.Dfg.succs g id in
-      expected.(id) <-
-        (if List.mem id outputs then 0
-         else 1 + List.fold_left (fun acc u -> Int.max acc expected.(u)) (-1) users))
-    (List.rev (Fhe_ir.Dfg.topo_order g));
-  Array.iteri
-    (fun id h -> checki (Printf.sprintf "node %d height" id) expected.(id) h)
-    r.Depth_solver.output
-
-(* --- Abstract interpretation on a real managed graph ------------------- *)
+(* --- Level, noise and liveness checks on real managed graphs ----------- *)
 
 let managed_tiny =
   lazy
@@ -269,24 +210,70 @@ let absint_certifies_managed_tiny () =
 
 let absint_interval_contains_concrete () =
   let managed, _ = Lazy.force managed_tiny in
-  let r = Analysis.Absint.solve_intervals prm managed in
+  let iv = Analysis.Absint.solve_intervals prm managed in
   let concrete = Fhe_ir.Scale_check.infer prm managed in
   List.iter
     (fun (n : Fhe_ir.Dfg.node) ->
       let id = n.Fhe_ir.Dfg.id in
-      let c = concrete.(id) in
+      let c = concrete.(id) and v = iv.(id) in
+      (* On a DAG with fixed input levels every interval is one point:
+         the concrete scale and level. *)
       if c.Fhe_ir.Scale_check.is_ct then
-        match r.Analysis.Absint.Scale_solver.output.(id) with
-        | Analysis.Absint.Bot -> Alcotest.failf "node %d: ciphertext unreached" id
-        | Analysis.Absint.Iv v ->
-            checkb
-              (Printf.sprintf "node %d concrete scale/level inside the interval" id)
-              true
-              (c.Fhe_ir.Scale_check.scale_bits >= v.Analysis.Absint.s_lo
-              && c.Fhe_ir.Scale_check.scale_bits <= v.Analysis.Absint.s_hi
-              && c.Fhe_ir.Scale_check.level >= v.Analysis.Absint.l_lo
-              && c.Fhe_ir.Scale_check.level <= v.Analysis.Absint.l_hi))
+        checkb
+          (Printf.sprintf "node %d interval is the concrete scale/level" id)
+          true
+          (v.Analysis.Absint.is_ct
+          && v.Analysis.Absint.s_lo = c.Fhe_ir.Scale_check.scale_bits
+          && v.Analysis.Absint.s_hi = c.Fhe_ir.Scale_check.scale_bits
+          && v.Analysis.Absint.l_lo = c.Fhe_ir.Scale_check.level
+          && v.Analysis.Absint.l_hi = c.Fhe_ir.Scale_check.level))
     (Fhe_ir.Dfg.live_nodes managed)
+
+(* Hand-built graphs the planner never emits: the level checks must
+   refute them, naming the violated rule and nothing else. *)
+let level_rules g =
+  let scales = Fhe_ir.Scale_check.infer prm g in
+  Analysis.Absint.check_levels ~scales prm g
+
+let absint_capacity_overflow () =
+  (* A level-0 product of two 2^q operands has scale 2^2q: no room. *)
+  let g = Fhe_ir.Dfg.create () in
+  let x = Fhe_ir.Dfg.input g ~level:0 "x" in
+  let m = Fhe_ir.Dfg.mul_cc g x x in
+  Fhe_ir.Dfg.set_outputs g [ m ];
+  let ds = level_rules g in
+  checkb "capacity overflow refuted" true (Analysis.Diag.has_errors ds);
+  checkb "only absint-capacity fires" true
+    (List.for_all (( = ) "absint-capacity") (rules ds));
+  checkb "the relinearised product is named" true
+    (List.exists (fun (d : Analysis.Diag.t) -> d.Analysis.Diag.node = Some m) ds)
+
+let absint_level_underflow () =
+  let g = Fhe_ir.Dfg.create () in
+  let x = Fhe_ir.Dfg.input g ~level:0 "x" in
+  let r = Fhe_ir.Dfg.rescale g x and s = Fhe_ir.Dfg.modswitch g x in
+  Fhe_ir.Dfg.set_outputs g [ r; s ];
+  let ds = level_rules g in
+  checkb "only absint-level fires" true (List.for_all (( = ) "absint-level") (rules ds));
+  List.iter
+    (fun id ->
+      checkb
+        (Printf.sprintf "SMO %d of a level-0 operand refuted" id)
+        true
+        (List.exists (fun (d : Analysis.Diag.t) -> d.Analysis.Diag.node = Some id) ds))
+    [ r; s ]
+
+let absint_resnet20_noise_warnings () =
+  let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
+  let managed, report = Resbm.Driver.compile prm lowered.Nn.Lowering.dfg in
+  let groups = Resbm.Driver.certify_diags prm managed report in
+  List.iter
+    (fun (group, ds) ->
+      checkb (group ^ " has no error") false (Analysis.Diag.has_errors ds))
+    groups;
+  checkb "noise warnings are exactly overflow + precision" true
+    (List.sort_uniq compare (rules (List.assoc "certify.noise" groups))
+    = [ "absint-noise-overflow"; "absint-precision" ])
 
 let absint_liveness_below_schedule () =
   let managed, _ = Lazy.force managed_tiny in
@@ -392,10 +379,11 @@ let suite =
     case "recorded value mismatch refuted" cert_recorded_value_mismatch;
     cert_accepts_random_cuts;
     cert_accepts_planner_style_cuts;
-    case "dataflow forward depth" dataflow_forward_depth;
-    case "dataflow backward height" dataflow_backward_height;
     case "certify_diags proves managed tiny" absint_certifies_managed_tiny;
     case "interval abstraction contains concrete scales" absint_interval_contains_concrete;
+    case "capacity overflow refuted" absint_capacity_overflow;
+    case "level underflow refuted" absint_level_underflow;
+    case "resnet20 noise warnings" absint_resnet20_noise_warnings;
     case "def-use liveness below the schedule" absint_liveness_below_schedule;
     case "liveness schedule basics" liveness_schedule_basics;
     case "fuel calibration percentiles" fuel_calibrate;

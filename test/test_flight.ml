@@ -41,28 +41,32 @@ let ambient_context_attribution () =
       Obs.log_info ~event:"outer" "before any context";
       Obs.with_log_ctx ~compile_id:7 (fun () ->
           Obs.with_log_ctx ~pass:"plan" (fun () ->
-              Obs.set_node 11;
+              Obs.set_node ~region:4 11;
               Obs.log_warn ~event:"inner"
                 ~fields:[ ("k", Obs.Json.Int 1) ]
                 "nested context";
-              Obs.set_node (-1))));
+              Obs.set_node ~region:(-1) (-1);
+              Obs.log_info ~event:"after" "node execution over")));
   (* outside the callback the sink is gone: emission is a no-op *)
   Obs.log_error ~event:"orphan" "no ambient sink";
   match Obs.Log.records sink with
-  | [ outer; inner ] ->
+  | [ outer; inner; after ] ->
       checki "no context: compile_id unattributed" (-1) outer.Obs.Log.compile_id;
       check Alcotest.string "no context: pass empty" "" outer.Obs.Log.pass;
       checki "no context: node unattributed" (-1) outer.Obs.Log.node;
+      checki "no context: region unattributed" (-1) outer.Obs.Log.region;
       checki "nested: compile id from the outer frame" 7 inner.Obs.Log.compile_id;
       check Alcotest.string "nested: pass from the inner frame" "plan"
         inner.Obs.Log.pass;
-      checki "ambient log records carry no region" (-1) inner.Obs.Log.region;
+      checki "region from the context" 4 inner.Obs.Log.region;
       checki "node from the context" 11 inner.Obs.Log.node;
+      checki "cleared node: region unattributed" (-1) after.Obs.Log.region;
+      checki "cleared node: node unattributed" (-1) after.Obs.Log.node;
       checki "emitting domain recorded" ((Domain.self () :> int)) inner.Obs.Log.domain;
       checkb "structured fields kept" true
         (inner.Obs.Log.fields = [ ("k", Obs.Json.Int 1) ]);
       checkb "level helper sets the level" true (inner.Obs.Log.level = Obs.Log.Warn)
-  | rs -> Alcotest.failf "expected 2 records, got %d" (List.length rs)
+  | rs -> Alcotest.failf "expected 3 records, got %d" (List.length rs)
 
 (* The context is domain-local: a spawned domain starts with no handles
    and node -1, and what it installs stays in that domain. *)
@@ -75,7 +79,7 @@ let spawned_domain_starts_empty () =
   Obs.with_metrics (Obs.Metrics.create ()) @@ fun () ->
   Obs.with_log sink @@ fun () ->
   Obs.with_log_ctx ~compile_id:5 ~pass:"plan" @@ fun () ->
-  Obs.set_node 9;
+  Obs.set_node ~region:2 9;
   let child =
     Domain.spawn (fun () ->
         let fresh =
@@ -89,7 +93,7 @@ let spawned_domain_starts_empty () =
         Obs.with_profile (Obs.Profile.create ()) (fun () ->
             Obs.with_log child_sink (fun () ->
                 Obs.with_log_ctx ~compile_id:99 (fun () ->
-                    Obs.set_node 42;
+                    Obs.set_node ~region:5 42;
                     Obs.log_info ~event:"child" "")));
         fresh)
   in
@@ -98,24 +102,27 @@ let spawned_domain_starts_empty () =
     (match Obs.current () with Some q -> q == p | None -> false);
   checki "parent node kept" 9 (Obs.current_node ());
   Obs.log_info ~event:"parent" "";
-  Obs.set_node (-1);
+  Obs.set_node ~region:(-1) (-1);
   (match Obs.Log.records child_sink with
   | [ r ] ->
       checki "child record: own compile id" 99 r.Obs.Log.compile_id;
       check Alcotest.string "child record: no inherited pass" "" r.Obs.Log.pass;
-      checki "child record: own node" 42 r.Obs.Log.node
+      checki "child record: own node" 42 r.Obs.Log.node;
+      checki "child record: own region" 5 r.Obs.Log.region
   | rs -> Alcotest.failf "child sink: expected 1 record, got %d" (List.length rs));
   match Obs.Log.records sink with
   | [ r ] ->
       check Alcotest.string "only the parent's record" "parent" r.Obs.Log.event;
       checki "parent compile id kept" 5 r.Obs.Log.compile_id;
       check Alcotest.string "parent pass kept" "plan" r.Obs.Log.pass;
-      checki "parent record node" 9 r.Obs.Log.node
+      checki "parent record node" 9 r.Obs.Log.node;
+      checki "parent record region" 2 r.Obs.Log.region
   | rs -> Alcotest.failf "parent sink: expected 1 record, got %d" (List.length rs)
 
 (* A record emitted while the interpreter executes a node carries that
-   node; the const resolver runs inside each [Const] node's execution.
-   After [Interp.run] returns or raises the node is -1 again. *)
+   node and its region; the const resolver runs inside each [Const]
+   node's execution.  After [Interp.run] returns or raises both are -1
+   again. *)
 let interp_publishes_executing_node () =
   let p = Ckks.Params.fig1 in
   let managed, _ = Resbm.Driver.compile p (fig1_block ()) in
@@ -129,18 +136,27 @@ let interp_publishes_executing_node () =
     const_env ~dim:d name
   in
   let env = { Fhe_ir.Interp.inputs = [ ("x", input_env ~dim:d 5L) ]; consts } in
+  let region_of id = 100 + id in
   let sink = Obs.Log.create () in
   Obs.with_log sink (fun () ->
-      ignore (Fhe_ir.Interp.run (Ckks.Evaluator.create p) managed env));
+      ignore (Fhe_ir.Interp.run ~region_of (Ckks.Evaluator.create p) managed env);
+      Obs.log_info ~event:"after" "");
   checki "node cleared after run returns" (-1) (Obs.current_node ());
-  let records = Obs.Log.records sink in
+  let records, after =
+    match List.rev (Obs.Log.records sink) with
+    | last :: rest -> (List.rev rest, last)
+    | [] -> Alcotest.fail "no records"
+  in
+  checki "region cleared after run returns" (-1) after.Obs.Log.region;
   checkb "every const resolved under the log" true (List.length records >= 8);
   List.iter
     (fun (r : Obs.Log.record) ->
       match r.Obs.Log.fields with
       | [ ("name", Obs.Json.String name) ] ->
           checkb ("record carries the node of " ^ name) true
-            (is_const_node name r.Obs.Log.node)
+            (is_const_node name r.Obs.Log.node);
+          checki ("record carries the region of " ^ name) (region_of r.Obs.Log.node)
+            r.Obs.Log.region
       | _ -> Alcotest.fail "unexpected record fields")
     records;
   let failing = { env with Fhe_ir.Interp.consts = (fun _ -> failwith "resolver") } in

@@ -9,7 +9,7 @@ let mk ?(slots = Array.make dim 0.5) ?(scale = 56) ?(level = 2) ?(size = 2) () =
   Ckks.Ciphertext.make ~slots ~scale_bits:scale ~level ~size ~err:1e-12
 
 let expect_error ~cause ~op f =
-  Obs.set_node (-1);
+  Obs.set_node ~region:(-1) (-1);
   match f () with
   | _ -> Alcotest.failf "expected Fhe_error %s" (Ckks.Evaluator.cause_name cause)
   | exception Ckks.Evaluator.Fhe_error e ->
@@ -213,12 +213,12 @@ let rules_filter_by_op_and_node () =
   in
   Ckks.Fault.with_faults inj (fun () ->
       let f = Option.get (Ckks.Fault.current ()) in
-      Obs.set_node 3;
+      Obs.set_node ~region:(-1) 3;
       checkb "wrong node" true (Ckks.Fault.draw f ~op:"mul_cc" = None);
-      Obs.set_node 7;
+      Obs.set_node ~region:(-1) 7;
       checkb "wrong op" true (Ckks.Fault.draw f ~op:"add_cc" = None);
       checkb "matching op and node fires" true (Ckks.Fault.draw f ~op:"mul_cc" <> None);
-      Obs.set_node (-1));
+      Obs.set_node ~region:(-1) (-1));
   match Ckks.Fault.injections inj with
   | [ i ] ->
       checki "attributed node" 7 i.Ckks.Fault.inj_node;
