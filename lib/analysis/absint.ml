@@ -132,7 +132,7 @@ let check_levels ~(scales : Scale_check.info array) prm g =
 let encoding_slack_bits = 2.0
 
 let check_noise ~(scales : Scale_check.info array) prm g =
-  let per_node = (Noise_check.analyse prm g).Noise_check.per_node in
+  let per_node = (Noise_check.analyse ~scales prm g).Noise_check.per_node in
   let q = prm.Ckks.Params.scale_bits and q0 = prm.Ckks.Params.q0_bits in
   let ds = ref [] in
   let is_output = Array.make (Dfg.node_count g) false in

@@ -31,13 +31,33 @@ type plan = {
 
 exception No_plan of string
 
+(* SCALEMGR's plan of the regions from one segment source on, extended by
+   one region per destination the scan tries.  A grown buffer keeps its
+   prefix, so a segment only needs the window and its own bounds. *)
+type window = {
+  src : int;
+  bts_at_src : bool;
+  mutable infos : Scalemgr.region_info array;  (* index [r - src] *)
+  mutable lbts : int array;  (* [lbts.(i)]: rescales of regions [(src, src + i]] *)
+  mutable len : int;  (* regions [src, src + len) are planned *)
+}
+
 type segment_eval = {
-  seg_src : int;
   seg_bts : int option;  (* bootstrap target at src, if any *)
-  seg_infos : Scalemgr.region_info array;  (* [src, dst] *)
-  seg_levels : int array;  (* entry level per region in [src, dst] *)
+  seg_entry : int;  (* entry level of src *)
+  seg_top : int;  (* entry level of src + 1: the target, or entry minus src's rescales *)
+  seg_window : window;  (* from src, covering [src, dst] *)
   seg_latency : float;
 }
+
+let seg_src seg = seg.seg_window.src
+let seg_info seg r = seg.seg_window.infos.(r - seg_src seg)
+
+(* Entry level of region [r] in [src, dst]: past the source, every region
+   enters at [top] less the rescales of the regions before it. *)
+let seg_level seg r =
+  let i = r - seg_src seg in
+  if i = 0 then seg.seg_entry else seg.seg_top - seg.seg_window.lbts.(i - 1)
 
 (* Ciphertext edges that fly over region boundaries: producer region,
    consumer region, frequency.  When a bootstrap raises the main chain
@@ -85,6 +105,30 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
     Region_eval.latency ~fuel ?memo cache regioned prm ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
   in
+  (* The latency table [L[shape][level][rescales]] of the regions that do
+     not bootstrap, filled from Region_eval on first use.  It only skips
+     calls Region_eval's own cache would answer, which touch no counter
+     and spend no fuel.  Rows are allocated per shape on demand; [nan]
+     marks an entry not read yet, and an infeasible entry stays unread so
+     every read re-raises. *)
+  let width = 1 + max l_max prm.Ckks.Params.input_level in
+  let table = Array.make (1 + Array.fold_left max 0 regioned.Region.shape_ids) [||] in
+  let plain_latency ~region ~entry_level ~rescales =
+    if entry_level < 0 || entry_level >= width || rescales < 0 || rescales > entry_level then
+      region_latency ~region ~entry_level ~rescales ~bts:None
+    else begin
+      let shape = regioned.Region.shape_ids.(region) in
+      if Array.length table.(shape) = 0 then table.(shape) <- Array.make (width * width) nan;
+      let row = table.(shape) and i = (entry_level * width) + rescales in
+      let l = row.(i) in
+      if Float.is_nan l then begin
+        let l = region_latency ~region ~entry_level ~rescales ~bts:None in
+        row.(i) <- l;
+        l
+      end
+      else l
+    end
+  in
   if count = 1 then
     {
       actions =
@@ -114,28 +158,54 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
     min_lat.(0) <- 0.0;
     boundary_scale.(0) <- prm.Ckks.Params.input_scale_bits;
     boundary_level.(0) <- prm.Ckks.Params.input_level;
-    (* Evaluate a candidate segment; raises Not_found when infeasible. *)
-    let try_segment ~src ~dst ~no_bts =
+    (* A fresh SCALEMGR window at [src]: one sequence plan per source and
+       bootstrap choice, extended region by region as [dst] grows. *)
+    let open_window src ~bts_at_src =
+      Obs.incr "scalemgr.plans";
+      let cap = min (count - src) 16 in
+      let info = Scalemgr.step regioned prm ~region:src ~entry_scale:boundary_scale.(src) in
+      { src; bts_at_src; infos = Array.make cap info; lbts = Array.make cap 0; len = 1 }
+    in
+    let extend w =
+      let i = w.len in
+      if i = Array.length w.infos then begin
+        let cap = min (count - w.src) (2 * i) in
+        let grow a = Array.append a (Array.make (cap - i) a.(0)) in
+        w.infos <- grow w.infos;
+        w.lbts <- grow w.lbts
+      end;
+      let entry_scale =
+        Scalemgr.next_entry_scale prm ~bts:(i = 1 && w.bts_at_src) w.infos.(i - 1)
+      in
+      let info = Scalemgr.step regioned prm ~region:(w.src + i) ~entry_scale in
+      w.infos.(i) <- info;
+      w.lbts.(i) <- w.lbts.(i - 1) + info.Scalemgr.rescales;
+      w.len <- i + 1
+    in
+    (* Evaluate the candidate segment from [w]'s source to [dst]; [w]
+       covers [[src, dst)] and grows to [dst] here.  [None] when the
+       bootstrap budget cannot reach [dst] (nor any later destination);
+       raises Not_found when infeasible. *)
+    let try_segment ~dst w =
       Fuel.spend fuel;
       Obs.incr "btsmgr.segment_evals";
-      let sp =
-        Scalemgr.plan regioned prm ~src ~dst ~src_entry_scale:boundary_scale.(src)
-          ~bts_at_src:(not no_bts)
-      in
+      extend w;
+      let src = w.src and no_bts = not w.bts_at_src in
+      let info r = w.infos.(r - src) in
       let src_entry = boundary_level.(src) in
-      let k_src = sp.Scalemgr.infos.(0).rescales in
+      let k_src = (info src).Scalemgr.rescales in
       (* The final region's own rescales are never applied (there is no
          following segment to spend them in); it only needs enough level
          for its multiplications' capacity. *)
       let is_final = dst = last in
       let lbts_req =
         if is_final then begin
-          let info_dst = sp.Scalemgr.infos.(dst - src) in
+          let info_dst = info dst in
           let q = prm.Ckks.Params.scale_bits in
           let cap_need = max 0 (((info_dst.Scalemgr.peak_scale + q - 1) / q) - 1) in
-          sp.Scalemgr.lbts - info_dst.Scalemgr.rescales + cap_need
+          w.lbts.(dst - src) - info_dst.Scalemgr.rescales + cap_need
         end
-        else sp.Scalemgr.lbts
+        else w.lbts.(dst - src)
       in
       let budget = if no_bts then src_entry - k_src else l_max in
       if lbts_req > budget then None
@@ -146,36 +216,45 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
           else Some (if config.min_level_bts then max lbts_req 1 else max l_max 1)
         in
         let top = match bts_target with Some t -> t | None -> src_entry - k_src in
-        let levels = Array.make (dst - src + 1) 0 in
-        levels.(0) <- src_entry;
-        let cur = ref top in
+        let seg =
+          {
+            seg_bts = bts_target;
+            seg_entry = src_entry;
+            seg_top = top;
+            seg_window = w;
+            seg_latency = 0.0;
+          }
+        in
         (try
            for r = src + 1 to dst do
-             levels.(r - src) <- !cur;
-             let k = sp.Scalemgr.infos.(r - src).rescales in
-             if k > !cur && not (is_final && r = dst) then raise Exit;
+             let k = (info r).Scalemgr.rescales and level = seg_level seg r in
+             if k > level && not (is_final && r = dst) then raise Exit;
              if
                not
-                 (Ckks.Evaluator.capacity_ok prm
-                    ~scale_bits:sp.Scalemgr.infos.(r - src).peak_scale ~level:!cur)
-             then raise Exit;
-             cur := !cur - k
+                 (Ckks.Evaluator.capacity_ok prm ~scale_bits:(info r).Scalemgr.peak_scale ~level)
+             then raise Exit
            done;
            if
              not
-               (Ckks.Evaluator.capacity_ok prm
-                  ~scale_bits:sp.Scalemgr.infos.(0).peak_scale ~level:src_entry)
+               (Ckks.Evaluator.capacity_ok prm ~scale_bits:(info src).Scalemgr.peak_scale
+                  ~level:src_entry)
            then raise Exit
          with Exit -> raise_notrace Not_found);
-        (* Latency of the regions [src, dst). *)
+        (* Latency of the regions [src, dst), left to right.  The source
+           level depends on the target, which under [min_level_bts] grows
+           with [dst], so the sum is re-read, not carried forward. *)
         let latency = ref 0.0 in
         (try
-           for r = src to dst - 1 do
+           latency :=
+             (match bts_target with
+             | Some _ ->
+                 region_latency ~region:src ~entry_level:src_entry ~rescales:k_src ~bts:bts_target
+             | None -> plain_latency ~region:src ~entry_level:src_entry ~rescales:k_src);
+           for r = src + 1 to dst - 1 do
              latency :=
                !latency
-               +. region_latency ~region:r ~entry_level:levels.(r - src)
-                    ~rescales:sp.Scalemgr.infos.(r - src).rescales
-                    ~bts:(if r = src then bts_target else None)
+               +. plain_latency ~region:r ~entry_level:(seg_level seg r)
+                    ~rescales:(info r).Scalemgr.rescales
            done
          with Region_eval.Infeasible _ -> raise_notrace Not_found);
         (* Exact repair pricing: values produced before [src] (levels
@@ -183,7 +262,7 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
            production level will be bootstrapped by the repair pass. *)
         if config.price_transits then
         for rb = src + 1 to dst do
-          let need = levels.(rb - src) in
+          let need = seg_level seg rb in
           List.iter
             (fun (ra, freq) ->
               if ra < src && prod_level.(ra) < need && need <= l_max then
@@ -193,14 +272,7 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
                      *. Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:need)
             cross_by_rb.(rb)
         done;
-        Some
-          {
-            seg_src = src;
-            seg_bts = bts_target;
-            seg_infos = sp.Scalemgr.infos;
-            seg_levels = levels;
-            seg_latency = !latency;
-          }
+        Some { seg with seg_latency = !latency }
       end
     in
     for src = 0 to last - 1 do
@@ -214,18 +286,14 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
           match best.(!at) with
           | None -> at := 0
           | Some seg ->
-              Array.iteri
-                (fun i info ->
-                  let r = seg.seg_src + i in
-                  if r < !at then begin
-                    let base = seg.seg_levels.(i) - info.Scalemgr.rescales in
-                    prod_level.(r) <-
-                      (if r = seg.seg_src then
-                         match seg.seg_bts with Some t -> max t base | None -> base
-                       else base)
-                  end)
-                seg.seg_infos;
-              at := seg.seg_src
+              for r = seg_src seg to !at - 1 do
+                let base = seg_level seg r - (seg_info seg r).Scalemgr.rescales in
+                prod_level.(r) <-
+                  (if r = seg_src seg then
+                     match seg.seg_bts with Some t -> max t base | None -> base
+                   else base)
+              done;
+              at := seg_src seg
         done;
         let continue_scan = ref true in
         let dst = ref (src + 1) in
@@ -233,35 +301,33 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
            segment, a bootstrap at each source) — the O(regions) eager
            scan used by the last fallback tier. *)
         let scan_last = match segment_scan with `Full -> last | `Adjacent -> src + 1 in
-        let fold_candidates d candidates =
-          Obs.incr ~by:(List.length candidates) "btsmgr.candidates";
-          List.iter
-            (fun seg ->
-              let cand = min_lat.(src) +. seg.seg_latency in
-              if cand < min_lat.(d) then begin
-                min_lat.(d) <- cand;
-                best.(d) <- Some seg;
-                boundary_scale.(d) <- seg.seg_infos.(d - src).Scalemgr.entry_scale;
-                boundary_level.(d) <- seg.seg_levels.(d - src)
-              end)
-            candidates
-        in
+        let window = open_window src ~bts_at_src:true in
+        (* Region 0 may also run on the fresh input levels. *)
+        let input_window = if src = 0 then Some (open_window src ~bts_at_src:false) else None in
         while !continue_scan && !dst <= scan_last do
-          let candidates =
-            (if src = 0 then
-               match try_segment ~src ~dst:!dst ~no_bts:true with
-               | Some s -> [ s ]
-               | None | (exception Not_found) -> []
-             else [])
-            @
-            match try_segment ~src ~dst:!dst ~no_bts:false with
-            | Some s -> [ s ]
-            | None ->
-                continue_scan := false;
-                []
-            | exception Not_found -> []
+          let d = !dst in
+          let candidates = ref 0 in
+          let consider seg =
+            incr candidates;
+            let cand = min_lat.(src) +. seg.seg_latency in
+            if cand < min_lat.(d) then begin
+              min_lat.(d) <- cand;
+              best.(d) <- Some seg;
+              boundary_scale.(d) <- (seg_info seg d).Scalemgr.entry_scale;
+              boundary_level.(d) <- seg_level seg d
+            end
           in
-          fold_candidates !dst candidates;
+          Option.iter
+            (fun w ->
+              match try_segment ~dst:d w with
+              | Some seg -> consider seg
+              | None | (exception Not_found) -> ())
+            input_window;
+          (match try_segment ~dst:d window with
+          | Some seg -> consider seg
+          | None -> continue_scan := false
+          | exception Not_found -> ());
+          Obs.incr ~by:!candidates "btsmgr.candidates";
           incr dst
         done
       end
@@ -281,8 +347,8 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
       | None ->
           raise (No_plan (Printf.sprintf "region %d unreachable in DP backtrack" !at))
       | Some seg ->
-          segments := (seg.seg_src, !at, seg) :: !segments;
-          at := seg.seg_src
+          segments := (seg_src seg, !at, seg) :: !segments;
+          at := seg_src seg
     done;
     (* Materialise per-region actions. *)
     let actions =
@@ -298,15 +364,15 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
     List.iter
       (fun (src, dst, seg) ->
         for r = src to dst - 1 do
-          let k = seg.seg_infos.(r - src).Scalemgr.rescales in
-          let entry_level = seg.seg_levels.(r - src) in
+          let k = (seg_info seg r).Scalemgr.rescales in
+          let entry_level = seg_level seg r in
           let bts_here = if r = src then seg.seg_bts else None in
           let res = eval ~region:r ~entry_level ~rescales:k ~bts:bts_here in
           actions.(r) <-
             {
               rescales = k;
               entry_level;
-              entry_scale = seg.seg_infos.(r - src).Scalemgr.entry_scale;
+              entry_scale = (seg_info seg r).Scalemgr.entry_scale;
               smo_cut = res.Region_eval.smo_cut;
               bts =
                 (match bts_here with

@@ -3,6 +3,7 @@ open Fhe_ir
 type outcome = {
   dfg : Dfg.t;
   repair_bootstraps : int;
+  levels : int array;
   final_info : Scale_check.info array;
 }
 
@@ -212,13 +213,22 @@ let apply regioned prm (plan : Btsmgr.plan) =
      deficit cascades into spurious repairs against stale levels. *)
   let repair_count = ref 0 in
   let repair_cache = Hashtbl.create 8 in
-  let levels : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let scales : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let level_of id = Option.value (Hashtbl.find_opt levels id) ~default:0 in
-  let scale_of id =
-    Option.value (Hashtbl.find_opt scales id) ~default:prm.Ckks.Params.scale_bits
-  in
   let q = prm.Ckks.Params.scale_bits and qw = prm.Ckks.Params.waterline_bits in
+  (* Per-node level and scale, indexed by id; repair bootstraps get fresh
+     ids past the snapshot, so the arrays grow on demand. *)
+  let levels = ref (Array.make (Dfg.node_count g) 0) in
+  let scales = ref (Array.make (Dfg.node_count g) q) in
+  let level_of id = !levels.(id) and scale_of id = !scales.(id) in
+  let set id l s =
+    let n = Array.length !levels in
+    if id >= n then begin
+      let n' = max (id + 1) (2 * n) in
+      levels := Array.append !levels (Array.make (n' - n) 0);
+      scales := Array.append !scales (Array.make (n' - n) q)
+    end;
+    !levels.(id) <- l;
+    !scales.(id) <- s
+  in
   let snapshot = Dfg.topo_order g in
   List.iter
     (fun id ->
@@ -243,8 +253,7 @@ let apply regioned prm (plan : Btsmgr.plan) =
                       | None ->
                           let b = Dfg.insert_after g ~tail:a ~heads:[] (Op.Bootstrap want) in
                           Hashtbl.add repair_cache (a, want) b;
-                          Hashtbl.replace levels b want;
-                          Hashtbl.replace scales b q;
+                          set b want q;
                           incr repair_count;
                           let region n =
                             Obs.Json.Int (Option.value (region_of n) ~default:(-1))
@@ -286,17 +295,23 @@ let apply regioned prm (plan : Btsmgr.plan) =
         | Op.Modswitch -> (max (level_of (arg 0) - 1) 0, scale_of (arg 0))
         | Op.Bootstrap target -> (target, q)
       in
-      Hashtbl.replace levels id l;
-      Hashtbl.replace scales id s)
+      set id l s)
     snapshot;
+  let levels =
+    if Array.length !levels = Dfg.node_count g then !levels
+    else Array.sub !levels 0 (Dfg.node_count g)
+  in
+  (* Repairs rewire joins onto new nodes, which can reorder Kahn's
+     traversal: only an unrepaired graph still has the snapshot's order. *)
+  let order = if !repair_count = 0 then snapshot else Dfg.topo_order g in
   (* 4. Close the remaining (downward) mismatches with modswitch chains.
      Legalisation's closing validation is the managed graph's scale/level
      analysis — hand it to the caller so Driver need not re-infer. *)
   let final_info =
-    match Legalize.run prm g with
+    match Legalize.run prm g ~levels ~order with
     | Ok info -> info
     | Error (v :: _) ->
         apply_error "managed graph is not legal: %a" Scale_check.pp_violation v
     | Error [] -> assert false
   in
-  { dfg = g; repair_bootstraps = !repair_count; final_info }
+  { dfg = g; repair_bootstraps = !repair_count; levels; final_info }

@@ -18,6 +18,11 @@
 type outcome = {
   dfg : Fhe_ir.Dfg.t;  (** Fresh managed graph (the input is not mutated). *)
   repair_bootstraps : int;  (** Bootstraps added by level-deficit repair. *)
+  levels : int array;
+      (** Level of every node of the repaired graph, by id, as the repair
+          pass propagated it and {!Fhe_ir.Legalize.run} consumed it.  Equal
+          to {!Fhe_ir.Scale_check.infer}'s on every live ciphertext; ids
+          from [Array.length levels] on are legalisation's modswitches. *)
   final_info : Fhe_ir.Scale_check.info array;
       (** The closing {!Fhe_ir.Scale_check} analysis of [dfg] (from
           {!Fhe_ir.Legalize.run}) — reuse it instead of re-inferring. *)

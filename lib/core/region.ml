@@ -31,6 +31,7 @@ type t = {
   mul_cc : bool array;
   mul_cp : bool array;
   shapes : shape array;
+  shape_ids : int array;
   slot_ids : int array array;
 }
 
@@ -44,12 +45,13 @@ let erase_names = function
 (* Every region's shape and slot -> node id map.  Slots are the members in
    topological order, then the external producers the members read, in
    ascending id order.  Equal shapes are interned, so regions repeating
-   one block share one physical shape. *)
+   one block share one physical shape and one dense index. *)
 let shapes_of dfg region_of regions =
   let outputs = Array.make (Array.length region_of) false in
   List.iter (fun o -> outputs.(o) <- true) (Dfg.outputs dfg);
   let slot_of = Array.make (Array.length region_of) (-1) in
   let interned = Shape_tbl.create 64 in
+  let shape_ids = Array.make (Array.length regions) 0 in
   let per_region =
     Array.mapi
       (fun r members ->
@@ -94,17 +96,19 @@ let shapes_of dfg region_of regions =
           land max_int
         in
         let shape = { members = n; slots; hash } in
-        let shape =
+        let shape, index =
           match Shape_tbl.find_opt interned shape with
-          | Some s -> s
+          | Some interned -> interned
           | None ->
-              Shape_tbl.add interned shape shape;
-              shape
+              let index = Shape_tbl.length interned in
+              Shape_tbl.add interned shape (shape, index);
+              (shape, index)
         in
+        shape_ids.(r) <- index;
         (shape, ids))
       regions
   in
-  (Array.map fst per_region, Array.map snd per_region)
+  (Array.map fst per_region, shape_ids, Array.map snd per_region)
 
 let build ?(sink = true) dfg =
   (match Dfg.validate dfg with
@@ -157,7 +161,7 @@ let build ?(sink = true) dfg =
     Array.map (fun ids -> List.filter (fun id -> Op.is_mul (kind id)) (Array.to_list ids)) regions
   in
   let has k = Array.map (List.exists (fun id -> kind id = k)) region_muls in
-  let shapes, slot_ids = shapes_of dfg region_of regions in
+  let shapes, shape_ids, slot_ids = shapes_of dfg region_of regions in
   {
     dfg;
     region_of;
@@ -167,6 +171,7 @@ let build ?(sink = true) dfg =
     mul_cc = has Op.Mul_cc;
     mul_cp = has Op.Mul_cp;
     shapes;
+    shape_ids;
     slot_ids;
   }
 

@@ -60,6 +60,10 @@ type t = private {
   mul_cc : bool array;  (** region index -> holds a [Mul_cc]. *)
   mul_cp : bool array;  (** region index -> holds a [Mul_cp]. *)
   shapes : shape array;  (** region index -> shape; equal shapes are shared. *)
+  shape_ids : int array;
+      (** region index -> index of its interned shape, numbered densely
+          from 0 in region order: regions have equal shapes exactly when
+          their indices are equal. *)
   slot_ids : int array array;  (** region index -> slot -> node id. *)
 }
 

@@ -16,28 +16,34 @@ let scale_increment regioned prm ~region ~entry_scale =
   and cp = if Region.has_mul_cp regioned region then prm.Ckks.Params.waterline_bits else 0 in
   max cc cp
 
+let step regioned prm ~region ~entry_scale =
+  let q = prm.Ckks.Params.scale_bits and qw = prm.Ckks.Params.waterline_bits in
+  let peak_scale = entry_scale + scale_increment regioned prm ~region ~entry_scale in
+  (* Early rescaling: shed levels as soon as the scale is eligible. *)
+  let out = ref peak_scale and k = ref 0 in
+  while !out >= q + qw do
+    out := !out - q;
+    incr k
+  done;
+  { entry_scale; peak_scale; out_scale = !out; rescales = !k }
+
+let next_entry_scale prm ~bts info =
+  if bts then prm.Ckks.Params.scale_bits else info.out_scale
+
 let plan regioned prm ~src ~dst ~src_entry_scale ~bts_at_src =
   if src < 0 || dst >= regioned.Region.count || src > dst then
     invalid_arg "Scalemgr.plan: bad sequence bounds";
   Obs.incr "scalemgr.plans";
-  let q = prm.Ckks.Params.scale_bits and qw = prm.Ckks.Params.waterline_bits in
   let infos = Array.make (dst - src + 1) { entry_scale = 0; peak_scale = 0; out_scale = 0; rescales = 0 } in
   let rescaling = ref [] and lbts = ref 0 in
   let scale = ref src_entry_scale in
   for r = src to dst do
-    let entry_scale = !scale in
-    let peak_scale = entry_scale + scale_increment regioned prm ~region:r ~entry_scale in
-    (* Early rescaling: shed levels as soon as the scale is eligible. *)
-    let out = ref peak_scale and k = ref 0 in
-    while !out >= q + qw do
-      out := !out - q;
-      incr k
-    done;
-    if !k > 0 then begin
+    let info = step regioned prm ~region:r ~entry_scale:!scale in
+    if info.rescales > 0 then begin
       rescaling := r :: !rescaling;
-      if r <> src then lbts := !lbts + !k
+      if r <> src then lbts := !lbts + info.rescales
     end;
-    infos.(r - src) <- { entry_scale; peak_scale; out_scale = !out; rescales = !k };
-    scale := if r = src && bts_at_src then q else !out
+    infos.(r - src) <- info;
+    scale := next_entry_scale prm ~bts:(r = src && bts_at_src) info
   done;
   { infos; rescaling = List.rev !rescaling; lbts = !lbts }

@@ -29,6 +29,16 @@ type seq_plan = {
   lbts : int;  (** Levels consumed in [(src, dst]]. *)
 }
 
+val step : Region.t -> Ckks.Params.t -> region:int -> entry_scale:int -> region_info
+(** One region of a sequence: its peak scale and early rescales from the
+    live-in scale [entry_scale].  {!plan} folds it over [[src, dst]];
+    {!Btsmgr} extends a sequence by one region per candidate segment. *)
+
+val next_entry_scale : Ckks.Params.t -> bts:bool -> region_info -> int
+(** Live-in scale of the region after one whose {!step} gave the info:
+    [q] when the region bootstraps (Table 1: bootstrapping re-encodes at
+    the scale factor), its live-out scale otherwise. *)
+
 val plan :
   Region.t ->
   Ckks.Params.t ->
@@ -37,5 +47,5 @@ val plan :
   src_entry_scale:int ->
   bts_at_src:bool ->
   seq_plan
-(** [bts_at_src] resets the live-out scale of [src] to [q] (Table 1:
-    bootstrapping re-encodes at the scale factor). *)
+(** [bts_at_src] resets the live-out scale of [src] to [q]
+    ({!next_entry_scale}).  Counts one [scalemgr.plans]. *)

@@ -194,8 +194,15 @@ let uniq ids =
       end)
     ids
 
-let preds g id = uniq (Array.to_list (node g id).args)
-let succs g id = uniq (List.rev (node g id).users)
+let preds g id =
+  match (node g id).args with
+  | [||] -> []
+  | [| a |] -> [ a ]
+  | [| a; b |] -> if a = b then [ a ] else [ a; b ]
+  | args -> uniq (Array.to_list args)
+
+(* [add_user] keeps use lists duplicate-free ([validate] checks it). *)
+let succs g id = List.rev (node g id).users
 
 let to_digraph g =
   let dg = Graphlib.Digraph.create ~capacity:(max 1 g.len) () in
@@ -223,6 +230,13 @@ let validate g =
           else if not (List.mem id (node g a).users) then
             err "node %d: missing from use list of %d" id a)
         n.args;
+      let rec first_dup = function
+        | [] -> None
+        | u :: rest -> if List.mem u rest then Some u else first_dup rest
+      in
+      (match first_dup n.users with
+      | Some u -> err "node %d: user %d listed twice" id u
+      | None -> ());
       let arity = Array.length n.args in
       let expect k = if arity <> k then err "node %d (%s): arity %d, expected %d" id (Op.name n.kind) arity k in
       (match n.kind with

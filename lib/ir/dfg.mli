@@ -81,16 +81,17 @@ val preds : t -> int -> int list
 (** Unique argument ids, in argument order. *)
 
 val succs : t -> int -> int list
-(** Unique user ids. *)
+(** User ids, each once (use lists never hold a duplicate), oldest use
+    first. *)
 
 val topo_order : t -> int list
 (** Live nodes in topological (def-before-use) order.
     @raise Graphlib.Topo.Cycle on malformed graphs. *)
 
 val validate : t -> (unit, string list) result
-(** Structural well-formedness: args in range and alive, ct/pt positions
-    respected, outputs alive and ciphertext, acyclic, [Mul_cc] consumed
-    only by [Relin]. *)
+(** Structural well-formedness: args in range and alive, every arg's use
+    list naming its user exactly once, ct/pt positions respected, outputs
+    alive and ciphertext, acyclic, [Mul_cc] consumed only by [Relin]. *)
 
 val copy : t -> t
 

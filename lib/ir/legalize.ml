@@ -1,38 +1,28 @@
 (* Levels after legalisation equal the lenient analysis' min-rule levels,
-   so a single pass over the original topological order with the inferred
-   info is sufficient: inserted modswitch chains only affect the edges they
-   are placed on. *)
-let run prm g =
-  let info = Scale_check.infer prm g in
-  let level_of = Hashtbl.create 16 in
-  let level id =
-    match Hashtbl.find_opt level_of id with
-    | Some l -> l
-    | None -> info.(id).Scale_check.level
-  in
+   so a single pass over the topological order with those levels is
+   sufficient: inserted modswitch chains only affect the edges they are
+   placed on, and every level read is of a node that predates the pass. *)
+let run prm g ~levels ~order =
   (* Shared modswitch chains: (source node, target level) -> chain head. *)
   let cache = Hashtbl.create 16 in
   let rec lower id target =
-    let l = level id in
-    if l <= target then id
+    if levels.(id) <= target then id
     else
       match Hashtbl.find_opt cache (id, target) with
       | Some c -> c
       | None ->
           let step = lower id (target + 1) in
           let ms = Dfg.insert_after g ~tail:step ~heads:[] Op.Modswitch in
-          Hashtbl.add level_of ms target;
           Hashtbl.add cache (id, target) ms;
           ms
   in
-  let order = Dfg.topo_order g in
   List.iter
     (fun id ->
       let node = Dfg.node g id in
       match node.Dfg.kind with
       | Op.Add_cc | Op.Mul_cc ->
           let a = node.Dfg.args.(0) and b = node.Dfg.args.(1) in
-          let la = level a and lb = level b in
+          let la = levels.(a) and lb = levels.(b) in
           if la <> lb then begin
             let target = min la lb in
             if la > target then Dfg.set_arg g ~user:id ~arg_index:0 (lower a target)

@@ -10,8 +10,16 @@
     Scale mismatches are not repairable by modswitch and are reported as
     errors. *)
 
-val run : Ckks.Params.t -> Dfg.t -> (Scale_check.info array, Scale_check.violation list) result
-(** Mutates the graph in place.  On success the graph passes
+val run :
+  Ckks.Params.t ->
+  Dfg.t ->
+  levels:int array ->
+  order:int list ->
+  (Scale_check.info array, Scale_check.violation list) result
+(** [levels] is the level of every node of [g] by id — what
+    {!Scale_check.infer} gives, or a caller's own propagation of the same
+    rules — and [order] is {!Dfg.topo_order}[ g]; the pass trusts both.
+    Mutates the graph in place.  On success the graph passes
     {!Scale_check.run} and the returned array is that final analysis
     (indexed by node id) — callers wanting the managed graph's scales and
     levels should reuse it instead of re-running {!Scale_check.infer},

@@ -10,8 +10,8 @@ let rms2 a b = sqrt ((a *. a) +. (b *. b))
 let pow2 bits = 2.0 ** bits
 
 let analyse ?(input_magnitude = 1.0) ?(magnitude_cap = 1.0)
-    ?(const_magnitude = fun _ -> 1.0) prm g =
-  let scales = Scale_check.infer prm g in
+    ?(const_magnitude = fun _ -> 1.0) ?scales prm g =
+  let scales = match scales with Some s -> s | None -> Scale_check.infer prm g in
   let cap m = Float.min m magnitude_cap in
   let per_node = Array.make (Dfg.node_count g) { magnitude = 0.0; noise = 0.0 } in
   List.iter

@@ -28,6 +28,7 @@ val analyse :
   ?input_magnitude:float ->
   ?magnitude_cap:float ->
   ?const_magnitude:(string -> float) ->
+  ?scales:Scale_check.info array ->
   Ckks.Params.t ->
   Dfg.t ->
   report
@@ -38,7 +39,9 @@ val analyse :
     [infinity] for a sound worst-case analysis of shallow programs.
     [const_magnitude] bounds named plaintexts (weights, masks); the model
     lowering knows its amplitudes exactly, so passing its resolver's
-    maxima makes the prediction sharp. *)
+    maxima makes the prediction sharp.  [scales] is
+    {!Scale_check.infer}'s result on the same graph when the caller
+    already has it (default: inferred here). *)
 
 val predicts : report -> measured:float -> bool
 (** Sanity predicate used by tests: the measured end-to-end error is

@@ -25,6 +25,54 @@ let all_variants_produce_legal_graphs =
           | exception Resbm.Btsmgr.No_plan _ -> true)
         Resbm.Variants.all)
 
+(* Legalize trusts the levels Plan.apply's repair pass propagated; they
+   must be Scale_check's on every live ciphertext.  Returns the repair
+   count with the verdict, [(true, 0)] when no plan exists. *)
+let apply_levels_agree r p (mgr : Resbm.Variants.manager) =
+  match Resbm.Btsmgr.plan ~config:mgr.Resbm.Variants.config r p with
+  | exception Resbm.Btsmgr.No_plan _ -> (true, 0)
+  | plan ->
+      let o = Resbm.Plan.apply r p plan in
+      let info = Scale_check.infer p o.Resbm.Plan.dfg in
+      ( List.for_all
+          (fun (n : Dfg.node) ->
+            let id = n.Dfg.id in
+            id >= Array.length o.Resbm.Plan.levels
+            || (not info.(id).Scale_check.is_ct)
+            || o.Resbm.Plan.levels.(id) = info.(id).Scale_check.level)
+          (Dfg.live_nodes o.Resbm.Plan.dfg),
+        o.Resbm.Plan.repair_bootstraps )
+
+let short_budget l = Ckks.Params.with_l_max { prm with input_level = l } l
+
+let apply_levels_match_inference =
+  qcheck ~count:30 "apply's propagated levels equal Scale_check.infer's"
+    (random_dfg_gen ~max_nodes:40 ~max_depth:12)
+    (fun params ->
+      let r = Resbm.Region.build (build_random_dfg params) in
+      List.for_all
+        (fun l ->
+          List.for_all
+            (fun mgr -> fst (apply_levels_agree r (short_budget l) mgr))
+            Resbm.Variants.all)
+        [ 4; 7; 16 ])
+
+(* Random DFGs have no residual spans, so no repairs: ResNet-20 under
+   short budgets repairs under several managers. *)
+let apply_levels_match_inference_with_repairs () =
+  let r = Resbm.Region.build (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
+  let repairs = ref 0 in
+  List.iter
+    (fun l ->
+      List.iter
+        (fun (mgr : Resbm.Variants.manager) ->
+          let ok, n = apply_levels_agree r (short_budget l) mgr in
+          checkb (Printf.sprintf "%s at l_max %d" mgr.Resbm.Variants.name l) true ok;
+          repairs := !repairs + n)
+        Resbm.Variants.all)
+    [ 4; 6 ];
+  checkb "repairs exercised" true (!repairs > 0)
+
 let compiled_graphs_compute_the_same_function =
   qcheck ~count:20 "management preserves program semantics"
     (random_dfg_gen ~max_nodes:30 ~max_depth:8)
@@ -181,4 +229,7 @@ let suite =
     case "l_max sweep (Figure 7 shape)" l_max_sweep_increases_bootstraps;
     case "report consistency" report_consistency;
     case "variants lookup" variants_lookup;
+    apply_levels_match_inference;
+    case "apply's levels equal Scale_check.infer's through repairs"
+      apply_levels_match_inference_with_repairs;
   ]

@@ -97,6 +97,38 @@ let dfg_replace_uses_and_kill () =
   checkb "valid" true (Dfg.validate g = Ok ());
   checki "live nodes" 3 (List.length (Dfg.live_nodes g))
 
+(* Dfg.succs returns use lists as they are, so every mutation must keep
+   them duplicate-free, including when one user reads a node twice. *)
+let dfg_users_stay_duplicate_free () =
+  let g = Dfg.create () in
+  let x = Dfg.input g "x" in
+  let y = Dfg.input g "y" in
+  let s = Dfg.add_cc g x x in
+  let t = Dfg.add_cc g s y in
+  Dfg.set_outputs g [ t ];
+  let no_dups what =
+    List.iter
+      (fun (n : Dfg.node) ->
+        checki
+          (Printf.sprintf "%s: users of %d" what n.Dfg.id)
+          (List.length (List.sort_uniq compare n.Dfg.users))
+          (List.length n.Dfg.users))
+      (Dfg.live_nodes g);
+    checkb (what ^ ": valid") true (Dfg.validate g = Ok ())
+  in
+  no_dups "built";
+  let n = Dfg.insert_after g ~tail:x ~heads:[ s; s ] Op.Modswitch in
+  no_dups "insert_after with a repeated head";
+  checki "s reads n in both slots, listed once" 1 (List.length (Dfg.succs g n));
+  Dfg.set_arg g ~user:s ~arg_index:0 y;
+  Dfg.set_arg g ~user:s ~arg_index:1 y;
+  no_dups "set_arg onto a node already used";
+  check (Alcotest.list Alcotest.int) "y's users" [ s; t ] (List.sort compare (Dfg.succs g y));
+  ignore (Dfg.wrap_operand g ~user:s ~arg_index:0 Op.Modswitch);
+  no_dups "wrap_operand of a twice-read operand";
+  Dfg.replace_uses g ~old_id:s ~new_id:y;
+  no_dups "replace_uses onto an existing operand"
+
 let dfg_kill_guards () =
   let g = Dfg.create () in
   let x = Dfg.input g "x" in
@@ -313,13 +345,19 @@ let stats_bootstrap_histogram () =
 
 (* --- Legalize -------------------------------------------------------------- *)
 
+(* Legalisation on the lenient analysis' levels, the contract Plan.apply's
+   own propagation is held to. *)
+let legalize g =
+  let levels = Array.map (fun i -> i.Scale_check.level) (Scale_check.infer prm g) in
+  Legalize.run prm g ~levels ~order:(Dfg.topo_order g)
+
 let legalize_level_mismatch () =
   let g = Dfg.create () in
   let x = Dfg.input g "x" in
   let low = Dfg.modswitch g (Dfg.modswitch g x) in
   let s = Dfg.add_cc g x low in
   Dfg.set_outputs g [ s ];
-  (match Legalize.run prm g with
+  (match legalize g with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "legalisation failed");
   checkb "now legal" true (Result.is_ok (Scale_check.run prm g));
@@ -338,7 +376,7 @@ let legalize_shares_chains () =
   let low2 = Dfg.modswitch g low in
   let s2 = Dfg.add_cc g s1 low2 in
   Dfg.set_outputs g [ s2 ];
-  (match Legalize.run prm g with Ok _ -> () | Error _ -> Alcotest.fail "legalize");
+  (match legalize g with Ok _ -> () | Error _ -> Alcotest.fail "legalize");
   checkb "legal" true (Result.is_ok (Scale_check.run prm g))
 
 let legalize_reports_scale_mismatch () =
@@ -347,7 +385,7 @@ let legalize_reports_scale_mismatch () =
   let m = Dfg.mul_cp g x (Dfg.const g "c") in
   let s = Dfg.add_cc g x m in
   Dfg.set_outputs g [ s ];
-  checkb "scale mismatch is not repairable" true (Result.is_error (Legalize.run prm g))
+  checkb "scale mismatch is not repairable" true (Result.is_error (legalize g))
 
 (* --- Interp ----------------------------------------------------------------- *)
 
@@ -427,6 +465,7 @@ let suite =
     case "dfg: wrap_operand" dfg_wrap_operand;
     case "dfg: set_arg maintains users" dfg_set_arg_and_users;
     case "dfg: replace_uses and kill" dfg_replace_uses_and_kill;
+    case "dfg: mutations keep use lists duplicate-free" dfg_users_stay_duplicate_free;
     case "dfg: kill guards" dfg_kill_guards;
     case "dfg: validate catches unrelinearised mul" dfg_validate_catches_raw_mul;
     case "dfg: copy is independent" dfg_copy_independent;
