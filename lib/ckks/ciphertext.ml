@@ -37,7 +37,14 @@ let slice ct ~off ~len =
          (Array.length ct.slots));
   Array.sub ct.slots off len
 
-let max_abs ct = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 ct.slots
+(* A loop over a local ref, like [checksum]: the fold's closure would box
+   one float per slot, and [mul_cc]/[mul_cp] call this on every product. *)
+let max_abs ct =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length ct.slots - 1 do
+    acc := Float.max !acc (Float.abs ct.slots.(i))
+  done;
+  !acc
 
 let pp ppf ct =
   Format.fprintf ppf "@[<h>ct(%d slots, scale 2^%d, L%d, size %d, err %.3g)@]"

@@ -100,6 +100,20 @@ let pow2 bits = 2.0 ** bits
    multiplicative depth and say nothing about real behaviour. *)
 let rms2 a b = sqrt ((a *. a) +. (b *. b))
 
+(* Slot kernels.  Jitter perturbs every slot by a deterministic
+   pseudo-random amount bounded by [bound], turning the error *bound*
+   bookkeeping into an actual end-to-end error measurable at decryption.
+   Each kernel makes exactly one draw per slot, in slot order
+   ([Prng.add_uniform]), perturbing a slot [v] by
+   [v +. (lo +. ((hi -. lo) *. u))], so the noise streams are fixed by the
+   op sequence alone.  They are plain loops into [Array.create_float]: the
+   result array is the only allocation, never a closure or a boxed float
+   per slot. *)
+let jitter rng ~bound src =
+  let dst = Array.create_float (Array.length src) in
+  Prng.add_uniform rng ~bound ~src ~dst;
+  dst
+
 (* Apply an injected fault to the result of an operation.  Every draw —
    the firing decision in [Fault.draw] and the effect parameters here —
    comes from the injector's private stream, never from [t.rng], so the
@@ -110,11 +124,7 @@ let apply_fault f op (ct : Ciphertext.t) =
   | None -> ct
   | Some (Fault.Noise_spike, mag) ->
       let err = ct.Ciphertext.err *. pow2 mag in
-      let slots =
-        Array.map
-          (fun v -> v +. Prng.uniform (Fault.rng f) ~lo:(-.err) ~hi:err)
-          ct.Ciphertext.slots
-      in
+      let slots = jitter (Fault.rng f) ~bound:err ct.Ciphertext.slots in
       Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:ct.size
         ~err
   | Some (Fault.Scale_drift, mag) ->
@@ -204,11 +214,6 @@ let check_size ~what (ct : Ciphertext.t) =
     failc Size_mismatch ~op:what ~level:ct.level ~scale_bits:ct.scale_bits
       ~noise:ct.err "%s: operand not relinearised (size %d)" what ct.size
 
-(* Perturb a value by a deterministic pseudo-random amount bounded by
-   [bound]; this turns the error *bound* bookkeeping into an actual
-   end-to-end error measurable at decryption. *)
-let jitter t ~bound v = v +. Prng.uniform t.rng ~lo:(-.bound) ~hi:bound
-
 let fresh_noise_bits = 10.0
 let rotate_noise_bits = 12.0
 let bootstrap_precision_bits = 22.0
@@ -224,7 +229,7 @@ let encrypt t ?level ?scale_bits slots =
   if level < 0 then failc Negative_level ~op:"encrypt" ~level "encrypt: negative level";
   check_capacity t ~what:"encrypt" ~scale_bits ~level;
   let err = pow2 (fresh_noise_bits -. float_of_int scale_bits) in
-  let slots = Array.map (jitter t ~bound:err) slots in
+  let slots = jitter t.rng ~bound:err slots in
   traced "encrypt" None ~charge_level:level
     (Ciphertext.make ~slots ~scale_bits ~level ~size:2 ~err)
 
@@ -234,11 +239,28 @@ let decrypt _t (ct : Ciphertext.t) =
       ~noise:ct.err "decrypt: ciphertext not relinearised";
   Array.copy ct.slots
 
-let binary_slots ~what a b f =
+let check_slots ~what a b =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then
-    failc Slot_mismatch ~op:what "%s: slot count mismatch (%d vs %d)" what la lb;
-  Array.init la (fun i -> f a.(i) b.(i))
+    failc Slot_mismatch ~op:what "%s: slot count mismatch (%d vs %d)" what la lb
+
+let sum_slots ~what a b =
+  check_slots ~what a b;
+  let out = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    out.(i) <- a.(i) +. b.(i)
+  done;
+  out
+
+(* [a.(i) *. b.(i)] plus one draw per slot: [jitter] of the product. *)
+let product_slots t ~what ~bound a b =
+  check_slots ~what a b;
+  let out = Array.create_float (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    out.(i) <- a.(i) *. b.(i)
+  done;
+  Prng.add_uniform t.rng ~bound ~src:out ~dst:out;
+  out
 
 let add_cc t (a : Ciphertext.t) (b : Ciphertext.t) =
   t.ops <- t.ops + 1;
@@ -250,7 +272,7 @@ let add_cc t (a : Ciphertext.t) (b : Ciphertext.t) =
   if a.scale_bits <> b.scale_bits then
     failc Scale_mismatch ~op:"add_cc" ~level:a.level ~scale_bits:a.scale_bits
       ~noise:a.err "add_cc: scale mismatch (2^%d vs 2^%d)" a.scale_bits b.scale_bits;
-  let slots = binary_slots ~what:"add_cc" a.slots b.slots ( +. ) in
+  let slots = sum_slots ~what:"add_cc" a.slots b.slots in
   traced "add_cc" (Some Cost_model.Add_cc) ~charge_level:a.level
     ~noise_before:(Float.max a.err b.err)
     (Ciphertext.make ~slots ~scale_bits:a.scale_bits ~level:a.level ~size:2
@@ -263,7 +285,7 @@ let add_cp t (a : Ciphertext.t) (pt : Plaintext.t) =
     failc Scale_mismatch ~op:"add_cp" ~level:a.level ~scale_bits:a.scale_bits
       ~noise:a.err "add_cp: scale mismatch (ct 2^%d vs pt 2^%d)" a.scale_bits
       pt.scale_bits;
-  let slots = binary_slots ~what:"add_cp" a.slots pt.slots ( +. ) in
+  let slots = sum_slots ~what:"add_cp" a.slots pt.slots in
   traced "add_cp" (Some Cost_model.Add_cp) ~charge_level:a.level ~noise_before:a.err
     (Ciphertext.make ~slots ~scale_bits:a.scale_bits ~level:a.level ~size:2
        ~err:(rms2 a.err pt.err))
@@ -285,9 +307,7 @@ let mul_cc t (a : Ciphertext.t) (b : Ciphertext.t) =
     mul_err ~a_max:(Ciphertext.max_abs a) ~b_max:(Ciphertext.max_abs b) ~a_err:a.err
       ~b_err:b.err ~fresh
   in
-  let slots =
-    binary_slots ~what:"mul_cc" a.slots b.slots (fun x y -> jitter t ~bound:fresh (x *. y))
-  in
+  let slots = product_slots t ~what:"mul_cc" ~bound:fresh a.slots b.slots in
   traced "mul_cc" (Some Cost_model.Mul_cc) ~charge_level:a.level
     ~noise_before:(Float.max a.err b.err)
     (Ciphertext.make ~slots ~scale_bits ~level:a.level ~size:3 ~err)
@@ -302,9 +322,7 @@ let mul_cp t (a : Ciphertext.t) (pt : Plaintext.t) =
     mul_err ~a_max:(Ciphertext.max_abs a) ~b_max:(Plaintext.max_abs pt) ~a_err:a.err
       ~b_err:pt.err ~fresh
   in
-  let slots =
-    binary_slots ~what:"mul_cp" a.slots pt.slots (fun x y -> jitter t ~bound:fresh (x *. y))
-  in
+  let slots = product_slots t ~what:"mul_cp" ~bound:fresh a.slots pt.slots in
   traced "mul_cp" (Some Cost_model.Mul_cp) ~charge_level:a.level ~noise_before:a.err
     (Ciphertext.make ~slots ~scale_bits ~level:a.level ~size:2 ~err)
 
@@ -317,7 +335,12 @@ let rotate t (ct : Ciphertext.t) k =
       ~noise:ct.err "rotate: empty ciphertext";
   let k = ((k mod n) + n) mod n in
   let extra = pow2 (rotate_noise_bits -. float_of_int ct.scale_bits) in
-  let slots = Array.init n (fun i -> jitter t ~bound:extra ct.slots.((i + k) mod n)) in
+  (* slot [i] takes [ct.slots.((i + k) mod n)]: two blits, then the
+     jitter in place, drawing in slot order *)
+  let slots = Array.create_float n in
+  Array.blit ct.slots k slots 0 (n - k);
+  Array.blit ct.slots 0 slots (n - k) k;
+  Prng.add_uniform t.rng ~bound:extra ~src:slots ~dst:slots;
   traced "rotate" (Some Cost_model.Rotate) ~charge_level:ct.level ~noise_before:ct.err
     (Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
        ~err:(rms2 ct.err extra))
@@ -328,7 +351,7 @@ let relin t (ct : Ciphertext.t) =
     failc Size_mismatch ~op:"relin" ~level:ct.level ~scale_bits:ct.scale_bits
       ~noise:ct.err "relin: expected size-3 ciphertext (got %d)" ct.size;
   let extra = pow2 (rotate_noise_bits -. float_of_int ct.scale_bits) in
-  let slots = Array.map (jitter t ~bound:extra) ct.slots in
+  let slots = jitter t.rng ~bound:extra ct.slots in
   traced "relin" (Some Cost_model.Relin) ~charge_level:ct.level ~noise_before:ct.err
     (Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
        ~err:(rms2 ct.err extra))
@@ -345,7 +368,7 @@ let rescale t (ct : Ciphertext.t) =
       ~noise:ct.err "rescale: scale 2^%d below q*q_w = 2^%d" ct.scale_bits (q + qw);
   let scale_bits = ct.scale_bits - q in
   let extra = pow2 (fresh_noise_bits -. float_of_int scale_bits) in
-  let slots = Array.map (jitter t ~bound:extra) ct.slots in
+  let slots = jitter t.rng ~bound:extra ct.slots in
   level_transition "rescale" ~from_level:ct.level ~to_level:(ct.level - 1);
   traced "rescale" (Some Cost_model.Rescale) ~charge_level:ct.level ~noise_before:ct.err
     (Ciphertext.make ~slots ~scale_bits ~level:(ct.level - 1) ~size:2
@@ -372,7 +395,7 @@ let bootstrap t (ct : Ciphertext.t) ~target_level =
       ~scale_bits:ct.scale_bits ~noise:ct.err
       "bootstrap: target level %d outside [1, %d]" target_level t.prm.Params.l_max;
   let extra = pow2 (-.bootstrap_precision_bits) in
-  let slots = Array.map (jitter t ~bound:extra) ct.slots in
+  let slots = jitter t.rng ~bound:extra ct.slots in
   level_transition "bootstrap" ~from_level:ct.level ~to_level:target_level;
   traced "bootstrap" (Some Cost_model.Bootstrap) ~charge_level:target_level
     ~noise_before:ct.err
@@ -383,7 +406,7 @@ let refresh t (ct : Ciphertext.t) =
   t.ops <- t.ops + 1;
   check_size ~what:"refresh" ct;
   let extra = pow2 (-.bootstrap_precision_bits) in
-  let slots = Array.map (jitter t ~bound:extra) ct.slots in
+  let slots = jitter t.rng ~bound:extra ct.slots in
   level_transition "refresh" ~from_level:ct.level ~to_level:ct.level;
   traced "refresh" (Some Cost_model.Bootstrap) ~charge_level:ct.level
     ~noise_before:ct.err

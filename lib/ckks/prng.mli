@@ -21,5 +21,10 @@ val float : t -> float
 
 val uniform : t -> lo:float -> hi:float -> float
 
+val add_uniform : t -> bound:float -> src:float array -> dst:float array -> unit
+(** [dst.(i) <- src.(i) +. uniform t ~lo:(-.bound) ~hi:bound] for every
+    [i], in index order: one draw per element, allocating nothing.  [src]
+    may be [dst].  @raise Invalid_argument when the lengths differ. *)
+
 val gaussian : t -> float
 (** Standard normal (Box–Muller). *)

@@ -40,33 +40,35 @@ let live_at sched ~at id = sched.is_output.(id) || sched.last_use.(id) >= at
 let analyse ?info ?sched prm g =
   let info = match info with Some i -> i | None -> Scale_check.infer prm g in
   let sched = match sched with Some s -> s | None -> schedule g in
-  let live = Hashtbl.create 64 in
+  let bytes_of id = ciphertext_bytes prm ~level:(max info.(id).Scale_check.level 0) in
+  (* One byte per node id marks the ciphertexts live at the current
+     position; a value is freed once, at the first of its occurrences in
+     the args of its last user. *)
+  let live = Bytes.make (Dfg.node_count g) '\000' in
   let live_bytes = ref 0.0 and live_count = ref 0 in
   let peak_live = ref 0 and peak_bytes = ref 0.0 and total = ref 0 in
-  Array.iteri
-    (fun pos id ->
-      let node = Dfg.node g id in
-      if Op.produces_ct node.Dfg.kind then begin
-        incr total;
-        let bytes = ciphertext_bytes prm ~level:(max info.(id).Scale_check.level 0) in
-        Hashtbl.replace live id bytes;
-        live_bytes := !live_bytes +. bytes;
-        incr live_count;
-        if !live_count > !peak_live then peak_live := !live_count;
-        if !live_bytes > !peak_bytes then peak_bytes := !live_bytes
-      end;
-      (* free operands at their last use *)
-      List.iter
-        (fun a ->
-          if sched.last_use.(a) = pos then
-            match Hashtbl.find_opt live a with
-            | Some bytes ->
-                Hashtbl.remove live a;
-                live_bytes := !live_bytes -. bytes;
-                decr live_count
-            | None -> ())
-        (Dfg.preds g id))
-    sched.order;
+  for pos = 0 to Array.length sched.order - 1 do
+    let id = sched.order.(pos) in
+    let node = Dfg.node g id in
+    if Op.produces_ct node.Dfg.kind then begin
+      incr total;
+      Bytes.set live id '\001';
+      live_bytes := !live_bytes +. bytes_of id;
+      incr live_count;
+      if !live_count > !peak_live then peak_live := !live_count;
+      if !live_bytes > !peak_bytes then peak_bytes := !live_bytes
+    end;
+    (* free operands at their last use *)
+    let args = node.Dfg.args in
+    for k = 0 to Array.length args - 1 do
+      let a = args.(k) in
+      if sched.last_use.(a) = pos && Bytes.get live a = '\001' then begin
+        Bytes.set live a '\000';
+        live_bytes := !live_bytes -. bytes_of a;
+        decr live_count
+      end
+    done
+  done;
   {
     total_ciphertexts = !total;
     peak_live = !peak_live;

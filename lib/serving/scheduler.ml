@@ -167,7 +167,21 @@ let run ?jobs:_ ?cache cfg =
   in
   let slot_capacity = Batcher.capacity prm ~dim:cfg.dim ~max_batch:cfg.max_batch in
   let wide = slot_capacity * cfg.dim in
-  let consts = Nn.Lowering.resolver lowered ~dim:wide in
+  (* A constant's payload is a pure function of its name: resolve each
+     name once per campaign, for the noise analysis and every batch's
+     interpreter alike.  Sharing the arrays is safe because nothing
+     mutates them ([Plaintext.encode] quantises into a fresh array). *)
+  let consts =
+    let resolve = Nn.Lowering.resolver lowered ~dim:wide in
+    let memo = Hashtbl.create 512 in
+    fun name ->
+      match Hashtbl.find_opt memo name with
+      | Some payload -> payload
+      | None ->
+          let payload = resolve name in
+          Hashtbl.add memo name payload;
+          payload
+  in
   (* Sharp static noise prediction for the recovery supervisor's boundary
      validator, as the chaos harness does. *)
   let noise =

@@ -324,6 +324,198 @@ let checksum_matches_fold =
         (oneof [ map Int64.float_of_bits int64; float; oneofl special ]))
     (fun slots -> Int64.equal (Ckks.Ciphertext.checksum slots) (fold_checksum slots))
 
+(* --- PRNG streams, pinned ---------------------------------------------------- *)
+
+(* SplitMix64 outputs recorded before the state moved from a mutable
+   [int64] field to an unboxed byte buffer: how the state is stored must
+   not move any stream by a bit. *)
+let prng_streams_are_pinned () =
+  let hex v = Printf.sprintf "%016Lx" v in
+  let first8 seed =
+    let r = Ckks.Prng.create seed in
+    List.init 8 (fun _ -> hex (Ckks.Prng.int64 r))
+  in
+  let strings = Alcotest.(list string) in
+  check strings "seed 0"
+    [ "e220a8397b1dcdaf"; "6e789e6aa1b965f4"; "06c45d188009454f"; "f88bb8a8724c81ec";
+      "1b39896a51a8749b"; "53cb9f0c747ea2ea"; "2c829abe1f4532e1"; "c584133ac916ab3c" ]
+    (first8 0L);
+  check strings "seed 42"
+    [ "bdd732262feb6e95"; "28efe333b266f103"; "47526757130f9f52"; "581ce1ff0e4ae394";
+      "09bc585a244823f2"; "de4431fa3c80db06"; "37e9671c45376d5d"; "ccf635ee9e9e2fa4" ]
+    (first8 42L);
+  check strings "seed 0x5EED"
+    [ "09f1fd9d03f0a9b4"; "553274161bbf8475"; "5d5bca4696b343b3"; "70d29b6c7d22528d";
+      "0bf2b716f9915475"; "5eb7f92b95387cca"; "296cd0f2c21d7f90"; "1289a69805c125b1" ]
+    (first8 0x5EEDL);
+  let bits v = hex (Int64.bits_of_float v) in
+  let r = Ckks.Prng.create 0x5EEDL in
+  check Alcotest.string "float" "3fa3e3fb3a07e150" (bits (Ckks.Prng.float r));
+  check Alcotest.string "uniform" "bfc59b17d3c88100"
+    (bits (Ckks.Prng.uniform r ~lo:(-1.5) ~hi:2.5));
+  checki "int ~bound:1000" 945 (Ckks.Prng.int r ~bound:1000);
+  check Alcotest.string "gaussian" "3ff39b8c432f9cfa" (bits (Ckks.Prng.gaussian r));
+  let r = Ckks.Prng.create 0x5EEDL in
+  let child = Ckks.Prng.split r in
+  check Alcotest.string "split stream" "1282c5cd2debcee8" (hex (Ckks.Prng.int64 child));
+  check Alcotest.string "parent after split" "553274161bbf8475" (hex (Ckks.Prng.int64 r))
+
+(* --- slot kernels against a scalar reference ---------------------------------- *)
+
+(* The evaluator's kernel contract: one [Prng.uniform] draw per slot, in
+   slot order, added to the slot's exact result.  The reference replays
+   that contract one slot at a time on a twin of the evaluator's stream
+   (same seed), so any reordered, skipped or extra draw, or a changed
+   float expression, shows as a differing bit pattern. *)
+let ref_jitter rng ~bound src =
+  let out = Array.make (Array.length src) 0.0 in
+  for i = 0 to Array.length src - 1 do
+    let u = Ckks.Prng.uniform rng ~lo:(-.bound) ~hi:bound in
+    out.(i) <- src.(i) +. u
+  done;
+  out
+
+let ref_rotate src k =
+  let n = Array.length src in
+  Array.init n (fun i -> src.((((i + k) mod n) + n) mod n))
+
+let slot_bits a = Array.to_list (Array.map Int64.bits_of_float a)
+
+let kernels_match_scalar_reference =
+  qcheck ~count:60 "evaluator kernels equal the one-draw-per-slot reference"
+    QCheck2.Gen.(triple (oneofl [ 1; 128 ]) (int_bound 1_000_000) (int_range (-300) 300))
+    (fun (n, seed, k_random) ->
+      let seed = Int64.of_int seed in
+      let e = Ckks.Evaluator.create ~seed prm and twin = Ckks.Prng.create seed in
+      let inputs = Ckks.Prng.create (Int64.add seed 1L) in
+      let draw () = Array.init n (fun _ -> Ckks.Prng.uniform inputs ~lo:(-1.0) ~hi:1.0) in
+      let x = draw () and y = draw () in
+      let pow2 b = 2.0 ** b in
+      let fresh scale = pow2 (Ckks.Evaluator.fresh_noise_bits -. float_of_int scale) in
+      let rot scale = pow2 (Ckks.Evaluator.rotate_noise_bits -. float_of_int scale) in
+      let boot = pow2 (-.Ckks.Evaluator.bootstrap_precision_bits) in
+      let same what expected (ct : Ckks.Ciphertext.t) =
+        if slot_bits expected <> slot_bits ct.Ckks.Ciphertext.slots then
+          QCheck2.Test.fail_reportf "%s: slots differ from the reference (n = %d)" what n;
+        ct
+      in
+      let s = prm.Ckks.Params.input_scale_bits in
+      let enc v = same "encrypt" (ref_jitter twin ~bound:(fresh s) v) (Ckks.Evaluator.encrypt e v) in
+      let a = enc x in
+      let b = enc y in
+      let sum u v = Array.mapi (fun i ui -> ui +. v.(i)) u in
+      let prod u v = Array.mapi (fun i ui -> ui *. v.(i)) u in
+      let open Ckks.Ciphertext in
+      ignore (same "add_cc" (sum a.slots b.slots) (Ckks.Evaluator.add_cc e a b));
+      let pt = Ckks.Evaluator.encode e y in
+      let quantised =
+        let bits = pt.Ckks.Plaintext.scale_bits in
+        let sc = Float.of_int (1 lsl bits) in
+        Array.map (fun v -> if bits >= 52 then v else Float.round (v *. sc) /. sc) y
+      in
+      if slot_bits quantised <> slot_bits pt.Ckks.Plaintext.slots then
+        QCheck2.Test.fail_reportf "encode: slots differ from the reference (n = %d)" n;
+      ignore
+        (same "add_cp" (sum a.slots pt.Ckks.Plaintext.slots) (Ckks.Evaluator.add_cp e a pt));
+      let m =
+        same "mul_cc"
+          (ref_jitter twin ~bound:(fresh (2 * s)) (prod a.slots b.slots))
+          (Ckks.Evaluator.mul_cc e a b)
+      in
+      ignore
+        (same "mul_cp"
+           (ref_jitter twin ~bound:(fresh (s + pt.Ckks.Plaintext.scale_bits))
+              (prod a.slots pt.Ckks.Plaintext.slots))
+           (Ckks.Evaluator.mul_cp e a pt));
+      let r =
+        same "relin"
+          (ref_jitter twin ~bound:(rot m.scale_bits) m.slots)
+          (Ckks.Evaluator.relin e m)
+      in
+      let q = prm.Ckks.Params.scale_bits in
+      ignore
+        (same "rescale"
+           (ref_jitter twin ~bound:(fresh (r.scale_bits - q)) r.slots)
+           (Ckks.Evaluator.rescale e r));
+      List.iter
+        (fun k ->
+          ignore
+            (same (Printf.sprintf "rotate %d" k)
+               (ref_jitter twin ~bound:(rot a.scale_bits) (ref_rotate a.slots k))
+               (Ckks.Evaluator.rotate e a k)))
+        [ 0; n; -1; n + 3; k_random ];
+      ignore (same "modswitch" a.slots (Ckks.Evaluator.modswitch e a));
+      ignore
+        (same "bootstrap" (ref_jitter twin ~bound:boot a.slots)
+           (Ckks.Evaluator.bootstrap e a ~target_level:8));
+      ignore
+        (same "refresh" (ref_jitter twin ~bound:boot a.slots) (Ckks.Evaluator.refresh e a));
+      (* Fault paths: the injector draws its firing decision, then its
+         effect, from its own stream; the evaluator's stream still makes
+         one draw per slot for the op underneath. *)
+      let fault_seed = Int64.add seed 2L in
+      let under_fault kind ~mag f =
+        let inj =
+          Ckks.Fault.create
+            {
+              Ckks.Fault.seed = fault_seed;
+              rules = [ Ckks.Fault.rule kind ~prob:1.0 ~mag ];
+              budget = 1;
+            }
+        in
+        Ckks.Fault.with_faults inj f
+      in
+      let fr = Ckks.Prng.create fault_seed in
+      ignore (Ckks.Prng.float fr);
+      let spiked =
+        under_fault Ckks.Fault.Noise_spike ~mag:20.0 (fun () -> Ckks.Evaluator.relin e m)
+      in
+      let base = ref_jitter twin ~bound:(rot m.scale_bits) m.slots in
+      ignore (same "noise spike" (ref_jitter fr ~bound:spiked.err base) spiked);
+      let fr = Ckks.Prng.create fault_seed in
+      ignore (Ckks.Prng.float fr);
+      let corrupted =
+        under_fault Ckks.Fault.Slot_corrupt ~mag:(-3.0) (fun () -> Ckks.Evaluator.relin e m)
+      in
+      let expected = ref_jitter twin ~bound:(rot m.scale_bits) m.slots in
+      let i = Ckks.Prng.int fr ~bound:n in
+      let amp = pow2 (-3.0) in
+      let delta = Ckks.Prng.uniform fr ~lo:(amp /. 2.0) ~hi:amp in
+      let sign = if Ckks.Prng.float fr < 0.5 then -1.0 else 1.0 in
+      expected.(i) <- expected.(i) +. (sign *. delta);
+      ignore (same "slot corrupt" expected corrupted);
+      true)
+
+(* A slot kernel allocates its result array and nothing per slot: the
+   minor words an op allocates on 128 slots exceed those on 1 slot by
+   exactly the 127 extra words of its result.  Measured with no trace,
+   metrics sink or fault injector installed. *)
+let kernels_allocate_nothing_per_slot () =
+  let words n f =
+    let slots = Array.init n (fun i -> 0.5 -. (float_of_int i /. 512.0)) in
+    let e = Ckks.Evaluator.create ~seed:5L prm in
+    let a = Ckks.Evaluator.encrypt e slots and b = Ckks.Evaluator.encrypt e slots in
+    let pt = Ckks.Evaluator.encode e slots in
+    let run () = ignore (Sys.opaque_identity (f e slots a b pt)) in
+    run ();
+    minor_words run
+  in
+  List.iter
+    (fun (name, f) ->
+      check_float ~eps:0.0 (name ^ ": result words only") 127.0 (words 128 f -. words 1 f))
+    [
+      ("encode", fun e slots _ _ _ -> Ckks.Evaluator.encode e slots |> Obj.repr);
+      ("encrypt", fun e slots _ _ _ -> Ckks.Evaluator.encrypt e slots |> Obj.repr);
+      ("add_cc", fun e _ a b _ -> Ckks.Evaluator.add_cc e a b |> Obj.repr);
+      ("add_cp", fun e _ a _ pt -> Ckks.Evaluator.add_cp e a pt |> Obj.repr);
+      ("mul_cc", fun e _ a b _ -> Ckks.Evaluator.mul_cc e a b |> Obj.repr);
+      ("mul_cp", fun e _ a _ pt -> Ckks.Evaluator.mul_cp e a pt |> Obj.repr);
+      ("rotate", fun e _ a _ _ -> Ckks.Evaluator.rotate e a 3 |> Obj.repr);
+      ("modswitch", fun e _ a _ _ -> Ckks.Evaluator.modswitch e a |> Obj.repr);
+      ("bootstrap", fun e _ a _ _ -> Ckks.Evaluator.bootstrap e a ~target_level:8 |> Obj.repr);
+      ("refresh", fun e _ a _ _ -> Ckks.Evaluator.refresh e a |> Obj.repr);
+    ]
+
 let suite =
   [
     case "params: defaults" params_defaults;
@@ -358,4 +550,7 @@ let suite =
     eval_mul_accuracy;
     case "ciphertext: checksum allocates nothing per slot" checksum_allocates_nothing;
     checksum_matches_fold;
+    case "prng: streams pinned" prng_streams_are_pinned;
+    kernels_match_scalar_reference;
+    case "evaluator: kernels allocate nothing per slot" kernels_allocate_nothing_per_slot;
   ]

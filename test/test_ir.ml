@@ -455,6 +455,79 @@ let interp_latency_equals_static =
           Float.abs (result.Interp.latency_ms -. report.Resbm.Report.latency_ms) < 1e-3
       | exception Resbm.Btsmgr.No_plan _ -> true)
 
+(* A fault-free ResNet-20 run, slot for slot: its digest was taken before
+   the evaluator's slot kernels became loops, which must not move a bit. *)
+let interp_resnet20_is_pinned () =
+  let prm, managed, env, _ = resnet20_env ~dim:32 in
+  let result = Interp.run (Ckks.Evaluator.create ~seed:3L prm) managed env in
+  checki "ops" 14213 result.Interp.op_count;
+  checkb "outputs finite" true
+    (slots_finite result.Interp.outputs);
+  check Alcotest.string "output slot digest" "a3babac790c78c43434ca6e80456d37b"
+    (slots_digest result.Interp.outputs)
+
+(* --- Liveness ----------------------------------------------------------------- *)
+
+(* The list-and-Hashtbl walk [Liveness.analyse] replaced, kept as its
+   oracle: operands freed in [Dfg.preds] order from a table of live
+   sizes. *)
+let liveness_oracle prm g =
+  let info = Scale_check.infer prm g in
+  let sched = Liveness.schedule g in
+  let live = Hashtbl.create 64 in
+  let live_bytes = ref 0.0 and live_count = ref 0 in
+  let peak_live = ref 0 and peak_bytes = ref 0.0 and total = ref 0 in
+  Array.iteri
+    (fun pos id ->
+      let node = Dfg.node g id in
+      if Op.produces_ct node.Dfg.kind then begin
+        incr total;
+        let bytes =
+          Liveness.ciphertext_bytes prm ~level:(max info.(id).Scale_check.level 0)
+        in
+        Hashtbl.replace live id bytes;
+        live_bytes := !live_bytes +. bytes;
+        incr live_count;
+        if !live_count > !peak_live then peak_live := !live_count;
+        if !live_bytes > !peak_bytes then peak_bytes := !live_bytes
+      end;
+      List.iter
+        (fun a ->
+          if sched.Liveness.last_use.(a) = pos then
+            match Hashtbl.find_opt live a with
+            | Some bytes ->
+                Hashtbl.remove live a;
+                live_bytes := !live_bytes -. bytes;
+                decr live_count
+            | None -> ())
+        (Dfg.preds g id))
+    sched.Liveness.order;
+  {
+    Liveness.total_ciphertexts = !total;
+    peak_live = !peak_live;
+    peak_bytes = !peak_bytes;
+    final_live = !live_count;
+  }
+
+let same_liveness (a : Liveness.report) (b : Liveness.report) =
+  a.Liveness.total_ciphertexts = b.Liveness.total_ciphertexts
+  && a.Liveness.peak_live = b.Liveness.peak_live
+  && Int64.equal (Int64.bits_of_float a.Liveness.peak_bytes)
+       (Int64.bits_of_float b.Liveness.peak_bytes)
+  && a.Liveness.final_live = b.Liveness.final_live
+
+let liveness_matches_oracle =
+  qcheck ~count:60 "liveness report equals the Hashtbl oracle (raw and managed)"
+    (random_dfg_gen ~max_nodes:40 ~max_depth:6)
+    (fun params ->
+      let g = build_random_dfg params in
+      same_liveness (liveness_oracle prm g) (Liveness.analyse prm g)
+      &&
+      match Resbm.Driver.compile prm g with
+      | managed, _ ->
+          same_liveness (liveness_oracle prm managed) (Liveness.analyse prm managed)
+      | exception Resbm.Btsmgr.No_plan _ -> true)
+
 let suite =
   [
     case "dfg: builder basics" dfg_builder_basics;
@@ -496,4 +569,6 @@ let suite =
     case "interp: missing input" interp_missing_input;
     case "interp: rejects illegal graphs" interp_rejects_illegal;
     interp_latency_equals_static;
+    case "interp: ResNet-20 output slots pinned" interp_resnet20_is_pinned;
+    liveness_matches_oracle;
   ]

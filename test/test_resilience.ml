@@ -785,6 +785,39 @@ let chaos_campaign_recovers () =
     [ "\"recovery\""; "\"recovery_ms_by_kind\""; "\"backoff_ms_total\""; "\"capped_backoffs\"" ];
   checkb "campaign-level backoff aggregated" true (r.Resilience.Chaos.backoff_ms_total >= 0.0)
 
+(* One supervised ResNet-20 run under a seeded injector (two noise
+   spikes, two slot corruptions, two transients), slot for slot:
+   rollbacks replay from checkpoints, so the digest pins the evaluator's
+   and the injector's streams across every retry.  Taken before the slot
+   kernels became loops.  Stronger spikes, or other injector seeds, end
+   such a run in all-NaN outputs, which no digest can pin
+   ([slots_finite]). *)
+let recovery_resnet20_is_pinned () =
+  let p, managed, env, region_of = resnet20_env ~dim:32 in
+  let inj =
+    Ckks.Fault.create
+      {
+        Ckks.Fault.seed = 0x2EC1L;
+        budget = 6;
+        rules =
+          [
+            Ckks.Fault.rule Ckks.Fault.Noise_spike ~prob:0.01 ~mag:8.0;
+            Ckks.Fault.rule Ckks.Fault.Slot_corrupt ~prob:0.01 ~mag:(-6.0);
+            Ckks.Fault.rule Ckks.Fault.Transient ~prob:0.005 ~mag:0.0;
+          ];
+      }
+  in
+  let result, stats =
+    Ckks.Fault.with_faults inj (fun () ->
+        Resilience.Recovery.run ~region_of (Ckks.Evaluator.create ~seed:9L p) managed env)
+  in
+  checki "injected" 6 stats.Resilience.Recovery.injected_faults;
+  checki "retries" 4 stats.Resilience.Recovery.retries;
+  checkb "outputs finite" true
+    (slots_finite result.Interp.outputs);
+  check Alcotest.string "output slot digest" "8612a4f4fa2fcb5e2a1be61b2a1a6160"
+    (slots_digest result.Interp.outputs)
+
 let suite =
   [
     case "structured errors: every Table 1 constraint path" constraint_fixtures;
@@ -822,4 +855,6 @@ let suite =
     case "fuel: spends drain a budget exactly" fuel_drains_exactly;
     case "compile_robust: a finite budget degrades reproducibly"
       finite_fuel_degrades_reproducibly;
+    case "recovery under a seeded injector is pinned (ResNet-20)"
+      recovery_resnet20_is_pinned;
   ]

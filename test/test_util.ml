@@ -163,3 +163,49 @@ let renumber seed g =
         { x with Dfg.ex_args = Array.map (fun a -> perm.(a)) x.Dfg.ex_args })
     nodes;
   Dfg.import (nodes', List.map (fun o -> perm.(o)) outputs)
+
+(* --- Slot-level pins ---------------------------------------------------- *)
+
+(* MD5 of every output slot's IEEE bit pattern, in output order: a pin
+   that any reordered draw or changed float expression moves. *)
+let slots_digest (cts : Ckks.Ciphertext.t list) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (c : Ckks.Ciphertext.t) ->
+      Array.iter
+        (fun v -> Buffer.add_string b (Printf.sprintf "%016Lx" (Int64.bits_of_float v)))
+        c.Ckks.Ciphertext.slots)
+    cts;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Every NaN slot digests alike whatever noise produced it, so a digest
+   pins a run only when its outputs are finite. *)
+let slots_finite (cts : Ckks.Ciphertext.t list) =
+  List.for_all
+    (fun (c : Ckks.Ciphertext.t) -> Array.for_all Float.is_finite c.Ckks.Ciphertext.slots)
+    cts
+
+(* ResNet-20 compiled by the resbm manager at l_max 16 with a [dim]-slot
+   dataset image and the lowering's constants: (params, managed graph,
+   environment, region attribution). *)
+let resnet20_env ~dim =
+  let prm =
+    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = 16 } 16
+  in
+  let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
+  let managed, report = Resbm.Driver.compile prm lowered.Nn.Lowering.dfg in
+  let env =
+    {
+      Fhe_ir.Interp.inputs =
+        [
+          ( lowered.Nn.Lowering.input_name,
+            (Nn.Dataset.images ~seed:3L ~dim ~count:1 ()).(0) );
+        ];
+      consts = Nn.Lowering.resolver lowered ~dim;
+    }
+  in
+  let region_of id =
+    let attr = report.Resbm.Report.region_of in
+    if id >= 0 && id < Array.length attr then attr.(id) else -1
+  in
+  (prm, managed, env, region_of)
