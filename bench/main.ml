@@ -18,23 +18,16 @@ let prm = Ckks.Params.default
 
 (* Knobs set by the command line before any experiment runs. *)
 let out_path = ref "BENCH_resbm.json"
-let models_filter : string list ref = ref []
-let managers_filter : string list ref = ref []
+let models_filter : Nn.Model.t list ref = ref []
+let managers_filter : Resbm.Variants.manager list ref = ref []
 
-let canon s =
-  String.lowercase_ascii (String.map (function '_' | '-' -> '-' | c -> c) s)
+(* The selected entries of [all], in [all]'s order. *)
+let selected all = function
+  | [] -> all
+  | picked -> List.filter (fun x -> List.memq x picked) all
 
-let models () =
-  match !models_filter with
-  | [] -> Nn.Model.paper_models
-  | names ->
-      List.filter (fun m -> List.mem (canon m.Nn.Model.name) names) Nn.Model.paper_models
-
-let managers () =
-  match !managers_filter with
-  | [] -> Resbm.Variants.all
-  | names ->
-      List.filter (fun m -> List.mem (canon m.Resbm.Variants.name) names) Resbm.Variants.all
+let models () = selected Nn.Model.paper_models !models_filter
+let managers () = selected Resbm.Variants.all !managers_filter
 
 (* The commit the numbers were measured at, so a bench file is traceable
    after the working tree moves on.  Informational only — Bench_diff never
@@ -674,24 +667,26 @@ let all_experiments =
     ("json", bench_json);
   ]
 
-(* A comma-separated name list, canonicalised; a name we do not know is
-   rejected, since a typo'd --models would otherwise silently produce an
-   empty (but valid-looking) report. *)
-let names_conv kind known =
+(* A comma-separated name list, each resolved by [find] to one of
+   [known]; any other name is rejected, since a typo'd --models would
+   otherwise silently produce an empty (but valid-looking) report. *)
+let names_conv kind ~name ~find known =
   let parse s =
-    let names =
-      String.split_on_char ',' s |> List.map String.trim
-      |> List.filter (fun n -> n <> "")
-      |> List.map canon
-    in
-    let known_canon = List.map canon known in
-    match List.find_opt (fun n -> not (List.mem n known_canon)) names with
-    | Some n ->
-        Error (Printf.sprintf "unknown %s %s (known: %s)" kind n (String.concat " " known))
-    | None -> Ok names
+    String.split_on_char ',' s |> List.map String.trim
+    |> List.filter (fun n -> n <> "")
+    |> List.fold_left
+         (fun acc n ->
+           Result.bind acc (fun picked ->
+               match find n with
+               | Some x when List.memq x known -> Ok (picked @ [ x ])
+               | _ ->
+                   Error
+                     (Printf.sprintf "unknown %s %s (known: %s)" kind n
+                        (String.concat " " (List.map name known)))))
+         (Ok [])
   in
   Cmdliner.Arg.conv'
-    (parse, fun ppf names -> Format.pp_print_string ppf (String.concat "," names))
+    (parse, fun ppf xs -> Format.pp_print_string ppf (String.concat "," (List.map name xs)))
 
 let () =
   let open Cmdliner in
@@ -702,18 +697,18 @@ let () =
       & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run (default: all of them).")
   in
   let models =
-    let known = List.map (fun m -> m.Nn.Model.name) Nn.Model.paper_models in
+    let name m = m.Nn.Model.name in
     Arg.(
       value
-      & opt (names_conv "model" known) []
+      & opt (names_conv "model" ~name ~find:Nn.Model.by_name Nn.Model.paper_models) []
       & info [ "models" ] ~docv:"A,B"
           ~doc:"Restrict model-driven experiments to these models.")
   in
   let managers =
-    let known = List.map (fun m -> m.Resbm.Variants.name) Resbm.Variants.all in
+    let name m = m.Resbm.Variants.name in
     Arg.(
       value
-      & opt (names_conv "manager" known) []
+      & opt (names_conv "manager" ~name ~find:Resbm.Variants.by_name Resbm.Variants.all) []
       & info [ "managers" ] ~docv:"A,B"
           ~doc:"Restrict the json experiment to these managers.")
   in

@@ -51,12 +51,7 @@ let resolve_model name =
   | None -> Error (`Msg (Printf.sprintf "unknown model %S" name))
 
 let resolve_manager name =
-  let canon s =
-    String.lowercase_ascii (String.map (function '_' | '-' -> '-' | c -> c) s)
-  in
-  match
-    List.find_opt (fun m -> canon m.Resbm.Variants.name = canon name) Resbm.Variants.all
-  with
+  match Resbm.Variants.by_name name with
   | Some m -> Ok m
   | None -> Error (`Msg (Printf.sprintf "unknown manager %S" name))
 
@@ -88,21 +83,8 @@ let write_json path json =
    together as a "flight" file that [resbm health] can judge offline. *)
 type flight = { fl_log : Obs.Log.t; fl_metrics : Obs.Metrics.t }
 
-let flight_json fl =
-  (* Stamp the drop gauge at export time so the flight file carries its
-     own loss accounting (read back by Health's ring-overflow rule). *)
-  Obs.Metrics.set fl.fl_metrics "log_dropped_records"
-    (float_of_int (Obs.Log.dropped fl.fl_log));
-  Obs.Json.Obj
-    [
-      ("resbm_flight", Obs.Json.Int 1);
-      ( "records",
-        Obs.Json.List (List.map Obs.Log.record_to_json (Obs.Log.records fl.fl_log)) );
-      ("metrics", Obs.Metrics.to_json fl.fl_metrics);
-    ]
-
 let write_flight path fl =
-  write_json path (flight_json fl);
+  write_json path (Obs.Flight.to_json fl.fl_log fl.fl_metrics);
   Format.printf "wrote flight log (%d records, %d dropped) to %s@."
     (List.length (Obs.Log.records fl.fl_log))
     (Obs.Log.dropped fl.fl_log) path
@@ -121,38 +103,11 @@ let load_flight path =
       Format.eprintf "error: cannot read %s: %s@." path msg;
       exit 1
   in
-  match Obs.Json.of_string content with
+  match Result.bind (Obs.Json.of_string content) Obs.Flight.of_json with
+  | Ok flight -> flight
   | Error msg ->
       Format.eprintf "error: %s: %s@." path msg;
       exit 1
-  | Ok json ->
-      (match Obs.Json.member "resbm_flight" json with
-      | Some (Obs.Json.Int 1) -> ()
-      | _ ->
-          Format.eprintf "error: %s is not a resbm flight file@." path;
-          exit 1);
-      let records =
-        match Obs.Json.member "records" json with
-        | Some (Obs.Json.List rs) ->
-            List.filter_map
-              (fun r ->
-                match Obs.Log.record_of_json r with
-                | Ok r -> Some r
-                | Error _ -> None)
-              rs
-        | _ -> []
-      in
-      let metrics =
-        match Obs.Json.member "metrics" json with
-        | Some j -> (
-            match Obs.Metrics.of_json j with
-            | Ok m -> m
-            | Error msg ->
-                Format.eprintf "error: %s: bad metrics section: %s@." path msg;
-                exit 1)
-        | None -> Obs.Metrics.create ()
-      in
-      (records, metrics)
 
 (* The [--log-out] term: a runner for a command body that returns its exit
    code.  With a path, the body runs under a fresh flight collector and the
@@ -555,12 +510,9 @@ let trace_cmd =
     Format.printf "compiled %s with %s in %.1f ms@." model.Nn.Model.name
       manager.Resbm.Variants.name report.Resbm.Report.compile_ms;
     let tr, outcome = traced_inference prm lowered ~managed ~report ~dim in
-    (* The flight's metrics carry the traced per-op/per-region
-       distributions too, so a health judgement of this flight can apply
-       the noise-headroom rule. *)
-    (match fl with
-    | Some fl -> ignore (Obs.Metrics.of_trace ~into:fl.fl_metrics tr)
-    | None -> ());
+    (* The flight's metrics carry the traced noise headroom too, so a
+       health judgement of this flight can apply the noise-headroom rule. *)
+    (match fl with Some fl -> Obs.Metrics.add_trace fl.fl_metrics tr | None -> ());
     (match out with
     | Some path -> write_chrome_trace ?flight:fl path report tr
     | None -> ());
@@ -1281,7 +1233,7 @@ let explain_cmd =
 let chaos_cmd =
   let run models trials seed l_max dim rate budget max_attempts backoff max_backoff
       floor no_retries from_trace json_path min_recovery with_flight =
-    with_flight @@ fun fl ->
+    with_flight @@ fun _ ->
     let models =
       String.split_on_char ',' models
       |> List.map String.trim
@@ -1311,9 +1263,7 @@ let chaos_cmd =
         from_trace;
       }
     in
-    let report =
-      Resilience.Chaos.run ?metrics:(Option.map (fun f -> f.fl_metrics) fl) cfg
-    in
+    let report = Resilience.Chaos.run cfg in
     List.iter
       (fun (m : Resilience.Chaos.model_summary) ->
         Format.printf

@@ -1,25 +1,21 @@
 (* Certification checks over a managed DFG.  The graph is a DAG with fixed
    input levels, so each forward fact is one fold in [Dfg.topo_order] and
-   liveness is one fold in reverse: level/scale intervals re-derived from
-   Table 1, modulus fit of the noise model, and def-use liveness. *)
+   liveness is one fold in reverse: each node's scale and level re-derived
+   from Table 1, modulus fit of the noise model, and def-use liveness. *)
 
 open Fhe_ir
 
 (* ------------------------------------------------------------------ *)
-(* Level / scale intervals.                                            *)
+(* Level / scale points.                                               *)
 (* ------------------------------------------------------------------ *)
 
-type interval = { s_lo : int; s_hi : int; l_lo : int; l_hi : int; is_ct : bool }
-
-let exact ~s ~l ~is_ct = { s_lo = s; s_hi = s; l_lo = l; l_hi = l; is_ct }
-
-(* Mirrors the lenient Scale_check propagation (Table 1 with clamping) on
-   intervals.  Constants are plaintexts: their encoding scale is the
+(* Re-derives the lenient Scale_check propagation (Table 1 with
+   clamping).  Constants are plaintexts: their encoding scale is the
    waterline for multiplications and the ciphertext's scale for additions,
    so consumers never read a constant's own entry beyond [is_ct]. *)
-let scale_transfer (prm : Ckks.Params.t) (iv : interval array) (node : Dfg.node) =
+let transfer (prm : Ckks.Params.t) (pt : Scale_check.info array) (node : Dfg.node) =
   let q = prm.scale_bits and qw = prm.waterline_bits in
-  let arg i = iv.(node.args.(i)) in
+  let arg i = pt.(node.args.(i)) in
   let ct_operand () =
     let a = arg 0 in
     if a.is_ct || Array.length node.args < 2 then a
@@ -27,97 +23,75 @@ let scale_transfer (prm : Ckks.Params.t) (iv : interval array) (node : Dfg.node)
       let b = arg 1 in
       if b.is_ct then b else a
   in
-  (* Level interval of a binary ct operation: min over ct operands,
-     bound by bound. *)
-  let join_level a b =
+  (* Level of a binary ct operation: the min over its ct operands. *)
+  let join_level (a : Scale_check.info) (b : Scale_check.info) =
     match (a.is_ct, b.is_ct) with
-    | true, true -> (min a.l_lo b.l_lo, min a.l_hi b.l_hi)
-    | true, false -> (a.l_lo, a.l_hi)
-    | false, true -> (b.l_lo, b.l_hi)
-    | false, false -> (0, 0)
+    | true, true -> min a.level b.level
+    | true, false -> a.level
+    | false, true -> b.level
+    | false, false -> 0
   in
+  let ct scale_bits level = { Scale_check.scale_bits; level; is_ct = true } in
   match node.kind with
   | Op.Input { level; scale_bits; _ } ->
-      let l = Option.value level ~default:prm.input_level
-      and s = Option.value scale_bits ~default:prm.input_scale_bits in
-      exact ~s ~l ~is_ct:true
-  | Op.Const _ -> exact ~s:qw ~l:0 ~is_ct:false
-  | Op.Add_cc ->
-      let a = arg 0 and b = arg 1 in
-      let l_lo, l_hi = join_level a b in
-      (* Sound for mismatched operand scales: cover both. *)
-      let c = ct_operand () in
-      let s_lo = min c.s_lo (if a.is_ct && b.is_ct then min a.s_lo b.s_lo else c.s_lo)
-      and s_hi = max c.s_hi (if a.is_ct && b.is_ct then max a.s_hi b.s_hi else c.s_hi) in
-      { s_lo; s_hi; l_lo; l_hi; is_ct = true }
+      ct
+        (Option.value scale_bits ~default:prm.input_scale_bits)
+        (Option.value level ~default:prm.input_level)
+  | Op.Const _ -> { Scale_check.scale_bits = qw; level = 0; is_ct = false }
+  | Op.Add_cc -> ct (ct_operand ()).scale_bits (join_level (arg 0) (arg 1))
   | Op.Add_cp -> { (ct_operand ()) with is_ct = true }
   | Op.Mul_cc ->
       let a = arg 0 and b = arg 1 in
-      let l_lo, l_hi = join_level a b in
-      { s_lo = a.s_lo + b.s_lo; s_hi = a.s_hi + b.s_hi; l_lo; l_hi; is_ct = true }
+      ct (a.scale_bits + b.scale_bits) (join_level a b)
   | Op.Mul_cp ->
       let a = ct_operand () in
-      { a with s_lo = a.s_lo + qw; s_hi = a.s_hi + qw; is_ct = true }
+      ct (a.scale_bits + qw) a.level
   | Op.Rotate _ | Op.Relin -> { (arg 0) with is_ct = true }
   | Op.Rescale ->
       let a = arg 0 in
-      {
-        s_lo = max (a.s_lo - q) 1;
-        s_hi = max (a.s_hi - q) 1;
-        l_lo = max (a.l_lo - 1) 0;
-        l_hi = max (a.l_hi - 1) 0;
-        is_ct = true;
-      }
+      ct (max (a.scale_bits - q) 1) (max (a.level - 1) 0)
   | Op.Modswitch ->
       let a = arg 0 in
-      { a with l_lo = max (a.l_lo - 1) 0; l_hi = max (a.l_hi - 1) 0; is_ct = true }
-  | Op.Bootstrap target -> exact ~s:q ~l:target ~is_ct:true
+      ct a.scale_bits (max (a.level - 1) 0)
+  | Op.Bootstrap target -> ct q target
 
 (* An entry the fold never computes — a dead node, read only as the
    argument of a malformed graph — is a level-0 plaintext at the
    waterline. *)
-let solve_intervals (prm : Ckks.Params.t) g =
-  let qw = prm.waterline_bits in
-  let iv = Array.make (Dfg.node_count g) (exact ~s:qw ~l:0 ~is_ct:false) in
-  List.iter
-    (fun id -> iv.(id) <- scale_transfer prm iv (Dfg.node g id))
-    (Dfg.topo_order g);
-  iv
+let derive (prm : Ckks.Params.t) g =
+  let pt =
+    Array.make (Dfg.node_count g)
+      { Scale_check.scale_bits = prm.waterline_bits; level = 0; is_ct = false }
+  in
+  List.iter (fun id -> pt.(id) <- transfer prm pt (Dfg.node g id)) (Dfg.topo_order g);
+  pt
 
 let check_levels ~(scales : Scale_check.info array) prm g =
-  let iv = solve_intervals prm g in
+  let pt = derive prm g in
   let ds = ref [] in
   let err ~node rule fmt = Format.kasprintf (fun m -> ds := Diag.error ~node rule "%s" m :: !ds) fmt in
   List.iter
     (fun (n : Dfg.node) ->
       let id = n.id in
       if Op.produces_ct n.kind then begin
-        let v = iv.(id) in
-        (* Worst corner: highest scale at lowest level. *)
-        if not (Ckks.Evaluator.capacity_ok prm ~scale_bits:v.s_hi ~level:v.l_lo) then
-          err ~node:id "absint-capacity"
-            "cannot prove capacity: scale interval reaches 2^%d at level %d" v.s_hi v.l_lo;
+        let v = pt.(id) in
+        if not (Ckks.Evaluator.capacity_ok prm ~scale_bits:v.scale_bits ~level:v.level) then
+          err ~node:id "absint-capacity" "capacity overflow: scale 2^%d at level %d"
+            v.scale_bits v.level;
         (* A dead operand (malformed graph) carries no level to judge. *)
         (match n.kind with
         | Op.Rescale | Op.Modswitch when not (Dfg.node g n.args.(0)).dead ->
-            let a = iv.(n.args.(0)) in
-            if a.l_lo < 1 then
-              err ~node:id "absint-level" "level may underflow: operand level interval reaches %d"
-                a.l_lo
+            let a = pt.(n.args.(0)) in
+            if a.level < 1 then
+              err ~node:id "absint-level" "level underflow: operand at level %d" a.level
         | _ -> ());
-        (* The concrete lenient propagation must lie inside the
-           re-derived interval — the cross-check of two independent
-           readings of Table 1. *)
+        (* The concrete lenient propagation must equal the re-derived
+           point — the cross-check of two independent readings of
+           Table 1. *)
         let c = scales.(id) in
-        if c.Scale_check.is_ct
-           && (c.Scale_check.scale_bits < v.s_lo
-              || c.Scale_check.scale_bits > v.s_hi
-              || c.Scale_check.level < v.l_lo
-              || c.Scale_check.level > v.l_hi)
-        then
-          err ~node:id "absint-diverged"
-            "concrete (2^%d, L%d) escapes the abstract interval ([%d,%d], [L%d,L%d])"
-            c.Scale_check.scale_bits c.Scale_check.level v.s_lo v.s_hi v.l_lo v.l_hi
+        if c.is_ct && (c.scale_bits <> v.scale_bits || c.level <> v.level) then
+          err ~node:id "absint-diverged" "concrete (2^%d, L%d) differs from derived (2^%d, L%d)"
+            c.scale_bits c.level v.scale_bits v.level
       end)
     (Dfg.live_nodes g);
   Diag.sort !ds

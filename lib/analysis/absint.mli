@@ -3,10 +3,10 @@
     The managed graph is a DAG with fixed input levels, so every fact is
     one fold over {!Fhe_ir.Dfg.topo_order} (liveness: the reverse order):
 
-    - {b level/scale intervals} — an independent re-derivation of the
-      Table 1 scale algebra, proving every ciphertext fits its level's
-      modulus capacity and no SMO underflows level 0, cross-checked
-      against {!Fhe_ir.Scale_check.infer};
+    - {b level/scale} — an independent re-derivation of the Table 1
+      scale algebra, one (scale, level) point per node, proving every
+      ciphertext fits its level's modulus capacity and no SMO underflows
+      level 0, cross-checked against {!Fhe_ir.Scale_check.infer};
     - {b noise fit} — {!Fhe_ir.Noise_check.analyse}'s worst-case bound,
       checked against the RNS modulus chain at every node;
     - {b liveness} — def-use liveness sets, the declarative
@@ -15,24 +15,23 @@
 
     Each check returns {!Diag} diagnostics ([[]] means proved). *)
 
-(** One node's (scale, level) interval, closed at both ends. *)
-type interval = { s_lo : int; s_hi : int; l_lo : int; l_hi : int; is_ct : bool }
-
-val solve_intervals : Ckks.Params.t -> Fhe_ir.Dfg.t -> interval array
-(** Per node id, the interval the Table 1 rules derive in one
-    topological pass.  Nodes the pass never reaches (dead ones) read as
-    a level-0 plaintext at the waterline. *)
+val derive : Ckks.Params.t -> Fhe_ir.Dfg.t -> Fhe_ir.Scale_check.info array
+(** Per node id, the (scale, level, is_ct) point the Table 1 rules
+    derive in one topological pass, with the clamping of
+    {!Fhe_ir.Scale_check.infer}'s lenient propagation.  Constants read as
+    level-0 plaintexts at the waterline (their consumers decide their
+    encoding scale); nodes the pass never reaches (dead ones) read the
+    same. *)
 
 val check_levels :
   scales:Fhe_ir.Scale_check.info array -> Ckks.Params.t -> Fhe_ir.Dfg.t -> Diag.t list
 (** Prove capacity and level safety.  [scales] is
     {!Fhe_ir.Scale_check.infer}'s result on the same graph, computed once
     by the caller and shared with {!check_noise}.  Rules:
-    ["absint-capacity"] (a scale interval's upper bound overflows the
-    modulus at the level interval's lower bound), ["absint-level"] (an
-    SMO's operand level interval reaches 0), ["absint-diverged"] (the
-    concrete [scales] value escapes the interval — an analysis bug,
-    never a graph bug). *)
+    ["absint-capacity"] (a derived scale overflows the modulus at its
+    derived level), ["absint-level"] (an SMO's operand is at level 0),
+    ["absint-diverged"] (a concrete [scales] ciphertext entry differs from
+    the derived point — an analysis bug, never a graph bug). *)
 
 val encoding_slack_bits : float
 (** Headroom allowed on top of the scaled signal (sign and rounding). *)

@@ -56,10 +56,10 @@ let error ?node ?(level = -1) ?(scale_bits = -1) ?(noise = nan) cause ~op messag
   in
   { cause; op; node; level; scale_bits; headroom_bits; message }
 
-(* The single funnel for every runtime-constraint failure: one final
-   "fhe_error" instant on the ambient trace (so a crashing unmanaged run —
-   Figure 1a — ends its flight record with the faulting node and message)
-   and exactly one [fhe_errors_total] count per raise. *)
+(* The single funnel for every runtime-constraint failure: exactly one
+   final "fhe_error" instant on the ambient trace per raise, so a crashing
+   unmanaged run (Figure 1a) ends its flight record with the faulting node
+   and message. *)
 let raise_error e =
   Obs.trace_instant ~name:"fhe_error"
     ?node:(if e.node >= 0 then Some e.node else None)
@@ -70,7 +70,6 @@ let raise_error e =
         ("op", Obs.Json.String e.op);
       ]
     ();
-  Obs.metric_incr ~labels:[ ("cause", cause_name e.cause) ] "fhe_errors_total";
   raise (Fhe_error e)
 
 let failc cause ~op ?level ?scale_bits ?noise fmt =
@@ -181,15 +180,6 @@ let traced op cost_op ~charge_level ?(noise_before = 0.0) (ct : Ciphertext.t) =
       Obs.Trace.record tr ~op ~cost_ms ~noise_before ~level:ct.Ciphertext.level
         ~scale_bits:ct.Ciphertext.scale_bits ~size:ct.Ciphertext.size
         ~noise:ct.Ciphertext.err ());
-  (* Aggregate-metrics tier: per-op-kind execution counts and the
-     noise-headroom distribution, independent of any flight recorder. *)
-  (match Obs.current_metrics () with
-  | None -> ()
-  | Some m ->
-      let labels = [ ("op", op) ] in
-      Obs.Metrics.incr m ~labels "fhe_ops_total";
-      Obs.Metrics.observe m ~labels "fhe_noise_headroom_bits"
-        (Obs.Trace.headroom_bits ct.Ciphertext.err));
   ct
 
 let level_transition name ~from_level ~to_level =

@@ -57,8 +57,8 @@ type cause =
   | Injected_transient  (** a {!Fault.Transient} injection; retryable *)
 
 val cause_name : cause -> string
-(** Stable snake_case name, e.g. ["scale_overflow"] — used as the metric
-    label and in trace instants. *)
+(** Stable snake_case name, e.g. ["scale_overflow"] — used in trace
+    instants and report causes. *)
 
 type error = {
   cause : cause;
@@ -93,10 +93,10 @@ val error :
     [headroom_bits] is derived from [noise] when given. *)
 
 val raise_error : error -> 'a
-(** The single raise funnel: records one ["fhe_error"] trace instant and
-    one [fhe_errors_total] count (labelled by cause), then raises
-    {!Fhe_error}.  Every raise path in the evaluator and the interpreter
-    goes through here, so errors are counted exactly once. *)
+(** The single raise funnel: records one ["fhe_error"] trace instant,
+    then raises {!Fhe_error}.  Every raise path in the evaluator and the
+    interpreter goes through here, so each error leaves exactly one
+    instant. *)
 
 type t
 

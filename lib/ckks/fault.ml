@@ -68,10 +68,7 @@ let record t kind ~op ~node ~mag =
         ("mag", Obs.Json.Float mag);
         ("index", Obs.Json.Int inj.index);
       ]
-    ();
-  Obs.metric_incr
-    ~labels:[ ("kind", kind_name kind); ("op", op) ]
-    "fhe_faults_total"
+    ()
 
 let rule_applies r ~op ~node =
   (match r.ops with [] -> true | ops -> List.mem op ops)

@@ -11,11 +11,11 @@
     The injector is installed ambiently ({!with_faults}), with the same
     option-check discipline as {!Obs.with_trace}: the fault-off fast path
     in the evaluator is a single option check per operation.  Every
-    injection is recorded as a ["fault"] trace instant (when a trace is
-    installed) and counted in the [fhe_faults_total] metric, labelled by
-    fault kind and op.  Per-node targeting and attribution read the
-    executing node from the ambient context ({!Obs.current_node}), which
-    the interpreter publishes before each node. *)
+    injection is recorded in {!injections} and as a ["fault"] trace
+    instant (when a trace is installed).  Per-node targeting and
+    attribution read the executing node from the ambient context
+    ({!Obs.current_node}), which the interpreter publishes before each
+    node. *)
 
 type kind =
   | Noise_spike  (** multiply the noise estimate by [2^mag] and jitter slots *)

@@ -120,22 +120,6 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
         attr)
   in
   let compile_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-  (* Publish into the ambient aggregate-metrics registry, when one is
-     installed: the whole compile profile (phase durations, pipeline
-     counters) plus the headline planner outputs, labelled by manager so
-     multi-manager sweeps keep their distributions apart. *)
-  (match Obs.current_metrics () with
-  | None -> ()
-  | Some m ->
-      let labels = [ ("manager", name) ] in
-      ignore (Obs.Metrics.of_profile ~into:m profile);
-      Obs.Metrics.observe m ~labels "compile_ms" compile_ms;
-      Obs.Metrics.observe m ~labels "plan_latency_ms" latency_ms;
-      Obs.Metrics.incr m ~labels ~by:stats.Fhe_ir.Stats.bootstrap_count
-        "bootstraps_planned_total";
-      Obs.Metrics.incr m ~labels ~by:stats.Fhe_ir.Stats.executed_rescales
-        "rescales_planned_total";
-      Obs.Metrics.incr m ~labels ~by:regioned.Region.count "regions_total");
   (* Harvest the min-cut optimality certificates the placements attached
      to their cuts, in region order: the checkable evidence behind the
      plan, preserved through the plan cache. *)

@@ -68,6 +68,12 @@ val compile :
     timed as a span, and the min-cut / planner counters are collected, in
     the ambient {!Obs} profile: a caller-supplied [?profile], or a fresh
     one otherwise.  Either way it is returned in {!Report.t.profile}.
+    With an {!Obs.Metrics} registry ambient, each phase's promoted
+    major-heap words are observed as [gc_major_words{phase}] and, under
+    [certify], each refutation counts once in
+    [plan_refutations_total{pass}] (plus [plan_cache_refutations_total]
+    on a warm hit) — the driver's only metric families; the report is
+    the record of the plan itself.
 
     [cache] consults a {!Plan_cache} before planning and stores the
     result after: a hit returns a bit-identical plan and report (with

@@ -40,7 +40,6 @@ let spend ?(cost = 1) t =
     let rec take () =
       let u = Atomic.get t.used in
       if u + cost > t.capacity then begin
-        Obs.metric_incr ~labels:[ ("stage", t.stage) ] "planner_fuel_exhausted_total";
         Obs.log_warn ~event:"fuel.exhausted"
           ~fields:
             [
@@ -52,6 +51,5 @@ let spend ?(cost = 1) t =
       end;
       if not (Atomic.compare_and_set t.used u (u + cost)) then take ()
     in
-    take ();
-    Obs.metric_incr ~by:cost ~labels:[ ("stage", t.stage) ] "planner_fuel_spent_total"
+    take ()
   end

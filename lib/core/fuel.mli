@@ -25,7 +25,7 @@ exception Exhausted of string
 val create : ?stage:string -> int -> t
 (** [create ~stage n] allows [n] spends; a negative [n] never exhausts.
     [stage] (default ["plan"]) names the budget in {!Exhausted} and in the
-    [planner_fuel_spent_total] metric. *)
+    [fuel.exhausted] log record. *)
 
 val unlimited : t
 (** A shared counter that never exhausts (and never counts). *)

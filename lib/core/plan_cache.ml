@@ -535,7 +535,6 @@ let evict_locked t =
     | Some (k, _) ->
         Hashtbl.remove t.tbl k;
         t.evictions <- t.evictions + 1;
-        Obs.metric_incr "plan_cache_evictions_total";
         Obs.log_debug ~event:"plan_cache.evicted" "evicted the least-recently-used plan"
   done
 
@@ -568,9 +567,7 @@ let find t k =
         | None -> None)
   in
   match mem with
-  | Some hit ->
-      Obs.metric_incr "plan_cache_hits_total";
-      Some (checkout timer hit)
+  | Some hit -> Some (checkout timer hit)
   | None -> (
       match disk_load t k with
       | Some (g, r) ->
@@ -578,12 +575,10 @@ let find t k =
               t.hits <- t.hits + 1;
               t.disk_hits <- t.disk_hits + 1);
           insert_mem t k g r;
-          Obs.metric_incr "plan_cache_hits_total";
           Obs.log_debug ~event:"plan_cache.disk_hit" "plan loaded from the disk tier";
           Some (checkout timer (g, r))
       | None ->
           Mutex.protect t.lock (fun () -> t.misses <- t.misses + 1);
-          Obs.metric_incr "plan_cache_misses_total";
           None)
 
 let store t k g (r : Report.t) =

@@ -14,9 +14,8 @@
       and the exact {!Region.shape}, so re-planning an edited or
       renumbered model re-solves only region shapes it has not seen.
 
-    Hits and misses are counted once per ledger: in {!stats} and on the
-    ambient {!Obs} metrics as [plan_cache_{hits,misses,evictions}_total].
-    All operations are mutex-protected. *)
+    Hits, misses and evictions are counted in {!stats}.  All operations
+    are mutex-protected. *)
 
 type t
 

@@ -58,7 +58,8 @@ let all = [ resbm; resbm_eva; resbm_max; resbm_pm; fhelipe; dacapo_like ]
 let figure6 = [ resbm; resbm_eva; resbm_max; resbm_pm; fhelipe ]
 
 let by_name name =
-  List.find_opt (fun m -> String.lowercase_ascii m.name = String.lowercase_ascii name) all
+  let canon s = String.lowercase_ascii (String.map (function '_' -> '-' | c -> c) s) in
+  List.find_opt (fun m -> canon m.name = canon name) all
 
 let compile ?verify_each ?certify ?jobs:_ ?cache m prm g =
   Driver.compile ~config:m.config ~name:m.name ~ms_opt:m.ms_opt ?verify_each ?certify

@@ -35,6 +35,9 @@ val figure6 : manager list
 (** [resbm; resbm_eva; resbm_max; resbm_pm; fhelipe] — the Figure 6 bars. *)
 
 val by_name : string -> manager option
+(** The manager in {!all} with this name, ignoring case and treating
+    ['_'] and ['-'] alike: ["dacapo_like"], ["DaCapo-like"] and
+    ["resbm-max"] all resolve. *)
 
 val compile :
   ?verify_each:bool ->

@@ -109,9 +109,8 @@ module Session = struct
           in
           (* A statically illegal graph is the compile-time face of
              Figure 1a: leave the same final flight-recorder marker a
-             runtime failure would, naming the faulting node — and count
-             it in [fhe_errors_total] like every other raise (the
-             [raise_error] funnel does both). *)
+             runtime failure would, naming the faulting node, through the
+             same [raise_error] funnel as every other raise. *)
           let node = match failing with v :: _ -> v.Scale_check.node | [] -> -1 in
           let err =
             Ckks.Evaluator.error ~node Ckks.Evaluator.Illegal_graph ~op:"interp" msg

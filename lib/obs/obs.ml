@@ -610,7 +610,6 @@ end
 module Log = struct
   type level = Debug | Info | Warn | Error
 
-  let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
   let level_name = function
     | Debug -> "debug"
     | Info -> "info"
@@ -641,57 +640,48 @@ module Log = struct
 
   type t = {
     capacity : int;
-    min_level : level;
     epoch : float;
     buf : record option array;
     mutable next : int;  (* total records kept, including overwritten *)
-    mutable nfiltered : int;  (* records rejected below min_level *)
     lock : Mutex.t;
   }
 
-  let create ?(capacity = 8192) ?(min_level = Debug) () =
+  let create ?(capacity = 8192) () =
     if capacity < 1 then invalid_arg "Log.create: capacity must be >= 1";
     {
       capacity;
-      min_level;
       epoch = Unix.gettimeofday ();
       buf = Array.make capacity None;
       next = 0;
-      nfiltered = 0;
       lock = Mutex.create ();
     }
 
   let record t ~level ~event ?(msg = "") ?sim_ms ?(compile_id = -1) ?(pass = "")
       ?(region = -1) ?(node = -1) ?(fields = []) () =
-    if level_rank level < level_rank t.min_level then
-      Mutex.protect t.lock (fun () -> t.nfiltered <- t.nfiltered + 1)
-    else begin
-      let ts_ms = 1000.0 *. (Unix.gettimeofday () -. t.epoch) in
-      let domain = (Domain.self () :> int) in
-      Mutex.protect t.lock (fun () ->
-          let r =
-            {
-              lseq = t.next;
-              level;
-              event;
-              msg;
-              ts_ms;
-              sim_ms;
-              compile_id;
-              pass;
-              region;
-              node;
-              domain;
-              fields;
-            }
-          in
-          t.buf.(t.next mod t.capacity) <- Some r;
-          t.next <- t.next + 1)
-    end
+    let ts_ms = 1000.0 *. (Unix.gettimeofday () -. t.epoch) in
+    let domain = (Domain.self () :> int) in
+    Mutex.protect t.lock (fun () ->
+        let r =
+          {
+            lseq = t.next;
+            level;
+            event;
+            msg;
+            ts_ms;
+            sim_ms;
+            compile_id;
+            pass;
+            region;
+            node;
+            domain;
+            fields;
+          }
+        in
+        t.buf.(t.next mod t.capacity) <- Some r;
+        t.next <- t.next + 1)
 
   let recorded t = Mutex.protect t.lock (fun () -> t.next)
   let dropped t = Mutex.protect t.lock (fun () -> max 0 (t.next - t.capacity))
-  let filtered t = Mutex.protect t.lock (fun () -> t.nfiltered)
 
   let records t =
     Mutex.protect t.lock (fun () ->
@@ -768,23 +758,6 @@ module Log = struct
     in
     Ok { lseq; level; event; msg; ts_ms; sim_ms; compile_id; pass; region; node; domain; fields }
 
-  let to_jsonl t = List.map (fun r -> Json.to_string (record_to_json r)) (records t)
-
-  let of_jsonl lines =
-    let ( let* ) = Result.bind in
-    let* rev =
-      List.fold_left
-        (fun acc line ->
-          let* acc = acc in
-          if String.trim line = "" then Ok acc
-          else
-            let* j = Json.of_string line in
-            let* r = record_of_json j in
-            Ok (r :: acc))
-        (Ok []) lines
-    in
-    Ok (List.rev rev)
-
   (* Log records as Perfetto instants.  A record stamped with a simulated
      clock lands on the execution process at that simulated time, on the
      thread of the region it is attributed to; a compile-side record
@@ -823,62 +796,16 @@ module Log = struct
       rs
 end
 
-(* Runtime telemetry: GC pressure deltas around a computation. *)
-module Rt = struct
-  type gc_delta = {
-    minor_words : float;
-    major_words : float;
-    minor_collections : int;
-    major_collections : int;
-    top_heap_words : int;
-  }
-
-  let gc_sample f =
-    let a = Gc.quick_stat () in
-    let r = f () in
-    let b = Gc.quick_stat () in
-    ( r,
-      {
-        minor_words = b.Gc.minor_words -. a.Gc.minor_words;
-        major_words = b.Gc.major_words -. a.Gc.major_words;
-        minor_collections = b.Gc.minor_collections - a.Gc.minor_collections;
-        major_collections = b.Gc.major_collections - a.Gc.major_collections;
-        top_heap_words = b.Gc.top_heap_words;
-      } )
-end
-
-(* Aggregate metrics: a registry of counters, gauges and log-bucketed
-   histograms, exposable as JSON.  A histogram is constant space:
-   observations land in log2-spaced buckets with half-step
-   resolution, and quantiles are estimated by interpolating inside the
-   covering bucket — exact min/max are tracked so the estimate is always
-   clamped into the observed range. *)
+(* Aggregate metrics: the registry Health judges — counters, gauges and
+   count/sum/min/max histogram summaries, exposable as JSON. *)
 module Metrics = struct
   type labels = (string * string) list
-
-  (* Bucket [i] holds observations v with bound(i-1) < v <= bound(i),
-     bound(i) = 2^((i-40)/2): ~1e-6 ms .. ~5e11, enough for every latency
-     and noise-bits quantity in the system.  Index [finite_buckets] is the
-     overflow (+Inf) bucket. *)
-  let finite_buckets = 119
-  let bound i = Float.pow 2.0 ((float_of_int i -. 40.0) /. 2.0)
-
-  let bucket_of v =
-    if Float.is_nan v then finite_buckets
-    else if v <= bound 0 then 0
-    else if v > bound (finite_buckets - 1) then finite_buckets
-    else
-      let i = int_of_float (Float.ceil (2.0 *. Float.log2 v)) + 40 in
-      (* guard against log2 rounding right at a boundary *)
-      let i = max 0 (min (finite_buckets - 1) i) in
-      if v <= bound i then if i > 0 && v <= bound (i - 1) then i - 1 else i else i + 1
 
   type hist = {
     mutable count : int;
     mutable sum : float;
     mutable minv : float;
     mutable maxv : float;
-    counts : int array;  (* finite_buckets + 1 *)
   }
 
   type t = {
@@ -892,9 +819,9 @@ module Metrics = struct
 
   let create () =
     {
-      counters = Hashtbl.create 32;
-      gauges = Hashtbl.create 16;
-      hists = Hashtbl.create 32;
+      counters = Hashtbl.create 16;
+      gauges = Hashtbl.create 4;
+      hists = Hashtbl.create 16;
       lock = Mutex.create ();
     }
 
@@ -921,24 +848,14 @@ module Metrics = struct
           match Hashtbl.find_opt t.hists k with
           | Some h -> h
           | None ->
-              let h =
-                {
-                  count = 0;
-                  sum = 0.0;
-                  minv = infinity;
-                  maxv = neg_infinity;
-                  counts = Array.make (finite_buckets + 1) 0;
-                }
-              in
+              let h = { count = 0; sum = 0.0; minv = infinity; maxv = neg_infinity } in
               Hashtbl.add t.hists k h;
               h
         in
         h.count <- h.count + 1;
         h.sum <- h.sum +. v;
         if v < h.minv then h.minv <- v;
-        if v > h.maxv then h.maxv <- v;
-        let b = bucket_of v in
-        h.counts.(b) <- h.counts.(b) + 1)
+        if v > h.maxv then h.maxv <- v)
 
   let counter_value ?(labels = []) t name =
     Mutex.protect t.lock (fun () ->
@@ -948,143 +865,59 @@ module Metrics = struct
     Mutex.protect t.lock (fun () ->
         Option.map ( ! ) (Hashtbl.find_opt t.gauges (key name labels)))
 
-  let quantile_of_hist h q =
-    if h.count = 0 then None
-    else if h.minv = h.maxv then Some h.minv
-    else begin
-      let need = Float.max 1.0 (Float.ceil (q *. float_of_int h.count)) in
-      let rec go i cum =
-        if i > finite_buckets then h.maxv
-        else
-          let c = h.counts.(i) in
-          if c > 0 && float_of_int (cum + c) >= need then begin
-            let lo = if i = 0 then 0.0 else bound (i - 1) in
-            let hi = if i >= finite_buckets then h.maxv else bound i in
-            let frac = (need -. float_of_int cum) /. float_of_int c in
-            Float.max h.minv (Float.min h.maxv (lo +. (frac *. (hi -. lo))))
-          end
-          else go (i + 1) (cum + c)
-      in
-      Some (go 0 0)
-    end
-
-  type hstats = {
-    hcount : int;
-    hsum : float;
-    hmin : float;
-    hmax : float;
-    p50 : float;
-    p90 : float;
-    p99 : float;
-  }
+  type hstats = { hcount : int; hsum : float; hmin : float; hmax : float }
 
   let stats_of_hist h =
-    let q p = Option.value (quantile_of_hist h p) ~default:nan in
     {
       hcount = h.count;
       hsum = h.sum;
       hmin = (if h.count = 0 then nan else h.minv);
       hmax = (if h.count = 0 then nan else h.maxv);
-      p50 = q 0.5;
-      p90 = q 0.9;
-      p99 = q 0.99;
     }
 
   let histogram ?(labels = []) t name =
-    Option.map stats_of_hist (Hashtbl.find_opt t.hists (key name labels))
-
-  let quantile ?(labels = []) t name q =
-    Option.bind (Hashtbl.find_opt t.hists (key name labels)) (fun h ->
-        quantile_of_hist h q)
-
-  (* Non-empty cumulative bucket boundaries: (upper_bound, cumulative) at
-     each bucket that received observations — enough to reconstruct the
-     distribution without 120 mostly-zero rows per histogram. *)
-  let cumulative_buckets h =
-    let acc = ref [] and cum = ref 0 in
-    Array.iteri
-      (fun i c ->
-        if c > 0 then begin
-          cum := !cum + c;
-          let le = if i >= finite_buckets then infinity else bound i in
-          acc := (le, !cum) :: !acc
-        end)
-      h.counts;
-    List.rev !acc
+    Mutex.protect t.lock (fun () ->
+        Option.map stats_of_hist (Hashtbl.find_opt t.hists (key name labels)))
 
   let sorted_bindings tbl =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] (* det-ok: sorted *)
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+  let snapshot t tbl f =
+    Mutex.protect t.lock (fun () ->
+        List.map (fun ((name, labels), v) -> (name, labels, f v)) (sorted_bindings tbl))
+
+  let all_counters t = snapshot t t.counters ( ! )
+  let all_gauges t = snapshot t t.gauges ( ! )
+  let all_histograms t = snapshot t t.hists stats_of_hist
+
   let labels_json labels = Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
 
   let to_json t =
-    let counter ((name, labels), r) =
-      Json.Obj
-        [ ("name", Json.String name); ("labels", labels_json labels); ("value", Json.Int !r) ]
-    in
-    let gauge ((name, labels), r) =
-      Json.Obj
-        [ ("name", Json.String name); ("labels", labels_json labels); ("value", Json.Float !r) ]
-    in
-    let hist ((name, labels), h) =
-      let s = stats_of_hist h in
-      Json.Obj
-        [
-          ("name", Json.String name);
-          ("labels", labels_json labels);
-          ("count", Json.Int s.hcount);
-          ("sum", Json.Float s.hsum);
-          ("min", Json.Float s.hmin);
-          ("max", Json.Float s.hmax);
-          ("p50", Json.Float s.p50);
-          ("p90", Json.Float s.p90);
-          ("p99", Json.Float s.p99);
-          ( "buckets",
-            Json.List
-              (List.map
-                 (fun (le, cum) -> Json.List [ Json.Float le; Json.Int cum ])
-                 (cumulative_buckets h)) );
-        ]
+    let section rows fields =
+      Json.List
+        (List.map
+           (fun (name, labels, v) ->
+             Json.Obj (("name", Json.String name) :: ("labels", labels_json labels) :: fields v))
+           rows)
     in
     Json.Obj
       [
-        ("counters", Json.List (List.map counter (sorted_bindings t.counters)));
-        ("gauges", Json.List (List.map gauge (sorted_bindings t.gauges)));
-        ("histograms", Json.List (List.map hist (sorted_bindings t.hists)));
+        ("counters", section (all_counters t) (fun v -> [ ("value", Json.Int v) ]));
+        ("gauges", section (all_gauges t) (fun v -> [ ("value", Json.Float v) ]));
+        ( "histograms",
+          section (all_histograms t) (fun s ->
+              [
+                ("count", Json.Int s.hcount);
+                ("sum", Json.Float s.hsum);
+                ("min", Json.Float s.hmin);
+                ("max", Json.Float s.hmax);
+              ]) );
       ]
 
-  (* --- registry snapshots and round-trip ---------------------------------- *)
-
-  let all_counters t =
-    Mutex.protect t.lock (fun () ->
-        List.map (fun ((name, labels), r) -> (name, labels, !r)) (sorted_bindings t.counters))
-
-  let all_gauges t =
-    Mutex.protect t.lock (fun () ->
-        List.map (fun ((name, labels), r) -> (name, labels, !r)) (sorted_bindings t.gauges))
-
-  let all_histograms t =
-    Mutex.protect t.lock (fun () ->
-        List.map
-          (fun ((name, labels), h) -> (name, labels, stats_of_hist h))
-          (sorted_bindings t.hists))
-
-  (* Invert the serialisation of [cumulative_buckets]: a bucket bound is
-     2^((i-40)/2), so the index is recovered in closed form; the overflow
-     bucket serialised as +Inf degrades to JSON null and parses as NaN. *)
-  let bucket_of_bound le =
-    if Float.is_nan le || le = infinity then finite_buckets
-    else begin
-      let i = int_of_float (Float.round ((2.0 *. Float.log2 le) +. 40.0)) in
-      if
-        i >= 0
-        && i < finite_buckets
-        && Float.abs (bound i -. le) <= 1e-9 *. Float.max 1.0 (Float.abs le)
-      then i
-      else bucket_of le
-    end
-
+  (* The inverse of [to_json].  Fields it does not read — older flight
+     files carry quantiles and cumulative buckets per histogram — are
+     ignored, and a missing section loads as empty. *)
   let of_json j =
     let ( let* ) = Result.bind in
     let t = create () in
@@ -1094,145 +927,76 @@ module Metrics = struct
       | Json.Null -> Some nan
       | _ -> None
     in
-    let entries section =
+    let each section f =
       match Json.member section j with
-      | Some (Json.List es) -> Ok es
-      | None -> Ok []
+      | None -> Ok ()
+      | Some (Json.List es) ->
+          List.fold_left
+            (fun acc e ->
+              let* () = acc in
+              let* name =
+                match Json.member "name" e with
+                | Some (Json.String s) -> Ok s
+                | _ -> Error "metric entry without a name"
+              in
+              let labels =
+                match Json.member "labels" e with
+                | Some (Json.Obj fs) ->
+                    List.filter_map
+                      (fun (k, v) -> match v with Json.String s -> Some (k, s) | _ -> None)
+                      fs
+                | _ -> []
+              in
+              let num field =
+                match Option.bind (Json.member field e) number with
+                | Some v -> Ok v
+                | None -> Error (Printf.sprintf "%s %s: field %S missing" section name field)
+              in
+              f (key name labels) e num)
+            (Ok ()) es
       | Some _ -> Error (Printf.sprintf "metrics section %S is not a list" section)
     in
-    let name_labels e =
-      let* name =
-        match Json.member "name" e with
-        | Some (Json.String s) -> Ok s
-        | _ -> Error "metric entry without a name"
-      in
-      let labels =
-        match Json.member "labels" e with
-        | Some (Json.Obj fs) ->
-            List.filter_map
-              (fun (k, v) -> match v with Json.String s -> Some (k, s) | _ -> None)
-              fs
-        | _ -> []
-      in
-      Ok (name, labels)
+    let int e field =
+      match Json.member field e with Some (Json.Int v) -> Some v | _ -> None
     in
-    let each es f = List.fold_left (fun acc e -> let* () = acc in f e) (Ok ()) es in
-    let* cs = entries "counters" in
     let* () =
-      each cs (fun e ->
-          let* name, labels = name_labels e in
-          match Json.member "value" e with
-          | Some (Json.Int v) ->
-              incr t ~by:v ~labels name;
-              Ok ()
-          | _ -> Error (Printf.sprintf "counter %s has no integer value" name))
-    in
-    let* gs = entries "gauges" in
-    let* () =
-      each gs (fun e ->
-          let* name, labels = name_labels e in
-          match Option.bind (Json.member "value" e) number with
+      each "counters" (fun k e _ ->
+          match int e "value" with
           | Some v ->
-              set t ~labels name v;
+              Hashtbl.replace t.counters k (ref v);
               Ok ()
-          | None -> Error (Printf.sprintf "gauge %s has no numeric value" name))
+          | None -> Error (Printf.sprintf "counter %s has no integer value" (fst k)))
     in
-    let* hs = entries "histograms" in
     let* () =
-      each hs (fun e ->
-          let* name, labels = name_labels e in
-          let num field =
-            match Option.bind (Json.member field e) number with
-            | Some v -> Ok v
-            | None ->
-                Error (Printf.sprintf "histogram %s: field %S missing" name field)
-          in
+      each "gauges" (fun k _ num ->
+          let* v = num "value" in
+          Hashtbl.replace t.gauges k (ref v);
+          Ok ())
+    in
+    let* () =
+      each "histograms" (fun k e num ->
           let* count =
-            match Json.member "count" e with
-            | Some (Json.Int c) -> Ok c
-            | _ -> Error (Printf.sprintf "histogram %s: field \"count\" missing" name)
+            Option.to_result (int e "count")
+              ~none:(Printf.sprintf "histogram %s: field \"count\" missing" (fst k))
           in
           let* sum = num "sum" in
           let* minv = num "min" in
           let* maxv = num "max" in
-          let* buckets =
-            match Json.member "buckets" e with
-            | Some (Json.List bs) ->
-                Result.map List.rev
-                  (List.fold_left
-                     (fun acc b ->
-                       let* acc = acc in
-                       match b with
-                       | Json.List [ le; Json.Int cum ] -> (
-                           match number le with
-                           | Some le -> Ok ((le, cum) :: acc)
-                           | None ->
-                               Error
-                                 (Printf.sprintf "histogram %s: malformed bucket bound"
-                                    name))
-                       | _ -> Error (Printf.sprintf "histogram %s: malformed bucket" name))
-                     (Ok []) bs)
-            | _ -> Error (Printf.sprintf "histogram %s: missing buckets" name)
-          in
-          let h =
-            {
-              count;
-              sum;
-              minv = (if count = 0 then infinity else minv);
-              maxv = (if count = 0 then neg_infinity else maxv);
-              counts = Array.make (finite_buckets + 1) 0;
-            }
-          in
-          let prev = ref 0 in
-          List.iter
-            (fun (le, cum) ->
-              let b = bucket_of_bound le in
-              h.counts.(b) <- h.counts.(b) + (cum - !prev);
-              prev := cum)
-            buckets;
-          Mutex.protect t.lock (fun () -> Hashtbl.replace t.hists (key name labels) h);
+          let minv, maxv = if count = 0 then (infinity, neg_infinity) else (minv, maxv) in
+          Hashtbl.replace t.hists k { count; sum; minv; maxv };
           Ok ())
     in
     Ok t
 
-  (* --- folds from the other observability tiers --------------------------- *)
-
-  let region_label r = if r < 0 then "unattributed" else string_of_int r
-
-  (* Fold a flight-recorded trace into per-op-kind and per-region latency
-     and noise-headroom distributions. *)
-  let of_trace ?into tr =
-    let m = match into with Some m -> m | None -> create () in
+  (* The traced run's noise headroom per op kind and the trace ring's
+     loss, the two trace facts Health judges. *)
+  let add_trace t tr =
     List.iter
-      (function
-        | Trace.Op e ->
-            let op = [ ("op", e.Trace.op) ] in
-            let region = [ ("region", region_label e.Trace.region) ] in
-            incr m ~labels:op "trace_ops_total";
-            observe m ~labels:op "op_latency_ms" e.Trace.dur_ms;
-            observe m ~labels:region "region_latency_ms" e.Trace.dur_ms;
-            observe m ~labels:op "noise_headroom_bits"
-              (Trace.headroom_bits e.Trace.noise_after)
-        | Trace.Instant i ->
-            incr m ~labels:[ ("kind", i.Trace.iname) ] "trace_instants_total")
-      (Trace.events tr);
-    set m "trace_clock_ms" (Trace.clock_ms tr);
-    set m "trace_dropped_events" (float_of_int (Trace.dropped tr));
-    m
-
-  (* Fold a compile profile: top-level phase durations become one
-     histogram labelled by phase, pipeline counters one counter family. *)
-  let of_profile ?into p =
-    let m = match into with Some m -> m | None -> create () in
-    List.iter
-      (fun (s : Profile.span) ->
-        if s.Profile.depth = 0 then
-          observe m ~labels:[ ("phase", s.Profile.name) ] "compile_phase_ms" s.Profile.dur_ms)
-      (Profile.spans p);
-    List.iter
-      (fun (k, v) -> incr m ~by:v ~labels:[ ("counter", k) ] "pipeline_events_total")
-      (Profile.counters p);
-    m
+      (fun (e : Trace.op_event) ->
+        observe t ~labels:[ ("op", e.op) ] "noise_headroom_bits"
+          (Trace.headroom_bits e.noise_after))
+      (Trace.op_events tr);
+    set t "trace_dropped_events" (float_of_int (Trace.dropped tr))
 end
 
 (* Generic explanation rendering: hierarchical cost waterfalls and
@@ -1881,24 +1645,13 @@ module Health = struct
 
   let severity_name = function Pass -> "pass" | Warn -> "warn" | Fail -> "fail"
 
-  type thresholds = {
-    headroom_floor_bits : float;
-    recovery_rate_floor : float;
-    slo_attainment_floor : float;
-    max_fallbacks : int;
-    max_refutations : int;
-    gc_major_words_ceiling : float;
-  }
-
-  let default_thresholds =
-    {
-      headroom_floor_bits = 4.0;
-      recovery_rate_floor = 0.9;
-      slo_attainment_floor = 0.95;
-      max_fallbacks = 0;
-      max_refutations = 0;
-      gc_major_words_ceiling = 2e9;
-    }
+  (* The fixed thresholds every flight is judged against. *)
+  let headroom_floor_bits = 4.0
+  let recovery_rate_floor = 0.9
+  let slo_attainment_floor = 0.95
+  let max_fallbacks = 0
+  let max_refutations = 0
+  let gc_major_words_ceiling = 2e9
 
   type check = {
     rule : string;
@@ -1911,7 +1664,7 @@ module Health = struct
 
   type verdict = { healthy : bool; checks : check list }
 
-  let evaluate ?(thresholds = default_thresholds) ?(records = []) m =
+  let evaluate ?(records = []) m =
     let counters = Metrics.all_counters m in
     let gauges = Metrics.all_gauges m in
     let hists = Metrics.all_histograms m in
@@ -1938,12 +1691,12 @@ module Health = struct
       let v = hfold "noise_headroom_bits" (fun acc s -> Float.min acc s.Metrics.hmin) infinity in
       let applicable = v < infinity in
       check "noise-headroom" ~applicable ~warn_only:false
-        ~ok:(v >= thresholds.headroom_floor_bits)
+        ~ok:(v >= headroom_floor_bits)
         ~value:(if applicable then v else nan)
-        ~threshold:thresholds.headroom_floor_bits
+        ~threshold:headroom_floor_bits
         (if applicable then
            Printf.sprintf "minimum traced noise headroom %.1f bits (floor %.1f)" v
-             thresholds.headroom_floor_bits
+             headroom_floor_bits
          else "no traced noise-headroom observations")
     in
     let recovery =
@@ -1954,11 +1707,11 @@ module Health = struct
         if applicable then float_of_int recovered /. float_of_int faulted else nan
       in
       check "recovery-rate" ~applicable ~warn_only:false
-        ~ok:((not applicable) || rate >= thresholds.recovery_rate_floor)
-        ~value:rate ~threshold:thresholds.recovery_rate_floor
+        ~ok:((not applicable) || rate >= recovery_rate_floor)
+        ~value:rate ~threshold:recovery_rate_floor
         (if applicable then
            Printf.sprintf "%d/%d faulted trials recovered (rate %.3f, floor %.3f)"
-             recovered faulted rate thresholds.recovery_rate_floor
+             recovered faulted rate recovery_rate_floor
          else "no faulted chaos trials")
     in
     let slo =
@@ -1974,39 +1727,30 @@ module Health = struct
         if applicable then float_of_int completed /. float_of_int admitted else nan
       in
       check "slo-attainment" ~applicable ~warn_only:false
-        ~ok:((not applicable) || rate >= thresholds.slo_attainment_floor)
-        ~value:rate ~threshold:thresholds.slo_attainment_floor
+        ~ok:((not applicable) || rate >= slo_attainment_floor)
+        ~value:rate ~threshold:slo_attainment_floor
         (if applicable then
            Printf.sprintf
              "%d/%d admitted requests completed in SLO (attainment %.3f, floor %.3f)"
-             completed admitted rate thresholds.slo_attainment_floor
+             completed admitted rate slo_attainment_floor
          else "no admitted serving requests")
     in
     let fallbacks =
       let v = csum "planner_fallbacks_total" in
       check "planner-fallbacks" ~applicable:true ~warn_only:false
-        ~ok:(v <= thresholds.max_fallbacks)
+        ~ok:(v <= max_fallbacks)
         ~value:(float_of_int v)
-        ~threshold:(float_of_int thresholds.max_fallbacks)
-        (Printf.sprintf "%d planner tier fallbacks (max %d)" v thresholds.max_fallbacks)
+        ~threshold:(float_of_int max_fallbacks)
+        (Printf.sprintf "%d planner tier fallbacks (max %d)" v max_fallbacks)
     in
     let refutations =
-      let metric = csum "plan_refutations_total" + csum "plan_cache_refutations_total" in
-      let logged =
-        List.length
-          (List.filter
-             (fun r ->
-               r.Log.level = Log.Error
-               && (r.Log.event = "certify.refuted" || r.Log.event = "plan_cache.refuted"))
-             records)
-      in
-      let v = max metric logged in
+      let v = csum "plan_refutations_total" + csum "plan_cache_refutations_total" in
       check "refutations" ~applicable:true ~warn_only:false
-        ~ok:(v <= thresholds.max_refutations)
+        ~ok:(v <= max_refutations)
         ~value:(float_of_int v)
-        ~threshold:(float_of_int thresholds.max_refutations)
+        ~threshold:(float_of_int max_refutations)
         (Printf.sprintf "%d certificate/plan-cache refutations (max %d)" v
-           thresholds.max_refutations)
+           max_refutations)
     in
     let errors =
       let v =
@@ -2020,12 +1764,12 @@ module Health = struct
       let applicable = List.exists (fun (n, _, _) -> n = "gc_major_words") hists in
       let v = hfold "gc_major_words" (fun acc s -> acc +. s.Metrics.hsum) 0.0 in
       check "gc-pressure" ~applicable ~warn_only:false
-        ~ok:(v <= thresholds.gc_major_words_ceiling)
+        ~ok:(v <= gc_major_words_ceiling)
         ~value:(if applicable then v else nan)
-        ~threshold:thresholds.gc_major_words_ceiling
+        ~threshold:gc_major_words_ceiling
         (if applicable then
            Printf.sprintf "%.0f major-heap words promoted (ceiling %.0f)" v
-             thresholds.gc_major_words_ceiling
+             gc_major_words_ceiling
          else "no GC telemetry recorded")
     in
     let rings =
@@ -2067,6 +1811,38 @@ module Health = struct
           (if c.applicable then "" else " (not applicable)"))
       v.checks;
     Format.fprintf ppf "verdict: %s@]" (if v.healthy then "healthy" else "UNHEALTHY")
+end
+
+(* A flight file: one run's log records and metrics registry, the input
+   Health judges offline. *)
+module Flight = struct
+  let to_json sink m =
+    (* Stamp the drop gauge at export time so the flight file carries its
+       own loss accounting (read back by Health's ring-overflow rule). *)
+    Metrics.set m "log_dropped_records" (float_of_int (Log.dropped sink));
+    Json.Obj
+      [
+        ("resbm_flight", Json.Int 1);
+        ("records", Json.List (List.map Log.record_to_json (Log.records sink)));
+        ("metrics", Metrics.to_json m);
+      ]
+
+  let of_json json =
+    match Json.member "resbm_flight" json with
+    | Some (Json.Int 1) -> (
+        let records =
+          match Json.member "records" json with
+          | Some (Json.List rs) ->
+              List.filter_map (fun r -> Result.to_option (Log.record_of_json r)) rs
+          | _ -> []
+        in
+        match Json.member "metrics" json with
+        | None -> Ok (records, Metrics.create ())
+        | Some j -> (
+            match Metrics.of_json j with
+            | Ok m -> Ok (records, m)
+            | Error msg -> Error ("bad metrics section: " ^ msg)))
+    | _ -> Error "not a resbm flight file"
 end
 
 (* Profile spans in the same Chrome trace-event dialect, so one Perfetto
@@ -2168,16 +1944,6 @@ let metric_incr ?by ?labels name =
   | Some m -> Metrics.incr ?by ?labels m name
   | None -> ()
 
-let metric_observe ?labels name v =
-  match current_metrics () with
-  | Some m -> Metrics.observe ?labels m name v
-  | None -> ()
-
-let metric_set ?labels name v =
-  match current_metrics () with
-  | Some m -> Metrics.set ?labels m name v
-  | None -> ()
-
 let set_node ~region n =
   let c = ctx () in
   c.node <- n;
@@ -2218,19 +1984,17 @@ let log_info ~event ?fields msg = log ~level:Log.Info ~event ~msg ?fields ()
 let log_warn ~event ?fields msg = log ~level:Log.Warn ~event ~msg ?fields ()
 let log_error ~event ?fields msg = log ~level:Log.Error ~event ~msg ?fields ()
 
-(* A profile span that additionally publishes the phase's GC pressure
-   into the ambient metrics registry.  The deltas go to Metrics only —
-   never to the Profile — so compile reports stay bit-identical whether
-   or not GC telemetry is being collected. *)
+(* A profile span that additionally publishes the words the phase
+   promoted to the major heap into the ambient metrics registry, for
+   Health's gc-pressure rule.  The delta goes to Metrics only — never to
+   the Profile — so compile reports stay bit-identical whether or not GC
+   telemetry is being collected. *)
 let gc_span name f =
   match current_metrics () with
   | None -> span name f
   | Some m ->
-      let labels = [ ("phase", name) ] in
-      let r, d = Rt.gc_sample (fun () -> span name f) in
-      Metrics.observe ~labels m "gc_minor_words" d.Rt.minor_words;
-      Metrics.observe ~labels m "gc_major_words" d.Rt.major_words;
-      Metrics.incr ~by:d.Rt.minor_collections ~labels m "gc_minor_collections_total";
-      Metrics.incr ~by:d.Rt.major_collections ~labels m "gc_major_collections_total";
-      Metrics.set m "gc_top_heap_words" (float_of_int d.Rt.top_heap_words);
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      let r = span name f in
+      Metrics.observe ~labels:[ ("phase", name) ] m "gc_major_words"
+        ((Gc.quick_stat ()).Gc.major_words -. before);
       r

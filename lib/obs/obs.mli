@@ -219,11 +219,10 @@ module Log : sig
 
   type t
 
-  val create : ?capacity:int -> ?min_level:level -> unit -> t
+  val create : ?capacity:int -> unit -> t
   (** Ring buffer of [capacity] records (default 8192); older records are
-      overwritten once full.  Records below [min_level] (default
-      {!Debug}) are counted in {!filtered} and not stored.  Raises
-      [Invalid_argument] when [capacity < 1]. *)
+      overwritten once full.  Raises [Invalid_argument] when
+      [capacity < 1]. *)
 
   val record :
     t ->
@@ -250,18 +249,11 @@ module Log : sig
   val dropped : t -> int
   (** Records lost to ring-buffer wrap-around. *)
 
-  val filtered : t -> int
-  (** Records rejected below [min_level]. *)
-
   val record_to_json : record -> Json.t
+
   val record_of_json : Json.t -> (record, string) result
-
-  val to_jsonl : t -> string list
-  (** One compact JSON object per surviving record, chronological.
-      Round-trips exactly through {!of_jsonl}. *)
-
-  val of_jsonl : string list -> (record list, string) result
-  (** Parse JSONL lines (blank lines skipped). *)
+  (** Inverse of {!record_to_json}: [record_of_json (record_to_json r)]
+      is [Ok r]. *)
 
   val chrome_events : ?compile_pid:int -> ?exec_pid:int -> record list -> Json.t list
   (** Records as Perfetto ["i"] instants: a record with [sim_ms] lands on
@@ -270,25 +262,16 @@ module Log : sig
       pid 0) at its host timestamp.  Wrap with {!chrome_trace}. *)
 end
 
-(** Runtime telemetry: GC pressure deltas around a computation. *)
-module Rt : sig
-  type gc_delta = {
-    minor_words : float;
-    major_words : float;
-    minor_collections : int;
-    major_collections : int;
-    top_heap_words : int;  (** Absolute peak, not a delta. *)
-  }
-
-  val gc_sample : (unit -> 'a) -> 'a * gc_delta
-  (** Run [f] between two [Gc.quick_stat] snapshots. *)
-end
-
-(** Aggregate metrics: a registry of counters, gauges and log-bucketed
-    histograms with quantile estimation, exposable as JSON.  Histograms are constant space — log2-spaced buckets with
-    half-step resolution covering ~1e-6 .. ~5e11 — and quantiles are
-    interpolated inside the covering bucket, clamped to the exact observed
-    min/max. *)
+(** Aggregate metrics: the registry {!Health} judges.  Counters, gauges
+    and histogram summaries (count, sum, min, max), keyed by name and
+    labels, exposable as JSON.  The flight instrumentation writes eleven
+    families, each read by a Health rule: [noise_headroom_bits],
+    [gc_major_words] (histograms), [trace_dropped_events],
+    [log_dropped_records] (gauges), [chaos_faulted_total],
+    [chaos_recovered_total], [serve_admitted_total],
+    [serve_completed_total], [planner_fallbacks_total],
+    [plan_refutations_total] and [plan_cache_refutations_total]
+    (counters). *)
 module Metrics : sig
   type labels = (string * string) list
   (** Label order is irrelevant; keys are canonicalised by sorting. *)
@@ -308,34 +291,15 @@ module Metrics : sig
 
   val gauge : ?labels:labels -> t -> string -> float option
 
-  type hstats = {
-    hcount : int;
-    hsum : float;
-    hmin : float;
-    hmax : float;
-    p50 : float;
-    p90 : float;
-    p99 : float;
-  }
+  type hstats = { hcount : int; hsum : float; hmin : float; hmax : float }
+  (** [hmin] and [hmax] are [nan] when [hcount = 0]. *)
 
   val histogram : ?labels:labels -> t -> string -> hstats option
-  (** Summary of one histogram; quantiles are [nan] when empty. *)
 
-  val quantile : ?labels:labels -> t -> string -> float -> float option
-  (** [quantile t name q] estimates the [q]-quantile ([0..1]); [None] for
-      an unknown or empty histogram. *)
-
-  val of_trace : ?into:t -> Trace.t -> t
-  (** Fold a flight-recorded trace into per-op-kind and per-region latency
-      and noise-headroom distributions ([trace_ops_total{op}],
-      [op_latency_ms{op}], [region_latency_ms{region}],
-      [noise_headroom_bits{op}], [trace_instants_total{kind}], plus
-      [trace_clock_ms] / [trace_dropped_events] gauges). *)
-
-  val of_profile : ?into:t -> Profile.t -> t
-  (** Fold a compile profile: top-level phases into
-      [compile_phase_ms{phase}], pipeline counters into
-      [pipeline_events_total{counter}]. *)
+  val add_trace : t -> Trace.t -> unit
+  (** Fold a flight-recorded trace in: every op event's result headroom
+      ({!Trace.headroom_bits}) into [noise_headroom_bits{op}], and the
+      ring's loss into the [trace_dropped_events] gauge. *)
 
   val all_counters : t -> (string * labels * int) list
   (** Every counter as (name, labels, value), sorted. *)
@@ -344,14 +308,14 @@ module Metrics : sig
   val all_histograms : t -> (string * labels * hstats) list
 
   val to_json : t -> Json.t
-  (** Deterministically ordered; histogram entries carry count/sum/min/max,
-      p50/p90/p99 and the non-empty cumulative buckets as [[le, count]]. *)
+  (** Deterministically ordered [counters], [gauges] and [histograms]
+      lists; a histogram entry carries count/sum/min/max. *)
 
   val of_json : Json.t -> (t, string) result
-  (** Rebuild a registry from its {!to_json} form — bucket indices are
-      recovered from the serialised bounds, so
-      [to_json (of_json (to_json m))] equals [to_json m].  Missing
-      sections are tolerated (they load as empty). *)
+  (** Rebuild a registry from its {!to_json} form, so
+      [to_json (of_json (to_json m))] equals [to_json m].  Fields it does
+      not read are ignored (older flight files carry quantiles and
+      buckets per histogram); missing sections load as empty. *)
 end
 
 (** Generic explanation rendering: hierarchical cost waterfalls with
@@ -519,26 +483,6 @@ module Health : sig
 
   val severity_name : severity -> string
 
-  type thresholds = {
-    headroom_floor_bits : float;
-        (** Minimum traced noise headroom (default 4.0 bits). *)
-    recovery_rate_floor : float;
-        (** Minimum recovered/faulted chaos-trial ratio (default 0.9). *)
-    slo_attainment_floor : float;
-        (** Minimum completed/admitted serving-request ratio — requests
-            finished within their deadline over requests admitted — read
-            from the [serve_completed_total] / [serve_admitted_total]
-            counters a serving campaign folds into the registry (default
-            0.95; vacuous when nothing was admitted). *)
-    max_fallbacks : int;  (** Planner tier fallbacks allowed (default 0). *)
-    max_refutations : int;
-        (** Certificate / plan-cache refutations allowed (default 0). *)
-    gc_major_words_ceiling : float;
-        (** Major-heap words promoted across all phases (default 2e9). *)
-  }
-
-  val default_thresholds : thresholds
-
   type check = {
     rule : string;
     severity : severity;
@@ -550,12 +494,21 @@ module Health : sig
 
   type verdict = { healthy : bool; checks : check list }
 
-  val evaluate :
-    ?thresholds:thresholds ->
-    ?records:Log.record list ->
-    Metrics.t ->
-    verdict
-  (** Run every rule.  [records] feed the refutation and error-log rules.
+  val evaluate : ?records:Log.record list -> Metrics.t -> verdict
+  (** Run every rule against its fixed threshold:
+      - [noise-headroom]: minimum of [noise_headroom_bits] >= 4.0 bits;
+      - [recovery-rate]: [chaos_recovered_total] / [chaos_faulted_total]
+        >= 0.9;
+      - [slo-attainment]: [serve_completed_total] /
+        [serve_admitted_total] >= 0.95 (requests finished within their
+        deadline over requests admitted);
+      - [planner-fallbacks]: [planner_fallbacks_total] = 0;
+      - [refutations]: [plan_refutations_total] +
+        [plan_cache_refutations_total] = 0;
+      - [error-logs]: no error-level record in [records];
+      - [gc-pressure]: sum of [gc_major_words] <= 2e9;
+      - [ring-overflow]: [trace_dropped_events] + [log_dropped_records]
+        = 0.
       [Warn]-severity findings (error-level logs, ring overflow) never flip
       the verdict to unhealthy. *)
 
@@ -567,6 +520,20 @@ module Health : sig
 
   val pp : Format.formatter -> verdict -> unit
   (** One line per check plus the verdict. *)
+end
+
+(** Flight files: one run's log records and metrics registry in one JSON
+    document, the input [resbm health --in] judges. *)
+module Flight : sig
+  val to_json : Log.t -> Metrics.t -> Json.t
+  (** [{"resbm_flight": 1, "records": [...], "metrics": {...}}].  First
+      sets the registry's [log_dropped_records] gauge to the sink's
+      {!Log.dropped}, so the file carries its own loss accounting. *)
+
+  val of_json : Json.t -> (Log.record list * Metrics.t, string) result
+  (** Records (malformed ones skipped) and the registry ({!Metrics.of_json};
+      empty when the section is missing).  [Error] on a document that is
+      not a flight file or carries a malformed metrics section. *)
 end
 
 val profile_chrome_events : ?pid:int -> ?name:string -> Profile.t -> Json.t list
@@ -614,20 +581,13 @@ val trace_instant :
 val with_metrics : Metrics.t -> (unit -> 'a) -> 'a
 (** Install [m] as the ambient metrics registry for the extent of the
     callback (restoring the previous one after, also on exceptions).
-    Driver and evaluator hot paths publish into it through the
-    conveniences below, which cost one option check when none is
-    installed. *)
+    The driver publishes into it through {!metric_incr} and {!gc_span},
+    which cost one option check when none is installed. *)
 
 val current_metrics : unit -> Metrics.t option
 
 val metric_incr : ?by:int -> ?labels:Metrics.labels -> string -> unit
 (** Increment a counter on the ambient registry; no-op when none. *)
-
-val metric_observe : ?labels:Metrics.labels -> string -> float -> unit
-(** Record a histogram observation on the ambient registry; no-op when none. *)
-
-val metric_set : ?labels:Metrics.labels -> string -> float -> unit
-(** Set a gauge on the ambient registry; no-op when none. *)
 
 val set_node : region:int -> int -> unit
 (** Publish the DFG node about to execute and its region ([-1] = none).
@@ -666,9 +626,7 @@ val log_error : event:string -> ?fields:(string * Json.t) list -> string -> unit
 (** [log_error ~event msg] = [log ~level:Error ~event ~msg ()]. *)
 
 val gc_span : string -> (unit -> 'a) -> 'a
-(** {!span}, plus — when a metrics registry is ambient — the phase's GC
-    pressure published as [gc_minor_words{phase}] / [gc_major_words{phase}]
-    observations, [gc_minor_collections_total{phase}] /
-    [gc_major_collections_total{phase}] counters and a [gc_top_heap_words]
-    gauge.  The deltas go to Metrics only, never to the Profile, so
-    compile reports stay bit-identical with telemetry off or on. *)
+(** {!span}, plus — when a metrics registry is ambient — the words the
+    phase promoted to the major heap, observed as [gc_major_words{phase}].
+    The delta goes to Metrics only, never to the Profile, so compile
+    reports stay bit-identical with telemetry off or on. *)

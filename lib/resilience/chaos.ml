@@ -346,27 +346,18 @@ let run_model cfg name =
     trials;
   }
 
-let run ?metrics cfg =
+let run cfg =
   let models = List.map (run_model cfg) cfg.models in
   let total_faulted = List.fold_left (fun a m -> a + m.faulted_trials) 0 models in
   let total_recovered = List.fold_left (fun a m -> a + m.recovered_trials) 0 models in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-      List.iter
-        (fun ms ->
-          let labels = [ ("model", ms.model) ] in
-          Obs.Metrics.incr m ~labels ~by:ms.trials_run "chaos_trials_total";
-          Obs.Metrics.incr m ~labels ~by:ms.faulted_trials "chaos_faulted_total";
-          Obs.Metrics.incr m ~labels ~by:ms.recovered_trials "chaos_recovered_total";
-          Obs.Metrics.incr m ~labels ~by:ms.total_retries "chaos_retries_total";
-          List.iter
-            (fun (k, v) ->
-              Obs.Metrics.incr m
-                ~labels:(labels @ [ ("kind", k) ])
-                ~by:v "chaos_faults_total")
-            ms.faults_by_kind)
-        models);
+  (* The two counts Health's recovery-rate rule reads, published once per
+     model from its summary. *)
+  List.iter
+    (fun ms ->
+      let labels = [ ("model", ms.model) ] in
+      Obs.metric_incr ~labels ~by:ms.faulted_trials "chaos_faulted_total";
+      Obs.metric_incr ~labels ~by:ms.recovered_trials "chaos_recovered_total")
+    models;
   let recovery_ms_by_kind =
     let tbl = Hashtbl.create 4 in
     List.iter

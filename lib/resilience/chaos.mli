@@ -104,12 +104,12 @@ type report = {
   capped_backoffs : int;
 }
 
-val run : ?metrics:Obs.Metrics.t -> config -> report
-(** Runs the campaign.  When [metrics] is given, folds campaign counters
-    into it: [chaos_trials_total{model}], [chaos_faults_total{model,kind}],
-    [chaos_faulted_total{model}], [chaos_recovered_total{model}],
-    [chaos_retries_total{model}] — the faulted/recovered pair is what
-    {!Obs.Health}'s recovery-rate rule reads.
+val run : config -> report
+(** Runs the campaign.  At the end, each model's [faulted_trials] and
+    [recovered_trials] are added to the ambient metrics registry (when
+    one is installed) as [chaos_faulted_total{model}] /
+    [chaos_recovered_total{model}], the pair {!Obs.Health}'s
+    recovery-rate rule reads.
     @raise Invalid_argument on an unknown model name. *)
 
 val to_json : report -> Obs.Json.t

@@ -182,10 +182,7 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
         incr attempts;
         let raw = config.backoff_ms *. (2.0 ** float_of_int (!attempts - 1)) in
         let delay = Float.min raw config.max_backoff_ms in
-        if delay < raw then begin
-          incr capped;
-          Obs.metric_incr "recovery_backoff_capped_total"
-        end;
+        if delay < raw then incr capped;
         Session.charge_ms s delay;
         backoff_total := !backoff_total +. delay;
         let prev = Option.value ~default:0.0 (Hashtbl.find_opt recovery_ms kind) in

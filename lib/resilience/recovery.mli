@@ -50,8 +50,7 @@ type config = {
   max_backoff_ms : float;
       (** Ceiling on a single backoff delay.  Unbounded doubling can blow
           past any request deadline; serving callers set this from their
-          SLO.  Clipped backoffs are counted in {!stats.capped_backoffs}
-          and in the [recovery_backoff_capped_total] metric. *)
+          SLO.  Clipped backoffs are counted in {!stats.capped_backoffs}. *)
   checkpoint_budget_bytes : float option;
       (** Total bytes of retained checkpoints; [None] derives
           [2 * Liveness.peak_bytes] from the graph.  At least one

@@ -300,7 +300,6 @@ let run ?jobs:_ ?cache cfg =
             breaker := `Open;
             open_until := now +. cooldown_ms;
             incr breaker_opens;
-            Obs.metric_incr "serve_breaker_open_total";
             Obs.log_warn ~event:"serve.breaker.open"
               ~fields:[ ("until_ms", Obs.Json.Float !open_until) ]
               (Printf.sprintf "circuit breaker opened until %.1f ms" !open_until));
@@ -322,7 +321,6 @@ let run ?jobs:_ ?cache cfg =
   let next_batch_id = ref 0 in
   let shed_request (r : Batcher.request) reason =
     out_outcome.(r.Batcher.rid) <- Some (Shed reason);
-    Obs.metric_incr ~labels:[ ("reason", reason) ] "serve_shed_total";
     Obs.log_warn ~event:"serve.shed"
       ~fields:
         [ ("rid", Obs.Json.Int r.Batcher.rid); ("reason", Obs.Json.String reason) ]
@@ -330,7 +328,6 @@ let run ?jobs:_ ?cache cfg =
   in
   let admit (r : Batcher.request) =
     refresh_breaker !now;
-    Obs.metric_observe "serve_queue_depth" (float_of_int (List.length !queue));
     if !breaker = `Open then shed_request r "breaker_open"
     else if List.length !queue >= cfg.queue_depth then shed_request r "queue_full"
     else begin
@@ -344,7 +341,6 @@ let run ?jobs:_ ?cache cfg =
       if predicted > r.Batcher.deadline_ms then shed_request r "predicted_miss"
       else begin
         incr admitted;
-        Obs.metric_incr "serve_admitted_total";
         Obs.log_debug ~event:"serve.admit"
           ~fields:[ ("rid", Obs.Json.Int r.Batcher.rid) ]
           (Printf.sprintf "admitted request %d" r.Batcher.rid);
@@ -358,8 +354,6 @@ let run ?jobs:_ ?cache cfg =
     incr next_batch_id;
     let size = List.length members in
     let formed = !now in
-    Obs.metric_incr "serve_batches_total";
-    Obs.metric_observe "serve_batch_size" (float_of_int size);
     Obs.log_info ~event:"serve.batch.formed"
       ~fields:
         [
@@ -427,15 +421,11 @@ let run ?jobs:_ ?cache cfg =
         List.iter
           (fun (r : Batcher.request) ->
             out_completion.(r.Batcher.rid) <- completion;
-            Obs.metric_observe "service_latency_ms" (completion -. r.Batcher.arrival_ms);
-            if completion <= r.Batcher.deadline_ms then begin
-              out_outcome.(r.Batcher.rid) <- Some Completed;
-              Obs.metric_incr "serve_completed_total"
-            end
+            if completion <= r.Batcher.deadline_ms then
+              out_outcome.(r.Batcher.rid) <- Some Completed
             else begin
               incr misses;
               out_outcome.(r.Batcher.rid) <- Some (Failed "deadline_missed");
-              Obs.metric_incr "serve_failed_total";
               Obs.log_warn ~event:"serve.deadline.missed"
                 ~fields:
                   [
@@ -474,7 +464,6 @@ let run ?jobs:_ ?cache cfg =
            is over successful batches. *)
         now := formed +. est_batch_ms;
         let cause = Ckks.Evaluator.cause_name e.Ckks.Evaluator.cause in
-        Obs.metric_incr "serve_batch_failures_total";
         batch_reports :=
           {
             batch_id = bid;
@@ -496,7 +485,6 @@ let run ?jobs:_ ?cache cfg =
         note_breaker !now true;
         let retryable = Ckks.Evaluator.transient e || injected > 0 in
         if retryable && attempt <= cfg.max_retries then begin
-          Obs.metric_incr "serve_batch_retries_total";
           let raw = cfg.retry_backoff_ms *. (2.0 ** float_of_int (attempt - 1)) in
           let delay = Float.min raw cfg.recovery.Resilience.Recovery.max_backoff_ms in
           now := !now +. delay;
@@ -514,9 +502,7 @@ let run ?jobs:_ ?cache cfg =
         end
         else
           List.iter
-            (fun (r : Batcher.request) ->
-              out_outcome.(r.Batcher.rid) <- Some (Failed cause);
-              Obs.metric_incr "serve_failed_total")
+            (fun (r : Batcher.request) -> out_outcome.(r.Batcher.rid) <- Some (Failed cause))
             members
   in
   (* Discrete-event loop over the simulated clock.  Batches execute
@@ -529,7 +515,6 @@ let run ?jobs:_ ?cache cfg =
     match !pending_arrivals with
     | r :: rest when r.Batcher.arrival_ms <= !now ->
         pending_arrivals := rest;
-        Obs.metric_incr "serve_arrivals_total";
         admit r
     | pending -> (
         match !queue with
@@ -549,7 +534,6 @@ let run ?jobs:_ ?cache cfg =
             | Batcher.Wait_until t -> now := Float.max !now t
             | Batcher.Idle -> assert false))
   done;
-  Obs.metric_set "serve_queue_depth_peak" (float_of_int !qpeak);
   let requests =
     Array.to_list
       (Array.mapi
@@ -584,6 +568,10 @@ let run ?jobs:_ ?cache cfg =
   let services =
     List.sort compare (List.filter_map (fun r -> r.service_ms) requests)
   in
+  (* The two counts Health's slo-attainment rule reads, published once
+     from the report's own fields. *)
+  Obs.metric_incr ~by:!admitted "serve_admitted_total";
+  Obs.metric_incr ~by:completed "serve_completed_total";
   {
     config_seed = cfg.seed;
     model = cfg.model;

@@ -141,13 +141,14 @@ val run : ?jobs:int -> ?cache:Resbm.Plan_cache.t -> config -> report
     ({!Resbm.Driver.compile_robust}), whose plans are bit-identical warm
     or cold — the report does not depend on it.  [jobs] is ignored:
     planning is single-domain.  The parameter exists only so existing
-    [~jobs:1] callers still compile.  Metrics
-    ([serve_*] counters, [service_latency_ms] / [serve_queue_depth] /
-    [serve_batch_size] histograms, [serve_queue_depth_peak] gauge), log
-    events ([serve.admit] / [serve.shed] / [serve.batch.formed] /
-    [serve.deadline.missed] / [serve.breaker.open]) and trace instants
-    go to the ambient {!Obs} collectors when installed; the report is
-    computed from plain state, so it is identical either way.
+    [~jobs:1] callers still compile.  Log events ([serve.admit] /
+    [serve.shed] / [serve.batch.formed] / [serve.deadline.missed] /
+    [serve.breaker.open]) and trace instants go to the ambient {!Obs}
+    collectors when installed, and at campaign end the report's
+    [admitted] and [completed] counts are added to the ambient metrics
+    registry as [serve_admitted_total] / [serve_completed_total] (what
+    {!Obs.Health}'s slo-attainment rule reads); the report is computed
+    from plain state, so it is identical either way.
 
     Invariants (asserted or test-enforced): every arrival terminates as
     completed, shed, or failed exactly once;

@@ -208,25 +208,18 @@ let absint_certifies_managed_tiny () =
       checkb (group ^ " has no refutation") false (Analysis.Diag.has_errors ds))
     (Resbm.Driver.certify_diags prm managed report)
 
-let absint_interval_contains_concrete () =
+let absint_points_equal_concrete () =
   let managed, _ = Lazy.force managed_tiny in
-  let iv = Analysis.Absint.solve_intervals prm managed in
+  let derived = Analysis.Absint.derive prm managed in
   let concrete = Fhe_ir.Scale_check.infer prm managed in
   List.iter
     (fun (n : Fhe_ir.Dfg.node) ->
       let id = n.Fhe_ir.Dfg.id in
-      let c = concrete.(id) and v = iv.(id) in
-      (* On a DAG with fixed input levels every interval is one point:
-         the concrete scale and level. *)
+      let c = concrete.(id) in
       if c.Fhe_ir.Scale_check.is_ct then
         checkb
-          (Printf.sprintf "node %d interval is the concrete scale/level" id)
-          true
-          (v.Analysis.Absint.is_ct
-          && v.Analysis.Absint.s_lo = c.Fhe_ir.Scale_check.scale_bits
-          && v.Analysis.Absint.s_hi = c.Fhe_ir.Scale_check.scale_bits
-          && v.Analysis.Absint.l_lo = c.Fhe_ir.Scale_check.level
-          && v.Analysis.Absint.l_hi = c.Fhe_ir.Scale_check.level))
+          (Printf.sprintf "node %d derived point is the concrete scale/level" id)
+          true (derived.(id) = c))
     (Fhe_ir.Dfg.live_nodes managed)
 
 (* Hand-built graphs the planner never emits: the level checks must
@@ -380,7 +373,7 @@ let suite =
     cert_accepts_random_cuts;
     cert_accepts_planner_style_cuts;
     case "certify_diags proves managed tiny" absint_certifies_managed_tiny;
-    case "interval abstraction contains concrete scales" absint_interval_contains_concrete;
+    case "derived points equal Scale_check" absint_points_equal_concrete;
     case "capacity overflow refuted" absint_capacity_overflow;
     case "level underflow refuted" absint_level_underflow;
     case "resnet20 noise warnings" absint_resnet20_noise_warnings;

@@ -213,6 +213,15 @@ let variants_lookup () =
   checkb "by_name resbm" true (Resbm.Variants.by_name "resbm" <> None);
   checkb "by_name Fhelipe" true (Resbm.Variants.by_name "FHELIPE" <> None);
   checkb "by_name unknown" true (Resbm.Variants.by_name "nope" = None);
+  List.iter
+    (fun spelling ->
+      checkb ("by_name " ^ spelling) true
+        (Option.map (fun m -> m.Resbm.Variants.name) (Resbm.Variants.by_name spelling)
+        = Some "DaCapo-like"))
+    [ "dacapo_like"; "DaCapo-like" ];
+  checkb "by_name resbm-max" true
+    (Option.map (fun m -> m.Resbm.Variants.name) (Resbm.Variants.by_name "resbm-max")
+    = Some "ReSBM_max");
   checki "figure6 has five managers" 5 (List.length Resbm.Variants.figure6)
 
 let suite =

@@ -1,8 +1,9 @@
 (* The flight-deck observability tier: the Log ring buffer (overflow,
-   filtering, ambient context, JSONL round-trip) and its Perfetto
-   instants, Health verdicts and exit codes, gc_span metric
-   publication, the stdout-in-lib source lint — and the headline
-   contract that installing all of it changes no compile result bit. *)
+   ambient context, JSON round-trip) and its Perfetto instants, Health
+   verdicts and exit codes, gc_span metric publication, the metric
+   families each flight shape writes, the stdout-in-lib source lint —
+   and the headline contract that installing all of it changes no
+   compile result bit. *)
 open Test_util
 
 let prm = Ckks.Params.default
@@ -16,24 +17,12 @@ let ring_overflow_drops_oldest () =
   done;
   checki "every record counted" 10 (Obs.Log.recorded sink);
   checki "overflow counted" 6 (Obs.Log.dropped sink);
-  checki "nothing filtered" 0 (Obs.Log.filtered sink);
   let survivors = Obs.Log.records sink in
   checki "capacity survivors" 4 (List.length survivors);
   checkb "newest records survive, chronological" true
     (List.map (fun r -> r.Obs.Log.lseq) survivors = [ 6; 7; 8; 9 ]);
   checkb "events match sequence" true
     (List.map (fun r -> r.Obs.Log.event) survivors = [ "e6"; "e7"; "e8"; "e9" ])
-
-let min_level_filters () =
-  let sink = Obs.Log.create ~min_level:Obs.Log.Warn () in
-  List.iter
-    (fun level -> Obs.Log.record sink ~level ~event:"e" ())
-    [ Obs.Log.Debug; Obs.Log.Info; Obs.Log.Warn; Obs.Log.Error ];
-  checki "below-threshold records rejected" 2 (Obs.Log.filtered sink);
-  checki "warn and error kept" 2 (Obs.Log.recorded sink);
-  checkb "kept levels" true
-    (List.map (fun r -> r.Obs.Log.level) (Obs.Log.records sink)
-    = [ Obs.Log.Warn; Obs.Log.Error ])
 
 let ambient_context_attribution () =
   let sink = Obs.Log.create () in
@@ -172,20 +161,15 @@ let jsonl_round_trip () =
     ~pass:"verify" ~region:1 ~node:42
     ~fields:[ ("ratio", Obs.Json.Float 1.5); ("tag", Obs.Json.String "x\"y") ]
     ();
-  let records = Obs.Log.records sink in
-  (match Obs.Log.of_jsonl (Obs.Log.to_jsonl sink) with
-  | Error m -> Alcotest.failf "of_jsonl failed: %s" m
-  | Ok back -> checkb "to_jsonl/of_jsonl is the identity" true (back = records));
+  (* one compact JSON line per record, as a flight file's records list
+     carries them, parsed back through the strict parser *)
   List.iter
     (fun r ->
-      match Obs.Log.record_of_json (Obs.Log.record_to_json r) with
+      let line = Obs.Json.to_string (Obs.Log.record_to_json r) in
+      match Result.bind (Obs.Json.of_string line) Obs.Log.record_of_json with
       | Error m -> Alcotest.failf "record_of_json failed: %s" m
       | Ok r' -> checkb "record json round-trip" true (r' = r))
-    records;
-  (* blank lines are tolerated between records *)
-  match Obs.Log.of_jsonl ("" :: Obs.Log.to_jsonl sink @ [ "" ]) with
-  | Error m -> Alcotest.failf "blank-line of_jsonl failed: %s" m
-  | Ok back -> checki "blank lines skipped" 2 (List.length back)
+    (Obs.Log.records sink)
 
 let log_instants_land_on_the_right_process () =
   let sink = Obs.Log.create () in
@@ -235,12 +219,14 @@ let gc_span_publishes_pressure () =
       Obs.gc_span "flight_phase" (fun () ->
           ignore (Sys.opaque_identity (Array.init 4096 float_of_int))));
   (match
-     Obs.Metrics.histogram ~labels:[ ("phase", "flight_phase") ] m "gc_minor_words"
+     Obs.Metrics.histogram ~labels:[ ("phase", "flight_phase") ] m "gc_major_words"
    with
-  | None -> Alcotest.fail "gc_minor_words{flight_phase} not published"
+  | None -> Alcotest.fail "gc_major_words{flight_phase} not published"
   | Some h -> checkb "one observation, non-negative" true
         (h.Obs.Metrics.hcount = 1 && h.Obs.Metrics.hsum >= 0.0));
-  checkb "peak heap gauge set" true (Obs.Metrics.gauge m "gc_top_heap_words" <> None);
+  checkb "gc_major_words is the only family" true
+    (Obs.Metrics.all_counters m = [] && Obs.Metrics.all_gauges m = []
+    && List.length (Obs.Metrics.all_histograms m) = 1);
   (* without an ambient registry the span publishes nowhere *)
   let m' = Obs.Metrics.create () in
   Obs.gc_span "orphan" (fun () -> ());
@@ -288,12 +274,10 @@ let health_recovery_floor_fails () =
   checkb "0.5 < 0.9 floor fails" true (c.Obs.Health.severity = Obs.Health.Fail);
   checkb "verdict unhealthy" false v.Obs.Health.healthy;
   checki "exit code" 2 (Obs.Health.exit_code v);
-  (* a relaxed floor flips the same registry back to healthy *)
-  let relaxed =
-    { Obs.Health.default_thresholds with Obs.Health.recovery_rate_floor = 0.4 }
-  in
-  let v' = Obs.Health.evaluate ~thresholds:relaxed m in
-  checkb "relaxed floor passes" true v'.Obs.Health.healthy
+  check_float "fixed floor" 0.9 c.Obs.Health.threshold;
+  (* 9/10 sits exactly on the floor and passes *)
+  Obs.Metrics.incr ~by:4 ~labels:[ ("model", "lenet5") ] m "chaos_recovered_total";
+  checkb "rate on the floor passes" true (Obs.Health.evaluate m).Obs.Health.healthy
 
 let health_warn_rules_never_flip () =
   (* Error-level logs and ring overflow are anomalies worth surfacing but
@@ -310,22 +294,168 @@ let health_warn_rules_never_flip () =
   checkb "warn-only rules keep the verdict healthy" true v.Obs.Health.healthy;
   checki "exit code" 0 (Obs.Health.exit_code v)
 
-let health_refutations_fail_from_logs () =
-  (* The refutation rule reads both the metrics counters and the log
-     stream, so a flight file with records but no counters still gates. *)
+let health_refutations_fail_from_counters () =
+  (* The refutation rule reads the two refutation counters, summed over
+     their labels; the error-level record that accompanies a refutation
+     feeds the warn-only error-logs rule, not this one. *)
   let sink = Obs.Log.create () in
   Obs.with_log sink (fun () ->
       Obs.log_error ~event:"certify.refuted" "certificate mismatch");
-  let v =
-    Obs.Health.evaluate ~records:(Obs.Log.records sink) (Obs.Metrics.create ())
-  in
+  let records = Obs.Log.records sink in
+  let quiet = Obs.Health.evaluate ~records (Obs.Metrics.create ()) in
+  checkb "a record alone does not gate" true quiet.Obs.Health.healthy;
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.incr ~labels:[ ("pass", "certify.cuts") ] m "plan_refutations_total";
+  Obs.Metrics.incr m "plan_cache_refutations_total";
+  let v = Obs.Health.evaluate ~records m in
   let c = find_check "refutations" v in
-  checkb "refutation seen through the log stream" true
-    (c.Obs.Health.severity = Obs.Health.Fail);
+  check_float "both counters summed" 2.0 c.Obs.Health.value;
+  checkb "refutation fails" true (c.Obs.Health.severity = Obs.Health.Fail);
   checkb "verdict unhealthy" false v.Obs.Health.healthy;
   (* and the json export carries the verdict for --json consumers *)
   checkb "json verdict field" true
     (Obs.Json.member "healthy" (Obs.Health.to_json v) = Some (Obs.Json.Bool false))
+
+(* --- flight shapes ---------------------------------------------------------- *)
+
+(* The metric families Health's rules read.  A flight writes no other. *)
+let health_families =
+  [
+    "noise_headroom_bits";
+    "chaos_faulted_total";
+    "chaos_recovered_total";
+    "serve_admitted_total";
+    "serve_completed_total";
+    "planner_fallbacks_total";
+    "plan_refutations_total";
+    "plan_cache_refutations_total";
+    "gc_major_words";
+    "trace_dropped_events";
+    "log_dropped_records";
+  ]
+
+(* Run [f] under a fresh log sink and registry, as [--log-out] does, and
+   return the sorted metric-family names of the flight file written
+   after it. *)
+let flight_families f =
+  let sink = Obs.Log.create () and m = Obs.Metrics.create () in
+  Obs.with_log sink (fun () -> Obs.with_metrics m (fun () -> f m));
+  let metrics = Option.get (Obs.Json.member "metrics" (Obs.Flight.to_json sink m)) in
+  List.concat_map
+    (fun section ->
+      match Obs.Json.member section metrics with
+      | Some (Obs.Json.List es) ->
+          List.filter_map
+            (fun e ->
+              match Obs.Json.member "name" e with
+              | Some (Obs.Json.String n) -> Some n
+              | _ -> None)
+            es
+      | _ -> [])
+    [ "counters"; "gauges"; "histograms" ]
+  |> List.sort_uniq compare
+
+let flight_shapes_write_only_health_families () =
+  let tiny () = (Nn.Lowering.lower Nn.Model.tiny).Nn.Lowering.dfg in
+  let shapes =
+    [
+      ( "compile",
+        (fun _ -> ignore (Resbm.Variants.compile Resbm.Variants.resbm prm (tiny ()))),
+        [ "gc_major_words"; "log_dropped_records" ] );
+      ( "trace",
+        (fun m ->
+          let p = Ckks.Params.fig1 in
+          let managed, _ = Resbm.Driver.compile p (fig1_block ()) in
+          let env =
+            { Fhe_ir.Interp.inputs = [ ("x", input_env ~dim:8 5L) ]; consts = const_env ~dim:8 }
+          in
+          let tr = Obs.Trace.create () in
+          ignore (Fhe_ir.Interp.run ~trace:tr (Ckks.Evaluator.create p) managed env);
+          Obs.Metrics.add_trace m tr),
+        [
+          "gc_major_words"; "log_dropped_records"; "noise_headroom_bits"; "trace_dropped_events";
+        ] );
+      ( "chaos",
+        (fun _ ->
+          ignore
+            (Resilience.Chaos.run
+               { Resilience.Chaos.default with Resilience.Chaos.trials = 4; dim = 16 })),
+        [ "chaos_faulted_total"; "chaos_recovered_total"; "gc_major_words"; "log_dropped_records" ]
+      );
+      ( "serve",
+        (fun _ ->
+          ignore
+            (Serving.Scheduler.run
+               {
+                 Serving.Scheduler.default with
+                 Serving.Scheduler.model = "tiny";
+                 l_max = 9;
+                 dim = 16;
+                 max_batch = 4;
+                 arrival = Serving.Scheduler.Poisson 40.0;
+                 duration_ms = 300.0;
+                 chaos_rate = 0.1;
+               })),
+        [ "gc_major_words"; "log_dropped_records"; "serve_admitted_total"; "serve_completed_total" ]
+      );
+    ]
+  in
+  List.iter
+    (fun (shape, run, expected) ->
+      let families = flight_families run in
+      checkb (shape ^ " flight families pinned") true (families = expected);
+      List.iter
+        (fun n -> checkb (shape ^ ": " ^ n ^ " is read by Health") true (List.mem n health_families))
+        families)
+    shapes
+
+(* A flight file in the older format: histograms carry p50/p90/p99 and
+   cumulative buckets, and families no rule reads (per-op evaluator
+   counts, pipeline counters, serve_* and latency histograms) sit next to
+   the ones Health judges.  It loads, and its verdict is the one the
+   older evaluator gave, byte for byte. *)
+let parent_format_flight = {|{"resbm_flight":1,
+ "records":[
+  {"seq":0,"level":"info","event":"compile.done","msg":"compiled","ts_ms":1.5,"compile_id":0,"pass":"","region":-1,"node":-1,"domain":0,"fields":{"manager":"resbm"}},
+  {"seq":1,"level":"error","event":"run.failed","msg":"boom","ts_ms":2.0,"sim_ms":12.5,"compile_id":-1,"pass":"","region":3,"node":17,"domain":0}],
+ "metrics":{
+  "counters":[
+   {"name":"chaos_faulted_total","labels":{"model":"lenet5"},"value":28},
+   {"name":"chaos_faulted_total","labels":{"model":"tiny"},"value":13},
+   {"name":"chaos_faults_total","labels":{"kind":"noise_spike","model":"tiny"},"value":13},
+   {"name":"chaos_recovered_total","labels":{"model":"lenet5"},"value":12},
+   {"name":"chaos_recovered_total","labels":{"model":"tiny"},"value":3},
+   {"name":"fhe_ops_total","labels":{"op":"rotate"},"value":87},
+   {"name":"pipeline_events_total","labels":{"counter":"maxflow.runs"},"value":12},
+   {"name":"serve_admitted_total","labels":{},"value":12},
+   {"name":"serve_arrivals_total","labels":{},"value":73},
+   {"name":"serve_completed_total","labels":{},"value":11},
+   {"name":"serve_shed_total","labels":{"reason":"predicted_miss"},"value":61}],
+  "gauges":[
+   {"name":"gc_top_heap_words","labels":{},"value":1234567.0},
+   {"name":"log_dropped_records","labels":{},"value":0.0},
+   {"name":"serve_queue_depth_peak","labels":{},"value":8.0},
+   {"name":"trace_dropped_events","labels":{},"value":0.0}],
+  "histograms":[
+   {"name":"fhe_noise_headroom_bits","labels":{"op":"rotate"},"count":2,"sum":7.0,"min":3.5,"max":3.5,"p50":3.5,"p90":3.5,"p99":3.5,"buckets":[[4.0,2]]},
+   {"name":"gc_major_words","labels":{"phase":"plan"},"count":1,"sum":1024.0,"min":1024.0,"max":1024.0,"p50":1024.0,"p90":1024.0,"p99":1024.0,"buckets":[[1024.0,1]]},
+   {"name":"gc_major_words","labels":{"phase":"apply"},"count":0,"sum":0.0,"min":null,"max":null,"p50":null,"p90":null,"p99":null,"buckets":[]},
+   {"name":"noise_headroom_bits","labels":{"op":"add_cc"},"count":87,"sum":4135.125621604487,"min":43.14801581191209,"max":49.2559395873916,"p50":49.2559395873916,"p90":49.2559395873916,"p99":49.2559395873916,"buckets":[[45.254833995939045,6],[64.0,87]]},
+   {"name":"noise_headroom_bits","labels":{"op":"rotate"},"count":87,"sum":3829.24104801294,"min":43.829791543753885,"max":47.47088698014746,"p50":43.829791543753885,"p90":44.46585578189505,"p99":47.47088698014746,"buckets":[[45.254833995939045,84],[64.0,87]]},
+   {"name":"service_latency_ms","labels":{},"count":12,"sum":587358.4568348536,"min":24511.87599999999,"max":73378.69628910102,"p50":55938.47500592079,"p90":73378.69628910102,"p99":73378.69628910102,"buckets":[[32768.0,4],[65536.0,8],[92681.90002368316,12]]}]}}|}
+
+let parent_format_verdict =
+  {|{"healthy":false,"checks":[{"rule":"noise-headroom","severity":"pass","applicable":true,"value":43.14801581191209,"threshold":4.0,"detail":"minimum traced noise headroom 43.1 bits (floor 4.0)"},{"rule":"recovery-rate","severity":"fail","applicable":true,"value":0.36585365853658536,"threshold":0.9,"detail":"15/41 faulted trials recovered (rate 0.366, floor 0.900)"},{"rule":"slo-attainment","severity":"fail","applicable":true,"value":0.9166666666666666,"threshold":0.95,"detail":"11/12 admitted requests completed in SLO (attainment 0.917, floor 0.950)"},{"rule":"planner-fallbacks","severity":"pass","applicable":true,"value":0.0,"threshold":0.0,"detail":"0 planner tier fallbacks (max 0)"},{"rule":"refutations","severity":"pass","applicable":true,"value":0.0,"threshold":0.0,"detail":"0 certificate/plan-cache refutations (max 0)"},{"rule":"error-logs","severity":"warn","applicable":true,"value":1.0,"threshold":0.0,"detail":"1 error-level log records"},{"rule":"gc-pressure","severity":"pass","applicable":true,"value":1024.0,"threshold":2e+09,"detail":"1024 major-heap words promoted (ceiling 2000000000)"},{"rule":"ring-overflow","severity":"pass","applicable":true,"value":0.0,"threshold":0.0,"detail":"0 trace events / log records lost to ring wrap-around"}]}|}
+
+let parent_format_flight_same_verdict () =
+  match Result.bind (Obs.Json.of_string parent_format_flight) Obs.Flight.of_json with
+  | Error e -> Alcotest.failf "older flight does not load: %s" e
+  | Ok (records, m) ->
+      checki "both records load" 2 (List.length records);
+      let v = Obs.Health.evaluate ~records m in
+      check Alcotest.string "same verdict" parent_format_verdict
+        (Obs.Json.to_string (Obs.Health.to_json v));
+      checki "unhealthy exit" 2 (Obs.Health.exit_code v)
 
 (* --- stdout-in-lib lint ---------------------------------------------------- *)
 
@@ -379,7 +509,6 @@ let lint_flags_raw_stdout () =
 let suite =
   [
     case "log ring drops oldest records on overflow" ring_overflow_drops_oldest;
-    case "log min-level filtering" min_level_filters;
     case "ambient context attributes records" ambient_context_attribution;
     case "log jsonl round-trip is exact" jsonl_round_trip;
     case "log instants land on the right process" log_instants_land_on_the_right_process;
@@ -389,8 +518,11 @@ let suite =
     case "health: vacuous run is healthy" health_vacuous_run_is_healthy;
     case "health: recovery floor breach fails" health_recovery_floor_fails;
     case "health: warn-only rules never flip the verdict" health_warn_rules_never_flip;
-    case "health: refutations gate from the log stream" health_refutations_fail_from_logs;
+    case "health: refutations gate from the counters" health_refutations_fail_from_counters;
     case "lint: stdout-in-lib flags raw prints" lint_flags_raw_stdout;
     case "spawned domain starts with an empty context" spawned_domain_starts_empty;
     case "interp publishes the executing node" interp_publishes_executing_node;
+    case "flight shapes write only Health's metric families"
+      flight_shapes_write_only_health_families;
+    case "older flight format loads with the same verdict" parent_format_flight_same_verdict;
   ]

@@ -1,5 +1,6 @@
-(* Obs.Stat and Obs.Metrics: the median, histogram bucket and quantile
-   edge cases and the JSON round-trip through the strict Obs parser. *)
+(* Obs.Stat and Obs.Metrics: the median, histogram summary edge cases,
+   the trace fold and the JSON round-trip through the strict Obs
+   parser. *)
 open Test_util
 
 (* --- Stat ----------------------------------------------------------------- *)
@@ -11,12 +12,11 @@ let stat_median () =
   check_float "even count averages the midpoints" 2.5
     (Obs.Stat.median [ 4.0; 1.0; 2.0; 3.0 ])
 
-(* --- Metrics: histograms --------------------------------------------------- *)
+(* --- Metrics: histogram summaries ------------------------------------------ *)
 
 let hist_empty_and_unknown () =
   let m = Obs.Metrics.create () in
   checkb "unknown histogram" true (Obs.Metrics.histogram m "h" = None);
-  checkb "unknown quantile" true (Obs.Metrics.quantile m "h" 0.5 = None);
   checki "unknown counter reads 0" 0 (Obs.Metrics.counter_value m "c");
   checkb "unknown gauge" true (Obs.Metrics.gauge m "g" = None)
 
@@ -29,10 +29,7 @@ let hist_single_sample () =
       checki "count" 1 h.Obs.Metrics.hcount;
       check_float "sum" 2.5 h.Obs.Metrics.hsum;
       check_float "min" 2.5 h.Obs.Metrics.hmin;
-      check_float "max" 2.5 h.Obs.Metrics.hmax;
-      (* with one sample every quantile is that sample, not a bucket bound *)
-      check_float "p50 clamps to the sample" 2.5 h.Obs.Metrics.p50;
-      check_float "p99 clamps to the sample" 2.5 h.Obs.Metrics.p99
+      check_float "max" 2.5 h.Obs.Metrics.hmax
 
 let hist_all_equal () =
   let m = Obs.Metrics.create () in
@@ -43,47 +40,21 @@ let hist_all_equal () =
   | None -> Alcotest.fail "histogram vanished"
   | Some h ->
       checki "count" 100 h.Obs.Metrics.hcount;
-      (* min = max forces exact quantiles whatever the bucket geometry *)
-      check_float "p50 exact on a constant stream" 0.125 h.Obs.Metrics.p50;
-      check_float "p90 exact on a constant stream" 0.125 h.Obs.Metrics.p90;
-      check_float "p99 exact on a constant stream" 0.125 h.Obs.Metrics.p99
-
-let hist_quantiles_ordered () =
-  let m = Obs.Metrics.create () in
-  for i = 1 to 1000 do
-    Obs.Metrics.observe m "h" (float_of_int i)
-  done;
-  match Obs.Metrics.histogram m "h" with
-  | None -> Alcotest.fail "histogram vanished"
-  | Some h ->
-      checkb "p50 <= p90" true (h.Obs.Metrics.p50 <= h.Obs.Metrics.p90);
-      checkb "p90 <= p99" true (h.Obs.Metrics.p90 <= h.Obs.Metrics.p99);
-      checkb "quantiles inside [min, max]" true
-        (h.Obs.Metrics.p50 >= 1.0 && h.Obs.Metrics.p99 <= 1000.0);
-      (* half-step log2 buckets: the interpolated median of 1..1000 must
-         land within one bucket ratio (sqrt 2) of the true 500.5 *)
-      checkb "p50 within one bucket ratio of the truth" true
-        (h.Obs.Metrics.p50 >= 500.5 /. sqrt 2.0 && h.Obs.Metrics.p50 <= 500.5 *. sqrt 2.0);
-      (match Obs.Metrics.quantile m "h" 0.0 with
-      | Some q -> check_float "q=0 clamps to min" 1.0 q
-      | None -> Alcotest.fail "q=0 missing");
-      (match Obs.Metrics.quantile m "h" 1.0 with
-      | Some q -> check_float "q=1 clamps to max" 1000.0 q
-      | None -> Alcotest.fail "q=1 missing")
+      check_float "sum exact (0.125 is a power of two)" 12.5 h.Obs.Metrics.hsum;
+      check_float "min" 0.125 h.Obs.Metrics.hmin;
+      check_float "max" 0.125 h.Obs.Metrics.hmax
 
 let hist_extreme_values () =
   let m = Obs.Metrics.create () in
-  (* below the first finite bound and above the last: both must keep exact
-     min/max and count, and quantiles must stay clamped to them *)
+  (* values 22 orders of magnitude apart keep exact min/max and count *)
   Obs.Metrics.observe m "h" 1e-9;
   Obs.Metrics.observe m "h" 1e13;
   match Obs.Metrics.histogram m "h" with
   | None -> Alcotest.fail "histogram vanished"
   | Some h ->
       checki "count" 2 h.Obs.Metrics.hcount;
-      check_float "min survives underflow bucket" 1e-9 h.Obs.Metrics.hmin;
-      check_float "max survives overflow bucket" 1e13 h.Obs.Metrics.hmax;
-      checkb "p99 clamped to observed max" true (h.Obs.Metrics.p99 <= 1e13)
+      check_float "min kept exactly" 1e-9 h.Obs.Metrics.hmin;
+      check_float "max kept exactly" 1e13 h.Obs.Metrics.hmax
 
 (* --- Metrics: counters, gauges, labels ------------------------------------- *)
 
@@ -123,28 +94,23 @@ let metrics_json_roundtrip () =
 
 (* --- Folding a trace ------------------------------------------------------- *)
 
-let of_trace_folds () =
-  let tr = Obs.Trace.create () in
+let add_trace_folds () =
+  let tr = Obs.Trace.create ~capacity:2 () in
   Obs.Trace.set_ctx tr (Some { Obs.Trace.node = 1; region = 0; freq = 1; cost_ms = 2.0 });
   Obs.Trace.record tr ~op:"mul_cc" ~level:8 ~scale_bits:56 ~size:3 ~noise:1e-9 ();
-  Obs.Trace.record tr ~op:"mul_cc" ~level:8 ~scale_bits:56 ~size:3 ~noise:1e-9 ();
-  Obs.Trace.set_ctx tr (Some { Obs.Trace.node = 2; region = 1; freq = 1; cost_ms = 1.0 });
+  Obs.Trace.record tr ~op:"mul_cc" ~level:8 ~scale_bits:56 ~size:3 ~noise:0.25 ();
   Obs.Trace.record tr ~op:"rotate" ~level:8 ~scale_bits:56 ~size:2 ~noise:1e-9 ();
-  Obs.Trace.instant tr ~name:"rescale" ();
-  let m = Obs.Metrics.of_trace tr in
-  checki "per-op totals" 2
-    (Obs.Metrics.counter_value m ~labels:[ ("op", "mul_cc") ] "trace_ops_total");
-  checki "instants counted by kind" 1
-    (Obs.Metrics.counter_value m ~labels:[ ("kind", "rescale") ] "trace_instants_total");
-  (match Obs.Metrics.histogram m ~labels:[ ("op", "mul_cc") ] "op_latency_ms" with
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.add_trace m tr;
+  (* the ring keeps the last two events: one mul_cc, one rotate *)
+  (match Obs.Metrics.histogram m ~labels:[ ("op", "mul_cc") ] "noise_headroom_bits" with
   | Some h ->
-      checki "latency observations per op" 2 h.Obs.Metrics.hcount;
-      check_float "freq-weighted cost recorded" 4.0 h.Obs.Metrics.hsum
-  | None -> Alcotest.fail "op_latency_ms{op=mul_cc} missing");
-  (match Obs.Metrics.histogram m ~labels:[ ("region", "1") ] "region_latency_ms" with
-  | Some h -> checki "region attribution" 1 h.Obs.Metrics.hcount
-  | None -> Alcotest.fail "region_latency_ms{region=1} missing");
-  checkb "clock gauge" true (Obs.Metrics.gauge m "trace_clock_ms" = Some 5.0)
+      checki "surviving mul_cc events" 1 h.Obs.Metrics.hcount;
+      check_float "headroom of noise 0.25" 2.0 h.Obs.Metrics.hmin
+  | None -> Alcotest.fail "noise_headroom_bits{op=mul_cc} missing");
+  checkb "rotate folded under its own label" true
+    (Obs.Metrics.histogram m ~labels:[ ("op", "rotate") ] "noise_headroom_bits" <> None);
+  checkb "ring loss gauge" true (Obs.Metrics.gauge m "trace_dropped_events" = Some 1.0)
 
 (* --- ambient registry ------------------------------------------------------ *)
 
@@ -156,15 +122,11 @@ let ambient_install () =
   let v =
     Obs.with_metrics m (fun () ->
         Obs.metric_incr ~by:2 "x";
-        Obs.metric_observe "y" 1.0;
-        Obs.metric_set "z" 9.0;
         17)
   in
   checki "with_metrics returns the callback result" 17 v;
   checkb "restored on exit" true (Obs.current_metrics () = None);
-  checki "incr landed" 2 (Obs.Metrics.counter_value m "x");
-  checkb "observe landed" true (Obs.Metrics.histogram m "y" <> None);
-  checkb "set landed" true (Obs.Metrics.gauge m "z" = Some 9.0)
+  checki "incr landed" 2 (Obs.Metrics.counter_value m "x")
 
 let suite =
   [
@@ -172,10 +134,9 @@ let suite =
     case "hist: empty and unknown series" hist_empty_and_unknown;
     case "hist: single sample" hist_single_sample;
     case "hist: all-equal stream is exact" hist_all_equal;
-    case "hist: quantiles ordered and clamped" hist_quantiles_ordered;
     case "hist: under/overflow keep exact min/max" hist_extreme_values;
     case "labels canonicalised, gauges overwrite" labels_canonicalised;
     case "metrics JSON round-trips strict parser" metrics_json_roundtrip;
-    case "of_trace folds ops, regions, instants" of_trace_folds;
+    case "add_trace folds headroom and loss" add_trace_folds;
     case "ambient registry install/restore" ambient_install;
   ]

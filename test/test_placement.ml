@@ -262,23 +262,17 @@ let smoplc_memo_hit_is_free () =
    with a rescale exactly once per compile. *)
 let planner_fuel_matches_counters () =
   let g = (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
-  let spent m = Obs.Metrics.counter_value ~labels:[ ("stage", "plan") ] m "planner_fuel_spent_total" in
-  let m = Obs.Metrics.create () in
-  let _, report =
-    Obs.with_metrics m (fun () ->
-        Resbm.Driver.compile ~fuel:(Resbm.Fuel.create 1_000_000) prm g)
-  in
+  let budget = 1_000_000 in
+  let spent fuel = budget - Resbm.Fuel.remaining fuel in
+  let fuel = Resbm.Fuel.create budget in
+  let _, report = Resbm.Driver.compile ~fuel prm g in
   let steps = Resbm.Driver.planner_steps report.Resbm.Report.profile in
   checkb "fuel was spent" true (steps > 0);
-  checki "fuel spent = planner steps" steps (spent m);
+  checki "fuel spent = planner steps" steps (spent fuel);
   let r = Resbm.Region.build g in
   let memo = Resbm.Region_eval.Memo.create () in
-  let p = Obs.Profile.create () and m = Obs.Metrics.create () in
-  ignore
-    (Obs.with_metrics m (fun () ->
-         Obs.with_profile p (fun () ->
-             Resbm.Btsmgr.plan ~fuel:(Resbm.Fuel.create 1_000_000)
-               ~memo r prm)));
+  let p = Obs.Profile.create () and fuel = Resbm.Fuel.create budget in
+  ignore (Obs.with_profile p (fun () -> Resbm.Btsmgr.plan ~fuel ~memo r prm));
   let pairs =
     Resbm.Region_eval.Memo.evaluated memo
     |> List.filter_map (fun (h, level, rescales) ->
@@ -287,7 +281,7 @@ let planner_fuel_matches_counters () =
   in
   checki "smoplc.cuts = distinct (shape, entry level) pairs" (List.length pairs)
     (Obs.Profile.counter p "smoplc.cuts");
-  checki "plan fuel spent = planner steps" (Resbm.Driver.planner_steps p) (spent m)
+  checki "plan fuel spent = planner steps" (Resbm.Driver.planner_steps p) (spent fuel)
 
 (* --- Region_eval: shape-cached solutions against cold solves --------------- *)
 

@@ -77,36 +77,45 @@ let constraint_fixtures () =
     (expect_error ~cause:Ckks.Evaluator.Size_mismatch ~op:"decrypt" (fun () ->
          Ckks.Evaluator.decrypt ev (mk ~size:3 ())))
 
-(* --- every raise path counts fhe_errors_total exactly once -------------- *)
+(* --- every raise path leaves exactly one fhe_error instant ------------- *)
+
+(* The causes carried by a trace's "fhe_error" instants, in order. *)
+let fhe_error_causes tr =
+  List.filter_map
+    (function
+      | Obs.Trace.Instant { Obs.Trace.iname = "fhe_error"; detail; _ } -> (
+          match List.assoc_opt "cause" detail with
+          | Some (Obs.Json.String c) -> Some c
+          | _ -> Some "")
+      | _ -> None)
+    (Obs.Trace.events tr)
 
 let evaluator_errors_counted_once () =
   let ev = Ckks.Evaluator.create ~seed:12L prm in
-  let m = Obs.Metrics.create () in
-  Obs.with_metrics m (fun () ->
+  let tr = Obs.Trace.create () in
+  Obs.with_trace tr (fun () ->
       match Ckks.Evaluator.add_cc ev (mk ~level:2 ()) (mk ~level:1 ()) with
       | _ -> Alcotest.fail "expected Fhe_error"
       | exception Ckks.Evaluator.Fhe_error _ -> ());
-  checki "one count, labelled by cause" 1
-    (Obs.Metrics.counter_value ~labels:[ ("cause", "level_mismatch") ] m
-       "fhe_errors_total")
+  checkb "one instant, carrying the cause" true
+    (fhe_error_causes tr = [ "level_mismatch" ])
 
 let interp_illegal_graph_counted_once () =
   (* fig3 unmanaged: statically illegal (scale mismatch at the final add),
      so the interpreter raises the structured Illegal_graph error through
      the same counted funnel. *)
   let g = fig3_poly () in
-  let m = Obs.Metrics.create () in
+  let tr = Obs.Trace.create () in
   let env = { Interp.inputs = [ ("x", input_env ~dim 3L) ]; consts = const_env ~dim } in
-  Obs.with_metrics m (fun () ->
+  Obs.with_trace tr (fun () ->
       match Interp.run (Ckks.Evaluator.create prm) g env with
       | _ -> Alcotest.fail "expected Fhe_error"
       | exception Ckks.Evaluator.Fhe_error e ->
           check Alcotest.string "cause" "illegal_graph"
             (Ckks.Evaluator.cause_name e.Ckks.Evaluator.cause);
           checkb "names the faulting node" true (e.Ckks.Evaluator.node >= 0));
-  checki "one count through the interpreter" 1
-    (Obs.Metrics.counter_value ~labels:[ ("cause", "illegal_graph") ] m
-       "fhe_errors_total")
+  checkb "one instant through the interpreter" true
+    (fhe_error_causes tr = [ "illegal_graph" ])
 
 let injected_transient_counted_once () =
   let p = Ckks.Params.fig1 in
@@ -121,24 +130,23 @@ let injected_transient_counted_once () =
         budget = 1;
       }
   in
-  let m = Obs.Metrics.create () in
-  Obs.with_metrics m (fun () ->
-      Ckks.Fault.with_faults inj (fun () ->
-          match Interp.run (Ckks.Evaluator.create p) managed env with
-          | _ -> Alcotest.fail "expected the injected transient to escape"
-          | exception Ckks.Evaluator.Fhe_error e ->
-              checkb "retryable" true (Ckks.Evaluator.transient e);
-              checkb "attributed to a node" true (e.Ckks.Evaluator.node >= 0)));
-  checki "error counted once" 1
-    (Obs.Metrics.counter_value ~labels:[ ("cause", "injected_transient") ] m
-       "fhe_errors_total");
-  (match Ckks.Fault.injections inj with
+  let tr = Obs.Trace.create () in
+  let failed_op =
+    Obs.with_trace tr (fun () ->
+        Ckks.Fault.with_faults inj (fun () ->
+            match Interp.run (Ckks.Evaluator.create p) managed env with
+            | _ -> Alcotest.fail "expected the injected transient to escape"
+            | exception Ckks.Evaluator.Fhe_error e ->
+                checkb "retryable" true (Ckks.Evaluator.transient e);
+                checkb "attributed to a node" true (e.Ckks.Evaluator.node >= 0);
+                e.Ckks.Evaluator.op))
+  in
+  checkb "error recorded once" true (fhe_error_causes tr = [ "injected_transient" ]);
+  match Ckks.Fault.injections inj with
   | [ i ] ->
-      checki "injection counted once, labelled by kind and op" 1
-        (Obs.Metrics.counter_value
-           ~labels:[ ("kind", "transient"); ("op", i.Ckks.Fault.inj_op) ]
-           m "fhe_faults_total")
-  | l -> Alcotest.failf "expected one injection, got %d" (List.length l))
+      checkb "injection recorded once, with its kind and op" true
+        (i.Ckks.Fault.inj_kind = Ckks.Fault.Transient && i.Ckks.Fault.inj_op = failed_op)
+  | l -> Alcotest.failf "expected one injection, got %d" (List.length l)
 
 (* --- injector: determinism, budget, targeting, tracing ------------------ *)
 
@@ -337,20 +345,20 @@ let backoff_is_capped_and_counted () =
       max_backoff_ms = 15.0;
     }
   in
-  let m = Obs.Metrics.create () in
   let _, stats =
-    Obs.with_metrics m (fun () ->
-        Ckks.Fault.with_faults inj (fun () ->
-            Resilience.Recovery.run ~config ~region_of
-              (Ckks.Evaluator.create ~seed:9L p) managed env))
+    Ckks.Fault.with_faults inj (fun () ->
+        Resilience.Recovery.run ~config ~region_of
+          (Ckks.Evaluator.create ~seed:9L p) managed env)
   in
   checkb "enough rollbacks to hit the cap" true (stats.Resilience.Recovery.retries >= 2);
   checkb "capped backoffs counted" true (stats.Resilience.Recovery.capped_backoffs >= 1);
   checkb "total backoff respects the cap" true
     (stats.Resilience.Recovery.backoff_ms_total
     <= 15.0 *. float_of_int stats.Resilience.Recovery.retries);
-  checki "cap hits exported as a metric" stats.Resilience.Recovery.capped_backoffs
-    (Obs.Metrics.counter_value m "recovery_backoff_capped_total")
+  (* 10, 20 -> 15, 40 -> 15, ...: every retry after the first is capped *)
+  checki "every retry past the first is capped"
+    (stats.Resilience.Recovery.retries - 1)
+    stats.Resilience.Recovery.capped_backoffs
 
 let panic_refresh_when_retries_disabled () =
   let p, managed, env, region_of = fig1_compiled () in
@@ -679,47 +687,44 @@ let fallbacks_render_in_report () =
   | _ -> Alcotest.fail "report JSON not an object"
 
 let fuel_spend_is_metered () =
-  let m = Obs.Metrics.create () in
-  Obs.with_metrics m (fun () ->
-      let fuel = Resbm.Fuel.create ~stage:"test" 2 in
-      Resbm.Fuel.spend fuel;
-      Resbm.Fuel.spend fuel;
-      (match Resbm.Fuel.spend fuel with
+  let fuel = Resbm.Fuel.create ~stage:"test" 3 in
+  Resbm.Fuel.spend fuel;
+  checki "one spend metered" 2 (Resbm.Fuel.remaining fuel);
+  Resbm.Fuel.spend fuel;
+  checki "two spends metered" 1 (Resbm.Fuel.remaining fuel);
+  let sink = Obs.Log.create () in
+  Obs.with_log sink (fun () ->
+      match Resbm.Fuel.spend ~cost:2 fuel with
       | _ -> Alcotest.fail "expected exhaustion"
       | exception Resbm.Fuel.Exhausted stage -> check Alcotest.string "stage" "test" stage);
-      checki "remaining" 0 (Resbm.Fuel.remaining fuel));
-  checki "spend counted" 2
-    (Obs.Metrics.counter_value ~labels:[ ("stage", "test") ] m "planner_fuel_spent_total");
-  checki "exhaustion counted" 1
-    (Obs.Metrics.counter_value
-       ~labels:[ ("stage", "test") ]
-       m "planner_fuel_exhausted_total")
+  checki "an exhausting spend consumes nothing" 1 (Resbm.Fuel.remaining fuel);
+  checkb "exhaustion logged once, naming the stage" true
+    (List.map
+       (fun r -> (r.Obs.Log.event, List.assoc_opt "stage" r.Obs.Log.fields))
+       (Obs.Log.records sink)
+    = [ ("fuel.exhausted", Some (Obs.Json.String "test")) ])
 
 let fuel_drains_exactly () =
-  (* One spend per unit: a drained budget reads 0, spends past it raise
-     without consuming, and the metric counts successful spends only. *)
-  let m = Obs.Metrics.create () in
-  Obs.with_metrics m (fun () ->
-      let fuel = Resbm.Fuel.create ~stage:"drain" 100 in
-      for _ = 1 to 100 do
-        Resbm.Fuel.spend fuel
-      done;
-      checki "budget fully drained" 0 (Resbm.Fuel.remaining fuel));
-  checki "every spend counted exactly once" 100
-    (Obs.Metrics.counter_value ~labels:[ ("stage", "drain") ] m "planner_fuel_spent_total");
-  let m = Obs.Metrics.create () in
-  Obs.with_metrics m (fun () ->
-      let fuel = Resbm.Fuel.create ~stage:"drain" 30 in
-      (match
-         for _ = 1 to 100 do
-           Resbm.Fuel.spend fuel
-         done
-       with
-      | () -> Alcotest.fail "expected exhaustion"
-      | exception Resbm.Fuel.Exhausted stage -> check Alcotest.string "stage" "drain" stage);
-      checki "exhausted at zero" 0 (Resbm.Fuel.remaining fuel));
-  checki "successful spends only" 30
-    (Obs.Metrics.counter_value ~labels:[ ("stage", "drain") ] m "planner_fuel_spent_total");
+  (* One spend per unit: a drained budget reads 0, and spends past it
+     raise without consuming. *)
+  let fuel = Resbm.Fuel.create ~stage:"drain" 100 in
+  for i = 1 to 100 do
+    Resbm.Fuel.spend fuel;
+    if i = 37 then checki "each spend takes exactly one unit" 63 (Resbm.Fuel.remaining fuel)
+  done;
+  checki "budget fully drained" 0 (Resbm.Fuel.remaining fuel);
+  let fuel = Resbm.Fuel.create ~stage:"drain" 30 in
+  let spends = ref 0 in
+  (match
+     for _ = 1 to 100 do
+       Resbm.Fuel.spend fuel;
+       incr spends
+     done
+   with
+  | () -> Alcotest.fail "expected exhaustion"
+  | exception Resbm.Fuel.Exhausted stage -> check Alcotest.string "stage" "drain" stage);
+  checki "successful spends only" 30 !spends;
+  checki "exhausted at zero" 0 (Resbm.Fuel.remaining fuel);
   let fuel = Resbm.Fuel.create ~stage:"drain" 5 in
   (match Resbm.Fuel.spend ~cost:6 fuel with
   | () -> Alcotest.fail "expected exhaustion"
@@ -763,15 +768,17 @@ let chaos_campaign_is_deterministic () =
 
 let chaos_campaign_recovers () =
   let m = Obs.Metrics.create () in
-  let r = Resilience.Chaos.run ~metrics:m chaos_config in
+  let r = Obs.with_metrics m (fun () -> Resilience.Chaos.run chaos_config) in
   let ms = List.hd r.Resilience.Chaos.models in
   checki "all trials ran" 8 ms.Resilience.Chaos.trials_run;
   checkb "faults were injected" true (ms.Resilience.Chaos.injected_faults > 0);
   checkb "injection-free trials replay the reference exactly" true
     ms.Resilience.Chaos.clean_identical;
   checkb "faulted trials recover" true (r.Resilience.Chaos.overall_recovery_rate >= 0.95);
-  checki "trials counted" 8
-    (Obs.Metrics.counter_value ~labels:[ ("model", "tiny") ] m "chaos_trials_total");
+  checki "faulted trials published" ms.Resilience.Chaos.faulted_trials
+    (Obs.Metrics.counter_value ~labels:[ ("model", "tiny") ] m "chaos_faulted_total");
+  checki "recovered trials published" ms.Resilience.Chaos.recovered_trials
+    (Obs.Metrics.counter_value ~labels:[ ("model", "tiny") ] m "chaos_recovered_total");
   (* The report shares the serving recovery-accounting schema at every
      level: trial, model, and campaign JSON all carry a "recovery" object. *)
   let contains s sub =

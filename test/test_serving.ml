@@ -344,12 +344,13 @@ let slo_rule_reads_serving_counters () =
   let c = find_check "slo-attainment" (Obs.Health.evaluate m) in
   checkb "applicable once requests were admitted" true c.Obs.Health.applicable;
   check_float "attainment measured" 0.8 c.Obs.Health.value;
-  checkb "0.8 fails the default 0.95 floor" true (c.Obs.Health.severity = Obs.Health.Fail);
-  let lax =
-    { Obs.Health.default_thresholds with Obs.Health.slo_attainment_floor = 0.75 }
-  in
-  let c = find_check "slo-attainment" (Obs.Health.evaluate ~thresholds:lax m) in
-  checkb "passes a lower floor" true (c.Obs.Health.severity = Obs.Health.Pass);
+  checkb "0.8 fails the 0.95 floor" true (c.Obs.Health.severity = Obs.Health.Fail);
+  check_float "fixed floor" 0.95 c.Obs.Health.threshold;
+  (* 19/20 sits exactly on the floor and passes *)
+  Obs.Metrics.incr ~by:10 m "serve_admitted_total";
+  Obs.Metrics.incr ~by:11 m "serve_completed_total";
+  let c = find_check "slo-attainment" (Obs.Health.evaluate m) in
+  checkb "attainment on the floor passes" true (c.Obs.Health.severity = Obs.Health.Pass);
   let idle = find_check "slo-attainment" (Obs.Health.evaluate (Obs.Metrics.create ())) in
   checkb "vacuous with no admissions" false idle.Obs.Health.applicable
 
