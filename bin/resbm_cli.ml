@@ -184,11 +184,7 @@ let trace_seed = 0x7AB1E6L
    recorder. *)
 let traced_inference prm lowered ~managed ~(report : Resbm.Report.t) ~dim =
   let tr = Obs.Trace.create () in
-  let region_of id =
-    if id >= 0 && id < Array.length report.Resbm.Report.region_of then
-      report.Resbm.Report.region_of.(id)
-    else -1
-  in
+  let region_of = Resbm.Report.region_of_node report in
   let ev = Ckks.Evaluator.create ~seed:trace_seed prm in
   let image = (Nn.Dataset.images ~seed:trace_seed ~dim ~count:1 ()).(0) in
   let env =
@@ -246,10 +242,8 @@ let print_trace_summary (report : Resbm.Report.t) tr (result : Fhe_ir.Interp.res
      Table 2 cost so a headroom scare can be triaged without cross-referencing
      the attribution table below. *)
   let region_name node =
-    let ra = report.Resbm.Report.region_of in
-    if node >= 0 && node < Array.length ra && ra.(node) >= 0 then
-      Printf.sprintf "region %d" ra.(node)
-    else "(unattributed)"
+    let r = Resbm.Report.region_of_node report node in
+    if r >= 0 then Printf.sprintf "region %d" r else "(unattributed)"
   in
   let node_cost = Hashtbl.create 64 in
   List.iter
@@ -1282,7 +1276,8 @@ let chaos_cmd =
           (fun (kind, count) ->
             let ms =
               Option.value ~default:0.0
-                (List.assoc_opt kind m.Resilience.Chaos.recovery_ms_by_kind)
+                (List.assoc_opt kind
+                   m.Resilience.Chaos.recovery.Resilience.Recovery.recovery_ms_by_kind)
             in
             Format.printf "  %-14s %4d injected, %10.1f ms simulated recovery@." kind
               count ms)
@@ -1503,8 +1498,9 @@ let serve_cmd =
       "  resilience: %d batches (%d re-dispatches), %d breaker opens, backoff %.1f ms \
        (%d capped)@."
       r.Serving.Scheduler.batches_run r.Serving.Scheduler.batch_retries
-      r.Serving.Scheduler.breaker_opens r.Serving.Scheduler.backoff_ms_total
-      r.Serving.Scheduler.capped_backoffs;
+      r.Serving.Scheduler.breaker_opens
+      r.Serving.Scheduler.recovery.Resilience.Recovery.backoff_ms_total
+      r.Serving.Scheduler.recovery.Resilience.Recovery.capped_backoffs;
     List.iter
       (fun (reason, n) -> Format.printf "  shed %-16s %d@." reason n)
       r.Serving.Scheduler.shed_by_reason;
@@ -1707,7 +1703,7 @@ let health_cmd =
     (Cmd.info "health"
        ~doc:
          "Evaluate rule-based health checks (noise headroom, chaos recovery rate, \
-          planner fallbacks, refutations, GC pressure, log anomalies) over a flight \
+          SLO attainment, planner fallbacks, GC pressure, log anomalies) over a flight \
           file written by $(b,--log-out).  Exit 0 when healthy, 2 when any rule \
           fails.")
     Term.(const run $ in_file $ json)

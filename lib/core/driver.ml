@@ -199,56 +199,24 @@ let certify_diags prm managed (report : Report.t) =
   in
   [ ("certify.cuts", cuts); ("certify.levels", levels); ("certify.noise", noise) ]
 
-let run_certify prm managed (report : Report.t) =
-  (* Re-enter the compile's profile so certification cost shows up as
-     [certify.*] spans next to the phases it is measured against. *)
-  Obs.with_profile report.Report.profile @@ fun () ->
-  List.iter
-    (fun (pass, diags) ->
-      if Analysis.Diag.has_errors diags then begin
-        Obs.metric_incr ~labels:[ ("pass", pass) ] "plan_refutations_total";
-        Obs.log_error ~event:"certify.refuted"
-          ~fields:
-            [
-              ("pass", Obs.Json.String pass);
-              ("manager", Obs.Json.String report.Report.manager);
-            ]
-          (Printf.sprintf "certification refuted the %s evidence" pass);
-        raise (Verification_failed (pass, diags))
-      end)
-    (certify_diags prm managed report)
-
 let compile ?(config = Btsmgr.resbm_config) ?(name = "ReSBM") ?(ms_opt = false)
-    ?(verify_each = false) ?(certify = false) ?profile ?(fuel = Fuel.unlimited)
-    ?(segment_scan = `Full) ?(fallbacks = []) ?cache prm g =
-  let certified (managed, report) =
-    if certify then run_certify prm managed report;
-    (managed, report)
-  in
+    ?(verify_each = false) ?profile ?(fuel = Fuel.unlimited) ?(segment_scan = `Full)
+    ?(fallbacks = []) ?cache prm g =
   match cache with
   | None ->
-      certified
-        (compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
-           ~fallbacks ~cache:None prm g)
+      compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
+        ~fallbacks ~cache:None prm g
   | Some c -> (
       let ckey = Plan_cache.key ~config ~name ~ms_opt ~segment_scan prm g in
       match Plan_cache.find c ckey with
-      | Some (managed, report) -> (
+      | Some (managed, report) ->
           (* Warm hit: the stored plan and report are bit-identical to
              what the cold path would produce (fallbacks belong to this
-             call, compile_ms was already replaced by the lookup time).
-             Certification re-runs on the cached certificates — a corrupt
-             or stale cache entry is refuted, not served. *)
+             call, compile_ms was already replaced by the lookup time). *)
           Obs.log_info ~event:"plan_cache.hit"
             ~fields:[ ("manager", Obs.Json.String name) ]
             "serving plan from cache";
-          try certified (managed, { report with Report.fallbacks })
-          with Verification_failed _ as e ->
-            Obs.metric_incr "plan_cache_refutations_total";
-            Obs.log_error ~event:"plan_cache.refuted"
-              ~fields:[ ("manager", Obs.Json.String name) ]
-              "cached plan failed re-certification";
-            raise e)
+          (managed, { report with Report.fallbacks })
       | None ->
           Obs.log_info ~event:"plan_cache.miss"
             ~fields:[ ("manager", Obs.Json.String name) ]
@@ -257,8 +225,6 @@ let compile ?(config = Btsmgr.resbm_config) ?(name = "ReSBM") ?(ms_opt = false)
             compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel
               ~segment_scan ~fallbacks ~cache:(Some c) prm g
           in
-          (* Certify before storing so a refuted plan never persists. *)
-          let managed, report = certified (managed, report) in
           Plan_cache.store c ckey managed report;
           (managed, report))
 

@@ -30,7 +30,6 @@ val compile :
   ?name:string ->
   ?ms_opt:bool ->
   ?verify_each:bool ->
-  ?certify:bool ->
   ?profile:Obs.Profile.t ->
   ?fuel:Fuel.t ->
   ?segment_scan:[ `Full | `Adjacent ] ->
@@ -43,13 +42,6 @@ val compile :
     the modswitch optimisation the paper grants the max-level managers for
     lowering excessively bootstrapped ciphertexts; the number of hoists it
     performs lands in {!Report.t.ms_opt_hoists}.
-
-    [certify] (default false) runs {!certify_diags} on the result —
-    including warm {!Plan_cache} hits, whose stored certificates are
-    re-checked before being served, and before a cold result is stored,
-    so a refuted plan never persists — raising {!Verification_failed}
-    with the failing group name (["certify.cuts"], ["certify.levels"] or
-    ["certify.noise"]) on any error-severity refutation.
 
     [verify_each] (default false) runs the {!Analysis.Verify} invariant
     verifier after every pass — region build (structural and region
@@ -69,11 +61,9 @@ val compile :
     the ambient {!Obs} profile: a caller-supplied [?profile], or a fresh
     one otherwise.  Either way it is returned in {!Report.t.profile}.
     With an {!Obs.Metrics} registry ambient, each phase's promoted
-    major-heap words are observed as [gc_major_words{phase}] and, under
-    [certify], each refutation counts once in
-    [plan_refutations_total{pass}] (plus [plan_cache_refutations_total]
-    on a warm hit) — the driver's only metric families; the report is
-    the record of the plan itself.
+    major-heap words are observed as [gc_major_words{phase}] — the
+    driver's only metric family besides {!compile_robust}'s fallback
+    counter; the report is the record of the plan itself.
 
     [cache] consults a {!Plan_cache} before planning and stores the
     result after: a hit returns a bit-identical plan and report (with

@@ -10,32 +10,13 @@ open Fhe_ir
 
 (* --- canonical content labels -------------------------------------------- *)
 
-(* FNV-1a, as in [Plan_cache] — but over the node's *content* rather than
+(* FNV-1a ({!Fnv}), as in [Plan_cache] — but over the node's *content* rather than
    its id: label(n) = H(kind, freq, ordered labels of its arguments).
    Two nodes get the same label iff their entire upstream computations are
    structurally identical, so labels are invariant under node renumbering
    — the property every digest key below inherits.  ([Plan_cache]'s
    region hashes deliberately hash raw ids for speed; these labels are
    the slow-but-stable counterpart for cross-plan comparison.) *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let mix_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let mix_int64 h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    h := mix_byte !h (Int64.to_int (Int64.shift_right_logical v (i * 8)))
-  done;
-  !h
-
-let mix_int h i = mix_int64 h (Int64.of_int i)
-
-let mix_string h s =
-  let h = ref (mix_int h (String.length s)) in
-  String.iter (fun c -> h := mix_byte !h (Char.code c)) s;
-  !h
-
 let kind_key (k : Op.kind) =
   match k with
   | Op.Input { name; level; scale_bits } ->
@@ -52,16 +33,14 @@ let labels g =
   List.iter
     (fun id ->
       let n = Dfg.node g id in
-      let h = mix_string fnv_offset (kind_key n.Dfg.kind) in
-      let h = mix_int h n.Dfg.freq in
+      let h = Fnv.mix_string Fnv.offset (kind_key n.Dfg.kind) in
+      let h = Fnv.mix_int h n.Dfg.freq in
       let h =
-        Array.fold_left (fun h a -> mix_int64 h labels.(a)) h n.Dfg.args
+        Array.fold_left (fun h a -> Fnv.mix_int64 h labels.(a)) h n.Dfg.args
       in
       labels.(id) <- h)
     (Dfg.topo_order g);
   labels
-
-let hex l = Printf.sprintf "%016Lx" l
 
 (* --- cost attribution ----------------------------------------------------- *)
 
@@ -339,10 +318,10 @@ let digest prm ~(managed : Dfg.t) (report : Report.t) =
         let member_labels =
           List.sort compare (List.map (fun (n : Dfg.node) -> lbl.(n.Dfg.id)) members)
         in
-        let signature = hex (List.fold_left mix_int64 fnv_offset member_labels) in
+        let signature = Fnv.hex (List.fold_left Fnv.mix_int64 Fnv.offset member_labels) in
         let of_kind p = List.filter (fun (n : Dfg.node) -> p n.Dfg.kind) members in
         let sorted_labels ns =
-          List.sort compare (List.map (fun (n : Dfg.node) -> hex lbl.(n.Dfg.id)) ns)
+          List.sort compare (List.map (fun (n : Dfg.node) -> Fnv.hex lbl.(n.Dfg.id)) ns)
         in
         let obj =
           Obj
@@ -367,7 +346,9 @@ let digest prm ~(managed : Dfg.t) (report : Report.t) =
                          (fun (n : Dfg.node) ->
                            match n.Dfg.kind with
                            | Op.Bootstrap t ->
-                               Some (String (Printf.sprintf "%s->L%d" (hex lbl.(n.Dfg.id)) t))
+                               Some
+                                 (String
+                                    (Printf.sprintf "%s->L%d" (Fnv.hex lbl.(n.Dfg.id)) t))
                            | _ -> None)
                          members)) );
                ( "rescales",
@@ -408,7 +389,7 @@ let digest prm ~(managed : Dfg.t) (report : Report.t) =
     (fun (n : Dfg.node) ->
       match n.Dfg.kind with
       | Op.Bootstrap _ | Op.Rescale | Op.Modswitch ->
-          let key = hex lbl.(n.Dfg.id) in
+          let key = Fnv.hex lbl.(n.Dfg.id) in
           let v =
             List
               [

@@ -13,10 +13,7 @@ val labels : Fhe_ir.Dfg.t -> int64 array
     node's kind, frequency and the labels of its arguments (in order), so
     two nodes agree iff their entire upstream computations are
     structurally identical.  Invariant under node renumbering — the
-    anchor of every digest key. *)
-
-val hex : int64 -> string
-(** Label rendering used in digests ([%016Lx]). *)
+    anchor of every digest key, rendered with {!Fnv.hex}. *)
 
 val attribution :
   ?top:int -> Ckks.Params.t -> managed:Fhe_ir.Dfg.t -> Report.t -> Obs.Explain.waterfall

@@ -20,26 +20,10 @@ open Fhe_ir
 
 (* ---------- FNV-1a ---------- *)
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
+open Fnv
 
-let mix_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-let mix_int64 h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    h := mix_byte !h (Int64.to_int (Int64.shift_right_logical v (8 * i)))
-  done;
-  !h
-
-let mix_int h v = mix_int64 h (Int64.of_int v)
 let mix_bool h b = mix_byte h (if b then 1 else 0)
 let mix_float h v = mix_int64 h (Int64.bits_of_float v)
-
-let mix_string h s =
-  let h = ref (mix_int h (String.length s)) in
-  String.iter (fun c -> h := mix_byte !h (Char.code c)) s;
-  !h
 
 let mix_opt_int h = function None -> mix_byte h 0xfe | Some v -> mix_int (mix_byte h 1) v
 
@@ -58,7 +42,6 @@ let mix_kind h (k : Op.kind) =
   | Op.Modswitch -> mix_byte h 9
   | Op.Bootstrap t -> mix_int (mix_byte h 10) t
 
-let hex h = Printf.sprintf "%016Lx" h
 
 (* ---------- fingerprints ---------- *)
 
@@ -69,7 +52,7 @@ let fingerprint_levels = 24
    disk entries. *)
 let cost_fingerprint =
   lazy
-    (let h = ref fnv_offset in
+    (let h = ref Fnv.offset in
      List.iteri
        (fun i op ->
          h := mix_int !h i;
@@ -112,7 +95,7 @@ let bts_tag = function Region_eval.Bts_min_cut -> 0 | Region_eval.Bts_region_end
 
 let key ~(config : Btsmgr.config) ~name ~ms_opt ~segment_scan prm g =
   let h =
-    fnv_offset |> Fun.flip mix_string name
+    Fnv.offset |> Fun.flip mix_string name
     |> Fun.flip mix_bool config.Btsmgr.min_level_bts
     |> Fun.flip mix_byte (smo_tag config.Btsmgr.smo_mode)
     |> Fun.flip mix_byte (bts_tag config.Btsmgr.bts_mode)

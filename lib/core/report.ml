@@ -20,6 +20,9 @@ type t = {
   certificates : certificate_entry list;
 }
 
+let region_of_node t id =
+  if id >= 0 && id < Array.length t.region_of then t.region_of.(id) else -1
+
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>%s: compiled in %.3f ms, estimated latency %.1f ms@,%a@,segments: %s%s%s@]"

@@ -43,10 +43,15 @@ type t = {
       (** Min-cut optimality certificates collected from the plan, in
           region order.  Every min-cut the placement algorithms solved
           carries one; forced (non-optimised) cuts do not.  Checked by
-          {!Analysis.Certify} under [Driver.compile ~certify:true] and
-          [resbm certify]; preserved verbatim by {!Plan_cache}, so warm
-          hits stay checkable. *)
+          {!Analysis.Certify} through {!Driver.certify_diags} ([resbm
+          certify]); preserved verbatim by {!Plan_cache}, so warm hits
+          stay checkable. *)
 }
+
+val region_of_node : t -> int -> int
+(** [region_of_node r id] is [r.region_of.(id)], or [-1] for an id outside
+    the attribution — the bounds-checked [?region_of] every traced or
+    supervised run of the managed graph takes. *)
 
 val pp : Format.formatter -> t -> unit
 

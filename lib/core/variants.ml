@@ -61,6 +61,5 @@ let by_name name =
   let canon s = String.lowercase_ascii (String.map (function '_' -> '-' | c -> c) s) in
   List.find_opt (fun m -> canon m.name = canon name) all
 
-let compile ?verify_each ?certify ?jobs:_ ?cache m prm g =
-  Driver.compile ~config:m.config ~name:m.name ~ms_opt:m.ms_opt ?verify_each ?certify
-    ?cache prm g
+let compile ?verify_each ?jobs:_ ?cache m prm g =
+  Driver.compile ~config:m.config ~name:m.name ~ms_opt:m.ms_opt ?verify_each ?cache prm g

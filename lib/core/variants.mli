@@ -41,13 +41,12 @@ val by_name : string -> manager option
 
 val compile :
   ?verify_each:bool ->
-  ?certify:bool ->
   ?jobs:int ->
   ?cache:Plan_cache.t ->
   manager ->
   Ckks.Params.t ->
   Fhe_ir.Dfg.t ->
   Fhe_ir.Dfg.t * Report.t
-(** [verify_each], [certify] and [cache] are forwarded to
+(** [verify_each] and [cache] are forwarded to
     {!Driver.compile}.  [jobs] is ignored: planning is single-domain.  The
     parameter exists only so existing [~jobs:1] callers still compile. *)

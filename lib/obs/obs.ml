@@ -1650,7 +1650,6 @@ module Health = struct
   let recovery_rate_floor = 0.9
   let slo_attainment_floor = 0.95
   let max_fallbacks = 0
-  let max_refutations = 0
   let gc_major_words_ceiling = 2e9
 
   type check = {
@@ -1743,15 +1742,6 @@ module Health = struct
         ~threshold:(float_of_int max_fallbacks)
         (Printf.sprintf "%d planner tier fallbacks (max %d)" v max_fallbacks)
     in
-    let refutations =
-      let v = csum "plan_refutations_total" + csum "plan_cache_refutations_total" in
-      check "refutations" ~applicable:true ~warn_only:false
-        ~ok:(v <= max_refutations)
-        ~value:(float_of_int v)
-        ~threshold:(float_of_int max_refutations)
-        (Printf.sprintf "%d certificate/plan-cache refutations (max %d)" v
-           max_refutations)
-    in
     let errors =
       let v =
         List.length (List.filter (fun r -> r.Log.level = Log.Error) records)
@@ -1778,7 +1768,7 @@ module Health = struct
         ~threshold:0.0
         (Printf.sprintf "%.0f trace events / log records lost to ring wrap-around" v)
     in
-    let checks = [ headroom; recovery; slo; fallbacks; refutations; errors; gc; rings ] in
+    let checks = [ headroom; recovery; slo; fallbacks; errors; gc; rings ] in
     { healthy = not (List.exists (fun c -> c.severity = Fail) checks); checks }
 
   let exit_code v = if v.healthy then 0 else 2

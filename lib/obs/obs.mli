@@ -264,14 +264,12 @@ end
 
 (** Aggregate metrics: the registry {!Health} judges.  Counters, gauges
     and histogram summaries (count, sum, min, max), keyed by name and
-    labels, exposable as JSON.  The flight instrumentation writes eleven
+    labels, exposable as JSON.  The flight instrumentation writes nine
     families, each read by a Health rule: [noise_headroom_bits],
     [gc_major_words] (histograms), [trace_dropped_events],
     [log_dropped_records] (gauges), [chaos_faulted_total],
     [chaos_recovered_total], [serve_admitted_total],
-    [serve_completed_total], [planner_fallbacks_total],
-    [plan_refutations_total] and [plan_cache_refutations_total]
-    (counters). *)
+    [serve_completed_total] and [planner_fallbacks_total] (counters). *)
 module Metrics : sig
   type labels = (string * string) list
   (** Label order is irrelevant; keys are canonicalised by sorting. *)
@@ -503,8 +501,6 @@ module Health : sig
         [serve_admitted_total] >= 0.95 (requests finished within their
         deadline over requests admitted);
       - [planner-fallbacks]: [planner_fallbacks_total] = 0;
-      - [refutations]: [plan_refutations_total] +
-        [plan_cache_refutations_total] = 0;
       - [error-logs]: no error-level record in [records];
       - [gc-pressure]: sum of [gc_major_words] <= 2e9;
       - [ring-overflow]: [trace_dropped_events] + [log_dropped_records]

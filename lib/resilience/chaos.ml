@@ -41,9 +41,7 @@ type trial = {
   error : string option;
   retries : int;
   panic_refreshes : int;
-  recovery_ms_by_kind : (string * float) list;
-  backoff_ms_total : float;
-  capped_backoffs : int;
+  recovery : Recovery.accounting;
 }
 
 type model_summary = {
@@ -59,9 +57,7 @@ type model_summary = {
   clean_identical : bool;
   recovery_rate : float;
   faults_by_kind : (string * int) list;
-  recovery_ms_by_kind : (string * float) list;
-  backoff_ms_total : float;
-  capped_backoffs : int;
+  recovery : Recovery.accounting;
   total_retries : int;
   total_panic_refreshes : int;
   fault_targets : (int * float) list;
@@ -74,9 +70,7 @@ type report = {
   total_faulted : int;
   total_recovered : int;
   overall_recovery_rate : float;
-  recovery_ms_by_kind : (string * float) list;
-  backoff_ms_total : float;
-  capped_backoffs : int;
+  recovery : Recovery.accounting;
 }
 
 (* Deterministic per-model salt so each model gets an independent fault
@@ -91,29 +85,38 @@ let name_salt name =
    noise-floor validator), a bookkeeping scale drift (caught as
    structural divergence), and a large slot corruption (its quadrature
    noise bump drops the observed headroom below the floor).  Small silent
-   slot corruptions are deliberately not generated — see ROADMAP. *)
+   slot corruptions are deliberately not generated — see ROADMAP.  The
+   draws run seed first, then last rule first and each rule's magnitude
+   before its probability: the order every pinned campaign was recorded
+   in. *)
 let trial_plan rng ~rate ~budget ~no_retries ~targets =
   let u lo hi = Ckks.Prng.uniform rng ~lo ~hi in
   let seed = Ckks.Prng.int64 rng in
   let rules =
-    if no_retries then
+    if no_retries then begin
       (* Retry-less campaigns inject only noise spikes: with
          [max_attempts = 0] every other kind raises unretried, while a
          spike drives the boundary validator straight into the panic
          re-bootstrap repair path — the branch this mode exists to
          exercise at scale. *)
+      let spike_mag = u 18.0 28.0 in
+      let spike_prob = rate *. u 0.25 1.0 in
+      [ Ckks.Fault.rule Ckks.Fault.Noise_spike ~prob:spike_prob ~mag:spike_mag ]
+    end
+    else begin
+      let corrupt_mag = u (-4.0) (-1.0) in
+      let corrupt_prob = rate *. u 0.25 1.0 in
+      let drift_prob = rate *. u 0.1 0.5 in
+      let spike_mag = u 18.0 28.0 in
+      let spike_prob = rate *. u 0.25 1.0 in
+      let transient_prob = rate *. u 0.5 1.5 in
       [
-        Ckks.Fault.rule Ckks.Fault.Noise_spike ~prob:(rate *. u 0.25 1.0)
-          ~mag:(u 18.0 28.0);
+        Ckks.Fault.rule Ckks.Fault.Transient ~prob:transient_prob ~mag:0.0;
+        Ckks.Fault.rule Ckks.Fault.Noise_spike ~prob:spike_prob ~mag:spike_mag;
+        Ckks.Fault.rule Ckks.Fault.Scale_drift ~prob:drift_prob ~mag:3.0;
+        Ckks.Fault.rule Ckks.Fault.Slot_corrupt ~prob:corrupt_prob ~mag:corrupt_mag;
       ]
-    else
-      [
-        Ckks.Fault.rule Ckks.Fault.Transient ~prob:(rate *. u 0.5 1.5) ~mag:0.0;
-        Ckks.Fault.rule Ckks.Fault.Noise_spike ~prob:(rate *. u 0.25 1.0) ~mag:(u 18.0 28.0);
-        Ckks.Fault.rule Ckks.Fault.Scale_drift ~prob:(rate *. u 0.1 0.5) ~mag:3.0;
-        Ckks.Fault.rule Ckks.Fault.Slot_corrupt ~prob:(rate *. u 0.25 1.0)
-          ~mag:(u (-4.0) (-1.0));
-      ]
+    end
   in
   let rules =
     if targets = [] then rules
@@ -158,10 +161,7 @@ let run_model cfg name =
       cfg.l_max
   in
   let managed, report = Resbm.Driver.compile_robust prm lowered.Nn.Lowering.dfg in
-  let region_of =
-    let attr = report.Resbm.Report.region_of in
-    fun id -> if id >= 0 && id < Array.length attr then attr.(id) else -1
-  in
+  let region_of = Resbm.Report.region_of_node report in
   let image = (Nn.Dataset.images ~seed:cfg.seed ~dim:cfg.dim ~count:1 ()).(0) in
   let env =
     {
@@ -239,24 +239,18 @@ let run_model cfg name =
         let injector = Ckks.Fault.create plan in
         let ev = Ckks.Evaluator.create ~seed:ev_seed prm in
         let outcome =
-          match
-            Ckks.Fault.with_faults injector (fun () ->
-                Recovery.run ~config:rcfg ~region_of ~noise ev managed env)
-          with
-          | result, stats -> Ok (result, stats)
-          | exception Ckks.Evaluator.Fhe_error e -> Error e
+          Ckks.Fault.with_faults injector (fun () ->
+              match Recovery.run ~config:rcfg ~region_of ~noise ev managed env with
+              | r -> Ok r
+              | exception Ckks.Evaluator.Fhe_error e -> Error e)
         in
         let injected = Ckks.Fault.injected injector in
         let kinds =
-          let tbl = Hashtbl.create 4 in
-          List.iter
-            (fun (i : Ckks.Fault.injection) ->
-              let k = Ckks.Fault.kind_name i.Ckks.Fault.inj_kind in
-              Hashtbl.replace tbl k
-                (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-            (Ckks.Fault.injections injector);
-          List.sort compare
-            (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] (* det-ok: sorted *))
+          Recovery.tally ( + ) 0
+            (List.map
+               (fun (i : Ckks.Fault.injection) ->
+                 (Ckks.Fault.kind_name i.Ckks.Fault.inj_kind, 1))
+               (Ckks.Fault.injections injector))
         in
         match outcome with
         | Ok (result, stats) ->
@@ -271,9 +265,7 @@ let run_model cfg name =
               error = None;
               retries = stats.Recovery.retries;
               panic_refreshes = stats.Recovery.panic_refreshes;
-              recovery_ms_by_kind = stats.Recovery.recovery_ms_by_kind;
-              backoff_ms_total = stats.Recovery.backoff_ms_total;
-              capped_backoffs = stats.Recovery.capped_backoffs;
+              recovery = stats.Recovery.recovery;
             }
         | Error e ->
             {
@@ -286,39 +278,12 @@ let run_model cfg name =
               error = Some (Ckks.Evaluator.cause_name e.Ckks.Evaluator.cause);
               retries = 0;
               panic_refreshes = 0;
-              recovery_ms_by_kind = [];
-              backoff_ms_total = 0.0;
-              capped_backoffs = 0;
+              recovery = Recovery.no_recovery;
             })
   in
   let faulted = List.filter (fun t -> t.injected > 0) trials in
   let clean = List.filter (fun t -> t.injected = 0) trials in
   let recovered = List.filter (fun t -> t.recovered) faulted in
-  let merge_counts get =
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun t ->
-        List.iter
-          (fun (k, v) ->
-            Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-          (get t))
-      trials;
-    List.sort compare
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] (* det-ok: sorted *))
-  in
-  let merge_ms get =
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun t ->
-        List.iter
-          (fun (k, v) ->
-            Hashtbl.replace tbl k
-              (v +. Option.value ~default:0.0 (Hashtbl.find_opt tbl k)))
-          (get t))
-      trials;
-    List.sort compare
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] (* det-ok: sorted *))
-  in
   {
     model = name;
     compile_manager = report.Resbm.Report.manager;
@@ -334,12 +299,8 @@ let run_model cfg name =
     recovery_rate =
       (if faulted = [] then 1.0
        else float_of_int (List.length recovered) /. float_of_int (List.length faulted));
-    faults_by_kind = merge_counts (fun t -> t.kinds);
-    recovery_ms_by_kind = merge_ms (fun t -> t.recovery_ms_by_kind);
-    backoff_ms_total =
-      List.fold_left (fun a (t : trial) -> a +. t.backoff_ms_total) 0.0 trials;
-    capped_backoffs =
-      List.fold_left (fun a (t : trial) -> a + t.capped_backoffs) 0 trials;
+    faults_by_kind = Recovery.tally ( + ) 0 (List.concat_map (fun t -> t.kinds) trials);
+    recovery = Recovery.merge (List.map (fun (t : trial) -> t.recovery) trials);
     total_retries = List.fold_left (fun a t -> a + t.retries) 0 trials;
     total_panic_refreshes = List.fold_left (fun a t -> a + t.panic_refreshes) 0 trials;
     fault_targets;
@@ -358,19 +319,6 @@ let run cfg =
       Obs.metric_incr ~labels ~by:ms.faulted_trials "chaos_faulted_total";
       Obs.metric_incr ~labels ~by:ms.recovered_trials "chaos_recovered_total")
     models;
-  let recovery_ms_by_kind =
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun (m : model_summary) ->
-        List.iter
-          (fun (k, v) ->
-            Hashtbl.replace tbl k
-              (v +. Option.value ~default:0.0 (Hashtbl.find_opt tbl k)))
-          m.recovery_ms_by_kind)
-      models;
-    List.sort compare
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] (* det-ok: sorted *))
-  in
   {
     config_seed = cfg.seed;
     models;
@@ -379,11 +327,7 @@ let run cfg =
     overall_recovery_rate =
       (if total_faulted = 0 then 1.0
        else float_of_int total_recovered /. float_of_int total_faulted);
-    recovery_ms_by_kind;
-    backoff_ms_total =
-      List.fold_left (fun a (m : model_summary) -> a +. m.backoff_ms_total) 0.0 models;
-    capped_backoffs =
-      List.fold_left (fun a (m : model_summary) -> a + m.capped_backoffs) 0 models;
+    recovery = Recovery.merge (List.map (fun (m : model_summary) -> m.recovery) models);
   }
 
 let json_kv_counts kvs =
@@ -404,9 +348,7 @@ let trial_to_json t =
         match t.error with None -> Obs.Json.Null | Some e -> Obs.Json.String e );
       ("retries", Obs.Json.Int t.retries);
       ("panic_refreshes", Obs.Json.Int t.panic_refreshes);
-      ( "recovery",
-        Recovery.accounting_json ~recovery_ms_by_kind:t.recovery_ms_by_kind
-          ~backoff_ms_total:t.backoff_ms_total ~capped_backoffs:t.capped_backoffs );
+      ("recovery", Recovery.accounting_json t.recovery);
     ]
 
 let model_to_json m =
@@ -433,9 +375,7 @@ let model_to_json m =
       ("clean_identical", Obs.Json.Bool m.clean_identical);
       ("recovery_rate", Obs.Json.Float m.recovery_rate);
       ("faults_by_kind", json_kv_counts m.faults_by_kind);
-      ( "recovery",
-        Recovery.accounting_json ~recovery_ms_by_kind:m.recovery_ms_by_kind
-          ~backoff_ms_total:m.backoff_ms_total ~capped_backoffs:m.capped_backoffs );
+      ("recovery", Recovery.accounting_json m.recovery);
       ("total_retries", Obs.Json.Int m.total_retries);
       ("total_panic_refreshes", Obs.Json.Int m.total_panic_refreshes);
       ( "fault_targets",
@@ -456,7 +396,5 @@ let to_json r =
       ("total_faulted", Obs.Json.Int r.total_faulted);
       ("total_recovered", Obs.Json.Int r.total_recovered);
       ("overall_recovery_rate", Obs.Json.Float r.overall_recovery_rate);
-      ( "recovery",
-        Recovery.accounting_json ~recovery_ms_by_kind:r.recovery_ms_by_kind
-          ~backoff_ms_total:r.backoff_ms_total ~capped_backoffs:r.capped_backoffs );
+      ("recovery", Recovery.accounting_json r.recovery);
     ]

@@ -61,9 +61,9 @@ type trial = {
   error : string option;  (** Structured cause name when the run failed. *)
   retries : int;
   panic_refreshes : int;
-  recovery_ms_by_kind : (string * float) list;
-  backoff_ms_total : float;  (** {!Recovery.stats.backoff_ms_total}. *)
-  capped_backoffs : int;  (** {!Recovery.stats.capped_backoffs}. *)
+  recovery : Recovery.accounting;
+      (** The run's {!Recovery.stats.recovery}; {!Recovery.no_recovery}
+          when it failed. *)
 }
 
 type model_summary = {
@@ -79,11 +79,8 @@ type model_summary = {
   clean_identical : bool;
       (** Every injection-free trial matched the reference exactly. *)
   recovery_rate : float;  (** recovered / faulted; 1.0 when none faulted. *)
-  faults_by_kind : (string * int) list;
-  recovery_ms_by_kind : (string * float) list;
-      (** Total simulated recovery latency attributed per fault kind. *)
-  backoff_ms_total : float;  (** Summed over trials. *)
-  capped_backoffs : int;  (** Summed over trials. *)
+  faults_by_kind : (string * int) list;  (** Injections by kind, sorted. *)
+  recovery : Recovery.accounting;  (** {!Recovery.merge} of the trials'. *)
   total_retries : int;
   total_panic_refreshes : int;
   fault_targets : (int * float) list;
@@ -98,11 +95,25 @@ type report = {
   total_faulted : int;
   total_recovered : int;
   overall_recovery_rate : float;
-  recovery_ms_by_kind : (string * float) list;
-      (** Per-kind recovery latency merged across all models, sorted. *)
-  backoff_ms_total : float;
-  capped_backoffs : int;
+  recovery : Recovery.accounting;  (** {!Recovery.merge} of the models'. *)
 }
+
+val trial_plan :
+  Ckks.Prng.t ->
+  rate:float ->
+  budget:int ->
+  no_retries:bool ->
+  targets:int list ->
+  Ckks.Fault.plan
+(** The fault plan of one trial, drawn from [rng]: an injector seed, then
+    per-kind probabilities scaled by [rate] and magnitudes.  The default
+    mix is a transient, a noise spike, a scale drift and a slot
+    corruption; [no_retries] draws a noise spike alone; non-empty
+    [targets] prepend a copy of every rule restricted to those nodes,
+    its probability boosted 4x (capped at 1).  The serving scheduler
+    draws each dispatch's plan here too
+    ([~no_retries:false ~targets:[]]).  The draw order is fixed: a
+    reordered draw moves every pinned campaign. *)
 
 val run : config -> report
 (** Runs the campaign.  At the end, each model's [faulted_trials] and
@@ -115,6 +126,6 @@ val run : config -> report
 val to_json : report -> Obs.Json.t
 (** Deterministic serialisation: identical seeds and configs produce
     byte-identical strings via {!Obs.Json.to_string}.  Trial, model, and
-    report levels each carry a ["recovery"] object rendered through
-    {!Recovery.accounting_json} — the same schema serving campaign
-    reports use. *)
+    report levels each carry their ledger as a ["recovery"] object
+    rendered through {!Recovery.accounting_json}, the schema serving
+    campaign reports use. *)

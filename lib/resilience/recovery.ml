@@ -19,35 +19,53 @@ let default =
     noise_slack_bits = 12.0;
   }
 
+type accounting = {
+  recovery_ms_by_kind : (string * float) list;
+  backoff_ms_total : float;
+  capped_backoffs : int;
+}
+
 type stats = {
   retries : int;
-  rollbacks : int;
   panic_refreshes : int;
   checkpoints : int;
   evictions : int;
   checkpoint_bytes_peak : float;
-  backoff_ms_total : float;
-  capped_backoffs : int;
-  recovery_ms_by_kind : (string * float) list;
-  faults_by_kind : (string * int) list;
+  recovery : accounting;
   injected_faults : int;
   held_checkpoints : int list;
 }
 
 let headroom = Obs.Trace.headroom_bits
 
-(* One recovery-accounting schema shared by every report that aggregates
-   supervised runs (chaos campaigns, the serving scheduler): per-kind
-   simulated recovery latency, total backoff, and how many backoffs the
-   [max_backoff_ms] cap clipped. *)
-let accounting_json ~recovery_ms_by_kind ~backoff_ms_total ~capped_backoffs =
+module Smap = Map.Make (String)
+
+let tally add zero kvs =
+  Smap.bindings
+    (List.fold_left
+       (fun m (k, v) ->
+         Smap.update k (fun prev -> Some (add (Option.value ~default:zero prev) v)) m)
+       Smap.empty kvs)
+
+let no_recovery =
+  { recovery_ms_by_kind = []; backoff_ms_total = 0.0; capped_backoffs = 0 }
+
+let merge accs =
+  {
+    recovery_ms_by_kind =
+      tally ( +. ) 0.0 (List.concat_map (fun a -> a.recovery_ms_by_kind) accs);
+    backoff_ms_total = List.fold_left (fun t a -> t +. a.backoff_ms_total) 0.0 accs;
+    capped_backoffs = List.fold_left (fun t a -> t + a.capped_backoffs) 0 accs;
+  }
+
+let accounting_json a =
   Obs.Json.Obj
     [
       ( "recovery_ms_by_kind",
         Obs.Json.Obj
-          (List.map (fun (k, v) -> (k, Obs.Json.Float v)) recovery_ms_by_kind) );
-      ("backoff_ms_total", Obs.Json.Float backoff_ms_total);
-      ("capped_backoffs", Obs.Json.Int capped_backoffs);
+          (List.map (fun (k, v) -> (k, Obs.Json.Float v)) a.recovery_ms_by_kind) );
+      ("backoff_ms_total", Obs.Json.Float a.backoff_ms_total);
+      ("capped_backoffs", Obs.Json.Int a.capped_backoffs);
     ]
 
 (* Injection progress of the ambient injector; 0 when none is installed.
@@ -111,7 +129,9 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
   let n_checkpoints = ref 0 and evictions = ref 0 in
   let bytes_peak = ref 0.0 and backoff_total = ref 0.0 in
   let capped = ref 0 in
-  let recovery_ms : (string, float) Hashtbl.t = Hashtbl.create 7 in
+  (* Recovery latency as (blamed kind, ms) charges, newest first: each
+     rollback charges its wasted re-execution, then its backoff. *)
+  let charges = ref [] in
   let start_mark = injected_now () in
   let fault_mark = ref start_mark in
   let attempts = ref 0 in
@@ -185,8 +205,7 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
         if delay < raw then incr capped;
         Session.charge_ms s delay;
         backoff_total := !backoff_total +. delay;
-        let prev = Option.value ~default:0.0 (Hashtbl.find_opt recovery_ms kind) in
-        Hashtbl.replace recovery_ms kind (prev +. wasted +. delay);
+        charges := (kind, delay) :: (kind, wasted) :: !charges;
         instant "rollback"
           [
             ("to", Obs.Json.Int resume);
@@ -324,38 +343,20 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
         if n = 0 then handle_boundary 0;
         Session.finish s)
   in
-  let faults, total_faults =
-    match Ckks.Fault.current () with
-    | None -> ([], 0)
-    | Some f ->
-        let mine =
-          List.filter (fun i -> i.Ckks.Fault.index >= start_mark) (Ckks.Fault.injections f)
-        in
-        let tbl = Hashtbl.create 4 in
-        List.iter
-          (fun i ->
-            let k = Ckks.Fault.kind_name i.Ckks.Fault.inj_kind in
-            Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-          mine;
-        ( List.sort compare
-            (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] (* det-ok: sorted *)),
-          List.length mine )
-  in
   ( result,
     {
       retries = !retries;
-      rollbacks = !retries;
       panic_refreshes = !refreshes;
       checkpoints = !n_checkpoints;
       evictions = !evictions;
       checkpoint_bytes_peak = !bytes_peak;
-      backoff_ms_total = !backoff_total;
-      capped_backoffs = !capped;
-      recovery_ms_by_kind =
-        List.sort compare
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) recovery_ms [] (* det-ok: sorted *));
-      faults_by_kind = faults;
-      injected_faults = total_faults;
+      recovery =
+        {
+          recovery_ms_by_kind = tally ( +. ) 0.0 (List.rev !charges);
+          backoff_ms_total = !backoff_total;
+          capped_backoffs = !capped;
+        };
+      injected_faults = injected_now () - start_mark;
       held_checkpoints =
         List.sort compare (List.map Session.snapshot_at !checkpoints);
     } )

@@ -50,7 +50,7 @@ type config = {
   max_backoff_ms : float;
       (** Ceiling on a single backoff delay.  Unbounded doubling can blow
           past any request deadline; serving callers set this from their
-          SLO.  Clipped backoffs are counted in {!stats.capped_backoffs}. *)
+          SLO.  Clipped backoffs are counted in {!accounting.capped_backoffs}. *)
   checkpoint_budget_bytes : float option;
       (** Total bytes of retained checkpoints; [None] derives
           [2 * Liveness.peak_bytes] from the graph.  At least one
@@ -72,39 +72,54 @@ val default : config
     existing pinned campaigns are unchanged), derived budget,
     [noise_floor_bits = 6.0], [noise_slack_bits = 12.0]. *)
 
-type stats = {
-  retries : int;  (** Rollback-retries performed. *)
-  rollbacks : int;  (** = [retries]; kept separate for future policies. *)
-  panic_refreshes : int;  (** In-place re-bootstraps of noisy ciphertexts. *)
-  checkpoints : int;  (** Checkpoints taken. *)
-  evictions : int;  (** Checkpoints dropped to stay under the budget. *)
-  checkpoint_bytes_peak : float;  (** Peak retained checkpoint bytes. *)
-  backoff_ms_total : float;  (** Simulated backoff charged by retries. *)
-  capped_backoffs : int;
-      (** Backoff delays clipped by {!config.max_backoff_ms}. *)
+type accounting = {
   recovery_ms_by_kind : (string * float) list;
       (** Simulated latency spent recovering (wasted re-execution +
           backoff), attributed to the fault kind blamed for each retry
           (or the error cause when no injection explains it), sorted. *)
-  faults_by_kind : (string * int) list;
-      (** Injections observed during this run, by kind, sorted. *)
-  injected_faults : int;  (** Total injections observed during this run. *)
+  backoff_ms_total : float;  (** Simulated backoff charged by retries. *)
+  capped_backoffs : int;
+      (** Backoff delays clipped by {!config.max_backoff_ms}. *)
+}
+(** The recovery ledger: one supervised run's recovery cost, or the
+    {!merge} of many.  Chaos trials, models and campaigns and serving
+    batches and campaigns each hold exactly one. *)
+
+val no_recovery : accounting
+(** The ledger of a run that recovered nothing (a failed run's
+    accounting dies with its exception). *)
+
+val merge : accounting list -> accounting
+(** Sum ledgers: per-kind latencies through {!tally}, totals by a left
+    fold in list order — the float association every aggregate uses, so
+    a merged report is reproducible bit for bit. *)
+
+val accounting_json : accounting -> Obs.Json.t
+(** The shared recovery-accounting JSON schema:
+    [{"recovery_ms_by_kind": {...}, "backoff_ms_total": f,
+    "capped_backoffs": n}].  Every ["recovery"] object of a chaos or
+    serving campaign report is rendered through this one function. *)
+
+val tally : ('a -> 'a -> 'a) -> 'a -> (string * 'a) list -> (string * 'a) list
+(** [tally add zero kvs] sums the values of each key, folding them left
+    in list order from [zero], and returns the keys ascending.  The one
+    tally behind every per-kind count and millisecond map of the chaos
+    and serving reports, e.g. [tally ( + ) 0 [("b", 1); ("a", 1); ("b", 1)]
+    = [("a", 1); ("b", 2)]]. *)
+
+type stats = {
+  retries : int;  (** Rollback-retries performed. *)
+  panic_refreshes : int;  (** In-place re-bootstraps of noisy ciphertexts. *)
+  checkpoints : int;  (** Checkpoints taken. *)
+  evictions : int;  (** Checkpoints dropped to stay under the budget. *)
+  checkpoint_bytes_peak : float;  (** Peak retained checkpoint bytes. *)
+  recovery : accounting;  (** This run's recovery ledger. *)
+  injected_faults : int;  (** Injections observed during this run. *)
   held_checkpoints : int list;
       (** Execution-order positions of the checkpoints still retained when
           the run finished, ascending — shows which spans the value-based
           eviction chose to keep guarding. *)
 }
-
-val accounting_json :
-  recovery_ms_by_kind:(string * float) list ->
-  backoff_ms_total:float ->
-  capped_backoffs:int ->
-  Obs.Json.t
-(** The shared recovery-accounting JSON schema:
-    [{"recovery_ms_by_kind": {...}, "backoff_ms_total": f,
-    "capped_backoffs": n}].  Chaos campaign reports and serving campaign
-    reports both render their (possibly merged) recovery accounting
-    through this one function, so the two stay field-compatible. *)
 
 val run :
   ?config:config ->

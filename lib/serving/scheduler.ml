@@ -74,9 +74,7 @@ type batch_report = {
   injected_faults : int;
   retries : int;
   panic_refreshes : int;
-  recovery_ms_by_kind : (string * float) list;
-  backoff_ms_total : float;
-  capped_backoffs : int;
+  recovery : Resilience.Recovery.accounting;
 }
 
 type report = {
@@ -103,9 +101,7 @@ type report = {
   batch_retries : int;
   mean_batch_fill : float;
   breaker_opens : int;
-  recovery_ms_by_kind : (string * float) list;
-  backoff_ms_total : float;
-  capped_backoffs : int;
+  recovery : Resilience.Recovery.accounting;
   requests : request_report list;
   batches : batch_report list;
 }
@@ -116,23 +112,6 @@ let arrival_salt = 0xA881DA7E5L
 let payload_salt = 0x1A6E5L
 let chaos_salt = 0xFA017L
 let ev_salt = 0x9E3779B97F4A7C15L
-
-let sorted_counts kvs =
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun k -> Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    kvs;
-  List.sort compare
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] (* det-ok: sorted *))
-
-let merge_ms lists =
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (List.iter (fun (k, v) ->
-         Hashtbl.replace tbl k (v +. Option.value ~default:0.0 (Hashtbl.find_opt tbl k))))
-    lists;
-  List.sort compare
-    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] (* det-ok: sorted *))
 
 (* Nearest-rank percentile over an ascending list. *)
 let percentile sorted p =
@@ -161,10 +140,7 @@ let run ?jobs:_ ?cache cfg =
   let managed, plan_report =
     Resbm.Driver.compile_robust ?cache prm lowered.Nn.Lowering.dfg
   in
-  let region_of =
-    let attr = plan_report.Resbm.Report.region_of in
-    fun id -> if id >= 0 && id < Array.length attr then attr.(id) else -1
-  in
+  let region_of = Resbm.Report.region_of_node plan_report in
   let slot_capacity = Batcher.capacity prm ~dim:cfg.dim ~max_batch:cfg.max_batch in
   let wide = slot_capacity * cfg.dim in
   (* A constant's payload is a pure function of its name: resolve each
@@ -254,26 +230,6 @@ let run ?jobs:_ ?cache cfg =
   let out_attempts = Array.make n_arrivals 0 in
   let out_recovery = Array.make n_arrivals 0.0 in
   let chaos_rng = Ckks.Prng.create (Int64.logxor cfg.seed chaos_salt) in
-  (* Per-dispatch fault plan, the chaos harness's rule mix at the
-     campaign's [chaos_rate]. *)
-  let draw_fault_plan () =
-    let u lo hi = Ckks.Prng.uniform chaos_rng ~lo ~hi in
-    let seed = Ckks.Prng.int64 chaos_rng in
-    let rate = cfg.chaos_rate in
-    {
-      Ckks.Fault.seed;
-      rules =
-        [
-          Ckks.Fault.rule Ckks.Fault.Transient ~prob:(rate *. u 0.5 1.5) ~mag:0.0;
-          Ckks.Fault.rule Ckks.Fault.Noise_spike ~prob:(rate *. u 0.25 1.0)
-            ~mag:(u 18.0 28.0);
-          Ckks.Fault.rule Ckks.Fault.Scale_drift ~prob:(rate *. u 0.1 0.5) ~mag:3.0;
-          Ckks.Fault.rule Ckks.Fault.Slot_corrupt ~prob:(rate *. u 0.25 1.0)
-            ~mag:(u (-4.0) (-1.0));
-        ];
-      budget = cfg.chaos_budget;
-    }
-  in
   (* Circuit breaker: Closed -> Degraded (half batches) -> Open (shed
      arrivals) on a bad recent window; Open cools down to Degraded, a
      clean window closes Degraded. *)
@@ -377,23 +333,25 @@ let run ?jobs:_ ?cache cfg =
     let ev_seed = Int64.logxor ev_base (Int64.of_int ((bid * 257) + attempt)) in
     let ev = Ckks.Evaluator.create ~seed:ev_seed prm in
     let exec () =
-      Resilience.Recovery.run ~config:cfg.recovery ~region_of ~noise ev managed env
+      match
+        Resilience.Recovery.run ~config:cfg.recovery ~region_of ~noise ev managed env
+      with
+      | r -> Ok r
+      | exception Ckks.Evaluator.Fhe_error e -> Error e
     in
     let outcome, injected =
       if cfg.chaos_rate > 0.0 then begin
-        let injector = Ckks.Fault.create (draw_fault_plan ()) in
-        let o =
-          match Ckks.Fault.with_faults injector exec with
-          | result, stats -> Ok (result, stats)
-          | exception Ckks.Evaluator.Fhe_error e -> Error e
+        (* Per-dispatch fault plan: the chaos harness's default rule mix
+           at the campaign's [chaos_rate]. *)
+        let injector =
+          Ckks.Fault.create
+            (Resilience.Chaos.trial_plan chaos_rng ~rate:cfg.chaos_rate
+               ~budget:cfg.chaos_budget ~no_retries:false ~targets:[])
         in
+        let o = Ckks.Fault.with_faults injector exec in
         (o, Ckks.Fault.injected injector)
       end
-      else
-        ( (match exec () with
-          | result, stats -> Ok (result, stats)
-          | exception Ckks.Evaluator.Fhe_error e -> Error e),
-          0 )
+      else (exec (), 0)
     in
     match outcome with
     | Ok (result, stats) ->
@@ -403,10 +361,11 @@ let run ?jobs:_ ?cache cfg =
            split evenly (every member waited through the same rollbacks),
            with the last member absorbing the rounding residue so the
            per-request sum equals the batch total exactly. *)
+        let recovery = stats.Resilience.Recovery.recovery in
         let total_rec =
           List.fold_left
             (fun a (_, v) -> a +. v)
-            0.0 stats.Resilience.Recovery.recovery_ms_by_kind
+            0.0 recovery.Resilience.Recovery.recovery_ms_by_kind
         in
         let share = total_rec /. float_of_int size in
         List.iteri
@@ -451,9 +410,7 @@ let run ?jobs:_ ?cache cfg =
             injected_faults = injected;
             retries = stats.Resilience.Recovery.retries;
             panic_refreshes = stats.Resilience.Recovery.panic_refreshes;
-            recovery_ms_by_kind = stats.Resilience.Recovery.recovery_ms_by_kind;
-            backoff_ms_total = stats.Resilience.Recovery.backoff_ms_total;
-            capped_backoffs = stats.Resilience.Recovery.capped_backoffs;
+            recovery;
           }
           :: !batch_reports
     | Error e ->
@@ -477,9 +434,7 @@ let run ?jobs:_ ?cache cfg =
             injected_faults = injected;
             retries = 0;
             panic_refreshes = 0;
-            recovery_ms_by_kind = [];
-            backoff_ms_total = 0.0;
-            capped_backoffs = 0;
+            recovery = Resilience.Recovery.no_recovery;
           }
           :: !batch_reports;
         note_breaker !now true;
@@ -585,14 +540,14 @@ let run ?jobs:_ ?cache cfg =
     shed;
     failed;
     shed_by_reason =
-      sorted_counts
+      Resilience.Recovery.tally ( + ) 0
         (List.filter_map
-           (fun r -> match r.outcome with Shed why -> Some why | _ -> None)
+           (fun r -> match r.outcome with Shed why -> Some (why, 1) | _ -> None)
            requests);
     failed_by_cause =
-      sorted_counts
+      Resilience.Recovery.tally ( + ) 0
         (List.filter_map
-           (fun r -> match r.outcome with Failed c -> Some c | _ -> None)
+           (fun r -> match r.outcome with Failed c -> Some (c, 1) | _ -> None)
            requests);
     deadline_misses = count (fun r -> r.outcome = Failed "deadline_missed");
     goodput_rps =
@@ -617,12 +572,8 @@ let run ?jobs:_ ?cache cfg =
             0.0 bs
           /. float_of_int (List.length bs));
     breaker_opens = !breaker_opens;
-    recovery_ms_by_kind =
-      merge_ms (List.map (fun (b : batch_report) -> b.recovery_ms_by_kind) batches);
-    backoff_ms_total =
-      List.fold_left (fun a (b : batch_report) -> a +. b.backoff_ms_total) 0.0 batches;
-    capped_backoffs =
-      List.fold_left (fun a (b : batch_report) -> a + b.capped_backoffs) 0 batches;
+    recovery =
+      Resilience.Recovery.merge (List.map (fun (b : batch_report) -> b.recovery) batches);
     requests;
     batches;
   }
@@ -668,9 +619,7 @@ let batch_to_json (b : batch_report) =
       ("injected_faults", Obs.Json.Int b.injected_faults);
       ("retries", Obs.Json.Int b.retries);
       ("panic_refreshes", Obs.Json.Int b.panic_refreshes);
-      ( "recovery",
-        Resilience.Recovery.accounting_json ~recovery_ms_by_kind:b.recovery_ms_by_kind
-          ~backoff_ms_total:b.backoff_ms_total ~capped_backoffs:b.capped_backoffs );
+      ("recovery", Resilience.Recovery.accounting_json b.recovery);
     ]
 
 let json_kv_counts kvs =
@@ -702,9 +651,7 @@ let to_json r =
       ("batch_retries", Obs.Json.Int r.batch_retries);
       ("mean_batch_fill", Obs.Json.Float r.mean_batch_fill);
       ("breaker_opens", Obs.Json.Int r.breaker_opens);
-      ( "recovery",
-        Resilience.Recovery.accounting_json ~recovery_ms_by_kind:r.recovery_ms_by_kind
-          ~backoff_ms_total:r.backoff_ms_total ~capped_backoffs:r.capped_backoffs );
+      ("recovery", Resilience.Recovery.accounting_json r.recovery);
       ("requests", Obs.Json.List (List.map request_to_json r.requests));
       ("batches", Obs.Json.List (List.map batch_to_json r.batches));
     ]

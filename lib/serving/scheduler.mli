@@ -8,7 +8,8 @@
     open, queue full, or predicted completion past its deadline); the
     {!Batcher} packs admitted requests into the unused CKKS slots of one
     inference, which executes under {!Resilience.Recovery} supervision —
-    optionally with a per-dispatch {!Ckks.Fault} plan at [chaos_rate] —
+    optionally with a per-dispatch {!Ckks.Fault} plan drawn by
+    {!Resilience.Chaos.trial_plan} at [chaos_rate] —
     so mid-batch faults are rolled back and re-charged to the simulated
     clock.  A batch that still fails with a retryable error is retried
     with capped exponential backoff, shedding members whose deadlines
@@ -98,9 +99,9 @@ type batch_report = {
   injected_faults : int;
   retries : int;  (** In-batch supervisor rollbacks (not re-dispatches). *)
   panic_refreshes : int;
-  recovery_ms_by_kind : (string * float) list;
-  backoff_ms_total : float;
-  capped_backoffs : int;
+  recovery : Resilience.Recovery.accounting;
+      (** The attempt's recovery ledger; {!Resilience.Recovery.no_recovery}
+          when it failed. *)
 }
 
 type report = {
@@ -129,9 +130,8 @@ type report = {
   batch_retries : int;  (** Batches that were re-dispatches. *)
   mean_batch_fill : float;  (** Mean size/capacity; 1.0 with no batches. *)
   breaker_opens : int;
-  recovery_ms_by_kind : (string * float) list;  (** Merged over batches. *)
-  backoff_ms_total : float;
-  capped_backoffs : int;
+  recovery : Resilience.Recovery.accounting;
+      (** {!Resilience.Recovery.merge} of the batches' ledgers. *)
   requests : request_report list;  (** Every arrival, id order. *)
   batches : batch_report list;  (** Dispatch order. *)
 }
@@ -160,6 +160,6 @@ val run : ?jobs:int -> ?cache:Resbm.Plan_cache.t -> config -> report
 val to_json : report -> Obs.Json.t
 (** Deterministic serialisation — byte-identical across runs with the
     same config (via {!Obs.Json.to_string}).  Batch and campaign levels
-    carry ["recovery"] objects rendered through
+    carry their ledgers as ["recovery"] objects rendered through
     {!Resilience.Recovery.accounting_json}, the schema chaos reports
     share. *)

@@ -294,28 +294,6 @@ let health_warn_rules_never_flip () =
   checkb "warn-only rules keep the verdict healthy" true v.Obs.Health.healthy;
   checki "exit code" 0 (Obs.Health.exit_code v)
 
-let health_refutations_fail_from_counters () =
-  (* The refutation rule reads the two refutation counters, summed over
-     their labels; the error-level record that accompanies a refutation
-     feeds the warn-only error-logs rule, not this one. *)
-  let sink = Obs.Log.create () in
-  Obs.with_log sink (fun () ->
-      Obs.log_error ~event:"certify.refuted" "certificate mismatch");
-  let records = Obs.Log.records sink in
-  let quiet = Obs.Health.evaluate ~records (Obs.Metrics.create ()) in
-  checkb "a record alone does not gate" true quiet.Obs.Health.healthy;
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.incr ~labels:[ ("pass", "certify.cuts") ] m "plan_refutations_total";
-  Obs.Metrics.incr m "plan_cache_refutations_total";
-  let v = Obs.Health.evaluate ~records m in
-  let c = find_check "refutations" v in
-  check_float "both counters summed" 2.0 c.Obs.Health.value;
-  checkb "refutation fails" true (c.Obs.Health.severity = Obs.Health.Fail);
-  checkb "verdict unhealthy" false v.Obs.Health.healthy;
-  (* and the json export carries the verdict for --json consumers *)
-  checkb "json verdict field" true
-    (Obs.Json.member "healthy" (Obs.Health.to_json v) = Some (Obs.Json.Bool false))
-
 (* --- flight shapes ---------------------------------------------------------- *)
 
 (* The metric families Health's rules read.  A flight writes no other. *)
@@ -327,8 +305,6 @@ let health_families =
     "serve_admitted_total";
     "serve_completed_total";
     "planner_fallbacks_total";
-    "plan_refutations_total";
-    "plan_cache_refutations_total";
     "gc_major_words";
     "trace_dropped_events";
     "log_dropped_records";
@@ -413,7 +389,8 @@ let flight_shapes_write_only_health_families () =
    cumulative buckets, and families no rule reads (per-op evaluator
    counts, pipeline counters, serve_* and latency histograms) sit next to
    the ones Health judges.  It loads, and its verdict is the one the
-   older evaluator gave, byte for byte. *)
+   older evaluator gave, byte for byte, less the refutations check (the
+   compile-time certification path that fed it is gone). *)
 let parent_format_flight = {|{"resbm_flight":1,
  "records":[
   {"seq":0,"level":"info","event":"compile.done","msg":"compiled","ts_ms":1.5,"compile_id":0,"pass":"","region":-1,"node":-1,"domain":0,"fields":{"manager":"resbm"}},
@@ -445,7 +422,7 @@ let parent_format_flight = {|{"resbm_flight":1,
    {"name":"service_latency_ms","labels":{},"count":12,"sum":587358.4568348536,"min":24511.87599999999,"max":73378.69628910102,"p50":55938.47500592079,"p90":73378.69628910102,"p99":73378.69628910102,"buckets":[[32768.0,4],[65536.0,8],[92681.90002368316,12]]}]}}|}
 
 let parent_format_verdict =
-  {|{"healthy":false,"checks":[{"rule":"noise-headroom","severity":"pass","applicable":true,"value":43.14801581191209,"threshold":4.0,"detail":"minimum traced noise headroom 43.1 bits (floor 4.0)"},{"rule":"recovery-rate","severity":"fail","applicable":true,"value":0.36585365853658536,"threshold":0.9,"detail":"15/41 faulted trials recovered (rate 0.366, floor 0.900)"},{"rule":"slo-attainment","severity":"fail","applicable":true,"value":0.9166666666666666,"threshold":0.95,"detail":"11/12 admitted requests completed in SLO (attainment 0.917, floor 0.950)"},{"rule":"planner-fallbacks","severity":"pass","applicable":true,"value":0.0,"threshold":0.0,"detail":"0 planner tier fallbacks (max 0)"},{"rule":"refutations","severity":"pass","applicable":true,"value":0.0,"threshold":0.0,"detail":"0 certificate/plan-cache refutations (max 0)"},{"rule":"error-logs","severity":"warn","applicable":true,"value":1.0,"threshold":0.0,"detail":"1 error-level log records"},{"rule":"gc-pressure","severity":"pass","applicable":true,"value":1024.0,"threshold":2e+09,"detail":"1024 major-heap words promoted (ceiling 2000000000)"},{"rule":"ring-overflow","severity":"pass","applicable":true,"value":0.0,"threshold":0.0,"detail":"0 trace events / log records lost to ring wrap-around"}]}|}
+  {|{"healthy":false,"checks":[{"rule":"noise-headroom","severity":"pass","applicable":true,"value":43.14801581191209,"threshold":4.0,"detail":"minimum traced noise headroom 43.1 bits (floor 4.0)"},{"rule":"recovery-rate","severity":"fail","applicable":true,"value":0.36585365853658536,"threshold":0.9,"detail":"15/41 faulted trials recovered (rate 0.366, floor 0.900)"},{"rule":"slo-attainment","severity":"fail","applicable":true,"value":0.9166666666666666,"threshold":0.95,"detail":"11/12 admitted requests completed in SLO (attainment 0.917, floor 0.950)"},{"rule":"planner-fallbacks","severity":"pass","applicable":true,"value":0.0,"threshold":0.0,"detail":"0 planner tier fallbacks (max 0)"},{"rule":"error-logs","severity":"warn","applicable":true,"value":1.0,"threshold":0.0,"detail":"1 error-level log records"},{"rule":"gc-pressure","severity":"pass","applicable":true,"value":1024.0,"threshold":2e+09,"detail":"1024 major-heap words promoted (ceiling 2000000000)"},{"rule":"ring-overflow","severity":"pass","applicable":true,"value":0.0,"threshold":0.0,"detail":"0 trace events / log records lost to ring wrap-around"}]}|}
 
 let parent_format_flight_same_verdict () =
   match Result.bind (Obs.Json.of_string parent_format_flight) Obs.Flight.of_json with
@@ -518,7 +495,6 @@ let suite =
     case "health: vacuous run is healthy" health_vacuous_run_is_healthy;
     case "health: recovery floor breach fails" health_recovery_floor_fails;
     case "health: warn-only rules never flip the verdict" health_warn_rules_never_flip;
-    case "health: refutations gate from the counters" health_refutations_fail_from_counters;
     case "lint: stdout-in-lib flags raw prints" lint_flags_raw_stdout;
     case "spawned domain starts with an empty context" spawned_domain_starts_empty;
     case "interp publishes the executing node" interp_publishes_executing_node;

@@ -302,9 +302,10 @@ let recovery_survives_transient () =
   in
   checki "one injection" 1 stats.Resilience.Recovery.injected_faults;
   checkb "retried" true (stats.Resilience.Recovery.retries >= 1);
-  checkb "backoff charged" true (stats.Resilience.Recovery.backoff_ms_total > 0.0);
+  let ledger = stats.Resilience.Recovery.recovery in
+  checkb "backoff charged" true (ledger.Resilience.Recovery.backoff_ms_total > 0.0);
   checkb "recovery latency attributed to transient" true
-    (List.mem_assoc "transient" stats.Resilience.Recovery.recovery_ms_by_kind);
+    (List.mem_assoc "transient" ledger.Resilience.Recovery.recovery_ms_by_kind);
   checkb "output within noise of the reference" true
     (max_delta reference.Interp.outputs result.Interp.outputs < 1e-4)
 
@@ -351,14 +352,15 @@ let backoff_is_capped_and_counted () =
           (Ckks.Evaluator.create ~seed:9L p) managed env)
   in
   checkb "enough rollbacks to hit the cap" true (stats.Resilience.Recovery.retries >= 2);
-  checkb "capped backoffs counted" true (stats.Resilience.Recovery.capped_backoffs >= 1);
+  let ledger = stats.Resilience.Recovery.recovery in
+  checkb "capped backoffs counted" true (ledger.Resilience.Recovery.capped_backoffs >= 1);
   checkb "total backoff respects the cap" true
-    (stats.Resilience.Recovery.backoff_ms_total
+    (ledger.Resilience.Recovery.backoff_ms_total
     <= 15.0 *. float_of_int stats.Resilience.Recovery.retries);
   (* 10, 20 -> 15, 40 -> 15, ...: every retry after the first is capped *)
   checki "every retry past the first is capped"
     (stats.Resilience.Recovery.retries - 1)
-    stats.Resilience.Recovery.capped_backoffs
+    ledger.Resilience.Recovery.capped_backoffs
 
 let panic_refresh_when_retries_disabled () =
   let p, managed, env, region_of = fig1_compiled () in
@@ -430,7 +432,8 @@ let recovery_detects_subfloor_corruption () =
   checkb "checksum caught the sub-floor flip" true
     (stats.Resilience.Recovery.retries >= 1);
   checkb "recovery latency attributed to slot_corrupt" true
-    (List.mem_assoc "slot_corrupt" stats.Resilience.Recovery.recovery_ms_by_kind);
+    (List.mem_assoc "slot_corrupt"
+       stats.Resilience.Recovery.recovery.Resilience.Recovery.recovery_ms_by_kind);
   check_float "clean replay is bit-exact" 0.0
     (max_delta reference.Interp.outputs result.Interp.outputs)
 
@@ -790,7 +793,77 @@ let chaos_campaign_recovers () =
   List.iter
     (fun key -> checkb (key ^ " in chaos JSON") true (contains rendered key))
     [ "\"recovery\""; "\"recovery_ms_by_kind\""; "\"backoff_ms_total\""; "\"capped_backoffs\"" ];
-  checkb "campaign-level backoff aggregated" true (r.Resilience.Chaos.backoff_ms_total >= 0.0)
+  checkb "campaign-level backoff aggregated" true
+    (r.Resilience.Chaos.recovery.Resilience.Recovery.backoff_ms_total >= 0.0)
+
+(* [Chaos.trial_plan] bit for bit, in all three modes, on one fixed
+   stream: the seed, then each rule's kind, nodes and prob/mag bits.  The
+   order of its draws is what every pinned campaign (chaos and serving
+   alike) was recorded under; a reordered draw fails here by name before
+   it moves a report digest. *)
+let trial_plan_draws_are_pinned () =
+  let render (p : Ckks.Fault.plan) =
+    Printf.sprintf "seed %Lx" p.Ckks.Fault.seed
+    :: List.map
+         (fun (r : Ckks.Fault.rule) ->
+           Printf.sprintf "%s [%s] %Lx %Lx"
+             (Ckks.Fault.kind_name r.Ckks.Fault.kind)
+             (String.concat ";" (List.map string_of_int r.Ckks.Fault.nodes))
+             (Int64.bits_of_float r.Ckks.Fault.prob)
+             (Int64.bits_of_float r.Ckks.Fault.mag))
+         p.Ckks.Fault.rules
+  in
+  let plans ~no_retries ~targets =
+    let rng = Ckks.Prng.create 0x7E57L in
+    let draw () =
+      Resilience.Chaos.trial_plan rng ~rate:0.02 ~budget:3 ~no_retries ~targets
+    in
+    let first = draw () in
+    let second = draw () in
+    checki "budget passed through" 3 first.Ckks.Fault.budget;
+    (render first, render second)
+  in
+  let check_plan name expected actual =
+    check Alcotest.(list string) name expected actual
+  in
+  let first, second = plans ~no_retries:false ~targets:[] in
+  let default_first =
+    [
+      "seed 4c498419e23b4eb2";
+      "transient [] 3f96798c881a91ca 0";
+      "noise_spike [] 3f9172714fed8f41 4035b54f24b9cf89";
+      "scale_drift [] 3f69cd3e85391c1f 4008000000000000";
+      "slot_corrupt [] 3f819e59d09a3691 bffa3c26e294842e";
+    ]
+  in
+  check_plan "default plan" default_first first;
+  check_plan "default plan, second draw"
+    [
+      "seed b265e6f7a9264aad";
+      "transient [] 3f9546bb35b3dc9a 0";
+      "noise_spike [] 3f76168e29bb5c7b 4033be275636add7";
+      "scale_drift [] 3f6f6227838aad85 4008000000000000";
+      "slot_corrupt [] 3f938d219f46a635 c00d0a450df61ec0";
+    ]
+    second;
+  let first, second = plans ~no_retries:true ~targets:[] in
+  check_plan "no-retries plan"
+    [ "seed 4c498419e23b4eb2"; "noise_spike [] 3f819e59d09a3691 4039de2290cbb9cc" ]
+    first;
+  check_plan "no-retries plan, second draw"
+    [ "seed 24c9bc386715d8e6"; "noise_spike [] 3f9172714fed8f41 4035b54f24b9cf89" ]
+    second;
+  let first, _ = plans ~no_retries:false ~targets:[ 3; 7 ] in
+  check_plan "targeted plan"
+    ([
+       "seed 4c498419e23b4eb2";
+       "transient [3;7] 3fb6798c881a91ca 0";
+       "noise_spike [3;7] 3fb172714fed8f41 4035b54f24b9cf89";
+       "scale_drift [3;7] 3f89cd3e85391c1f 4008000000000000";
+       "slot_corrupt [3;7] 3fa19e59d09a3691 bffa3c26e294842e";
+     ]
+    @ List.tl default_first)
+    first
 
 (* One supervised ResNet-20 run under a seeded injector (two noise
    spikes, two slot corruptions, two transients), slot for slot:
@@ -859,6 +932,7 @@ let suite =
     case "fuel spend and exhaustion are metered" fuel_spend_is_metered;
     case "chaos campaign is byte-deterministic" chaos_campaign_is_deterministic;
     case "chaos campaign recovers injected faults" chaos_campaign_recovers;
+    case "chaos trial plans draw in a pinned order" trial_plan_draws_are_pinned;
     case "fuel: spends drain a budget exactly" fuel_drains_exactly;
     case "compile_robust: a finite budget degrades reproducibly"
       finite_fuel_degrades_reproducibly;

@@ -300,7 +300,7 @@ let recovery_sums_per_request () =
       (fun acc (b : Serving.Scheduler.batch_report) ->
         List.fold_left
           (fun a (_, v) -> a +. v)
-          acc b.Serving.Scheduler.recovery_ms_by_kind)
+          acc b.Serving.Scheduler.recovery.Resilience.Recovery.recovery_ms_by_kind)
       0.0 r.Serving.Scheduler.batches
   in
   let request_total =
@@ -313,7 +313,9 @@ let recovery_sums_per_request () =
   check_float ~eps:1e-6 "per-request recovery sums to the batch totals" batch_total
     request_total;
   let report_total =
-    List.fold_left (fun a (_, v) -> a +. v) 0.0 r.Serving.Scheduler.recovery_ms_by_kind
+    List.fold_left
+      (fun a (_, v) -> a +. v)
+      0.0 r.Serving.Scheduler.recovery.Resilience.Recovery.recovery_ms_by_kind
   in
   check_float ~eps:1e-6 "campaign merge preserves the total" batch_total report_total
 
