@@ -530,11 +530,9 @@ let bench_json () =
   section "BENCH_resbm.json" "machine-readable per-model per-manager plan cells";
   (* Constant magnitudes at a 16-slot image size: the baseline's
      [predicted_precision_bits] were computed at this size. *)
-  let const_magnitude l name =
-    Array.fold_left
-      (fun acc v -> Float.max acc (Float.abs v))
-      0.0
-      (Nn.Lowering.resolver l ~dim:16 name)
+  let const_magnitude l =
+    let consts = Nn.Lowering.resolver l ~dim:16 in
+    fun name -> Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
   in
   let manager_entry model mgr =
     let managed, r = compile mgr model in

@@ -194,7 +194,9 @@ let traced_inference prm lowered ~managed ~(report : Resbm.Report.t) ~dim =
     }
   in
   let outcome =
-    try Ok (Fhe_ir.Interp.run ~trace:tr ~region_of ev managed env)
+    try
+      let program = Fhe_ir.Interp.Program.make ~trace:tr ~region_of prm managed in
+      Ok (Fhe_ir.Interp.run_program ~trace:tr program ev env)
     with Ckks.Evaluator.Fhe_error e -> Error (Ckks.Evaluator.error_message e)
   in
   (tr, outcome)
@@ -362,11 +364,9 @@ let compile_cmd =
       List.iter
         (fun (op, ms) -> Format.printf "  %-16s %14.1f ms@." (Ckks.Cost_model.op_name op) ms)
         (Fhe_ir.Latency.by_kind ~info prm managed);
+      let consts = Nn.Lowering.resolver lowered ~dim:8 in
       let const_magnitude name =
-        Array.fold_left
-          (fun acc v -> Float.max acc (Float.abs v))
-          0.0
-          (Nn.Lowering.resolver lowered ~dim:8 name)
+        Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
       in
       let worst = Fhe_ir.Noise_check.analyse ~const_magnitude prm managed in
       let typical =
@@ -522,11 +522,9 @@ let trace_cmd =
         if summary then print_trace_summary report tr result;
         if not verify_each then 0
         else begin
+          let consts = Nn.Lowering.resolver lowered ~dim in
           let const_magnitude name =
-            Array.fold_left
-              (fun acc v -> Float.max acc (Float.abs v))
-              0.0
-              (Nn.Lowering.resolver lowered ~dim name)
+            Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
           in
           let static = Fhe_ir.Noise_check.analyse ~const_magnitude prm managed in
           let mismatches =
@@ -677,11 +675,9 @@ let lint_cmd =
     (* typical-activation noise prediction, as in compile -v: the lowering
        knows the weight amplitudes, and activations stay inside the
        polynomial domain *)
+    let consts = Nn.Lowering.resolver lowered ~dim:8 in
     let const_magnitude name =
-      Array.fold_left
-        (fun acc v -> Float.max acc (Float.abs v))
-        0.0
-        (Nn.Lowering.resolver lowered ~dim:8 name)
+      Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
     in
     let source_diags =
       List.concat_map (fun dir -> Analysis.Lint.scan_planner_sources ~dir) sources

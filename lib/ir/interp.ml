@@ -31,19 +31,31 @@ let headroom = Obs.Trace.headroom_bits
    how close the plan cut it), and the [top_k] nodes with the least
    headroom.  [err.(id)] is the noise bound of the last ciphertext node
    [id] produced; the session frees values at their last use, so the
-   summary cannot read them back. *)
+   summary cannot read them back.  The top [k] are selected in the one
+   pass: [top] holds them ascending, and a node goes in before the equal
+   headrooms already held — among ties the later-executed node first,
+   the order a stable sort of the reverse-execution list gives. *)
 let summarise_noise g order err ~top_k =
   let is_ct id = Op.produces_ct (Dfg.node g id).Dfg.kind in
   let min_bits = ref Float.infinity and min_node = ref (-1) in
-  let bts = ref [] and all = ref [] in
+  let bts = ref [] in
+  let top = Array.make top_k (-1, 0.0) and held = ref 0 in
   Array.iter
     (fun id ->
       if is_ct id then begin
         let bits = headroom err.(id) in
-        all := (id, bits) :: !all;
         if bits < !min_bits then begin
           min_bits := bits;
           min_node := id
+        end;
+        let j = ref !held in
+        while !j > 0 && Float.compare bits (snd top.(!j - 1)) <= 0 do
+          decr j
+        done;
+        if !j < top_k then begin
+          Array.blit top !j top (!j + 1) (min !held (top_k - 1) - !j);
+          top.(!j) <- (id, bits);
+          held := min (!held + 1) top_k
         end;
         let node = Dfg.node g id in
         match (node.Dfg.kind, node.Dfg.args) with
@@ -51,26 +63,85 @@ let summarise_noise g order err ~top_k =
         | _ -> ()
       end)
     order;
-  let noisiest =
-    List.filteri
-      (fun i _ -> i < top_k)
-      (List.sort (fun (_, a) (_, b) -> compare a b) !all)
-  in
   {
     min_headroom_bits = (if !min_node < 0 then Float.infinity else !min_bits);
     min_headroom_node = !min_node;
     bootstrap_headroom = List.rev !bts;
-    noisiest;
+    noisiest = Array.to_list (Array.sub top 0 !held);
   }
+
+module Program = struct
+  type t = {
+    prm : Ckks.Params.t;
+    g : Dfg.t;
+    info : Scale_check.info array;
+    sched : Liveness.schedule;
+    region : int array;  (* node id -> region; -1 when unattributed *)
+    cost : float array;  (* node id -> freq-weighted Table 2 cost *)
+    prefix : float array;  (* position -> cost of [order.(0 .. i-1)] *)
+    boundary : bool array;  (* position -> a new region starts there *)
+    peak_bytes : float;
+  }
+
+  (* The scale checker's verdict, or the structured [Illegal_graph]
+     error.  A statically illegal graph is the compile-time face of
+     Figure 1a: leave the same final flight-recorder marker a runtime
+     failure would, naming the faulting node, through the same
+     [raise_error] funnel as every other raise. *)
+  let validate ?trace prm g =
+    match Scale_check.run prm g with
+    | Ok info -> info
+    | Error vs ->
+        let failing = match vs with v :: _ -> [ v ] | [] -> [] in
+        let msg =
+          Format.asprintf "Interp.run: graph not legal:@ %a"
+            (Format.pp_print_list Scale_check.pp_violation)
+            failing
+        in
+        let node = match failing with v :: _ -> v.Scale_check.node | [] -> -1 in
+        let err =
+          Ckks.Evaluator.error ~node Ckks.Evaluator.Illegal_graph ~op:"interp" msg
+        in
+        let do_raise () = Ckks.Evaluator.raise_error err in
+        (match trace with Some tr -> Obs.with_trace tr do_raise | None -> do_raise ())
+
+  let make ?trace ?(region_of = fun _ -> -1) prm g =
+    Obs.incr "interp.programs";
+    let info = validate ?trace prm g in
+    let sched = Liveness.schedule g in
+    let order = sched.Liveness.order in
+    let n = Array.length order in
+    let region = Array.make (Dfg.node_count g) (-1) in
+    let cost = Array.make (Dfg.node_count g) 0.0 in
+    let prefix = Array.make (n + 1) 0.0 in
+    Array.iteri
+      (fun i id ->
+        region.(id) <- region_of id;
+        cost.(id) <- Latency.node_cost prm g info id;
+        prefix.(i + 1) <- prefix.(i) +. cost.(id))
+      order;
+    let boundary =
+      Array.init (n + 1) (fun i ->
+          i = n || i = 0 || region.(order.(i - 1)) <> region.(order.(i)))
+    in
+    let peak_bytes = (Liveness.analyse ~info ~sched prm g).Liveness.peak_bytes in
+    { prm; g; info; sched; region; cost; prefix; boundary; peak_bytes }
+
+  let params p = p.prm
+  let graph p = p.g
+  let info p = p.info
+  let schedule p = p.sched
+  let order p = p.sched.Liveness.order
+  let prefix_ms p i = p.prefix.(i)
+  let boundary p i = p.boundary.(i)
+  let peak_bytes p = p.peak_bytes
+end
 
 module Session = struct
   type session = {
     ev : Ckks.Evaluator.t;
-    g : Dfg.t;
-    info : Scale_check.info array;
+    prog : Program.t;
     trace : Obs.Trace.t option;
-    region_of : int -> int;
-    sched : Liveness.schedule;
     mutable cts : Ckks.Ciphertext.t Ints.t;  (* live ciphertexts *)
     mutable pts : Ckks.Plaintext.t Ints.t;  (* live plaintexts *)
     err : float array;  (* per node: noise bound of its latest ciphertext *)
@@ -95,53 +166,24 @@ module Session = struct
     s_costs : node_cost list;
   }
 
-  let create ?trace ?(region_of = fun _ -> -1) ev g =
+  let create ?trace prog ev =
     let prm = Ckks.Evaluator.params ev in
-    let info =
-      match Scale_check.run prm g with
-      | Ok info -> info
-      | Error vs ->
-          let failing = match vs with v :: _ -> [ v ] | [] -> [] in
-          let msg =
-            Format.asprintf "Interp.run: graph not legal:@ %a"
-              (Format.pp_print_list Scale_check.pp_violation)
-              failing
-          in
-          (* A statically illegal graph is the compile-time face of
-             Figure 1a: leave the same final flight-recorder marker a
-             runtime failure would, naming the faulting node, through the
-             same [raise_error] funnel as every other raise. *)
-          let node = match failing with v :: _ -> v.Scale_check.node | [] -> -1 in
-          let err =
-            Ckks.Evaluator.error ~node Ckks.Evaluator.Illegal_graph ~op:"interp" msg
-          in
-          let do_raise () = Ckks.Evaluator.raise_error err in
-          (match trace with
-          | Some tr -> Obs.with_trace tr do_raise
-          | None -> do_raise ())
-    in
+    if prm != prog.Program.prm && prm <> prog.Program.prm then
+      invalid_arg "Interp.Session.create: evaluator parameters differ from the program's";
     {
       ev;
-      g;
-      info;
+      prog;
       trace;
-      region_of;
-      sched = Liveness.schedule g;
       cts = Ints.empty;
       pts = Ints.empty;
-      err = Array.make (Dfg.node_count g) 0.0;
+      err = Array.make (Dfg.node_count prog.Program.g) 0.0;
       pos = 0;
       latency = 0.0;
       ops = 0;
       costs = [];
     }
 
-  let order s = s.sched.Liveness.order
-  let schedule s = s.sched
-  let static_info s = s.info
-  let graph s = s.g
-  let evaluator s = s.ev
-  let region_of s id = s.region_of id
+  let order s = Program.order s.prog
   let latency_ms s = s.latency
 
   let ct s id =
@@ -155,8 +197,9 @@ module Session = struct
     | None -> invalid_arg "Interp: expected plaintext value"
 
   let exec_raw s env id =
-    let node = Dfg.node s.g id in
-    let region = s.region_of id in
+    let prog = s.prog in
+    let node = Dfg.node prog.Program.g id in
+    let region = prog.Program.region.(id) in
     (* Attribution for the events the evaluator is about to record: node
        identity, region, loop frequency and the freq-weighted Table 2
        cost of this node.  The executing node and its region are
@@ -164,11 +207,7 @@ module Session = struct
        fault injections and log records are attributed on untraced runs
        too. *)
     Obs.set_node ~region id;
-    let cost =
-      match node.Dfg.kind with
-      | Op.Input _ | Op.Const _ -> 0.0
-      | _ -> Latency.node_cost (Ckks.Evaluator.params s.ev) s.g s.info id
-    in
+    let cost = prog.Program.cost.(id) in
     (match s.trace with
     | Some tr ->
         Obs.Trace.set_ctx tr
@@ -190,7 +229,7 @@ module Session = struct
           in
           Ct (Ckks.Evaluator.encrypt s.ev ?level ?scale_bits data)
       | Op.Const { name } ->
-          let scale_bits = s.info.(id).Scale_check.scale_bits in
+          let scale_bits = prog.Program.info.(id).Scale_check.scale_bits in
           Pt (Ckks.Evaluator.encode s.ev ~scale_bits (env.consts name))
       | Op.Add_cc -> Ct (Ckks.Evaluator.add_cc s.ev (ct s node.Dfg.args.(0)) (ct s node.Dfg.args.(1)))
       | Op.Add_cp -> Ct (Ckks.Evaluator.add_cp s.ev (ct s node.Dfg.args.(0)) (pt s node.Dfg.args.(1)))
@@ -215,8 +254,8 @@ module Session = struct
        it, and free every operand whose last use this was — outputs never
        are, their last use being [max_int].  The session then holds
        exactly the values live at [pos]. *)
-    let at = s.sched.Liveness.order_index.(id) in
-    let last_use = s.sched.Liveness.last_use in
+    let at = prog.Program.sched.Liveness.order_index.(id) in
+    let last_use = prog.Program.sched.Liveness.last_use in
     (match v with
     | Ct c ->
         s.err.(id) <- c.Ckks.Ciphertext.err;
@@ -239,7 +278,7 @@ module Session = struct
   let refresh s id =
     let c = ct s id in
     let go () =
-      let region = s.region_of id in
+      let region = s.prog.Program.region.(id) in
       Obs.set_node ~region id;
       (match s.trace with
       | Some tr ->
@@ -265,7 +304,7 @@ module Session = struct
   let live_cts s = Ints.bindings s.cts
 
   let snapshot s =
-    let prm = Ckks.Evaluator.params s.ev in
+    let prm = s.prog.Program.prm in
     {
       snap_at = s.pos;
       s_cts = s.cts;
@@ -303,18 +342,21 @@ module Session = struct
 
   let finish s =
     {
-      outputs = List.map (ct s) (Dfg.outputs s.g);
+      outputs = List.map (ct s) (Dfg.outputs s.prog.Program.g);
       latency_ms = s.latency;
       op_count = s.ops;
       node_costs = List.rev s.costs;
-      noise = summarise_noise s.g s.sched.Liveness.order s.err ~top_k:5;
+      noise = summarise_noise s.prog.Program.g (order s) s.err ~top_k:5;
     }
 end
 
-let run ?trace ?region_of ev g env =
-  let s = Session.create ?trace ?region_of ev g in
+let run_program ?trace prog ev env =
+  let s = Session.create ?trace prog ev in
   Fun.protect
     ~finally:(fun () -> Session.clear_ctx s)
     (fun () ->
       Array.iter (fun id -> Session.exec s env id) (Session.order s);
       Session.finish s)
+
+let run ?trace ?region_of ev g env =
+  run_program ?trace (Program.make ?trace ?region_of (Ckks.Evaluator.params ev) g) ev env

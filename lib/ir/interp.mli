@@ -19,12 +19,18 @@
     recorded and results are bit-identical (tracing never touches the
     noise PRNG).
 
-    {!run} drives a whole graph in one call.  {!Session} exposes the same
+    A graph is executed in two halves.  {!Program.make} does the static
+    half once per (params, graph, region attribution): scale validation,
+    the execution schedule, each node's Table 2 price and its region.  A
+    {!Session} is the dynamic half, one per execution: it reads the
+    program and does no static work, so a server runs any number of
+    batches, retries and rollbacks over one program.  {!run_program}
+    drives a whole execution in one call, and {!run} is
+    [run_program (Program.make ...)].  {!Session} exposes the same
     execution one node at a time — create, step through {!Session.order},
     finish — so a supervisor (the resilience layer's recovery interpreter)
     can interleave checkpointing, validation, rollback and repair between
-    nodes.  [run] is implemented on [Session] and is bit-identical to the
-    single-loop interpreter it replaced. *)
+    nodes. *)
 
 type env = {
   inputs : (string * float array) list;
@@ -64,6 +70,55 @@ type result = {
 
 exception Missing_input of string
 
+(** The static half of an execution: everything derived from the
+    parameters, the graph and its region attribution, computed once.
+    Nothing in a program changes while it is executed, so one program
+    serves every batch, retry and trial over its graph. *)
+module Program : sig
+  type t
+
+  val make : ?trace:Obs.Trace.t -> ?region_of:(int -> int) -> Ckks.Params.t -> Dfg.t -> t
+  (** Validates the graph with {!Scale_check}, materialises its
+      {!Liveness.schedule}, and prices each node at its
+      {!Latency.node_cost} once.  [region_of] (default [fun _ -> -1]) is
+      read once per scheduled node.  Increments the ambient profile's
+      [interp.programs] counter ({!Obs.incr}).
+      @raise Ckks.Evaluator.Fhe_error [Illegal_graph] naming the first
+      violating node when the graph is not legal; with [?trace] the
+      trace then ends with the same ["fhe_error"] instant a runtime
+      failure leaves. *)
+
+  val params : t -> Ckks.Params.t
+  val graph : t -> Dfg.t
+
+  val info : t -> Scale_check.info array
+  (** The scale checker's per-node level/scale — the static contract a
+      supervisor validates the runtime state against. *)
+
+  val schedule : t -> Liveness.schedule
+  (** Execution order plus the O(1) last-use/liveness bounds that
+      checkpointing keys on. *)
+
+  val order : t -> int array
+  (** [(schedule p).order]: node ids in execution (topological) order. *)
+
+  val prefix_ms : t -> int -> float
+  (** [prefix_ms p i], for [0 <= i <= n] over an [n]-node order: the
+      freq-weighted simulated cost of executing [order.(0 .. i-1)],
+      summed left to right.  [prefix_ms p n] is, bit for bit, the
+      [latency_ms] a fault-free run accumulates — a batch is priced
+      without running it. *)
+
+  val boundary : t -> int -> bool
+  (** [boundary p i], for [0 <= i <= n]: position [i] starts a new region
+      (or is [0] or [n]) — where a supervisor checkpoints and
+      validates. *)
+
+  val peak_bytes : t -> float
+  (** {!Liveness.analyse}'s peak working set of the schedule, in
+      bytes. *)
+end
+
 (** Stepwise execution with checkpoint/rollback, for supervised runs. *)
 module Session : sig
   type t
@@ -75,35 +130,26 @@ module Session : sig
       maps — and through them the ciphertexts' immutable slot arrays —
       so taking one is O(1) and copies nothing. *)
 
-  val create :
-    ?trace:Obs.Trace.t -> ?region_of:(int -> int) -> Ckks.Evaluator.t -> Dfg.t -> t
-  (** Validates the graph with {!Scale_check} (raising the same structured
-      [Illegal_graph] {!Ckks.Evaluator.Fhe_error} as {!run}) and prepares
-      the execution order.  Nothing executes yet. *)
+  val create : ?trace:Obs.Trace.t -> Program.t -> Ckks.Evaluator.t -> t
+  (** A fresh execution of the program on [ev].  It does no static work:
+      validation, scheduling and pricing happened once, in
+      {!Program.make}.  Nothing executes yet.
+      @raise Invalid_argument when [ev]'s parameters are not the
+      program's. *)
 
   val order : t -> int array
-  (** Node ids in execution (topological) order; {!exec} them in sequence. *)
+  (** {!Program.order}: {!exec} the ids in sequence. *)
 
-  val schedule : t -> Liveness.schedule
-  (** The session's materialised {!Liveness.schedule} — [order] plus the
-      O(1) last-use/liveness bounds that checkpointing keys on. *)
-
-  val static_info : t -> Scale_check.info array
-  (** The scale checker's per-node level/scale — the static contract a
-      supervisor validates the runtime state against. *)
-
-  val graph : t -> Dfg.t
-  val evaluator : t -> Ckks.Evaluator.t
-  val region_of : t -> int -> int
   val latency_ms : t -> float
   (** Simulated latency accumulated so far (including charged backoff). *)
 
   val exec : t -> env -> int -> unit
   (** Execute the next node of {!order}: publishes it and its region as
       the executing node ({!Obs.set_node}), installs trace attribution,
-      runs the evaluator op, accumulates latency/op counts.  The session
-      holds only live values: the result is kept only if it is an output
-      or used later, and each operand is freed at its
+      runs the evaluator op, accumulates latency/op counts (the node's
+      price is the program's).  The session holds only live values: the
+      result is kept only if it is an output or used later, and each
+      operand is freed at its
       {!Liveness.schedule} last use.
       @raise Ckks.Evaluator.Fhe_error as the evaluator does (the session
       is then unchanged).
@@ -154,6 +200,14 @@ module Session : sig
       the values dropped before the checkpoint. *)
 end
 
+val run_program :
+  ?trace:Obs.Trace.t -> Program.t -> Ckks.Evaluator.t -> env -> result
+(** Execute a program from start to finish on [ev].
+    @raise Ckks.Evaluator.Fhe_error when the program violates a runtime
+    constraint; with [?trace] the trace then ends with an ["fhe_error"]
+    instant naming the faulting node.
+    @raise Missing_input when [env] lacks a named input. *)
+
 val run :
   ?trace:Obs.Trace.t ->
   ?region_of:(int -> int) ->
@@ -161,11 +215,10 @@ val run :
   Dfg.t ->
   env ->
   result
-(** [region_of] (default [fun _ -> -1]) maps node ids of [g] to region ids
-    for event attribution and [node_costs].
+(** [run_program ?trace (Program.make ?trace ?region_of (params ev) g) ev
+    env]: a one-off execution.  [region_of] maps node ids of [g] to
+    region ids for event attribution and [node_costs].
 
-    @raise Ckks.Evaluator.Fhe_error when the program violates a runtime
-    constraint (e.g. an unmanaged program as in Figure 1a); with [?trace]
-    the trace then ends with an ["fhe_error"] instant naming the faulting
-    node.
+    @raise Ckks.Evaluator.Fhe_error as {!Program.make} (an unmanaged
+    program as in Figure 1a is statically illegal) and {!run_program}.
     @raise Missing_input when [env] lacks a named input. *)

@@ -18,14 +18,6 @@ let node_cost _prm g info id =
       let level = charge_level g info id in
       float_of_int node.Dfg.freq *. Ckks.Cost_model.cost op ~level
 
-let prefix_costs prm g info order =
-  let n = Array.length order in
-  let p = Array.make (n + 1) 0.0 in
-  for i = 0 to n - 1 do
-    p.(i + 1) <- p.(i) +. node_cost prm g info order.(i)
-  done;
-  p
-
 let infer_or ~info prm g =
   match info with Some i -> i | None -> Scale_check.infer prm g
 

@@ -10,14 +10,6 @@
 val node_cost : Ckks.Params.t -> Dfg.t -> Scale_check.info array -> int -> float
 (** Latency (ms) of a single node given the analysis result. *)
 
-val prefix_costs :
-  Ckks.Params.t -> Dfg.t -> Scale_check.info array -> int array -> float array
-(** [prefix_costs prm g info order] has [n + 1] entries for an [n]-node
-    execution order: entry [i] is the cost of executing
-    [order.(0 .. i-1)], summed left to right.  The last entry is, bit for
-    bit, the [latency_ms] a fault-free {!Interp.run} accumulates over the
-    same order — so a batch can be priced without running it. *)
-
 val total : ?info:Scale_check.info array -> Ckks.Params.t -> Dfg.t -> float
 (** Freq-weighted latency of the whole graph, ms.  Pass [?info] to reuse
     an existing {!Scale_check.infer} result instead of re-running the

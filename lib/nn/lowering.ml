@@ -161,4 +161,16 @@ let base_resolver t ~dim name =
     Array.init dim (fun _ -> Ckks.Prng.uniform rng ~lo:(-.amplitude) ~hi:amplitude)
   end
 
-let resolver t ~dim = Passes.Const_fold.resolving (base_resolver t ~dim)
+(* A payload is a pure function of its name and nothing mutates one
+   ([Plaintext.encode] quantises into a fresh array), so each name is
+   resolved once per resolver and the array shared by every later ask. *)
+let resolver t ~dim =
+  let resolve = Passes.Const_fold.resolving (base_resolver t ~dim) in
+  let memo = Hashtbl.create 512 in
+  fun name ->
+    match Hashtbl.find_opt memo name with
+    | Some payload -> payload
+    | None ->
+        let payload = resolve name in
+        Hashtbl.add memo name payload;
+        payload

@@ -26,4 +26,7 @@ val resolver : t -> dim:int -> string -> float array
     and blend constants by value; weights, biases and masks pseudo-random
     from the constant's name, scaled to keep activations within the
     [[-1, 1]] domain of the polynomial approximation.  Understands the
-    folded names produced by {!Passes.Const_fold}. *)
+    folded names produced by {!Passes.Const_fold}.  Each resolver
+    memoises its payloads per name: asking twice returns the same array,
+    which callers must not mutate.  A resolver is not safe to share
+    between domains. *)

@@ -161,7 +161,10 @@ let run_model cfg name =
       cfg.l_max
   in
   let managed, report = Resbm.Driver.compile_robust prm lowered.Nn.Lowering.dfg in
-  let region_of = Resbm.Report.region_of_node report in
+  (* One program serves the reference run and every trial. *)
+  let program =
+    Fhe_ir.Interp.Program.make ~region_of:(Resbm.Report.region_of_node report) prm managed
+  in
   let image = (Nn.Dataset.images ~seed:cfg.seed ~dim:cfg.dim ~count:1 ()).(0) in
   let env =
     {
@@ -174,16 +177,13 @@ let run_model cfg name =
      outputs must be bit-identical. *)
   let ev_seed = Int64.logxor cfg.seed 0x9E3779B97F4A7C15L in
   let ref_trace = if cfg.from_trace then Some (Obs.Trace.create ()) else None in
+  (* Tracing is pure instrumentation, so a flight-recorded reference
+     produces the same outputs bit-for-bit — the fault-off identity check
+     below still holds under [from_trace]. *)
   let reference =
-    match ref_trace with
-    | None -> Fhe_ir.Interp.run (Ckks.Evaluator.create ~seed:ev_seed prm) managed env
-    | Some tr ->
-        (* Tracing is pure instrumentation, so the flight-recorded
-           reference produces the same outputs bit-for-bit — the fault-off
-           identity check below still holds under [from_trace]. *)
-        Fhe_ir.Interp.run ~trace:tr ~region_of
-          (Ckks.Evaluator.create ~seed:ev_seed prm)
-          managed env
+    Fhe_ir.Interp.run_program ?trace:ref_trace program
+      (Ckks.Evaluator.create ~seed:ev_seed prm)
+      env
   in
   let ref_outputs = reference.Fhe_ir.Interp.outputs in
   let max_err =
@@ -210,7 +210,7 @@ let run_model cfg name =
       Array.fold_left
         (fun acc v -> Float.max acc (Float.abs v))
         0.0
-        (Nn.Lowering.resolver lowered ~dim:cfg.dim name)
+        (env.Fhe_ir.Interp.consts name)
     in
     Fhe_ir.Noise_check.analyse ~const_magnitude prm managed
   in
@@ -240,7 +240,7 @@ let run_model cfg name =
         let ev = Ckks.Evaluator.create ~seed:ev_seed prm in
         let outcome =
           Ckks.Fault.with_faults injector (fun () ->
-              match Recovery.run ~config:rcfg ~region_of ~noise ev managed env with
+              match Recovery.run_program ~config:rcfg ~noise program ev env with
               | r -> Ok r
               | exception Ckks.Evaluator.Fhe_error e -> Error e)
         in

@@ -116,11 +116,15 @@ val trial_plan :
     reordered draw moves every pinned campaign. *)
 
 val run : config -> report
-(** Runs the campaign.  At the end, each model's [faulted_trials] and
-    [recovered_trials] are added to the ambient metrics registry (when
-    one is installed) as [chaos_faulted_total{model}] /
-    [chaos_recovered_total{model}], the pair {!Obs.Health}'s
-    recovery-rate rule reads.
+(** Runs the campaign.  Each model's managed graph is prepared once
+    ({!Fhe_ir.Interp.Program.make}, counted as [interp.programs] on the
+    ambient profile): its reference run and every trial execute that one
+    program, and the trials' static noise prediction reads the same
+    memoised constant payloads the runs encode.  At the end, each
+    model's [faulted_trials] and [recovered_trials] are added to the
+    ambient metrics registry (when one is installed) as
+    [chaos_faulted_total{model}] / [chaos_recovered_total{model}], the
+    pair {!Obs.Health}'s recovery-rate rule reads.
     @raise Invalid_argument on an unknown model name. *)
 
 val to_json : report -> Obs.Json.t

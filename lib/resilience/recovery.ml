@@ -1,3 +1,4 @@
+module Program = Fhe_ir.Interp.Program
 module Session = Fhe_ir.Interp.Session
 
 type config = {
@@ -89,12 +90,11 @@ let blame ~mark ~fallback =
       | Some i -> Ckks.Fault.kind_name i.Ckks.Fault.inj_kind
       | None -> fallback)
 
-let run ?(config = default) ?trace ?region_of ?noise ev g env =
-  let prm = Ckks.Evaluator.params ev in
-  let s = Session.create ?trace ?region_of ev g in
-  let order = Session.order s in
+let run_program ?(config = default) ?trace ?noise prog ev env =
+  let s = Session.create ?trace prog ev in
+  let order = Program.order prog in
   let n = Array.length order in
-  let info = Session.static_info s in
+  let info = Program.info prog in
   (* Default to the sound (uncapped) static estimate: it never predicts
      less noise than the run accumulates, so the noise validator cannot
      false-positive — a fault-free supervised run stays bit-identical to
@@ -104,27 +104,16 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
   let predicted =
     (match noise with
     | Some report -> report
-    | None -> Fhe_ir.Noise_check.analyse ~magnitude_cap:Float.infinity prm g)
+    | None ->
+        Fhe_ir.Noise_check.analyse ~magnitude_cap:Float.infinity (Program.params prog)
+          (Program.graph prog))
       .Fhe_ir.Noise_check.per_node
   in
   let budget =
     match config.checkpoint_budget_bytes with
     | Some b -> b
-    | None ->
-        let live = Fhe_ir.Liveness.analyse ~info ~sched:(Session.schedule s) prm g in
-        Float.max (2.0 *. live.Fhe_ir.Liveness.peak_bytes) 1.0
+    | None -> Float.max (2.0 *. Program.peak_bytes prog) 1.0
   in
-  (* Position [i] is a boundary when the next node starts a new region (or
-     the run is complete).  With no [region_of] only 0 and [n] qualify. *)
-  let boundary i =
-    i = n || i = 0 || Session.region_of s order.(i - 1) <> Session.region_of s order.(i)
-  in
-  (* Lazy prefix sums of simulated node cost over the execution order:
-     [exec_prefix.(i)] is the cost of executing [order.(0 .. i-1)], so the
-     re-execution saved by a checkpoint at position [p] over its next-older
-     retained neighbour at [q] is [exec_prefix.(p) -. exec_prefix.(q)].
-     Lazy because fault-free runs under a generous budget never evict. *)
-  let exec_prefix = lazy (Fhe_ir.Latency.prefix_costs prm g info order) in
   let retries = ref 0 and refreshes = ref 0 in
   let n_checkpoints = ref 0 and evictions = ref 0 in
   let bytes_peak = ref 0.0 and backoff_total = ref 0.0 in
@@ -169,14 +158,13 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
             match lst with
             | [] | [ _ ] -> lst
             | newest :: rest ->
-                let prefix = Lazy.force exec_prefix in
                 let arr = Array.of_list rest (* newest first *) in
                 let m = Array.length arr in
                 let best = ref 0 and best_value = ref infinity in
                 for j = 0 to m - 1 do
                   let p = Session.snapshot_at arr.(j) in
                   let q = if j + 1 < m then Session.snapshot_at arr.(j + 1) else 0 in
-                  let value = prefix.(p) -. prefix.(q) in
+                  let value = Program.prefix_ms prog p -. Program.prefix_ms prog q in
                   if value <= !best_value then begin
                     best := j;
                     best_value := value
@@ -337,7 +325,7 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
           (match Session.exec s env order.(i) with
           | () -> pos := i + 1
           | exception Ckks.Evaluator.Fhe_error e -> handle_exec_error e);
-          if !pos > i && boundary !pos then handle_boundary !pos
+          if !pos > i && Program.boundary prog !pos then handle_boundary !pos
         done;
         (* Empty graphs still get their output validation pass. *)
         if n = 0 then handle_boundary 0;
@@ -360,3 +348,8 @@ let run ?(config = default) ?trace ?region_of ?noise ev g env =
       held_checkpoints =
         List.sort compare (List.map Session.snapshot_at !checkpoints);
     } )
+
+let run ?config ?trace ?region_of ?noise ev g env =
+  run_program ?config ?trace ?noise
+    (Program.make ?trace ?region_of (Ckks.Evaluator.params ev) g)
+    ev env

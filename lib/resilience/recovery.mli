@@ -53,7 +53,7 @@ type config = {
           SLO.  Clipped backoffs are counted in {!accounting.capped_backoffs}. *)
   checkpoint_budget_bytes : float option;
       (** Total bytes of retained checkpoints; [None] derives
-          [2 * Liveness.peak_bytes] from the graph.  At least one
+          [2 * Program.peak_bytes] from the program.  At least one
           checkpoint is always kept. *)
   noise_floor_bits : float;
       (** Headroom floor (bits) under which a ciphertext the static
@@ -121,20 +121,24 @@ type stats = {
           eviction chose to keep guarding. *)
 }
 
-val run :
+val run_program :
   ?config:config ->
   ?trace:Obs.Trace.t ->
-  ?region_of:(int -> int) ->
   ?noise:Fhe_ir.Noise_check.report ->
+  Fhe_ir.Interp.Program.t ->
   Ckks.Evaluator.t ->
-  Fhe_ir.Dfg.t ->
   Fhe_ir.Interp.env ->
   Fhe_ir.Interp.result * stats
-(** Supervised execution of [g].  [region_of] defines the checkpoint
-    boundaries (default: none, so only the initial checkpoint exists).
-    [noise] is the static per-node prediction the boundary validator
-    compares observed headroom against; it defaults to the {e sound}
-    uncapped estimate ([Noise_check.analyse ~magnitude_cap:infinity]),
+(** Supervised execution of a prepared program.  Its region attribution
+    ({!Fhe_ir.Interp.Program.boundary}) defines the checkpoint
+    boundaries; the derived checkpoint budget is twice its
+    {!Fhe_ir.Interp.Program.peak_bytes}, and eviction values are
+    differences of its {!Fhe_ir.Interp.Program.prefix_ms}.  The run does
+    no static work of its own beyond the default [noise], so a server
+    shares one program across every batch and retry.  [noise] is the
+    static per-node prediction the boundary validator compares observed
+    headroom against; it defaults to the {e sound} uncapped estimate
+    ([Noise_check.analyse ~magnitude_cap:infinity], computed per call),
     which can never flag a fault-free run — pass a sharper analysis
     (e.g. with the lowering's constant amplitudes) to widen the
     detection window.  Rollbacks and panic refreshes are marked as
@@ -145,4 +149,21 @@ val run :
     non-retryable error, a retryable one out of attempts, or
     [State_divergence] when the runtime state cannot be reconciled with
     the plan.
-    @raise Fhe_ir.Interp.Missing_input as {!Fhe_ir.Interp.run}. *)
+    @raise Fhe_ir.Interp.Missing_input as {!Fhe_ir.Interp.run}.
+    @raise Invalid_argument when [ev]'s parameters are not the
+    program's. *)
+
+val run :
+  ?config:config ->
+  ?trace:Obs.Trace.t ->
+  ?region_of:(int -> int) ->
+  ?noise:Fhe_ir.Noise_check.report ->
+  Ckks.Evaluator.t ->
+  Fhe_ir.Dfg.t ->
+  Fhe_ir.Interp.env ->
+  Fhe_ir.Interp.result * stats
+(** [run_program] over [Program.make ?trace ?region_of (params ev) g]: a
+    one-off supervised run of [g].  [region_of] defines the checkpoint
+    boundaries (default: none, so only the initial checkpoint exists).
+    @raise Ckks.Evaluator.Fhe_error as {!Fhe_ir.Interp.Program.make} and
+    {!run_program}. *)

@@ -140,24 +140,11 @@ let run ?jobs:_ ?cache cfg =
   let managed, plan_report =
     Resbm.Driver.compile_robust ?cache prm lowered.Nn.Lowering.dfg
   in
-  let region_of = Resbm.Report.region_of_node plan_report in
   let slot_capacity = Batcher.capacity prm ~dim:cfg.dim ~max_batch:cfg.max_batch in
   let wide = slot_capacity * cfg.dim in
-  (* A constant's payload is a pure function of its name: resolve each
-     name once per campaign, for the noise analysis and every batch's
-     interpreter alike.  Sharing the arrays is safe because nothing
-     mutates them ([Plaintext.encode] quantises into a fresh array). *)
-  let consts =
-    let resolve = Nn.Lowering.resolver lowered ~dim:wide in
-    let memo = Hashtbl.create 512 in
-    fun name ->
-      match Hashtbl.find_opt memo name with
-      | Some payload -> payload
-      | None ->
-          let payload = resolve name in
-          Hashtbl.add memo name payload;
-          payload
-  in
+  (* The lowering's resolver memoises each constant per name, so the
+     noise analysis and every batch's interpreter share one payload. *)
+  let consts = Nn.Lowering.resolver lowered ~dim:wide in
   (* Sharp static noise prediction for the recovery supervisor's boundary
      validator, as the chaos harness does. *)
   let noise =
@@ -166,6 +153,13 @@ let run ?jobs:_ ?cache cfg =
     in
     Fhe_ir.Noise_check.analyse ~const_magnitude prm managed
   in
+  (* The static half of every batch — validation, schedule, node prices,
+     region boundaries — prepared once and shared by every dispatch and
+     retry of the campaign. *)
+  let program =
+    Fhe_ir.Interp.Program.make ~region_of:(Resbm.Report.region_of_node plan_report) prm
+      managed
+  in
   let ev_base = Int64.logxor cfg.seed ev_salt in
   (* The fault-free latency of one batch prices it: slot batching is
      SIMD, so a full batch costs the same simulated latency as a solo
@@ -173,11 +167,8 @@ let run ?jobs:_ ?cache cfg =
      It is the static cost of the execution order, bit for bit what a
      fault-free run would accumulate, so no reference run is needed. *)
   let est_batch_ms =
-    let order = (Fhe_ir.Liveness.schedule managed).Fhe_ir.Liveness.order in
-    let costs =
-      Fhe_ir.Latency.prefix_costs prm managed (Fhe_ir.Scale_check.infer prm managed) order
-    in
-    costs.(Array.length order)
+    Fhe_ir.Interp.Program.prefix_ms program
+      (Array.length (Fhe_ir.Interp.Program.order program))
   in
   let slo_ms = if cfg.slo_ms > 0.0 then cfg.slo_ms else 3.0 *. est_batch_ms in
   let max_wait_ms = if cfg.max_wait_ms > 0.0 then cfg.max_wait_ms else slo_ms /. 4.0 in
@@ -334,7 +325,7 @@ let run ?jobs:_ ?cache cfg =
     let ev = Ckks.Evaluator.create ~seed:ev_seed prm in
     let exec () =
       match
-        Resilience.Recovery.run ~config:cfg.recovery ~region_of ~noise ev managed env
+        Resilience.Recovery.run_program ~config:cfg.recovery ~noise program ev env
       with
       | r -> Ok r
       | exception Ckks.Evaluator.Fhe_error e -> Error e

@@ -7,7 +7,8 @@
     through a bounded queue.  Each arrival is admitted or shed (breaker
     open, queue full, or predicted completion past its deadline); the
     {!Batcher} packs admitted requests into the unused CKKS slots of one
-    inference, which executes under {!Resilience.Recovery} supervision —
+    inference, which executes under {!Resilience.Recovery} supervision
+    from the campaign's one prepared {!Fhe_ir.Interp.Program} —
     optionally with a per-dispatch {!Ckks.Fault} plan drawn by
     {!Resilience.Chaos.trial_plan} at [chaos_rate] —
     so mid-batch faults are rolled back and re-charged to the simulated
@@ -110,7 +111,8 @@ type report = {
   slot_capacity : int;  (** Requests one batch can pack. *)
   est_batch_ms : float;
       (** Fault-free full-batch latency, priced statically
-          ({!Fhe_ir.Latency.prefix_costs} over the execution order). *)
+          ({!Fhe_ir.Interp.Program.prefix_ms} over the whole execution
+          order). *)
   slo_ms : float;  (** Resolved (possibly derived) SLO. *)
   max_wait_ms : float;  (** Resolved batch-fill wait. *)
   arrivals : int;
@@ -144,11 +146,15 @@ val run : ?jobs:int -> ?cache:Resbm.Plan_cache.t -> config -> report
     [~jobs:1] callers still compile.  Log events ([serve.admit] /
     [serve.shed] / [serve.batch.formed] / [serve.deadline.missed] /
     [serve.breaker.open]) and trace instants go to the ambient {!Obs}
-    collectors when installed, and at campaign end the report's
-    [admitted] and [completed] counts are added to the ambient metrics
-    registry as [serve_admitted_total] / [serve_completed_total] (what
-    {!Obs.Health}'s slo-attainment rule reads); the report is computed
-    from plain state, so it is identical either way.
+    collectors when installed.  The served plan is prepared once
+    ({!Fhe_ir.Interp.Program.make}, counted as [interp.programs] on the
+    ambient profile) and every dispatch and retry runs on it through
+    {!Resilience.Recovery.run_program}; the constants are resolved once,
+    through one memoising {!Nn.Lowering.resolver}.  At campaign end the
+    report's [admitted] and [completed] counts are added to the ambient
+    metrics registry as [serve_admitted_total] / [serve_completed_total]
+    (what {!Obs.Health}'s slo-attainment rule reads); the report is
+    computed from plain state, so it is identical either way.
 
     Invariants (asserted or test-enforced): every arrival terminates as
     completed, shed, or failed exactly once;

@@ -466,6 +466,122 @@ let interp_resnet20_is_pinned () =
   check Alcotest.string "output slot digest" "a3babac790c78c43434ca6e80456d37b"
     (slots_digest result.Interp.outputs)
 
+(* A program is prepared for one parameter set; a session on an
+   evaluator with other parameters would price and validate against the
+   wrong contract, so it is refused. *)
+let session_rejects_foreign_params () =
+  let prm16, managed, _, _ = resnet20_env ~dim:8 in
+  let program = Interp.Program.make prm16 managed in
+  ignore (Interp.Session.create program (Ckks.Evaluator.create prm16));
+  let other = Ckks.Evaluator.create (Ckks.Params.with_l_max prm16 9) in
+  match Interp.Session.create program other with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
+(* The noise summary as the interpreter once computed it: a stable sort
+   of every executed ciphertext's headroom, listed in reverse execution
+   order, cut to five.  [err] is each node's last traced noise, which is
+   the noise bound the session records for it.  The one-pass top-5
+   selection in [Interp] must match it bit for bit, ties included. *)
+let full_sort_noise_summary g order tr =
+  let err = Array.make (Dfg.node_count g) 0.0 in
+  List.iter
+    (fun (e : Obs.Trace.op_event) ->
+      if e.Obs.Trace.node >= 0 then err.(e.Obs.Trace.node) <- e.Obs.Trace.noise_after)
+    (Obs.Trace.op_events tr);
+  let is_ct id = Op.produces_ct (Dfg.node g id).Dfg.kind in
+  let headroom id = Obs.Trace.headroom_bits err.(id) in
+  let cts = List.filter is_ct (Array.to_list order) in
+  let all = List.rev_map (fun id -> (id, headroom id)) cts in
+  let min_bits, min_node =
+    List.fold_left
+      (fun (b, n) id -> if headroom id < b then (headroom id, id) else (b, n))
+      (Float.infinity, -1) cts
+  in
+  {
+    Interp.min_headroom_bits = min_bits;
+    min_headroom_node = min_node;
+    bootstrap_headroom =
+      List.filter_map
+        (fun id ->
+          match (Dfg.node g id).Dfg.kind, (Dfg.node g id).Dfg.args with
+          | Op.Bootstrap _, [| a |] when is_ct a -> Some (id, headroom a)
+          | _ -> None)
+        cts;
+    noisiest =
+      List.filteri (fun i _ -> i < 5) (List.sort (fun (_, a) (_, b) -> compare a b) all);
+  }
+
+let render_noise_summary (n : Interp.noise_summary) =
+  let pairs l = List.map (fun (id, b) -> Printf.sprintf "%d:%h" id b) l in
+  Printf.sprintf "min %h at %d" n.Interp.min_headroom_bits n.Interp.min_headroom_node
+  :: ("bootstraps" :: pairs n.Interp.bootstrap_headroom)
+  @ ("noisiest" :: pairs n.Interp.noisiest)
+
+let noise_summary_matches_full_sort () =
+  let l_max = 16 and dim = 8 in
+  let prm16 =
+    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = l_max } l_max
+  in
+  let summarised name result managed tr =
+    checki (name ^ ": no trace events dropped") 0 (Obs.Trace.dropped tr);
+    let order = Interp.Program.order (Interp.Program.make prm16 managed) in
+    check
+      Alcotest.(list string)
+      (name ^ ": noise summary = full-sort reference")
+      (render_noise_summary (full_sort_noise_summary managed order tr))
+      (render_noise_summary result.Interp.noise)
+  in
+  let ties = ref 0 in
+  List.iter
+    (fun (model : Nn.Model.t) ->
+      let lowered = Nn.Lowering.lower model in
+      let managed, _ = Resbm.Driver.compile_robust prm16 lowered.Nn.Lowering.dfg in
+      let env =
+        {
+          Interp.inputs =
+            [
+              ( lowered.Nn.Lowering.input_name,
+                (Nn.Dataset.images ~seed:7L ~dim ~count:1 ()).(0) );
+            ];
+          consts = Nn.Lowering.resolver lowered ~dim;
+        }
+      in
+      let tr = Obs.Trace.create () in
+      let ev = Ckks.Evaluator.create ~seed:7L prm16 in
+      let result = Interp.run ~trace:tr ev managed env in
+      (match result.Interp.noise.Interp.noisiest with
+      | (_, a) :: (_, b) :: _ when a = b -> incr ties
+      | _ -> ());
+      summarised model.Nn.Model.name result managed tr)
+    (Nn.Model.paper_models @ [ Nn.Model.lenet5; Nn.Model.tiny ]);
+  checkb "some model's noisiest list holds a tie" true (!ties > 0);
+  (* A faulted supervised run: rollbacks re-execute spans and a panic
+     refresh rewrites a node's noise after it first ran. *)
+  let p, managed, env, region_of = resnet20_env ~dim:32 in
+  let inj =
+    Ckks.Fault.create
+      {
+        Ckks.Fault.seed = 0x2EC1L;
+        budget = 6;
+        rules =
+          [
+            Ckks.Fault.rule Ckks.Fault.Noise_spike ~prob:0.01 ~mag:8.0;
+            Ckks.Fault.rule Ckks.Fault.Slot_corrupt ~prob:0.01 ~mag:(-6.0);
+            Ckks.Fault.rule Ckks.Fault.Transient ~prob:0.005 ~mag:0.0;
+          ];
+      }
+  in
+  let tr = Obs.Trace.create () in
+  let result, stats =
+    Ckks.Fault.with_faults inj (fun () ->
+        Resilience.Recovery.run ~trace:tr ~region_of
+          (Ckks.Evaluator.create ~seed:9L p)
+          managed env)
+  in
+  checkb "the faulted run rolled back" true (stats.Resilience.Recovery.retries > 0);
+  summarised "faulted resnet20" result managed tr
+
 (* --- Liveness ----------------------------------------------------------------- *)
 
 (* The list-and-Hashtbl walk [Liveness.analyse] replaced, kept as its
@@ -570,5 +686,9 @@ let suite =
     case "interp: rejects illegal graphs" interp_rejects_illegal;
     interp_latency_equals_static;
     case "interp: ResNet-20 output slots pinned" interp_resnet20_is_pinned;
+    case "interp: top-5 noise summary equals the full-sort reference"
+      noise_summary_matches_full_sort;
+    case "interp: a session refuses an evaluator with other parameters"
+      session_rejects_foreign_params;
     liveness_matches_oracle;
   ]

@@ -460,8 +460,7 @@ let recovery_eviction_keeps_expensive_guard () =
   (* Execution-order positions: everything before the first rotation is
      the expensive prefix (region 0), then every tail position is its own
      single-node region, so each tail node gets a boundary checkpoint. *)
-  let session = Interp.Session.create (Ckks.Evaluator.create ~seed:9L prm) managed in
-  let order = Interp.Session.order session in
+  let order = Interp.Program.order (Interp.Program.make prm managed) in
   let pos_of = Array.make (Dfg.node_count managed) (-1) in
   Array.iteri (fun i id -> pos_of.(id) <- i) order;
   let split = pos_of.(first_rot) in
@@ -550,9 +549,10 @@ let recovery_faultoff_identity =
    a run on to the next boundary and a rollback must restore exactly that
    set, and the replayed span must then reach the next boundary again. *)
 let live_set_matches_definition ~region_of ev managed env =
-  let s = Interp.Session.create ev managed in
+  let program = Interp.Program.make (Ckks.Evaluator.params ev) managed in
+  let s = Interp.Session.create program ev in
   let order = Interp.Session.order s in
-  let sched = Interp.Session.schedule s in
+  let sched = Interp.Program.schedule program in
   let n = Array.length order in
   let produced = Hashtbl.create 64 in
   let is_ct id = Op.produces_ct (Dfg.node managed id).Dfg.kind in

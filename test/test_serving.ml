@@ -135,6 +135,115 @@ let resnet20_chaos_report_is_pinned () =
   check Alcotest.string "report digest" "00f5914eb6f9c6519e3b6ed3b55cd6bf"
     (Digest.to_hex (Digest.string (Obs.Json.to_string (Serving.Scheduler.to_json r))))
 
+(* --- one program per campaign -------------------------------------------- *)
+
+(* The static half of a batch (validation, schedule, node prices, region
+   boundaries) is prepared once per campaign and shared by every dispatch
+   and retry: a ResNet-20 chaos campaign whose batches roll back and are
+   re-dispatched builds one {!Fhe_ir.Interp.Program}, and a chaos
+   campaign builds one per model for its reference run and all its
+   trials. *)
+let one_program_per_campaign () =
+  let programs f =
+    let p = Obs.Profile.create () in
+    let r = Obs.with_profile p f in
+    (r, Obs.Profile.counter p "interp.programs")
+  in
+  let cfg =
+    {
+      base_config with
+      Serving.Scheduler.model = "resnet20";
+      l_max = 16;
+      seed = 0x5E17EL;
+      arrival = Serving.Scheduler.Poisson 40.0;
+      duration_ms = 1000.0;
+      chaos_rate = 0.05;
+      recovery = { Resilience.Recovery.default with Resilience.Recovery.max_attempts = 1 };
+    }
+  in
+  let r, n = programs (fun () -> run cfg) in
+  checkb "batches rolled back" true
+    (List.exists
+       (fun (b : Serving.Scheduler.batch_report) -> b.Serving.Scheduler.retries > 0)
+       r.Serving.Scheduler.batches);
+  checkb "batches were re-dispatched" true (r.Serving.Scheduler.batch_retries > 0);
+  checki "one program per serving campaign" 1 n;
+  let c, n =
+    programs (fun () ->
+        Resilience.Chaos.run
+          {
+            Resilience.Chaos.default with
+            Resilience.Chaos.models = [ "tiny"; "lenet5" ];
+            trials = 10;
+          })
+  in
+  checkb "chaos trials faulted" true (c.Resilience.Chaos.total_faulted > 0);
+  checki "one program per chaos model" 2 n
+
+(* --- slot-level pin of a served batch ------------------------------------ *)
+
+(* One packed batch as the scheduler dispatches it, slot for slot: eight
+   ResNet-20 requests of 16 slots each in one ciphertext, the campaign's
+   sharp noise prediction, and a fault plan drawn from the scheduler's
+   mix ({!Resilience.Chaos.trial_plan} at rate 0.05, budget 2), run on a
+   prepared program.  The digest was taken before serving shared one
+   program per campaign, with [Recovery.run] on the same inputs; the
+   one-off [Recovery.run] must still give the same bits. *)
+let served_batch_is_pinned () =
+  let l_max = 16 and dim = 16 in
+  let prm16 =
+    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = l_max } l_max
+  in
+  let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
+  let managed, report = Resbm.Driver.compile_robust ~cache prm16 lowered.Nn.Lowering.dfg in
+  let region_of = Resbm.Report.region_of_node report in
+  let cap = Serving.Batcher.capacity prm16 ~dim ~max_batch:8 in
+  checki "eight requests in the batch" 8 cap;
+  let wide = cap * dim in
+  let images = Nn.Dataset.images ~seed:0x5107L ~dim ~count:cap () in
+  let consts = Nn.Lowering.resolver lowered ~dim:wide in
+  let env =
+    {
+      Fhe_ir.Interp.inputs =
+        [
+          ( lowered.Nn.Lowering.input_name,
+            Serving.Batcher.pack ~dim ~slots:wide
+              (List.init cap (fun rid -> mk_request rid images.(rid))) );
+        ];
+      consts;
+    }
+  in
+  let noise =
+    let const_magnitude name =
+      Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
+    in
+    Fhe_ir.Noise_check.analyse ~const_magnitude prm16 managed
+  in
+  let plan =
+    Resilience.Chaos.trial_plan (Ckks.Prng.create 1L) ~rate:0.05 ~budget:2 ~no_retries:false
+      ~targets:[]
+  in
+  let supervised run =
+    Ckks.Fault.with_faults (Ckks.Fault.create plan) (fun () ->
+        run (Ckks.Evaluator.create ~seed:0x5E1L prm16))
+  in
+  let program = Fhe_ir.Interp.Program.make ~region_of prm16 managed in
+  let result, stats =
+    supervised (fun ev -> Resilience.Recovery.run_program ~noise program ev env)
+  in
+  checki "injected" 2 stats.Resilience.Recovery.injected_faults;
+  checki "retries" 2 stats.Resilience.Recovery.retries;
+  checki "panic refreshes" 0 stats.Resilience.Recovery.panic_refreshes;
+  checkb "outputs finite" true (slots_finite result.Fhe_ir.Interp.outputs);
+  check Alcotest.string "output slot digest" "ec2326a6626278fcb026fd14b2c68b66"
+    (slots_digest result.Fhe_ir.Interp.outputs);
+  let one_off, stats' =
+    supervised (fun ev -> Resilience.Recovery.run ~region_of ~noise ev managed env)
+  in
+  checki "one-off run: same retries" 2 stats'.Resilience.Recovery.retries;
+  check Alcotest.string "one-off run: same bits" (slots_digest result.Fhe_ir.Interp.outputs)
+    (slots_digest one_off.Fhe_ir.Interp.outputs)
+
 (* --- batch pricing ------------------------------------------------------ *)
 
 (* A fault-free run of [model] at [l_max] on [dim]-slot inputs, and the
@@ -155,10 +264,10 @@ let ran_and_priced model ~l_max ~dim =
   let ran =
     (Fhe_ir.Interp.run (Ckks.Evaluator.create ~seed:3L prm) managed env).Fhe_ir.Interp.latency_ms
   in
-  let order = (Fhe_ir.Liveness.schedule managed).Fhe_ir.Liveness.order in
+  let program = Fhe_ir.Interp.Program.make prm managed in
   let priced =
-    (Fhe_ir.Latency.prefix_costs prm managed (Fhe_ir.Scale_check.infer prm managed) order)
-      .(Array.length order)
+    Fhe_ir.Interp.Program.prefix_ms program
+      (Array.length (Fhe_ir.Interp.Program.order program))
   in
   (ran, priced)
 
@@ -365,6 +474,8 @@ let suite =
       scheduler_is_deterministic;
     case "pinned ResNet-20 chaos campaign report (rolls back)"
       resnet20_chaos_report_is_pinned;
+    case "one program per serving campaign and per chaos model" one_program_per_campaign;
+    case "served ResNet-20 batch: output slots pinned" served_batch_is_pinned;
     case "static batch price equals the run latency, bit for bit"
       static_batch_price_is_bit_exact;
     conservation_under_random_load;
