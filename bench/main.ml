@@ -370,7 +370,7 @@ let fig5 () =
 let fig6 () =
   section "Figure 6" "inference latency by manager, normalised to ReSBM (l_max = 16)";
   Format.printf "  %-11s" "Model";
-  List.iter (fun m -> Format.printf "%11s" m.Resbm.Variants.name) Resbm.Variants.figure6;
+  List.iter (fun m -> Format.printf "%11s" m.Resbm.Variants.name) Resbm.Variants.all;
   Format.printf "%13s@." "vs Fhelipe";
   let improvements = ref [] in
   List.iter
@@ -384,7 +384,7 @@ let fig6 () =
         (fun mgr ->
           let _, r = compile mgr model in
           Format.printf "%10.2fx" (r.Resbm.Report.latency_ms /. base))
-        Resbm.Variants.figure6;
+        Resbm.Variants.all;
       let _, f = compile Resbm.Variants.fhelipe model in
       let gain = 100.0 *. (1.0 -. (base /. f.Resbm.Report.latency_ms)) in
       improvements := gain :: !improvements;

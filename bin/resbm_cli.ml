@@ -38,7 +38,7 @@ let model_arg =
   Arg.(value & opt string "resnet20" & info [ "m"; "model" ] ~docv:"MODEL" ~doc)
 
 let manager_arg =
-  let doc = "Manager: resbm, resbm_max, resbm_eva, resbm_pm, fhelipe, dacapo-like." in
+  let doc = "Manager: resbm, resbm_max, resbm_eva, resbm_pm, fhelipe." in
   Arg.(value & opt string "resbm" & info [ "manager" ] ~docv:"MANAGER" ~doc)
 
 let l_max_arg =
@@ -207,8 +207,8 @@ let write_chrome_trace ?flight path (report : Resbm.Report.t) tr =
   let extra = match flight with None -> [] | Some fl -> flight_chrome_events fl in
   write_json path
     (Obs.chrome_trace
-       (Obs.profile_chrome_events ~pid:0 report.Resbm.Report.profile
-       @ Obs.Trace.chrome_events ~pid:1 tr
+       (Obs.profile_chrome_events report.Resbm.Report.profile
+       @ Obs.Trace.chrome_events tr
        @ extra));
   Format.printf "wrote Chrome trace to %s (open in https://ui.perfetto.dev)@." path
 
@@ -354,7 +354,7 @@ let compile_cmd =
         in
         write_json path
           (Obs.chrome_trace
-             (Obs.profile_chrome_events ~pid:0 report.Resbm.Report.profile @ extra));
+             (Obs.profile_chrome_events report.Resbm.Report.profile @ extra));
         Format.printf "wrote compile-pipeline Chrome trace to %s@." path
     | None -> ());
     if verbose then begin
@@ -980,7 +980,7 @@ let cache_cmd =
 (* --- bench-diff ------------------------------------------------------------------ *)
 
 let bench_diff_cmd =
-  let run base_path cand_path json_path fail_on all =
+  let run base_path cand_path json_path all =
     let load path =
       let content =
         try
@@ -1011,7 +1011,7 @@ let bench_diff_cmd =
             write_json path (Obs.Bench_diff.outcome_to_json outcome);
             Format.printf "wrote diff report to %s@." path
         | None -> ());
-        exit (Obs.Bench_diff.exit_code ~fail_on outcome)
+        exit (Obs.Bench_diff.exit_code outcome)
   in
   let base_path =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"BASELINE" ~doc:"Baseline bench JSON.")
@@ -1025,19 +1025,6 @@ let bench_diff_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Write the per-cell diff report as JSON to $(docv).")
   in
-  let fail_on =
-    let when_c =
-      Arg.enum [ ("changed", `Changed); ("regressed", `Regressed); ("never", `Never) ]
-    in
-    Arg.(
-      value & opt when_c `Changed
-      & info [ "fail-on" ] ~docv:"WHEN"
-          ~doc:
-            "When to exit non-zero: $(b,changed) (default) on any changed cell or \
-             plan drift — improvements too, since they invalidate the committed \
-             baseline — or misaligned rows; $(b,regressed) only on regressions; \
-             $(b,never) to always report and exit 0.")
-  in
   let all =
     Arg.(value & flag & info [ "all" ] ~doc:"Print every cell, not just the changed ones.")
   in
@@ -1046,9 +1033,10 @@ let bench_diff_cmd =
        ~doc:
          "Compare two bench JSON files cell by cell: deterministic planner metrics, \
           work counters and plan digests exactly; the candidate's warm-cache \
-          speedup against its 5x floor.  Exit 0 when the gate passes, 2 when it \
-          fails, 1 on unreadable input.")
-    Term.(const run $ base_path $ cand_path $ json_path $ fail_on $ all)
+          speedup against its 5x floor.  Exit 2 on any changed cell or plan drift \
+          (improvements too, since they invalidate the committed baseline) or on \
+          misaligned rows, 1 on unreadable input, 0 otherwise.")
+    Term.(const run $ base_path $ cand_path $ json_path $ all)
 
 (* --- explain ---------------------------------------------------------------------- *)
 
@@ -1221,8 +1209,8 @@ let explain_cmd =
 (* --- chaos ------------------------------------------------------------------------ *)
 
 let chaos_cmd =
-  let run models trials seed l_max dim rate budget max_attempts backoff max_backoff
-      floor no_retries from_trace json_path min_recovery with_flight =
+  let run models trials seed l_max dim rate no_retries from_trace json_path min_recovery
+      with_flight =
     with_flight @@ fun _ ->
     let models =
       String.split_on_char ',' models
@@ -1244,11 +1232,6 @@ let chaos_cmd =
         l_max;
         dim;
         rate;
-        budget;
-        max_attempts;
-        backoff_ms = backoff;
-        max_backoff_ms = max_backoff;
-        noise_floor_bits = floor;
         no_retries;
         from_trace;
       }
@@ -1346,41 +1329,6 @@ let chaos_cmd =
       & info [ "rate" ] ~docv:"P"
           ~doc:"Base per-op injection probability (scaled per fault kind).")
   in
-  let budget =
-    Arg.(
-      value & opt int 3
-      & info [ "budget" ] ~docv:"N"
-          ~doc:"Max injections per trial (negative for unlimited).")
-  in
-  let max_attempts =
-    Arg.(
-      value & opt int 3
-      & info [ "max-attempts" ] ~docv:"N"
-          ~doc:"Rollback-retries per checkpoint interval before escalating.")
-  in
-  let backoff =
-    Arg.(
-      value & opt float 5.0
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:"Base retry backoff charged to the simulated clock (doubles per attempt).")
-  in
-  let max_backoff =
-    Arg.(
-      value & opt float 80.0
-      & info [ "max-backoff-ms" ] ~docv:"MS"
-          ~doc:
-            "Ceiling on a single retry backoff delay; capped backoffs are counted in \
-             the report's recovery accounting.")
-  in
-  let floor =
-    Arg.(
-      value & opt float 6.0
-      & info [ "floor" ] ~docv:"BITS"
-          ~doc:
-            "Noise-headroom floor: a ciphertext observed below it at a region boundary \
-             — though statically predicted safe — triggers retry, then panic \
-             re-bootstrap.")
-  in
   let json_path =
     Arg.(
       value
@@ -1425,16 +1373,13 @@ let chaos_cmd =
           against a fault-free reference run.  Injection-free trials must match the \
           reference bit-for-bit (exit 2 otherwise).")
     Term.(
-      const run $ models $ trials $ seed $ l_max_arg $ dim $ rate $ budget $ max_attempts
-      $ backoff $ max_backoff $ floor $ no_retries $ from_trace $ json_path
-      $ min_recovery $ flight_arg)
+      const run $ models $ trials $ seed $ l_max_arg $ dim $ rate $ no_retries $ from_trace
+      $ json_path $ min_recovery $ flight_arg)
 
 (* --- serve ------------------------------------------------------------------------ *)
 
 let serve_cmd =
-  let run model l_max dim seed arrival_rate duration slo_ms max_batch max_wait
-      queue_depth chaos_rate chaos_budget max_retries retry_backoff max_backoff
-      recovery_attempts breaker_window breaker_threshold breaker_cooldown json_path
+  let run model l_max dim seed arrival_rate duration slo_ms max_batch chaos_rate json_path
       min_goodput min_attainment cache_flag with_flight =
     with_flight @@ fun _ ->
     ignore (or_die (resolve_model model));
@@ -1453,21 +1398,8 @@ let serve_cmd =
         duration_ms = duration;
         slo_ms;
         max_batch;
-        max_wait_ms = max_wait;
-        queue_depth;
         chaos_rate;
-        chaos_budget;
-        recovery =
-          {
-            Resilience.Recovery.default with
-            Resilience.Recovery.max_attempts = recovery_attempts;
-            max_backoff_ms = max_backoff;
-          };
-        max_retries;
-        retry_backoff_ms = retry_backoff;
-        breaker_window;
-        breaker_threshold;
-        breaker_cooldown_ms = breaker_cooldown;
+        recovery = Resilience.Recovery.default;
       }
     in
     let cache = cache_of ~flag:cache_flag in
@@ -1564,75 +1496,11 @@ let serve_cmd =
       & info [ "max-batch" ] ~docv:"N"
           ~doc:"Requests packed per batch (also capped by the slot count / dim).")
   in
-  let max_wait =
-    Arg.(
-      value & opt float 0.0
-      & info [ "max-wait-ms" ] ~docv:"MS"
-          ~doc:"Longest the oldest pending request waits for a batch to fill; 0 \
-                derives slo/4.")
-  in
-  let queue_depth =
-    Arg.(
-      value & opt int 16
-      & info [ "queue-depth" ] ~docv:"N"
-          ~doc:"Bounded queue: arrivals beyond it are shed.")
-  in
   let chaos_rate =
     Arg.(
       value & opt float 0.0
       & info [ "chaos-rate" ] ~docv:"P"
           ~doc:"Per-op fault-injection probability per dispatch (0 disables).")
-  in
-  let chaos_budget =
-    Arg.(
-      value & opt int 2
-      & info [ "chaos-budget" ] ~docv:"N" ~doc:"Max injections per dispatch.")
-  in
-  let max_retries =
-    Arg.(
-      value & opt int 2
-      & info [ "max-retries" ] ~docv:"N"
-          ~doc:"Batch re-dispatches after a retryable failure.")
-  in
-  let retry_backoff =
-    Arg.(
-      value & opt float 5.0
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:"Base batch-retry backoff (doubles per attempt, capped).")
-  in
-  let max_backoff =
-    Arg.(
-      value & opt float 80.0
-      & info [ "max-backoff-ms" ] ~docv:"MS"
-          ~doc:
-            "Ceiling on a single backoff delay — both the supervisor's rollback \
-             backoff and the scheduler's batch-retry backoff.")
-  in
-  let recovery_attempts =
-    Arg.(
-      value & opt int 3
-      & info [ "recovery-attempts" ] ~docv:"N"
-          ~doc:"In-batch rollback-retries per checkpoint interval.")
-  in
-  let breaker_window =
-    Arg.(
-      value & opt int 6
-      & info [ "breaker-window" ] ~docv:"N"
-          ~doc:"Recent batches the circuit breaker judges.")
-  in
-  let breaker_threshold =
-    Arg.(
-      value & opt float 0.5
-      & info [ "breaker-threshold" ] ~docv:"RATE"
-          ~doc:
-            "Bad fraction (faults or deadline misses) of the window that degrades \
-             the breaker a stage: full batches -> half batches -> reject.")
-  in
-  let breaker_cooldown =
-    Arg.(
-      value & opt float 0.0
-      & info [ "breaker-cooldown-ms" ] ~docv:"MS"
-          ~doc:"Open-state hold time before probing again; 0 derives 2x the SLO.")
   in
   let json_path =
     Arg.(
@@ -1668,10 +1536,8 @@ let serve_cmd =
           floor is breached.")
     Term.(
       const run $ model $ l_max_arg $ dim $ seed $ arrival_rate $ duration $ slo_ms
-      $ max_batch $ max_wait $ queue_depth $ chaos_rate $ chaos_budget $ max_retries
-      $ retry_backoff $ max_backoff $ recovery_attempts $ breaker_window
-      $ breaker_threshold $ breaker_cooldown $ json_path $ min_goodput
-      $ min_attainment $ cache_arg $ flight_arg)
+      $ max_batch $ chaos_rate $ json_path $ min_goodput $ min_attainment $ cache_arg
+      $ flight_arg)
 
 (* --- health ----------------------------------------------------------------------- *)
 

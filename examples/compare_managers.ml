@@ -63,4 +63,4 @@ let () =
            (List.map
               (fun (l, c) -> Printf.sprintf "L%d:%d" l c)
               report.Resbm.Report.stats.Fhe_ir.Stats.bootstrap_levels)))
-    Resbm.Variants.figure6
+    Resbm.Variants.all

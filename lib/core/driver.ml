@@ -241,8 +241,8 @@ let planner_steps profile =
     0
     (Obs.Profile.counters profile)
 
-let calibrated_fuel_steps ?percentile ?headroom reports =
-  Fuel.calibrate ?percentile ?headroom
+let calibrated_fuel_steps reports =
+  Fuel.calibrate
     (List.map (fun (r : Report.t) -> planner_steps r.Report.profile) reports)
 
 type tier = {
@@ -283,9 +283,8 @@ let degrade_reason = function
   | Verification_failed (pass, _) -> Some ("verification failed after " ^ pass)
   | _ -> None
 
-let compile_robust ?(chain = default_chain) ?fuel_steps ?(ms_opt = false)
-    ?(verify_each = false) ?profile ?jobs:_ ?cache prm g =
-  if chain = [] then invalid_arg "Driver.compile_robust: empty chain";
+let compile_robust ?fuel_steps ?(ms_opt = false) ?(verify_each = false) ?profile ?jobs:_
+    ?cache prm g =
   let rec go fallbacks = function
     | [] -> assert false
     | [ tier ] ->
@@ -329,4 +328,4 @@ let compile_robust ?(chain = default_chain) ?fuel_steps ?(ms_opt = false)
                   ();
                 go ((tier.tier_name, reason) :: fallbacks) rest))
   in
-  go [] chain
+  go [] default_chain

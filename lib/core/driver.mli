@@ -76,22 +76,6 @@ val compile :
     @raise Fuel.Exhausted when a caller-supplied step budget runs out.
     @raise Verification_failed under [~verify_each:true], see above. *)
 
-(** One rung of a {!compile_robust} fallback chain. *)
-type tier = {
-  tier_name : string;  (** Lands in {!Report.t.manager} / [fallbacks]. *)
-  tier_config : Btsmgr.config;
-  tier_scan : [ `Full | `Adjacent ];
-}
-
-val waterline_config : Btsmgr.config
-(** EVA-style degraded planning: waterline rescaling, region-end
-    bootstraps at [l_max], no min-cuts, no transit pricing. *)
-
-val default_chain : tier list
-(** [resbm → waterline → eager]: the paper's full min-cut DP, then
-    waterline planning over a full segment scan, then the linear eager
-    strategy (one region per segment, [`Adjacent]). *)
-
 val planner_steps : Obs.Profile.t -> int
 (** The fuel-metered planning work a compile performed, read back from
     its {!Report.t.profile}: the sum of the [btsmgr.segment_evals],
@@ -99,18 +83,16 @@ val planner_steps : Obs.Profile.t -> int
     {!Fuel} budget meters.  0 for a warm plan-cache hit (no planning
     ran). *)
 
-val calibrated_fuel_steps :
-  ?percentile:float -> ?headroom:float -> Report.t list -> int
+val calibrated_fuel_steps : Report.t list -> int
 (** [calibrated_fuel_steps reports] derives a [fuel_steps] budget for
     {!compile_robust} from the compile profiles of past runs:
-    {!Fuel.calibrate} (nearest-rank [percentile], default 0.95, padded by
-    [headroom], default 1.5) over {!planner_steps} of each report.
+    {!Fuel.calibrate} (its defaults: the nearest-rank 0.95 percentile,
+    padded by 1.5) over {!planner_steps} of each report.
     Feed it cold-compile reports of the workload mix you expect; the
     returned budget admits the chosen fraction of them without
     degradation.  @raise Invalid_argument on an empty list. *)
 
 val compile_robust :
-  ?chain:tier list ->
   ?fuel_steps:int ->
   ?ms_opt:bool ->
   ?verify_each:bool ->
@@ -120,10 +102,14 @@ val compile_robust :
   Ckks.Params.t ->
   Fhe_ir.Dfg.t ->
   Fhe_ir.Dfg.t * Report.t
-(** Graceful planner degradation: try each tier of [chain] (default
-    {!default_chain}) in order; a tier failing with {!Btsmgr.No_plan},
-    {!Plan.Apply_error}, {!Fuel.Exhausted}, {!Region_eval.Infeasible} or
-    {!Verification_failed} falls through to the next instead of raising.
+(** Graceful planner degradation: try each tier of the chain [resbm →
+    waterline → eager] in order — the paper's full min-cut DP, then
+    EVA-style waterline planning (region-end bootstraps at [l_max], no
+    min-cuts, no transit pricing) over a full segment scan, then the
+    linear eager strategy (one region per segment).  A tier failing with
+    {!Btsmgr.No_plan}, {!Plan.Apply_error}, {!Fuel.Exhausted},
+    {!Region_eval.Infeasible} or {!Verification_failed} falls through to
+    the next instead of raising.
     [fuel_steps] bounds every non-terminal tier's planning steps
     (segment evaluations + min-cuts); the terminal tier always runs with
     unlimited fuel.  Each downgrade is recorded in
@@ -135,5 +121,4 @@ val compile_robust :
     any, escapes as-is.
 
     [jobs] is ignored: planning is single-domain.  The parameter exists
-    only so existing [~jobs:1] callers still compile.
-    @raise Invalid_argument on an empty [chain]. *)
+    only so existing [~jobs:1] callers still compile. *)

@@ -41,21 +41,7 @@ let fhelipe =
     ms_opt = true;
   }
 
-let dacapo_like =
-  {
-    name = "DaCapo-like";
-    config =
-      {
-        min_level_bts = false;
-        smo_mode = Region_eval.Smo_pars;
-        bts_mode = Region_eval.Bts_region_end;
-        price_transits = true;
-      };
-    ms_opt = true;
-  }
-
-let all = [ resbm; resbm_eva; resbm_max; resbm_pm; fhelipe; dacapo_like ]
-let figure6 = [ resbm; resbm_eva; resbm_max; resbm_pm; fhelipe ]
+let all = [ resbm; resbm_eva; resbm_max; resbm_pm; fhelipe ]
 
 let by_name name =
   let canon s = String.lowercase_ascii (String.map (function '_' -> '-' | c -> c) s) in

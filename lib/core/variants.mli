@@ -11,9 +11,7 @@
       configuration);
     - [fhelipe]: max-level bootstrapping at the region live-outs (depth
       based dynamic programming) with EVA rescaling — the paper's own
-      re-implementation of Fhelipe used for RQ2;
-    - [dacapo_like]: max-level bootstrapping at the region live-outs with
-      PARS rescaling (compile-time shape of DaCapo). *)
+      re-implementation of Fhelipe used for RQ2. *)
 
 type manager = {
   name : string;
@@ -26,17 +24,13 @@ val resbm_max : manager
 val resbm_eva : manager
 val resbm_pm : manager
 val fhelipe : manager
-val dacapo_like : manager
 
 val all : manager list
-(** The five managers of Figure 6 plus [dacapo_like]. *)
-
-val figure6 : manager list
 (** [resbm; resbm_eva; resbm_max; resbm_pm; fhelipe] — the Figure 6 bars. *)
 
 val by_name : string -> manager option
 (** The manager in {!all} with this name, ignoring case and treating
-    ['_'] and ['-'] alike: ["dacapo_like"], ["DaCapo-like"] and
+    ['_'] and ['-'] alike: ["resbm_pm"], ["ReSBM-PM"] and
     ["resbm-max"] all resolve. *)
 
 val compile :

@@ -12,7 +12,7 @@ let argmax ~classes v =
   done;
   !best
 
-let labelled ?(seed = 0x0DA7A5E7L) ?(perturbation = 0.08) ~dim ~count ~classes ~infer () =
+let labelled ?(seed = 0x0DA7A5E7L) ~dim ~count ~classes ~infer () =
   let rng = Ckks.Prng.create (Int64.add seed 1L) in
   let imgs = images ~seed ~dim ~count () in
   Array.map
@@ -30,7 +30,7 @@ let labelled ?(seed = 0x0DA7A5E7L) ?(perturbation = 0.08) ~dim ~count ~classes ~
       let spread = Float.max (!hi -. !lo) 1e-9 in
       let noisy =
         Array.init classes (fun c ->
-            scores.(c) +. (perturbation *. spread *. Ckks.Prng.gaussian rng))
+            scores.(c) +. (0.08 *. spread *. Ckks.Prng.gaussian rng))
       in
       { image; label = argmax ~classes noisy })
     imgs

@@ -15,7 +15,6 @@ val images : ?seed:int64 -> dim:int -> count:int -> unit -> float array array
 
 val labelled :
   ?seed:int64 ->
-  ?perturbation:float ->
   dim:int ->
   count:int ->
   classes:int ->
@@ -23,8 +22,8 @@ val labelled :
   unit ->
   sample array
 (** [infer] is the plain reference inference; the label of each image is
-    the argmax of its class scores after adding Gaussian noise of
-    [perturbation] times the score spread (default 0.08). *)
+    the argmax of its class scores after adding Gaussian noise of 0.08
+    times the score spread. *)
 
 val argmax : classes:int -> float array -> int
 (** Index of the largest of the first [classes] slots. *)

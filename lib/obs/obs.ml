@@ -450,7 +450,8 @@ module Trace = struct
      and rescale/modswitch/bootstrap/fhe_error markers are instants. *)
   let tid_of_region r = if r < 0 then 1 else r + 2
 
-  let chrome_events ?(pid = 1) ?(name = "resbm execute") t =
+  let chrome_events t =
+    let pid = 1 in
     let evs = events t in
     let meta =
       Json.Obj
@@ -459,7 +460,7 @@ module Trace = struct
           ("ph", Json.String "M");
           ("pid", Json.Int pid);
           ("tid", Json.Int 0);
-          ("args", Json.Obj [ ("name", Json.String name) ]);
+          ("args", Json.Obj [ ("name", Json.String "resbm execute") ]);
         ]
     in
     let regions =
@@ -763,13 +764,13 @@ module Log = struct
      thread of the region it is attributed to; a compile-side record
      (no [sim_ms]) lands on the compile process at its host timestamp, so
      both correlate with the spans already on those timelines. *)
-  let chrome_events ?(compile_pid = 0) ?(exec_pid = 1) rs =
+  let chrome_events rs =
     List.map
       (fun r ->
         let pid, ts, tid =
           match r.sim_ms with
-          | Some s -> (exec_pid, Trace.usec s, Trace.tid_of_region r.region)
-          | None -> (compile_pid, Trace.usec r.ts_ms, 0)
+          | Some s -> (1, Trace.usec s, Trace.tid_of_region r.region)
+          | None -> (0, Trace.usec r.ts_ms, 0)
         in
         let ctx =
           (if r.compile_id >= 0 then [ ("compile_id", Json.Int r.compile_id) ] else [])
@@ -1516,23 +1517,12 @@ module Bench_diff = struct
 
   let changes o = List.filter (fun c -> c.verdict <> Unchanged) o.cells
 
-  (* 0 = pass, 2 = gate failure.  [`Changed] (the default) treats any
-     drift — improvements included — as a failure: a better bootstrap
-     count still invalidates the committed baseline, and the baseline
-     refresh must be deliberate. *)
-  let exit_code ?(fail_on = `Changed) o =
-    let aligned_bad = o.missing <> [] || o.added <> [] in
-    let failed =
-      match fail_on with
-      | `Never -> false
-      | `Regressed ->
-          aligned_bad
-          || List.exists
-               (fun c -> c.verdict = Regressed || c.verdict = Incomparable)
-               o.cells
-      | `Changed -> aligned_bad || changes o <> [] || o.plan_drift <> []
-    in
-    if failed then 2 else 0
+  (* 0 = pass, 2 = gate failure.  Any drift — improvements included — is
+     a failure: a better bootstrap count still invalidates the committed
+     baseline, and the baseline refresh must be deliberate. *)
+  let exit_code o =
+    if o.missing <> [] || o.added <> [] || changes o <> [] || o.plan_drift <> [] then 2
+    else 0
 
   (* --- reporting ----------------------------------------------------------- *)
 
@@ -1838,7 +1828,8 @@ end
 (* Profile spans in the same Chrome trace-event dialect, so one Perfetto
    timeline can hold the compile pipeline (one pid) next to the simulated
    execution (another). *)
-let profile_chrome_events ?(pid = 0) ?(name = "resbm compile") p =
+let profile_chrome_events p =
+  let pid = 0 in
   let meta =
     Json.Obj
       [
@@ -1846,7 +1837,7 @@ let profile_chrome_events ?(pid = 0) ?(name = "resbm compile") p =
         ("ph", Json.String "M");
         ("pid", Json.Int pid);
         ("tid", Json.Int 0);
-        ("args", Json.Obj [ ("name", Json.String name) ]);
+        ("args", Json.Obj [ ("name", Json.String "resbm compile") ]);
       ]
   in
   meta

@@ -164,11 +164,12 @@ module Trace : sig
   (** [-log2 err] clamped to [[0, 200]]: bits of precision left before the
       absolute error reaches magnitude 1. *)
 
-  val chrome_events : ?pid:int -> ?name:string -> t -> Json.t list
-  (** Chrome trace-event objects (Perfetto-loadable): ops as ["X"] duration
-      events on per-region threads, [noise_headroom_bits] / [level] /
-      [scale_bits] counter tracks, instants as ["i"] markers, plus
-      process/thread metadata.  Wrap with {!chrome_trace}. *)
+  val chrome_events : t -> Json.t list
+  (** Chrome trace-event objects (Perfetto-loadable) on the execution
+      process (pid 1, ["resbm execute"]): ops as ["X"] duration events on
+      per-region threads, [noise_headroom_bits] / [level] / [scale_bits]
+      counter tracks, instants as ["i"] markers, plus process/thread
+      metadata.  Wrap with {!chrome_trace}. *)
 
   val event_to_json : event -> Json.t
 
@@ -255,11 +256,11 @@ module Log : sig
   (** Inverse of {!record_to_json}: [record_of_json (record_to_json r)]
       is [Ok r]. *)
 
-  val chrome_events : ?compile_pid:int -> ?exec_pid:int -> record list -> Json.t list
+  val chrome_events : record list -> Json.t list
   (** Records as Perfetto ["i"] instants: a record with [sim_ms] lands on
-      the execution process (default pid 1) at its simulated time on its
-      region's thread; one without lands on the compile process (default
-      pid 0) at its host timestamp.  Wrap with {!chrome_trace}. *)
+      the execution process (pid 1) at its simulated time on its region's
+      thread; one without lands on the compile process (pid 0) at its
+      host timestamp.  Wrap with {!chrome_trace}. *)
 end
 
 (** Aggregate metrics: the registry {!Health} judges.  Counters, gauges
@@ -431,8 +432,7 @@ module Bench_diff : sig
     plan_drift : ((string * string) * Explain.change list) list;
         (** Per (model, manager): structural plan-digest changes.  The
             plan-level explanation that accompanies a metric change;
-            non-empty drift fails the [`Changed] gate like any other
-            change. *)
+            non-empty drift fails the gate like any other change. *)
   }
 
   val load : string -> (source, string) result
@@ -456,12 +456,10 @@ module Bench_diff : sig
   val changes : outcome -> cell list
   (** Cells whose verdict is not [Unchanged]. *)
 
-  val exit_code : ?fail_on:[ `Changed | `Regressed | `Never ] -> outcome -> int
-  (** 0 = pass, 2 = gate failure.  [`Changed] (default) fails on any
-      changed cell or plan drift — improvements included, since they
-      invalidate the committed baseline — and on misaligned rows;
-      [`Regressed] only on regressed/incomparable cells and misaligned
-      rows. *)
+  val exit_code : outcome -> int
+  (** 0 = pass, 2 = gate failure: any changed cell or plan drift —
+      improvements included, since they invalidate the committed
+      baseline — or misaligned rows. *)
 
   val outcome_to_json : outcome -> Json.t
 
@@ -532,10 +530,10 @@ module Flight : sig
       not a flight file or carries a malformed metrics section. *)
 end
 
-val profile_chrome_events : ?pid:int -> ?name:string -> Profile.t -> Json.t list
-(** Compile-pipeline spans in the same Chrome trace-event dialect, so
-    compile (one pid) and execution (another) land in one Perfetto
-    timeline. *)
+val profile_chrome_events : Profile.t -> Json.t list
+(** Compile-pipeline spans in the same Chrome trace-event dialect on the
+    compile process (pid 0, ["resbm compile"]), so compile and execution
+    (pid 1) land in one Perfetto timeline. *)
 
 val chrome_trace : Json.t list -> Json.t
 (** Wrap event objects as [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)

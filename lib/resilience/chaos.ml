@@ -5,11 +5,6 @@ type config = {
   l_max : int;
   dim : int;
   rate : float;
-  budget : int;
-  max_attempts : int;
-  backoff_ms : float;
-  max_backoff_ms : float;
-  noise_floor_bits : float;
   no_retries : bool;
   from_trace : bool;
 }
@@ -22,11 +17,6 @@ let default =
     l_max = 9;
     dim = 64;
     rate = 0.02;
-    budget = 3;
-    max_attempts = Recovery.default.Recovery.max_attempts;
-    backoff_ms = Recovery.default.Recovery.backoff_ms;
-    max_backoff_ms = Recovery.default.Recovery.max_backoff_ms;
-    noise_floor_bits = Recovery.default.Recovery.noise_floor_bits;
     no_retries = false;
     from_trace = false;
   }
@@ -138,6 +128,9 @@ let trial_plan rng ~rate ~budget ~no_retries ~targets =
   in
   { Ckks.Fault.seed; rules; budget }
 
+(* Max injections per trial. *)
+let trial_budget = 3
+
 let max_abs_delta reference outputs =
   List.fold_left2
     (fun acc (a : Ckks.Ciphertext.t) (b : Ckks.Ciphertext.t) ->
@@ -193,14 +186,8 @@ let run_model cfg name =
   in
   let tolerance = Float.max 1e-6 (32.0 *. max_err) in
   let rcfg =
-    {
-      Recovery.max_attempts = (if cfg.no_retries then 0 else cfg.max_attempts);
-      backoff_ms = cfg.backoff_ms;
-      max_backoff_ms = cfg.max_backoff_ms;
-      checkpoint_budget_bytes = None;
-      noise_floor_bits = cfg.noise_floor_bits;
-      noise_slack_bits = Recovery.default.Recovery.noise_slack_bits;
-    }
+    if cfg.no_retries then { Recovery.default with Recovery.max_attempts = 0 }
+    else Recovery.default
   in
   (* Sharp static noise prediction — the lowering knows its constant
      amplitudes exactly, which widens the boundary validator's spike
@@ -233,7 +220,7 @@ let run_model cfg name =
   let trials =
     List.init cfg.trials (fun t ->
         let plan =
-          trial_plan rng ~rate:cfg.rate ~budget:cfg.budget ~no_retries:cfg.no_retries
+          trial_plan rng ~rate:cfg.rate ~budget:trial_budget ~no_retries:cfg.no_retries
             ~targets
         in
         let injector = Ckks.Fault.create plan in

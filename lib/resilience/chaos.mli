@@ -24,16 +24,11 @@ type config = {
   l_max : int;  (** Scheme max level for compilation. *)
   dim : int;  (** Slot count of the synthetic input image. *)
   rate : float;  (** Base per-op injection probability, scaled per kind. *)
-  budget : int;  (** Max injections per trial (negative = unlimited). *)
-  max_attempts : int;  (** {!Recovery.config.max_attempts}. *)
-  backoff_ms : float;  (** {!Recovery.config.backoff_ms}. *)
-  max_backoff_ms : float;  (** {!Recovery.config.max_backoff_ms}. *)
-  noise_floor_bits : float;  (** {!Recovery.config.noise_floor_bits}. *)
   no_retries : bool;
       (** Retry-less campaign: recovery runs with [max_attempts = 0]
-          (overriding [max_attempts]) and fault plans inject only noise
-          spikes, so every detected fault goes straight to the panic
-          re-bootstrap repair path instead of rollback-retry — the
+          (in place of {!Recovery.default}'s 3) and fault plans inject
+          only noise spikes, so every detected fault goes straight to the
+          panic re-bootstrap repair path instead of rollback-retry — the
           coverage mode for that branch. *)
   from_trace : bool;
       (** Divergence-targeted campaign: the fault-free reference run is
@@ -48,7 +43,9 @@ type config = {
 
 val default : config
 (** seed 0xC4A05, 25 trials, [tiny] model, l_max 9, dim 64, rate 0.02,
-    budget 3, recovery defaults, retries enabled, untargeted. *)
+    retries enabled, untargeted.  Every trial runs under
+    {!Recovery.default} (with [max_attempts = 0] under [no_retries]) and
+    a fault plan of at most 3 injections. *)
 
 type trial = {
   trial_index : int;

@@ -6,8 +6,6 @@ type config = {
   backoff_ms : float;
   max_backoff_ms : float;
   checkpoint_budget_bytes : float option;
-  noise_floor_bits : float;
-  noise_slack_bits : float;
 }
 
 let default =
@@ -16,9 +14,17 @@ let default =
     backoff_ms = 5.0;
     max_backoff_ms = 80.0;
     checkpoint_budget_bytes = None;
-    noise_floor_bits = 6.0;
-    noise_slack_bits = 12.0;
   }
+
+(* Headroom floor (bits) under which a ciphertext the static analysis
+   predicted safe is considered fault-damaged. *)
+let noise_floor_bits = 6.0
+
+(* Relative trigger: observed headroom more than this many bits below the
+   static prediction is damage even above the floor.  It must exceed the
+   noise model's validated error ({!Fhe_ir.Noise_check.check_trace}'s
+   10-bit tolerance) or clean runs would false-positive. *)
+let noise_slack_bits = 12.0
 
 type accounting = {
   recovery_ms_by_kind : (string * float) list;
@@ -90,25 +96,12 @@ let blame ~mark ~fallback =
       | Some i -> Ckks.Fault.kind_name i.Ckks.Fault.inj_kind
       | None -> fallback)
 
-let run_program ?(config = default) ?trace ?noise prog ev env =
+let run_program ?(config = default) ?trace ~noise prog ev env =
   let s = Session.create ?trace prog ev in
   let order = Program.order prog in
   let n = Array.length order in
   let info = Program.info prog in
-  (* Default to the sound (uncapped) static estimate: it never predicts
-     less noise than the run accumulates, so the noise validator cannot
-     false-positive — a fault-free supervised run stays bit-identical to
-     {!Fhe_ir.Interp.run}.  Callers with real magnitude knowledge (the
-     chaos harness knows the lowering's constant amplitudes) pass a
-     sharper [?noise] for a wider detection window. *)
-  let predicted =
-    (match noise with
-    | Some report -> report
-    | None ->
-        Fhe_ir.Noise_check.analyse ~magnitude_cap:Float.infinity (Program.params prog)
-          (Program.graph prog))
-      .Fhe_ir.Noise_check.per_node
-  in
+  let predicted = noise.Fhe_ir.Noise_check.per_node in
   let budget =
     match config.checkpoint_budget_bytes with
     | Some b -> b
@@ -252,8 +245,8 @@ let run_program ?(config = default) ?trace ?noise prog ev env =
              or the node's own predicted headroom minus the validated
              model slack (a spike can hurt precision long before the
              absolute floor is near). *)
-          (actual < config.noise_floor_bits && pred >= config.noise_floor_bits)
-          || pred -. actual > config.noise_slack_bits)
+          (actual < noise_floor_bits && pred >= noise_floor_bits)
+          || pred -. actual > noise_slack_bits)
         live
     in
     let faults_since = injected_now () > !fault_mark in
@@ -350,6 +343,15 @@ let run_program ?(config = default) ?trace ?noise prog ev env =
     } )
 
 let run ?config ?trace ?region_of ?noise ev g env =
-  run_program ?config ?trace ?noise
-    (Program.make ?trace ?region_of (Ckks.Evaluator.params ev) g)
-    ev env
+  let prog = Program.make ?trace ?region_of (Ckks.Evaluator.params ev) g in
+  (* Default to the sound (uncapped) static estimate: it never predicts
+     less noise than the run accumulates, so the noise validator cannot
+     false-positive — a fault-free supervised run stays bit-identical to
+     {!Fhe_ir.Interp.run}. *)
+  let noise =
+    match noise with
+    | Some report -> report
+    | None ->
+        Fhe_ir.Noise_check.analyse ~magnitude_cap:Float.infinity (Program.params prog) g
+  in
+  run_program ?config ?trace ~noise prog ev env

@@ -30,7 +30,7 @@
       retry, and {!Ckks.Evaluator.State_divergence} when retries are
       exhausted.
     - {b Panic re-bootstrap}: a ciphertext whose observed noise headroom
-      fell below [noise_floor_bits] at a boundary {e although the static
+      fell below the 6-bit floor at a boundary {e although the static
       noise analysis} ({!Fhe_ir.Noise_check}) {e predicted it safe} is —
       once retries are exhausted or pointless — refreshed in place
       ({!Fhe_ir.Interp.Session.refresh}): a bootstrap-priced noise reset
@@ -48,29 +48,27 @@ type config = {
       (** Base retry delay, charged to the simulated clock; attempt [k]
           waits [backoff_ms * 2^(k-1)], clipped to [max_backoff_ms]. *)
   max_backoff_ms : float;
-      (** Ceiling on a single backoff delay.  Unbounded doubling can blow
-          past any request deadline; serving callers set this from their
-          SLO.  Clipped backoffs are counted in {!accounting.capped_backoffs}. *)
+      (** Ceiling on a single backoff delay (unbounded doubling can blow
+          past any request deadline); the serving scheduler's batch-retry
+          backoff shares it.  Clipped backoffs are counted in
+          {!accounting.capped_backoffs}. *)
   checkpoint_budget_bytes : float option;
       (** Total bytes of retained checkpoints; [None] derives
           [2 * Program.peak_bytes] from the program.  At least one
           checkpoint is always kept. *)
-  noise_floor_bits : float;
-      (** Headroom floor (bits) under which a ciphertext the static
-          analysis predicted safe is considered fault-damaged. *)
-  noise_slack_bits : float;
-      (** Relative trigger: a ciphertext whose observed headroom is more
-          than this many bits below its static prediction is damaged even
-          above the absolute floor.  Must exceed the noise model's
-          validated error ({!Fhe_ir.Noise_check.check_trace}'s 10-bit
-          tolerance) or clean runs would false-positive. *)
 }
+(** The boundary noise validator's thresholds are constants: a
+    ciphertext is damaged when its observed headroom falls below 6 bits
+    although the static analysis predicted it safe, or more than 12 bits
+    below its static prediction (above the noise model's validated
+    10-bit error, so clean runs never trip it). *)
 
 val default : config
 (** [max_attempts = 3], [backoff_ms = 5.0], [max_backoff_ms = 80.0] (never
     reached by the default three attempts, whose largest delay is 20 ms —
-    existing pinned campaigns are unchanged), derived budget,
-    [noise_floor_bits = 6.0], [noise_slack_bits = 12.0]. *)
+    existing pinned campaigns are unchanged), derived budget.  Serving
+    and chaos campaigns run on it (retry-less chaos with
+    [max_attempts = 0]). *)
 
 type accounting = {
   recovery_ms_by_kind : (string * float) list;
@@ -124,7 +122,7 @@ type stats = {
 val run_program :
   ?config:config ->
   ?trace:Obs.Trace.t ->
-  ?noise:Fhe_ir.Noise_check.report ->
+  noise:Fhe_ir.Noise_check.report ->
   Fhe_ir.Interp.Program.t ->
   Ckks.Evaluator.t ->
   Fhe_ir.Interp.env ->
@@ -134,14 +132,14 @@ val run_program :
     boundaries; the derived checkpoint budget is twice its
     {!Fhe_ir.Interp.Program.peak_bytes}, and eviction values are
     differences of its {!Fhe_ir.Interp.Program.prefix_ms}.  The run does
-    no static work of its own beyond the default [noise], so a server
-    shares one program across every batch and retry.  [noise] is the
+    no static work of its own, so a server shares one program and one
+    [noise] analysis across every batch and retry.  [noise] is the
     static per-node prediction the boundary validator compares observed
-    headroom against; it defaults to the {e sound} uncapped estimate
-    ([Noise_check.analyse ~magnitude_cap:infinity], computed per call),
-    which can never flag a fault-free run — pass a sharper analysis
-    (e.g. with the lowering's constant amplitudes) to widen the
-    detection window.  Rollbacks and panic refreshes are marked as
+    headroom against: the sound uncapped estimate
+    ([Noise_check.analyse ~magnitude_cap:infinity], {!run}'s default)
+    can never flag a fault-free run; a sharper analysis (e.g. with the
+    lowering's constant amplitudes) widens the detection window.
+    Rollbacks and panic refreshes are marked as
     ["rollback"] / ["panic_refresh"] trace instants when a trace is
     installed.
 
@@ -164,6 +162,8 @@ val run :
   Fhe_ir.Interp.result * stats
 (** [run_program] over [Program.make ?trace ?region_of (params ev) g]: a
     one-off supervised run of [g].  [region_of] defines the checkpoint
-    boundaries (default: none, so only the initial checkpoint exists).
+    boundaries (default: none, so only the initial checkpoint exists);
+    [noise] defaults to the sound uncapped analysis of [g], computed per
+    call.
     @raise Ckks.Evaluator.Fhe_error as {!Fhe_ir.Interp.Program.make} and
     {!run_program}. *)

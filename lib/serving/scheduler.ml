@@ -9,16 +9,8 @@ type config = {
   duration_ms : float;
   slo_ms : float;
   max_batch : int;
-  max_wait_ms : float;
-  queue_depth : int;
   chaos_rate : float;
-  chaos_budget : int;
   recovery : Resilience.Recovery.config;
-  max_retries : int;
-  retry_backoff_ms : float;
-  breaker_window : int;
-  breaker_threshold : float;
-  breaker_cooldown_ms : float;
 }
 
 let default =
@@ -31,17 +23,19 @@ let default =
     duration_ms = 1000.0;
     slo_ms = 0.0;
     max_batch = 4;
-    max_wait_ms = 0.0;
-    queue_depth = 16;
     chaos_rate = 0.0;
-    chaos_budget = 2;
     recovery = Resilience.Recovery.default;
-    max_retries = 2;
-    retry_backoff_ms = 5.0;
-    breaker_window = 6;
-    breaker_threshold = 0.5;
-    breaker_cooldown_ms = 0.0;
   }
+
+(* The serving policy, constant (see {!default} in the interface): queue
+   bound, faults per chaos dispatch, batch re-dispatches and their base
+   backoff, and the breaker's window and bad-batch threshold. *)
+let queue_depth = 16
+let chaos_budget = 2
+let max_retries = 2
+let retry_backoff_ms = 5.0
+let breaker_window = 6
+let breaker_threshold = 0.5
 
 type outcome = Completed | Shed of string | Failed of string
 
@@ -125,7 +119,6 @@ let percentile sorted p =
 let run ?jobs:_ ?cache cfg =
   if cfg.dim < 1 then invalid_arg "Scheduler.run: dim below 1";
   if cfg.duration_ms < 0.0 then invalid_arg "Scheduler.run: negative duration";
-  if cfg.queue_depth < 1 then invalid_arg "Scheduler.run: queue_depth below 1";
   let model =
     match Nn.Model.by_name cfg.model with
     | Some m -> m
@@ -171,10 +164,8 @@ let run ?jobs:_ ?cache cfg =
       (Array.length (Fhe_ir.Interp.Program.order program))
   in
   let slo_ms = if cfg.slo_ms > 0.0 then cfg.slo_ms else 3.0 *. est_batch_ms in
-  let max_wait_ms = if cfg.max_wait_ms > 0.0 then cfg.max_wait_ms else slo_ms /. 4.0 in
-  let cooldown_ms =
-    if cfg.breaker_cooldown_ms > 0.0 then cfg.breaker_cooldown_ms else 2.0 *. slo_ms
-  in
+  let max_wait_ms = slo_ms /. 4.0 in
+  let cooldown_ms = 2.0 *. slo_ms in
   let batcher = Batcher.create ~capacity:slot_capacity ~max_wait_ms in
   (* Arrival trace: sorted absolute times in [0, duration]. *)
   let arrival_times =
@@ -236,11 +227,11 @@ let run ?jobs:_ ?cache cfg =
   in
   let note_breaker now bad =
     window := bad :: !window;
-    if List.length !window >= cfg.breaker_window then begin
-      let trimmed = List.filteri (fun i _ -> i < cfg.breaker_window) !window in
+    if List.length !window >= breaker_window then begin
+      let trimmed = List.filteri (fun i _ -> i < breaker_window) !window in
       let bads = List.length (List.filter Fun.id trimmed) in
-      let rate = float_of_int bads /. float_of_int cfg.breaker_window in
-      if rate >= cfg.breaker_threshold then begin
+      let rate = float_of_int bads /. float_of_int breaker_window in
+      if rate >= breaker_threshold then begin
         (match !breaker with
         | `Closed -> breaker := `Degraded
         | `Degraded | `Open ->
@@ -252,7 +243,7 @@ let run ?jobs:_ ?cache cfg =
               (Printf.sprintf "circuit breaker opened until %.1f ms" !open_until));
         window := []
       end
-      else if !breaker = `Degraded && rate < cfg.breaker_threshold /. 2.0 then begin
+      else if !breaker = `Degraded && rate < breaker_threshold /. 2.0 then begin
         breaker := `Closed;
         window := []
       end
@@ -276,7 +267,7 @@ let run ?jobs:_ ?cache cfg =
   let admit (r : Batcher.request) =
     refresh_breaker !now;
     if !breaker = `Open then shed_request r "breaker_open"
-    else if List.length !queue >= cfg.queue_depth then shed_request r "queue_full"
+    else if List.length !queue >= queue_depth then shed_request r "queue_full"
     else begin
       (* Predicted completion: the queue ahead drains in ceil-ish batches
          of the current effective capacity, then this request's own batch
@@ -337,7 +328,7 @@ let run ?jobs:_ ?cache cfg =
         let injector =
           Ckks.Fault.create
             (Resilience.Chaos.trial_plan chaos_rng ~rate:cfg.chaos_rate
-               ~budget:cfg.chaos_budget ~no_retries:false ~targets:[])
+               ~budget:chaos_budget ~no_retries:false ~targets:[])
         in
         let o = Ckks.Fault.with_faults injector exec in
         (o, Ckks.Fault.injected injector)
@@ -430,8 +421,8 @@ let run ?jobs:_ ?cache cfg =
           :: !batch_reports;
         note_breaker !now true;
         let retryable = Ckks.Evaluator.transient e || injected > 0 in
-        if retryable && attempt <= cfg.max_retries then begin
-          let raw = cfg.retry_backoff_ms *. (2.0 ** float_of_int (attempt - 1)) in
+        if retryable && attempt <= max_retries then begin
+          let raw = retry_backoff_ms *. (2.0 ** float_of_int (attempt - 1)) in
           let delay = Float.min raw cfg.recovery.Resilience.Recovery.max_backoff_ms in
           now := !now +. delay;
           (* Deadline-aware retry: a member whose deadline cannot fit even

@@ -42,26 +42,23 @@ type config = {
       (** Per-request deadline after arrival; [<= 0] derives
           [3 * est_batch_ms], the fault-free batch latency. *)
   max_batch : int;  (** Requests per batch cap (also capped by slots). *)
-  max_wait_ms : float;
-      (** Batch fill wait bound; [<= 0] derives [slo / 4]. *)
-  queue_depth : int;  (** Bounded queue: arrivals beyond it are shed. *)
   chaos_rate : float;  (** Per-op fault injection rate; 0 = no faults. *)
-  chaos_budget : int;  (** Max injections per dispatch. *)
   recovery : Resilience.Recovery.config;
       (** Supervisor config for batch execution; its [max_backoff_ms]
           also caps the scheduler's own batch-retry backoff. *)
-  max_retries : int;  (** Batch re-dispatches after a retryable failure. *)
-  retry_backoff_ms : float;  (** Base batch-retry delay (doubles, capped). *)
-  breaker_window : int;  (** Recent batches the breaker judges. *)
-  breaker_threshold : float;
-      (** Bad fraction of the window that trips the breaker a stage. *)
-  breaker_cooldown_ms : float;  (** Open hold time; [<= 0] derives [2 * slo]. *)
 }
 
 val default : config
 (** tiny model, l_max 9, dim 16, Poisson 40 rps for 1 s, derived SLO,
-    max_batch 4, queue 16, no chaos, recovery defaults, 2 retries,
-    breaker 6-window at 0.5. *)
+    max_batch 4, no chaos, recovery defaults.
+
+    The serving policy is fixed: a batch waits at most [slo / 4] to
+    fill; the queue holds 16 requests; a chaos dispatch injects at most
+    2 faults; a retryable batch failure is re-dispatched at most twice,
+    after 5 ms doubling per attempt (capped by [recovery]'s
+    [max_backoff_ms]); the breaker judges the last 6 batches, moves a
+    stage when at least half were bad (closing again from Degraded below
+    a quarter), and holds Open for [2 * slo]. *)
 
 type outcome =
   | Completed  (** Finished within its deadline. *)

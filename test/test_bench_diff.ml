@@ -59,15 +59,12 @@ let direction_semantics () =
   checkb "latency up regresses" true
     (verdict_of o "latency_ms" = Obs.Bench_diff.Regressed);
   checki "regression gates" 2 (Obs.Bench_diff.exit_code o);
-  (* lower-is-better metric moving down improves — and still gates under
-     the default policy, because it invalidates the committed baseline *)
+  (* lower-is-better metric moving down improves — and still gates,
+     because it invalidates the committed baseline *)
   let o = diff_ok base (src [ row "m" "g" (metrics ~bts:8.0 ()) ]) in
   checkb "bootstrap count down improves" true
     (verdict_of o "bootstrap_count" = Obs.Bench_diff.Improved);
   checki "improvement still fails `Changed" 2 (Obs.Bench_diff.exit_code o);
-  checki "improvement passes `Regressed" 0
-    (Obs.Bench_diff.exit_code ~fail_on:`Regressed o);
-  checki "`Never always passes" 0 (Obs.Bench_diff.exit_code ~fail_on:`Never o);
   (* higher-is-better direction flips the reading *)
   let o = diff_ok base (src [ row "m" "g" (metrics ~precision:35.0 ()) ]) in
   checkb "precision up improves" true
@@ -83,9 +80,7 @@ let misaligned_rows_gate () =
   checkb "dropped manager reported" true
     (o.Obs.Bench_diff.missing = [ ("m", "Fhelipe") ]);
   checkb "new model reported" true (o.Obs.Bench_diff.added = [ ("m2", "ReSBM") ]);
-  checki "misalignment fails `Changed" 2 (Obs.Bench_diff.exit_code o);
-  checki "misalignment fails `Regressed too" 2
-    (Obs.Bench_diff.exit_code ~fail_on:`Regressed o)
+  checki "misalignment fails `Changed" 2 (Obs.Bench_diff.exit_code o)
 
 let nan_semantics () =
   let base = src [ row "m" "g" (metrics ~precision:nan ()) ] in
@@ -98,22 +93,18 @@ let nan_semantics () =
   let o = diff_ok base (src [ row "m" "g" (metrics ~precision:30.0 ()) ]) in
   checkb "one-sided nan is incomparable" true
     (verdict_of o "predicted_precision_bits" = Obs.Bench_diff.Incomparable);
-  checki "incomparable fails `Changed" 2 (Obs.Bench_diff.exit_code o);
-  checki "incomparable fails `Regressed" 2
-    (Obs.Bench_diff.exit_code ~fail_on:`Regressed o)
+  checki "incomparable fails `Changed" 2 (Obs.Bench_diff.exit_code o)
 
 (* --- warm-cache contract ---------------------------------------------------- *)
 
 (* The candidate's cold/warm ratio must reach 5: below it the cell
-   regresses under every failing policy, at it the cell passes.  The
+   regresses and fails the gate, at it the cell passes.  The
    baseline's own ratio is host time and never compared. *)
 let warm_speedup_gate () =
   let base = src [ row ~warm_speedup:2000.0 "m" "g" (metrics ()) ] in
   let o = diff_ok base (src [ row ~warm_speedup:4.9 "m" "g" (metrics ()) ]) in
   checkb "4.9 regresses" true (verdict_of o "warm_speedup" = Obs.Bench_diff.Regressed);
   checki "4.9 fails `Changed" 2 (Obs.Bench_diff.exit_code o);
-  checki "4.9 fails `Regressed" 2 (Obs.Bench_diff.exit_code ~fail_on:`Regressed o);
-  checki "4.9 passes `Never" 0 (Obs.Bench_diff.exit_code ~fail_on:`Never o);
   let o = diff_ok base (src [ row ~warm_speedup:5.0 "m" "g" (metrics ()) ]) in
   checkb "5.0 is unchanged" true (verdict_of o "warm_speedup" = Obs.Bench_diff.Unchanged);
   checki "5.0 passes `Changed" 0 (Obs.Bench_diff.exit_code o);
@@ -252,12 +243,9 @@ let counters_gate_exactly () =
   checkb "a vanished counter reads as zero" true
     (verdict_of o "counters.smoplc.cuts" = Obs.Bench_diff.Improved);
   checki "an improvement still fails `Changed" 2 (Obs.Bench_diff.exit_code o);
-  checki "an improvement passes `Regressed" 0
-    (Obs.Bench_diff.exit_code ~fail_on:`Regressed o);
   let o = diff_ok cand base in
   checkb "more work regresses" true
-    (verdict_of o "counters.maxflow.runs" = Obs.Bench_diff.Regressed);
-  checki "a regression fails `Regressed" 2 (Obs.Bench_diff.exit_code ~fail_on:`Regressed o)
+    (verdict_of o "counters.maxflow.runs" = Obs.Bench_diff.Regressed)
 
 let load_reads_counters () =
   let empty =

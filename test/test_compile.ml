@@ -217,12 +217,12 @@ let variants_lookup () =
     (fun spelling ->
       checkb ("by_name " ^ spelling) true
         (Option.map (fun m -> m.Resbm.Variants.name) (Resbm.Variants.by_name spelling)
-        = Some "DaCapo-like"))
-    [ "dacapo_like"; "DaCapo-like" ];
+        = Some "ReSBM_pm"))
+    [ "resbm-pm"; "ReSBM_PM" ];
   checkb "by_name resbm-max" true
     (Option.map (fun m -> m.Resbm.Variants.name) (Resbm.Variants.by_name "resbm-max")
     = Some "ReSBM_max");
-  checki "figure6 has five managers" 5 (List.length Resbm.Variants.figure6)
+  checki "all has five managers" 5 (List.length Resbm.Variants.all)
 
 let suite =
   [

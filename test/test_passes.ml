@@ -267,7 +267,7 @@ let agrees_with_reference managed =
   (expected, got, Dfg.export a = Dfg.export b)
 
 let ms_opt_matches_reference_on_models () =
-  checki "four ms_opt managers" 4 (List.length ms_opt_managers);
+  checki "three ms_opt managers" 3 (List.length ms_opt_managers);
   List.iter
     (fun model ->
       let g = (Nn.Lowering.lower model).Nn.Lowering.dfg in

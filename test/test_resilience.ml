@@ -403,6 +403,54 @@ let recovery_checkpoints_respect_budget () =
   checkb "evicted down to the budget" true (stats.Resilience.Recovery.evictions >= 1);
   checkb "peak accounted" true (stats.Resilience.Recovery.checkpoint_bytes_peak > 0.0)
 
+(* The one-off [Recovery.run] is [run_program] on a freshly prepared
+   program with the sound uncapped noise analysis: on a faulted
+   ResNet-20 run whose supervisor rolls back, both give the same output
+   bits and the same stats.  The plan is one where the default analysis
+   (magnitude-capped) would flag one more boundary and retry three
+   times instead of two, so a default other than the sound one fails. *)
+let run_equals_run_program_with_sound_noise () =
+  let l_max = 16 and dim = 16 in
+  let p =
+    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = l_max } l_max
+  in
+  let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
+  let managed, report = Resbm.Driver.compile_robust p lowered.Nn.Lowering.dfg in
+  let region_of = Resbm.Report.region_of_node report in
+  let env =
+    {
+      Interp.inputs =
+        [
+          (lowered.Nn.Lowering.input_name, (Nn.Dataset.images ~seed:7L ~dim ~count:1 ()).(0));
+        ];
+      consts = Nn.Lowering.resolver lowered ~dim;
+    }
+  in
+  let plan =
+    Resilience.Chaos.trial_plan (Ckks.Prng.create 17L) ~rate:0.05 ~budget:3
+      ~no_retries:false ~targets:[]
+  in
+  let supervised run =
+    Ckks.Fault.with_faults (Ckks.Fault.create plan) (fun () ->
+        run (Ckks.Evaluator.create ~seed:0x5E1L p))
+  in
+  let one_off, s1 =
+    supervised (fun ev -> Resilience.Recovery.run ~region_of ev managed env)
+  in
+  let noise = Noise_check.analyse ~magnitude_cap:Float.infinity p managed in
+  let program = Interp.Program.make ~region_of p managed in
+  let prepared, s2 =
+    supervised (fun ev -> Resilience.Recovery.run_program ~noise program ev env)
+  in
+  checkb "faults injected" true (s1.Resilience.Recovery.injected_faults > 0);
+  checki "the supervisor rolled back twice" 2 s1.Resilience.Recovery.retries;
+  check Alcotest.string "same output bits" (slots_digest one_off.Interp.outputs)
+    (slots_digest prepared.Interp.outputs);
+  check Alcotest.int64 "same simulated latency"
+    (Int64.bits_of_float one_off.Interp.latency_ms)
+    (Int64.bits_of_float prepared.Interp.latency_ms);
+  checkb "same stats" true (s1 = s2)
+
 (* A slot flipped ~2^-38 below the noise floor is invisible to every
    magnitude-based validator (level/scale match, the err bump is
    negligible against the 12-bit slack), so only the boundary slot
@@ -917,6 +965,8 @@ let suite =
       panic_refresh_when_retries_disabled;
     case "checkpoint eviction respects the byte budget"
       recovery_checkpoints_respect_budget;
+    case "recovery: run = run_program with the sound noise analysis"
+      run_equals_run_program_with_sound_noise;
     case "slot checksum detects sub-floor corruption"
       recovery_detects_subfloor_corruption;
     case "eviction keeps the highest-value checkpoint"

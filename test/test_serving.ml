@@ -19,7 +19,6 @@ let base_config =
     l_max = 9;
     dim = 16;
     max_batch = 4;
-    queue_depth = 16;
   }
 
 (* --- batcher ----------------------------------------------------------- *)
@@ -351,8 +350,6 @@ let retry_that_cannot_fit_is_shed () =
       probe with
       Serving.Scheduler.slo_ms = 1.5 *. est;
       chaos_rate = 0.9;
-      chaos_budget = 64;
-      max_retries = 2;
       recovery =
         { Resilience.Recovery.default with Resilience.Recovery.max_attempts = 0 };
     }
@@ -389,6 +386,85 @@ let completions_respect_the_slo () =
       | _ -> ())
     r.Serving.Scheduler.requests
 
+(* --- circuit breaker ------------------------------------------------------ *)
+
+(* Every dispatch fails (chaos at 0.9 with in-batch recovery off), so each
+   batch is bad: six bad batches degrade the breaker to half batches, six
+   more open it, arrivals during the 2 * SLO cooldown are shed as
+   breaker_open (requests already queued still drain), and after it the
+   breaker admits again in Degraded — half-size batches formed past the
+   reopening time. *)
+let breaker_opens_and_cools_down () =
+  let probe = { base_config with Serving.Scheduler.seed = 0xB4EA7L } in
+  let est = (run probe).Serving.Scheduler.est_batch_ms in
+  let arrivals = List.init 120 (fun i -> float_of_int i *. est /. 4.0) in
+  let cfg =
+    {
+      probe with
+      Serving.Scheduler.arrival = Serving.Scheduler.Replay arrivals;
+      duration_ms = 30.0 *. est;
+      chaos_rate = 0.9;
+      recovery =
+        { Resilience.Recovery.default with Resilience.Recovery.max_attempts = 0 };
+    }
+  in
+  let sink = Obs.Log.create () in
+  let r = Obs.with_log sink (fun () -> run cfg) in
+  check_conservation r;
+  let reopens =
+    List.filter_map
+      (fun (rc : Obs.Log.record) ->
+        match List.assoc_opt "until_ms" rc.Obs.Log.fields with
+        | Some (Obs.Json.Float t) when rc.Obs.Log.event = "serve.breaker.open" -> Some t
+        | _ -> None)
+      (Obs.Log.records sink)
+  in
+  checki "every opening logged" r.Serving.Scheduler.breaker_opens (List.length reopens);
+  checkb "the breaker opened" true (r.Serving.Scheduler.breaker_opens >= 1);
+  let cap = r.Serving.Scheduler.slot_capacity in
+  let batches = r.Serving.Scheduler.batches in
+  checkb "nothing succeeded" true
+    (List.for_all
+       (fun (b : Serving.Scheduler.batch_report) -> not b.Serving.Scheduler.ok)
+       batches);
+  let first_until = List.hd reopens in
+  let cooldown = 2.0 *. r.Serving.Scheduler.slo_ms in
+  let formed_before t =
+    List.filter
+      (fun (b : Serving.Scheduler.batch_report) -> b.Serving.Scheduler.formed_ms < t)
+      batches
+  in
+  let after =
+    List.filter
+      (fun (b : Serving.Scheduler.batch_report) ->
+        b.Serving.Scheduler.formed_ms >= first_until)
+      batches
+  in
+  checki "Closed: the first batch is full" cap (List.hd batches).Serving.Scheduler.size;
+  checkb "Degraded: half batches before the breaker opened" true
+    (List.exists
+       (fun (b : Serving.Scheduler.batch_report) -> b.Serving.Scheduler.size = cap / 2)
+       (formed_before (first_until -. cooldown)));
+  checkb "Degraded again after the cooldown: half batches" true
+    (after <> []
+    && List.for_all
+         (fun (b : Serving.Scheduler.batch_report) -> b.Serving.Scheduler.size <= cap / 2)
+         after);
+  let open_sheds =
+    List.filter
+      (fun (q : Serving.Scheduler.request_report) ->
+        q.Serving.Scheduler.outcome = Serving.Scheduler.Shed "breaker_open")
+      r.Serving.Scheduler.requests
+  in
+  checkb "arrivals shed while open" true (open_sheds <> []);
+  checki "breaker_open sheds tallied" (List.length open_sheds)
+    (List.assoc "breaker_open" r.Serving.Scheduler.shed_by_reason);
+  checkb "no arrival shed as breaker_open after the last reopening" true
+    (List.for_all
+       (fun (q : Serving.Scheduler.request_report) ->
+         q.Serving.Scheduler.arrival_ms < List.nth reopens (List.length reopens - 1))
+       open_sheds)
+
 (* --- per-request recovery accounting ------------------------------------ *)
 
 let recovery_config =
@@ -398,7 +474,6 @@ let recovery_config =
     arrival = Serving.Scheduler.Poisson 40.0;
     duration_ms = 1200.0;
     chaos_rate = 0.25;
-    chaos_budget = 4;
   }
 
 let recovery_sums_per_request () =
@@ -482,6 +557,7 @@ let suite =
     case "a retry that cannot fit its deadline is shed immediately"
       retry_that_cannot_fit_is_shed;
     case "completed requests finish inside the SLO" completions_respect_the_slo;
+    case "circuit breaker: degrade, open, shed, cool down" breaker_opens_and_cools_down;
     case "per-request recovery latency sums to batch totals" recovery_sums_per_request;
     case "campaigns feed serve_* metrics without changing the report"
       campaign_feeds_metrics;

@@ -307,8 +307,8 @@ let chrome_round_trip () =
   let tr, report, _ = managed_run () in
   let json =
     Obs.chrome_trace
-      (Obs.profile_chrome_events ~pid:0 report.Resbm.Report.profile
-      @ Obs.Trace.chrome_events ~pid:1 tr)
+      (Obs.profile_chrome_events report.Resbm.Report.profile
+      @ Obs.Trace.chrome_events tr)
   in
   match Obs.Json.of_string (Obs.Json.to_string json) with
   | Error e -> Alcotest.failf "round trip failed: %s" e
