@@ -782,8 +782,7 @@ let certify_cmd =
               Resbm.Variants.compile ?cache manager prm lowered.Nn.Lowering.dfg
             in
             (* Re-enter the compile's profile so the certify.* spans land
-               next to the phases the <15% overhead budget is measured
-               against. *)
+               next to the compile phases they are compared with. *)
             let groups =
               Obs.with_profile report.Resbm.Report.profile (fun () ->
                   Resbm.Driver.certify_diags prm managed report)
@@ -879,10 +878,10 @@ let certify_cmd =
        ~doc:
          "Compile the model/manager matrix and check every plan's evidence: re-verify \
           each min-cut optimality certificate (LP duality), prove level/capacity \
-          safety by re-deriving the Table 1 scale rules, and check the static noise \
-          estimate against the modulus chain.  Warm plan-cache hits re-check their stored \
-          certificates, so a corrupted cache entry is refuted rather than served.  \
-          Exit 2 when any plan is refuted.")
+          safety with the pass verifier's strict Table 1 rules, and check the static \
+          noise estimate against the modulus chain.  Warm plan-cache hits are \
+          re-checked too, so certify refutes a corrupted cache entry (compile, explain \
+          and serve serve it as stored).  Exit 2 when any plan is refuted.")
     Term.(
       const run $ models $ managers $ l_max_arg $ cache_arg $ json_path)
 

@@ -64,24 +64,6 @@ let scale_rules prm g =
   in
   (info, ds)
 
-let capacity prm info g =
-  span "capacity" @@ fun () ->
-  List.filter_map
-    (fun n ->
-      let i = info.(n.Dfg.id) in
-      if
-        i.Scale_check.is_ct
-        && not
-             (Ckks.Evaluator.capacity_ok prm ~scale_bits:i.Scale_check.scale_bits
-                ~level:i.Scale_check.level)
-      then
-        Some
-          (Diag.error ~node:n.Dfg.id "capacity"
-             "ciphertext scale 2^%d exceeds the modulus capacity at level %d"
-             i.Scale_check.scale_bits i.Scale_check.level)
-      else None)
-    (Dfg.live_nodes g)
-
 let waterline prm info g =
   span "waterline" @@ fun () ->
   let qw = prm.Ckks.Params.waterline_bits in
@@ -166,7 +148,7 @@ let run ?regions ?(scale = true) prm g =
   let scale_ds =
     if scale && structural_ok then begin
       let info, ds = scale_rules prm g in
-      ds @ capacity prm info g @ waterline prm info g
+      ds @ waterline prm info g
     end
     else []
   in

@@ -10,10 +10,10 @@
     - ["topo"] — topological-order consistency: every live node appears
       exactly once in {!Fhe_ir.Dfg.topo_order} and after its arguments;
     - ["scale"] — the strict Table 1 scale/level rules
-      ({!Fhe_ir.Scale_check});
-    - ["capacity"] — every live ciphertext fits its level's modulus
-      capacity ({!Ckks.Evaluator.capacity_ok}), re-checked independently
-      of the propagation rules;
+      ({!Fhe_ir.Scale_check}).  They also prove every live ciphertext
+      fits its level's modulus capacity: capacity can only break at an
+      input, a multiplication or a modswitch, which they check, or at a
+      bootstrap below level 0, which ["bootstrap-target"] refutes;
     - ["waterline"] — warning when a ciphertext scale drops below the
       waterline [q_w] (EVA's lower bound on usable precision);
     - ["bootstrap-target"] — every bootstrap target is within
@@ -41,7 +41,7 @@ val run :
     means every invariant holds).
 
     [scale] (default [true]) controls the Table 1 legality rules
-    (["scale"], ["capacity"], ["waterline"]); pass [false] for
+    (["scale"], ["waterline"]); pass [false] for
     pre-management graphs, which are legal only after rescales and
     bootstraps have been planned in.  Structural rules and
     ["bootstrap-target"] always run.

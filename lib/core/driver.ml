@@ -189,14 +189,8 @@ let certify_diags prm managed (report : Report.t) =
           e.Report.ce_cert)
       report.Report.certificates
   in
-  (* One concrete scale pass feeds both checks. *)
-  let scales = Fhe_ir.Scale_check.infer prm managed in
-  let levels =
-    Obs.span "certify.levels" (fun () -> Analysis.Absint.check_levels ~scales prm managed)
-  in
-  let noise =
-    Obs.span "certify.noise" (fun () -> Analysis.Absint.check_noise ~scales prm managed)
-  in
+  let levels = Obs.span "certify.levels" (fun () -> Analysis.Verify.run prm managed) in
+  let noise = Obs.span "certify.noise" (fun () -> Analysis.Absint.check_noise prm managed) in
   [ ("certify.cuts", cuts); ("certify.levels", levels); ("certify.noise", noise) ]
 
 let compile ?(config = Btsmgr.resbm_config) ?(name = "ReSBM") ?(ms_opt = false)

@@ -19,9 +19,10 @@ val certify_diags :
 (** Run the full certification battery on a compile result without
     raising: re-check every min-cut optimality certificate in
     {!Report.t.certificates} with {!Analysis.Certify} (group
-    ["certify.cuts"]), prove level/capacity safety with
-    {!Analysis.Absint.check_levels} (["certify.levels"]) and noise safety
-    with {!Analysis.Absint.check_noise} (["certify.noise"]).  Returns the
+    ["certify.cuts"]), prove level/capacity safety with the pass
+    verifier {!Analysis.Verify.run} (["certify.levels"]: well-formedness
+    and the strict Table 1 rules of {!Fhe_ir.Scale_check}) and noise
+    safety with {!Analysis.Absint.check_noise} (["certify.noise"]).  Returns the
     groups in that order; all lists empty means the plan is certified.
     Each group is timed as a [certify.*] span on the ambient profile. *)
 

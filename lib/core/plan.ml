@@ -208,26 +208,22 @@ let apply regioned prm (plan : Btsmgr.plan) =
         in
         Some l
   in
-  (* Single forward pass: propagate (level, scale) incrementally so each
-     repair is visible to everything downstream — otherwise one genuine
-     deficit cascades into spurious repairs against stale levels. *)
+  (* Single forward pass: propagate Table 1 ({!Scale_check.transfer})
+     incrementally so each repair is visible to everything downstream —
+     otherwise one genuine deficit cascades into spurious repairs against
+     stale levels. *)
   let repair_count = ref 0 in
   let repair_cache = Hashtbl.create 8 in
-  let q = prm.Ckks.Params.scale_bits and qw = prm.Ckks.Params.waterline_bits in
-  (* Per-node level and scale, indexed by id; repair bootstraps get fresh
-     ids past the snapshot, so the arrays grow on demand. *)
-  let levels = ref (Array.make (Dfg.node_count g) 0) in
-  let scales = ref (Array.make (Dfg.node_count g) q) in
-  let level_of id = !levels.(id) and scale_of id = !scales.(id) in
-  let set id l s =
-    let n = Array.length !levels in
-    if id >= n then begin
-      let n' = max (id + 1) (2 * n) in
-      levels := Array.append !levels (Array.make (n' - n) 0);
-      scales := Array.append !scales (Array.make (n' - n) q)
-    end;
-    !levels.(id) <- l;
-    !scales.(id) <- s
+  let q = prm.Ckks.Params.scale_bits in
+  (* Per-node point, indexed by id; repair bootstraps get fresh ids past
+     the snapshot, so the array grows on demand. *)
+  let unset = { Scale_check.scale_bits = q; level = 0; is_ct = false } in
+  let info = ref (Array.make (Dfg.node_count g) unset) in
+  let set id i =
+    let n = Array.length !info in
+    if id >= n then
+      info := Array.append !info (Array.make (max (id + 1) (2 * n) - n) unset);
+    !info.(id) <- i
   in
   let snapshot = Dfg.topo_order g in
   List.iter
@@ -242,10 +238,11 @@ let apply regioned prm (plan : Btsmgr.plan) =
           | Some want when want >= 1 && want <= prm.Ckks.Params.l_max ->
               Array.iteri
                 (fun i a ->
+                  let have = !info.(a) in
                   if
                     Op.produces_ct (Dfg.node g a).Dfg.kind
-                    && level_of a < want
-                    && scale_of a = q
+                    && have.Scale_check.level < want
+                    && have.Scale_check.scale_bits = q
                   then begin
                     let bts =
                       match Hashtbl.find_opt repair_cache (a, want) with
@@ -253,7 +250,7 @@ let apply regioned prm (plan : Btsmgr.plan) =
                       | None ->
                           let b = Dfg.insert_after g ~tail:a ~heads:[] (Op.Bootstrap want) in
                           Hashtbl.add repair_cache (a, want) b;
-                          set b want q;
+                          set b (Scale_check.transfer prm !info (Dfg.node g b));
                           incr repair_count;
                           let region n =
                             Obs.Json.Int (Option.value (region_of n) ~default:(-1))
@@ -264,7 +261,7 @@ let apply regioned prm (plan : Btsmgr.plan) =
                                 ("operand", Obs.Json.Int a);
                                 ("operand_op", Obs.Json.String (Op.name (Dfg.node g a).Dfg.kind));
                                 ("operand_region", region a);
-                                ("have_level", Obs.Json.Int (level_of a));
+                                ("have_level", Obs.Json.Int have.Scale_check.level);
                                 ("want_level", Obs.Json.Int want);
                                 ("join", Obs.Json.Int id);
                                 ("join_region", region id);
@@ -277,30 +274,9 @@ let apply regioned prm (plan : Btsmgr.plan) =
                 node.Dfg.args
           | _ -> ())
       | _ -> ());
-      (* Propagate level and scale through this node. *)
-      let arg i = node.Dfg.args.(i) in
-      let l, s =
-        match node.Dfg.kind with
-        | Op.Input { level; scale_bits; _ } ->
-            ( Option.value level ~default:prm.Ckks.Params.input_level,
-              Option.value scale_bits ~default:prm.Ckks.Params.input_scale_bits )
-        | Op.Const _ -> (max_int, qw)
-        | Op.Add_cc -> (min (level_of (arg 0)) (level_of (arg 1)), scale_of (arg 0))
-        | Op.Add_cp -> (level_of (arg 0), scale_of (arg 0))
-        | Op.Mul_cc ->
-            (min (level_of (arg 0)) (level_of (arg 1)), scale_of (arg 0) + scale_of (arg 1))
-        | Op.Mul_cp -> (level_of (arg 0), scale_of (arg 0) + qw)
-        | Op.Rotate _ | Op.Relin -> (level_of (arg 0), scale_of (arg 0))
-        | Op.Rescale -> (max (level_of (arg 0) - 1) 0, max (scale_of (arg 0) - q) 1)
-        | Op.Modswitch -> (max (level_of (arg 0) - 1) 0, scale_of (arg 0))
-        | Op.Bootstrap target -> (target, q)
-      in
-      set id l s)
+      set id (Scale_check.transfer prm !info node))
     snapshot;
-  let levels =
-    if Array.length !levels = Dfg.node_count g then !levels
-    else Array.sub !levels 0 (Dfg.node_count g)
-  in
+  let levels = Array.init (Dfg.node_count g) (fun id -> !info.(id).Scale_check.level) in
   (* Repairs rewire joins onto new nodes, which can reorder Kahn's
      traversal: only an unrepaired graph still has the snapshot's order. *)
   let order = if !repair_count = 0 then snapshot else Dfg.topo_order g in

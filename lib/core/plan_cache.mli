@@ -19,12 +19,10 @@
 
 type t
 
-val default_capacity : int
-(** LRU capacity of {!create} without [?capacity]: 64. *)
-
 val create : ?capacity:int -> ?dir:string -> unit -> t
-(** [create ()] is a process-local cache; pass [dir] to add the on-disk
-    tier (the directory is created on demand). *)
+(** [create ()] is a process-local cache of LRU capacity 64 (or
+    [capacity]); pass [dir] to add the on-disk tier (the directory is
+    created on demand). *)
 
 val key :
   config:Btsmgr.config ->

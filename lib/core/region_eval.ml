@@ -82,11 +82,6 @@ let infeasible fmt = Format.kasprintf (fun m -> raise (Infeasible m)) fmt
 (* Everything below reads a region through its shape and names slots:
    [sh.slots.(s)] is slot [s], members are [0 .. sh.members - 1]. *)
 
-let node_cost (s : Region.slot) ~level =
-  match Op.cost_op s.Region.kind with
-  | None -> 0.0
-  | Some op -> float_of_int s.Region.freq *. Ckks.Cost_model.cost op ~level
-
 let kind (sh : Region.shape) s = sh.Region.slots.(s).Region.kind
 
 let ct_members (sh : Region.shape) =
@@ -259,7 +254,7 @@ let compute ?fuel cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~b
     in
     let op_latency =
       List.fold_left
-        (fun acc s -> acc +. node_cost sh.Region.slots.(s) ~level:(final_level s))
+        (fun acc s -> acc +. Smoplc.cost_of sh.Region.slots.(s) ~level:(final_level s))
         0.0 members
     in
     let freq s = float_of_int sh.Region.slots.(s).Region.freq in

@@ -5,13 +5,6 @@ let cost_of (s : Region.slot) ~level =
   | None -> 0.0
   | Some op -> float_of_int s.Region.freq *. Ckks.Cost_model.cost op ~level
 
-let region_latency_terms regioned ~region ~level =
-  let shape = Region.shape regioned region and ids = Region.slots regioned region in
-  List.init shape.Region.members Fun.id
-  |> List.filter_map (fun s ->
-         let slot = shape.Region.slots.(s) in
-         if Op.produces_ct slot.Region.kind then Some (ids.(s), cost_of slot ~level) else None)
-
 (* The level-independent half of Algorithm 4: everything about a shape's
    flow network except its capacities.  Member [i] is flow node [i]; the
    super-source is [k] and the super-sink [k + 1]. *)

@@ -45,6 +45,7 @@ val cut : ?fuel:Fuel.t -> ?memo:memo -> Region.shape -> level:int -> Cut.t
 val run : ?fuel:Fuel.t -> ?memo:memo -> Region.t -> region:int -> level:int -> Cut.t
 (** {!cut} of the region's shape, relabelled to node ids. *)
 
-val region_latency_terms : Region.t -> region:int -> level:int -> (int * float) list
-(** Per-node latency (node id, ms) of the region at a uniform [level] —
-    exposed for tests and the examples that reproduce Figure 4. *)
+val cost_of : Region.slot -> level:int -> float
+(** A slot's freq-weighted Table 2 latency (ms) at [level]; [0.] for an
+    op without a cost (inputs, constants).  {!Region_eval} prices
+    regions with it too. *)

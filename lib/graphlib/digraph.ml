@@ -68,11 +68,6 @@ let in_degree g u =
   check_node g u;
   List.length g.pred.(u)
 
-let iter_nodes g f =
-  for v = 0 to g.n - 1 do
-    f v
-  done
-
 let iter_edges g f =
   for u = 0 to g.n - 1 do
     List.iter (fun v -> f u v) (List.rev g.succ.(u))

@@ -36,8 +36,6 @@ val out_degree : t -> int -> int
 
 val in_degree : t -> int -> int
 
-val iter_nodes : t -> (int -> unit) -> unit
-
 val iter_edges : t -> (int -> int -> unit) -> unit
 
 val transpose : t -> t

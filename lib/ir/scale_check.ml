@@ -1,18 +1,78 @@
 type info = { scale_bits : int; level : int; is_ct : bool }
 
-let pp_info ppf i =
-  if i.is_ct then Format.fprintf ppf "ct(2^%d, L%d)" i.scale_bits i.level
-  else Format.fprintf ppf "pt(2^%d)" i.scale_bits
-
 type violation = { node : int; message : string }
 
 let pp_violation ppf v = Format.fprintf ppf "node %d: %s" v.node v.message
 
 let dummy = { scale_bits = 0; level = 0; is_ct = false }
 
-(* Shared propagation engine.  In strict mode every constraint violation is
-   recorded; in lenient mode propagation continues with clamped values so
-   planners can inspect partial graphs. *)
+(* The ciphertext operand of a ct x pt operation.  Well-formed graphs keep
+   it in slot 0; on malformed graphs (lenient analysis of a partially
+   rewritten DFG) fall back to whichever slot carries a ciphertext so the
+   constant's [max_int] level sentinel never leaks into downstream level
+   arithmetic. *)
+let ct_operand info (node : Dfg.node) =
+  let a = info.(node.args.(0)) in
+  if a.is_ct then a
+  else
+    let b = info.(node.args.(1)) in
+    if b.is_ct then b else a
+
+(* Join level of a binary ct operation, from ct operands only. *)
+let join_level a b =
+  match (a.is_ct, b.is_ct) with
+  | true, true -> min a.level b.level
+  | true, false -> a.level
+  | false, true -> b.level
+  | false, false -> 0
+
+(* [a] itself when it already is the ciphertext point (scale_bits, level):
+   most ops keep their operand's point, and sharing it keeps a fold from
+   allocating one record per node. *)
+let ct_point a scale_bits level =
+  if a.is_ct && a.scale_bits = scale_bits && a.level = level then a
+  else { scale_bits; level; is_ct = true }
+
+(* Table 1, lenient: levels and scales clamp instead of failing. *)
+let transfer (prm : Ckks.Params.t) info (node : Dfg.node) =
+  let q = prm.scale_bits and qw = prm.waterline_bits in
+  let arg k = info.(node.args.(k)) in
+  match node.kind with
+  | Op.Input { level; scale_bits; _ } ->
+      {
+        scale_bits = Option.value scale_bits ~default:prm.input_scale_bits;
+        level = Option.value level ~default:prm.input_level;
+        is_ct = true;
+      }
+  | Op.Const _ ->
+      (* Scale filled in by consumers; default to waterline. *)
+      { scale_bits = qw; level = max_int; is_ct = false }
+  | Op.Add_cc ->
+      let a = ct_operand info node in
+      ct_point a a.scale_bits (join_level (arg 0) (arg 1))
+  | Op.Add_cp ->
+      let a = ct_operand info node in
+      ct_point a a.scale_bits a.level
+  | Op.Mul_cc ->
+      let a = arg 0 and b = arg 1 in
+      { scale_bits = a.scale_bits + b.scale_bits; level = join_level a b; is_ct = true }
+  | Op.Mul_cp ->
+      let a = ct_operand info node in
+      { scale_bits = a.scale_bits + qw; level = a.level; is_ct = true }
+  | Op.Rotate _ | Op.Relin ->
+      let a = arg 0 in
+      ct_point a a.scale_bits a.level
+  | Op.Rescale ->
+      let a = arg 0 in
+      { scale_bits = max (a.scale_bits - q) 1; level = max (a.level - 1) 0; is_ct = true }
+  | Op.Modswitch ->
+      let a = arg 0 in
+      { a with level = max (a.level - 1) 0 }
+  | Op.Bootstrap target -> { scale_bits = q; level = target; is_ct = true }
+
+(* [transfer] folded over the topological order.  In strict mode every
+   constraint violation is recorded; in lenient mode propagation continues
+   with clamped values so planners can inspect partial graphs. *)
 let analyse ~strict (prm : Ckks.Params.t) g =
   let n = Dfg.node_count g in
   let info = Array.make n dummy in
@@ -43,91 +103,55 @@ let analyse ~strict (prm : Ckks.Params.t) g =
             if wanted < s then Hashtbl.replace const_scale id wanted)
     | _ -> () (* ciphertext in a plaintext slot: Dfg.validate reports it *)
   in
-  let order = Dfg.topo_order g in
+  let fits i = Ckks.Evaluator.capacity_ok prm ~scale_bits:i.scale_bits ~level:i.level in
+  let check id (node : Dfg.node) i =
+    let arg k = info.(node.args.(k)) in
+    match node.kind with
+    | Op.Input _ ->
+        if not (fits i) then
+          report id "input scale 2^%d overflows capacity at level %d" i.scale_bits i.level
+    | Op.Add_cc ->
+        let a = arg 0 and b = arg 1 in
+        if a.level <> b.level then
+          report id "add_cc level mismatch (L%d vs L%d)" a.level b.level;
+        if a.scale_bits <> b.scale_bits then
+          report id "add_cc scale mismatch (2^%d vs 2^%d)" a.scale_bits b.scale_bits
+    | Op.Mul_cc ->
+        let a = arg 0 and b = arg 1 in
+        if a.level <> b.level then
+          report id "mul_cc level mismatch (L%d vs L%d)" a.level b.level;
+        if not (fits i) then
+          report id "mul_cc scale overflow (2^%d at level %d)" i.scale_bits i.level
+    | Op.Mul_cp ->
+        if not (fits i) then
+          report id "mul_cp scale overflow (2^%d at level %d)" i.scale_bits i.level
+    | Op.Rescale ->
+        let a = arg 0 in
+        if a.level < 1 then report id "rescale at level %d" a.level;
+        if a.scale_bits < q + qw then
+          report id "rescale of scale 2^%d below q*q_w = 2^%d" a.scale_bits (q + qw)
+    | Op.Modswitch ->
+        if (arg 0).level < 1 then report id "modswitch at level %d" (arg 0).level;
+        if not (fits i) then
+          report id "modswitch would overflow capacity (2^%d at level %d)" i.scale_bits
+            i.level
+    | Op.Bootstrap target ->
+        if target < 1 || target > prm.l_max then
+          report id "bootstrap target %d outside [1, %d]" target prm.l_max
+    | Op.Const _ | Op.Add_cp | Op.Rotate _ | Op.Relin -> ()
+  in
   List.iter
     (fun id ->
       let node = Dfg.node g id in
-      let arg i = info.((node.args).(i)) in
-      let capacity_ok ~scale_bits ~level =
-        Ckks.Evaluator.capacity_ok prm ~scale_bits ~level
-      in
-      (* The ciphertext operand of a ct x pt operation.  Well-formed graphs
-         keep it in slot 0; on malformed graphs (lenient analysis of a
-         partially rewritten DFG) fall back to whichever slot carries a
-         ciphertext so the constant's [max_int] level sentinel never leaks
-         into downstream level arithmetic. *)
-      let ct_operand () =
-        let a = arg 0 in
-        if a.is_ct then a else let b = arg 1 in if b.is_ct then b else a
-      in
-      (* Join level of a binary ct operation, from ct operands only. *)
-      let join_level a b =
-        match (a.is_ct, b.is_ct) with
-        | true, true -> min a.level b.level
-        | true, false -> a.level
-        | false, true -> b.level
-        | false, false -> 0
-      in
-      let i =
-        match node.kind with
-        | Op.Input { level; scale_bits; _ } ->
-            let level = Option.value level ~default:prm.input_level
-            and scale_bits = Option.value scale_bits ~default:prm.input_scale_bits in
-            if strict && not (capacity_ok ~scale_bits ~level) then
-              report id "input scale 2^%d overflows capacity at level %d" scale_bits level;
-            { scale_bits; level; is_ct = true }
-        | Op.Const _ ->
-            (* Scale filled in lazily by consumers; default to waterline. *)
-            { scale_bits = qw; level = max_int; is_ct = false }
-        | Op.Add_cc ->
-            let a = arg 0 and b = arg 1 in
-            if strict && a.level <> b.level then
-              report id "add_cc level mismatch (L%d vs L%d)" a.level b.level;
-            if strict && a.scale_bits <> b.scale_bits then
-              report id "add_cc scale mismatch (2^%d vs 2^%d)" a.scale_bits b.scale_bits;
-            { scale_bits = (ct_operand ()).scale_bits; level = join_level a b; is_ct = true }
-        | Op.Add_cp ->
-            let a = ct_operand () in
-            Array.iter (fun c -> resolve_const c ~wanted:a.scale_bits ~user:id) node.args;
-            { a with is_ct = true }
-        | Op.Mul_cc ->
-            let a = arg 0 and b = arg 1 in
-            if strict && a.level <> b.level then
-              report id "mul_cc level mismatch (L%d vs L%d)" a.level b.level;
-            let scale_bits = a.scale_bits + b.scale_bits in
-            let level = join_level a b in
-            if strict && not (capacity_ok ~scale_bits ~level) then
-              report id "mul_cc scale overflow (2^%d at level %d)" scale_bits level;
-            { scale_bits; level; is_ct = true }
-        | Op.Mul_cp ->
-            let a = ct_operand () in
-            Array.iter (fun c -> resolve_const c ~wanted:qw ~user:id) node.args;
-            let scale_bits = a.scale_bits + qw in
-            if strict && not (capacity_ok ~scale_bits ~level:a.level) then
-              report id "mul_cp scale overflow (2^%d at level %d)" scale_bits a.level;
-            { scale_bits; level = a.level; is_ct = true }
-        | Op.Rotate _ | Op.Relin -> { (arg 0) with is_ct = true }
-        | Op.Rescale ->
-            let a = arg 0 in
-            if strict && a.level < 1 then report id "rescale at level %d" a.level;
-            if strict && a.scale_bits < q + qw then
-              report id "rescale of scale 2^%d below q*q_w = 2^%d" a.scale_bits (q + qw);
-            { scale_bits = max (a.scale_bits - q) 1; level = max (a.level - 1) 0; is_ct = true }
-        | Op.Modswitch ->
-            let a = arg 0 in
-            if strict && a.level < 1 then report id "modswitch at level %d" a.level;
-            let level = max (a.level - 1) 0 in
-            if strict && not (capacity_ok ~scale_bits:a.scale_bits ~level) then
-              report id "modswitch would overflow capacity (2^%d at level %d)" a.scale_bits
-                level;
-            { a with level }
-        | Op.Bootstrap target ->
-            if strict && (target < 1 || target > prm.l_max) then
-              report id "bootstrap target %d outside [1, %d]" target prm.l_max;
-            { scale_bits = q; level = target; is_ct = true }
-      in
+      let i = transfer prm info node in
+      (match node.kind with
+      | Op.Add_cp ->
+          Array.iter (fun c -> resolve_const c ~wanted:i.scale_bits ~user:id) node.args
+      | Op.Mul_cp -> Array.iter (fun c -> resolve_const c ~wanted:qw ~user:id) node.args
+      | _ -> ());
+      if strict then check id node i;
       info.(id) <- i)
-    order;
+    (Dfg.topo_order g);
   (* Back-patch the resolved constant scales.  Only [Const] nodes are in
      the table, so the [max_int] level sentinel stays confined to
      plaintexts ([is_ct = false] entries). *)

@@ -208,25 +208,13 @@ let absint_certifies_managed_tiny () =
       checkb (group ^ " has no refutation") false (Analysis.Diag.has_errors ds))
     (Resbm.Driver.certify_diags prm managed report)
 
-let absint_points_equal_concrete () =
-  let managed, _ = Lazy.force managed_tiny in
-  let derived = Analysis.Absint.derive prm managed in
-  let concrete = Fhe_ir.Scale_check.infer prm managed in
-  List.iter
-    (fun (n : Fhe_ir.Dfg.node) ->
-      let id = n.Fhe_ir.Dfg.id in
-      let c = concrete.(id) in
-      if c.Fhe_ir.Scale_check.is_ct then
-        checkb
-          (Printf.sprintf "node %d derived point is the concrete scale/level" id)
-          true (derived.(id) = c))
-    (Fhe_ir.Dfg.live_nodes managed)
-
-(* Hand-built graphs the planner never emits: the level checks must
-   refute them, naming the violated rule and nothing else. *)
-let level_rules g =
-  let scales = Fhe_ir.Scale_check.infer prm g in
-  Analysis.Absint.check_levels ~scales prm g
+(* Hand-built graphs the planner never emits: the level proof (the pass
+   verifier) must refute them with the strict Table 1 rules, naming the
+   violating nodes. *)
+let level_errors g =
+  List.filter
+    (fun (d : Analysis.Diag.t) -> d.Analysis.Diag.severity = Analysis.Diag.Error)
+    (Analysis.Verify.run prm g)
 
 let absint_capacity_overflow () =
   (* A level-0 product of two 2^q operands has scale 2^2q: no room. *)
@@ -234,20 +222,24 @@ let absint_capacity_overflow () =
   let x = Fhe_ir.Dfg.input g ~level:0 "x" in
   let m = Fhe_ir.Dfg.mul_cc g x x in
   Fhe_ir.Dfg.set_outputs g [ m ];
-  let ds = level_rules g in
-  checkb "capacity overflow refuted" true (Analysis.Diag.has_errors ds);
-  checkb "only absint-capacity fires" true
-    (List.for_all (( = ) "absint-capacity") (rules ds));
-  checkb "the relinearised product is named" true
-    (List.exists (fun (d : Analysis.Diag.t) -> d.Analysis.Diag.node = Some m) ds)
+  let mul = (Fhe_ir.Dfg.node g m).Fhe_ir.Dfg.args.(0) in
+  let ds = level_errors g in
+  checkb "capacity overflow refuted" true (ds <> []);
+  checkb "only scale fires" true (List.for_all (( = ) "scale") (rules ds));
+  checkb "every error names the mul_cc" true
+    (List.for_all (fun (d : Analysis.Diag.t) -> d.Analysis.Diag.node = Some mul) ds)
 
 let absint_level_underflow () =
   let g = Fhe_ir.Dfg.create () in
   let x = Fhe_ir.Dfg.input g ~level:0 "x" in
   let r = Fhe_ir.Dfg.rescale g x and s = Fhe_ir.Dfg.modswitch g x in
   Fhe_ir.Dfg.set_outputs g [ r; s ];
-  let ds = level_rules g in
-  checkb "only absint-level fires" true (List.for_all (( = ) "absint-level") (rules ds));
+  let ds = level_errors g in
+  checkb "only scale fires" true (List.for_all (( = ) "scale") (rules ds));
+  checkb "every error names an SMO" true
+    (List.for_all
+       (fun (d : Analysis.Diag.t) -> List.mem d.Analysis.Diag.node [ Some r; Some s ])
+       ds);
   List.iter
     (fun id ->
       checkb
@@ -268,22 +260,50 @@ let absint_resnet20_noise_warnings () =
     (List.sort_uniq compare (rules (List.assoc "certify.noise" groups))
     = [ "absint-noise-overflow"; "absint-precision" ])
 
+(* Def-use liveness, one fold in reverse topological order: the values
+   (other than [id]'s own result) that node [id] or a transitive user of
+   anything it feeds still needs.  Output persistence is not modelled,
+   so these sets are a lower bound on any schedule-based live set. *)
+module Int_set = Set.Make (Int)
+
+let def_use_live_in g =
+  let live_in = Array.make (Fhe_ir.Dfg.node_count g) Int_set.empty in
+  List.iter
+    (fun id ->
+      let node = Fhe_ir.Dfg.node g id in
+      let after =
+        List.fold_left
+          (fun acc u -> Int_set.union acc live_in.(u))
+          Int_set.empty node.Fhe_ir.Dfg.users
+      in
+      let uses =
+        Array.fold_left
+          (fun acc a ->
+            if Fhe_ir.Op.produces_ct (Fhe_ir.Dfg.node g a).Fhe_ir.Dfg.kind then
+              Int_set.add a acc
+            else acc)
+          Int_set.empty node.Fhe_ir.Dfg.args
+      in
+      live_in.(id) <- Int_set.union uses (Int_set.remove id after))
+    (List.rev (Fhe_ir.Dfg.topo_order g));
+  live_in
+
 let absint_liveness_below_schedule () =
   let managed, _ = Lazy.force managed_tiny in
-  let live = Analysis.Absint.liveness managed in
+  let live_in = def_use_live_in managed in
   let sched = Fhe_ir.Liveness.schedule managed in
   (* Def-use liveness is the declarative lower bound: anything it keeps
      alive before node [id] must be live at [id]'s schedule position. *)
   Array.iteri
     (fun id pos ->
       if pos >= 0 then
-        Analysis.Absint.Int_set.iter
+        Int_set.iter
           (fun v ->
             checkb
               (Printf.sprintf "value %d live before node %d" v id)
               true
               (Fhe_ir.Liveness.live_at sched ~at:pos v))
-          live.Analysis.Absint.live_in.(id))
+          live_in.(id))
     sched.Fhe_ir.Liveness.order_index
 
 let liveness_schedule_basics () =
@@ -373,7 +393,6 @@ let suite =
     cert_accepts_random_cuts;
     cert_accepts_planner_style_cuts;
     case "certify_diags proves managed tiny" absint_certifies_managed_tiny;
-    case "derived points equal Scale_check" absint_points_equal_concrete;
     case "capacity overflow refuted" absint_capacity_overflow;
     case "level underflow refuted" absint_level_underflow;
     case "resnet20 noise warnings" absint_resnet20_noise_warnings;

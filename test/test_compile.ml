@@ -26,20 +26,23 @@ let all_variants_produce_legal_graphs =
         Resbm.Variants.all)
 
 (* Legalize trusts the levels Plan.apply's repair pass propagated; they
-   must be Scale_check's on every live ciphertext.  Returns the repair
-   count with the verdict, [(true, 0)] when no plan exists. *)
+   must be Scale_check's on every live ciphertext, and Scale_check's
+   points must be the Table 1 oracle's.  Returns the repair count with
+   the verdict, [(true, 0)] when no plan exists. *)
 let apply_levels_agree r p (mgr : Resbm.Variants.manager) =
   match Resbm.Btsmgr.plan ~config:mgr.Resbm.Variants.config r p with
   | exception Resbm.Btsmgr.No_plan _ -> (true, 0)
   | plan ->
       let o = Resbm.Plan.apply r p plan in
       let info = Scale_check.infer p o.Resbm.Plan.dfg in
+      let oracle = table1_oracle p o.Resbm.Plan.dfg in
       ( List.for_all
           (fun (n : Dfg.node) ->
             let id = n.Dfg.id in
-            id >= Array.length o.Resbm.Plan.levels
-            || (not info.(id).Scale_check.is_ct)
-            || o.Resbm.Plan.levels.(id) = info.(id).Scale_check.level)
+            (not info.(id).Scale_check.is_ct)
+            || info.(id) = oracle.(id)
+               && (id >= Array.length o.Resbm.Plan.levels
+                  || o.Resbm.Plan.levels.(id) = info.(id).Scale_check.level))
           (Dfg.live_nodes o.Resbm.Plan.dfg),
         o.Resbm.Plan.repair_bootstraps )
 

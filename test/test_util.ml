@@ -127,6 +127,64 @@ let build_random_dfg (seed, node_budget, max_depth) =
   Dfg.set_outputs g sinks;
   g
 
+(* --- Table 1 oracle -------------------------------------------------- *)
+
+(* A second, independent reading of Table 1 with the clamping of
+   [Scale_check.infer]'s lenient propagation: the oracle the library's one
+   rule ([Scale_check.transfer]) is checked against.  Constants are
+   plaintexts whose encoding scale their consumers decide, so only a
+   constant's [is_ct] is ever read; dead nodes read as level-0 plaintexts
+   at the waterline. *)
+let table1_point (prm : Ckks.Params.t) (pt : Scale_check.info array) (node : Dfg.node) =
+  let q = prm.scale_bits and qw = prm.waterline_bits in
+  let arg i = pt.(node.args.(i)) in
+  let ct_operand () =
+    let a = arg 0 in
+    if a.is_ct || Array.length node.args < 2 then a
+    else
+      let b = arg 1 in
+      if b.is_ct then b else a
+  in
+  (* Level of a binary ct operation: the min over its ct operands. *)
+  let join_level (a : Scale_check.info) (b : Scale_check.info) =
+    match (a.is_ct, b.is_ct) with
+    | true, true -> min a.level b.level
+    | true, false -> a.level
+    | false, true -> b.level
+    | false, false -> 0
+  in
+  let ct scale_bits level = { Scale_check.scale_bits; level; is_ct = true } in
+  match node.kind with
+  | Op.Input { level; scale_bits; _ } ->
+      ct
+        (Option.value scale_bits ~default:prm.input_scale_bits)
+        (Option.value level ~default:prm.input_level)
+  | Op.Const _ -> { Scale_check.scale_bits = qw; level = 0; is_ct = false }
+  | Op.Add_cc -> ct (ct_operand ()).scale_bits (join_level (arg 0) (arg 1))
+  | Op.Add_cp -> { (ct_operand ()) with is_ct = true }
+  | Op.Mul_cc ->
+      let a = arg 0 and b = arg 1 in
+      ct (a.scale_bits + b.scale_bits) (join_level a b)
+  | Op.Mul_cp ->
+      let a = ct_operand () in
+      ct (a.scale_bits + qw) a.level
+  | Op.Rotate _ | Op.Relin -> { (arg 0) with is_ct = true }
+  | Op.Rescale ->
+      let a = arg 0 in
+      ct (max (a.scale_bits - q) 1) (max (a.level - 1) 0)
+  | Op.Modswitch ->
+      let a = arg 0 in
+      ct a.scale_bits (max (a.level - 1) 0)
+  | Op.Bootstrap target -> ct q target
+
+let table1_oracle (prm : Ckks.Params.t) g =
+  let pt =
+    Array.make (Dfg.node_count g)
+      { Scale_check.scale_bits = prm.waterline_bits; level = 0; is_ct = false }
+  in
+  List.iter (fun id -> pt.(id) <- table1_point prm pt (Dfg.node g id)) (Dfg.topo_order g);
+  pt
+
 (* Everything a compile promises to reproduce bit-for-bit: the managed
    graph's structural snapshot plus every deterministic report field.
    Wall-clock ([compile_ms]) and the profile are explicitly excluded. *)
