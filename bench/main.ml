@@ -313,12 +313,11 @@ let fig3 () =
 
 let fig4 () =
   section "Figure 4" "SMO placement for the first convolution region of Figure 1";
-  let p = Ckks.Params.fig1 in
   let g = fig1_block () in
   let r = Resbm.Region.build g in
   let cache = Resbm.Region_eval.create_cache () in
   let eval smo_mode =
-    (Resbm.Region_eval.eval cache r p ~smo_mode ~bts_mode:Resbm.Region_eval.Bts_min_cut
+    (Resbm.Region_eval.eval cache r ~smo_mode ~bts_mode:Resbm.Region_eval.Bts_min_cut
        ~region:1 ~entry_level:1 ~rescales:1 ~bts:None)
       .Resbm.Region_eval.latency_ms
   in
@@ -403,7 +402,7 @@ let fig7 () =
     "bts-R" "bts-F";
   List.iter
     (fun l_max ->
-      let p = Ckks.Params.with_l_max { prm with input_level = l_max } l_max in
+      let p = Ckks.Params.at_l_max l_max in
       let _, r = compile ~params:p Resbm.Variants.resbm Nn.Model.resnet110 in
       let _, f = compile ~params:p Resbm.Variants.fhelipe Nn.Model.resnet110 in
       Format.printf "  %5d %14.0f %14.0f %8.1f%% %8d %8d@." l_max
@@ -530,10 +529,7 @@ let bench_json () =
   section "BENCH_resbm.json" "machine-readable per-model per-manager plan cells";
   (* Constant magnitudes at a 16-slot image size: the baseline's
      [predicted_precision_bits] were computed at this size. *)
-  let const_magnitude l =
-    let consts = Nn.Lowering.resolver l ~dim:16 in
-    fun name -> Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
-  in
+  let const_magnitude l = Nn.Lowering.(const_magnitude (resolver l ~dim:16)) in
   let manager_entry model mgr =
     let managed, r = compile mgr model in
     let noise =

@@ -55,9 +55,6 @@ let resolve_manager name =
   | Some m -> Ok m
   | None -> Error (`Msg (Printf.sprintf "unknown manager %S" name))
 
-let params_for l_max =
-  Ckks.Params.with_l_max { Ckks.Params.default with input_level = l_max } l_max
-
 let or_die = function
   | Ok v -> v
   | Error (`Msg m) ->
@@ -313,7 +310,7 @@ let compile_cmd =
       fuel cache_flag with_flight =
     with_flight @@ fun fl ->
     let model = or_die (resolve_model model) in
-    let prm = params_for l_max in
+    let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
     let cache = cache_of ~flag:cache_flag in
     let managed, report =
@@ -364,10 +361,7 @@ let compile_cmd =
       List.iter
         (fun (op, ms) -> Format.printf "  %-16s %14.1f ms@." (Ckks.Cost_model.op_name op) ms)
         (Fhe_ir.Latency.by_kind ~info prm managed);
-      let consts = Nn.Lowering.resolver lowered ~dim:8 in
-      let const_magnitude name =
-        Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
-      in
+      let const_magnitude = Nn.Lowering.(const_magnitude (resolver lowered ~dim:8)) in
       let worst = Fhe_ir.Noise_check.analyse ~const_magnitude prm managed in
       let typical =
         Fhe_ir.Noise_check.analyse ~const_magnitude ~magnitude_cap:0.5 prm managed
@@ -450,7 +444,7 @@ let run_cmd =
   let run model manager l_max samples dim trace_path =
     let model = or_die (resolve_model model) in
     let manager = or_die (resolve_manager manager) in
-    let prm = params_for l_max in
+    let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
     let managed, report = Resbm.Variants.compile manager prm lowered.Nn.Lowering.dfg in
     Format.printf "compiled %s with %s in %.1f ms@." model.Nn.Model.name
@@ -492,7 +486,7 @@ let trace_cmd =
     with_flight @@ fun fl ->
     let model = or_die (resolve_model model) in
     let manager = or_die (resolve_manager manager) in
-    let prm = params_for l_max in
+    let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
     let managed, report =
       try Resbm.Variants.compile ~verify_each manager prm lowered.Nn.Lowering.dfg
@@ -522,10 +516,7 @@ let trace_cmd =
         if summary then print_trace_summary report tr result;
         if not verify_each then 0
         else begin
-          let consts = Nn.Lowering.resolver lowered ~dim in
-          let const_magnitude name =
-            Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
-          in
+          let const_magnitude = Nn.Lowering.(const_magnitude (resolver lowered ~dim)) in
           let static = Fhe_ir.Noise_check.analyse ~const_magnitude prm managed in
           let mismatches =
             Fhe_ir.Noise_check.check_trace static (Obs.Trace.op_events tr)
@@ -617,7 +608,7 @@ let regions_cmd =
 let export_cmd =
   let run model manager l_max managed_flag output =
     let model = or_die (resolve_model model) in
-    let prm = params_for l_max in
+    let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
     let g = lowered.Nn.Lowering.dfg in
     let regioned = Resbm.Region.build g in
@@ -663,7 +654,7 @@ let lint_cmd =
   let run model manager l_max json_path deny_warnings sources =
     let model = or_die (resolve_model model) in
     let manager = or_die (resolve_manager manager) in
-    let prm = params_for l_max in
+    let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
     let managed, _report =
       try Resbm.Variants.compile ~verify_each:true manager prm lowered.Nn.Lowering.dfg
@@ -675,10 +666,7 @@ let lint_cmd =
     (* typical-activation noise prediction, as in compile -v: the lowering
        knows the weight amplitudes, and activations stay inside the
        polynomial domain *)
-    let consts = Nn.Lowering.resolver lowered ~dim:8 in
-    let const_magnitude name =
-      Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
-    in
+    let const_magnitude = Nn.Lowering.(const_magnitude (resolver lowered ~dim:8)) in
     let source_diags =
       List.concat_map (fun dir -> Analysis.Lint.scan_planner_sources ~dir) sources
     in
@@ -770,7 +758,7 @@ let certify_cmd =
     if models = [] then or_die (Error (`Msg "no models given"));
     if managers = [] then or_die (Error (`Msg "no managers given"));
     let cache = cache_of ~flag:cache_flag in
-    let prm = params_for l_max in
+    let prm = Ckks.Params.at_l_max l_max in
     let refuted = ref 0 in
     let cases = ref [] in
     List.iter
@@ -879,9 +867,9 @@ let certify_cmd =
          "Compile the model/manager matrix and check every plan's evidence: re-verify \
           each min-cut optimality certificate (LP duality), prove level/capacity \
           safety with the pass verifier's strict Table 1 rules, and check the static \
-          noise estimate against the modulus chain.  Warm plan-cache hits are \
-          re-checked too, so certify refutes a corrupted cache entry (compile, explain \
-          and serve serve it as stored).  Exit 2 when any plan is refuted.")
+          noise estimate against the modulus chain.  A plan-cache disk entry is \
+          re-checked on load, so a corrupted entry is recompiled rather than served.  \
+          Exit 2 when any plan is refuted.")
     Term.(
       const run $ models $ managers $ l_max_arg $ cache_arg $ json_path)
 
@@ -901,7 +889,7 @@ let sweep_cmd =
       "bts-R" "bts-F";
     List.iter
       (fun l_max ->
-        let prm = params_for l_max in
+        let prm = Ckks.Params.at_l_max l_max in
         let _, r = Resbm.Variants.compile Resbm.Variants.resbm prm g in
         let _, f = Resbm.Variants.compile Resbm.Variants.fhelipe prm g in
         if profile_path <> None then
@@ -1051,7 +1039,7 @@ let explain_cmd =
   let run model manager l_max cache_flag top trace_path json_path =
     let model = or_die (resolve_model model) in
     let manager = or_die (resolve_manager manager) in
-    let prm = params_for l_max in
+    let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
     let orig_nodes = Fhe_ir.Dfg.node_count lowered.Nn.Lowering.dfg in
     let cache = cache_of ~flag:cache_flag in

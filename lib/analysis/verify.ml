@@ -10,37 +10,36 @@ let wellformed g =
   | Ok () -> []
   | Error msgs -> List.map (fun m -> Diag.error "wellformed" "%s" m) msgs
 
+(* Runs only on well-formed graphs, so every id it reads indexes [pos]. *)
 let topo g =
   span "topo" @@ fun () ->
-  let order = Dfg.topo_order g in
-  let pos = Hashtbl.create (Dfg.node_count g) in
+  let pos = Array.make (Dfg.node_count g) (-1) in
   let ds = ref [] in
   List.iteri
     (fun i id ->
-      if Hashtbl.mem pos id then
+      if pos.(id) >= 0 then
         ds := Diag.error ~node:id "topo" "node appears twice in the topological order" :: !ds;
       if (Dfg.node g id).Dfg.dead then
         ds := Diag.error ~node:id "topo" "dead node in the topological order" :: !ds;
-      Hashtbl.replace pos id i)
-    order;
+      pos.(id) <- i)
+    (Dfg.topo_order g);
   List.iter
     (fun n ->
-      match Hashtbl.find_opt pos n.Dfg.id with
-      | None ->
-          ds :=
-            Diag.error ~node:n.Dfg.id "topo" "live node missing from the topological order"
-            :: !ds
-      | Some p ->
-          Array.iter
-            (fun a ->
-              match Hashtbl.find_opt pos a with
-              | Some pa when pa < p -> ()
-              | _ ->
-                  ds :=
-                    Diag.error ~node:n.Dfg.id "topo"
-                      "argument %d does not precede its user in the topological order" a
-                    :: !ds)
-            n.Dfg.args)
+      let p = pos.(n.Dfg.id) in
+      if p < 0 then
+        ds :=
+          Diag.error ~node:n.Dfg.id "topo" "live node missing from the topological order"
+          :: !ds
+      else
+        Array.iter
+          (fun a ->
+            let pa = pos.(a) in
+            if pa < 0 || pa >= p then
+              ds :=
+                Diag.error ~node:n.Dfg.id "topo"
+                  "argument %d does not precede its user in the topological order" a
+                :: !ds)
+          n.Dfg.args)
     (Dfg.live_nodes g);
   List.rev !ds
 

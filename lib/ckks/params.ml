@@ -36,6 +36,7 @@ let fig1 =
 let slot_count p = 1 lsl (p.log2_degree - 1)
 
 let with_l_max p l_max = { p with l_max }
+let at_l_max l = { default with l_max = l; input_level = l }
 
 let validate p =
   if p.log2_degree < 2 || p.log2_degree > 20 then Error "log2_degree out of range"

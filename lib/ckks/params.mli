@@ -31,6 +31,10 @@ val with_l_max : t -> int -> t
 (** [with_l_max p l] is [p] with the bootstrap ceiling replaced — used for
     the Figure 7 sweep. *)
 
+val at_l_max : int -> t
+(** [at_l_max l] is {!default} with the bootstrap ceiling and the input
+    level both at [l]: fresh inputs start at the top of the chain. *)
+
 val validate : t -> (unit, string) result
 (** Sanity-check internal consistency (positive scales, waterline below
     capacity, ...). *)

@@ -91,18 +91,18 @@ let cross_edges_by_consumer regioned =
   by_rb
 
 let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Full)
-    ?jobs:_ ?memo regioned prm =
+    ?jobs:_ regioned prm =
   let count = regioned.Region.count in
   let last = count - 1 in
   let cache = Region_eval.create_cache () in
   let l_max = prm.Ckks.Params.l_max in
   let cross_by_rb = cross_edges_by_consumer regioned in
   let eval ~region ~entry_level ~rescales ~bts =
-    Region_eval.eval ~fuel ?memo cache regioned prm ~smo_mode:config.smo_mode
+    Region_eval.eval ~fuel cache regioned ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
   in
   let region_latency ~region ~entry_level ~rescales ~bts =
-    Region_eval.latency ~fuel ?memo cache regioned prm ~smo_mode:config.smo_mode
+    Region_eval.latency ~fuel cache regioned ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
   in
   (* The latency table [L[shape][level][rescales]] of the regions that do

@@ -56,7 +56,6 @@ val plan :
   ?fuel:Fuel.t ->
   ?segment_scan:[ `Full | `Adjacent ] ->
   ?jobs:int ->
-  ?memo:Region_eval.Memo.t ->
   Region.t ->
   Ckks.Params.t ->
   plan
@@ -73,10 +72,6 @@ val plan :
     only so existing [~jobs:1] callers still compile.  The scan is
     deterministic for every [fuel] budget: the same budget exhausts at the
     same step.
-
-    [memo] is a cross-compile {!Region_eval.Memo} (see {!Plan_cache}):
-    region solutions are reused across compiles for every region whose
-    shape was solved before under the same parameters.
 
     @raise No_plan when no feasible bootstrapping plan exists (e.g. a
     single region consumes more than [l_max] levels).

@@ -1,10 +1,5 @@
 open Fhe_ir
 
-let op_cost (s : Region.slot) ~level =
-  match Op.cost_op s.Region.kind with
-  | None -> 0.0
-  | Some op -> float_of_int s.Region.freq *. Ckks.Cost_model.cost op ~level
-
 let cut ?(fuel = Fuel.unlimited) (shape : Region.shape) ~lbts ~subgraph =
   Fuel.spend fuel;
   if lbts < 1 then invalid_arg "Btsplc.run: bootstrap target below 1";
@@ -33,7 +28,7 @@ let cut ?(fuel = Fuel.unlimited) (shape : Region.shape) ~lbts ~subgraph =
         linc.(index.(s)) <-
           List.fold_left
             (fun acc m -> acc +. linc.(index.(m)))
-            (op_cost slots.(s) ~level:lbts -. op_cost slots.(s) ~level:0)
+            (Smoplc.cost_of slots.(s) ~level:lbts -. Smoplc.cost_of slots.(s) ~level:0)
             (internal_succs s))
     (List.rev subgraph);
   (* External ciphertext producers feeding the subgraph.  A bootstrap on a

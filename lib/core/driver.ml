@@ -15,7 +15,7 @@ let () =
 let compile_seq = Atomic.make 0
 
 let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
-    ~fallbacks ~cache prm g =
+    ~fallbacks prm g =
   let profile = match profile with Some p -> p | None -> Obs.Profile.create () in
   Obs.with_profile profile @@ fun () ->
   Obs.with_log_ctx ~compile_id:(Atomic.fetch_and_add compile_seq 1) @@ fun () ->
@@ -56,11 +56,7 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
       }
     g;
   let plan =
-    phase "plan" (fun () ->
-        (* The incremental tier: thread the cache's region-solution memo,
-           keyed by region shape, into the DP's evals. *)
-        let memo = Option.map Plan_cache.memo cache in
-        Btsmgr.plan ~config ~fuel ~segment_scan ?memo regioned prm)
+    phase "plan" (fun () -> Btsmgr.plan ~config ~fuel ~segment_scan regioned prm)
   in
   let outcome = phase "apply" (fun () -> Plan.apply regioned prm plan) in
   let managed = outcome.Plan.dfg in
@@ -199,10 +195,10 @@ let compile ?(config = Btsmgr.resbm_config) ?(name = "ReSBM") ?(ms_opt = false)
   match cache with
   | None ->
       compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
-        ~fallbacks ~cache:None prm g
+        ~fallbacks prm g
   | Some c -> (
       let ckey = Plan_cache.key ~config ~name ~ms_opt ~segment_scan prm g in
-      match Plan_cache.find c ckey with
+      match Plan_cache.find c prm ckey with
       | Some (managed, report) ->
           (* Warm hit: the stored plan and report are bit-identical to
              what the cold path would produce (fallbacks belong to this
@@ -217,7 +213,7 @@ let compile ?(config = Btsmgr.resbm_config) ?(name = "ReSBM") ?(ms_opt = false)
             "plan not cached, compiling cold";
           let managed, report =
             compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel
-              ~segment_scan ~fallbacks ~cache:(Some c) prm g
+              ~segment_scan ~fallbacks prm g
           in
           Plan_cache.store c ckey managed report;
           (managed, report))

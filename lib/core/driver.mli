@@ -69,9 +69,10 @@ val compile :
     [cache] consults a {!Plan_cache} before planning and stores the
     result after: a hit returns a bit-identical plan and report (with
     [compile_ms] set to the lookup time, and [fallbacks] to this call's
-    argument) without running any phase — including [verify_each] —
-    while a miss also threads the cache's incremental region memo into
-    the DP so unchanged regions of edited models are not re-solved.
+    argument) without running any phase — including [verify_each].  A
+    miss plans from scratch: no planner state is shared across compiles,
+    so a miss's counters, fuel spend and plan equal a cache-free
+    compile's.
     @raise Btsmgr.No_plan when no feasible plan exists for [l_max].
     @raise Plan.Apply_error when plan materialisation fails.
     @raise Fuel.Exhausted when a caller-supplied step budget runs out.

@@ -11,12 +11,10 @@ open Fhe_ir
    btsplc/plan/region_eval (sorted hashtable drains) are what make "equal
    hash input" imply "equal plan output".
 
-   Three tiers:
+   Two tiers:
    - in-memory LRU of compiled plans (graph + report), exact-key;
-   - optional on-disk tier (one JSON file per key) surviving processes;
-   - an incremental tier: a {!Region_eval.Memo} keyed by the parameters
-     and the exact region shape, so re-planning an edited or renumbered
-     model re-solves only region shapes it has not seen. *)
+   - optional on-disk tier (one JSON file per key) surviving processes,
+     whose entries are re-checked on load. *)
 
 (* ---------- FNV-1a ---------- *)
 
@@ -116,7 +114,6 @@ type t = {
   dir : string option;
   tbl : (string, entry) Hashtbl.t;
   lock : Mutex.t;
-  memo : Region_eval.Memo.t;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -139,7 +136,6 @@ let create ?(capacity = default_capacity) ?dir () =
     dir;
     tbl = Hashtbl.create 64;
     lock = Mutex.create ();
-    memo = Region_eval.Memo.create ();
     tick = 0;
     hits = 0;
     misses = 0;
@@ -147,7 +143,6 @@ let create ?(capacity = default_capacity) ?dir () =
     disk_hits = 0;
   }
 
-let memo t = t.memo
 let dir t = t.dir
 
 (* ---------- disk tier ---------- *)
@@ -445,7 +440,12 @@ let entry_of_json j =
             :: tl))
         raw (Some [])
     in
-    let g = Dfg.import (Array.of_list nodes, outputs) in
+    (* A file naming a node that is not there is unreadable, not fatal. *)
+    let* g =
+      match Dfg.import (Array.of_list nodes, outputs) with
+      | g -> Some g
+      | exception Invalid_argument _ -> None
+    in
     let report =
       {
         Report.manager;
@@ -537,7 +537,23 @@ let checkout timer (g, (r : Report.t)) =
       region_of = Array.copy r.Report.region_of;
     } )
 
-let find t k =
+(* The first refutation of a loaded entry, if any: the pass verifier's
+   errors on the managed graph, then every stored min-cut certificate's.
+   A disk file is outside this process's control, so it is served only
+   when both re-check. *)
+let disk_refutation prm g (r : Report.t) =
+  let first_error = List.find_opt (fun d -> d.Analysis.Diag.severity = Analysis.Diag.Error) in
+  match first_error (Analysis.Verify.run prm g) with
+  | Some _ as d -> d
+  | None ->
+      List.find_map
+        (fun (e : Report.certificate_entry) ->
+          first_error
+            (Analysis.Certify.check ~pass:e.Report.ce_pass ~region:e.Report.ce_region
+               e.Report.ce_cert))
+        r.Report.certificates
+
+let find t prm k =
   let timer = Obs.Timer.start () in
   let mem =
     Mutex.protect t.lock (fun () ->
@@ -552,17 +568,31 @@ let find t k =
   match mem with
   | Some hit -> Some (checkout timer hit)
   | None -> (
+      let miss () =
+        Mutex.protect t.lock (fun () -> t.misses <- t.misses + 1);
+        None
+      in
       match disk_load t k with
-      | Some (g, r) ->
-          Mutex.protect t.lock (fun () ->
-              t.hits <- t.hits + 1;
-              t.disk_hits <- t.disk_hits + 1);
-          insert_mem t k g r;
-          Obs.log_debug ~event:"plan_cache.disk_hit" "plan loaded from the disk tier";
-          Some (checkout timer (g, r))
-      | None ->
-          Mutex.protect t.lock (fun () -> t.misses <- t.misses + 1);
-          None)
+      | None -> miss ()
+      | Some (g, r) -> (
+          match disk_refutation prm g r with
+          | Some d ->
+              Obs.log_warn ~event:"plan_cache.disk_rejected"
+                ~fields:
+                  [
+                    ("key", Obs.Json.String k);
+                    ("rule", Obs.Json.String d.Analysis.Diag.rule);
+                    ("message", Obs.Json.String d.Analysis.Diag.message);
+                  ]
+                "disk entry refuted, recompiling";
+              miss ()
+          | None ->
+              Mutex.protect t.lock (fun () ->
+                  t.hits <- t.hits + 1;
+                  t.disk_hits <- t.disk_hits + 1);
+              insert_mem t k g r;
+              Obs.log_debug ~event:"plan_cache.disk_hit" "plan loaded from the disk tier";
+              Some (checkout timer (g, r))))
 
 let store t k g (r : Report.t) =
   let g = Dfg.copy g in
@@ -578,9 +608,6 @@ type stats = {
   evictions : int;
   disk_hits : int;
   disk_entries : int;
-  memo_entries : int;
-  memo_hits : int;
-  memo_misses : int;
 }
 
 let disk_entries t =
@@ -594,7 +621,6 @@ let disk_entries t =
       else 0
 
 let stats t =
-  let memo_hits, memo_misses = Region_eval.Memo.stats t.memo in
   Mutex.protect t.lock (fun () ->
       {
         entries = Hashtbl.length t.tbl;
@@ -604,9 +630,6 @@ let stats t =
         evictions = t.evictions;
         disk_hits = t.disk_hits;
         disk_entries = disk_entries t;
-        memo_entries = Region_eval.Memo.size t.memo;
-        memo_hits;
-        memo_misses;
       })
 
 let clear t =
@@ -632,7 +655,4 @@ let stats_json (s : stats) =
       ("evictions", Int s.evictions);
       ("disk_hits", Int s.disk_hits);
       ("disk_entries", Int s.disk_entries);
-      ("memo_entries", Int s.memo_entries);
-      ("memo_hits", Int s.memo_hits);
-      ("memo_misses", Int s.memo_misses);
     ]

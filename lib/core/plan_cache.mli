@@ -4,17 +4,15 @@
     manager configuration, cost model); {!key} hashes exactly those
     inputs (FNV-1a, 64-bit, canonical node order), so equal keys mean the
     sequential cold compile would produce a bit-identical plan and
-    report.  Three tiers:
+    report.  Two tiers:
 
     - an in-memory LRU of compiled plans (graph + {!Report.t});
     - an optional on-disk tier (one JSON file per key under [dir]),
       surviving processes — reports loaded from disk carry an empty
-      profile and recomputed stats, deterministic fields identical;
-    - an incremental tier: a {!Region_eval.Memo} keyed by the parameters
-      and the exact {!Region.shape}, so re-planning an edited or
-      renumbered model re-solves only region shapes it has not seen.
+      profile and recomputed stats, deterministic fields identical.
 
-    Hits, misses and evictions are counted in {!stats}.  All operations
+    A miss in both tiers plans from scratch: no planner state is shared
+    across compiles.  Hits, misses and evictions are counted in {!stats}.  All operations
     are mutex-protected. *)
 
 type t
@@ -36,19 +34,22 @@ val key :
     change to the graph (kinds, args, freqs, outputs), the parameters,
     the manager identity or the compiled-in cost model changes the key. *)
 
-val find : t -> string -> (Fhe_ir.Dfg.t * Report.t) option
-(** Cache lookup.  A hit returns a private copy of the managed graph and
-    the stored report with [compile_ms] replaced by the lookup time (the
-    honest cost of the warm compile); all deterministic fields are
-    bit-identical to the cold compile's. *)
+val find : t -> Ckks.Params.t -> string -> (Fhe_ir.Dfg.t * Report.t) option
+(** Cache lookup under the parameters the key was made from.  A hit
+    returns a private copy of the managed graph and the stored report
+    with [compile_ms] replaced by the lookup time (the honest cost of the
+    warm compile); all deterministic fields are bit-identical to the cold
+    compile's.  In-memory hits are served as stored (this process stored
+    them).  An unreadable disk file (malformed, an older schema, a
+    dangling node reference) is a miss.  A readable one is served only
+    when {!Analysis.Verify.run} reports no error on its graph and
+    {!Analysis.Certify.check} none on any stored certificate; otherwise
+    it counts as a miss, is logged as [plan_cache.disk_rejected], and
+    the caller's recompile overwrites it. *)
 
 val store : t -> string -> Fhe_ir.Dfg.t -> Report.t -> unit
 (** Insert a compile result (copies are taken).  Evicts least-recently
     used entries above capacity; writes through to the disk tier. *)
-
-val memo : t -> Region_eval.Memo.t
-(** The incremental region-solution memo, to thread into
-    {!Driver.compile} / {!Btsmgr.plan}. *)
 
 val dir : t -> string option
 
@@ -60,9 +61,6 @@ type stats = {
   evictions : int;
   disk_hits : int;  (** Subset of [hits] served from the disk tier. *)
   disk_entries : int;
-  memo_entries : int;
-  memo_hits : int;
-  memo_misses : int;
 }
 
 val stats : t -> stats

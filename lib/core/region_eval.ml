@@ -19,19 +19,16 @@ type key = {
   bts_mode : bts_mode;
 }
 
-let key_equal a b =
-  a.entry_level = b.entry_level && a.rescales = b.rescales && a.bts = b.bts
-  && a.smo_mode = b.smo_mode && a.bts_mode = b.bts_mode
-  && Region.Shape.equal a.shape b.shape
-
-let key_hash k =
-  Hashtbl.hash (k.shape.Region.hash, k.entry_level, k.rescales, k.bts, k.smo_mode, k.bts_mode)
-
 module Key_tbl = Hashtbl.Make (struct
   type t = key
 
-  let equal = key_equal
-  let hash = key_hash
+  let equal a b =
+    a.entry_level = b.entry_level && a.rescales = b.rescales && a.bts = b.bts
+    && a.smo_mode = b.smo_mode && a.bts_mode = b.bts_mode
+    && Region.Shape.equal a.shape b.shape
+
+  let hash k =
+    Hashtbl.hash (k.shape.Region.hash, k.entry_level, k.rescales, k.bts, k.smo_mode, k.bts_mode)
 end)
 
 (* The per-compile cache lives inside one {!Btsmgr.plan} call and holds
@@ -41,39 +38,6 @@ end)
 type cache = { tbl : result Key_tbl.t; smo : Smoplc.memo }
 
 let create_cache () = { tbl = Key_tbl.create 256; smo = Smoplc.create_memo () }
-
-(* A cross-compile memo keyed by the parameters and the exact region
-   shape, compared by equality: a solution serves every region of that
-   shape in any later compile, whatever its node ids, which is what makes
-   re-planning an edited or renumbered model incremental.  Solutions are
-   stored naming slots, as in the per-compile cache. *)
-module Memo = struct
-  type mkey = { prm : Ckks.Params.t; key : key }
-
-  module Tbl = Hashtbl.Make (struct
-    type t = mkey
-
-    let equal a b = a.prm = b.prm && key_equal a.key b.key
-    let hash k = Hashtbl.hash (Hashtbl.hash k.prm, key_hash k.key)
-  end)
-
-  type t = {
-    tbl : result Tbl.t;
-    lock : Mutex.t;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create () = { tbl = Tbl.create 512; lock = Mutex.create (); hits = 0; misses = 0 }
-  let stats t = Mutex.protect t.lock (fun () -> (t.hits, t.misses))
-  let size t = Mutex.protect t.lock (fun () -> Tbl.length t.tbl)
-
-  let evaluated t =
-    Mutex.protect t.lock (fun () ->
-        Tbl.fold (fun k _ acc -> k.key :: acc) t.tbl [] (* det-ok: sorted below *))
-    |> List.map (fun k -> (k.shape, k.entry_level, k.rescales))
-    |> List.sort_uniq compare
-end
 
 exception Infeasible of string
 
@@ -323,59 +287,31 @@ let compute ?fuel cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~b
     }
   end
 
-(* The region's solution naming slots: the per-compile cache, then the
-   cross-compile [memo], then a fresh solve stored in both. *)
-let solution ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
-    ~rescales ~bts =
+(* The region's solution naming slots: the per-compile cache, else a
+   fresh solve stored in it. *)
+let solution ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
   let shape = Region.shape regioned region in
   let key = { shape; entry_level; rescales; bts; smo_mode; bts_mode } in
   match Key_tbl.find_opt cache.tbl key with
   | Some r -> r
-  | None -> (
-      let mkey = { Memo.prm; key } in
-      let from_memo =
-        Option.bind memo (fun m ->
-            Mutex.protect m.Memo.lock (fun () ->
-                match Memo.Tbl.find_opt m.Memo.tbl mkey with
-                | Some r ->
-                    m.Memo.hits <- m.Memo.hits + 1;
-                    Some r
-                | None ->
-                    m.Memo.misses <- m.Memo.misses + 1;
-                    None))
+  | None ->
+      (* Fuel is deliberately absent from the key: a hit costs no steps,
+         and cache population order is deterministic, so degraded
+         compiles stay reproducible. *)
+      Obs.incr "region_eval.computes";
+      let r =
+        compute ?fuel cache shape ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts
       in
-      match from_memo with
-      | Some r ->
-          Obs.incr "region_eval.memo_hits";
-          Key_tbl.add cache.tbl key r;
-          r
-      | None ->
-          (* Fuel is deliberately absent from both keys: a hit costs no
-             steps, and cache population order is deterministic, so
-             degraded compiles stay reproducible. *)
-          Obs.incr "region_eval.computes";
-          let r =
-            compute ?fuel cache shape ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts
-          in
-          Key_tbl.add cache.tbl key r;
-          Option.iter
-            (fun m ->
-              Mutex.protect m.Memo.lock (fun () ->
-                  if not (Memo.Tbl.mem m.Memo.tbl mkey) then Memo.Tbl.add m.Memo.tbl mkey r))
-            memo;
-          r)
+      Key_tbl.add cache.tbl key r;
+      r
 
-let latency ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
-    ~rescales ~bts =
-  (solution ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
-     ~rescales ~bts)
+let latency ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
+  (solution ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts)
     .latency_ms
 
-let eval ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
-    ~rescales ~bts =
+let eval ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
   let r =
-    solution ?fuel ?memo cache regioned prm ~smo_mode ~bts_mode ~region ~entry_level
-      ~rescales ~bts
+    solution ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts
   in
   let id = Array.get (Region.slots regioned region) in
   {

@@ -8,8 +8,10 @@
     target.  Results are memoised — the paper's "caching min-cut results"
     — by region {!Region.shape} rather than region index: the DP revisits
     regions once per candidate entry level, and networks repeat one block,
-    so each (shape, entry level, rescales, bts, modes) is solved once and
-    mapped back to each region's node ids through {!Region.slots}.
+    so each (shape, entry level, rescales, bts, modes) is solved once per
+    compile and mapped back to each region's node ids through
+    {!Region.slots}.  Nothing is shared across compiles, so a compile's
+    work counters, fuel spend and plan depend only on its inputs.
 
     Placement {e modes} select how the cuts are chosen, which is how the
     paper's substitution variants and baselines are realised on one
@@ -40,35 +42,12 @@ type cache
 
 val create_cache : unit -> cache
 
-(** Cross-compile memo keyed by the CKKS parameters, the exact region
-    shape (compared by equality, never by hash alone) and the candidate
-    plan, so a solution serves every later region of that shape whatever
-    its node ids — edited and renumbered models included.  The
-    incremental tier of the plan cache. *)
-module Memo : sig
-  type t
-
-  val create : unit -> t
-
-  val stats : t -> int * int
-  (** [(hits, misses)] so far. *)
-
-  val size : t -> int
-  (** Number of memoised region solutions. *)
-
-  val evaluated : t -> (Region.shape * int * int) list
-  (** Distinct [(shape, entry level, rescales)] of the memoised solutions,
-      sorted — what a planner run asked for, for tests. *)
-end
-
 exception Infeasible of string
 
 val eval :
   ?fuel:Fuel.t ->
-  ?memo:Memo.t ->
   cache ->
   Region.t ->
-  Ckks.Params.t ->
   smo_mode:smo_mode ->
   bts_mode:bts_mode ->
   region:int ->
@@ -78,20 +57,17 @@ val eval :
   result
 (** The region's solution under a candidate plan, naming node ids.
     [fuel] (default unlimited) is spent by the min-cut solvers on a cache
-    miss; hits are free, and fuel is not part of the memo key, so degraded
-    compiles remain deterministic.  [memo] is an optional cross-compile
-    memo, consulted after the per-compile [cache] and populated on
-    compute.
+    miss; hits are free, and fuel is not part of the cache key, so
+    degraded compiles remain deterministic: the cache is filled in the
+    same order on every compile of the same inputs.
     @raise Infeasible when the region cannot run at the requested level
     (e.g. rescaling at level 0).
     @raise Fuel.Exhausted when the step budget runs out. *)
 
 val latency :
   ?fuel:Fuel.t ->
-  ?memo:Memo.t ->
   cache ->
   Region.t ->
-  Ckks.Params.t ->
   smo_mode:smo_mode ->
   bts_mode:bts_mode ->
   region:int ->

@@ -174,3 +174,6 @@ let resolver t ~dim =
         let payload = resolve name in
         Hashtbl.add memo name payload;
         payload
+
+let const_magnitude consts name =
+  Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)

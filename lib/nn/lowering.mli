@@ -30,3 +30,8 @@ val resolver : t -> dim:int -> string -> float array
     memoises its payloads per name: asking twice returns the same array,
     which callers must not mutate.  A resolver is not safe to share
     between domains. *)
+
+val const_magnitude : (string -> float array) -> string -> float
+(** [const_magnitude consts name] is the largest absolute value of
+    [consts name]'s payload: the [~const_magnitude] a noise analysis
+    reads from a {!resolver}. *)

@@ -1475,8 +1475,7 @@ module Bench_diff = struct
             (* Work counters gate exactly, like the metrics above: a planner
                that does more or less work for the same plan invalidates the
                baseline.  Profiles omit zero counters, so a name absent on
-               one side reads as 0.  Fewer counts read as improved, except
-               cache hits. *)
+               one side reads as 0.  Fewer counts read as improved. *)
             let counter_cells =
               let get l name =
                 float_of_int (Option.value (List.assoc_opt name l) ~default:0)
@@ -1485,10 +1484,7 @@ module Bench_diff = struct
               |> List.map (fun name ->
                      let bv = get b.counters name and cv = get c.counters name in
                      cell ("counters." ^ name) bv cv
-                       (if bv = cv then Unchanged
-                        else if (cv < bv) <> String.ends_with ~suffix:"hits" name then
-                          Improved
-                        else Regressed))
+                       (if bv = cv then Unchanged else if cv < bv then Improved else Regressed))
             in
             (* The warm-cache contract: the CANDIDATE's cold/warm compile
                median ratio must clear [warm_speedup_min] — a cache that

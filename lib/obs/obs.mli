@@ -447,7 +447,7 @@ module Bench_diff : sig
       the higher-is-better [predicted_precision_bits]) compare exactly
       (NaN on both sides is unchanged; NaN on one side is incomparable).  Every counter compares exactly as a
       [counters.<name>] cell (absent reads as 0; fewer counts is
-      [Improved], except for [*hits] counters), so a change in planner
+      [Improved]), so a change in planner
       work gates like a changed plan.  The [warm_speedup] cell is
       [Regressed] when the candidate's ratio is below
       {!warm_speedup_min}, else [Unchanged].  [Error] when the files'

@@ -148,11 +148,7 @@ let run_model cfg name =
     | None -> invalid_arg (Printf.sprintf "Chaos.run: unknown model %S" name)
   in
   let lowered = Nn.Lowering.lower model in
-  let prm =
-    Ckks.Params.with_l_max
-      { Ckks.Params.default with Ckks.Params.input_level = cfg.l_max }
-      cfg.l_max
-  in
+  let prm = Ckks.Params.at_l_max cfg.l_max in
   let managed, report = Resbm.Driver.compile_robust prm lowered.Nn.Lowering.dfg in
   (* One program serves the reference run and every trial. *)
   let program =
@@ -193,13 +189,9 @@ let run_model cfg name =
      amplitudes exactly, which widens the boundary validator's spike
      detection window well beyond the sound default. *)
   let noise =
-    let const_magnitude name =
-      Array.fold_left
-        (fun acc v -> Float.max acc (Float.abs v))
-        0.0
-        (env.Fhe_ir.Interp.consts name)
-    in
-    Fhe_ir.Noise_check.analyse ~const_magnitude prm managed
+    Fhe_ir.Noise_check.analyse
+      ~const_magnitude:(Nn.Lowering.const_magnitude env.Fhe_ir.Interp.consts)
+      prm managed
   in
   let fault_targets =
     match ref_trace with

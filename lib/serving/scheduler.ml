@@ -125,11 +125,7 @@ let run ?jobs:_ ?cache cfg =
     | None -> invalid_arg (Printf.sprintf "Scheduler.run: unknown model %S" cfg.model)
   in
   let lowered = Nn.Lowering.lower model in
-  let prm =
-    Ckks.Params.with_l_max
-      { Ckks.Params.default with Ckks.Params.input_level = cfg.l_max }
-      cfg.l_max
-  in
+  let prm = Ckks.Params.at_l_max cfg.l_max in
   let managed, plan_report =
     Resbm.Driver.compile_robust ?cache prm lowered.Nn.Lowering.dfg
   in
@@ -141,10 +137,8 @@ let run ?jobs:_ ?cache cfg =
   (* Sharp static noise prediction for the recovery supervisor's boundary
      validator, as the chaos harness does. *)
   let noise =
-    let const_magnitude name =
-      Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
-    in
-    Fhe_ir.Noise_check.analyse ~const_magnitude prm managed
+    Fhe_ir.Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts) prm
+      managed
   in
   (* The static half of every batch — validation, schedule, node prices,
      region boundaries — prepared once and shared by every dispatch and

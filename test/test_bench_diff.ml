@@ -221,7 +221,7 @@ let outcome_json_roundtrip () =
    profile and reads as 0. *)
 let counters_gate_exactly () =
   let base_counters =
-    [ ("maxflow.runs", 3941); ("region_eval.memo_hits", 65); ("smoplc.cuts", 3240) ]
+    [ ("maxflow.runs", 3941); ("btsplc.cuts", 65); ("smoplc.cuts", 3240) ]
   in
   let base = src [ row ~counters:base_counters "m" "g" (metrics ()) ] in
   let o = diff_ok base base in
@@ -231,15 +231,13 @@ let counters_gate_exactly () =
     src
       [
         row
-          ~counters:[ ("maxflow.runs", 423); ("region_eval.memo_hits", 136) ]
+          ~counters:[ ("maxflow.runs", 423); ("btsplc.cuts", 136) ]
           "m" "g" (metrics ());
       ]
   in
   let o = diff_ok base cand in
   checkb "fewer runs improve" true
     (verdict_of o "counters.maxflow.runs" = Obs.Bench_diff.Improved);
-  checkb "more cache hits improve" true
-    (verdict_of o "counters.region_eval.memo_hits" = Obs.Bench_diff.Improved);
   checkb "a vanished counter reads as zero" true
     (verdict_of o "counters.smoplc.cuts" = Obs.Bench_diff.Improved);
   checki "an improvement still fails `Changed" 2 (Obs.Bench_diff.exit_code o);

@@ -165,7 +165,7 @@ let price_chain r prm (config : Resbm.Btsmgr.config) cache cross ~bts_at_0 bound
   let count = r.Resbm.Region.count and l_max = prm.Ckks.Params.l_max in
   let last = count - 1 in
   let latency ~region ~entry_level ~rescales ~bts =
-    Resbm.Region_eval.latency cache r prm ~smo_mode:config.smo_mode ~bts_mode:config.bts_mode
+    Resbm.Region_eval.latency cache r ~smo_mode:config.smo_mode ~bts_mode:config.bts_mode
       ~region ~entry_level ~rescales ~bts
   in
   let prod = Array.make count prm.Ckks.Params.input_level in
@@ -268,7 +268,7 @@ let enumerated_optimum r prm config =
 
 let max_level_config = { Resbm.Btsmgr.resbm_config with min_level_bts = false }
 
-let oracle_prm l = Ckks.Params.with_l_max { prm with input_level = l } l
+let oracle_prm l = Ckks.Params.at_l_max l
 
 (* DP objective and enumerated optimum under both target policies. *)
 type oracle = { dp_min : float; opt_min : float; dp_max : float; opt_max : float }

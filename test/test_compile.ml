@@ -46,7 +46,7 @@ let apply_levels_agree r p (mgr : Resbm.Variants.manager) =
           (Dfg.live_nodes o.Resbm.Plan.dfg),
         o.Resbm.Plan.repair_bootstraps )
 
-let short_budget l = Ckks.Params.with_l_max { prm with input_level = l } l
+let short_budget l = Ckks.Params.at_l_max l
 
 let apply_levels_match_inference =
   qcheck ~count:30 "apply's propagated levels equal Scale_check.infer's"
@@ -195,7 +195,7 @@ let l_max_sweep_increases_bootstraps () =
   let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
   let g = lowered.Nn.Lowering.dfg in
   let run l_max =
-    let p = Ckks.Params.with_l_max { prm with input_level = l_max } l_max in
+    let p = Ckks.Params.at_l_max l_max in
     let _, r = Resbm.Variants.(compile resbm) p g in
     (r.Resbm.Report.stats.Stats.bootstrap_count, r.Resbm.Report.latency_ms)
   in

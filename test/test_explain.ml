@@ -120,7 +120,7 @@ let digest_self_diff_is_empty () =
 
 let digest_detects_change () =
   let _, managed, report = compile Nn.Model.lenet5 in
-  let lo = Ckks.Params.with_l_max { prm with Ckks.Params.input_level = 8 } 8 in
+  let lo = Ckks.Params.at_l_max 8 in
   let lowered = Nn.Lowering.lower Nn.Model.lenet5 in
   let managed', report' =
     Resbm.Variants.compile Resbm.Variants.resbm lo lowered.Nn.Lowering.dfg
@@ -146,7 +146,7 @@ let digest_renumbering_invariant =
 (* One deep fixed case on a model that actually bootstraps, so placements
    and cut values go through the renumbering check too. *)
 let digest_renumbering_with_bootstraps () =
-  let lo = Ckks.Params.with_l_max { prm with Ckks.Params.input_level = 8 } 8 in
+  let lo = Ckks.Params.at_l_max 8 in
   let g = (Nn.Lowering.lower Nn.Model.lenet5).Nn.Lowering.dfg in
   let d = digest_of ~prm:lo g in
   let d' = digest_of ~prm:lo (renumber 42 g) in

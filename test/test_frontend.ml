@@ -312,12 +312,7 @@ let noise_sharp_prediction_with_oracle () =
   let lowered = Nn.Lowering.lower Nn.Model.tiny in
   let managed, _ = Resbm.Variants.(compile resbm) prm lowered.Nn.Lowering.dfg in
   let dim = 16 in
-  let const_magnitude name =
-    Array.fold_left
-      (fun acc v -> Float.max acc (Float.abs v))
-      0.0
-      (Nn.Lowering.resolver lowered ~dim name)
-  in
+  let const_magnitude = Nn.Lowering.(const_magnitude (resolver lowered ~dim)) in
   let report = Noise_check.analyse ~const_magnitude ~magnitude_cap:0.5 prm managed in
   let image = (Nn.Dataset.images ~dim ~count:1 ()).(0) in
   let ev = Ckks.Evaluator.create prm in

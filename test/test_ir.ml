@@ -520,9 +520,7 @@ let render_noise_summary (n : Interp.noise_summary) =
 
 let noise_summary_matches_full_sort () =
   let l_max = 16 and dim = 8 in
-  let prm16 =
-    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = l_max } l_max
-  in
+  let prm16 = Ckks.Params.at_l_max l_max in
   let summarised name result managed tr =
     checki (name ^ ": no trace events dropped") 0 (Obs.Trace.dropped tr);
     let order = Interp.Program.order (Interp.Program.make prm16 managed) in

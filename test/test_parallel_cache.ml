@@ -1,6 +1,6 @@
 (* The content-addressed plan cache: warm-cache identity on fixtures and
-   random graphs, key sensitivity, the incremental region memo, and the
-   on-disk tier. *)
+   random graphs, key sensitivity, independence from cache history, and
+   the on-disk tier. *)
 open Test_util
 open Fhe_ir
 
@@ -92,11 +92,10 @@ let key_sensitivity () =
   ignore (Dfg.export g);
   check Alcotest.string "export is observation, not mutation" k1 (key g)
 
-(* --- incremental region memo ---------------------------------------------- *)
+(* --- cache history ----------------------------------------------------------- *)
 
 (* Layered chain whose prefix is identical between the two variants:
-   appending a layer must leave the earlier regions' shapes (and so their
-   memoised cuts) untouched. *)
+   appending a layer leaves the earlier regions' shapes untouched. *)
 let layered ~layers =
   let g = Dfg.create () in
   let x = Dfg.input g "x" in
@@ -108,44 +107,45 @@ let layered ~layers =
   Dfg.set_outputs g [ !v ];
   g
 
-let memo_reuses_clean_regions () =
-  let cache = Resbm.Plan_cache.create () in
-  let mgr = Resbm.Variants.resbm in
-  ignore (Resbm.Variants.compile ~cache mgr prm (layered ~layers:3));
-  let s1 = Resbm.Plan_cache.stats cache in
-  checki "cold compile misses the plan tier" 1 s1.Resbm.Plan_cache.misses;
-  checkb "regions were solved and memoised" true (s1.Resbm.Plan_cache.memo_entries > 0);
-  (* editing the tail invalidates the full-plan key but not the prefix *)
-  ignore (Resbm.Variants.compile ~cache mgr prm (layered ~layers:4));
-  let s2 = Resbm.Plan_cache.stats cache in
-  checki "edited program misses the plan tier" 2 s2.Resbm.Plan_cache.misses;
-  checkb "clean prefix regions replan from the memo" true
-    (s2.Resbm.Plan_cache.memo_hits > s1.Resbm.Plan_cache.memo_hits);
-  (* and the incremental result is bit-identical to a memo-free compile *)
-  let incremental = Resbm.Variants.compile ~cache mgr prm (layered ~layers:4) in
-  let scratch = Resbm.Variants.compile mgr prm (layered ~layers:4) in
-  checkb "memo-assisted plan equals the from-scratch plan" true
-    (fingerprint incremental = fingerprint scratch)
+let lowered model = (Nn.Lowering.lower model).Nn.Lowering.dfg
 
-(* The memo is keyed by id-free shapes compared by equality, so a
-   renumbered model replans from the solutions of the original: every
-   renumbered region whose shape was solved before is a hit, and the plan
-   equals a memo-free compile's.  (Renumbering can reorder a region's
-   members or use lists, and so its shape, so not every region hits.) *)
-let memo_serves_renumbered_models () =
+(* A cache miss plans from scratch: after the cache has compiled
+   ResNet-20 (whose region shapes SqueezeNet shares), a SqueezeNet miss
+   does the same planner work as a cache-free compile, so the gated work
+   counters do not depend on what the cache saw before. *)
+let miss_counters_ignore_cache_history () =
+  List.iter
+    (fun (mgr : Resbm.Variants.manager) ->
+      let cache = Resbm.Plan_cache.create () in
+      ignore (Resbm.Variants.compile ~cache mgr prm (lowered Nn.Model.resnet20));
+      let counters (_, (r : Resbm.Report.t)) = Obs.Profile.counters r.Resbm.Report.profile in
+      let shared = Resbm.Variants.compile ~cache mgr prm (lowered Nn.Model.squeezenet) in
+      let fresh = Resbm.Variants.compile mgr prm (lowered Nn.Model.squeezenet) in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+        (mgr.Resbm.Variants.name ^ ": SqueezeNet counters after ResNet-20")
+        (counters fresh) (counters shared);
+      checkb (mgr.Resbm.Variants.name ^ ": same plan") true
+        (fingerprint shared = fingerprint fresh))
+    Resbm.Variants.all
+
+(* A fuel budget one step short of ResNet-44's cold planner work makes
+   the resbm tier degrade to waterline, and it must do so whether or not
+   the cache has already planned ResNet-20, a model of the same block
+   shapes: planning work spent is a function of the compile's inputs. *)
+let fuel_budget_ignores_cache_history () =
+  let g () = lowered Nn.Model.resnet44 in
+  let _, cold = Resbm.Variants.compile Resbm.Variants.resbm prm (g ()) in
+  let fuel_steps = Resbm.Driver.planner_steps cold.Resbm.Report.profile - 1 in
+  let budgeted ?cache () = Resbm.Driver.compile_robust ~fuel_steps ?cache prm (g ()) in
+  let plain = budgeted () in
   let cache = Resbm.Plan_cache.create () in
-  let mgr = Resbm.Variants.resbm in
-  let g = (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
-  ignore (Resbm.Variants.compile ~cache mgr prm g);
-  let s1 = Resbm.Plan_cache.stats cache in
-  let g' = renumber 7 g in
-  let warm = Resbm.Variants.compile ~cache mgr prm g' in
-  let s2 = Resbm.Plan_cache.stats cache in
-  checki "the renumbered program misses the plan tier" 2 s2.Resbm.Plan_cache.misses;
-  checkb "renumbered regions replan from the memo" true
-    (s2.Resbm.Plan_cache.memo_hits > s1.Resbm.Plan_cache.memo_hits);
-  checkb "memo-assisted plan equals the memo-free plan" true
-    (fingerprint warm = fingerprint (Resbm.Variants.compile mgr prm g'))
+  ignore (Resbm.Driver.compile_robust ~cache prm (lowered Nn.Model.resnet20));
+  let warmed = budgeted ~cache () in
+  let tier (_, (r : Resbm.Report.t)) = r.Resbm.Report.manager in
+  check Alcotest.string "a budget one step short degrades" "waterline" (tier plain);
+  check Alcotest.string "same tier after ResNet-20" (tier plain) (tier warmed);
+  checkb "same plan after ResNet-20" true (fingerprint warmed = fingerprint plain)
 
 (* Shapes are id-free and local: appending a layer keeps every earlier
    region's shape, a repeated layer shares one interned shape, and
@@ -209,6 +209,105 @@ let disk_tier_survives_processes () =
       checki "disk tier emptied" 0
         (Resbm.Plan_cache.stats c2).Resbm.Plan_cache.disk_entries)
 
+(* JSON surgery for forged disk entries: [field k f] rewrites field [k]
+   of an object, [first p f] the first list element satisfying [p]. *)
+let field k f = function
+  | Obs.Json.Obj fields ->
+      Obs.Json.Obj (List.map (fun (k', v) -> (k', if k' = k then f v else v)) fields)
+  | j -> j
+
+let first p f = function
+  | Obs.Json.List xs ->
+      let rec go = function
+        | [] -> Alcotest.fail "nothing to forge"
+        | x :: rest -> if p x then f x :: rest else x :: go rest
+      in
+      Obs.Json.List (go xs)
+  | j -> j
+
+(* Add 1.0 to the value of the first SMOPLC certificate of a disk entry. *)
+let bump_smoplc_value =
+  let open Obs.Json in
+  field "certificates"
+    (first
+       (fun c -> member "pass" c = Some (String "smoplc"))
+       (field "cert"
+          (field "v" (function
+            | Float v -> Float (v +. 1.0)
+            | Int v -> Float (float_of_int v +. 1.0)
+            | j -> j))))
+
+(* Rewrite a disk entry's JSON in place. *)
+let forge_entry file f =
+  match Obs.Json.of_string (In_channel.with_open_bin file In_channel.input_all) with
+  | Ok j ->
+      let forged = Obs.Json.to_string (f j) in
+      Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc forged);
+      forged
+  | Error e -> Alcotest.fail e
+
+let only_entry dir =
+  match Array.to_list (Sys.readdir dir) with
+  | [ f ] -> Filename.concat dir f
+  | fs -> Alcotest.failf "expected one disk entry, found %d" (List.length fs)
+
+(* A disk entry is re-checked on load: one forged cut value refutes its
+   certificate, so the next cached compile counts a miss (not a disk
+   hit), logs the rejection, returns the cold plan bit for bit and
+   overwrites the entry with it. *)
+let refuted_disk_entry_recompiles () =
+  with_temp_dir (fun dir ->
+      let mgr = Resbm.Variants.resbm in
+      let g () = lowered Nn.Model.resnet20 in
+      let cold =
+        Resbm.Variants.compile ~cache:(Resbm.Plan_cache.create ~dir ()) mgr prm (g ())
+      in
+      let file = only_entry dir in
+      let read () = In_channel.with_open_bin file In_channel.input_all in
+      let forged = forge_entry file bump_smoplc_value in
+      let cache = Resbm.Plan_cache.create ~dir () in
+      let sink = Obs.Log.create () in
+      let served =
+        Obs.with_log sink (fun () -> Resbm.Variants.compile ~cache mgr prm (g ()))
+      in
+      let s = Resbm.Plan_cache.stats cache in
+      checki "counted as a miss" 1 s.Resbm.Plan_cache.misses;
+      checki "not a disk hit" 0 s.Resbm.Plan_cache.disk_hits;
+      checkb "rejection logged" true
+        (List.exists
+           (fun r -> r.Obs.Log.event = "plan_cache.disk_rejected")
+           (Obs.Log.records sink));
+      checkb "the cold plan, bit for bit" true (fingerprint served = fingerprint cold);
+      checkb "entry overwritten" true (read () <> forged);
+      let again = Resbm.Plan_cache.create ~dir () in
+      let reloaded = Resbm.Variants.compile ~cache:again mgr prm (g ()) in
+      checki "the rewritten entry is a disk hit" 1
+        (Resbm.Plan_cache.stats again).Resbm.Plan_cache.disk_hits;
+      checkb "and serves the cold plan" true (fingerprint reloaded = fingerprint cold))
+
+(* A forged argument naming a node past the end makes the entry
+   unreadable: the lookup is a miss and the compile recompiles. *)
+let unreadable_disk_entry_recompiles () =
+  with_temp_dir (fun dir ->
+      let mgr = Resbm.Variants.resbm in
+      let cold =
+        Resbm.Variants.compile ~cache:(Resbm.Plan_cache.create ~dir ()) mgr prm (fig3_poly ())
+      in
+      let dangling =
+        let open Obs.Json in
+        field "nodes"
+          (first
+             (fun n -> match member "a" n with Some (List (_ :: _)) -> true | _ -> false)
+             (field "a" (function List (_ :: rest) -> List (Int 1_000_000 :: rest) | j -> j)))
+      in
+      ignore (forge_entry (only_entry dir) dangling);
+      let cache = Resbm.Plan_cache.create ~dir () in
+      let served = Resbm.Variants.compile ~cache mgr prm (fig3_poly ()) in
+      let s = Resbm.Plan_cache.stats cache in
+      checki "counted as a miss" 1 s.Resbm.Plan_cache.misses;
+      checki "not a disk hit" 0 s.Resbm.Plan_cache.disk_hits;
+      checkb "the cold plan, bit for bit" true (fingerprint served = fingerprint cold))
+
 let lru_eviction_is_bounded () =
   let cache = Resbm.Plan_cache.create ~capacity:2 () in
   let mgr = Resbm.Variants.resbm in
@@ -229,9 +328,11 @@ let suite =
     case "warm cache compiles are bit-identical" warm_cache_identity;
     case "warm hits hand out private graphs" warm_hit_graph_is_private;
     case "cache key tracks every compile input" key_sensitivity;
-    case "memo replans only dirty regions" memo_reuses_clean_regions;
+    case "a miss's counters ignore cache history" miss_counters_ignore_cache_history;
+    case "fuel-budgeted compiles ignore cache history" fuel_budget_ignores_cache_history;
     case "region shapes localise edits" region_shapes_localise_edits;
     case "disk tier round-trips across cache instances" disk_tier_survives_processes;
     case "lru eviction respects capacity" lru_eviction_is_bounded;
-    case "memo replans a renumbered model" memo_serves_renumbered_models;
+    case "a refuted disk entry is recompiled" refuted_disk_entry_recompiles;
+    case "an unreadable disk entry is recompiled" unreadable_disk_entry_recompiles;
   ]

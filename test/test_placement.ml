@@ -259,7 +259,7 @@ let smoplc_memo_hit_is_free () =
 
 (* The fuel metered by a finite budget equals the steps the profile
    counters report, and SMOPLC solves each distinct (shape, entry level)
-   with a rescale exactly once per compile. *)
+   with a rescale exactly once per region-solution cache. *)
 let planner_fuel_matches_counters () =
   let g = (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
   let budget = 1_000_000 in
@@ -270,18 +270,39 @@ let planner_fuel_matches_counters () =
   checkb "fuel was spent" true (steps > 0);
   checki "fuel spent = planner steps" steps (spent fuel);
   let r = Resbm.Region.build g in
-  let memo = Resbm.Region_eval.Memo.create () in
   let p = Obs.Profile.create () and fuel = Resbm.Fuel.create budget in
-  ignore (Obs.with_profile p (fun () -> Resbm.Btsmgr.plan ~fuel ~memo r prm));
+  ignore (Obs.with_profile p (fun () -> Resbm.Btsmgr.plan ~fuel r prm));
+  checki "plan fuel spent = planner steps" (Resbm.Driver.planner_steps p) (spent fuel);
+  (* Every region, every entry level, 0-2 rescales, asked twice of one
+     cache: one solve per distinct (shape, entry level, rescales), and
+     one SMOPLC cut per distinct (shape, entry level) with a rescale. *)
+  let cache = Resbm.Region_eval.create_cache () and p = Obs.Profile.create () in
+  let asked = ref [] in
+  Obs.with_profile p (fun () ->
+      for _ = 1 to 2 do
+        for region = 0 to r.Resbm.Region.count - 1 do
+          for entry_level = 0 to prm.Ckks.Params.l_max do
+            for rescales = 0 to min 2 entry_level do
+              asked := (r.Resbm.Region.shape_ids.(region), entry_level, rescales) :: !asked;
+              ignore
+                (Resbm.Region_eval.latency cache r ~smo_mode:Resbm.Region_eval.Smo_min_cut
+                   ~bts_mode:Resbm.Region_eval.Bts_min_cut ~region ~entry_level ~rescales
+                   ~bts:None)
+            done
+          done
+        done
+      done);
+  let keys = List.sort_uniq compare !asked in
   let pairs =
-    Resbm.Region_eval.Memo.evaluated memo
-    |> List.filter_map (fun (h, level, rescales) ->
-           if rescales > 0 then Some (h, level) else None)
-    |> List.sort_uniq compare
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (sh, level, rescales) -> if rescales > 0 then Some (sh, level) else None)
+         keys)
   in
+  checki "region_eval.computes = distinct (shape, entry level, rescales)" (List.length keys)
+    (Obs.Profile.counter p "region_eval.computes");
   checki "smoplc.cuts = distinct (shape, entry level) pairs" (List.length pairs)
-    (Obs.Profile.counter p "smoplc.cuts");
-  checki "plan fuel spent = planner steps" (Resbm.Driver.planner_steps p) (spent fuel)
+    (Obs.Profile.counter p "smoplc.cuts")
 
 (* --- Region_eval: shape-cached solutions against cold solves --------------- *)
 
@@ -314,27 +335,23 @@ let names_region_nodes r region (res : Resbm.Region_eval.result) =
   && List.for_all mem res.bts_subgraph
 
 (* Every region over a grid of candidate plans and all six mode pairs: the
-   shape-cached eval (one cache and one cross-compile memo for the whole
-   graph, so repeated shapes are served from another region's solution),
-   a fresh cache served from that memo, and a cold solve on a fresh cache
-   per call must agree exactly — or raise the same exception.  The cold
-   solution must name only the region's own nodes, and its SMOPLC cut
-   must equal the id-based per-call oracle's.  Returns the mismatching
+   shape-cached eval (one cache for the whole graph, so repeated shapes
+   are served from another region's solution) and a cold solve on a
+   fresh cache per call must agree exactly — or raise the same
+   exception.  The cold solution must name only the region's own nodes,
+   and its SMOPLC cut must equal the id-based per-call oracle's.  Returns the mismatching
    (region, entry level, rescales). *)
 let region_eval_mismatches r =
   let open Resbm.Region_eval in
-  let cache = create_cache () and memo = Memo.create () in
+  let cache = create_cache () in
   let bad = ref [] in
   for region = 0 to r.Resbm.Region.count - 1 do
     List.iter
       (fun (entry_level, rescales, bts) ->
         List.iter
           (fun (smo_mode, bts_mode) ->
-            let eval ?memo cache =
-              match
-                eval ?memo cache r prm ~smo_mode ~bts_mode ~region ~entry_level ~rescales
-                  ~bts
-              with
+            let eval cache =
+              match eval cache r ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts with
               | res -> Ok res
               | exception e -> Error (Printexc.to_string e)
             in
@@ -354,12 +371,7 @@ let region_eval_mismatches r =
               | Ok a -> (match cold with Ok b -> same_result a b | Error _ -> false)
               | Error e -> cold = Error e
             in
-            if
-              not
-                (cold_ok
-                && agrees (eval ~memo cache)
-                && agrees (eval ~memo (create_cache ())))
-            then
+            if not (cold_ok && agrees (eval cache)) then
               bad := (region, entry_level, rescales) :: !bad)
           [
             (Smo_min_cut, Bts_min_cut);
@@ -540,7 +552,7 @@ let min_cut_dominates_forced_placements =
       for region = 1 to r.Resbm.Region.count - 1 do
         if Resbm.Region.muls r region <> [] then begin
           let eval smo_mode =
-            (Resbm.Region_eval.eval cache r prm ~smo_mode
+            (Resbm.Region_eval.eval cache r ~smo_mode
                ~bts_mode:Resbm.Region_eval.Bts_min_cut ~region ~entry_level ~rescales:1
                ~bts:None)
               .Resbm.Region_eval.latency_ms
@@ -567,7 +579,7 @@ let bts_min_cut_dominates_region_end =
       for region = 1 to r.Resbm.Region.count - 1 do
         if Resbm.Region.muls r region <> [] then begin
           let eval bts_mode =
-            (Resbm.Region_eval.eval cache r prm ~smo_mode:Resbm.Region_eval.Smo_min_cut
+            (Resbm.Region_eval.eval cache r ~smo_mode:Resbm.Region_eval.Smo_min_cut
                ~bts_mode ~region ~entry_level:1 ~rescales:1 ~bts:(Some lbts))
               .Resbm.Region_eval.latency_ms
           in

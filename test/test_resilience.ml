@@ -411,9 +411,7 @@ let recovery_checkpoints_respect_budget () =
    times instead of two, so a default other than the sound one fails. *)
 let run_equals_run_program_with_sound_noise () =
   let l_max = 16 and dim = 16 in
-  let p =
-    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = l_max } l_max
-  in
+  let p = Ckks.Params.at_l_max l_max in
   let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
   let managed, report = Resbm.Driver.compile_robust p lowered.Nn.Lowering.dfg in
   let region_of = Resbm.Report.region_of_node report in
@@ -655,9 +653,7 @@ let live_set_matches_definition ~region_of ev managed env =
 
 let live_cts_matches_definition_resnet20 () =
   let l_max = 16 and dim = 16 in
-  let prm16 =
-    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = l_max } l_max
-  in
+  let prm16 = Ckks.Params.at_l_max l_max in
   let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
   let managed, report = Resbm.Driver.compile_robust prm16 lowered.Nn.Lowering.dfg in
   let attr = report.Resbm.Report.region_of in

@@ -190,9 +190,7 @@ let one_program_per_campaign () =
    one-off [Recovery.run] must still give the same bits. *)
 let served_batch_is_pinned () =
   let l_max = 16 and dim = 16 in
-  let prm16 =
-    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = l_max } l_max
-  in
+  let prm16 = Ckks.Params.at_l_max l_max in
   let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
   let managed, report = Resbm.Driver.compile_robust ~cache prm16 lowered.Nn.Lowering.dfg in
   let region_of = Resbm.Report.region_of_node report in
@@ -213,10 +211,8 @@ let served_batch_is_pinned () =
     }
   in
   let noise =
-    let const_magnitude name =
-      Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
-    in
-    Fhe_ir.Noise_check.analyse ~const_magnitude prm16 managed
+    Fhe_ir.Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts) prm16
+      managed
   in
   let plan =
     Resilience.Chaos.trial_plan (Ckks.Prng.create 1L) ~rate:0.05 ~budget:2 ~no_retries:false
@@ -248,9 +244,7 @@ let served_batch_is_pinned () =
 (* A fault-free run of [model] at [l_max] on [dim]-slot inputs, and the
    static price of its execution order. *)
 let ran_and_priced model ~l_max ~dim =
-  let prm =
-    Ckks.Params.with_l_max { Ckks.Params.default with Ckks.Params.input_level = l_max } l_max
-  in
+  let prm = Ckks.Params.at_l_max l_max in
   let lowered = Nn.Lowering.lower model in
   let managed, _ = Resbm.Driver.compile_robust ~cache prm lowered.Nn.Lowering.dfg in
   let env =

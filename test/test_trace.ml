@@ -285,8 +285,7 @@ let trace_cross_validation () =
   ignore (Interp.run ~trace:tr (Ckks.Evaluator.create p) managed env);
   let static =
     Noise_check.analyse
-      ~const_magnitude:(fun name ->
-        Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (const_env ~dim:4 name))
+      ~const_magnitude:(Nn.Lowering.const_magnitude (const_env ~dim:4))
       p managed
   in
   let evs = Obs.Trace.op_events tr in

@@ -201,8 +201,8 @@ let fingerprint ((g : Dfg.t), (r : Resbm.Report.t)) =
     r.Resbm.Report.fallbacks )
 
 (* Renumber a graph: map node i to perm(i) for a seeded random
-   permutation, rewriting args and outputs.  Plan digests and the region
-   memo must not see the difference. *)
+   permutation, rewriting args and outputs.  Plan digests must not see
+   the difference. *)
 let renumber seed g =
   let nodes, outputs = Dfg.export g in
   let n = Array.length nodes in
