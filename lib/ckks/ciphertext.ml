@@ -1,5 +1,7 @@
+type slots = Slots.t
+
 type t = {
-  slots : float array;
+  slots : slots;
   scale_bits : int;
   level : int;
   size : int;
@@ -22,13 +24,18 @@ let[@inline] checksum slots =
   done;
   !acc
 
-let make ~slots ~scale_bits ~level ~size ~err =
+let of_slots ~slots ~scale_bits ~level ~size ~err =
   if scale_bits <= 0 then invalid_arg "Ciphertext.make: scale must be positive";
   if level < 0 then invalid_arg "Ciphertext.make: negative level";
   if size < 2 then invalid_arg "Ciphertext.make: size below 2";
   { slots; scale_bits; level; size; err; chk = checksum slots }
 
+let make ~slots = of_slots ~slots:(Array.copy slots)
+let corrupted ct ~slots ~err = { ct with slots; err }
 let integrity_ok ct = Int64.equal (checksum ct.slots) ct.chk
+let get ct i = ct.slots.(i)
+let length ct = Array.length ct.slots
+let to_array ct = Array.copy ct.slots
 
 let slice ct ~off ~len =
   if off < 0 || len < 0 || off + len > Array.length ct.slots then
@@ -37,14 +44,7 @@ let slice ct ~off ~len =
          (Array.length ct.slots));
   Array.sub ct.slots off len
 
-(* A loop over a local ref, like [checksum]: the fold's closure would box
-   one float per slot, and [mul_cc]/[mul_cp] call this on every product. *)
-let max_abs ct =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length ct.slots - 1 do
-    acc := Float.max !acc (Float.abs ct.slots.(i))
-  done;
-  !acc
+let max_abs ct = Slots.max_abs ct.slots
 
 let pp ppf ct =
   Format.fprintf ppf "@[<h>ct(%d slots, scale 2^%d, L%d, size %d, err %.3g)@]"

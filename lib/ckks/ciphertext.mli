@@ -5,34 +5,55 @@
     right after a ciphertext-ciphertext multiplication until
     relinearisation), and a running absolute-error bound standing in for
     cryptographic noise.  The evaluator is the only producer of
-    ciphertexts with interesting states. *)
+    ciphertexts with interesting states.
 
-type t = {
-  slots : float array;
+    A ciphertext is immutable, its slots included.  Outside this library
+    {!slots} is abstract: {!get}, {!length}, {!slice} and {!to_array}
+    read it, and the compiler rejects any write into it.  Inside, the
+    evaluator's kernels fill each result's array once, before building
+    the ciphertext around it; the injected [Slot_corrupt] fault builds a
+    new array too.  A value checked once therefore stays checked, which
+    is what lets recovery validate each ciphertext once. *)
+
+type slots = Slots.t
+(** A read-only slot vector. *)
+
+type t = private {
+  slots : slots;
   scale_bits : int;
   level : int;
   size : int;
   err : float;  (** Absolute per-slot error bound (noise estimate). *)
   chk : int64;
-      (** Slot integrity checksum, computed by {!make}.  Every legitimate
-          operation rebuilds its result through {!make}, so [chk] always
-          matches the slots — except after an injected [Slot_corrupt]
-          fault, which deliberately preserves the pre-fault checksum so
-          boundary validation ({!integrity_ok}) can detect silent
-          corruption that sits below the noise floor. *)
+      (** Slot integrity checksum of [slots], computed when the
+          ciphertext is built — except by {!corrupted}, which keeps the
+          pre-fault checksum so boundary validation ({!integrity_ok}) can
+          detect silent corruption that sits below the noise floor. *)
 }
 
 val make :
   slots:float array -> scale_bits:int -> level:int -> size:int -> err:float -> t
+(** Builds a ciphertext around a copy of [slots]: the caller keeps its
+    array and cannot reach the ciphertext's. *)
 
-val checksum : float array -> int64
-(** Order-independent XOR of the slot bit patterns — exact, so any
-    representable change to any slot changes the checksum. *)
+val of_slots : slots:slots -> scale_bits:int -> level:int -> size:int -> err:float -> t
+(** {!make} without the copy.  Outside this library a {!slots} value can
+    only come from another ciphertext, so the vector is shared, read-only;
+    the evaluator passes arrays it has just filled. *)
 
-val integrity_ok : t -> bool
-(** Recompute the checksum of the current slots and compare with [chk].
-    False means the slots were mutated outside {!make} — in this
-    simulator, only injected slot corruption does that. *)
+val corrupted : t -> slots:slots -> err:float -> t
+(** [corrupted ct ~slots ~err] is [ct] with new slots and noise bound but
+    [ct]'s checksum: the injected [Slot_corrupt] fault's result, whose
+    {!integrity_ok} is false whenever the slots differ. *)
+
+val get : t -> int -> float
+(** [get ct i] is slot [i].  @raise Invalid_argument when out of range. *)
+
+val length : t -> int
+(** The number of slots. *)
+
+val to_array : t -> float array
+(** A fresh copy of the slots. *)
 
 val slice : t -> off:int -> len:int -> float array
 (** [slice ct ~off ~len] copies the slot block [[off, off+len)] — how a
@@ -40,6 +61,17 @@ val slice : t -> off:int -> len:int -> float array
     shared ciphertext.  @raise Invalid_argument when the block falls
     outside the slot vector. *)
 
+val checksum : float array -> int64
+(** Order-independent XOR of the slot bit patterns — exact, so any
+    representable change to any slot changes the checksum. *)
+
+val integrity_ok : t -> bool
+(** Recompute the checksum of the current slots and compare with [chk].
+    False means an injected [Slot_corrupt] fault built this value
+    ({!corrupted}): no code writes into a ciphertext's slots. *)
+
 val max_abs : t -> float
+(** The largest [|slot|], bit for bit the [Float.max] fold from +0.0: a
+    NaN slot makes it the last NaN slot's absolute value. *)
 
 val pp : Format.formatter -> t -> unit

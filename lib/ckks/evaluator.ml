@@ -124,10 +124,10 @@ let apply_fault f op (ct : Ciphertext.t) =
   | Some (Fault.Noise_spike, mag) ->
       let err = ct.Ciphertext.err *. pow2 mag in
       let slots = jitter (Fault.rng f) ~bound:err ct.Ciphertext.slots in
-      Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:ct.size
+      Ciphertext.of_slots ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:ct.size
         ~err
   | Some (Fault.Scale_drift, mag) ->
-      Ciphertext.make ~slots:ct.Ciphertext.slots
+      Ciphertext.of_slots ~slots:ct.Ciphertext.slots
         ~scale_bits:(ct.scale_bits + int_of_float mag)
         ~level:ct.level ~size:ct.size ~err:ct.err
   | Some (Fault.Transient, _) ->
@@ -151,11 +151,7 @@ let apply_fault f op (ct : Ciphertext.t) =
            matches — that mismatch is exactly what boundary integrity
            validation uses to catch corruption too small for the noise
            monitors. *)
-        let corrupted =
-          Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level
-            ~size:ct.size ~err:(rms2 ct.err amp)
-        in
-        { corrupted with Ciphertext.chk = ct.Ciphertext.chk }
+        Ciphertext.corrupted ct ~slots ~err:(rms2 ct.err amp)
       end
 
 (* Per-op tracing: when an ambient trace is installed, record the result's
@@ -221,7 +217,7 @@ let encrypt t ?level ?scale_bits slots =
   let err = pow2 (fresh_noise_bits -. float_of_int scale_bits) in
   let slots = jitter t.rng ~bound:err slots in
   traced "encrypt" None ~charge_level:level
-    (Ciphertext.make ~slots ~scale_bits ~level ~size:2 ~err)
+    (Ciphertext.of_slots ~slots ~scale_bits ~level ~size:2 ~err)
 
 let decrypt _t (ct : Ciphertext.t) =
   if ct.size <> 2 then
@@ -265,7 +261,7 @@ let add_cc t (a : Ciphertext.t) (b : Ciphertext.t) =
   let slots = sum_slots ~what:"add_cc" a.slots b.slots in
   traced "add_cc" (Some Cost_model.Add_cc) ~charge_level:a.level
     ~noise_before:(Float.max a.err b.err)
-    (Ciphertext.make ~slots ~scale_bits:a.scale_bits ~level:a.level ~size:2
+    (Ciphertext.of_slots ~slots ~scale_bits:a.scale_bits ~level:a.level ~size:2
        ~err:(rms2 a.err b.err))
 
 let add_cp t (a : Ciphertext.t) (pt : Plaintext.t) =
@@ -277,7 +273,7 @@ let add_cp t (a : Ciphertext.t) (pt : Plaintext.t) =
       pt.scale_bits;
   let slots = sum_slots ~what:"add_cp" a.slots pt.slots in
   traced "add_cp" (Some Cost_model.Add_cp) ~charge_level:a.level ~noise_before:a.err
-    (Ciphertext.make ~slots ~scale_bits:a.scale_bits ~level:a.level ~size:2
+    (Ciphertext.of_slots ~slots ~scale_bits:a.scale_bits ~level:a.level ~size:2
        ~err:(rms2 a.err pt.err))
 
 let mul_err ~a_max ~b_max ~a_err ~b_err ~fresh =
@@ -300,7 +296,7 @@ let mul_cc t (a : Ciphertext.t) (b : Ciphertext.t) =
   let slots = product_slots t ~what:"mul_cc" ~bound:fresh a.slots b.slots in
   traced "mul_cc" (Some Cost_model.Mul_cc) ~charge_level:a.level
     ~noise_before:(Float.max a.err b.err)
-    (Ciphertext.make ~slots ~scale_bits ~level:a.level ~size:3 ~err)
+    (Ciphertext.of_slots ~slots ~scale_bits ~level:a.level ~size:3 ~err)
 
 let mul_cp t (a : Ciphertext.t) (pt : Plaintext.t) =
   t.ops <- t.ops + 1;
@@ -314,7 +310,7 @@ let mul_cp t (a : Ciphertext.t) (pt : Plaintext.t) =
   in
   let slots = product_slots t ~what:"mul_cp" ~bound:fresh a.slots pt.slots in
   traced "mul_cp" (Some Cost_model.Mul_cp) ~charge_level:a.level ~noise_before:a.err
-    (Ciphertext.make ~slots ~scale_bits ~level:a.level ~size:2 ~err)
+    (Ciphertext.of_slots ~slots ~scale_bits ~level:a.level ~size:2 ~err)
 
 let rotate t (ct : Ciphertext.t) k =
   t.ops <- t.ops + 1;
@@ -332,7 +328,7 @@ let rotate t (ct : Ciphertext.t) k =
   Array.blit ct.slots 0 slots (n - k) k;
   Prng.add_uniform t.rng ~bound:extra ~src:slots ~dst:slots;
   traced "rotate" (Some Cost_model.Rotate) ~charge_level:ct.level ~noise_before:ct.err
-    (Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
+    (Ciphertext.of_slots ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
        ~err:(rms2 ct.err extra))
 
 let relin t (ct : Ciphertext.t) =
@@ -343,7 +339,7 @@ let relin t (ct : Ciphertext.t) =
   let extra = pow2 (rotate_noise_bits -. float_of_int ct.scale_bits) in
   let slots = jitter t.rng ~bound:extra ct.slots in
   traced "relin" (Some Cost_model.Relin) ~charge_level:ct.level ~noise_before:ct.err
-    (Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
+    (Ciphertext.of_slots ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
        ~err:(rms2 ct.err extra))
 
 let rescale t (ct : Ciphertext.t) =
@@ -361,7 +357,7 @@ let rescale t (ct : Ciphertext.t) =
   let slots = jitter t.rng ~bound:extra ct.slots in
   level_transition "rescale" ~from_level:ct.level ~to_level:(ct.level - 1);
   traced "rescale" (Some Cost_model.Rescale) ~charge_level:ct.level ~noise_before:ct.err
-    (Ciphertext.make ~slots ~scale_bits ~level:(ct.level - 1) ~size:2
+    (Ciphertext.of_slots ~slots ~scale_bits ~level:(ct.level - 1) ~size:2
        ~err:(rms2 ct.err extra))
 
 let modswitch t (ct : Ciphertext.t) =
@@ -374,7 +370,7 @@ let modswitch t (ct : Ciphertext.t) =
   level_transition "modswitch" ~from_level:ct.level ~to_level:(ct.level - 1);
   traced "modswitch" (Some Cost_model.Modswitch) ~charge_level:ct.level
     ~noise_before:ct.err
-    (Ciphertext.make ~slots:(Array.copy ct.slots) ~scale_bits:ct.scale_bits
+    (Ciphertext.of_slots ~slots:(Array.copy ct.slots) ~scale_bits:ct.scale_bits
        ~level:(ct.level - 1) ~size:2 ~err:ct.err)
 
 let bootstrap t (ct : Ciphertext.t) ~target_level =
@@ -389,7 +385,7 @@ let bootstrap t (ct : Ciphertext.t) ~target_level =
   level_transition "bootstrap" ~from_level:ct.level ~to_level:target_level;
   traced "bootstrap" (Some Cost_model.Bootstrap) ~charge_level:target_level
     ~noise_before:ct.err
-    (Ciphertext.make ~slots ~scale_bits:t.prm.Params.scale_bits ~level:target_level
+    (Ciphertext.of_slots ~slots ~scale_bits:t.prm.Params.scale_bits ~level:target_level
        ~size:2 ~err:(rms2 ct.err extra))
 
 let refresh t (ct : Ciphertext.t) =
@@ -400,5 +396,5 @@ let refresh t (ct : Ciphertext.t) =
   level_transition "refresh" ~from_level:ct.level ~to_level:ct.level;
   traced "refresh" (Some Cost_model.Bootstrap) ~charge_level:ct.level
     ~noise_before:ct.err
-    (Ciphertext.make ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
+    (Ciphertext.of_slots ~slots ~scale_bits:ct.scale_bits ~level:ct.level ~size:2
        ~err:extra)

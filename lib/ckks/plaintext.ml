@@ -22,13 +22,7 @@ let encode ~scale_bits slots =
 
 let re_encode pt ~scale_bits = encode ~scale_bits pt.slots
 
-(* A loop, as [Ciphertext.max_abs]. *)
-let max_abs pt =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length pt.slots - 1 do
-    acc := Float.max !acc (Float.abs pt.slots.(i))
-  done;
-  !acc
+let max_abs pt = Slots.max_abs pt.slots
 
 let pp ppf pt =
   Format.fprintf ppf "@[<h>pt(%d slots, scale 2^%d)@]" (Array.length pt.slots)

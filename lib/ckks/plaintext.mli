@@ -18,5 +18,6 @@ val re_encode : t -> scale_bits:int -> t
     encodes the plaintext at the ciphertext's scale). *)
 
 val max_abs : t -> float
+(** As {!Ciphertext.max_abs}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -537,21 +537,54 @@ let checkout timer (g, (r : Report.t)) =
       region_of = Array.copy r.Report.region_of;
     } )
 
+(* The report fields a loaded entry serves that the graph determines: the
+   static latency, one region in [-1, region_count) per node, and
+   segments chaining region 0 to the last region in increasing
+   [(src, dst)] pairs, as the BTSMGR backtrack emits them. *)
+let report_refutation prm g (r : Report.t) =
+  let count = r.Report.region_count in
+  let latency = Fhe_ir.Latency.total prm g in
+  let rec chain from = function
+    | [] -> from = max 0 (count - 1)
+    | (src, dst) :: rest -> src = from && src < dst && dst < count && chain dst rest
+  in
+  if not (Int64.equal (Int64.bits_of_float latency) (Int64.bits_of_float r.Report.latency_ms))
+  then
+    Some
+      (Analysis.Diag.error "cache-latency" "stored latency %.17g ms, the graph's is %.17g ms"
+         r.Report.latency_ms latency)
+  else if
+    Array.length r.Report.region_of <> Fhe_ir.Dfg.node_count g
+    || Array.exists (fun x -> x < -1 || x >= count) r.Report.region_of
+  then
+    Some
+      (Analysis.Diag.error "cache-regions"
+         "region_of does not give each of the %d nodes a region in [-1, %d)"
+         (Fhe_ir.Dfg.node_count g) count)
+  else if not (chain 0 r.Report.segments) then
+    Some
+      (Analysis.Diag.error "cache-segments"
+         "segments do not chain region 0 to region %d in increasing pairs" (count - 1))
+  else None
+
 (* The first refutation of a loaded entry, if any: the pass verifier's
-   errors on the managed graph, then every stored min-cut certificate's.
-   A disk file is outside this process's control, so it is served only
-   when both re-check. *)
+   errors on the managed graph, then the report fields it determines,
+   then every stored min-cut certificate's.  A disk file is outside this
+   process's control, so it is served only when all of them re-check. *)
 let disk_refutation prm g (r : Report.t) =
   let first_error = List.find_opt (fun d -> d.Analysis.Diag.severity = Analysis.Diag.Error) in
   match first_error (Analysis.Verify.run prm g) with
   | Some _ as d -> d
-  | None ->
-      List.find_map
-        (fun (e : Report.certificate_entry) ->
-          first_error
-            (Analysis.Certify.check ~pass:e.Report.ce_pass ~region:e.Report.ce_region
-               e.Report.ce_cert))
-        r.Report.certificates
+  | None -> (
+      match report_refutation prm g r with
+      | Some _ as d -> d
+      | None ->
+          List.find_map
+            (fun (e : Report.certificate_entry) ->
+              first_error
+                (Analysis.Certify.check ~pass:e.Report.ce_pass ~region:e.Report.ce_region
+                   e.Report.ce_cert))
+            r.Report.certificates)
 
 let find t prm k =
   let timer = Obs.Timer.start () in

@@ -42,8 +42,12 @@ val find : t -> Ckks.Params.t -> string -> (Fhe_ir.Dfg.t * Report.t) option
     compile's.  In-memory hits are served as stored (this process stored
     them).  An unreadable disk file (malformed, an older schema, a
     dangling node reference) is a miss.  A readable one is served only
-    when {!Analysis.Verify.run} reports no error on its graph and
-    {!Analysis.Certify.check} none on any stored certificate; otherwise
+    when {!Analysis.Verify.run} reports no error on its graph, the
+    report fields the graph determines re-derive ([latency_ms] is
+    {!Fhe_ir.Latency.total} of it bit for bit, [region_of] gives each
+    node a region in [[-1, region_count)], [segments] chain region 0 to
+    the last region in increasing pairs), and
+    {!Analysis.Certify.check} reports none on any stored certificate; otherwise
     it counts as a miss, is logged as [plan_cache.disk_rejected], and
     the caller's recompile overwrites it. *)
 

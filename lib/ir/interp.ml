@@ -145,6 +145,8 @@ module Session = struct
     mutable cts : Ckks.Ciphertext.t Ints.t;  (* live ciphertexts *)
     mutable pts : Ckks.Plaintext.t Ints.t;  (* live plaintexts *)
     err : float array;  (* per node: noise bound of its latest ciphertext *)
+    stamp : int array;  (* per node: write stamp of its latest ciphertext *)
+    mutable writes : int;  (* the last write stamp handed out *)
     mutable pos : int;  (* position in [order] of the next node to execute *)
     mutable latency : float;
     mutable ops : int;
@@ -177,6 +179,8 @@ module Session = struct
       cts = Ints.empty;
       pts = Ints.empty;
       err = Array.make (Dfg.node_count prog.Program.g) 0.0;
+      stamp = Array.make (Dfg.node_count prog.Program.g) 0;
+      writes = 0;
       pos = 0;
       latency = 0.0;
       ops = 0;
@@ -195,6 +199,11 @@ module Session = struct
     match Ints.find_opt id s.pts with
     | Some p -> p
     | None -> invalid_arg "Interp: expected plaintext value"
+
+  let write_ct s id (c : Ckks.Ciphertext.t) =
+    s.err.(id) <- c.Ckks.Ciphertext.err;
+    s.writes <- s.writes + 1;
+    s.stamp.(id) <- s.writes
 
   let exec_raw s env id =
     let prog = s.prog in
@@ -258,7 +267,7 @@ module Session = struct
     let last_use = prog.Program.sched.Liveness.last_use in
     (match v with
     | Ct c ->
-        s.err.(id) <- c.Ckks.Ciphertext.err;
+        write_ct s id c;
         if last_use.(id) > at then s.cts <- Ints.add id c s.cts
     | Pt p -> if last_use.(id) > at then s.pts <- Ints.add id p s.pts);
     Array.iter
@@ -296,12 +305,18 @@ module Session = struct
         s.latency +. Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:c.Ckks.Ciphertext.level;
       s.ops <- s.ops + 1;
       s.cts <- Ints.add id c' s.cts;
-      s.err.(id) <- c'.Ckks.Ciphertext.err;
+      write_ct s id c';
       c'
     in
     match s.trace with Some tr -> Obs.with_trace tr go | None -> go ()
 
-  let live_cts s = Ints.bindings s.cts
+  let live_cts ?(after = 0) s =
+    List.rev
+      (Ints.fold
+         (fun id c acc -> if s.stamp.(id) > after then (id, c) :: acc else acc)
+         s.cts [])
+
+  let writes s = s.writes
 
   let snapshot s =
     let prm = s.prog.Program.prm in

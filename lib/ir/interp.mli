@@ -155,11 +155,21 @@ module Session : sig
       is then unchanged).
       @raise Missing_input when [env] lacks a named input. *)
 
-  val live_cts : t -> (int * Ckks.Ciphertext.t) list
+  val live_cts : ?after:int -> t -> (int * Ckks.Ciphertext.t) list
   (** The ciphertexts live at the current position — every executed
       ciphertext node that is an output or has a use still to execute
       ({!Liveness.live_at}) — ascending node id: the state a supervisor
-      validates at a region boundary. *)
+      validates at a region boundary.  With [~after:w], only those whose
+      write stamp exceeds [w]: the values stored since {!writes} read
+      [w].  Stamps are not restored by {!rollback}, so after one the
+      values it brought back may carry later, discarded writes' stamps;
+      read every live value ([after] 0) before trusting [~after]
+      again. *)
+
+  val writes : t -> int
+  (** The session's write stamp: 0 at {!create}, then one more for every
+      ciphertext {!exec} computes and every {!refresh}.  That write's
+      value carries the new stamp. *)
 
   val refresh : t -> int -> Ckks.Ciphertext.t
   (** Panic re-bootstrap of a live node's ciphertext in place

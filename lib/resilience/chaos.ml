@@ -133,11 +133,11 @@ let trial_budget = 3
 
 let max_abs_delta reference outputs =
   List.fold_left2
-    (fun acc (a : Ckks.Ciphertext.t) (b : Ckks.Ciphertext.t) ->
+    (fun acc a b ->
       let d = ref acc in
-      Array.iteri
-        (fun i v -> d := Float.max !d (Float.abs (v -. b.Ckks.Ciphertext.slots.(i))))
-        a.Ckks.Ciphertext.slots;
+      for i = 0 to Ckks.Ciphertext.length a - 1 do
+        d := Float.max !d (Float.abs (Ckks.Ciphertext.get a i -. Ckks.Ciphertext.get b i))
+      done;
       !d)
     0.0 reference outputs
 

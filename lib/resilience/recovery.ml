@@ -121,6 +121,14 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
   (* Bytes of the retained checkpoints, kept as a running total: the sizes
      are integer-valued floats, so adding and subtracting stays exact. *)
   let retained = ref 0.0 in
+  (* Validation mark: every live ciphertext whose write stamp
+     ({!Session.writes}) is at most [!validated] has passed all three
+     boundary validators.  A ciphertext never changes once built, and the
+     validators' verdicts depend only on its node and value, so a boundary
+     checks just the values written since the mark.  A rollback restores
+     values whose stamps the session does not restore; it clears the
+     mark, and the next boundary checks every live value again. *)
+  let validated = ref 0 in
   let pos = ref 0 in
   let instant name detail =
     match trace with
@@ -179,6 +187,7 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
         incr retries;
         let before = Session.latency_ms s in
         let resume = Session.rollback s cp in
+        validated := 0;
         let wasted = before -. Session.latency_ms s in
         incr attempts;
         let raw = config.backoff_ms *. (2.0 ** float_of_int (!attempts - 1)) in
@@ -214,7 +223,9 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
     else raise (Ckks.Evaluator.Fhe_error e)
   in
   let handle_boundary i =
-    let live = Session.live_cts s in
+    let upto = Session.writes s in
+    let live = Session.live_cts ~after:!validated s in
+    if live <> [] then Obs.incr ~by:(List.length live) "recovery.validations";
     (* Slot-integrity first: a corrupted slot far below the noise floor
        changes neither level, scale nor the bookkept noise estimate, so
        the structural and noise validators wave it through — only the
@@ -282,7 +293,10 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
         do_rollback ~why:"noise_floor"
       else begin
         (* Retries exhausted (or nothing to retry against): re-bootstrap
-           the damaged ciphertexts in place and move on. *)
+           the damaged ciphertexts in place and move on.  The refreshed
+           values take stamps past [upto], so the next boundary checks
+           them. *)
+        validated := upto;
         List.iter
           (fun (id, (ct : Ckks.Ciphertext.t)) ->
             let before = headroom ct.Ckks.Ciphertext.err in
@@ -306,7 +320,10 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
           noisy;
         if i < n then take_checkpoint i
       end
-    else if i < n then take_checkpoint i
+    else begin
+      validated := upto;
+      if i < n then take_checkpoint i
+    end
   in
   let result =
     Fun.protect

@@ -28,7 +28,12 @@
       contract, and against a noise floor; a violation (e.g. an
       undetected scale drift or a sub-floor slot corruption) triggers a
       retry, and {!Ckks.Evaluator.State_divergence} when retries are
-      exhausted.
+      exhausted.  Ciphertexts are immutable and the verdicts depend only
+      on the node and its value, so each value is validated once: a
+      boundary checks the live ciphertexts written
+      ({!Fhe_ir.Interp.Session.writes}) since the last boundary that
+      passed, and every live one after a rollback.  The profile counter
+      [recovery.validations] counts the ciphertexts checked.
     - {b Panic re-bootstrap}: a ciphertext whose observed noise headroom
       fell below the 6-bit floor at a boundary {e although the static
       noise analysis} ({!Fhe_ir.Noise_check}) {e predicted it safe} is —

@@ -324,6 +324,30 @@ let checksum_matches_fold =
         (oneof [ map Int64.float_of_bits int64; float; oneofl special ]))
     (fun slots -> Int64.equal (Ckks.Ciphertext.checksum slots) (fold_checksum slots))
 
+(* --- max_abs ----------------------------------------------------------------- *)
+
+(* The [Float.max] fold the compare loops replaced: bit for bit, a NaN
+   slot (whatever its payload or sign) and -0.0 included. *)
+let max_abs_matches_fold =
+  let special =
+    List.map Int64.float_of_bits
+      [ 0L; Int64.min_int (* -0.0 *); 0x7FF8000000000000L; 0x7FF0000000000001L;
+        0xFFF8DEADBEEF0001L; 0x7FFFFFFFFFFFFFFFL; 0x7FF0000000000000L;
+        0xFFF0000000000000L (* -inf *); 0x0000000000000001L; 0x8000000000000001L ]
+  in
+  let fold a = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 a in
+  qcheck ~count:500 "max_abs equals the Float.max fold (NaN payloads, -0.0, infinities)"
+    QCheck2.Gen.(
+      array_size (int_range 0 40)
+        (oneof [ map Int64.float_of_bits int64; float; oneofl special; oneofl special ]))
+    (fun slots ->
+      let want = Int64.bits_of_float (fold slots) in
+      let ct = Ckks.Ciphertext.make ~slots ~scale_bits:40 ~level:3 ~size:2 ~err:0.0 in
+      (* From 52 scale bits up, encoding keeps every value as it is. *)
+      let pt = Ckks.Plaintext.encode ~scale_bits:60 slots in
+      Int64.equal want (Int64.bits_of_float (Ckks.Ciphertext.max_abs ct))
+      && Int64.equal want (Int64.bits_of_float (Ckks.Plaintext.max_abs pt)))
+
 (* --- PRNG streams, pinned ---------------------------------------------------- *)
 
 (* SplitMix64 outputs recorded before the state moved from a mutable
@@ -395,7 +419,7 @@ let kernels_match_scalar_reference =
       let rot scale = pow2 (Ckks.Evaluator.rotate_noise_bits -. float_of_int scale) in
       let boot = pow2 (-.Ckks.Evaluator.bootstrap_precision_bits) in
       let same what expected (ct : Ckks.Ciphertext.t) =
-        if slot_bits expected <> slot_bits ct.Ckks.Ciphertext.slots then
+        if slot_bits expected <> slot_bits (Ckks.Ciphertext.to_array ct) then
           QCheck2.Test.fail_reportf "%s: slots differ from the reference (n = %d)" what n;
         ct
       in
@@ -406,7 +430,7 @@ let kernels_match_scalar_reference =
       let sum u v = Array.mapi (fun i ui -> ui +. v.(i)) u in
       let prod u v = Array.mapi (fun i ui -> ui *. v.(i)) u in
       let open Ckks.Ciphertext in
-      ignore (same "add_cc" (sum a.slots b.slots) (Ckks.Evaluator.add_cc e a b));
+      ignore (same "add_cc" (sum (to_array a) (to_array b)) (Ckks.Evaluator.add_cc e a b));
       let pt = Ckks.Evaluator.encode e y in
       let quantised =
         let bits = pt.Ckks.Plaintext.scale_bits in
@@ -416,40 +440,40 @@ let kernels_match_scalar_reference =
       if slot_bits quantised <> slot_bits pt.Ckks.Plaintext.slots then
         QCheck2.Test.fail_reportf "encode: slots differ from the reference (n = %d)" n;
       ignore
-        (same "add_cp" (sum a.slots pt.Ckks.Plaintext.slots) (Ckks.Evaluator.add_cp e a pt));
+        (same "add_cp" (sum (to_array a) pt.Ckks.Plaintext.slots) (Ckks.Evaluator.add_cp e a pt));
       let m =
         same "mul_cc"
-          (ref_jitter twin ~bound:(fresh (2 * s)) (prod a.slots b.slots))
+          (ref_jitter twin ~bound:(fresh (2 * s)) (prod (to_array a) (to_array b)))
           (Ckks.Evaluator.mul_cc e a b)
       in
       ignore
         (same "mul_cp"
            (ref_jitter twin ~bound:(fresh (s + pt.Ckks.Plaintext.scale_bits))
-              (prod a.slots pt.Ckks.Plaintext.slots))
+              (prod (to_array a) pt.Ckks.Plaintext.slots))
            (Ckks.Evaluator.mul_cp e a pt));
       let r =
         same "relin"
-          (ref_jitter twin ~bound:(rot m.scale_bits) m.slots)
+          (ref_jitter twin ~bound:(rot m.scale_bits) (to_array m))
           (Ckks.Evaluator.relin e m)
       in
       let q = prm.Ckks.Params.scale_bits in
       ignore
         (same "rescale"
-           (ref_jitter twin ~bound:(fresh (r.scale_bits - q)) r.slots)
+           (ref_jitter twin ~bound:(fresh (r.scale_bits - q)) (to_array r))
            (Ckks.Evaluator.rescale e r));
       List.iter
         (fun k ->
           ignore
             (same (Printf.sprintf "rotate %d" k)
-               (ref_jitter twin ~bound:(rot a.scale_bits) (ref_rotate a.slots k))
+               (ref_jitter twin ~bound:(rot a.scale_bits) (ref_rotate (to_array a) k))
                (Ckks.Evaluator.rotate e a k)))
         [ 0; n; -1; n + 3; k_random ];
-      ignore (same "modswitch" a.slots (Ckks.Evaluator.modswitch e a));
+      ignore (same "modswitch" (to_array a) (Ckks.Evaluator.modswitch e a));
       ignore
-        (same "bootstrap" (ref_jitter twin ~bound:boot a.slots)
+        (same "bootstrap" (ref_jitter twin ~bound:boot (to_array a))
            (Ckks.Evaluator.bootstrap e a ~target_level:8));
       ignore
-        (same "refresh" (ref_jitter twin ~bound:boot a.slots) (Ckks.Evaluator.refresh e a));
+        (same "refresh" (ref_jitter twin ~bound:boot (to_array a)) (Ckks.Evaluator.refresh e a));
       (* Fault paths: the injector draws its firing decision, then its
          effect, from its own stream; the evaluator's stream still makes
          one draw per slot for the op underneath. *)
@@ -470,14 +494,14 @@ let kernels_match_scalar_reference =
       let spiked =
         under_fault Ckks.Fault.Noise_spike ~mag:20.0 (fun () -> Ckks.Evaluator.relin e m)
       in
-      let base = ref_jitter twin ~bound:(rot m.scale_bits) m.slots in
+      let base = ref_jitter twin ~bound:(rot m.scale_bits) (to_array m) in
       ignore (same "noise spike" (ref_jitter fr ~bound:spiked.err base) spiked);
       let fr = Ckks.Prng.create fault_seed in
       ignore (Ckks.Prng.float fr);
       let corrupted =
         under_fault Ckks.Fault.Slot_corrupt ~mag:(-3.0) (fun () -> Ckks.Evaluator.relin e m)
       in
-      let expected = ref_jitter twin ~bound:(rot m.scale_bits) m.slots in
+      let expected = ref_jitter twin ~bound:(rot m.scale_bits) (to_array m) in
       let i = Ckks.Prng.int fr ~bound:n in
       let amp = pow2 (-3.0) in
       let delta = Ckks.Prng.uniform fr ~lo:(amp /. 2.0) ~hi:amp in
@@ -550,6 +574,7 @@ let suite =
     eval_mul_accuracy;
     case "ciphertext: checksum allocates nothing per slot" checksum_allocates_nothing;
     checksum_matches_fold;
+    max_abs_matches_fold;
     case "prng: streams pinned" prng_streams_are_pinned;
     kernels_match_scalar_reference;
     case "evaluator: kernels allocate nothing per slot" kernels_allocate_nothing_per_slot;

@@ -308,6 +308,63 @@ let unreadable_disk_entry_recompiles () =
       checki "not a disk hit" 0 s.Resbm.Plan_cache.disk_hits;
       checkb "the cold plan, bit for bit" true (fingerprint served = fingerprint cold))
 
+(* A disk entry's report fields are re-derived on load: a forged latency,
+   a segment list that does not chain the regions, or a region past the
+   partition makes the next cached compile a miss that logs the broken
+   rule and recompiles tiny's cold plan. *)
+let forged_report_fields_recompile () =
+  let mgr = Resbm.Variants.resbm in
+  let g () = lowered Nn.Model.tiny in
+  let open Obs.Json in
+  let forge_and_reload name f expected_rule =
+    with_temp_dir (fun dir ->
+        let cold =
+          Resbm.Variants.compile ~cache:(Resbm.Plan_cache.create ~dir ()) mgr prm (g ())
+        in
+        ignore (forge_entry (only_entry dir) f);
+        let cache = Resbm.Plan_cache.create ~dir () in
+        let sink = Obs.Log.create () in
+        let served = Obs.with_log sink (fun () -> Resbm.Variants.compile ~cache mgr prm (g ())) in
+        let s = Resbm.Plan_cache.stats cache in
+        checki (name ^ ": counted as a miss") 1 s.Resbm.Plan_cache.misses;
+        checki (name ^ ": not a disk hit") 0 s.Resbm.Plan_cache.disk_hits;
+        checkb (name ^ ": rejection names the rule") true
+          (List.exists
+             (fun r ->
+               r.Obs.Log.event = "plan_cache.disk_rejected"
+               && List.assoc_opt "rule" r.Obs.Log.fields = Some (String expected_rule))
+             (Obs.Log.records sink));
+        checkb (name ^ ": the cold plan, bit for bit") true (fingerprint served = fingerprint cold))
+  in
+  let segments = field "segments" (fun _ -> List [ List [ Int 0; Int 1 ] ]) in
+  forge_and_reload "latency 1.0 and segments [[0,1]]"
+    (fun j -> segments (field "latency_ms" (fun _ -> Float 1.0) j))
+    "cache-latency";
+  forge_and_reload "segments [[0,1]]" segments "cache-segments";
+  forge_and_reload "a region past the partition"
+    (fun j ->
+      let count = match member "region_count" j with Some (Int c) -> c | _ -> 0 in
+      field "region_of" (first (fun _ -> true) (fun _ -> Int count)) j)
+    "cache-regions"
+
+(* Every manager's genuine entries pass the re-derivation and load as
+   disk hits. *)
+let genuine_entries_reload () =
+  with_temp_dir (fun dir ->
+      let models = [ Nn.Model.tiny; Nn.Model.resnet20 ] in
+      let compile_all cache =
+        List.iter
+          (fun mgr ->
+            List.iter (fun m -> ignore (Resbm.Variants.compile ~cache mgr prm (lowered m))) models)
+          Resbm.Variants.all
+      in
+      compile_all (Resbm.Plan_cache.create ~dir ());
+      let cache = Resbm.Plan_cache.create ~dir () in
+      compile_all cache;
+      checki "every entry served from disk"
+        (List.length Resbm.Variants.all * List.length models)
+        (Resbm.Plan_cache.stats cache).Resbm.Plan_cache.disk_hits)
+
 let lru_eviction_is_bounded () =
   let cache = Resbm.Plan_cache.create ~capacity:2 () in
   let mgr = Resbm.Variants.resbm in
@@ -335,4 +392,6 @@ let suite =
     case "lru eviction respects capacity" lru_eviction_is_bounded;
     case "a refuted disk entry is recompiled" refuted_disk_entry_recompiles;
     case "an unreadable disk entry is recompiled" unreadable_disk_entry_recompiles;
+    case "forged report fields are recompiled" forged_report_fields_recompile;
+    case "genuine entries of every manager reload" genuine_entries_reload;
   ]

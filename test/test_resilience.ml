@@ -182,7 +182,7 @@ let injector_is_deterministic () =
           (i.Ckks.Fault.index, i.Ckks.Fault.inj_op, i.Ckks.Fault.inj_node,
            Ckks.Fault.kind_name i.Ckks.Fault.inj_kind))
         (Ckks.Fault.injections inj),
-      List.map (fun (c : Ckks.Ciphertext.t) -> c.Ckks.Ciphertext.slots) result.Interp.outputs )
+      List.map Ckks.Ciphertext.to_array result.Interp.outputs )
   in
   let log1, out1 = campaign () in
   let log2, out2 = campaign () in
@@ -281,8 +281,8 @@ let max_delta (a : Ckks.Ciphertext.t list) (b : Ckks.Ciphertext.t list) =
     (fun acc (x : Ckks.Ciphertext.t) (y : Ckks.Ciphertext.t) ->
       Array.fold_left Float.max acc
         (Array.mapi
-           (fun i v -> Float.abs (v -. y.Ckks.Ciphertext.slots.(i)))
-           x.Ckks.Ciphertext.slots))
+           (fun i v -> Float.abs (v -. Ckks.Ciphertext.get y i))
+           (Ckks.Ciphertext.to_array x)))
     0.0 a b
 
 let recovery_survives_transient () =
@@ -579,7 +579,7 @@ let recovery_faultoff_identity =
           && r1.Interp.op_count = r2.Interp.op_count
           && List.for_all2
                (fun (a : Ckks.Ciphertext.t) (b : Ckks.Ciphertext.t) ->
-                 a.Ckks.Ciphertext.slots = b.Ckks.Ciphertext.slots
+                 Ckks.Ciphertext.to_array a = Ckks.Ciphertext.to_array b
                  && a.Ckks.Ciphertext.err = b.Ckks.Ciphertext.err
                  && a.Ckks.Ciphertext.level = b.Ckks.Ciphertext.level
                  && a.Ckks.Ciphertext.scale_bits = b.Ckks.Ciphertext.scale_bits)
@@ -942,6 +942,231 @@ let recovery_resnet20_is_pinned () =
   check Alcotest.string "output slot digest" "8612a4f4fa2fcb5e2a1be61b2a1a6160"
     (slots_digest result.Interp.outputs)
 
+(* --- validate once: against the every-boundary oracle -------------------- *)
+
+(* A model as a chaos campaign runs it: l_max 9, one 32-slot image, the
+   sharp static noise prediction, one prepared program. *)
+let chaos_setup name =
+  let lowered = Nn.Lowering.lower (Option.get (Nn.Model.by_name name)) in
+  let p = Ckks.Params.at_l_max 9 in
+  let managed, report = Resbm.Driver.compile_robust p lowered.Nn.Lowering.dfg in
+  let program =
+    Interp.Program.make ~region_of:(Resbm.Report.region_of_node report) p managed
+  in
+  let consts = Nn.Lowering.resolver lowered ~dim:32 in
+  let env =
+    {
+      Interp.inputs =
+        [
+          ( lowered.Nn.Lowering.input_name,
+            (Nn.Dataset.images ~seed:0xC4A05L ~dim:32 ~count:1 ()).(0) );
+        ];
+      consts;
+    }
+  in
+  let noise =
+    Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts) p managed
+  in
+  (p, program, env, noise)
+
+let tiny_setup = lazy (chaos_setup "tiny")
+let lenet5_setup = lazy (chaos_setup "lenet5")
+
+type supervised =
+  | Finished of Interp.result * Resilience.Recovery.stats
+  | Raised of Ckks.Evaluator.error
+
+(* One supervised run under a fresh injector for [plan]: [run_program],
+   or the oracle when [oracle]. *)
+let supervise ?config ~oracle (p, program, env, noise) plan =
+  Ckks.Fault.with_faults (Ckks.Fault.create plan) (fun () ->
+      let ev = Ckks.Evaluator.create ~seed:0x5E1L p in
+      match
+        if oracle then
+          let r, s, _ = recovery_oracle ?config ~noise program ev env in
+          (r, s)
+        else Resilience.Recovery.run_program ?config ~noise program ev env
+      with
+      | r, s -> Finished (r, s)
+      | exception Ckks.Evaluator.Fhe_error e -> Raised e)
+
+let output_bits (r : Interp.result) =
+  List.map
+    (fun c -> Array.map Int64.bits_of_float (Ckks.Ciphertext.to_array c))
+    r.Interp.outputs
+
+(* [run_program] and the oracle agree: output slots bit for bit, latency
+   and op count, every stats field, or the raised error.  Returns
+   [run_program]'s outcome. *)
+let agrees_with_oracle ?config setup plan =
+  let got = supervise ?config ~oracle:false setup plan in
+  let want = supervise ?config ~oracle:true setup plan in
+  let same =
+    match (got, want) with
+    | Finished (r1, s1), Finished (r2, s2) ->
+        output_bits r1 = output_bits r2
+        && Int64.equal
+             (Int64.bits_of_float r1.Interp.latency_ms)
+             (Int64.bits_of_float r2.Interp.latency_ms)
+        && r1.Interp.op_count = r2.Interp.op_count
+        && compare s1 s2 = 0
+    | Raised e1, Raised e2 -> compare e1 e2 = 0
+    | _ -> false
+  in
+  (same, got)
+
+let no_retries_config = { Resilience.Recovery.default with Resilience.Recovery.max_attempts = 0 }
+
+let trial ~model ~seed ~rate ~no_retries =
+  let setup = Lazy.force (if model then lenet5_setup else tiny_setup) in
+  let plan =
+    Resilience.Chaos.trial_plan (Ckks.Prng.create (Int64.of_int seed)) ~rate ~budget:3
+      ~no_retries ~targets:[]
+  in
+  let config = if no_retries then Some no_retries_config else None in
+  agrees_with_oracle ?config setup plan
+
+let validate_once_matches_oracle =
+  qcheck ~count:40 "validate-once recovery = the every-boundary oracle"
+    QCheck2.Gen.(
+      quad bool (int_bound 1_000_000) (oneofl [ 0.02; 0.05; 0.1; 0.3 ]) bool)
+    (fun (model, seed, rate, no_retries) -> fst (trial ~model ~seed ~rate ~no_retries))
+
+(* The same comparison on fixed seeds, which reach every boundary
+   outcome: a rollback, a panic refresh and a raised error. *)
+let validate_once_oracle_sweep () =
+  let retries = ref 0 and refreshes = ref 0 and raised = ref 0 in
+  for seed = 0 to 23 do
+    List.iter
+      (fun model ->
+        let no_retries = seed mod 3 = 0 in
+        let same, got = trial ~model ~seed ~rate:0.3 ~no_retries in
+        checkb (Printf.sprintf "seed %d agrees with the oracle" seed) true same;
+        match got with
+        | Finished (_, s) ->
+            retries := !retries + s.Resilience.Recovery.retries;
+            refreshes := !refreshes + s.Resilience.Recovery.panic_refreshes
+        | Raised _ -> incr raised)
+      [ false; true ]
+  done;
+  checkb "some run rolled back" true (!retries > 0);
+  checkb "some run panic-refreshed" true (!refreshes > 0);
+  checkb "some run raised" true (!raised > 0)
+
+(* The first ciphertext node live across at least three boundaries with
+   a checkpoint, with its position and the boundary positions. *)
+let long_lived program =
+  let sched = Interp.Program.schedule program in
+  let order = sched.Liveness.order and g = Interp.Program.graph program in
+  let n = Array.length order in
+  let bounds = List.filter (Interp.Program.boundary program) (List.init n Fun.id) in
+  let spans id =
+    let at = sched.Liveness.order_index.(id) in
+    List.filter (fun b -> b > at && Liveness.live_at sched ~at:b id) bounds
+  in
+  let id =
+    Array.to_list order
+    |> List.find (fun id ->
+           Op.produces_ct (Dfg.node g id).Dfg.kind && List.length (spans id) >= 3)
+  in
+  (id, sched.Liveness.order_index.(id), bounds)
+
+let rule = Ckks.Fault.rule
+
+(* A corrupted slot far below the noise floor on a value that stays live
+   across several boundaries is caught at the first of them: the one
+   rollback re-executes exactly the span from the checkpoint before the
+   corruption to the next boundary. *)
+let validate_once_catches_corruption_first () =
+  let ((_, program, _, _) as setup) = Lazy.force lenet5_setup in
+  let id, at, bounds = long_lived program in
+  let cp = List.fold_left (fun acc b -> if b <= at then b else acc) 0 bounds in
+  let first = List.find (fun b -> b > at) bounds in
+  let plan =
+    { Ckks.Fault.seed = 5L; budget = 1; rules = [ rule ~nodes:[ id ] Ckks.Fault.Slot_corrupt ~prob:1.0 ~mag:(-30.0) ] }
+  in
+  let same, got = agrees_with_oracle setup plan in
+  checkb "agrees with the oracle" true same;
+  match got with
+  | Finished (_, s) ->
+      checki "one rollback" 1 s.Resilience.Recovery.retries;
+      let wasted =
+        Interp.Program.prefix_ms program first -. Interp.Program.prefix_ms program cp
+      in
+      check_float ~eps:1e-6 "re-executed from the checkpoint to the first boundary"
+        (wasted +. Resilience.Recovery.default.Resilience.Recovery.backoff_ms)
+        (List.assoc "slot_corrupt"
+           s.Resilience.Recovery.recovery.Resilience.Recovery.recovery_ms_by_kind)
+  | _ -> Alcotest.fail "the run raised"
+
+(* A panic refresh whose result is corrupted makes a new value: the next
+   boundary checks it and, with retries off, raises on its node. *)
+let validate_once_checks_refreshed_values () =
+  let ((_, program, _, _) as setup) = Lazy.force lenet5_setup in
+  let id, _, _ = long_lived program in
+  let plan =
+    {
+      Ckks.Fault.seed = 5L;
+      budget = 2;
+      rules =
+        [
+          rule ~ops:[ "refresh" ] ~nodes:[ id ] Ckks.Fault.Slot_corrupt ~prob:1.0 ~mag:(-30.0);
+          rule ~nodes:[ id ] Ckks.Fault.Noise_spike ~prob:1.0 ~mag:30.0;
+        ];
+    }
+  in
+  let same, got = agrees_with_oracle ~config:no_retries_config setup plan in
+  checkb "agrees with the oracle" true same;
+  match got with
+  | Raised e ->
+      check Alcotest.string "cause" "state_divergence"
+        (Ckks.Evaluator.cause_name e.Ckks.Evaluator.cause);
+      checki "on the refreshed node" id e.Ckks.Evaluator.node;
+      let msg = e.Ckks.Evaluator.message in
+      checkb "by the slot checksum" true
+        (String.starts_with ~prefix:(Printf.sprintf "recovery: node %d failed slot-integrity" id)
+           msg)
+  | Finished _ -> Alcotest.fail "the corrupted refresh went unchecked"
+
+(* Values a rollback restores are validated again: a transient fault at
+   the first node after a checkpoint rolls back to it, and the next
+   boundary validates every live value, not only those the replay wrote.
+   [recovery.validations] counts exactly the restored values on top of
+   the fault-free run's. *)
+let validate_once_revalidates_after_rollback () =
+  let ((_, program, _, _) as setup) = Lazy.force lenet5_setup in
+  let sched = Interp.Program.schedule program and g = Interp.Program.graph program in
+  let order = sched.Liveness.order in
+  let n = Array.length order in
+  let is_ct id = Op.produces_ct (Dfg.node g id).Dfg.kind in
+  let at =
+    List.find
+      (fun b -> Interp.Program.boundary program b && is_ct order.(b))
+      (List.init (n - 1) (fun i -> i + 1))
+  in
+  let next = List.find (Interp.Program.boundary program) (List.init (n - at) (fun i -> at + 1 + i)) in
+  let restored =
+    Array.to_list order
+    |> List.filter (fun id ->
+           is_ct id && sched.Liveness.order_index.(id) < at && Liveness.live_at sched ~at:next id)
+    |> List.length
+  in
+  checkb "values restored by the rollback are live at the next boundary" true (restored > 0);
+  let counted plan =
+    let prof = Obs.Profile.create () in
+    let got = Obs.with_profile prof (fun () -> supervise ~oracle:false setup plan) in
+    (got, Obs.Profile.counter prof "recovery.validations")
+  in
+  let plan rules = { Ckks.Fault.seed = 5L; budget = 1; rules } in
+  let _, clean = counted (plan []) in
+  let transient = plan [ rule ~nodes:[ order.(at) ] Ckks.Fault.Transient ~prob:1.0 ~mag:0.0 ] in
+  let got, faulted = counted transient in
+  (match got with
+  | Finished (_, s) -> checki "one rollback" 1 s.Resilience.Recovery.retries
+  | Raised _ -> Alcotest.fail "the run raised");
+  checki "restored values validated again" restored (faulted - clean);
+  checkb "agrees with the oracle" true (fst (agrees_with_oracle setup transient))
+
 let suite =
   [
     case "structured errors: every Table 1 constraint path" constraint_fixtures;
@@ -984,4 +1209,12 @@ let suite =
       finite_fuel_degrades_reproducibly;
     case "recovery under a seeded injector is pinned (ResNet-20)"
       recovery_resnet20_is_pinned;
+    validate_once_matches_oracle;
+    case "validate-once recovery = the oracle on fixed seeds" validate_once_oracle_sweep;
+    case "validate once: corruption caught at the first boundary"
+      validate_once_catches_corruption_first;
+    case "validate once: a corrupted panic refresh is caught next boundary"
+      validate_once_checks_refreshed_values;
+    case "validate once: values restored by a rollback are validated again"
+      validate_once_revalidates_after_rollback;
   ]

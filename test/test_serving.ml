@@ -181,14 +181,11 @@ let one_program_per_campaign () =
 
 (* --- slot-level pin of a served batch ------------------------------------ *)
 
-(* One packed batch as the scheduler dispatches it, slot for slot: eight
-   ResNet-20 requests of 16 slots each in one ciphertext, the campaign's
-   sharp noise prediction, and a fault plan drawn from the scheduler's
-   mix ({!Resilience.Chaos.trial_plan} at rate 0.05, budget 2), run on a
-   prepared program.  The digest was taken before serving shared one
-   program per campaign, with [Recovery.run] on the same inputs; the
-   one-off [Recovery.run] must still give the same bits. *)
-let served_batch_is_pinned () =
+(* One packed batch as the scheduler dispatches it: eight ResNet-20
+   requests of 16 slots each in one 128-slot ciphertext, the campaign's
+   sharp noise prediction and a prepared program.  Returns (params,
+   managed graph, region attribution, environment, noise, program). *)
+let served_batch () =
   let l_max = 16 and dim = 16 in
   let prm16 = Ckks.Params.at_l_max l_max in
   let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
@@ -214,6 +211,16 @@ let served_batch_is_pinned () =
     Fhe_ir.Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts) prm16
       managed
   in
+  let program = Fhe_ir.Interp.Program.make ~region_of prm16 managed in
+  (prm16, managed, region_of, env, noise, program)
+
+(* The served batch slot for slot, under a fault plan drawn from the
+   scheduler's mix ({!Resilience.Chaos.trial_plan} at rate 0.05, budget
+   2).  The digest was taken before serving shared one program per
+   campaign, with [Recovery.run] on the same inputs; the one-off
+   [Recovery.run] must still give the same bits. *)
+let served_batch_is_pinned () =
+  let prm16, managed, region_of, env, noise, program = served_batch () in
   let plan =
     Resilience.Chaos.trial_plan (Ckks.Prng.create 1L) ~rate:0.05 ~budget:2 ~no_retries:false
       ~targets:[]
@@ -222,7 +229,6 @@ let served_batch_is_pinned () =
     Ckks.Fault.with_faults (Ckks.Fault.create plan) (fun () ->
         run (Ckks.Evaluator.create ~seed:0x5E1L prm16))
   in
-  let program = Fhe_ir.Interp.Program.make ~region_of prm16 managed in
   let result, stats =
     supervised (fun ev -> Resilience.Recovery.run_program ~noise program ev env)
   in
@@ -238,6 +244,29 @@ let served_batch_is_pinned () =
   checki "one-off run: same retries" 2 stats'.Resilience.Recovery.retries;
   check Alcotest.string "one-off run: same bits" (slots_digest result.Fhe_ir.Interp.outputs)
     (slots_digest one_off.Fhe_ir.Interp.outputs)
+
+(* Recovery validates each value once: on the fault-free served batch,
+   [recovery.validations] counts the 1313 values the boundaries see new.
+   Validating every live ciphertext at every boundary, as recovery did
+   before and the oracle still does, makes 4932 checks for the same
+   output bits and stats. *)
+let served_batch_validates_each_value_once () =
+  let prm16, _, _, env, noise, program = served_batch () in
+  let prof = Obs.Profile.create () in
+  let result, stats =
+    Obs.with_profile prof (fun () ->
+        Resilience.Recovery.run_program ~noise program
+          (Ckks.Evaluator.create ~seed:0x5E1L prm16)
+          env)
+  in
+  checki "validations" 1313 (Obs.Profile.counter prof "recovery.validations");
+  let all_result, all_stats, all =
+    recovery_oracle ~noise program (Ckks.Evaluator.create ~seed:0x5E1L prm16) env
+  in
+  checki "every live value at every boundary" 4932 all;
+  check Alcotest.string "same output bits" (slots_digest all_result.Fhe_ir.Interp.outputs)
+    (slots_digest result.Fhe_ir.Interp.outputs);
+  checkb "same stats" true (compare stats all_stats = 0)
 
 (* --- batch pricing ------------------------------------------------------ *)
 
@@ -545,6 +574,7 @@ let suite =
       resnet20_chaos_report_is_pinned;
     case "one program per serving campaign and per chaos model" one_program_per_campaign;
     case "served ResNet-20 batch: output slots pinned" served_batch_is_pinned;
+    case "served ResNet-20 batch: each value validated once" served_batch_validates_each_value_once;
     case "static batch price equals the run latency, bit for bit"
       static_batch_price_is_bit_exact;
     conservation_under_random_load;

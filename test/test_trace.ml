@@ -180,8 +180,8 @@ let interp_trace_off_identical () =
       check_float "same output noise (PRNG untouched by tracing)" a.Ckks.Ciphertext.err
         b.Ckks.Ciphertext.err;
       Array.iteri
-        (fun i v -> check_float "same output slots" v b.Ckks.Ciphertext.slots.(i))
-        a.Ckks.Ciphertext.slots)
+        (fun i v -> check_float "same output slots" v (Ckks.Ciphertext.get b i))
+        (Ckks.Ciphertext.to_array a))
     plain.Interp.outputs traced.Interp.outputs
 
 let interp_illegal_leaves_instant () =

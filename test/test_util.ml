@@ -232,7 +232,7 @@ let slots_digest (cts : Ckks.Ciphertext.t list) =
     (fun (c : Ckks.Ciphertext.t) ->
       Array.iter
         (fun v -> Buffer.add_string b (Printf.sprintf "%016Lx" (Int64.bits_of_float v)))
-        c.Ckks.Ciphertext.slots)
+        (Ckks.Ciphertext.to_array c))
     cts;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
@@ -240,7 +240,7 @@ let slots_digest (cts : Ckks.Ciphertext.t list) =
    pins a run only when its outputs are finite. *)
 let slots_finite (cts : Ckks.Ciphertext.t list) =
   List.for_all
-    (fun (c : Ckks.Ciphertext.t) -> Array.for_all Float.is_finite c.Ckks.Ciphertext.slots)
+    (fun c -> Array.for_all Float.is_finite (Ckks.Ciphertext.to_array c))
     cts
 
 (* ResNet-20 compiled by the resbm manager at l_max 16 with a [dim]-slot
@@ -267,3 +267,193 @@ let resnet20_env ~dim =
     if id >= 0 && id < Array.length attr then attr.(id) else -1
   in
   (prm, managed, env, region_of)
+
+(* --- Recovery oracle ------------------------------------------------------ *)
+
+(* [Resilience.Recovery.run_program] as it stood before recovery validated
+   each value once: every boundary runs the three validators on every
+   live ciphertext.  The trace instants and log records are left out;
+   everything that feeds the result, the stats or a raised error is
+   kept.  Also returns the number of ciphertext validations. *)
+let recovery_oracle ?(config = Resilience.Recovery.default) ~noise prog ev env =
+  let module R = Resilience.Recovery in
+  let module P = Fhe_ir.Interp.Program in
+  let module S = Fhe_ir.Interp.Session in
+  let injected_now () =
+    match Ckks.Fault.current () with None -> 0 | Some f -> Ckks.Fault.injected f
+  in
+  let blame ~mark ~fallback =
+    match Ckks.Fault.current () with
+    | None -> fallback
+    | Some f -> (
+        match
+          List.rev
+            (List.filter (fun i -> i.Ckks.Fault.index >= mark) (Ckks.Fault.injections f))
+        with
+        | i :: _ -> Ckks.Fault.kind_name i.Ckks.Fault.inj_kind
+        | [] -> fallback)
+  in
+  let headroom = Obs.Trace.headroom_bits in
+  let s = S.create prog ev in
+  let order = P.order prog in
+  let n = Array.length order in
+  let info = P.info prog in
+  let predicted = noise.Fhe_ir.Noise_check.per_node in
+  let budget =
+    match config.R.checkpoint_budget_bytes with
+    | Some b -> b
+    | None -> Float.max (2.0 *. P.peak_bytes prog) 1.0
+  in
+  let retries = ref 0 and refreshes = ref 0 and validations = ref 0 in
+  let n_checkpoints = ref 0 and evictions = ref 0 in
+  let bytes_peak = ref 0.0 and backoff_total = ref 0.0 and capped = ref 0 in
+  let charges = ref [] in
+  let start_mark = injected_now () in
+  let fault_mark = ref start_mark and attempts = ref 0 in
+  let checkpoints = ref [] and retained = ref 0.0 and pos = ref 0 in
+  let take_checkpoint i =
+    (match !checkpoints with
+    | cp :: _ when S.snapshot_at cp = i -> ()
+    | _ ->
+        let cp = S.snapshot s in
+        checkpoints := cp :: !checkpoints;
+        incr n_checkpoints;
+        retained := !retained +. S.snapshot_bytes cp;
+        bytes_peak := Float.max !bytes_peak !retained;
+        let rec evict_to_budget lst =
+          if !retained <= budget then lst
+          else
+            match lst with
+            | [] | [ _ ] -> lst
+            | newest :: rest ->
+                let arr = Array.of_list rest in
+                let m = Array.length arr in
+                let best = ref 0 and best_value = ref infinity in
+                for j = 0 to m - 1 do
+                  let p = S.snapshot_at arr.(j) in
+                  let q = if j + 1 < m then S.snapshot_at arr.(j + 1) else 0 in
+                  let value = P.prefix_ms prog p -. P.prefix_ms prog q in
+                  if value <= !best_value then begin
+                    best := j;
+                    best_value := value
+                  end
+                done;
+                incr evictions;
+                retained := !retained -. S.snapshot_bytes arr.(!best);
+                evict_to_budget (newest :: List.filteri (fun j _ -> j <> !best) rest)
+        in
+        checkpoints := evict_to_budget !checkpoints);
+    attempts := 0;
+    fault_mark := injected_now ()
+  in
+  let do_rollback ~why =
+    let cp = List.hd !checkpoints in
+    let kind = blame ~mark:!fault_mark ~fallback:why in
+    incr retries;
+    let before = S.latency_ms s in
+    let resume = S.rollback s cp in
+    let wasted = before -. S.latency_ms s in
+    incr attempts;
+    let raw = config.R.backoff_ms *. (2.0 ** float_of_int (!attempts - 1)) in
+    let delay = Float.min raw config.R.max_backoff_ms in
+    if delay < raw then incr capped;
+    S.charge_ms s delay;
+    backoff_total := !backoff_total +. delay;
+    charges := (kind, delay) :: (kind, wasted) :: !charges;
+    fault_mark := injected_now ();
+    pos := resume
+  in
+  let handle_exec_error e =
+    let retryable = Ckks.Evaluator.transient e || injected_now () > !fault_mark in
+    if retryable && !attempts < config.R.max_attempts then
+      do_rollback ~why:(Ckks.Evaluator.cause_name e.Ckks.Evaluator.cause)
+    else raise (Ckks.Evaluator.Fhe_error e)
+  in
+  let diverged ~id (ct : Ckks.Ciphertext.t) message =
+    Ckks.Evaluator.raise_error
+      (Ckks.Evaluator.error ~node:id ~level:ct.Ckks.Ciphertext.level
+         ~scale_bits:ct.Ckks.Ciphertext.scale_bits ~noise:ct.Ckks.Ciphertext.err
+         Ckks.Evaluator.State_divergence ~op:"recovery" message)
+  in
+  let handle_boundary i =
+    let live = S.live_cts s in
+    validations := !validations + List.length live;
+    let corrupt = List.filter (fun (_, ct) -> not (Ckks.Ciphertext.integrity_ok ct)) live in
+    let structural =
+      List.filter
+        (fun (id, (ct : Ckks.Ciphertext.t)) ->
+          info.(id).Scale_check.is_ct
+          && (ct.Ckks.Ciphertext.level <> info.(id).Scale_check.level
+             || ct.Ckks.Ciphertext.scale_bits <> info.(id).Scale_check.scale_bits))
+        live
+    in
+    let noisy =
+      List.filter
+        (fun (id, (ct : Ckks.Ciphertext.t)) ->
+          id < Array.length predicted
+          &&
+          let actual = headroom ct.Ckks.Ciphertext.err in
+          let pred = headroom predicted.(id).Fhe_ir.Noise_check.noise in
+          (actual < 6.0 && pred >= 6.0) || pred -. actual > 12.0)
+        live
+    in
+    let retry = injected_now () > !fault_mark && !attempts < config.R.max_attempts in
+    match (corrupt, structural, noisy) with
+    | (id, ct) :: _, _, _ ->
+        if retry then do_rollback ~why:"slot_integrity"
+        else
+          diverged ~id ct
+            (Printf.sprintf
+               "recovery: node %d failed slot-integrity validation (checksum mismatch) \
+                beyond repair"
+               id)
+    | [], (id, ct) :: _, _ ->
+        if retry then do_rollback ~why:"state_divergence"
+        else
+          diverged ~id ct
+            (Printf.sprintf
+               "recovery: node %d diverged from the plan (level %d scale %d, expected \
+                level %d scale %d) beyond repair"
+               id ct.Ckks.Ciphertext.level ct.Ckks.Ciphertext.scale_bits
+               info.(id).Scale_check.level info.(id).Scale_check.scale_bits)
+    | [], [], _ :: _ when retry -> do_rollback ~why:"noise_floor"
+    | [], [], noisy ->
+        List.iter
+          (fun (id, _) ->
+            ignore (S.refresh s id);
+            incr refreshes)
+          noisy;
+        if i < n then take_checkpoint i
+  in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> S.clear_ctx s)
+      (fun () ->
+        take_checkpoint 0;
+        while !pos < n do
+          let i = !pos in
+          (match S.exec s env order.(i) with
+          | () -> pos := i + 1
+          | exception Ckks.Evaluator.Fhe_error e -> handle_exec_error e);
+          if !pos > i && P.boundary prog !pos then handle_boundary !pos
+        done;
+        if n = 0 then handle_boundary 0;
+        S.finish s)
+  in
+  ( result,
+    {
+      R.retries = !retries;
+      panic_refreshes = !refreshes;
+      checkpoints = !n_checkpoints;
+      evictions = !evictions;
+      checkpoint_bytes_peak = !bytes_peak;
+      recovery =
+        {
+          R.recovery_ms_by_kind = R.tally ( +. ) 0.0 (List.rev !charges);
+          backoff_ms_total = !backoff_total;
+          capped_backoffs = !capped;
+        };
+      injected_faults = injected_now () - start_mark;
+      held_checkpoints = List.sort compare (List.map S.snapshot_at !checkpoints);
+    },
+    !validations )
