@@ -6,7 +6,7 @@ type t = {
   level : int;
   size : int;
   err : float;
-  chk : int64;
+  chk : int64 option;
 }
 
 (* Order-independent XOR of the slot bit patterns: exact (no float
@@ -15,8 +15,9 @@ type t = {
    deltas far below the noise floor, which the err-based boundary
    validator cannot see.  A [for] loop over a local ref, not a fold:
    without flambda the fold's closure boxes one [Int64] per slot, while
-   the loop keeps the accumulator unboxed — this runs on every evaluator
-   op and every boundary integrity check. *)
+   the loop keeps the accumulator unboxed.  It runs only where a fault
+   rewrote slots: once when [corrupted] builds the value, once per
+   integrity check of that value. *)
 let[@inline] checksum slots =
   let acc = ref 0L in
   for i = 0 to Array.length slots - 1 do
@@ -28,11 +29,17 @@ let of_slots ~slots ~scale_bits ~level ~size ~err =
   if scale_bits <= 0 then invalid_arg "Ciphertext.make: scale must be positive";
   if level < 0 then invalid_arg "Ciphertext.make: negative level";
   if size < 2 then invalid_arg "Ciphertext.make: size below 2";
-  { slots; scale_bits; level; size; err; chk = checksum slots }
+  { slots; scale_bits; level; size; err; chk = None }
 
 let make ~slots = of_slots ~slots:(Array.copy slots)
-let corrupted ct ~slots ~err = { ct with slots; err }
-let integrity_ok ct = Int64.equal (checksum ct.slots) ct.chk
+(* A value corrupted twice keeps the checksum of the slots it was built
+   with, the one its first corruption recorded. *)
+let corrupted ct ~slots ~err =
+  let pristine = match ct.chk with Some _ as c -> c | None -> Some (checksum ct.slots) in
+  { ct with slots; err; chk = pristine }
+
+let integrity_ok ct =
+  match ct.chk with None -> true | Some c -> Int64.equal (checksum ct.slots) c
 let get ct i = ct.slots.(i)
 let length ct = Array.length ct.slots
 let to_array ct = Array.copy ct.slots

@@ -11,9 +11,12 @@
     {!slots} is abstract: {!get}, {!length}, {!slice} and {!to_array}
     read it, and the compiler rejects any write into it.  Inside, the
     evaluator's kernels fill each result's array once, before building
-    the ciphertext around it; the injected [Slot_corrupt] fault builds a
-    new array too.  A value checked once therefore stays checked, which
-    is what lets recovery validate each ciphertext once. *)
+    the ciphertext around it ([modswitch], which leaves the slots as
+    they are, shares its operand's); the injected [Slot_corrupt] fault
+    builds a new array too.  A value checked once therefore stays
+    checked, which is what lets recovery validate each ciphertext once,
+    and only {!corrupted} can build a value whose checksum needs
+    checking at all. *)
 
 type slots = Slots.t
 (** A read-only slot vector. *)
@@ -24,11 +27,12 @@ type t = private {
   level : int;
   size : int;
   err : float;  (** Absolute per-slot error bound (noise estimate). *)
-  chk : int64;
-      (** Slot integrity checksum of [slots], computed when the
-          ciphertext is built — except by {!corrupted}, which keeps the
-          pre-fault checksum so boundary validation ({!integrity_ok}) can
-          detect silent corruption that sits below the noise floor. *)
+  chk : int64 option;
+      (** [None] when [slots] are the ones the value was built with —
+          every kernel result.  [Some c] only on a value {!corrupted}
+          built: [c] is the {!checksum} of the slots before the fault, so
+          boundary validation ({!integrity_ok}) can detect silent
+          corruption that sits below the noise floor. *)
 }
 
 val make :
@@ -42,9 +46,11 @@ val of_slots : slots:slots -> scale_bits:int -> level:int -> size:int -> err:flo
     the evaluator passes arrays it has just filled. *)
 
 val corrupted : t -> slots:slots -> err:float -> t
-(** [corrupted ct ~slots ~err] is [ct] with new slots and noise bound but
-    [ct]'s checksum: the injected [Slot_corrupt] fault's result, whose
-    {!integrity_ok} is false whenever the slots differ. *)
+(** [corrupted ct ~slots ~err] is [ct] with new slots and noise bound,
+    carrying the checksum of [ct]'s pristine slots: [ct]'s own when [ct]
+    is intact, the one [ct] already carries when it was corrupted
+    before.  The injected [Slot_corrupt] fault's result, whose
+    {!integrity_ok} is false whenever the slots' checksum differs. *)
 
 val get : t -> int -> float
 (** [get ct i] is slot [i].  @raise Invalid_argument when out of range. *)
@@ -66,9 +72,11 @@ val checksum : float array -> int64
     representable change to any slot changes the checksum. *)
 
 val integrity_ok : t -> bool
-(** Recompute the checksum of the current slots and compare with [chk].
-    False means an injected [Slot_corrupt] fault built this value
-    ({!corrupted}): no code writes into a ciphertext's slots. *)
+(** True, in O(1), on a value whose [chk] is [None]: slots are immutable,
+    so a value's slots are the ones it was built with unless {!corrupted}
+    built it.  On such a value, recompute the checksum of the current
+    slots and compare with [chk]; false means the injected [Slot_corrupt]
+    fault changed them. *)
 
 val max_abs : t -> float
 (** The largest [|slot|], bit for bit the [Float.max] fold from +0.0: a

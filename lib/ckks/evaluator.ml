@@ -145,10 +145,11 @@ let apply_fault f op (ct : Ciphertext.t) =
         let slots = Array.copy ct.Ciphertext.slots in
         slots.(i) <- slots.(i) +. (sign *. delta);
         (* Bump the bookkept noise in quadrature so the corruption is
-           visible to headroom monitoring, not only at decryption.  Keep
-           the PRE-fault checksum: real memory corruption mutates slots
-           behind the scheme's back, so the stored [chk] no longer
-           matches — that mismatch is exactly what boundary integrity
+           visible to headroom monitoring, not only at decryption.
+           [corrupted] records the PRE-fault checksum — the only checksum
+           any ciphertext carries: real memory corruption mutates slots
+           behind the scheme's back, so the recorded [chk] no longer
+           matches, and that mismatch is exactly what boundary integrity
            validation uses to catch corruption too small for the noise
            monitors. *)
         Ciphertext.corrupted ct ~slots ~err:(rms2 ct.err amp)
@@ -178,11 +179,16 @@ let traced op cost_op ~charge_level ?(noise_before = 0.0) (ct : Ciphertext.t) =
         ~noise:ct.Ciphertext.err ());
   ct
 
+(* The detail list is built only under a trace: untraced, a rescale or
+   modswitch allocates nothing beyond its result. *)
 let level_transition name ~from_level ~to_level =
-  Obs.trace_instant ~name
-    ~detail:
-      [ ("from_level", Obs.Json.Int from_level); ("to_level", Obs.Json.Int to_level) ]
-    ()
+  match Obs.current_trace () with
+  | None -> ()
+  | Some tr ->
+      Obs.Trace.instant tr ~name
+        ~detail:
+          [ ("from_level", Obs.Json.Int from_level); ("to_level", Obs.Json.Int to_level) ]
+        ()
 
 let capacity_ok prm ~scale_bits ~level =
   (* ct.level >= ceil(log(ct.scale)/log(q)) - 1, in bits *)
@@ -368,9 +374,11 @@ let modswitch t (ct : Ciphertext.t) =
       ~noise:ct.err "modswitch: no level to drop (level %d)" ct.level;
   check_capacity t ~what:"modswitch" ~scale_bits:ct.scale_bits ~level:(ct.level - 1);
   level_transition "modswitch" ~from_level:ct.level ~to_level:(ct.level - 1);
+  (* The slots do not change, and no code writes into a ciphertext's
+     slots: the result shares its operand's array. *)
   traced "modswitch" (Some Cost_model.Modswitch) ~charge_level:ct.level
     ~noise_before:ct.err
-    (Ciphertext.of_slots ~slots:(Array.copy ct.slots) ~scale_bits:ct.scale_bits
+    (Ciphertext.of_slots ~slots:ct.slots ~scale_bits:ct.scale_bits
        ~level:(ct.level - 1) ~size:2 ~err:ct.err)
 
 let bootstrap t (ct : Ciphertext.t) ~target_level =

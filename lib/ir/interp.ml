@@ -88,8 +88,8 @@ module Program = struct
      Figure 1a: leave the same final flight-recorder marker a runtime
      failure would, naming the faulting node, through the same
      [raise_error] funnel as every other raise. *)
-  let validate ?trace prm g =
-    match Scale_check.run prm g with
+  let validate ?trace ?order prm g =
+    match Scale_check.run ?order prm g with
     | Ok info -> info
     | Error vs ->
         let failing = match vs with v :: _ -> [ v ] | [] -> [] in
@@ -107,8 +107,17 @@ module Program = struct
 
   let make ?trace ?(region_of = fun _ -> -1) prm g =
     Obs.incr "interp.programs";
-    let info = validate ?trace prm g in
-    let sched = Liveness.schedule g in
+    (* The graph's one topological sort: the scale check and the
+       schedule walk it, and so can a caller's noise analysis ([order]).
+       A cyclic graph has none, and [Scale_check.run]'s well-formedness
+       pass reports the cycle. *)
+    let order =
+      match Dfg.topo_order g with
+      | o -> Some (Array.of_list o)
+      | exception Graphlib.Topo.Cycle _ -> None
+    in
+    let info = validate ?trace ?order prm g in
+    let sched = Liveness.schedule ?order g in
     let order = sched.Liveness.order in
     let n = Array.length order in
     let region = Array.make (Dfg.node_count g) (-1) in

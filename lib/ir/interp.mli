@@ -78,11 +78,12 @@ module Program : sig
   type t
 
   val make : ?trace:Obs.Trace.t -> ?region_of:(int -> int) -> Ckks.Params.t -> Dfg.t -> t
-  (** Validates the graph with {!Scale_check}, materialises its
-      {!Liveness.schedule}, and prices each node at its
-      {!Latency.node_cost} once.  [region_of] (default [fun _ -> -1]) is
-      read once per scheduled node.  Increments the ambient profile's
-      [interp.programs] counter ({!Obs.incr}).
+  (** Sorts the graph once ({!Dfg.topo_order}), validates it with
+      {!Scale_check} and materialises its {!Liveness.schedule} over that
+      order, and prices each node at its {!Latency.node_cost} once.
+      [region_of] (default [fun _ -> -1]) is read once per scheduled
+      node.  Increments the ambient profile's [interp.programs] counter
+      ({!Obs.incr}).
       @raise Ckks.Evaluator.Fhe_error [Illegal_graph] naming the first
       violating node when the graph is not legal; with [?trace] the
       trace then ends with the same ["fhe_error"] instant a runtime
@@ -93,7 +94,9 @@ module Program : sig
 
   val info : t -> Scale_check.info array
   (** The scale checker's per-node level/scale — the static contract a
-      supervisor validates the runtime state against. *)
+      supervisor validates the runtime state against.  Equal to
+      {!Scale_check.infer} on the program's graph, so with {!order} it
+      feeds {!Noise_check.analyse}'s [?scales] and [?order]. *)
 
   val schedule : t -> Liveness.schedule
   (** Execution order plus the O(1) last-use/liveness bounds that
@@ -161,10 +164,10 @@ module Session : sig
       ({!Liveness.live_at}) — ascending node id: the state a supervisor
       validates at a region boundary.  With [~after:w], only those whose
       write stamp exceeds [w]: the values stored since {!writes} read
-      [w].  Stamps are not restored by {!rollback}, so after one the
-      values it brought back may carry later, discarded writes' stamps;
-      read every live value ([after] 0) before trusting [~after]
-      again. *)
+      [w].  Stamps are not restored by {!rollback}: a value it brings
+      back keeps its own stamp unless its node was written again
+      (re-executed or refreshed) after the snapshot, in which case it
+      carries that later, discarded write's stamp. *)
 
   val writes : t -> int
   (** The session's write stamp: 0 at {!create}, then one more for every

@@ -16,9 +16,11 @@ type schedule = {
   is_output : bool array;
 }
 
-let schedule g =
+let schedule ?order g =
   let n = Dfg.node_count g in
-  let order = Array.of_list (Dfg.topo_order g) in
+  let order =
+    match order with Some o -> o | None -> Array.of_list (Dfg.topo_order g)
+  in
   let order_index = Array.make n (-1) in
   Array.iteri (fun i id -> order_index.(id) <- i) order;
   (* Walking [order] forwards, a plain overwrite leaves each value's

@@ -28,7 +28,9 @@ type schedule = {
   is_output : bool array;
 }
 
-val schedule : Dfg.t -> schedule
+val schedule : ?order:int array -> Dfg.t -> schedule
+(** [order] is {!Dfg.topo_order} as an array when the caller has sorted
+    the graph already (default: sorted here); the schedule keeps it. *)
 
 val analyse : ?info:Scale_check.info array -> ?sched:schedule -> Ckks.Params.t -> Dfg.t -> report
 (** Peak working set over the schedule.  Pass [?info] and [?sched] to

@@ -10,11 +10,14 @@ let rms2 a b = sqrt ((a *. a) +. (b *. b))
 let pow2 bits = 2.0 ** bits
 
 let analyse ?(input_magnitude = 1.0) ?(magnitude_cap = 1.0)
-    ?(const_magnitude = fun _ -> 1.0) ?scales prm g =
+    ?(const_magnitude = fun _ -> 1.0) ?scales ?order prm g =
   let scales = match scales with Some s -> s | None -> Scale_check.infer prm g in
   let cap m = Float.min m magnitude_cap in
   let per_node = Array.make (Dfg.node_count g) { magnitude = 0.0; noise = 0.0 } in
-  List.iter
+  let in_order f =
+    match order with Some o -> Array.iter f o | None -> List.iter f (Dfg.topo_order g)
+  in
+  in_order
     (fun id ->
       let node = Dfg.node g id in
       let arg i = per_node.(node.Dfg.args.(i)) in
@@ -49,8 +52,7 @@ let analyse ?(input_magnitude = 1.0) ?(magnitude_cap = 1.0)
             let extra = pow2 (-.Ckks.Evaluator.bootstrap_precision_bits) in
             { a with noise = rms2 a.noise extra }
       in
-      per_node.(id) <- v)
-    (Dfg.topo_order g);
+      per_node.(id) <- v);
   let output_noise =
     List.fold_left (fun acc o -> Float.max acc per_node.(o).noise) 0.0 (Dfg.outputs g)
   in

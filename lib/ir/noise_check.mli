@@ -29,6 +29,7 @@ val analyse :
   ?magnitude_cap:float ->
   ?const_magnitude:(string -> float) ->
   ?scales:Scale_check.info array ->
+  ?order:int array ->
   Ckks.Params.t ->
   Dfg.t ->
   report
@@ -40,8 +41,10 @@ val analyse :
     [const_magnitude] bounds named plaintexts (weights, masks); the model
     lowering knows its amplitudes exactly, so passing its resolver's
     maxima makes the prediction sharp.  [scales] is
-    {!Scale_check.infer}'s result on the same graph when the caller
-    already has it (default: inferred here). *)
+    {!Scale_check.infer}'s result on the same graph, and [order] its
+    {!Dfg.topo_order} as an array, when the caller already has them — a
+    prepared [Interp.Program]'s [info] and [order] (default: inferred
+    and sorted here). *)
 
 val predicts : report -> measured:float -> bool
 (** Sanity predicate used by tests: the measured end-to-end error is

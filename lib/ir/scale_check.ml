@@ -73,7 +73,7 @@ let transfer (prm : Ckks.Params.t) info (node : Dfg.node) =
 (* [transfer] folded over the topological order.  In strict mode every
    constraint violation is recorded; in lenient mode propagation continues
    with clamped values so planners can inspect partial graphs. *)
-let analyse ~strict (prm : Ckks.Params.t) g =
+let analyse ?order ~strict (prm : Ckks.Params.t) g =
   let n = Dfg.node_count g in
   let info = Array.make n dummy in
   let violations = ref [] in
@@ -140,7 +140,10 @@ let analyse ~strict (prm : Ckks.Params.t) g =
           report id "bootstrap target %d outside [1, %d]" target prm.l_max
     | Op.Const _ | Op.Add_cp | Op.Rotate _ | Op.Relin -> ()
   in
-  List.iter
+  let in_order f =
+    match order with Some o -> Array.iter f o | None -> List.iter f (Dfg.topo_order g)
+  in
+  in_order
     (fun id ->
       let node = Dfg.node g id in
       let i = transfer prm info node in
@@ -150,8 +153,7 @@ let analyse ~strict (prm : Ckks.Params.t) g =
       | Op.Mul_cp -> Array.iter (fun c -> resolve_const c ~wanted:qw ~user:id) node.args
       | _ -> ());
       if strict then check id node i;
-      info.(id) <- i)
-    (Dfg.topo_order g);
+      info.(id) <- i);
   (* Back-patch the resolved constant scales.  Only [Const] nodes are in
      the table, so the [max_int] level sentinel stays confined to
      plaintexts ([is_ct = false] entries). *)
@@ -160,11 +162,11 @@ let analyse ~strict (prm : Ckks.Params.t) g =
     const_scale;
   (info, List.rev !violations)
 
-let run prm g =
+let run ?order prm g =
   match Dfg.validate g with
   | Error msgs -> Error (List.map (fun m -> { node = -1; message = m }) msgs)
   | Ok () -> (
-      let info, violations = analyse ~strict:true prm g in
+      let info, violations = analyse ?order ~strict:true prm g in
       match violations with [] -> Ok info | vs -> Error vs)
 
 let infer prm g = fst (analyse ~strict:false prm g)

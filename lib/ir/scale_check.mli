@@ -25,9 +25,11 @@ type violation = { node : int; message : string }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val run : Ckks.Params.t -> Dfg.t -> (info array, violation list) result
+val run : ?order:int array -> Ckks.Params.t -> Dfg.t -> (info array, violation list) result
 (** Full validation.  On success the array is indexed by node id (dead
-    nodes carry a dummy entry). *)
+    nodes carry a dummy entry).  [order] is {!Dfg.topo_order} as an
+    array when the caller has sorted the graph already (default: sorted
+    here). *)
 
 val transfer : Ckks.Params.t -> info array -> Dfg.node -> info
 (** [transfer prm info node] is [node]'s (scale, level) point by Table 1,
@@ -37,8 +39,10 @@ val transfer : Ckks.Params.t -> info array -> Dfg.node -> info
     plaintext at the waterline with level [max_int]; its encoding scale
     is decided by its consumers ({!analyse} back-patches it). *)
 
-val analyse : strict:bool -> Ckks.Params.t -> Dfg.t -> info array * violation list
-(** {!transfer} folded over {!Dfg.topo_order}: the engine behind {!run}
+val analyse :
+  ?order:int array -> strict:bool -> Ckks.Params.t -> Dfg.t -> info array * violation list
+(** {!transfer} folded over {!Dfg.topo_order} ([order] when given, as in
+    {!run}): the engine behind {!run}
     and {!infer}.  In strict mode every constraint violation of Table 1
     is recorded; in lenient mode propagation continues with clamped
     values.  Unlike {!run} this does not check well-formedness first:

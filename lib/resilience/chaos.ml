@@ -191,6 +191,8 @@ let run_model cfg name =
   let noise =
     Fhe_ir.Noise_check.analyse
       ~const_magnitude:(Nn.Lowering.const_magnitude env.Fhe_ir.Interp.consts)
+      ~scales:(Fhe_ir.Interp.Program.info program)
+      ~order:(Fhe_ir.Interp.Program.order program)
       prm managed
   in
   let fault_targets =

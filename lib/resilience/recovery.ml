@@ -125,9 +125,12 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
      ({!Session.writes}) is at most [!validated] has passed all three
      boundary validators.  A ciphertext never changes once built, and the
      validators' verdicts depend only on its node and value, so a boundary
-     checks just the values written since the mark.  A rollback restores
-     values whose stamps the session does not restore; it clears the
-     mark, and the next boundary checks every live value again. *)
+     checks just the values written since the mark.  A rollback keeps
+     the mark: it restores the newest checkpoint, taken right after the
+     last boundary that passed (or panic-refreshed), so each restored
+     value is either one that boundary validated, with its stamp still
+     under the mark, or a refresh it made, stamped past the mark and
+     checked at the next boundary like any new value. *)
   let validated = ref 0 in
   let pos = ref 0 in
   let instant name detail =
@@ -187,7 +190,6 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
         incr retries;
         let before = Session.latency_ms s in
         let resume = Session.rollback s cp in
-        validated := 0;
         let wasted = before -. Session.latency_ms s in
         incr attempts;
         let raw = config.backoff_ms *. (2.0 ** float_of_int (!attempts - 1)) in
@@ -369,6 +371,7 @@ let run ?config ?trace ?region_of ?noise ev g env =
     match noise with
     | Some report -> report
     | None ->
-        Fhe_ir.Noise_check.analyse ~magnitude_cap:Float.infinity (Program.params prog) g
+        Fhe_ir.Noise_check.analyse ~magnitude_cap:Float.infinity ~scales:(Program.info prog)
+          ~order:(Program.order prog) (Program.params prog) g
   in
   run_program ?config ?trace ~noise prog ev env

@@ -32,8 +32,10 @@
       on the node and its value, so each value is validated once: a
       boundary checks the live ciphertexts written
       ({!Fhe_ir.Interp.Session.writes}) since the last boundary that
-      passed, and every live one after a rollback.  The profile counter
-      [recovery.validations] counts the ciphertexts checked.
+      passed.  A rollback keeps that mark: the checkpoint it restores
+      was taken at that boundary, so the values it brings back were
+      checked there.  The profile counter [recovery.validations] counts
+      the ciphertexts checked.
     - {b Panic re-bootstrap}: a ciphertext whose observed noise headroom
       fell below the 6-bit floor at a boundary {e although the static
       noise analysis} ({!Fhe_ir.Noise_check}) {e predicted it safe} is —

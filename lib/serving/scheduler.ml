@@ -134,18 +134,21 @@ let run ?jobs:_ ?cache cfg =
   (* The lowering's resolver memoises each constant per name, so the
      noise analysis and every batch's interpreter share one payload. *)
   let consts = Nn.Lowering.resolver lowered ~dim:wide in
-  (* Sharp static noise prediction for the recovery supervisor's boundary
-     validator, as the chaos harness does. *)
-  let noise =
-    Fhe_ir.Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts) prm
-      managed
-  in
   (* The static half of every batch — validation, schedule, node prices,
      region boundaries — prepared once and shared by every dispatch and
      retry of the campaign. *)
   let program =
     Fhe_ir.Interp.Program.make ~region_of:(Resbm.Report.region_of_node plan_report) prm
       managed
+  in
+  (* Sharp static noise prediction for the recovery supervisor's boundary
+     validator, as the chaos harness does, over the program's scales and
+     order: no second scale pass or sort. *)
+  let noise =
+    Fhe_ir.Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts)
+      ~scales:(Fhe_ir.Interp.Program.info program)
+      ~order:(Fhe_ir.Interp.Program.order program)
+      prm managed
   in
   let ev_base = Int64.logxor cfg.seed ev_salt in
   (* The fault-free latency of one batch prices it: slot batching is

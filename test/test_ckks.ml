@@ -295,22 +295,32 @@ let minor_words f =
   f ();
   Gc.minor_words () -. before
 
-(* The checksum runs on every evaluator op and every boundary integrity
-   check, so it must not box an [Int64] per slot.  [checksum] is measured
-   against an empty array — a call that is not inlined returns its
-   result boxed, the same for both — and [integrity_ok], which compares
-   the result unboxed, must allocate nothing at all. *)
+(* The checksum runs on every integrity check of a corrupted value, so
+   it must not box an [Int64] per slot.  [checksum] is measured against
+   an empty array — a call that is not inlined returns its result boxed,
+   the same for both — and [integrity_ok], which compares the result
+   unboxed, must allocate nothing at all, on an intact value or a
+   corrupted one. *)
 let checksum_allocates_nothing () =
   let slots = Array.init 128 (fun i -> (float_of_int i *. 0.37) -. 20.0) in
-  let ct = Ckks.Ciphertext.make ~slots ~scale_bits:40 ~level:3 ~size:2 ~err:1e-9 in
+  let make slots = Ckks.Ciphertext.make ~slots ~scale_bits:40 ~level:3 ~size:2 ~err:1e-9 in
+  let ct = make slots in
+  let bad =
+    let flipped = make (Array.mapi (fun i v -> if i = 0 then v +. 1.0 else v) slots) in
+    Ckks.Ciphertext.corrupted ct ~slots:flipped.Ckks.Ciphertext.slots ~err:1e-3
+  in
   let sum slots () = ignore (Sys.opaque_identity (Ckks.Ciphertext.checksum slots)) in
-  let ok () = ignore (Sys.opaque_identity (Ckks.Ciphertext.integrity_ok ct)) in
-  ok ();
+  let ok ct () = ignore (Sys.opaque_identity (Ckks.Ciphertext.integrity_ok ct)) in
+  ok ct ();
+  ok bad ();
   sum slots ();
   check_float ~eps:0.0 "checksum: 0 words per slot on 128 slots"
     (minor_words (sum [||]))
     (minor_words (sum slots));
-  check_float ~eps:0.0 "integrity_ok: 0 minor words on 128 slots" 0.0 (minor_words ok)
+  check_float ~eps:0.0 "integrity_ok: 0 minor words on 128 slots" 0.0 (minor_words (ok ct));
+  check_float ~eps:0.0 "integrity_ok, corrupted: 0 minor words on 128 slots" 0.0
+    (minor_words (ok bad));
+  checkb "the corrupted value fails" false (Ckks.Ciphertext.integrity_ok bad)
 
 let checksum_matches_fold =
   let special =
@@ -323,6 +333,54 @@ let checksum_matches_fold =
       array_size (int_range 0 300)
         (oneof [ map Int64.float_of_bits int64; float; oneofl special ]))
     (fun slots -> Int64.equal (Ckks.Ciphertext.checksum slots) (fold_checksum slots))
+
+(* Integrity by construction: only [Ciphertext.corrupted] records a
+   checksum, that of the pristine slots, and [integrity_ok] on its value
+   is exactly the comparison of the current slots' checksum with it.
+   Edits cover a delta that rounding absorbs, -0.0 against +0.0, NaN
+   payloads and arbitrary bit patterns; the second corruption of a value
+   (sometimes restoring the pristine slots) still compares with the
+   pristine checksum. *)
+let integrity_by_construction =
+  let special =
+    List.map Int64.float_of_bits
+      [ 0L; Int64.min_int (* -0.0 *); 0x7FF8000000000000L; 0x7FF0000000000001L;
+        0xFFF8DEADBEEF0001L; 0x3FF0000000000000L (* 1.0 *) ]
+  in
+  let slot = QCheck2.Gen.(oneof [ float; oneofl special ]) in
+  let edit =
+    QCheck2.Gen.(
+      pair nat
+        (oneof
+           [
+             return (fun v -> v +. (v *. 0x1p-60));
+             return (fun v -> if v = 0.0 then -.v else v);
+             map (fun b _ -> Int64.float_of_bits b) int64;
+             map (fun x _ -> x) (oneofl special);
+           ]))
+  in
+  let apply slots (i, f) =
+    let s = Array.copy slots in
+    let i = i mod Array.length s in
+    s.(i) <- f s.(i);
+    s
+  in
+  qcheck ~count:300 "integrity_ok of a corrupted value = its checksum against the pristine one"
+    QCheck2.Gen.(quad (array_size (int_range 1 64) slot) edit edit bool)
+    (fun (pristine, e1, e2, restore) ->
+      let open Ckks.Ciphertext in
+      let ct slots = make ~slots ~scale_bits:40 ~level:3 ~size:2 ~err:1e-9 in
+      let fresh = ct pristine in
+      let s1 = apply pristine e1 in
+      let s2 = if restore then pristine else apply s1 e2 in
+      let c1 = corrupted fresh ~slots:(ct s1).slots ~err:1e-3 in
+      let c2 = corrupted c1 ~slots:(ct s2).slots ~err:1e-2 in
+      let verdict s = Int64.equal (checksum s) (checksum pristine) in
+      fresh.chk = None
+      && integrity_ok fresh
+      && integrity_ok c1 = verdict s1
+      && integrity_ok c2 = verdict s2
+      && c2.chk = Some (checksum pristine))
 
 (* --- max_abs ----------------------------------------------------------------- *)
 
@@ -349,6 +407,25 @@ let max_abs_matches_fold =
       && Int64.equal want (Int64.bits_of_float (Ckks.Plaintext.max_abs pt)))
 
 (* --- PRNG streams, pinned ---------------------------------------------------- *)
+
+(* [add_uniform] holds the state in a local: bit for bit the per-draw
+   [uniform] loop, in place or not, and it leaves the same state. *)
+let prng_add_uniform_matches_draws =
+  qcheck ~count:200 "add_uniform = a per-draw uniform loop, state included"
+    QCheck2.Gen.(
+      quad int64 (int_range 0 300)
+        (oneof [ oneofl [ 0.0; 0x1p-60; 1.0; 1e300 ]; float_range 0.0 10.0 ])
+        bool)
+    (fun (seed, n, bound, in_place) ->
+      let src = Array.init n (fun i -> Float.of_int (i - 150) *. 0.37) in
+      let bits a = Array.map Int64.bits_of_float a in
+      let r = Ckks.Prng.create seed and twin = Ckks.Prng.create seed in
+      let dst = if in_place then src else Array.make n 0.0 in
+      let want =
+        Array.map (fun v -> v +. Ckks.Prng.uniform twin ~lo:(-.bound) ~hi:bound) src
+      in
+      Ckks.Prng.add_uniform r ~bound ~src ~dst;
+      bits dst = bits want && Int64.equal (Ckks.Prng.int64 r) (Ckks.Prng.int64 twin))
 
 (* SplitMix64 outputs recorded before the state moved from a mutable
    [int64] field to an unboxed byte buffer: how the state is stored must
@@ -418,9 +495,13 @@ let kernels_match_scalar_reference =
       let fresh scale = pow2 (Ckks.Evaluator.fresh_noise_bits -. float_of_int scale) in
       let rot scale = pow2 (Ckks.Evaluator.rotate_noise_bits -. float_of_int scale) in
       let boot = pow2 (-.Ckks.Evaluator.bootstrap_precision_bits) in
-      let same what expected (ct : Ckks.Ciphertext.t) =
+      (* Every kernel result is intact by construction; only the
+         injected slot corruption records a checksum. *)
+      let same ?(intact = true) what expected (ct : Ckks.Ciphertext.t) =
         if slot_bits expected <> slot_bits (Ckks.Ciphertext.to_array ct) then
           QCheck2.Test.fail_reportf "%s: slots differ from the reference (n = %d)" what n;
+        if Ckks.Ciphertext.integrity_ok ct <> intact || (ct.Ckks.Ciphertext.chk = None) <> intact
+        then QCheck2.Test.fail_reportf "%s: integrity verdict is not %b" what intact;
         ct
       in
       let s = prm.Ckks.Params.input_scale_bits in
@@ -507,19 +588,23 @@ let kernels_match_scalar_reference =
       let delta = Ckks.Prng.uniform fr ~lo:(amp /. 2.0) ~hi:amp in
       let sign = if Ckks.Prng.float fr < 0.5 then -1.0 else 1.0 in
       expected.(i) <- expected.(i) +. (sign *. delta);
-      ignore (same "slot corrupt" expected corrupted);
+      ignore (same ~intact:false "slot corrupt" expected corrupted);
       true)
 
 (* A slot kernel allocates its result array and nothing per slot: the
    minor words an op allocates on 128 slots exceed those on 1 slot by
-   exactly the 127 extra words of its result.  Measured with no trace,
-   metrics sink or fault injector installed. *)
+   exactly the 127 extra words of its result.  [modswitch] shares its
+   operand's slots, so it allocates the result record and nothing else.
+   Measured with no trace, metrics sink or fault injector installed. *)
 let kernels_allocate_nothing_per_slot () =
-  let words n f =
+  let setup n =
     let slots = Array.init n (fun i -> 0.5 -. (float_of_int i /. 512.0)) in
     let e = Ckks.Evaluator.create ~seed:5L prm in
     let a = Ckks.Evaluator.encrypt e slots and b = Ckks.Evaluator.encrypt e slots in
-    let pt = Ckks.Evaluator.encode e slots in
+    (slots, e, a, b, Ckks.Evaluator.encode e slots)
+  in
+  let words n f =
+    let slots, e, a, b, pt = setup n in
     let run () = ignore (Sys.opaque_identity (f e slots a b pt)) in
     run ();
     minor_words run
@@ -535,10 +620,16 @@ let kernels_allocate_nothing_per_slot () =
       ("mul_cc", fun e _ a b _ -> Ckks.Evaluator.mul_cc e a b |> Obj.repr);
       ("mul_cp", fun e _ a _ pt -> Ckks.Evaluator.mul_cp e a pt |> Obj.repr);
       ("rotate", fun e _ a _ _ -> Ckks.Evaluator.rotate e a 3 |> Obj.repr);
-      ("modswitch", fun e _ a _ _ -> Ckks.Evaluator.modswitch e a |> Obj.repr);
       ("bootstrap", fun e _ a _ _ -> Ckks.Evaluator.bootstrap e a ~target_level:8 |> Obj.repr);
       ("refresh", fun e _ a _ _ -> Ckks.Evaluator.refresh e a |> Obj.repr);
-    ]
+    ];
+  let _, e, a, _, _ = setup 128 in
+  let m = Ckks.Evaluator.modswitch e a in
+  checkb "modswitch: shares its operand's slots" true
+    (m.Ckks.Ciphertext.slots == a.Ckks.Ciphertext.slots);
+  check_float ~eps:0.0 "modswitch: the result record only"
+    (float_of_int (Obj.size (Obj.repr m) + 1))
+    (words 128 (fun e _ a _ _ -> Ckks.Evaluator.modswitch e a))
 
 let suite =
   [
@@ -574,8 +665,10 @@ let suite =
     eval_mul_accuracy;
     case "ciphertext: checksum allocates nothing per slot" checksum_allocates_nothing;
     checksum_matches_fold;
+    integrity_by_construction;
     max_abs_matches_fold;
     case "prng: streams pinned" prng_streams_are_pinned;
+    prng_add_uniform_matches_draws;
     kernels_match_scalar_reference;
     case "evaluator: kernels allocate nothing per slot" kernels_allocate_nothing_per_slot;
   ]
