@@ -9,19 +9,30 @@ type t = {
   chk : int64 option;
 }
 
-(* Order-independent XOR of the slot bit patterns: exact (no float
-   rounding, no absorption), so any corruption that changes a slot's
-   representable value changes the checksum — including single-slot
-   deltas far below the noise floor, which the err-based boundary
-   validator cannot see.  A [for] loop over a local ref, not a fold:
-   without flambda the fold's closure boxes one [Int64] per slot, while
-   the loop keeps the accumulator unboxed.  It runs only where a fault
-   rewrote slots: once when [corrupted] builds the value, once per
+(* A position-dependent sum of mixed slot bit patterns: exact (no
+   float rounding, no absorption), so any corruption that changes a
+   slot's representable value changes the checksum but for a 2^-64
+   chance — including single-slot deltas far below the noise floor,
+   which the err-based boundary validator cannot see.  Slot [i]'s bit
+   pattern, offset by [i + 1] golden-ratio steps, goes through
+   splitmix64's finaliser, in which every input bit reaches every output
+   bit.  A plain XOR (or a multiply-then-XOR) of the patterns is blind to
+   a swap of two slots and to an even number of identical bit flips:
+   negating every slot of a 128-slot value flips 128 sign bits that
+   cancel in pairs.  A [for] loop over a local ref, not a fold: without
+   flambda the fold's closure boxes one [Int64] per slot, while the loop
+   keeps the accumulator and the mix unboxed.  It runs only where a
+   fault rewrote slots: once when [corrupted] builds the value, once per
    integrity check of that value. *)
 let[@inline] checksum slots =
   let acc = ref 0L in
   for i = 0 to Array.length slots - 1 do
-    acc := Int64.logxor !acc (Int64.bits_of_float slots.(i))
+    let z =
+      Int64.add (Int64.bits_of_float slots.(i)) (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L)
+    in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    acc := Int64.add !acc (Int64.logxor z (Int64.shift_right_logical z 31))
   done;
   !acc
 

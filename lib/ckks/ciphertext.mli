@@ -68,8 +68,12 @@ val slice : t -> off:int -> len:int -> float array
     outside the slot vector. *)
 
 val checksum : float array -> int64
-(** Order-independent XOR of the slot bit patterns — exact, so any
-    representable change to any slot changes the checksum. *)
+(** A position-dependent hash of the slot bit patterns: the sum over
+    slots [i] of splitmix64's finaliser applied to slot [i]'s bits plus
+    [(i + 1) * 0x9E3779B97F4A7C15], modulo 2{^64}.  Exact, so any
+    representable change to any slot — one slot, an even number of
+    identical bit flips, or two slots swapped — changes it but for a
+    2{^-64} chance.  Allocates nothing per slot. *)
 
 val integrity_ok : t -> bool
 (** True, in O(1), on a value whose [chk] is [None]: slots are immutable,

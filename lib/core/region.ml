@@ -111,11 +111,16 @@ let shapes_of dfg region_of regions =
   (Array.map fst per_region, shape_ids, Array.map snd per_region)
 
 let build ?(sink = true) dfg =
-  (match Dfg.validate dfg with
+  (* One sort both proves the graph acyclic and orders the passes below;
+     a cyclic graph has none, and [Dfg.validate]'s cycle check names it. *)
+  let order =
+    match Dfg.topo_order dfg with o -> Some o | exception Graphlib.Topo.Cycle _ -> None
+  in
+  (match Dfg.validate ~acyclic:(Option.is_some order) dfg with
   | Ok () -> ()
   | Error (msg :: _) -> invalid_arg ("Region.build: " ^ msg)
   | Error [] -> assert false);
-  let order = Dfg.topo_order dfg in
+  let order = Option.get order in
   let n = Dfg.node_count dfg in
   let depth = Depth.per_node dfg in
   let region_of = Array.make n 0 in

@@ -217,7 +217,7 @@ let topo_order g =
   let order = Graphlib.Topo.sort (to_digraph g) in
   List.filter (fun id -> not (node g id).dead) order
 
-let validate g =
+let validate ?(acyclic = false) g =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun m -> errors := m :: !errors) fmt in
   for id = 0 to g.len - 1 do
@@ -270,7 +270,7 @@ let validate g =
       if o < 0 || o >= g.len || (node g o).dead then err "dead or invalid output %d" o
       else if not (is_ct g o) then err "output %d is a plaintext" o)
     g.outs;
-  if not (Graphlib.Topo.is_dag (to_digraph g)) then err "graph has a cycle";
+  if (not acyclic) && not (Graphlib.Topo.is_dag (to_digraph g)) then err "graph has a cycle";
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let copy g =

@@ -88,10 +88,12 @@ val topo_order : t -> int list
 (** Live nodes in topological (def-before-use) order.
     @raise Graphlib.Topo.Cycle on malformed graphs. *)
 
-val validate : t -> (unit, string list) result
+val validate : ?acyclic:bool -> t -> (unit, string list) result
 (** Structural well-formedness: args in range and alive, every arg's use
     list naming its user exactly once, ct/pt positions respected, outputs
-    alive and ciphertext, acyclic, [Mul_cc] consumed only by [Relin]. *)
+    alive and ciphertext, acyclic, [Mul_cc] consumed only by [Relin].
+    [~acyclic:true] skips the cycle check: the caller has sorted the
+    graph ({!topo_order} returned), which proves it acyclic. *)
 
 val copy : t -> t
 

@@ -19,10 +19,6 @@ type result = {
 
 exception Missing_input of string
 
-type value = Ct of Ckks.Ciphertext.t | Pt of Ckks.Plaintext.t
-
-module Ints = Map.Make (Int)
-
 let headroom = Obs.Trace.headroom_bits
 
 (* Noise-budget summary over every executed ciphertext, in execution
@@ -81,6 +77,14 @@ module Program = struct
     prefix : float array;  (* position -> cost of [order.(0 .. i-1)] *)
     boundary : bool array;  (* position -> a new region starts there *)
     peak_bytes : float;
+    node_costs : node_cost list Lazy.t;
+    (* The sessions' "empty register" sentinels, compared with [==]. *)
+    no_ct : Ckks.Ciphertext.t;
+    no_pt : Ckks.Plaintext.t;
+    (* Const node id -> its plaintext ([no_pt] until first encoded),
+       filled from the resolver [consts_of]. *)
+    mutable consts_of : (string -> float array) option;
+    mutable const_pts : Ckks.Plaintext.t array;
   }
 
   (* The scale checker's verdict, or the structured [Illegal_graph]
@@ -107,10 +111,11 @@ module Program = struct
 
   let make ?trace ?(region_of = fun _ -> -1) prm g =
     Obs.incr "interp.programs";
-    (* The graph's one topological sort: the scale check and the
-       schedule walk it, and so can a caller's noise analysis ([order]).
-       A cyclic graph has none, and [Scale_check.run]'s well-formedness
-       pass reports the cycle. *)
+    (* The graph's one topological sort: the scale check (for which it
+       also proves the graph acyclic) and the schedule walk it, and so
+       can a caller's noise analysis ([order]).  A cyclic graph has
+       none, and [Scale_check.run]'s well-formedness pass reports the
+       cycle. *)
     let order =
       match Dfg.topo_order g with
       | o -> Some (Array.of_list o)
@@ -134,7 +139,34 @@ module Program = struct
           i = n || i = 0 || region.(order.(i - 1)) <> region.(order.(i)))
     in
     let peak_bytes = (Liveness.analyse ~info ~sched prm g).Liveness.peak_bytes in
-    { prm; g; info; sched; region; cost; prefix; boundary; peak_bytes }
+    (* A run's final path executes every scheduled node once, rollbacks
+       included (a rollback re-executes what it undid), so its
+       attribution is the schedule's, built on first ask. *)
+    let node_costs =
+      lazy
+        (List.filter_map
+           (fun id ->
+             match (Dfg.node g id).Dfg.kind with
+             | Op.Input _ | Op.Const _ -> None
+             | kind -> Some { node = id; op = Op.name kind; region = region.(id); cost_ms = cost.(id) })
+           (Array.to_list order))
+    in
+    {
+      prm;
+      g;
+      info;
+      sched;
+      region;
+      cost;
+      prefix;
+      boundary;
+      peak_bytes;
+      node_costs;
+      no_ct = Ckks.Ciphertext.make ~slots:[||] ~scale_bits:1 ~level:0 ~size:2 ~err:0.0;
+      no_pt = Ckks.Plaintext.encode ~scale_bits:1 [||];
+      consts_of = None;
+      const_pts = [||];
+    }
 
   let params p = p.prm
   let graph p = p.g
@@ -146,71 +178,160 @@ module Program = struct
   let peak_bytes p = p.peak_bytes
 end
 
-module Session = struct
-  type session = {
-    ev : Ckks.Evaluator.t;
-    prog : Program.t;
-    trace : Obs.Trace.t option;
-    mutable cts : Ckks.Ciphertext.t Ints.t;  (* live ciphertexts *)
-    mutable pts : Ckks.Plaintext.t Ints.t;  (* live plaintexts *)
-    err : float array;  (* per node: noise bound of its latest ciphertext *)
-    stamp : int array;  (* per node: write stamp of its latest ciphertext *)
-    mutable writes : int;  (* the last write stamp handed out *)
-    mutable pos : int;  (* position in [order] of the next node to execute *)
-    mutable latency : float;
-    mutable ops : int;
-    mutable costs : node_cost list;  (* reversed *)
-  }
+(* The constant table, the register file and the session record live at
+   the unit's top level rather than inside [Program] and [Session]: a
+   structure's fields form a block allocated at start-up, and these
+   definitions need none. *)
 
+(* Const node [id]'s plaintext, encoded ([Evaluator.encode] at the
+   scale checker's scale) on first use and shared by every later
+   session that resolves constants through the same [consts] closure.
+   Another resolver starts the table afresh. *)
+let constant (p : Program.t) consts id name =
+  (match p.Program.consts_of with
+  | Some f when f == consts -> ()
+  | _ ->
+      p.Program.consts_of <- Some consts;
+      p.Program.const_pts <- Array.make (Dfg.node_count p.Program.g) p.Program.no_pt);
+  let pt = p.Program.const_pts.(id) in
+  if pt != p.Program.no_pt then pt
+  else begin
+    let pt =
+      Ckks.Plaintext.encode ~scale_bits:p.Program.info.(id).Scale_check.scale_bits (consts name)
+    in
+    p.Program.const_pts.(id) <- pt;
+    pt
+  end
+
+(* A register file: [v.(id)] is node [id]'s live value, or [empty].
+   While the session has a snapshot, each write first appends the
+   register and the value it held to an undo journal; a rollback
+   replays the journal backwards, and a new snapshot empties it, so
+   only the newest snapshot can be restored. *)
+type 'a regs = {
+  v : 'a array;
+  empty : 'a;
+  mutable j_ids : int array;
+  mutable j_old : 'a array;
+  mutable j_len : int;
+}
+
+let regs n empty = { v = Array.make n empty; empty; j_ids = [||]; j_old = [||]; j_len = 0 }
+
+(* [a] in an array twice as long (at least 64), padded with [fill]. *)
+let grow a fill =
+  let b = Array.make (max 64 (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let journal r id =
+  if r.j_len = Array.length r.j_ids then begin
+    r.j_ids <- grow r.j_ids 0;
+    r.j_old <- grow r.j_old r.empty
+  end;
+  r.j_ids.(r.j_len) <- id;
+  r.j_old.(r.j_len) <- r.v.(id);
+  r.j_len <- r.j_len + 1
+
+(* Empty the journal, dropping its hold on the values it saved. *)
+let forget r =
+  Array.fill r.j_old 0 r.j_len r.empty;
+  r.j_len <- 0
+
+let undo r =
+  for k = r.j_len - 1 downto 0 do
+    r.v.(r.j_ids.(k)) <- r.j_old.(k)
+  done;
+  forget r
+
+(* The simulated latency, in an all-float record so adding to it boxes
+   nothing. *)
+type clock = { mutable latency : float }
+
+type session = {
+  ev : Ckks.Evaluator.t;
+  prog : Program.t;
+  trace : Obs.Trace.t option;
+  cts : Ckks.Ciphertext.t regs;  (* live ciphertexts *)
+  pts : Ckks.Plaintext.t regs;  (* live plaintexts *)
+  clock : clock;
+  (* [level + 1] summed over [cts]: {!Liveness.ciphertext_bytes} is
+     linear in it, so the live bytes are those of one ciphertext at
+     level [live_levels - 1] — exactly the sum of the live sizes, which
+     are integers. *)
+  mutable live_levels : int;
+  err : float array;  (* per node: noise bound of its latest ciphertext *)
+  stamp : int array;  (* per node: write stamp of its latest ciphertext *)
+  mutable wlog : int array;  (* [wlog.(w - 1)]: the node written with stamp [w] *)
+  mutable writes : int;  (* the last write stamp handed out *)
+  mutable pos : int;  (* position in [order] of the next node to execute *)
+  mutable ops : int;
+  mutable snaps : int;  (* snapshots taken; the journal runs once there is one *)
+}
+
+let set_pt s id p =
+  if s.snaps > 0 then journal s.pts id;
+  s.pts.v.(id) <- p
+
+let set_ct s id (c : Ckks.Ciphertext.t) =
+  let r = s.cts in
+  let old = r.v.(id) in
+  if s.snaps > 0 then journal r id;
+  if old != r.empty then s.live_levels <- s.live_levels - (old.Ckks.Ciphertext.level + 1);
+  if c != r.empty then s.live_levels <- s.live_levels + c.Ckks.Ciphertext.level + 1;
+  r.v.(id) <- c
+
+module Session = struct
   type t = session
 
-  (* Persistent maps make a checkpoint O(1): it shares the live values
-     (and their immutable slot arrays) with the session instead of
-     copying them. *)
   type snapshot = {
+    owner : session;
+    gen : int;  (* [owner.snaps] when taken: the newest while they agree *)
     snap_at : int;
-    s_cts : Ckks.Ciphertext.t Ints.t;
-    s_pts : Ckks.Plaintext.t Ints.t;
-    snap_bytes : float;
+    s_levels : int;
     s_latency : float;
     s_ops : int;
-    s_costs : node_cost list;
   }
 
   let create ?trace prog ev =
     let prm = Ckks.Evaluator.params ev in
     if prm != prog.Program.prm && prm <> prog.Program.prm then
       invalid_arg "Interp.Session.create: evaluator parameters differ from the program's";
+    let n = Dfg.node_count prog.Program.g in
     {
       ev;
       prog;
       trace;
-      cts = Ints.empty;
-      pts = Ints.empty;
-      err = Array.make (Dfg.node_count prog.Program.g) 0.0;
-      stamp = Array.make (Dfg.node_count prog.Program.g) 0;
+      cts = regs n prog.Program.no_ct;
+      pts = regs n prog.Program.no_pt;
+      clock = { latency = 0.0 };
+      live_levels = 0;
+      err = Array.make n 0.0;
+      stamp = Array.make n 0;
+      wlog = Array.make n 0;
       writes = 0;
       pos = 0;
-      latency = 0.0;
       ops = 0;
-      costs = [];
+      snaps = 0;
     }
 
   let order s = Program.order s.prog
-  let latency_ms s = s.latency
+  let latency_ms s = s.clock.latency
 
   let ct s id =
-    match Ints.find_opt id s.cts with
-    | Some c -> c
-    | None -> invalid_arg "Interp: expected ciphertext value"
+    let c = s.cts.v.(id) in
+    if c == s.cts.empty then invalid_arg "Interp: expected ciphertext value" else c
 
   let pt s id =
-    match Ints.find_opt id s.pts with
-    | Some p -> p
-    | None -> invalid_arg "Interp: expected plaintext value"
+    let p = s.pts.v.(id) in
+    if p == s.pts.empty then invalid_arg "Interp: expected plaintext value" else p
 
+  (* Record a new ciphertext of node [id]: its noise bound and a fresh
+     write stamp, logged so [live_cts ~after] finds it. *)
   let write_ct s id (c : Ckks.Ciphertext.t) =
     s.err.(id) <- c.Ckks.Ciphertext.err;
+    if s.writes = Array.length s.wlog then s.wlog <- grow s.wlog 0;
+    s.wlog.(s.writes) <- id;
     s.writes <- s.writes + 1;
     s.stamp.(id) <- s.writes
 
@@ -225,7 +346,6 @@ module Session = struct
        fault injections and log records are attributed on untraced runs
        too. *)
     Obs.set_node ~region id;
-    let cost = prog.Program.cost.(id) in
     (match s.trace with
     | Some tr ->
         Obs.Trace.set_ctx tr
@@ -234,58 +354,58 @@ module Session = struct
                Obs.Trace.node = id;
                region;
                freq = node.Dfg.freq;
-               cost_ms = cost;
+               cost_ms = prog.Program.cost.(id);
              })
     | None -> ());
-    let v =
-      match node.Dfg.kind with
-      | Op.Input { name; level; scale_bits } ->
-          let data =
-            match List.assoc_opt name env.inputs with
-            | Some d -> d
-            | None -> raise (Missing_input name)
-          in
-          Ct (Ckks.Evaluator.encrypt s.ev ?level ?scale_bits data)
-      | Op.Const { name } ->
-          let scale_bits = prog.Program.info.(id).Scale_check.scale_bits in
-          Pt (Ckks.Evaluator.encode s.ev ~scale_bits (env.consts name))
-      | Op.Add_cc -> Ct (Ckks.Evaluator.add_cc s.ev (ct s node.Dfg.args.(0)) (ct s node.Dfg.args.(1)))
-      | Op.Add_cp -> Ct (Ckks.Evaluator.add_cp s.ev (ct s node.Dfg.args.(0)) (pt s node.Dfg.args.(1)))
-      | Op.Mul_cc -> Ct (Ckks.Evaluator.mul_cc s.ev (ct s node.Dfg.args.(0)) (ct s node.Dfg.args.(1)))
-      | Op.Mul_cp -> Ct (Ckks.Evaluator.mul_cp s.ev (ct s node.Dfg.args.(0)) (pt s node.Dfg.args.(1)))
-      | Op.Rotate k -> Ct (Ckks.Evaluator.rotate s.ev (ct s node.Dfg.args.(0)) k)
-      | Op.Relin -> Ct (Ckks.Evaluator.relin s.ev (ct s node.Dfg.args.(0)))
-      | Op.Rescale -> Ct (Ckks.Evaluator.rescale s.ev (ct s node.Dfg.args.(0)))
-      | Op.Modswitch -> Ct (Ckks.Evaluator.modswitch s.ev (ct s node.Dfg.args.(0)))
-      | Op.Bootstrap target_level ->
-          Ct (Ckks.Evaluator.bootstrap s.ev (ct s node.Dfg.args.(0)) ~target_level)
-    in
-    (match node.Dfg.kind with
-    | Op.Input _ | Op.Const _ -> ()
-    | kind ->
-        s.latency <- s.latency +. cost;
-        s.ops <- s.ops + node.Dfg.freq;
-        s.costs <-
-          { node = id; op = Op.name kind; region; cost_ms = cost }
-          :: s.costs);
-    (* Keep the result only while a later node (or the output list) needs
-       it, and free every operand whose last use this was — outputs never
-       are, their last use being [max_int].  The session then holds
-       exactly the values live at [pos]. *)
+    let args = node.Dfg.args in
     let at = prog.Program.sched.Liveness.order_index.(id) in
     let last_use = prog.Program.sched.Liveness.last_use in
-    (match v with
-    | Ct c ->
+    (* Nothing is stored until the evaluator returns, so a raising op
+       leaves the session unchanged.  A result is kept only while a
+       later node (or the output list) needs it — outputs' last use is
+       [max_int]. *)
+    (match node.Dfg.kind with
+    | Op.Const { name } ->
+        let p = constant prog env.consts id name in
+        if last_use.(id) > at then set_pt s id p
+    | kind ->
+        let c =
+          match kind with
+          | Op.Input { name; level; scale_bits } ->
+              let data =
+                match List.assoc name env.inputs with
+                | d -> d
+                | exception Not_found -> raise (Missing_input name)
+              in
+              Ckks.Evaluator.encrypt s.ev ?level ?scale_bits data
+          | Op.Add_cc -> Ckks.Evaluator.add_cc s.ev (ct s args.(0)) (ct s args.(1))
+          | Op.Add_cp -> Ckks.Evaluator.add_cp s.ev (ct s args.(0)) (pt s args.(1))
+          | Op.Mul_cc -> Ckks.Evaluator.mul_cc s.ev (ct s args.(0)) (ct s args.(1))
+          | Op.Mul_cp -> Ckks.Evaluator.mul_cp s.ev (ct s args.(0)) (pt s args.(1))
+          | Op.Rotate k -> Ckks.Evaluator.rotate s.ev (ct s args.(0)) k
+          | Op.Relin -> Ckks.Evaluator.relin s.ev (ct s args.(0))
+          | Op.Rescale -> Ckks.Evaluator.rescale s.ev (ct s args.(0))
+          | Op.Modswitch -> Ckks.Evaluator.modswitch s.ev (ct s args.(0))
+          | Op.Bootstrap target_level ->
+              Ckks.Evaluator.bootstrap s.ev (ct s args.(0)) ~target_level
+          | Op.Const _ -> assert false
+        in
         write_ct s id c;
-        if last_use.(id) > at then s.cts <- Ints.add id c s.cts
-    | Pt p -> if last_use.(id) > at then s.pts <- Ints.add id p s.pts);
-    Array.iter
-      (fun a ->
-        if last_use.(a) = at then begin
-          s.cts <- Ints.remove a s.cts;
-          s.pts <- Ints.remove a s.pts
-        end)
-      node.Dfg.args;
+        if last_use.(id) > at then set_ct s id c);
+    (match node.Dfg.kind with
+    | Op.Input _ | Op.Const _ -> ()
+    | _ ->
+        s.clock.latency <- s.clock.latency +. prog.Program.cost.(id);
+        s.ops <- s.ops + node.Dfg.freq);
+    (* Free every operand whose last use this was: the session then holds
+       exactly the values live at [pos]. *)
+    for k = 0 to Array.length args - 1 do
+      let a = args.(k) in
+      if last_use.(a) = at then begin
+        if s.cts.v.(a) != s.cts.empty then set_ct s a s.cts.empty;
+        if s.pts.v.(a) != s.pts.empty then set_pt s a s.pts.empty
+      end
+    done;
     s.pos <- at + 1
 
   let exec s env id =
@@ -310,52 +430,58 @@ module Session = struct
                })
       | None -> ());
       let c' = Ckks.Evaluator.refresh s.ev c in
-      s.latency <-
-        s.latency +. Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:c.Ckks.Ciphertext.level;
+      s.clock.latency <-
+        s.clock.latency
+        +. Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:c.Ckks.Ciphertext.level;
       s.ops <- s.ops + 1;
-      s.cts <- Ints.add id c' s.cts;
+      set_ct s id c';
       write_ct s id c';
       c'
     in
     match s.trace with Some tr -> Obs.with_trace tr go | None -> go ()
 
+  (* The log entries past [after] whose write is still their node's
+     latest, and whose node is live. *)
   let live_cts ?(after = 0) s =
-    List.rev
-      (Ints.fold
-         (fun id c acc -> if s.stamp.(id) > after then (id, c) :: acc else acc)
-         s.cts [])
+    let ids = ref [] in
+    for w = s.writes downto max after 0 + 1 do
+      let id = s.wlog.(w - 1) in
+      if s.stamp.(id) = w && s.cts.v.(id) != s.cts.empty then ids := id :: !ids
+    done;
+    List.map (fun id -> (id, s.cts.v.(id))) (List.sort Int.compare !ids)
 
   let writes s = s.writes
 
   let snapshot s =
-    let prm = s.prog.Program.prm in
+    s.snaps <- s.snaps + 1;
+    forget s.cts;
+    forget s.pts;
     {
+      owner = s;
+      gen = s.snaps;
       snap_at = s.pos;
-      s_cts = s.cts;
-      s_pts = s.pts;
-      snap_bytes =
-        Ints.fold
-          (fun _ c acc -> acc +. Liveness.ciphertext_bytes prm ~level:c.Ckks.Ciphertext.level)
-          s.cts 0.0;
-      s_latency = s.latency;
+      s_levels = s.live_levels;
+      s_latency = s.clock.latency;
       s_ops = s.ops;
-      s_costs = s.costs;
     }
 
   let snapshot_at snap = snap.snap_at
-  let snapshot_bytes snap = snap.snap_bytes
+  let snapshot_bytes snap =
+    Liveness.ciphertext_bytes snap.owner.prog.Program.prm ~level:(snap.s_levels - 1)
 
   let rollback s snap =
-    s.cts <- snap.s_cts;
-    s.pts <- snap.s_pts;
+    if snap.owner != s || snap.gen <> s.snaps then
+      invalid_arg "Interp.Session.rollback: not the session's newest snapshot";
+    undo s.cts;
+    undo s.pts;
+    s.live_levels <- snap.s_levels;
+    s.clock.latency <- snap.s_latency;
     s.pos <- snap.snap_at;
-    s.latency <- snap.s_latency;
     s.ops <- snap.s_ops;
-    s.costs <- snap.s_costs;
     snap.snap_at
 
   let charge_ms s ms =
-    s.latency <- s.latency +. ms;
+    s.clock.latency <- s.clock.latency +. ms;
     (match s.trace with
     | Some tr -> Obs.Trace.advance_clock tr ms
     | None -> ())
@@ -367,9 +493,9 @@ module Session = struct
   let finish s =
     {
       outputs = List.map (ct s) (Dfg.outputs s.prog.Program.g);
-      latency_ms = s.latency;
+      latency_ms = s.clock.latency;
       op_count = s.ops;
-      node_costs = List.rev s.costs;
+      node_costs = Lazy.force s.prog.Program.node_costs;
       noise = summarise_noise s.prog.Program.g (order s) s.err ~top_k:5;
     }
 end

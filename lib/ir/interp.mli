@@ -34,7 +34,13 @@
 
 type env = {
   inputs : (string * float array) list;
-  consts : string -> float array;  (** Resolver for constant payloads. *)
+  consts : string -> float array;
+      (** Resolver for constant payloads.  It must be a pure function of
+          the name: a {!Program} encodes each constant once per resolver
+          (told apart by physical equality) and reuses the plaintext in
+          every later run with the same closure.  The lowering's
+          resolver ([Nn.Lowering.resolver]) is memoised, so one closure
+          serves a whole campaign. *)
 }
 
 type node_cost = {
@@ -64,7 +70,10 @@ type result = {
   op_count : int;  (** Freq-weighted number of executed FHE operations. *)
   node_costs : node_cost list;
       (** Per-node latency attribution, execution (topological) order;
-          [Input]/[Const] nodes are omitted (they charge nothing). *)
+          [Input]/[Const] nodes are omitted (they charge nothing).  A
+          run's final path executes every scheduled node once, rollbacks
+          included, so this is the program's list, built once on first
+          ask and shared by all its runs. *)
   noise : noise_summary;
 }
 
@@ -72,15 +81,22 @@ exception Missing_input of string
 
 (** The static half of an execution: everything derived from the
     parameters, the graph and its region attribution, computed once.
-    Nothing in a program changes while it is executed, so one program
-    serves every batch, retry and trial over its graph. *)
+    One program serves every batch, retry and trial over its graph.
+    The one thing a run adds to it is each [Const] node's plaintext,
+    encoded on first use and kept for later runs that resolve constants
+    through the same [env.consts] closure (another closure refills the
+    table); encoding is a pure function of the payload, so this changes
+    no result, but a program is not to be run from two domains at
+    once. *)
 module Program : sig
   type t
 
   val make : ?trace:Obs.Trace.t -> ?region_of:(int -> int) -> Ckks.Params.t -> Dfg.t -> t
-  (** Sorts the graph once ({!Dfg.topo_order}), validates it with
-      {!Scale_check} and materialises its {!Liveness.schedule} over that
-      order, and prices each node at its {!Latency.node_cost} once.
+  (** Sorts the graph once ({!Dfg.topo_order}; that sort is also the
+      proof of acyclicity, so {!Scale_check.run}'s well-formedness pass
+      skips its own), validates it with {!Scale_check} and materialises
+      its {!Liveness.schedule} over that order, and prices each node at
+      its {!Latency.node_cost} once.
       [region_of] (default [fun _ -> -1]) is read once per scheduled
       node.  Increments the ambient profile's [interp.programs] counter
       ({!Obs.incr}).
@@ -122,16 +138,22 @@ module Program : sig
       bytes. *)
 end
 
-(** Stepwise execution with checkpoint/rollback, for supervised runs. *)
+(** Stepwise execution with checkpoint/rollback, for supervised runs.
+
+    A session keeps its live values in node-id-indexed registers, one
+    array for ciphertexts and one for plaintexts.  Once it has taken a
+    {!snapshot}, every register write is journalled with the value it
+    replaced; {!rollback} undoes the journal, and the next snapshot
+    empties it.  So only the newest snapshot can be restored, and a
+    session that never snapshots keeps no journal. *)
 module Session : sig
   type t
 
   type snapshot
-  (** A checkpoint: the values live at an execution position (everything
-      downstream is recomputed on rollback) plus the latency and op
-      counters at that point.  It shares the session's persistent value
-      maps — and through them the ciphertexts' immutable slot arrays —
-      so taking one is O(1) and copies nothing. *)
+  (** A checkpoint at an execution position (everything downstream is
+      recomputed on rollback): the position, the latency and op
+      counters and the live ciphertext bytes at that point.  It holds no
+      value — the session's undo journal does — so taking one is O(1). *)
 
   val create : ?trace:Obs.Trace.t -> Program.t -> Ckks.Evaluator.t -> t
   (** A fresh execution of the program on [ev].  It does no static work:
@@ -153,7 +175,9 @@ module Session : sig
       price is the program's).  The session holds only live values: the
       result is kept only if it is an output or used later, and each
       operand is freed at its
-      {!Liveness.schedule} last use.
+      {!Liveness.schedule} last use.  Untraced, it allocates nothing
+      beyond the evaluator's result (a [Const] node: nothing once the
+      program holds its plaintext).
       @raise Ckks.Evaluator.Fhe_error as the evaluator does (the session
       is then unchanged).
       @raise Missing_input when [env] lacks a named input. *)
@@ -164,10 +188,11 @@ module Session : sig
       ({!Liveness.live_at}) — ascending node id: the state a supervisor
       validates at a region boundary.  With [~after:w], only those whose
       write stamp exceeds [w]: the values stored since {!writes} read
-      [w].  Stamps are not restored by {!rollback}: a value it brings
-      back keeps its own stamp unless its node was written again
-      (re-executed or refreshed) after the snapshot, in which case it
-      carries that later, discarded write's stamp. *)
+      [w], found in a log of the writes, so the cost is O(writes since
+      [w]), not O(live values).  Stamps are not restored by {!rollback}:
+      a value it brings back keeps its own stamp unless its node was
+      written again (re-executed or refreshed) after the snapshot, in
+      which case it carries that later, discarded write's stamp. *)
 
   val writes : t -> int
   (** The session's write stamp: 0 at {!create}, then one more for every
@@ -181,20 +206,25 @@ module Session : sig
 
   val snapshot : t -> snapshot
   (** O(1) checkpoint for resuming at the current position (the index in
-      {!order} of the next node to execute).  It holds exactly the live
-      values — outputs and every value with a use at or after that
+      {!order} of the next node to execute).  It stands for exactly the
+      live values — outputs and every value with a use at or after that
       position — which is what makes a liveness-derived checkpoint
-      budget meaningful. *)
+      budget meaningful.  It becomes the session's newest snapshot, the
+      only one {!rollback} accepts. *)
 
   val snapshot_at : snapshot -> int
   val snapshot_bytes : snapshot -> float
-  (** Estimated ciphertext bytes held by the checkpoint
-      ({!Liveness.ciphertext_bytes} per live ct, summed in node-id
-      order). *)
+  (** Estimated ciphertext bytes held by the checkpoint:
+      {!Liveness.ciphertext_bytes} summed over the live ciphertexts
+      (integers, so the sum is exact in any order).  Readable on any
+      snapshot, the newest or not. *)
 
   val rollback : t -> snapshot -> int
-  (** Restore values and counters from the checkpoint; returns the
-      position to resume {!exec} from. *)
+  (** Restore values and counters to the session's newest snapshot by
+      undoing the journal; returns the position to resume {!exec} from.
+      It may be repeated: each restores the same state.
+      @raise Invalid_argument for any other snapshot (an older one, or
+      another session's); the session is then unchanged. *)
 
   val charge_ms : t -> float -> unit
   (** Add [ms] to the simulated latency (and the trace clock, when one is

@@ -163,7 +163,17 @@ let analyse ?order ~strict (prm : Ckks.Params.t) g =
   (info, List.rev !violations)
 
 let run ?order prm g =
-  match Dfg.validate g with
+  (* One sort both proves the graph acyclic and orders the analysis; a
+     cyclic graph has none, and [Dfg.validate]'s cycle check names it. *)
+  let order =
+    match order with
+    | Some _ -> order
+    | None -> (
+        match Dfg.topo_order g with
+        | o -> Some (Array.of_list o)
+        | exception Graphlib.Topo.Cycle _ -> None)
+  in
+  match Dfg.validate ~acyclic:(Option.is_some order) g with
   | Error msgs -> Error (List.map (fun m -> { node = -1; message = m }) msgs)
   | Ok () -> (
       let info, violations = analyse ?order ~strict:true prm g in

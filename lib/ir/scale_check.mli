@@ -29,7 +29,9 @@ val run : ?order:int array -> Ckks.Params.t -> Dfg.t -> (info array, violation l
 (** Full validation.  On success the array is indexed by node id (dead
     nodes carry a dummy entry).  [order] is {!Dfg.topo_order} as an
     array when the caller has sorted the graph already (default: sorted
-    here). *)
+    here).  That one sort is also the acyclicity proof, so
+    {!Dfg.validate} skips its own cycle check; a graph that cannot be
+    sorted is reported as cyclic. *)
 
 val transfer : Ckks.Params.t -> info array -> Dfg.node -> info
 (** [transfer prm info node] is [node]'s (scale, level) point by Table 1,

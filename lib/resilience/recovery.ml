@@ -117,7 +117,12 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
   let start_mark = injected_now () in
   let fault_mark = ref start_mark in
   let attempts = ref 0 in
-  let checkpoints = ref [] (* newest first *) in
+  (* The retained checkpoints, oldest first: [cp_at.(k)] and
+     [cp_bytes.(k)], [k < !held], are their positions (ascending) and
+     sizes.  Only the newest is ever restored, so it alone is kept as a
+     session snapshot. *)
+  let cp_at = ref (Array.make 16 0) and cp_bytes = ref (Array.make 16 0.0) in
+  let held = ref 0 and newest = ref None in
   (* Bytes of the retained checkpoints, kept as a running total: the sizes
      are integer-valued floats, so adding and subtracting stays exact. *)
   let retained = ref 0.0 in
@@ -138,54 +143,60 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
     | Some tr -> Obs.Trace.instant tr ~name ~detail ()
     | None -> ()
   in
+  (* Evict down to the budget by MINIMUM marginal re-execution value,
+     never touching the newest (it is the rollback target).  A
+     checkpoint's value is the simulated latency of the span it saves
+     re-executing: its position's prefix cost minus that of the
+     next-older retained checkpoint (position 0 past the oldest).
+     Oldest-first eviction could discard the checkpoint guarding the most
+     expensive suffix of the run; value-based eviction keeps it and sheds
+     the cheapest span instead.  Ties evict the oldest. *)
+  let evict_to_budget () =
+    while !retained > budget && !held > 1 do
+      let at = !cp_at and bytes = !cp_bytes in
+      let value k =
+        Program.prefix_ms prog at.(k)
+        -. Program.prefix_ms prog (if k = 0 then 0 else at.(k - 1))
+      in
+      let best = ref 0 and best_value = ref (value 0) in
+      for k = 1 to !held - 2 do
+        let v = value k in
+        if v < !best_value then begin
+          best := k;
+          best_value := v
+        end
+      done;
+      incr evictions;
+      retained := !retained -. bytes.(!best);
+      let tail = !held - !best - 1 in
+      Array.blit at (!best + 1) at !best tail;
+      Array.blit bytes (!best + 1) bytes !best tail;
+      decr held
+    done
+  in
   let take_checkpoint i =
-    (match !checkpoints with
-    | cp :: _ when Session.snapshot_at cp = i -> ()
-    | _ ->
-        let cp = Session.snapshot s in
-        checkpoints := cp :: !checkpoints;
-        incr n_checkpoints;
-        retained := !retained +. Session.snapshot_bytes cp;
-        bytes_peak := Float.max !bytes_peak !retained;
-        (* Evict down to the budget by MINIMUM marginal re-execution
-           value, never touching the newest (it is the rollback target).
-           A checkpoint's value is the simulated latency of the span it
-           saves re-executing: its position's prefix cost minus that of
-           the next-older retained checkpoint (position 0 past the
-           oldest).  Oldest-first eviction could discard the checkpoint
-           guarding the most expensive suffix of the run; value-based
-           eviction keeps it and sheds the cheapest span instead.  Ties
-           evict the oldest, matching the previous policy. *)
-        let rec evict_to_budget lst =
-          if !retained <= budget then lst
-          else
-            match lst with
-            | [] | [ _ ] -> lst
-            | newest :: rest ->
-                let arr = Array.of_list rest (* newest first *) in
-                let m = Array.length arr in
-                let best = ref 0 and best_value = ref infinity in
-                for j = 0 to m - 1 do
-                  let p = Session.snapshot_at arr.(j) in
-                  let q = if j + 1 < m then Session.snapshot_at arr.(j + 1) else 0 in
-                  let value = Program.prefix_ms prog p -. Program.prefix_ms prog q in
-                  if value <= !best_value then begin
-                    best := j;
-                    best_value := value
-                  end
-                done;
-                incr evictions;
-                retained := !retained -. Session.snapshot_bytes arr.(!best);
-                evict_to_budget (newest :: List.filteri (fun j _ -> j <> !best) rest)
-        in
-        checkpoints := evict_to_budget !checkpoints);
+    if !held = 0 || !cp_at.(!held - 1) <> i then begin
+      let cp = Session.snapshot s in
+      newest := Some cp;
+      if !held = Array.length !cp_at then begin
+        cp_at := Array.append !cp_at !cp_at;
+        cp_bytes := Array.append !cp_bytes !cp_bytes
+      end;
+      !cp_at.(!held) <- Session.snapshot_at cp;
+      !cp_bytes.(!held) <- Session.snapshot_bytes cp;
+      incr held;
+      incr n_checkpoints;
+      retained := !retained +. Session.snapshot_bytes cp;
+      bytes_peak := Float.max !bytes_peak !retained;
+      evict_to_budget ()
+    end;
     attempts := 0;
     fault_mark := injected_now ()
   in
   let do_rollback ~why =
-    match !checkpoints with
-    | [] -> assert false
-    | cp :: _ ->
+    match !newest with
+    | None -> assert false
+    | Some cp ->
         let kind = blame ~mark:!fault_mark ~fallback:why in
         incr retries;
         let before = Session.latency_ms s in
@@ -357,8 +368,7 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
           capped_backoffs = !capped;
         };
       injected_faults = injected_now () - start_mark;
-      held_checkpoints =
-        List.sort compare (List.map Session.snapshot_at !checkpoints);
+      held_checkpoints = Array.to_list (Array.sub !cp_at 0 !held);
     } )
 
 let run ?config ?trace ?region_of ?noise ev g env =

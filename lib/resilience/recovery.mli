@@ -13,7 +13,10 @@
       minimum marginal re-execution value (the {!Fhe_ir.Latency} cost of
       the span it saves replaying, ties oldest-first; the newest — the
       rollback target — is never evicted) but always keeping at least
-      one.
+      one.  Rollback only ever restores the newest, so it alone is a
+      {!Fhe_ir.Interp.Session.snapshot}; the older retained checkpoints
+      are positions and byte counts in flat arrays, kept for the
+      budget's accounting and {!stats.held_checkpoints}.
     - {b Retry with rollback}: a retryable failure (an
       [Injected_transient] {!Ckks.Evaluator.Fhe_error}, or any error when
       faults were injected since the newest checkpoint) rolls back to the

@@ -286,9 +286,23 @@ let eval_mul_accuracy =
 
 (* --- ciphertext slot checksum ----------------------------------------------- *)
 
-(* The fold definition the loop replaced. *)
-let fold_checksum slots =
-  Array.fold_left (fun acc v -> Int64.logxor acc (Int64.bits_of_float v)) 0L slots
+(* The checksum's definition as a fold: the sum over slots [i] of
+   splitmix64's finaliser on slot [i]'s bits plus [i + 1] golden-ratio
+   steps. *)
+let mixed_fold_checksum slots =
+  let mix z =
+    let open Int64 in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+  in
+  snd
+    (Array.fold_left
+       (fun (i, acc) v ->
+         ( i + 1,
+           Int64.add acc
+             (mix (Int64.add (Int64.bits_of_float v) (Int64.mul (Int64.of_int (i + 1)) 0x9E3779B97F4A7C15L))) ))
+       (0, 0L) slots)
 
 let minor_words f =
   let before = Gc.minor_words () in
@@ -328,11 +342,30 @@ let checksum_matches_fold =
       [ 0L; Int64.min_int (* -0.0 *); 0x7FF8000000000000L; 0x7FF0000000000001L;
         0xFFF8DEADBEEF0001L; 0x7FFFFFFFFFFFFFFFL; 0x7FF0000000000000L ]
   in
-  qcheck ~count:300 "checksum equals the XOR fold (-0.0, NaN payloads)"
+  qcheck ~count:300 "checksum equals the position-mixed fold (-0.0, NaN payloads)"
     QCheck2.Gen.(
       array_size (int_range 0 300)
         (oneof [ map Int64.float_of_bits int64; float; oneofl special ]))
-    (fun slots -> Int64.equal (Ckks.Ciphertext.checksum slots) (fold_checksum slots))
+    (fun slots -> Int64.equal (Ckks.Ciphertext.checksum slots) (mixed_fold_checksum slots))
+
+(* What an order-independent XOR of bit patterns let through: negating
+   every slot of a 128-slot value (128 sign-bit flips cancel in pairs)
+   and swapping two slots must each fail the integrity check. *)
+let checksum_sees_sign_flips_and_swaps () =
+  let slots = Array.init 128 (fun i -> (float_of_int i *. 0.37) -. 20.0) in
+  let ct = Ckks.Ciphertext.make ~slots ~scale_bits:40 ~level:3 ~size:2 ~err:1e-9 in
+  let corrupt edited =
+    let e = Ckks.Ciphertext.make ~slots:edited ~scale_bits:40 ~level:3 ~size:2 ~err:1e-9 in
+    Ckks.Ciphertext.corrupted ct ~slots:e.Ckks.Ciphertext.slots ~err:1e-3
+  in
+  let swapped = Array.copy slots in
+  swapped.(3) <- slots.(90);
+  swapped.(90) <- slots.(3);
+  checkb "all 128 slots negated: integrity fails" false
+    (Ckks.Ciphertext.integrity_ok (corrupt (Array.map Float.neg slots)));
+  checkb "two slots swapped: integrity fails" false
+    (Ckks.Ciphertext.integrity_ok (corrupt swapped));
+  checkb "the pristine slots pass" true (Ckks.Ciphertext.integrity_ok (corrupt (Array.copy slots)))
 
 (* Integrity by construction: only [Ciphertext.corrupted] records a
    checksum, that of the pristine slots, and [integrity_ok] on its value
@@ -665,6 +698,7 @@ let suite =
     eval_mul_accuracy;
     case "ciphertext: checksum allocates nothing per slot" checksum_allocates_nothing;
     checksum_matches_fold;
+    case "ciphertext: checksum sees negated and swapped slots" checksum_sees_sign_flips_and_swaps;
     integrity_by_construction;
     max_abs_matches_fold;
     case "prng: streams pinned" prng_streams_are_pinned;

@@ -478,6 +478,31 @@ let session_rejects_foreign_params () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* [Program.make]'s one sort is also the acyclicity proof, so the scale
+   check skips its own cycle pass; a cyclic graph has no sort and must
+   still be reported as one, by [Dfg.validate], [Scale_check.run] and
+   [Program.make]. *)
+let cyclic_graph_is_reported () =
+  let g = Dfg.create () in
+  let x = Dfg.input g "x" in
+  let a = Dfg.add_cc g x x in
+  let b = Dfg.rotate g a 1 in
+  Dfg.set_arg g ~user:a ~arg_index:1 b;
+  Dfg.set_outputs g [ b ];
+  let cycle m = m = "graph has a cycle" in
+  (match Dfg.validate g with
+  | Error ms -> checkb "validate names the cycle" true (List.exists cycle ms)
+  | Ok () -> Alcotest.fail "validate accepted a cycle");
+  (match Scale_check.run Ckks.Params.default g with
+  | Error vs ->
+      checkb "the scale check names the cycle" true
+        (List.exists (fun v -> cycle v.Scale_check.message) vs)
+  | Ok _ -> Alcotest.fail "the scale check accepted a cycle");
+  match Interp.Program.make Ckks.Params.default g with
+  | _ -> Alcotest.fail "Program.make accepted a cycle"
+  | exception Ckks.Evaluator.Fhe_error e ->
+      checkb "Program.make raises Illegal_graph" true (e.Ckks.Evaluator.cause = Ckks.Evaluator.Illegal_graph)
+
 (* The noise summary as the interpreter once computed it: a stable sort
    of every executed ciphertext's headroom, listed in reverse execution
    order, cut to five.  [err] is each node's last traced noise, which is
@@ -688,5 +713,6 @@ let suite =
       noise_summary_matches_full_sort;
     case "interp: a session refuses an evaluator with other parameters"
       session_rejects_foreign_params;
+    case "interp: a cyclic graph is reported as one" cyclic_graph_is_reported;
     liveness_matches_oracle;
   ]

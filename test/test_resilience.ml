@@ -592,8 +592,11 @@ let recovery_faultoff_identity =
    hold [live_cts] against its definition: every executed ciphertext node
    that is an output or still has a use ahead ({!Liveness.live_at}),
    carrying the very value [exec] produced.  At each boundary a snapshot,
-   a run on to the next boundary and a rollback must restore exactly that
-   set, and the replayed span must then reach the next boundary again. *)
+   a run on to the next boundary, a panic refresh of one live value
+   (one live at the snapshot when there is one) and a rollback must
+   restore exactly that set, and the replayed span must then reach the
+   next boundary again.  The refresh is the one write [live_cts ~after]
+   reports past the stamp before it. *)
 let live_set_matches_definition ~region_of ev managed env =
   let program = Interp.Program.make (Ckks.Evaluator.params ev) managed in
   let s = Interp.Session.create program ev in
@@ -634,6 +637,25 @@ let live_set_matches_definition ~region_of ev managed env =
     done;
     !i
   in
+  let refresh_one p =
+    (* A size-3 product awaiting its relinearisation cannot be refreshed. *)
+    match
+      List.filter (fun (_, c) -> c.Ckks.Ciphertext.size = 2) (Interp.Session.live_cts s)
+    with
+    | [] -> true
+    | (first, _) :: _ as live ->
+        let id =
+          match List.find_opt (fun (id, _) -> List.mem id (expected p)) live with
+          | Some (id, _) -> id
+          | None -> first
+        in
+        let w = Interp.Session.writes s in
+        let c' = Interp.Session.refresh s id in
+        (match Interp.Session.live_cts ~after:w s with
+        | [ (id', c) ] -> id' = id && c == c'
+        | _ -> false)
+        && List.assoc id (Interp.Session.live_cts s) == c'
+  in
   let ok = ref (same (Interp.Session.live_cts s) (expected 0)) in
   let pos = ref 0 in
   while !ok && !pos < n do
@@ -641,8 +663,10 @@ let live_set_matches_definition ~region_of ev managed env =
     let snap = Interp.Session.snapshot s in
     let q = exec_to_boundary p in
     ok := !ok && same (Interp.Session.live_cts s) (expected q);
+    ok := !ok && refresh_one p;
     (* The span just run wrote only nodes at [p, q), none of which is in
-       [expected p]: the restored set must be the pre-snapshot values. *)
+       [expected p], and the refresh is undone: the restored set must be
+       the pre-snapshot values. *)
     let resume = Interp.Session.rollback s snap in
     ok := !ok && resume = p && same (Interp.Session.live_cts s) (expected p);
     let q' = exec_to_boundary p in
@@ -651,22 +675,27 @@ let live_set_matches_definition ~region_of ev managed env =
   done;
   !ok
 
-let live_cts_matches_definition_resnet20 () =
+let live_cts_matches_definition_models () =
   let l_max = 16 and dim = 16 in
   let prm16 = Ckks.Params.at_l_max l_max in
-  let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
-  let managed, report = Resbm.Driver.compile_robust prm16 lowered.Nn.Lowering.dfg in
-  let attr = report.Resbm.Report.region_of in
-  let region_of id = if id >= 0 && id < Array.length attr then attr.(id) else -1 in
-  let image = (Nn.Dataset.images ~seed:31L ~dim ~count:1 ()).(0) in
-  let env =
-    {
-      Interp.inputs = [ (lowered.Nn.Lowering.input_name, image) ];
-      consts = Nn.Lowering.resolver lowered ~dim;
-    }
-  in
-  checkb "live_cts and snapshot round trips match the definition at every boundary" true
-    (live_set_matches_definition ~region_of (Ckks.Evaluator.create ~seed:5L prm16) managed env)
+  List.iter
+    (fun model ->
+      let lowered = Nn.Lowering.lower model in
+      let managed, report = Resbm.Driver.compile_robust prm16 lowered.Nn.Lowering.dfg in
+      let attr = report.Resbm.Report.region_of in
+      let region_of id = if id >= 0 && id < Array.length attr then attr.(id) else -1 in
+      let image = (Nn.Dataset.images ~seed:31L ~dim ~count:1 ()).(0) in
+      let env =
+        {
+          Interp.inputs = [ (lowered.Nn.Lowering.input_name, image) ];
+          consts = Nn.Lowering.resolver lowered ~dim;
+        }
+      in
+      checkb
+        (model.Nn.Model.name ^ ": live_cts, refresh and rollback match the definition at every boundary")
+        true
+        (live_set_matches_definition ~region_of (Ckks.Evaluator.create ~seed:5L prm16) managed env))
+    [ Nn.Model.tiny; Nn.Model.lenet5; Nn.Model.resnet20 ]
 
 let live_cts_matches_definition_random =
   qcheck ~count:30 "live_cts matches Liveness.live_at at every boundary"
@@ -1174,6 +1203,173 @@ let validate_once_keeps_mark_across_rollback () =
   checki "restored values not validated again" clean faulted;
   checkb "agrees with the oracle" true (fst (agrees_with_oracle setup transient))
 
+(* --- the session's register file, undo journal and shared tables --------- *)
+
+(* Only the newest snapshot can be restored: an older one of the same
+   session, or one of another session, is refused before anything
+   changes, and the newest restores as often as asked. *)
+let rollback_only_to_newest () =
+  let p, program, env, _ = Lazy.force tiny_setup in
+  let order = Interp.Program.order program in
+  let s = Interp.Session.create program (Ckks.Evaluator.create p) in
+  let older = Interp.Session.snapshot s in
+  Interp.Session.exec s env order.(0);
+  let newer = Interp.Session.snapshot s in
+  Interp.Session.exec s env order.(1);
+  let refused snap =
+    match Interp.Session.rollback s snap with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let state () = (Interp.Session.latency_ms s, Interp.Session.writes s, Interp.Session.live_cts s) in
+  let before = state () in
+  checkb "an older snapshot is refused" true (refused older);
+  checkb "a refused rollback changes nothing" true (state () = before);
+  checki "the older snapshot still reads its position" 0 (Interp.Session.snapshot_at older);
+  let other = Interp.Session.create program (Ckks.Evaluator.create p) in
+  checkb "another session's snapshot is refused" true (refused (Interp.Session.snapshot other));
+  checki "the newest restores" 1 (Interp.Session.rollback s newer);
+  Interp.Session.exec s env order.(1);
+  checki "and restores again" 1 (Interp.Session.rollback s newer)
+
+(* A run's attribution is its final path, and that path executes every
+   scheduled node once however often it rolled back: a supervised run
+   that rolled back reports the fault-free run's [node_costs]. *)
+let node_costs_survive_rollback () =
+  let ((p, program, env, _) as setup) = Lazy.force lenet5_setup in
+  let order = Interp.Program.order program and g = Interp.Program.graph program in
+  let at =
+    List.find
+      (fun b ->
+        Interp.Program.boundary program b && Op.produces_ct (Dfg.node g order.(b)).Dfg.kind)
+      (List.init (Array.length order - 1) (fun i -> i + 1))
+  in
+  let plan =
+    {
+      Ckks.Fault.seed = 5L;
+      budget = 1;
+      rules = [ rule ~nodes:[ order.(at) ] Ckks.Fault.Transient ~prob:1.0 ~mag:0.0 ];
+    }
+  in
+  let clean = Interp.run_program program (Ckks.Evaluator.create ~seed:0x5E1L p) env in
+  match supervise ~oracle:false setup plan with
+  | Finished (r, s) ->
+      checki "one rollback" 1 s.Resilience.Recovery.retries;
+      checkb "node_costs = the fault-free run's" true
+        (r.Interp.node_costs = clean.Interp.node_costs);
+      checki "one entry per scheduled op"
+        (Array.length order
+        - List.length
+            (List.filter
+               (fun id ->
+                 match (Dfg.node g id).Dfg.kind with
+                 | Op.Input _ | Op.Const _ -> true
+                 | _ -> false)
+               (Array.to_list order)))
+        (List.length r.Interp.node_costs)
+  | Raised _ -> Alcotest.fail "the run raised"
+
+(* Constants are encoded once per program and resolver: a second run
+   with the same resolver asks it nothing, another resolver gets its own
+   plaintexts, and every run's outputs are bit for bit those of a fresh
+   program with that resolver. *)
+let constants_encoded_once_per_resolver () =
+  let p, program, env, _ = Lazy.force lenet5_setup in
+  let fresh () = Interp.Program.make p (Interp.Program.graph program) in
+  let asks = ref 0 in
+  let counting name =
+    incr asks;
+    env.Interp.consts name
+  in
+  let halved name = Array.map (fun v -> v *. 0.5) (env.Interp.consts name) in
+  let run prog consts =
+    output_bits
+      (Interp.run_program prog (Ckks.Evaluator.create ~seed:0x5E1L p) { env with Interp.consts })
+  in
+  let want = run (fresh ()) counting and want_halved = run (fresh ()) halved in
+  checkb "the two resolvers' outputs differ" true (want <> want_halved);
+  let prog = fresh () in
+  asks := 0;
+  checkb "cold" true (run prog counting = want);
+  let consts =
+    Array.fold_left
+      (fun k id -> match (Dfg.node (Interp.Program.graph prog) id).Dfg.kind with Op.Const _ -> k + 1 | _ -> k)
+      0 (Interp.Program.order prog)
+  in
+  checki "a cold run resolves each constant once" consts !asks;
+  checkb "warm = cold" true (run prog counting = want);
+  checki "a warm run resolves nothing" consts !asks;
+  checkb "another resolver gets its own plaintexts" true (run prog halved = want_halved);
+  checkb "and back" true (run prog counting = want);
+  checki "the table was refilled" (2 * consts) !asks;
+  let ev = Ckks.Evaluator.create ~seed:0x5E1L p in
+  let r, _ =
+    Resilience.Recovery.run_program ~noise:(Noise_check.analyse p (Interp.Program.graph prog)) prog ev
+      { env with Interp.consts = counting }
+  in
+  checkb "a supervised warm run too" true (output_bits r = want)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The session adds nothing to what the evaluator allocates.  On a warm
+   program (constants encoded) an untraced, fault-free run that takes no
+   snapshot allocates, over all its [exec]s, exactly the minor words of
+   the evaluator calls alone — the same calls, in the same order, timed
+   one by one in a loop of our own: 0 words per exec beyond the
+   evaluator's results. *)
+let session_exec_allocates_nothing () =
+  let p, program, env, _ = Lazy.force lenet5_setup in
+  let g = Interp.Program.graph program and order = Interp.Program.order program in
+  ignore (Interp.run_program program (Ckks.Evaluator.create p) env);
+  let s = Interp.Session.create program (Ckks.Evaluator.create ~seed:7L p) in
+  let session =
+    minor_words (fun () ->
+        for i = 0 to Array.length order - 1 do
+          Interp.Session.exec s env order.(i)
+        done)
+  in
+  let ev = Ckks.Evaluator.create ~seed:7L p in
+  let no_ct = Ckks.Ciphertext.make ~slots:[||] ~scale_bits:1 ~level:0 ~size:2 ~err:0.0 in
+  let cts = Array.make (Dfg.node_count g) no_ct in
+  let pts = Array.make (Dfg.node_count g) (Ckks.Plaintext.encode ~scale_bits:1 [||]) in
+  let info = Interp.Program.info program in
+  let evaluator = ref 0.0 in
+  Array.iter
+    (fun id ->
+      let node = Dfg.node g id in
+      let a k = cts.(node.Dfg.args.(k)) and b k = pts.(node.Dfg.args.(k)) in
+      match node.Dfg.kind with
+      | Op.Const { name } ->
+          pts.(id) <-
+            Ckks.Plaintext.encode ~scale_bits:info.(id).Scale_check.scale_bits
+              (env.Interp.consts name)
+      | kind ->
+          let before = Gc.minor_words () in
+          let c =
+            match kind with
+            | Op.Input { name; level; scale_bits } ->
+                Ckks.Evaluator.encrypt ev ?level ?scale_bits (List.assoc name env.Interp.inputs)
+            | Op.Add_cc -> Ckks.Evaluator.add_cc ev (a 0) (a 1)
+            | Op.Add_cp -> Ckks.Evaluator.add_cp ev (a 0) (b 1)
+            | Op.Mul_cc -> Ckks.Evaluator.mul_cc ev (a 0) (a 1)
+            | Op.Mul_cp -> Ckks.Evaluator.mul_cp ev (a 0) (b 1)
+            | Op.Rotate k -> Ckks.Evaluator.rotate ev (a 0) k
+            | Op.Relin -> Ckks.Evaluator.relin ev (a 0)
+            | Op.Rescale -> Ckks.Evaluator.rescale ev (a 0)
+            | Op.Modswitch -> Ckks.Evaluator.modswitch ev (a 0)
+            | Op.Bootstrap target_level -> Ckks.Evaluator.bootstrap ev (a 0) ~target_level
+            | Op.Const _ -> assert false
+          in
+          evaluator := !evaluator +. (Gc.minor_words () -. before);
+          cts.(id) <- c)
+    order;
+  checkb "the evaluator allocated" true (!evaluator > 0.0);
+  check_float ~eps:0.0 "session words per exec beyond the evaluator's" 0.0
+    ((session -. !evaluator) /. float_of_int (Array.length order))
+
 let suite =
   [
     case "structured errors: every Table 1 constraint path" constraint_fixtures;
@@ -1200,8 +1396,8 @@ let suite =
     case "eviction keeps the highest-value checkpoint"
       recovery_eviction_keeps_expensive_guard;
     recovery_faultoff_identity;
-    case "live_cts and snapshots match the liveness definition (ResNet-20)"
-      live_cts_matches_definition_resnet20;
+    case "live_cts and snapshots match the liveness definition, refresh included (Tiny, LeNet-5, ResNet-20)"
+      live_cts_matches_definition_models;
     live_cts_matches_definition_random;
     case "compile_robust: first tier wins when healthy" robust_compile_no_degradation;
     case "compile_robust: fuel exhaustion degrades to eager"
@@ -1224,4 +1420,10 @@ let suite =
       validate_once_checks_refreshed_values;
     case "validate once: values restored by a rollback are not validated again"
       validate_once_keeps_mark_across_rollback;
+    case "session: rollback accepts only the newest snapshot" rollback_only_to_newest;
+    case "session: node_costs of a rolled-back run = the fault-free run's"
+      node_costs_survive_rollback;
+    case "session: constants encoded once per program and resolver"
+      constants_encoded_once_per_resolver;
+    case "session: exec allocates nothing beyond the evaluator" session_exec_allocates_nothing;
   ]
