@@ -475,8 +475,24 @@ let micro () =
   let open Bechamel in
   let g20 = (lowered Nn.Model.resnet20).Nn.Lowering.dfg in
   let galex = (lowered Nn.Model.alexnet).Nn.Lowering.dfg in
+  let g110 = (lowered Nn.Model.resnet110).Nn.Lowering.dfg in
+  let managed20, _ = Resbm.Driver.compile prm g20 in
+  (* 1000 Table 2 lookups sweeping every op over levels 0..19. *)
+  let ops = Array.of_list Ckks.Cost_model.all_ops in
+  let cost_1000 () =
+    let acc = ref 0.0 in
+    for k = 0 to 999 do
+      acc := !acc +. Ckks.Cost_model.cost ops.(k mod 9) ~level:(k mod 20)
+    done;
+    !acc
+  in
   let tests =
     [
+      Test.make ~name:"topo-order resnet110 input"
+        (Staged.stage (fun () -> ignore (Dfg.topo_order g110)));
+      Test.make ~name:"topo-order resnet20 managed"
+        (Staged.stage (fun () -> ignore (Dfg.topo_order managed20)));
+      Test.make ~name:"cost-model 1000 calls" (Staged.stage (fun () -> ignore (cost_1000 ())));
       Test.make ~name:"region-partition resnet20"
         (Staged.stage (fun () -> ignore (Resbm.Region.build g20)));
       Test.make ~name:"resbm-compile resnet20"

@@ -59,29 +59,28 @@ let filled op =
    planner domains read it without synchronisation. *)
 let tables = Array.of_list (List.map filled all_ops)
 
-let table op =
-  tables.(match op with
-          | Add_cp -> 0
-          | Add_cc -> 1
-          | Mul_cp -> 2
-          | Mul_cc -> 3
-          | Rotate -> 4
-          | Relin -> 5
-          | Rescale -> 6
-          | Bootstrap -> 7
-          | Modswitch -> 8)
+let index = function
+  | Add_cp -> 0
+  | Add_cc -> 1
+  | Mul_cp -> 2
+  | Mul_cc -> 3
+  | Rotate -> 4
+  | Relin -> 5
+  | Rescale -> 6
+  | Bootstrap -> 7
+  | Modswitch -> 8
 
-let cost op ~level =
+(* Table 2 at level [level >= 0]: odd levels interpolated, levels past
+   the grid extrapolated along the last segment. *)
+let interpolate op level =
   match op with
   | Modswitch -> modswitch_epsilon
   | _ ->
-      let row = table op in
-      let level = max level 0 in
+      let row = tables.(index op) in
       let x = float_of_int level /. 2.0 in
       let last = Array.length row - 1 in
       let v =
         if x >= float_of_int last then
-          (* extrapolate with the slope of the final segment *)
           row.(last) +. ((x -. float_of_int last) *. (row.(last) -. row.(last - 1)))
         else begin
           let i = int_of_float (Float.floor x) in
@@ -90,3 +89,18 @@ let cost op ~level =
         end
       in
       Float.max v 0.0
+
+(* [interpolate] at every integer level [0 .. tabulated], row-major by
+   op: the planners price ops at these levels millions of times. *)
+let tabulated = 64
+
+let by_level =
+  let ops = Array.of_list all_ops in
+  Array.init
+    (Array.length ops * (tabulated + 1))
+    (fun k -> interpolate ops.(k / (tabulated + 1)) (k mod (tabulated + 1)))
+
+let cost op ~level =
+  let level = max level 0 in
+  if level <= tabulated then by_level.((index op * (tabulated + 1)) + level)
+  else interpolate op level

@@ -1,3 +1,7 @@
+let scalemgr_plans = Obs.Counter.make "scalemgr.plans"
+let segment_evals = Obs.Counter.make "btsmgr.segment_evals"
+let candidates_counter = Obs.Counter.make "btsmgr.candidates"
+
 type config = {
   min_level_bts : bool;
   smo_mode : Region_eval.smo_mode;
@@ -161,7 +165,7 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
     (* A fresh SCALEMGR window at [src]: one sequence plan per source and
        bootstrap choice, extended region by region as [dst] grows. *)
     let open_window src ~bts_at_src =
-      Obs.incr "scalemgr.plans";
+      Obs.Counter.bump scalemgr_plans;
       let cap = min (count - src) 16 in
       let info = Scalemgr.step regioned prm ~region:src ~entry_scale:boundary_scale.(src) in
       { src; bts_at_src; infos = Array.make cap info; lbts = Array.make cap 0; len = 1 }
@@ -188,7 +192,7 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
        raises Not_found when infeasible. *)
     let try_segment ~dst w =
       Fuel.spend fuel;
-      Obs.incr "btsmgr.segment_evals";
+      Obs.Counter.bump segment_evals;
       extend w;
       let src = w.src and no_bts = not w.bts_at_src in
       let info r = w.infos.(r - src) in
@@ -327,7 +331,7 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
           | Some seg -> consider seg
           | None -> continue_scan := false
           | exception Not_found -> ());
-          Obs.incr ~by:!candidates "btsmgr.candidates";
+          Obs.Counter.add candidates_counter !candidates;
           incr dst
         done
       end

@@ -1,5 +1,7 @@
 open Fhe_ir
 
+let cuts = Obs.Counter.make "btsplc.cuts"
+
 let cut ?(fuel = Fuel.unlimited) (shape : Region.shape) ~lbts ~subgraph =
   Fuel.spend fuel;
   if lbts < 1 then invalid_arg "Btsplc.run: bootstrap target below 1";
@@ -101,7 +103,7 @@ let cut ?(fuel = Fuel.unlimited) (shape : Region.shape) ~lbts ~subgraph =
     subgraph;
   let mc = Graphlib.Maxflow.min_cut net ~source:s ~sink:t in
   let cert = Graphlib.Maxflow.certificate net ~source:s ~sink:t mc in
-  Obs.incr "btsplc.cuts";
+  Obs.Counter.bump cuts;
   let node_at = Array.of_list subgraph in
   let producer_heads = Hashtbl.create 8 in
   Det.iter_sorted (fun _ (fn, heads) -> Hashtbl.add producer_heads fn heads) producers;

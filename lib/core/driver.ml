@@ -14,6 +14,9 @@ let () =
    benches) stay separable in a merged log stream. *)
 let compile_seq = Atomic.make 0
 
+let regions_counter = Obs.Counter.make "driver.regions"
+let hoists_counter = Obs.Counter.make "ms_opt.hoists"
+
 let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
     ~fallbacks prm g =
   let profile = match profile with Some p -> p | None -> Obs.Profile.create () in
@@ -45,7 +48,7 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
     end
   in
   let regioned = phase "region_build" (fun () -> Region.build g) in
-  Obs.incr ~by:regioned.Region.count "driver.regions";
+  Obs.Counter.add regions_counter regioned.Region.count;
   (* The input graph is legal only after management: check structure and
      the region invariants here, the scale rules after the plan lands. *)
   verify "region_build" ~scale:false
@@ -62,10 +65,12 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
   let managed = outcome.Plan.dfg in
   verify "plan_apply" managed;
   let ms_opt_hoists =
-    if ms_opt then phase "ms_opt" (fun () -> Passes.Ms_opt.run prm managed) else 0
+    if ms_opt then
+      phase "ms_opt" (fun () -> Passes.Ms_opt.run ~order:outcome.Plan.order prm managed)
+    else 0
   in
   if ms_opt then begin
-    Obs.incr ~by:ms_opt_hoists "ms_opt.hoists";
+    Obs.Counter.add hoists_counter ms_opt_hoists;
     verify "ms_opt" managed
   end;
   let latency_ms =
@@ -78,7 +83,12 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
         in
         Fhe_ir.Latency.total ~info prm managed)
   in
-  let stats = phase "stats" (fun () -> Fhe_ir.Stats.collect managed) in
+  let stats =
+    phase "stats" (fun () ->
+        (* Legalisation's order is current unless ms_opt rewrote the graph. *)
+        let order = if ms_opt_hoists > 0 then None else Some outcome.Plan.order in
+        Fhe_ir.Stats.collect ?order managed)
+  in
   (* Region attribution of the managed graph, for runtime traces and the
      trace summary: plan application copies the input graph (ids are
      preserved), so original nodes keep their partition assignment, and

@@ -5,6 +5,7 @@ type outcome = {
   repair_bootstraps : int;
   levels : int array;
   final_info : Scale_check.info array;
+  order : int array;
 }
 
 exception Apply_error of string
@@ -283,11 +284,11 @@ let apply regioned prm (plan : Btsmgr.plan) =
   (* 4. Close the remaining (downward) mismatches with modswitch chains.
      Legalisation's closing validation is the managed graph's scale/level
      analysis — hand it to the caller so Driver need not re-infer. *)
-  let final_info =
+  let final_info, order =
     match Legalize.run prm g ~levels ~order with
-    | Ok info -> info
+    | Ok result -> result
     | Error (v :: _) ->
         apply_error "managed graph is not legal: %a" Scale_check.pp_violation v
     | Error [] -> assert false
   in
-  { dfg = g; repair_bootstraps = !repair_count; levels; final_info }
+  { dfg = g; repair_bootstraps = !repair_count; levels; final_info; order }

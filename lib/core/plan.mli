@@ -26,6 +26,9 @@ type outcome = {
   final_info : Fhe_ir.Scale_check.info array;
       (** The closing {!Fhe_ir.Scale_check} analysis of [dfg] (from
           {!Fhe_ir.Legalize.run}) — reuse it instead of re-inferring. *)
+  order : int array;
+      (** [dfg]'s {!Fhe_ir.Dfg.topo_order}, from the same closing
+          analysis — reuse it instead of re-sorting. *)
 }
 
 exception Apply_error of string

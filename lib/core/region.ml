@@ -114,19 +114,19 @@ let build ?(sink = true) dfg =
   (* One sort both proves the graph acyclic and orders the passes below;
      a cyclic graph has none, and [Dfg.validate]'s cycle check names it. *)
   let order =
-    match Dfg.topo_order dfg with o -> Some o | exception Graphlib.Topo.Cycle _ -> None
+    match Dfg.topo_order dfg with o -> Some o | exception Dfg.Cycle _ -> None
   in
   (match Dfg.validate ~acyclic:(Option.is_some order) dfg with
   | Ok () -> ()
   | Error (msg :: _) -> invalid_arg ("Region.build: " ^ msg)
   | Error [] -> assert false);
-  let order = Option.get order in
+  let order = Array.of_list (Option.get order) in
   let n = Dfg.node_count dfg in
-  let depth = Depth.per_node dfg in
+  let depth = Depth.per_node ~order dfg in
   let region_of = Array.make n 0 in
   (* Forward pass: multiplications anchor at their depth; everything else
      at the latest predecessor's region. *)
-  List.iter
+  Array.iter
     (fun id ->
       let node = Dfg.node dfg id in
       if Op.is_mul node.Dfg.kind then region_of.(id) <- depth.(id)
@@ -138,28 +138,23 @@ let build ?(sink = true) dfg =
      Multiplications of region j consume operands from region j-1 at the
      latest; non-multiplications admit same-region operands. *)
   if sink then
-  List.iter
-    (fun id ->
+    for k = Array.length order - 1 downto 0 do
+      let id = order.(k) in
       let node = Dfg.node dfg id in
-      match node.Dfg.kind with
-      | Op.Input _ -> ()
-      | _ -> (
-          let users = Dfg.succs dfg id in
-          match users with
-          | [] -> ()
-          | _ ->
-              let allowance u =
-                let r = region_of.(u) in
-                if Op.is_mul (Dfg.node dfg u).Dfg.kind then r - 1 else r
-              in
-              let latest =
-                List.fold_left (fun acc u -> min acc (allowance u)) max_int users
-              in
-              if latest > region_of.(id) then region_of.(id) <- latest))
-    (List.rev order);
-  let count = 1 + List.fold_left (fun acc id -> max acc region_of.(id)) 0 order in
+      match (node.Dfg.kind, node.Dfg.users) with
+      | Op.Input _, _ | _, [] -> ()
+      | _, users ->
+          (* A minimum: the use list's order does not matter. *)
+          let allowance u =
+            let r = region_of.(u) in
+            if Op.is_mul (Dfg.node dfg u).Dfg.kind then r - 1 else r
+          in
+          let latest = List.fold_left (fun acc u -> min acc (allowance u)) max_int users in
+          if latest > region_of.(id) then region_of.(id) <- latest
+    done;
+  let count = 1 + Array.fold_left (fun acc id -> max acc region_of.(id)) 0 order in
   let buckets = Array.make count [] in
-  List.iter (fun id -> buckets.(region_of.(id)) <- id :: buckets.(region_of.(id))) order;
+  Array.iter (fun id -> buckets.(region_of.(id)) <- id :: buckets.(region_of.(id))) order;
   let regions = Array.map (fun ids -> Array.of_list (List.rev ids)) buckets in
   let kind id = (Dfg.node dfg id).Dfg.kind in
   let region_muls =

@@ -1,5 +1,7 @@
 open Fhe_ir
 
+let computes = Obs.Counter.make "region_eval.computes"
+
 type smo_mode = Smo_min_cut | Smo_eva | Smo_pars
 type bts_mode = Bts_min_cut | Bts_region_end
 
@@ -298,7 +300,7 @@ let solution ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~resc
       (* Fuel is deliberately absent from the key: a hit costs no steps,
          and cache population order is deterministic, so degraded
          compiles stay reproducible. *)
-      Obs.incr "region_eval.computes";
+      Obs.Counter.bump computes;
       let r =
         compute ?fuel cache shape ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts
       in

@@ -1,3 +1,5 @@
+let plans = Obs.Counter.make "scalemgr.plans"
+
 type region_info = {
   entry_scale : int;
   peak_scale : int;
@@ -33,7 +35,7 @@ let next_entry_scale prm ~bts info =
 let plan regioned prm ~src ~dst ~src_entry_scale ~bts_at_src =
   if src < 0 || dst >= regioned.Region.count || src > dst then
     invalid_arg "Scalemgr.plan: bad sequence bounds";
-  Obs.incr "scalemgr.plans";
+  Obs.Counter.bump plans;
   let infos = Array.make (dst - src + 1) { entry_scale = 0; peak_scale = 0; out_scale = 0; rescales = 0 } in
   let rescaling = ref [] and lbts = ref 0 in
   let scale = ref src_entry_scale in

@@ -1,5 +1,7 @@
 open Fhe_ir
 
+let cuts = Obs.Counter.make "smoplc.cuts"
+
 let cost_of (s : Region.slot) ~level =
   match Op.cost_op s.Region.kind with
   | None -> 0.0
@@ -114,7 +116,7 @@ let solve tp ~level =
     tp.arcs;
   let mc = Graphlib.Maxflow.min_cut net ~source:s ~sink:t in
   let cert = Graphlib.Maxflow.certificate net ~source:s ~sink:t mc in
-  Obs.incr "smoplc.cuts";
+  Obs.Counter.bump cuts;
   let edges =
     List.filter_map
       (fun (u, v) ->

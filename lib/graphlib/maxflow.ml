@@ -29,6 +29,12 @@ type t = {
 
 let eps = 1e-9
 
+(* Work counters on the ambient profile. *)
+let runs_counter = Obs.Counter.make "maxflow.runs"
+let bfs_phases_counter = Obs.Counter.make "maxflow.bfs_phases"
+let aug_paths_counter = Obs.Counter.make "maxflow.aug_paths"
+let cut_edges_counter = Obs.Counter.make "maxflow.cut_edges"
+
 let create n =
   if n < 0 then invalid_arg "Maxflow.create";
   {
@@ -41,20 +47,6 @@ let create n =
     bfs_phases = 0;
     aug_paths = 0;
   }
-
-let add_node net =
-  if net.built then invalid_arg "Maxflow.add_node: network already built";
-  if net.n >= Array.length net.pending then begin
-    let capacity = (2 * net.n) + 1 in
-    let pending' = Array.make capacity [] and deg' = Array.make capacity 0 in
-    Array.blit net.pending 0 pending' 0 net.n;
-    Array.blit net.deg 0 deg' 0 net.n;
-    net.pending <- pending';
-    net.deg <- deg'
-  end;
-  let id = net.n in
-  net.n <- net.n + 1;
-  id
 
 (* Arcs are prepended (O(1)) and the lists reversed once in [build], so a
    node's final adjacency index is its degree at insertion time. *)
@@ -147,9 +139,9 @@ let max_flow net ~source ~sink =
        done
      done
    with Exit -> ());
-  Obs.incr "maxflow.runs";
-  Obs.incr ~by:net.bfs_phases "maxflow.bfs_phases";
-  Obs.incr ~by:net.aug_paths "maxflow.aug_paths";
+  Obs.Counter.bump runs_counter;
+  Obs.Counter.add bfs_phases_counter net.bfs_phases;
+  Obs.Counter.add aug_paths_counter net.aug_paths;
   !flow
 
 type cut = {
@@ -183,7 +175,7 @@ let min_cut net ~source ~sink =
         net.adj.(u)
   done;
   let edges = List.rev !edges in
-  Obs.incr ~by:(List.length edges) "maxflow.cut_edges";
+  Obs.Counter.add cut_edges_counter (List.length edges);
   { value; source_side = side; edges }
 
 type flow_arc = { fa_src : int; fa_dst : int; fa_cap : float; fa_flow : float }

@@ -12,9 +12,6 @@ type t
 val create : int -> t
 (** [create n] is an empty flow network over nodes [0 .. n-1]. *)
 
-val add_node : t -> int
-(** Allocate a fresh node (useful for super source/sink). *)
-
 val add_edge : t -> src:int -> dst:int -> cap:float -> unit
 (** Add a directed arc in O(1) (adjacency lists are materialised once by
     the first [max_flow]).  Negative capacities raise [Invalid_argument]. *)

@@ -5,7 +5,9 @@
     transparent.  The region partition (Section 4.1) keys off this: the
     multiplication nodes at depth [i] open region [i]. *)
 
-val per_node : Dfg.t -> int array
-(** Depth per node id (0 for dead nodes). *)
+val per_node : ?order:int array -> Dfg.t -> int array
+(** Depth per node id (0 for dead nodes).  [order] is {!Dfg.topo_order}
+    as an array when the caller has sorted the graph already (default:
+    sorted here). *)
 
-val max_depth : Dfg.t -> int
+val max_depth : ?order:int array -> Dfg.t -> int

@@ -183,39 +183,93 @@ let kill g id =
   n.dead <- true;
   n.args <- [||]
 
-let uniq ids =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun id ->
-      if Hashtbl.mem seen id then false
-      else begin
-        Hashtbl.add seen id ();
-        true
-      end)
-    ids
+(* [args.(k)] does not occur in [args] before position [k]. *)
+let is_first_use args k =
+  let j = ref 0 in
+  while args.(!j) <> args.(k) do
+    incr j
+  done;
+  !j = k
 
 let preds g id =
   match (node g id).args with
   | [||] -> []
   | [| a |] -> [ a ]
   | [| a; b |] -> if a = b then [ a ] else [ a; b ]
-  | args -> uniq (Array.to_list args)
+  | args -> List.filteri (fun k _ -> is_first_use args k) (Array.to_list args)
 
 (* [add_user] keeps use lists duplicate-free ([validate] checks it). *)
 let succs g id = List.rev (node g id).users
 
-let to_digraph g =
-  let dg = Graphlib.Digraph.create ~capacity:(max 1 g.len) () in
-  Graphlib.Digraph.add_nodes dg g.len;
-  for id = 0 to g.len - 1 do
-    let n = g.nodes.(id) in
-    if not n.dead then Array.iter (fun a -> Graphlib.Digraph.add_edge dg a id) n.args
+exception Cycle of int
+
+(* Kahn's algorithm over the argument arrays: one edge [a -> id] per
+   distinct argument [a] of each live node [id], with every node's
+   consumers in one CSR array, ascending by id.  Roots enter the queue in
+   ascending id (dead nodes too) and consumers are released in ascending
+   id, so the order is a function of the graph alone.  Returns the queue:
+   every node, in order.  On a cycle the witness is the least node whose
+   in-degree never reached 0. *)
+let kahn g =
+  let n = g.len in
+  let indeg = Array.make n 0 and queue = Array.make n 0 in
+  (* [first.(a)] counts [a]'s consumers, then (prefix sums) ends its
+     range, then (filled downwards) starts it; [first.(n)] is the edge
+     count. *)
+  let first = Array.make (n + 1) 0 in
+  for id = 0 to n - 1 do
+    let { args; dead; _ } = g.nodes.(id) in
+    if not dead then
+      for k = 0 to Array.length args - 1 do
+        if is_first_use args k then begin
+          first.(args.(k)) <- first.(args.(k)) + 1;
+          indeg.(id) <- indeg.(id) + 1
+        end
+      done
   done;
-  dg
+  for v = 1 to n do
+    first.(v) <- first.(v) + first.(v - 1)
+  done;
+  let consumers = Array.make first.(n) 0 in
+  for id = n - 1 downto 0 do
+    let { args; dead; _ } = g.nodes.(id) in
+    if not dead then
+      for k = 0 to Array.length args - 1 do
+        if is_first_use args k then begin
+          first.(args.(k)) <- first.(args.(k)) - 1;
+          consumers.(first.(args.(k))) <- id
+        end
+      done
+  done;
+  let head = ref 0 and tail = ref 0 in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then begin
+      queue.(!tail) <- v;
+      incr tail
+    end
+  done;
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for j = first.(u) to first.(u + 1) - 1 do
+      let v = consumers.(j) in
+      indeg.(v) <- indeg.(v) - 1;
+      if indeg.(v) = 0 then begin
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  if !tail < n then raise (Cycle (Option.get (Array.find_index (fun d -> d > 0) indeg)));
+  queue
 
 let topo_order g =
-  let order = Graphlib.Topo.sort (to_digraph g) in
-  List.filter (fun id -> not (node g id).dead) order
+  let queue = kahn g in
+  let order = ref [] in
+  for k = g.len - 1 downto 0 do
+    if not g.nodes.(queue.(k)).dead then order := queue.(k) :: !order
+  done;
+  !order
 
 let validate ?(acyclic = false) g =
   let errors = ref [] in
@@ -270,7 +324,8 @@ let validate ?(acyclic = false) g =
       if o < 0 || o >= g.len || (node g o).dead then err "dead or invalid output %d" o
       else if not (is_ct g o) then err "output %d is a plaintext" o)
     g.outs;
-  if (not acyclic) && not (Graphlib.Topo.is_dag (to_digraph g)) then err "graph has a cycle";
+  (if not acyclic then
+     match kahn g with _ -> () | exception Cycle _ -> err "graph has a cycle");
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let copy g =

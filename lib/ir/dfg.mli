@@ -84,9 +84,17 @@ val succs : t -> int -> int list
 (** User ids, each once (use lists never hold a duplicate), oldest use
     first. *)
 
+exception Cycle of int
+(** A directed cycle through the arguments; carries a witness node. *)
+
 val topo_order : t -> int list
-(** Live nodes in topological (def-before-use) order.
-    @raise Graphlib.Topo.Cycle on malformed graphs. *)
+(** Live nodes in topological (def-before-use) order, a function of the
+    graph alone: Kahn's algorithm with a FIFO queue over one edge per
+    distinct argument of each live node.  Nodes with no such edge in
+    (dead ones included, dropped from the result) enter in ascending id,
+    and a node's consumers are released in ascending id.  Allocates its
+    work arrays and the result only.
+    @raise Cycle on a cyclic graph, naming the least node left unsorted. *)
 
 val validate : ?acyclic:bool -> t -> (unit, string list) result
 (** Structural well-formedness: args in range and alive, every arg's use

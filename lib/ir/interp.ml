@@ -119,7 +119,7 @@ module Program = struct
     let order =
       match Dfg.topo_order g with
       | o -> Some (Array.of_list o)
-      | exception Graphlib.Topo.Cycle _ -> None
+      | exception Dfg.Cycle _ -> None
     in
     let info = validate ?trace ?order prm g in
     let sched = Liveness.schedule ?order g in
@@ -441,13 +441,17 @@ module Session = struct
     match s.trace with Some tr -> Obs.with_trace tr go | None -> go ()
 
   (* The log entries past [after] whose write is still their node's
-     latest, and whose node is live. *)
-  let live_cts ?(after = 0) s =
-    let ids = ref [] in
+     latest, and whose node is live, newest write first. *)
+  let iter_live_cts ~after s f =
     for w = s.writes downto max after 0 + 1 do
       let id = s.wlog.(w - 1) in
-      if s.stamp.(id) = w && s.cts.v.(id) != s.cts.empty then ids := id :: !ids
-    done;
+      let c = s.cts.v.(id) in
+      if s.stamp.(id) = w && c != s.cts.empty then f id c
+    done
+
+  let live_cts ?(after = 0) s =
+    let ids = ref [] in
+    iter_live_cts ~after s (fun id _ -> ids := id :: !ids);
     List.map (fun id -> (id, s.cts.v.(id))) (List.sort Int.compare !ids)
 
   let writes s = s.writes

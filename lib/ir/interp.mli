@@ -194,6 +194,10 @@ module Session : sig
       written again (re-executed or refreshed) after the snapshot, in
       which case it carries that later, discarded write's stamp. *)
 
+  val iter_live_cts : after:int -> t -> (int -> Ckks.Ciphertext.t -> unit) -> unit
+  (** [f id ct] on each value {!live_cts}[ ~after] lists, newest write
+      first rather than by id, with no list built. *)
+
   val writes : t -> int
   (** The session's write stamp: 0 at {!create}, then one more for every
       ciphertext {!exec} computes and every {!refresh}.  That write's

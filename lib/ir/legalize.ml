@@ -30,6 +30,9 @@ let run prm g ~levels ~order =
           end
       | _ -> ())
     order;
-  (* The closing validation doubles as the caller's scale/level analysis:
-     return its info array so Driver and Plan need not re-infer. *)
-  Scale_check.run prm g
+  (* The closing validation doubles as the caller's scale/level analysis
+     and its sort as the managed graph's order: return both so Driver and
+     Plan need neither re-infer nor re-sort.  Modswitch chains on edges
+     keep a sorted graph acyclic. *)
+  let order = Array.of_list (Dfg.topo_order g) in
+  Result.map (fun info -> (info, order)) (Scale_check.run ~order prm g)

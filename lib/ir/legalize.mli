@@ -15,12 +15,13 @@ val run :
   Dfg.t ->
   levels:int array ->
   order:int list ->
-  (Scale_check.info array, Scale_check.violation list) result
+  (Scale_check.info array * int array, Scale_check.violation list) result
 (** [levels] is the level of every node of [g] by id — what
     {!Scale_check.infer} gives, or a caller's own propagation of the same
     rules — and [order] is {!Dfg.topo_order}[ g]; the pass trusts both.
     Mutates the graph in place.  On success the graph passes
-    {!Scale_check.run} and the returned array is that final analysis
-    (indexed by node id) — callers wanting the managed graph's scales and
-    levels should reuse it instead of re-running {!Scale_check.infer},
+    {!Scale_check.run}; the result is that final analysis (indexed by
+    node id) and the legalised graph's {!Dfg.topo_order} as an array —
+    callers wanting the managed graph's scales, levels or order should
+    reuse them instead of re-running {!Scale_check.infer} or re-sorting,
     mirroring the [?info] sharing of {!Latency}. *)

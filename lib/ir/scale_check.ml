@@ -171,7 +171,7 @@ let run ?order prm g =
     | None -> (
         match Dfg.topo_order g with
         | o -> Some (Array.of_list o)
-        | exception Graphlib.Topo.Cycle _ -> None)
+        | exception Dfg.Cycle _ -> None)
   in
   match Dfg.validate ~acyclic:(Option.is_some order) g with
   | Error msgs -> Error (List.map (fun m -> { node = -1; message = m }) msgs)
@@ -179,4 +179,4 @@ let run ?order prm g =
       let info, violations = analyse ?order ~strict:true prm g in
       match violations with [] -> Ok info | vs -> Error vs)
 
-let infer prm g = fst (analyse ~strict:false prm g)
+let infer ?order prm g = fst (analyse ?order ~strict:false prm g)

@@ -52,7 +52,7 @@ val analyse :
     themselves (argument ids must at least be in range).  [Analysis.Verify] uses it to report scale violations under
     its own rule ids after its well-formedness pass. *)
 
-val infer : Ckks.Params.t -> Dfg.t -> info array
+val infer : ?order:int array -> Ckks.Params.t -> Dfg.t -> info array
 (** Best-effort propagation that never fails: constraint violations are
     ignored and levels are clamped at 0.  Used by planners and the latency
     model on graphs that are not yet fully legalised. *)

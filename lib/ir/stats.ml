@@ -9,7 +9,7 @@ type t = {
   max_depth : int;
 }
 
-let collect g =
+let collect ?order g =
   let static = Hashtbl.create 16 and executed = Hashtbl.create 16 in
   let bump table key k =
     Hashtbl.replace table key (k + Option.value (Hashtbl.find_opt table key) ~default:0)
@@ -44,7 +44,7 @@ let collect g =
     bootstrap_levels =
       Hashtbl.fold (fun l c acc -> (l, c) :: acc) bts_levels [] (* det-ok: sorted *)
       |> List.sort (fun (a, _) (b, _) -> compare b a);
-    max_depth = Depth.max_depth g;
+    max_depth = Depth.max_depth ?order g;
   }
 
 let executed t op =

@@ -11,7 +11,9 @@ type t = {
   max_depth : int;
 }
 
-val collect : Dfg.t -> t
+val collect : ?order:int array -> Dfg.t -> t
+(** [order] is {!Dfg.topo_order} as an array when the caller has sorted
+    the graph already (default: sorted here). *)
 
 val executed : t -> Ckks.Cost_model.op -> int
 

@@ -258,6 +258,23 @@ module Timer = struct
   let elapsed_ms t = 1000.0 *. (Unix.gettimeofday () -. t)
 end
 
+(* Counter handles: names registered once each, numbered densely in
+   registration order.  A profile keeps one int slot per handle beside
+   its by-name table, and every reader merges the two. *)
+module Handles = struct
+  let lock = Mutex.create ()
+  let names = ref [||]
+
+  let register name =
+    Mutex.protect lock (fun () ->
+        let known = !names in
+        match Array.find_index (String.equal name) known with
+        | Some h -> h
+        | None ->
+            names := Array.append known [| name |];
+            Array.length known)
+end
+
 module Profile = struct
   type span = { name : string; depth : int; start_ms : float; dur_ms : float }
 
@@ -266,7 +283,10 @@ module Profile = struct
     mutable finished : span list;  (* reverse completion order *)
     mutable stack : (string * float) list;  (* open spans *)
     counters : (string, int) Hashtbl.t;
+    mutable slots : int array;  (* per handle; [unset] until bumped *)
   }
+
+  let unset = min_int
 
   let create () =
     {
@@ -274,6 +294,7 @@ module Profile = struct
       finished = [];
       stack = [];
       counters = Hashtbl.create 16;
+      slots = Array.make (Array.length !Handles.names) unset;
     }
 
   let now_ms t = 1000.0 *. (Unix.gettimeofday () -. t.epoch)
@@ -282,7 +303,15 @@ module Profile = struct
     Hashtbl.replace t.counters name
       (by + Option.value (Hashtbl.find_opt t.counters name) ~default:0)
 
-  let counter t name = Option.value (Hashtbl.find_opt t.counters name) ~default:0
+  (* A handle registered after [t] was created gets its slot here. *)
+  let bump t h by =
+    if h >= Array.length t.slots then begin
+      let grown = Array.make (Array.length !Handles.names) unset in
+      Array.blit t.slots 0 grown 0 (Array.length t.slots);
+      t.slots <- grown
+    end;
+    let v = t.slots.(h) in
+    t.slots.(h) <- (if v = unset then by else v + by)
 
   let span t name f =
     let start = now_ms t in
@@ -299,8 +328,18 @@ module Profile = struct
       (List.rev t.finished)
 
   let counters t =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters [] (* det-ok: sorted *)
+    let merged = Hashtbl.copy t.counters in
+    let names = !Handles.names in
+    Array.iteri
+      (fun h v ->
+        if v <> unset then
+          Hashtbl.replace merged names.(h)
+            (v + Option.value (Hashtbl.find_opt merged names.(h)) ~default:0))
+      t.slots;
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) merged [] (* det-ok: sorted *)
     |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+  let counter t name = Option.value (List.assoc_opt name (counters t)) ~default:0
 
   let to_json t =
     let span_json s =
@@ -1900,6 +1939,14 @@ let current () = (ctx ()).profile
 
 let incr ?by name =
   match current () with Some p -> Profile.incr ?by p name | None -> ()
+
+module Counter = struct
+  type t = int
+
+  let make = Handles.register
+  let bump h = match current () with Some p -> Profile.bump p h 1 | None -> ()
+  let add h by = match current () with Some p -> Profile.bump p h by | None -> ()
+end
 
 let span name f = match current () with Some p -> Profile.span p name f | None -> f ()
 

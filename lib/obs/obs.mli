@@ -557,6 +557,28 @@ val current : unit -> Profile.t option
 val incr : ?by:int -> string -> unit
 (** Increment a counter on the ambient profile; no-op when none. *)
 
+(** Counter handles for hot instrumentation sites.  A handle is made once
+    per site, at module initialisation, and names a counter; a bump adds
+    to an int slot of the ambient profile, with no string hashing and no
+    allocation, and costs one option check when no profile is installed.
+    Handle bumps and {!incr} of the same name land in one counter: every
+    {!Profile} reader ({!Profile.counter}, {!Profile.counters},
+    {!Profile.to_json}) sums the two, and a handle never bumped is
+    absent, as a name never passed to {!incr} is. *)
+module Counter : sig
+  type t
+
+  val make : string -> t
+  (** The handle for counter [name]; the same name always gives the same
+      handle. *)
+
+  val bump : t -> unit
+  (** Add 1 on the ambient profile. *)
+
+  val add : t -> int -> unit
+  (** Add [n] on the ambient profile (0 records the counter as 0). *)
+end
+
 val span : string -> (unit -> 'a) -> 'a
 (** Time [f] as a span on the ambient profile; just runs [f] when none. *)
 

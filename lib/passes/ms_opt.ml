@@ -41,8 +41,8 @@ let hoist_target prm info g m =
 
 module Ids = Set.Make (Int)
 
-let run prm g =
-  let info = ref (Scale_check.infer prm g) in
+let run ?order prm g =
+  let info = ref (Scale_check.infer ?order prm g) in
   let get id = !info.(id) in
   (* Each hoist appends modswitch nodes past the inferred array. *)
   let set id i =

@@ -35,5 +35,7 @@ val hoist_target :
     [None] when [m] cannot move.  [info] gives each node's inferred scale
     and level.  Does not mutate [g]. *)
 
-val run : Ckks.Params.t -> Fhe_ir.Dfg.t -> int
-(** Hoist to a fixpoint; returns the number of hoists. *)
+val run : ?order:int array -> Ckks.Params.t -> Fhe_ir.Dfg.t -> int
+(** Hoist to a fixpoint; returns the number of hoists.  [order] is
+    {!Fhe_ir.Dfg.topo_order} as an array when the caller has sorted the
+    graph already (default: sorted here). *)

@@ -44,6 +44,7 @@ type stats = {
 }
 
 let headroom = Obs.Trace.headroom_bits
+let validations = Obs.Counter.make "recovery.validations"
 
 module Smap = Map.Make (String)
 
@@ -117,12 +118,20 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
   let start_mark = injected_now () in
   let fault_mark = ref start_mark in
   let attempts = ref 0 in
-  (* The retained checkpoints, oldest first: [cp_at.(k)] and
-     [cp_bytes.(k)], [k < !held], are their positions (ascending) and
-     sizes.  Only the newest is ever restored, so it alone is kept as a
-     session snapshot. *)
+  (* The retained checkpoints, oldest first: [cp_at.(k)], [cp_bytes.(k)]
+     and [cp_value.(k)], [k < !held], are their positions (ascending),
+     sizes and values ([value_at k]).  Only the newest is ever restored,
+     so it alone is kept as a session snapshot. *)
   let cp_at = ref (Array.make 16 0) and cp_bytes = ref (Array.make 16 0.0) in
+  let cp_value = ref (Array.make 16 0.0) in
   let held = ref 0 and newest = ref None in
+  (* A checkpoint's value is the simulated latency of the span it saves
+     re-executing: its position's prefix cost minus that of the
+     next-older retained checkpoint (position 0 past the oldest). *)
+  let value_at k =
+    Program.prefix_ms prog !cp_at.(k)
+    -. Program.prefix_ms prog (if k = 0 then 0 else !cp_at.(k - 1))
+  in
   (* Bytes of the retained checkpoints, kept as a running total: the sizes
      are integer-valued floats, so adding and subtracting stays exact. *)
   let retained = ref 0.0 in
@@ -144,23 +153,16 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
     | None -> ()
   in
   (* Evict down to the budget by MINIMUM marginal re-execution value,
-     never touching the newest (it is the rollback target).  A
-     checkpoint's value is the simulated latency of the span it saves
-     re-executing: its position's prefix cost minus that of the
-     next-older retained checkpoint (position 0 past the oldest).
+     never touching the newest (it is the rollback target).
      Oldest-first eviction could discard the checkpoint guarding the most
      expensive suffix of the run; value-based eviction keeps it and sheds
      the cheapest span instead.  Ties evict the oldest. *)
   let evict_to_budget () =
     while !retained > budget && !held > 1 do
-      let at = !cp_at and bytes = !cp_bytes in
-      let value k =
-        Program.prefix_ms prog at.(k)
-        -. Program.prefix_ms prog (if k = 0 then 0 else at.(k - 1))
-      in
-      let best = ref 0 and best_value = ref (value 0) in
+      let at = !cp_at and bytes = !cp_bytes and values = !cp_value in
+      let best = ref 0 and best_value = ref values.(0) in
       for k = 1 to !held - 2 do
-        let v = value k in
+        let v = values.(k) in
         if v < !best_value then begin
           best := k;
           best_value := v
@@ -171,7 +173,10 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
       let tail = !held - !best - 1 in
       Array.blit at (!best + 1) at !best tail;
       Array.blit bytes (!best + 1) bytes !best tail;
-      decr held
+      Array.blit values (!best + 1) values !best tail;
+      decr held;
+      (* The evicted checkpoint's successor now saves its span too. *)
+      values.(!best) <- value_at !best
     done
   in
   let take_checkpoint i =
@@ -180,10 +185,12 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
       newest := Some cp;
       if !held = Array.length !cp_at then begin
         cp_at := Array.append !cp_at !cp_at;
-        cp_bytes := Array.append !cp_bytes !cp_bytes
+        cp_bytes := Array.append !cp_bytes !cp_bytes;
+        cp_value := Array.append !cp_value !cp_value
       end;
       !cp_at.(!held) <- Session.snapshot_at cp;
       !cp_bytes.(!held) <- Session.snapshot_bytes cp;
+      !cp_value.(!held) <- value_at !held;
       incr held;
       incr n_checkpoints;
       retained := !retained +. Session.snapshot_bytes cp;
@@ -235,31 +242,36 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
       do_rollback ~why:(Ckks.Evaluator.cause_name e.Ckks.Evaluator.cause)
     else raise (Ckks.Evaluator.Fhe_error e)
   in
+  let beyond_repair id (ct : Ckks.Ciphertext.t) msg =
+    Ckks.Evaluator.raise_error
+      (Ckks.Evaluator.error ~node:id ~level:ct.Ckks.Ciphertext.level
+         ~scale_bits:ct.Ckks.Ciphertext.scale_bits ~noise:ct.Ckks.Ciphertext.err
+         Ckks.Evaluator.State_divergence ~op:"recovery" msg)
+  in
   let handle_boundary i =
     let upto = Session.writes s in
-    let live = Session.live_cts ~after:!validated s in
-    if live <> [] then Obs.incr ~by:(List.length live) "recovery.validations";
-    (* Slot-integrity first: a corrupted slot far below the noise floor
-       changes neither level, scale nor the bookkept noise estimate, so
-       the structural and noise validators wave it through — only the
-       checksum carried from construction time can expose it. *)
-    let corrupt =
-      List.filter
-        (fun ((_ : int), (ct : Ckks.Ciphertext.t)) ->
-          not (Ckks.Ciphertext.integrity_ok ct))
-        live
+    (* One pass over the values written since the mark keeps the
+       least-id value failing each of the first two validators and every
+       value failing the third.  Slot integrity comes first: a corrupted
+       slot far below the noise floor changes neither level, scale nor
+       the bookkept noise estimate, so the structural and noise
+       validators wave it through — only the checksum carried from
+       construction time can expose it. *)
+    let checked = ref 0 and corrupt = ref None and diverged = ref None in
+    let noisy = ref [] in
+    let keep_least found id (ct : Ckks.Ciphertext.t) =
+      match !found with Some (j, _) when j < id -> () | _ -> found := Some (id, ct)
     in
-    let structural =
-      List.filter
-        (fun (id, (ct : Ckks.Ciphertext.t)) ->
-          info.(id).Fhe_ir.Scale_check.is_ct
-          && (ct.Ckks.Ciphertext.level <> info.(id).Fhe_ir.Scale_check.level
-             || ct.Ckks.Ciphertext.scale_bits <> info.(id).Fhe_ir.Scale_check.scale_bits))
-        live
-    in
-    let noisy =
-      List.filter
-        (fun (id, (ct : Ckks.Ciphertext.t)) ->
+    Session.iter_live_cts ~after:!validated s (fun id (ct : Ckks.Ciphertext.t) ->
+        incr checked;
+        if not (Ckks.Ciphertext.integrity_ok ct) then keep_least corrupt id ct;
+        let expect = info.(id) in
+        if
+          expect.Fhe_ir.Scale_check.is_ct
+          && (ct.Ckks.Ciphertext.level <> expect.Fhe_ir.Scale_check.level
+             || ct.Ckks.Ciphertext.scale_bits <> expect.Fhe_ir.Scale_check.scale_bits)
+        then keep_least diverged id ct;
+        if
           id < Array.length predicted
           &&
           let actual = headroom ct.Ckks.Ciphertext.err in
@@ -270,73 +282,65 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
              model slack (a spike can hurt precision long before the
              absolute floor is near). *)
           (actual < noise_floor_bits && pred >= noise_floor_bits)
-          || pred -. actual > noise_slack_bits)
-        live
-    in
+          || pred -. actual > noise_slack_bits
+        then noisy := (id, ct) :: !noisy);
+    if !checked > 0 then Obs.Counter.add validations !checked;
     let faults_since = injected_now () > !fault_mark in
-    if corrupt <> [] then
-      if faults_since && !attempts < config.max_attempts then
-        do_rollback ~why:"slot_integrity"
-      else
-        let id, (ct : Ckks.Ciphertext.t) = List.hd corrupt in
-        Ckks.Evaluator.raise_error
-          (Ckks.Evaluator.error ~node:id ~level:ct.Ckks.Ciphertext.level
-             ~scale_bits:ct.Ckks.Ciphertext.scale_bits ~noise:ct.Ckks.Ciphertext.err
-             Ckks.Evaluator.State_divergence ~op:"recovery"
-             (Printf.sprintf
-                "recovery: node %d failed slot-integrity validation (checksum \
-                 mismatch) beyond repair"
-                id))
-    else if structural <> [] then
-      if faults_since && !attempts < config.max_attempts then
-        do_rollback ~why:"state_divergence"
-      else
-        let id, (ct : Ckks.Ciphertext.t) = List.hd structural in
-        Ckks.Evaluator.raise_error
-          (Ckks.Evaluator.error ~node:id ~level:ct.Ckks.Ciphertext.level
-             ~scale_bits:ct.Ckks.Ciphertext.scale_bits ~noise:ct.Ckks.Ciphertext.err
-             Ckks.Evaluator.State_divergence ~op:"recovery"
-             (Printf.sprintf
-                "recovery: node %d diverged from the plan (level %d scale %d, expected \
-                 level %d scale %d) beyond repair"
-                id ct.Ckks.Ciphertext.level ct.Ckks.Ciphertext.scale_bits
-                info.(id).Fhe_ir.Scale_check.level info.(id).Fhe_ir.Scale_check.scale_bits))
-    else if noisy <> [] then
-      if faults_since && !attempts < config.max_attempts then
-        do_rollback ~why:"noise_floor"
-      else begin
-        (* Retries exhausted (or nothing to retry against): re-bootstrap
-           the damaged ciphertexts in place and move on.  The refreshed
-           values take stamps past [upto], so the next boundary checks
-           them. *)
-        validated := upto;
-        List.iter
-          (fun (id, (ct : Ckks.Ciphertext.t)) ->
-            let before = headroom ct.Ckks.Ciphertext.err in
-            let c' = Session.refresh s id in
-            incr refreshes;
-            instant "panic_refresh"
-              [
-                ("node", Obs.Json.Int id);
-                ("headroom_before_bits", Obs.Json.Float before);
-                ("headroom_after_bits", Obs.Json.Float (headroom c'.Ckks.Ciphertext.err));
-              ];
-            Obs.log_warn ~event:"recovery.panic_refresh"
-              ~fields:
+    match (!corrupt, !diverged, !noisy) with
+    | Some (id, (ct : Ckks.Ciphertext.t)), _, _ ->
+        if faults_since && !attempts < config.max_attempts then
+          do_rollback ~why:"slot_integrity"
+        else
+          beyond_repair id ct
+            (Printf.sprintf
+               "recovery: node %d failed slot-integrity validation (checksum mismatch) \
+                beyond repair"
+               id)
+    | None, Some (id, (ct : Ckks.Ciphertext.t)), _ ->
+        if faults_since && !attempts < config.max_attempts then
+          do_rollback ~why:"state_divergence"
+        else
+          beyond_repair id ct
+            (Printf.sprintf
+               "recovery: node %d diverged from the plan (level %d scale %d, expected \
+                level %d scale %d) beyond repair"
+               id ct.Ckks.Ciphertext.level ct.Ckks.Ciphertext.scale_bits
+               info.(id).Fhe_ir.Scale_check.level info.(id).Fhe_ir.Scale_check.scale_bits)
+    | None, None, (_ :: _ as noisy) ->
+        if faults_since && !attempts < config.max_attempts then
+          do_rollback ~why:"noise_floor"
+        else begin
+          (* Retries exhausted (or nothing to retry against): re-bootstrap
+             the damaged ciphertexts in place, in ascending id, and move
+             on.  The refreshed values take stamps past [upto], so the next
+             boundary checks them. *)
+          validated := upto;
+          List.iter
+            (fun (id, (ct : Ckks.Ciphertext.t)) ->
+              let before = headroom ct.Ckks.Ciphertext.err in
+              let c' = Session.refresh s id in
+              incr refreshes;
+              instant "panic_refresh"
                 [
                   ("node", Obs.Json.Int id);
                   ("headroom_before_bits", Obs.Json.Float before);
-                  ( "headroom_after_bits",
-                    Obs.Json.Float (headroom c'.Ckks.Ciphertext.err) );
-                ]
-              (Printf.sprintf "panic-refreshed node %d" id))
-          noisy;
+                  ("headroom_after_bits", Obs.Json.Float (headroom c'.Ckks.Ciphertext.err));
+                ];
+              Obs.log_warn ~event:"recovery.panic_refresh"
+                ~fields:
+                  [
+                    ("node", Obs.Json.Int id);
+                    ("headroom_before_bits", Obs.Json.Float before);
+                    ( "headroom_after_bits",
+                      Obs.Json.Float (headroom c'.Ckks.Ciphertext.err) );
+                  ]
+                (Printf.sprintf "panic-refreshed node %d" id))
+            (List.sort (fun (a, _) (b, _) -> Int.compare a b) noisy);
+          if i < n then take_checkpoint i
+        end
+    | None, None, [] ->
+        validated := upto;
         if i < n then take_checkpoint i
-      end
-    else begin
-      validated := upto;
-      if i < n then take_checkpoint i
-    end
   in
   let result =
     Fun.protect

@@ -62,6 +62,38 @@ let table2_extrapolation () =
   checkb "grows beyond 16" true (at18 > at16);
   check_float ~eps:1e-6 "slope" (15.638 +. (15.638 -. 13.053)) at18
 
+(* [cost] reads a table filled once per integer level; the interpolation
+   it tabulates, over the grid points [cost] returns at even levels
+   0..16 (exact: their interpolation fraction is 0), must agree with it
+   bit for bit on and past the table's ends. *)
+let table2_tabulated_bit_equal () =
+  let open Ckks.Cost_model in
+  let interpolated op level =
+    match op with
+    | Modswitch -> cost Modswitch ~level:0
+    | _ ->
+        let row = Array.init 9 (fun i -> cost op ~level:(2 * i)) in
+        let x = float_of_int (max level 0) /. 2.0 in
+        let v =
+          if x >= 8.0 then row.(8) +. ((x -. 8.0) *. (row.(8) -. row.(7)))
+          else begin
+            let i = int_of_float (Float.floor x) in
+            let frac = x -. float_of_int i in
+            row.(i) +. (frac *. (row.(i + 1) -. row.(i)))
+          end
+        in
+        Float.max v 0.0
+  in
+  List.iter
+    (fun op ->
+      for level = -2 to 80 do
+        check Alcotest.int64
+          (Printf.sprintf "%s L%d" (op_name op) level)
+          (Int64.bits_of_float (interpolated op level))
+          (Int64.bits_of_float (cost op ~level))
+      done)
+    all_ops
+
 let table2_nonnegative =
   qcheck ~count:200 "costs are non-negative and defined everywhere"
     QCheck2.Gen.(pair (int_range 0 8) (int_range 0 40))
@@ -674,6 +706,7 @@ let suite =
     case "cost model: linear interpolation" table2_interpolation;
     case "cost model: modswitch epsilon" table2_modswitch_cheap;
     case "cost model: extrapolation above 16" table2_extrapolation;
+    case "cost model: tabulated levels equal the interpolation" table2_tabulated_bit_equal;
     table2_nonnegative;
     table2_monotone_in_level;
     case "prng: deterministic" prng_deterministic;

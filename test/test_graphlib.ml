@@ -1,127 +1,211 @@
 open Test_util
+open Fhe_ir
 
-(* --- Digraph ----------------------------------------------------------- *)
+(* --- Topological order ----------------------------------------------------- *)
+
+(* [Dfg.topo_order] replaced a list-based Kahn over a [Graphlib.Digraph]
+   copy of the graph; [Test_util.topo_oracle] keeps that algorithm, and
+   every case here checks the array pass against it. *)
+
+let ints = Alcotest.list Alcotest.int
+
+let sorted sort g = match sort g with o -> Ok o | exception Dfg.Cycle w -> Error w
+
+let check_oracle msg g =
+  check
+    (Alcotest.result ints Alcotest.int)
+    msg (sorted topo_oracle g) (sorted Dfg.topo_order g)
+
+(* Nodes [0 .. n-1], node [v] reading every [u] of an edge [(u, v)], in
+   edge order.  Kinds are placeholders: the sort reads arguments only. *)
+let dfg_of_edges n edges =
+  let node v =
+    let args =
+      Array.of_list (List.filter_map (fun (u, w) -> if w = v then Some u else None) edges)
+    in
+    let ex_kind =
+      if args = [||] then Op.Input { name = "x"; level = None; scale_bits = None }
+      else Op.Add_cc
+    in
+    { Dfg.ex_kind; ex_args = args; ex_freq = 1; ex_dead = false }
+  in
+  Dfg.import (Array.init n node, [])
+
+let has_cycle_error g =
+  match Dfg.validate g with
+  | Ok () -> false
+  | Error msgs -> List.mem "graph has a cycle" msgs
 
 let digraph_basics () =
-  let g = Graphlib.Digraph.create () in
-  Graphlib.Digraph.add_nodes g 4;
-  Graphlib.Digraph.add_edge g 0 1;
-  Graphlib.Digraph.add_edge g 0 2;
-  Graphlib.Digraph.add_edge g 1 3;
-  Graphlib.Digraph.add_edge g 2 3;
-  checki "nodes" 4 (Graphlib.Digraph.node_count g);
-  checki "edges" 4 (Graphlib.Digraph.edge_count g);
-  checkb "mem 0->1" true (Graphlib.Digraph.mem_edge g 0 1);
-  checkb "no 1->0" false (Graphlib.Digraph.mem_edge g 1 0);
-  checki "succs 0" 2 (List.length (Graphlib.Digraph.succs g 0));
-  checki "preds 3" 2 (List.length (Graphlib.Digraph.preds g 3));
-  checki "out-deg 0" 2 (Graphlib.Digraph.out_degree g 0);
-  checki "in-deg 3" 2 (Graphlib.Digraph.in_degree g 3)
+  let g = Dfg.create () in
+  let x = Dfg.input g "x" in
+  let a = Dfg.rotate g x 1 in
+  let b = Dfg.rotate g x 2 in
+  let c = Dfg.add_cc g a b in
+  checki "nodes" 4 (Dfg.node_count g);
+  check ints "succs x" [ a; b ] (Dfg.succs g x);
+  check ints "preds c" [ a; b ] (Dfg.preds g c);
+  check ints "order" [ x; a; b; c ] (Dfg.topo_order g);
+  check_oracle "oracle" g
 
+(* A repeated argument is one edge: [mul_cc x x] and [add_cc y y] are
+   released as soon as their one operand is. *)
 let digraph_duplicate_edges () =
-  let g = Graphlib.Digraph.create () in
-  Graphlib.Digraph.add_nodes g 2;
-  Graphlib.Digraph.add_edge g 0 1;
-  Graphlib.Digraph.add_edge g 0 1;
-  checki "dedup" 1 (Graphlib.Digraph.edge_count g)
+  let g = Dfg.create () in
+  let x = Dfg.input g "x" in
+  let sq = Dfg.mul_cc g x x in
+  let y = Dfg.rotate g x 1 in
+  let dbl = Dfg.add_cc g y y in
+  let out = Dfg.add_cc g sq dbl in
+  Dfg.set_outputs g [ out ];
+  check ints "one pred" [ x ] (Dfg.preds g (sq - 1));
+  check ints "FIFO order" [ x; sq - 1; y; sq; dbl; out ] (Dfg.topo_order g);
+  check_oracle "oracle" g
 
+(* The list-based sort rejected a self edge with [Invalid_argument]; the
+   array pass reports it as the cycle it is. *)
 let digraph_self_edge () =
-  let g = Graphlib.Digraph.create () in
-  Graphlib.Digraph.add_nodes g 1;
-  Alcotest.check_raises "self edge" (Invalid_argument "Digraph.add_edge: self edge")
-    (fun () -> Graphlib.Digraph.add_edge g 0 0)
+  let g = Dfg.create () in
+  let x = Dfg.input g "x" in
+  let r = Dfg.rotate g x 1 in
+  Dfg.set_arg g ~user:r ~arg_index:0 r;
+  Alcotest.check_raises "cycle at the loop" (Dfg.Cycle r) (fun () ->
+      ignore (Dfg.topo_order g));
+  checkb "validate names it" true (has_cycle_error g)
 
 let digraph_out_of_range () =
-  let g = Graphlib.Digraph.create () in
-  Graphlib.Digraph.add_nodes g 1;
   checkb "raises" true
-    (match Graphlib.Digraph.add_edge g 0 5 with
-    | () -> false
+    (match dfg_of_edges 1 [ (5, 0) ] with
+    | _ -> false
     | exception Invalid_argument _ -> true)
 
-let digraph_transpose () =
-  let g = Graphlib.Digraph.create () in
-  Graphlib.Digraph.add_nodes g 3;
-  Graphlib.Digraph.add_edge g 0 1;
-  Graphlib.Digraph.add_edge g 1 2;
-  let t = Graphlib.Digraph.transpose g in
-  checkb "reversed" true (Graphlib.Digraph.mem_edge t 1 0);
-  checkb "reversed 2" true (Graphlib.Digraph.mem_edge t 2 1);
-  checki "same node count" 3 (Graphlib.Digraph.node_count t)
-
 let digraph_growth () =
-  let g = Graphlib.Digraph.create ~capacity:1 () in
-  for _ = 1 to 100 do
-    ignore (Graphlib.Digraph.add_node g)
+  let g = Dfg.create () in
+  let last = ref (Dfg.input g "x") in
+  for _ = 1 to 99 do
+    last := Dfg.rotate g !last 1
   done;
-  for i = 0 to 98 do
-    Graphlib.Digraph.add_edge g i (i + 1)
-  done;
-  checki "nodes" 100 (Graphlib.Digraph.node_count g);
-  checki "edges" 99 (Graphlib.Digraph.edge_count g)
-
-(* --- Topo --------------------------------------------------------------- *)
+  checki "nodes" 100 (Dfg.node_count g);
+  check ints "chain order" (List.init 100 Fun.id) (Dfg.topo_order g);
+  check_oracle "oracle" g
 
 let topo_chain () =
-  let g = Graphlib.Digraph.create () in
-  Graphlib.Digraph.add_nodes g 5;
-  Graphlib.Digraph.add_edge g 3 1;
-  Graphlib.Digraph.add_edge g 1 4;
-  Graphlib.Digraph.add_edge g 4 0;
-  Graphlib.Digraph.add_edge g 0 2;
-  check (Alcotest.list Alcotest.int) "chain order" [ 3; 1; 4; 0; 2 ]
-    (Graphlib.Topo.sort g)
+  let g = dfg_of_edges 5 [ (3, 1); (1, 4); (4, 0); (0, 2) ] in
+  check ints "chain order" [ 3; 1; 4; 0; 2 ] (Dfg.topo_order g);
+  check_oracle "oracle" g
+
+let respects_edges n edges order =
+  let pos = Array.make n (-1) in
+  List.iteri (fun i v -> pos.(v) <- i) order;
+  List.length order = n && List.for_all (fun (u, v) -> pos.(u) < pos.(v)) edges
 
 let topo_respects_edges () =
-  let g = Graphlib.Digraph.create () in
-  Graphlib.Digraph.add_nodes g 6;
-  List.iter
-    (fun (u, v) -> Graphlib.Digraph.add_edge g u v)
-    [ (0, 2); (1, 2); (2, 3); (2, 4); (3, 5); (4, 5) ];
-  let order = Graphlib.Topo.sort g in
-  let pos = Array.make 6 0 in
-  List.iteri (fun i v -> pos.(v) <- i) order;
-  Graphlib.Digraph.iter_edges g (fun u v ->
-      checkb (Printf.sprintf "%d before %d" u v) true (pos.(u) < pos.(v)))
+  let edges = [ (0, 2); (1, 2); (2, 3); (2, 4); (3, 5); (4, 5) ] in
+  let g = dfg_of_edges 6 edges in
+  checkb "every edge forward" true (respects_edges 6 edges (Dfg.topo_order g));
+  check_oracle "oracle" g
 
 let topo_cycle () =
-  let g = Graphlib.Digraph.create () in
-  Graphlib.Digraph.add_nodes g 3;
-  Graphlib.Digraph.add_edge g 0 1;
-  Graphlib.Digraph.add_edge g 1 2;
-  Graphlib.Digraph.add_edge g 2 0;
-  checkb "cycle detected" false (Graphlib.Topo.is_dag g);
-  checkb "raises" true
-    (match Graphlib.Topo.sort g with
-    | _ -> false
-    | exception Graphlib.Topo.Cycle _ -> true)
-
-let topo_reverse () =
-  let g = Graphlib.Digraph.create () in
-  Graphlib.Digraph.add_nodes g 3;
-  Graphlib.Digraph.add_edge g 0 1;
-  Graphlib.Digraph.add_edge g 1 2;
-  check (Alcotest.list Alcotest.int) "reverse" [ 2; 1; 0 ] (Graphlib.Topo.reverse_sort g)
+  let g = dfg_of_edges 4 [ (3, 0); (0, 1); (1, 2); (2, 0) ] in
+  checkb "validate names it" true (has_cycle_error g);
+  Alcotest.check_raises "witness" (Dfg.Cycle 0) (fun () -> ignore (Dfg.topo_order g));
+  check_oracle "oracle" g
 
 let topo_random_prop =
   qcheck ~count:50 "random DAGs topo-sort correctly"
     QCheck2.Gen.(pair (int_range 2 30) (int_bound 10_000))
     (fun (n, seed) ->
       let rng = Ckks.Prng.create (Int64.of_int seed) in
-      let g = Graphlib.Digraph.create () in
-      Graphlib.Digraph.add_nodes g n;
-      (* forward edges only: guaranteed DAG *)
-      for _ = 1 to 2 * n do
-        let u = Ckks.Prng.int rng ~bound:(n - 1) in
-        let v = u + 1 + Ckks.Prng.int rng ~bound:(n - u - 1) in
-        Graphlib.Digraph.add_edge g u v
+      (* Forward edges under a random relabelling: a DAG whose arguments
+         point both ways in id order. *)
+      let label = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Ckks.Prng.int rng ~bound:(i + 1) in
+        let t = label.(i) in
+        label.(i) <- label.(j);
+        label.(j) <- t
       done;
-      let order = Graphlib.Topo.sort g in
-      let pos = Array.make n 0 in
-      List.iteri (fun i v -> pos.(v) <- i) order;
-      let ok = ref (List.length order = n) in
-      Graphlib.Digraph.iter_edges g (fun u v -> if pos.(u) >= pos.(v) then ok := false);
-      !ok)
+      let edges =
+        List.init (2 * n) (fun _ ->
+            let u = Ckks.Prng.int rng ~bound:(n - 1) in
+            let v = u + 1 + Ckks.Prng.int rng ~bound:(n - u - 1) in
+            (label.(u), label.(v)))
+      in
+      let g = dfg_of_edges n edges in
+      let order = Dfg.topo_order g in
+      respects_edges n edges order && sorted topo_oracle g = Ok order)
+
+(* Random DFGs from the builders: repeated arguments ([mul_cc a a],
+   [add_cc a a]), killed nodes, an input that a third of the operands
+   read (hundreds of users on the larger graphs), and operands retargeted
+   with [set_arg] onto nodes created later.  [cyclic] then closes a cycle
+   by pointing a node at one of its users. *)
+let random_topo_dfg (seed, size, cyclic) =
+  let rng = Ckks.Prng.create (Int64.of_int seed) in
+  let g = Dfg.create () in
+  let hub = Dfg.input g "x" in
+  let k = Dfg.const g "k" in
+  let pool = Array.make (size + 1) hub and len = ref 1 in
+  let pick () =
+    if Ckks.Prng.int rng ~bound:3 = 0 then hub else pool.(Ckks.Prng.int rng ~bound:!len)
+  in
+  for _ = 1 to size do
+    let a = pick () in
+    let v =
+      match Ckks.Prng.int rng ~bound:6 with
+      | 0 -> Some (Dfg.mul_cc g a a)
+      | 1 -> Some (Dfg.add_cc g a (if Ckks.Prng.int rng ~bound:2 = 0 then a else pick ()))
+      | 2 -> Some (Dfg.rotate g a 1)
+      | 3 -> Some (Dfg.add_cp g a k)
+      | 4 -> Some (Dfg.mul_cc g a (pick ()))
+      | _ ->
+          Dfg.kill g (Dfg.rotate g a 2);
+          None
+    in
+    Option.iter
+      (fun v ->
+        pool.(!len) <- v;
+        incr len)
+      v
+  done;
+  for _ = 1 to size / 8 do
+    let later = Dfg.rotate g hub 3 in
+    let user = pool.(1 + Ckks.Prng.int rng ~bound:(max 1 (!len - 1))) in
+    if user <> hub then Dfg.set_arg g ~user ~arg_index:0 later
+  done;
+  Dfg.set_outputs g [ pool.(!len - 1) ];
+  (if cyclic then
+     let with_user =
+       List.filter
+         (fun (n : Dfg.node) -> n.Dfg.args <> [||] && n.Dfg.users <> [])
+         (Dfg.live_nodes g)
+     in
+     match with_user with
+     | [] -> ()
+     | l ->
+         let n = List.nth l (Ckks.Prng.int rng ~bound:(List.length l)) in
+         Dfg.set_arg g ~user:n.Dfg.id ~arg_index:0 (List.hd n.Dfg.users));
+  g
+
+let topo_matches_oracle =
+  qcheck ~count:60 "topo_order equals the list-based Kahn on random DFGs"
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 1 800) bool)
+    (fun params ->
+      let g = random_topo_dfg params in
+      let _, _, cyclic = params in
+      let got = sorted Dfg.topo_order g in
+      got = sorted topo_oracle g
+      && (cyclic || Result.is_ok got)
+      && has_cycle_error g = Result.is_error got)
+
+let topo_paper_models () =
+  List.iter
+    (fun (model : Nn.Model.t) ->
+      let g = (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      check_oracle (model.Nn.Model.name ^ " input") g;
+      let managed, _ = Resbm.Driver.compile Ckks.Params.default g in
+      check_oracle (model.Nn.Model.name ^ " managed") managed)
+    [ Nn.Model.resnet20; Nn.Model.squeezenet; Nn.Model.lenet5 ]
 
 (* --- Maxflow ------------------------------------------------------------ *)
 
@@ -302,13 +386,13 @@ let suite =
     case "digraph: duplicate edges ignored" digraph_duplicate_edges;
     case "digraph: self edges rejected" digraph_self_edge;
     case "digraph: out-of-range rejected" digraph_out_of_range;
-    case "digraph: transpose" digraph_transpose;
     case "digraph: growth" digraph_growth;
     case "topo: chain" topo_chain;
     case "topo: respects edges" topo_respects_edges;
     case "topo: cycle detection" topo_cycle;
-    case "topo: reverse order" topo_reverse;
     topo_random_prop;
+    topo_matches_oracle;
+    case "topo: paper models match the oracle" topo_paper_models;
     case "maxflow: simple network" maxflow_simple;
     case "maxflow: min-cut value and edges" maxflow_min_cut_value;
     case "maxflow: infinite edges excluded from cut" maxflow_infinite_edges;

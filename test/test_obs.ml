@@ -27,6 +27,76 @@ let counter_semantics () =
     [ ("x", 42); ("y", 1) ]
     (Obs.Profile.counters p)
 
+let counter_list = Alcotest.(list (pair string int))
+
+(* Handle bumps and by-name increments of one name are one counter, in
+   every reader; a handle never bumped stays absent. *)
+let counter_handles_share_names () =
+  let h = Obs.Counter.make "test.handle" in
+  checkb "same name, same handle" true (Obs.Counter.make "test.handle" == h);
+  let idle = Obs.Counter.make "test.idle" in
+  ignore idle;
+  let p = Obs.Profile.create () in
+  Obs.with_profile p (fun () ->
+      Obs.Counter.bump h;
+      Obs.incr ~by:10 "test.handle";
+      Obs.Counter.add h 31;
+      Obs.Counter.add (Obs.Counter.make "test.zero") 0);
+  checki "one counter" 42 (Obs.Profile.counter p "test.handle");
+  check counter_list "listing" [ ("test.handle", 42); ("test.zero", 0) ] (Obs.Profile.counters p);
+  check Alcotest.string "json"
+    {|{"spans":[],"counters":{"test.handle":42,"test.zero":0}}|}
+    (Obs.Json.to_string (Obs.Profile.to_json p))
+
+let counter_bump_without_profile () =
+  let h = Obs.Counter.make "test.unprofiled" in
+  let p = Obs.Profile.create () in
+  Obs.Counter.bump h;
+  Obs.Counter.add h 5;
+  checki "nothing recorded" 0 (Obs.Profile.counter p "test.unprofiled");
+  check counter_list "no counters" [] (Obs.Profile.counters p)
+
+(* Every planner counter of three compiles, pinned: the handles report
+   what the by-name increments did. *)
+let compile_counters_pinned () =
+  let prm = Ckks.Params.default in
+  let counters variant model =
+    let g = (Nn.Lowering.lower model).Nn.Lowering.dfg in
+    let _, r = Resbm.Variants.compile variant prm g in
+    Obs.Profile.counters r.Resbm.Report.profile
+  in
+  let planner ~candidates ~segment_evals ~btsplc ~regions ~aug ~bfs ~cut_edges ~runs
+      ?hoists ~computes ~plans ~smoplc () =
+    [
+      ("btsmgr.candidates", candidates);
+      ("btsmgr.segment_evals", segment_evals);
+      ("btsplc.cuts", btsplc);
+      ("driver.regions", regions);
+      ("maxflow.aug_paths", aug);
+      ("maxflow.bfs_phases", bfs);
+      ("maxflow.cut_edges", cut_edges);
+      ("maxflow.runs", runs);
+    ]
+    @ Option.fold ~none:[] ~some:(fun h -> [ ("ms_opt.hoists", h) ]) hoists
+    @ [
+        ("region_eval.computes", computes);
+        ("scalemgr.plans", plans);
+        ("smoplc.cuts", smoplc);
+      ]
+  in
+  check counter_list "tiny"
+    (planner ~candidates:90 ~segment_evals:90 ~btsplc:15 ~regions:13 ~aug:148 ~bfs:165
+       ~cut_edges:121 ~runs:74 ~computes:139 ~plans:13 ~smoplc:59 ())
+    (counters Resbm.Variants.resbm Nn.Model.tiny);
+  check counter_list "tiny, resbm_max"
+    (planner ~candidates:90 ~segment_evals:90 ~btsplc:3 ~regions:13 ~aug:127 ~bfs:132
+       ~cut_edges:99 ~runs:60 ~hoists:10 ~computes:71 ~plans:13 ~smoplc:57 ())
+    (counters Resbm.Variants.resbm_max Nn.Model.tiny);
+  check counter_list "resnet20"
+    (planner ~candidates:3272 ~segment_evals:3468 ~btsplc:147 ~regions:212 ~aug:992
+       ~bfs:952 ~cut_edges:892 ~runs:423 ~computes:775 ~plans:212 ~smoplc:276 ())
+    (counters Resbm.Variants.resbm Nn.Model.resnet20)
+
 (* --- Spans --------------------------------------------------------------- *)
 
 let span_semantics () =
@@ -179,6 +249,9 @@ let suite =
   [
     case "timer: monotone" timer_monotone;
     case "counter: semantics" counter_semantics;
+    case "counter: handles share names with incr" counter_handles_share_names;
+    case "counter: a bump without a profile is a no-op" counter_bump_without_profile;
+    case "counter: compile counters pinned" compile_counters_pinned;
     case "span: nesting and results" span_semantics;
     case "span: recorded on exception" span_records_on_exception;
     case "ambient: no-op without profile, records with one" ambient_noop_and_install;

@@ -1162,6 +1162,52 @@ let validate_once_checks_refreshed_values () =
            msg)
   | Finished _ -> Alcotest.fail "the corrupted refresh went unchecked"
 
+(* Two ciphertexts written between the same two boundaries and both live
+   at the second. *)
+let written_together program =
+  let sched = Interp.Program.schedule program in
+  let order = sched.Liveness.order and g = Interp.Program.graph program in
+  let bounds =
+    List.filter (Interp.Program.boundary program) (List.init (Array.length order) Fun.id)
+  in
+  let rec find lo = function
+    | [] -> Alcotest.fail "no two values written between the same boundaries"
+    | hi :: rest -> (
+        let live_new =
+          List.filter
+            (fun id ->
+              Op.produces_ct (Dfg.node g id).Dfg.kind && Liveness.live_at sched ~at:hi id)
+            (List.init (hi - lo) (fun k -> order.(lo + k)))
+        in
+        match live_new with a :: b :: _ -> [ a; b ] | _ -> find hi rest)
+  in
+  find 0 bounds
+
+(* With retries off, a boundary that sees two damaged values raises on
+   the least id, as the every-value oracle does. *)
+let validate_once_raises_on_least_id () =
+  let ((_, program, _, _) as setup) = Lazy.force lenet5_setup in
+  let nodes = written_together program in
+  List.iter
+    (fun (kind, mag, prefix) ->
+      let plan =
+        { Ckks.Fault.seed = 5L; budget = -1; rules = [ rule ~nodes kind ~prob:1.0 ~mag ] }
+      in
+      let same, got = agrees_with_oracle ~config:no_retries_config setup plan in
+      checkb (prefix ^ ": agrees with the oracle") true same;
+      match got with
+      | Raised e ->
+          checki (prefix ^ ": least id") (List.fold_left min max_int nodes) e.Ckks.Evaluator.node;
+          checkb prefix true
+            (String.starts_with
+               ~prefix:(Printf.sprintf "recovery: node %d %s" e.Ckks.Evaluator.node prefix)
+               e.Ckks.Evaluator.message)
+      | Finished _ -> Alcotest.fail "the damage went unchecked")
+    [
+      (Ckks.Fault.Slot_corrupt, -30.0, "failed slot-integrity");
+      (Ckks.Fault.Scale_drift, 1.0, "diverged from the plan");
+    ]
+
 (* A rollback keeps the validation mark: a transient fault at the first
    node after a checkpoint rolls back to it, and the values it restores —
    validated at the boundary where the checkpoint was taken, and live at
@@ -1418,6 +1464,8 @@ let suite =
       validate_once_catches_corruption_first;
     case "validate once: a corrupted panic refresh is caught next boundary"
       validate_once_checks_refreshed_values;
+    case "validate once: damage raises on the least-id damaged value"
+      validate_once_raises_on_least_id;
     case "validate once: values restored by a rollback are not validated again"
       validate_once_keeps_mark_across_rollback;
     case "session: rollback accepts only the newest snapshot" rollback_only_to_newest;

@@ -127,6 +127,54 @@ let build_random_dfg (seed, node_budget, max_depth) =
   Dfg.set_outputs g sinks;
   g
 
+(* --- Topological-order oracle -------------------------------------------- *)
+
+(* [Dfg.topo_order] as it stood before the array pass: the graph copied
+   into list adjacency (one edge per distinct argument of each live node,
+   added in ascending consumer id, deduplicated with [List.mem]; a self
+   edge raised [Invalid_argument]), then Kahn's algorithm with a [Queue],
+   roots in ascending id and successors in insertion order, and dead
+   nodes filtered from the result.  The witness of a cycle is the least
+   node left with a positive in-degree. *)
+let topo_oracle g =
+  let n = Dfg.node_count g in
+  let succ = Array.make n [] and indeg = Array.make n 0 in
+  for id = 0 to n - 1 do
+    let node = Dfg.node g id in
+    if not node.Dfg.dead then
+      Array.iter
+        (fun a ->
+          if a = id then invalid_arg "Digraph.add_edge: self edge";
+          if not (List.mem id succ.(a)) then begin
+            succ.(a) <- id :: succ.(a);
+            indeg.(id) <- indeg.(id) + 1
+          end)
+        node.Dfg.args
+  done;
+  let queue = Queue.create () in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then Queue.add v queue
+  done;
+  let order = ref [] and seen = ref 0 in
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    order := u :: !order;
+    incr seen;
+    List.iter
+      (fun v ->
+        indeg.(v) <- indeg.(v) - 1;
+        if indeg.(v) = 0 then Queue.add v queue)
+      (List.rev succ.(u))
+  done;
+  if !seen <> n then begin
+    let witness = ref (-1) in
+    for v = n - 1 downto 0 do
+      if indeg.(v) > 0 then witness := v
+    done;
+    raise (Dfg.Cycle !witness)
+  end;
+  List.filter (fun id -> not (Dfg.node g id).Dfg.dead) (List.rev !order)
+
 (* --- Table 1 oracle -------------------------------------------------- *)
 
 (* A second, independent reading of Table 1 with the clamping of
