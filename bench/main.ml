@@ -477,6 +477,7 @@ let micro () =
   let galex = (lowered Nn.Model.alexnet).Nn.Lowering.dfg in
   let g110 = (lowered Nn.Model.resnet110).Nn.Lowering.dfg in
   let managed20, _ = Resbm.Driver.compile prm g20 in
+  let regioned44 = Resbm.Region.build (lowered Nn.Model.resnet44).Nn.Lowering.dfg in
   (* 1000 Table 2 lookups sweeping every op over levels 0..19. *)
   let ops = Array.of_list Ckks.Cost_model.all_ops in
   let cost_1000 () =
@@ -499,6 +500,11 @@ let micro () =
         (Staged.stage (fun () -> ignore (Resbm.Driver.compile prm g20)));
       Test.make ~name:"resbm-compile alexnet"
         (Staged.stage (fun () -> ignore (Resbm.Driver.compile prm galex)));
+      Test.make ~name:"btsmgr-plan resnet44"
+        (Staged.stage (fun () -> ignore (Resbm.Btsmgr.plan regioned44 prm)));
+      Test.make ~name:"compile resnet20 resbm_max"
+        (Staged.stage (fun () ->
+             ignore (Resbm.Variants.compile Resbm.Variants.resbm_max prm g20)));
       Test.make ~name:"fhelipe-compile resnet20"
         (Staged.stage (fun () ->
              ignore (Resbm.Variants.compile Resbm.Variants.fhelipe prm g20)));

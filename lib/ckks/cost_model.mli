@@ -21,6 +21,10 @@ type op =
 
 val all_ops : op list
 
+val index : op -> int
+(** The position of [op] in {!all_ops}: a dense index for per-op
+    arrays. *)
+
 val op_name : op -> string
 
 val cost : op -> level:int -> float

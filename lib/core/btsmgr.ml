@@ -37,13 +37,22 @@ exception No_plan of string
 
 (* SCALEMGR's plan of the regions from one segment source on, extended by
    one region per destination the scan tries.  A grown buffer keeps its
-   prefix, so a segment only needs the window and its own bounds. *)
+   prefix, so a segment only needs the window and its own bounds.
+
+   The window also remembers how far the segment feasibility checks got:
+   every region of [(src, checked]] passed the rescale and capacity checks
+   with the segment top at [checked_top].  Both checks only get easier as
+   a level rises, and a region's level rises with the top, so a later
+   destination whose top is no lower re-checks only the regions past
+   [checked]. *)
 type window = {
   src : int;
   bts_at_src : bool;
   mutable infos : Scalemgr.region_info array;  (* index [r - src] *)
   mutable lbts : int array;  (* [lbts.(i)]: rescales of regions [(src, src + i]] *)
   mutable len : int;  (* regions [src, src + len) are planned *)
+  mutable checked : int;  (* [src] until a check passes *)
+  mutable checked_top : int;
 }
 
 type segment_eval = {
@@ -101,6 +110,17 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
   let cache = Region_eval.create_cache () in
   let l_max = prm.Ckks.Params.l_max in
   let cross_by_rb = cross_edges_by_consumer regioned in
+  (* [minra.(src)]: the lowest producer region of a cross edge spanning
+     [src] (produced below it, consumed above it), or [src] when none
+     does.  Transit pricing from source [src] reads production levels only
+     over [[minra.(src), src)].  One sweep down from the last region,
+     carrying the lowest producer of the edges consumed above [src]. *)
+  let minra = Array.make count 0 in
+  let lowest = ref max_int in
+  for src = count - 1 downto 0 do
+    minra.(src) <- Int.min src !lowest;
+    List.iter (fun (ra, _) -> lowest := Int.min ra !lowest) cross_by_rb.(src)
+  done;
   let eval ~region ~entry_level ~rescales ~bts =
     Region_eval.eval ~fuel cache regioned ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
@@ -155,9 +175,10 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
     let boundary_scale = Array.make count 0 in
     let boundary_level = Array.make count 0 in
     (* Production level of each region's live-out values under the best
-       chain found so far: bootstrap target for source regions, entry
-       minus rescales otherwise.  Filled as the outer loop finalises each
-       boundary; used to price transits exactly as the repair pass will. *)
+       chain to the current source: bootstrap target for source regions,
+       entry minus rescales otherwise.  Refilled for each source over the
+       regions its transits read ([[minra.(src), src)]); used to price
+       transits exactly as the repair pass will. *)
     let prod_level = Array.make count prm.Ckks.Params.input_level in
     min_lat.(0) <- 0.0;
     boundary_scale.(0) <- prm.Ckks.Params.input_scale_bits;
@@ -168,7 +189,15 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
       Obs.Counter.bump scalemgr_plans;
       let cap = min (count - src) 16 in
       let info = Scalemgr.step regioned prm ~region:src ~entry_scale:boundary_scale.(src) in
-      { src; bts_at_src; infos = Array.make cap info; lbts = Array.make cap 0; len = 1 }
+      {
+        src;
+        bts_at_src;
+        infos = Array.make cap info;
+        lbts = Array.make cap 0;
+        len = 1;
+        checked = src;
+        checked_top = 0;
+      }
     in
     let extend w =
       let i = w.len in
@@ -229,8 +258,17 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
             seg_latency = 0.0;
           }
         in
+        (* Only a non-final destination reuses the window's progress.  The
+           final one prices its requirement differently (its own rescales
+           leave it, its capacity need enters), so it re-checks in full
+           rather than rely on its top staying no lower; so does a check
+           whose top fell or whose predecessor failed. *)
+        let from =
+          if (not is_final) && w.checked > src && top >= w.checked_top then w.checked + 1
+          else src + 1
+        in
         (try
-           for r = src + 1 to dst do
+           for r = from to dst do
              let k = (info r).Scalemgr.rescales and level = seg_level seg r in
              if k > level && not (is_final && r = dst) then raise Exit;
              if
@@ -243,7 +281,13 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
                (Ckks.Evaluator.capacity_ok prm ~scale_bits:(info src).Scalemgr.peak_scale
                   ~level:src_entry)
            then raise Exit
-         with Exit -> raise_notrace Not_found);
+         with Exit ->
+           w.checked <- src;
+           raise_notrace Not_found);
+        if not is_final then begin
+          w.checked <- dst;
+          w.checked_top <- top
+        end;
         (* Latency of the regions [src, dst), left to right.  The source
            level depends on the target, which under [min_level_bts] grows
            with [dst], so the sum is re-read, not carried forward. *)
@@ -282,15 +326,17 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
     for src = 0 to last - 1 do
       if min_lat.(src) < infinity then begin
         (* The chain to [src] is final: rebuild the production levels of
-           every region it covers (a fresh walk — intermediate boundaries
-           belong to other chains and must not leak in). *)
-        Array.fill prod_level 0 count prm.Ckks.Params.input_level;
+           the regions its transits read, [[lo, src)] (a fresh walk back
+           to [lo] — intermediate boundaries belong to other chains and
+           must not leak in). *)
+        let lo = minra.(src) in
+        Array.fill prod_level lo (src - lo) prm.Ckks.Params.input_level;
         let at = ref src in
-        while !at > 0 do
+        while !at > lo do
           match best.(!at) with
           | None -> at := 0
           | Some seg ->
-              for r = seg_src seg to !at - 1 do
+              for r = Int.max (seg_src seg) lo to !at - 1 do
                 let base = seg_level seg r - (seg_info seg r).Scalemgr.rescales in
                 prod_level.(r) <-
                   (if r = seg_src seg then

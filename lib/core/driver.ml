@@ -64,31 +64,24 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
   let outcome = phase "apply" (fun () -> Plan.apply regioned prm plan) in
   let managed = outcome.Plan.dfg in
   verify "plan_apply" managed;
-  let ms_opt_hoists =
-    if ms_opt then
-      phase "ms_opt" (fun () -> Passes.Ms_opt.run ~order:outcome.Plan.order prm managed)
-    else 0
+  (* Legalisation's closing analysis and sort describe [managed]; Ms_opt
+     patches both hoist by hoist, so the latency and stats phases read
+     them without re-inferring or re-sorting. *)
+  let info, order, ms_opt_hoists =
+    if ms_opt then begin
+      let r =
+        phase "ms_opt" (fun () ->
+            Passes.Ms_opt.run_from ~info:outcome.Plan.final_info ~order:outcome.Plan.order
+              prm managed)
+      in
+      Obs.Counter.add hoists_counter r.Passes.Ms_opt.hoists;
+      verify "ms_opt" managed;
+      (r.Passes.Ms_opt.info, r.Passes.Ms_opt.order, r.Passes.Ms_opt.hoists)
+    end
+    else (outcome.Plan.final_info, outcome.Plan.order, 0)
   in
-  if ms_opt then begin
-    Obs.Counter.add hoists_counter ms_opt_hoists;
-    verify "ms_opt" managed
-  end;
-  let latency_ms =
-    phase "latency" (fun () ->
-        (* Legalisation's closing analysis is current unless ms_opt rewrote
-           the graph afterwards. *)
-        let info =
-          if ms_opt_hoists > 0 then Fhe_ir.Scale_check.infer prm managed
-          else outcome.Plan.final_info
-        in
-        Fhe_ir.Latency.total ~info prm managed)
-  in
-  let stats =
-    phase "stats" (fun () ->
-        (* Legalisation's order is current unless ms_opt rewrote the graph. *)
-        let order = if ms_opt_hoists > 0 then None else Some outcome.Plan.order in
-        Fhe_ir.Stats.collect ?order managed)
-  in
+  let latency_ms = phase "latency" (fun () -> Fhe_ir.Latency.total ~info prm managed) in
+  let stats = phase "stats" (fun () -> Fhe_ir.Stats.collect ~order managed) in
   (* Region attribution of the managed graph, for runtime traces and the
      trace summary: plan application copies the input graph (ids are
      preserved), so original nodes keep their partition assignment, and

@@ -42,7 +42,10 @@ val compile :
 (** [ms_opt] (default false) runs {!Passes.Ms_opt} after legalisation —
     the modswitch optimisation the paper grants the max-level managers for
     lowering excessively bootstrapped ciphertexts; the number of hoists it
-    performs lands in {!Report.t.ms_opt_hoists}.
+    performs lands in {!Report.t.ms_opt_hoists}.  It starts from
+    legalisation's closing analysis and order and hands its patched ones
+    to the latency and stats phases, so no manager re-infers or re-sorts
+    the managed graph after legalisation.
 
     [verify_each] (default false) runs the {!Analysis.Verify} invariant
     verifier after every pass — region build (structural and region

@@ -21,6 +21,9 @@ type info = {
   is_ct : bool;
 }
 
+val dummy : info
+(** The entry of a dead node in an analysis result. *)
+
 type violation = { node : int; message : string }
 
 val pp_violation : Format.formatter -> violation -> unit

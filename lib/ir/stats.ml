@@ -10,30 +10,46 @@ type t = {
 }
 
 let collect ?order g =
-  let static = Hashtbl.create 16 and executed = Hashtbl.create 16 in
-  let bump table key k =
-    Hashtbl.replace table key (k + Option.value (Hashtbl.find_opt table key) ~default:0)
-  in
-  let bts_levels = Hashtbl.create 8 in
-  let nodes = ref 0 in
-  List.iter
-    (fun n ->
+  let nops = List.length Ckks.Cost_model.all_ops in
+  let static = Array.make nops 0 and executed = Array.make nops 0 in
+  let bts_targets = ref [] and nodes = ref 0 in
+  for id = 0 to Dfg.node_count g - 1 do
+    let n = Dfg.node g id in
+    if not n.Dfg.dead then begin
       incr nodes;
       (match Op.cost_op n.Dfg.kind with
       | None -> ()
       | Some op ->
-          bump static op 1;
-          bump executed op n.Dfg.freq);
+          let i = Ckks.Cost_model.index op in
+          static.(i) <- static.(i) + 1;
+          executed.(i) <- executed.(i) + n.Dfg.freq);
       match n.Dfg.kind with
-      | Op.Bootstrap target -> bump bts_levels target 1
-      | _ -> ())
-    (Dfg.live_nodes g);
+      | Op.Bootstrap target -> bts_targets := target :: !bts_targets
+      | _ -> ()
+    end
+  done;
+  (* Ops that occur, in [all_ops] order.  An op occurs when it has a
+     live node, even if its executed count sums to 0. *)
   let dump table =
     List.filter_map
-      (fun op -> Option.map (fun c -> (op, c)) (Hashtbl.find_opt table op))
+      (fun op ->
+        let i = Ckks.Cost_model.index op in
+        if static.(i) > 0 then Some (op, table.(i)) else None)
       Ckks.Cost_model.all_ops
   in
-  let get table op = Option.value (Hashtbl.find_opt table op) ~default:0 in
+  let get table op = table.(Ckks.Cost_model.index op) in
+  (* Bootstrap counts by target level, highest first: a run-length pass
+     over the sorted targets (a graph has few bootstraps, and a
+     malformed one may carry any target). *)
+  let bootstrap_levels =
+    List.fold_left
+      (fun acc t ->
+        match acc with
+        | (l, c) :: rest when l = t -> (l, c + 1) :: rest
+        | _ -> (t, 1) :: acc)
+      []
+      (List.sort Int.compare !bts_targets)
+  in
   {
     nodes = !nodes;
     static_by_op = dump static;
@@ -41,9 +57,7 @@ let collect ?order g =
     executed_rescales = get executed Ckks.Cost_model.Rescale;
     executed_modswitches = get executed Ckks.Cost_model.Modswitch;
     bootstrap_count = get static Ckks.Cost_model.Bootstrap;
-    bootstrap_levels =
-      Hashtbl.fold (fun l c acc -> (l, c) :: acc) bts_levels [] (* det-ok: sorted *)
-      |> List.sort (fun (a, _) (b, _) -> compare b a);
+    bootstrap_levels;
     max_depth = Depth.max_depth ?order g;
   }
 

@@ -41,8 +41,11 @@ let hoist_target prm info g m =
 
 module Ids = Set.Make (Int)
 
-let run ?order prm g =
-  let info = ref (Scale_check.infer ?order prm g) in
+type result = { hoists : int; info : Scale_check.info array; order : int array }
+
+let run_from ~info:start ~order prm g =
+  let n0 = Dfg.node_count g in
+  let info = ref (Array.copy start) in
   let get id = !info.(id) in
   (* Each hoist appends modswitch nodes past the inferred array. *)
   let set id i =
@@ -58,12 +61,16 @@ let run ?order prm g =
     let i = get id in
     { i with Scale_check.level = i.Scale_check.level - 1 }
   in
+  (* The modswitches each hoist puts on its target's operands, newest
+     first, by target id.  Targets are never modswitches, so they all
+     predate the pass and sit in [order]. *)
+  let before = Array.make n0 [] in
   let is_modswitch id = (Dfg.node g id).Dfg.kind = Op.Modswitch in
   let work =
     ref
-      (List.fold_left
-         (fun s n -> if is_modswitch n.Dfg.id then Ids.add n.Dfg.id s else s)
-         Ids.empty (Dfg.live_nodes g))
+      (Array.fold_left
+         (fun s id -> if is_modswitch id then Ids.add id s else s)
+         Ids.empty order)
   in
   let hoists = ref 0 in
   while not (Ids.is_empty !work) do
@@ -83,6 +90,7 @@ let run ?order prm g =
             if Op.produces_ct (Dfg.node g a).Dfg.kind then begin
               let w = Dfg.wrap_operand g ~user:target ~arg_index:i Op.Modswitch in
               set w (lower a);
+              before.(target) <- w :: before.(target);
               work := Ids.add w !work
             end)
           (Dfg.node g target).Dfg.args;
@@ -90,10 +98,37 @@ let run ?order prm g =
         if producer <> target then set producer (lower producer);
         Dfg.replace_uses g ~old_id:m ~new_id:producer;
         Dfg.kill g m;
+        set m Scale_check.dummy;
         (* A modswitch reading [m] now reads a single-use producer. *)
         List.iter
           (fun u -> if is_modswitch u then work := Ids.add u !work)
           (Dfg.node g producer).Dfg.users;
         incr hoists
   done;
-  !hoists
+  (* Splice: each new modswitch just before its target, oldest first (a
+     later one reads an earlier one), the killed ones dropped.  A new
+     modswitch reads a node its target read, so it stays after it. *)
+  let n = Dfg.node_count g in
+  let spliced = Array.make (Array.length order + n - n0) 0 and len = ref 0 in
+  let emit id =
+    if not (Dfg.node g id).Dfg.dead then begin
+      spliced.(!len) <- id;
+      incr len
+    end
+  in
+  Array.iter
+    (fun id ->
+      List.iter emit (List.rev before.(id));
+      emit id)
+    order;
+  {
+    hoists = !hoists;
+    info = (if Array.length !info = n then !info else Array.sub !info 0 n);
+    order = (if !len = Array.length spliced then spliced else Array.sub spliced 0 !len);
+  }
+
+let run ?order prm g =
+  let order =
+    match order with Some o -> o | None -> Array.of_list (Dfg.topo_order g)
+  in
+  (run_from ~info:(Scale_check.infer ~order prm g) ~order prm g).hoists

@@ -9,8 +9,8 @@
     constants, bootstraps and SMOs, and respects the capacity constraint
     when crossing multiplications.
 
-    The pass is a worklist over modswitch ids.  It runs
-    {!Fhe_ir.Scale_check.infer} once, seeds a min-id set with every live
+    The pass is a worklist over modswitch ids.  It starts from a scale
+    and level analysis of the graph, seeds a min-id set with every live
     modswitch, and repeatedly pops the smallest id, hoisting it when
     {!hoist_target} accepts it.  Popping the smallest id keeps the
     lowest-eligible-id-first order of a fixpoint that re-infers the whole
@@ -20,12 +20,15 @@
     make eligible — and a node that is no longer eligible when popped is
     dropped.
 
-    After each hoist the inferred levels are patched locally, not
-    recomputed: the target and, under a relin, the relin drop one level,
-    and each new modswitch gets its operand's info one level lower.
-    Scales never change, and every other node keeps its level, because
-    the producer now delivers the level the deleted modswitch delivered.
-    The cost is one [infer] plus O(hoists · log n) set operations. *)
+    After each hoist the analysis is patched locally, not recomputed:
+    the target and, under a relin, the relin drop one level, each new
+    modswitch gets its operand's info one level lower, and the deleted
+    modswitch gets {!Fhe_ir.Scale_check.dummy}.  Scales never change, and
+    every other node keeps its level, because the producer now delivers
+    the level the deleted modswitch delivered.  The topological order is
+    patched the same way.  The cost is O(n) for the copies and the order
+    plus O(hoists · log n) set operations; {!run_from} runs no analysis
+    and no sort of its own. *)
 
 val hoist_target :
   Ckks.Params.t -> (int -> Fhe_ir.Scale_check.info) -> Fhe_ir.Dfg.t -> int -> int option
@@ -35,7 +38,32 @@ val hoist_target :
     [None] when [m] cannot move.  [info] gives each node's inferred scale
     and level.  Does not mutate [g]. *)
 
+type result = {
+  hoists : int;
+  info : Fhe_ir.Scale_check.info array;
+      (** Equal, entry by entry, to {!Fhe_ir.Scale_check.infer} of the
+          hoisted graph (dead nodes included). *)
+  order : int array;
+      (** A topological order of exactly the hoisted graph's live nodes:
+          the given order with each hoist's new modswitches just before
+          their target, oldest first, and the deleted ones dropped. *)
+}
+
+val run_from :
+  info:Fhe_ir.Scale_check.info array ->
+  order:int array ->
+  Ckks.Params.t ->
+  Fhe_ir.Dfg.t ->
+  result
+(** Hoist to a fixpoint, starting from [info], the graph's
+    {!Fhe_ir.Scale_check.infer} result (a legalised graph's closing
+    analysis, such as [Resbm.Plan.outcome]'s [final_info]), and [order],
+    its {!Fhe_ir.Dfg.topo_order} as an array.  [info] is copied, not
+    mutated.  The result describes the hoisted graph, so a caller reads
+    its latency and statistics without re-inferring or re-sorting. *)
+
 val run : ?order:int array -> Ckks.Params.t -> Fhe_ir.Dfg.t -> int
-(** Hoist to a fixpoint; returns the number of hoists.  [order] is
-    {!Fhe_ir.Dfg.topo_order} as an array when the caller has sorted the
-    graph already (default: sorted here). *)
+(** {!run_from} after one {!Fhe_ir.Scale_check.infer}; returns the
+    number of hoists.  [order] is {!Fhe_ir.Dfg.topo_order} as an array
+    when the caller has sorted the graph already (default: sorted
+    here). *)

@@ -349,6 +349,102 @@ let oracle_on_random_dfgs =
           oracle_holds o || QCheck2.Test.fail_reportf "l_max %d: %s" l (pp_oracle o))
         [ 3; 5; 8 ])
 
+(* --- Bounded planner work against the unbounded oracle ------------------- *)
+
+(* Equal plans, bit for bit: segments, every region action (cuts and
+   certificates included) and the DP objective; or both [No_plan]. *)
+let same_plan a b =
+  match (a, b) with
+  | Ok (a : Resbm.Btsmgr.plan), Ok (b : Resbm.Btsmgr.plan) ->
+      a.Resbm.Btsmgr.segments = b.Resbm.Btsmgr.segments
+      && Int64.equal
+           (Int64.bits_of_float a.Resbm.Btsmgr.dp_latency_ms)
+           (Int64.bits_of_float b.Resbm.Btsmgr.dp_latency_ms)
+      && Marshal.to_string a.Resbm.Btsmgr.actions [ Marshal.No_sharing ]
+         = Marshal.to_string b.Resbm.Btsmgr.actions [ Marshal.No_sharing ]
+  | Error (), Error () -> true
+  | _ -> false
+
+let planned f = match f () with p -> Ok p | exception Resbm.Btsmgr.No_plan _ -> Error ()
+
+let matches_oracle ~config r prm =
+  same_plan
+    (planned (fun () -> Resbm.Btsmgr.plan ~config r prm))
+    (planned (fun () -> btsmgr_oracle ~config r prm))
+
+let oracle_configs = [ ("minimal", Resbm.Btsmgr.resbm_config); ("l_max", max_level_config) ]
+
+let bounded_dp_on_models () =
+  List.iter
+    (fun model ->
+      let r = Resbm.Region.build (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      List.iter
+        (fun l ->
+          List.iter
+            (fun (what, config) ->
+              checkb
+                (Printf.sprintf "%s l_max %d %s targets" model.Nn.Model.name l what)
+                true
+                (matches_oracle ~config r (oracle_prm l)))
+            oracle_configs)
+        [ 4; 8; 16 ])
+    [ Nn.Model.tiny; Nn.Model.lenet5; Nn.Model.resnet20 ]
+
+(* A multiplication chain with residual adds: the add at depth [d] may
+   read the chain value of depth [d - s], [s] in 2..6, so its edge skips
+   regions and skips overlap.  The last multiplication varies too (square,
+   plaintext product, product with a rotation), and with it the final
+   region's capacity need. *)
+let skip_dfg_gen =
+  let open QCheck2.Gen in
+  let* seed = int_bound 1_000_000 in
+  let* depth = int_range 3 24 in
+  return (seed, depth)
+
+let build_skip_dfg (seed, depth) =
+  let rng = Ckks.Prng.create (Int64.of_int seed) in
+  let g = Dfg.create () in
+  let chain = Array.make (depth + 1) (Dfg.input g "x") in
+  for d = 1 to depth do
+    let v = chain.(d - 1) in
+    let m =
+      match Ckks.Prng.int rng ~bound:3 with
+      | 0 -> Dfg.mul_cc g v v
+      | 1 -> Dfg.mul_cp g v (Dfg.const g (Printf.sprintf "w%d" d))
+      | _ -> Dfg.mul_cc g v (Dfg.rotate g v 1)
+    in
+    let s = 2 + Ckks.Prng.int rng ~bound:5 in
+    chain.(d) <-
+      (if s <= d && Ckks.Prng.int rng ~bound:2 = 0 then Dfg.add_cc g m chain.(d - s) else m)
+  done;
+  Dfg.set_outputs g [ chain.(depth) ];
+  g
+
+(* Small budgets force many segments; a waterline below the scale factor
+   and an odd input scale make capacity needs and rescale counts part
+   ways. *)
+let skip_prms =
+  [
+    oracle_prm 3;
+    oracle_prm 5;
+    { (oracle_prm 7) with Ckks.Params.waterline_bits = 40 };
+    { (oracle_prm 6) with Ckks.Params.input_scale_bits = 45 };
+  ]
+
+let bounded_dp_on_skip_dfgs =
+  qcheck ~count:60 "bounded DP equals the unbounded oracle on skip-edge DFGs" skip_dfg_gen
+    (fun params ->
+      let r = Resbm.Region.build (build_skip_dfg params) in
+      List.for_all
+        (fun prm ->
+          List.for_all
+            (fun (what, config) ->
+              matches_oracle ~config r prm
+              || QCheck2.Test.fail_reportf "l_max %d, %s targets: plans differ"
+                   prm.Ckks.Params.l_max what)
+            oracle_configs)
+        skip_prms)
+
 let suite =
   [
     case "input budget avoids bootstrapping" no_bootstrap_when_budget_suffices;
@@ -363,4 +459,6 @@ let suite =
     case "single-region programs" single_region_program;
     case "DP matches the enumerated optimum on Tiny and LeNet-5" oracle_on_models;
     oracle_on_random_dfgs;
+    case "bounded DP equals the unbounded oracle on paper models" bounded_dp_on_models;
+    bounded_dp_on_skip_dfgs;
   ]

@@ -194,6 +194,66 @@ let bench_diff_carries_plan_drift () =
   checkb "identical digests: no drift" true (o.Obs.Bench_diff.plan_drift = []);
   checki "and the gate passes" 0 (Obs.Bench_diff.exit_code o)
 
+(* The plan digests of the four compile-bench models bench-diff does not
+   gate, under every manager at l_max 16: MD5 of the rendered
+   [Explain.digest].  A planner or pass change that moves any plan moves
+   one of these. *)
+let pinned_digests =
+  [
+    ( "ResNet44",
+      [
+        ("ReSBM", "de6da3c8523309e692bbd8c5c7e8c3f0");
+        ("ReSBM_eva", "4a6cda96393971c0987b35eac9163a0c");
+        ("ReSBM_max", "18522267773c137a3dc1640526cc15ef");
+        ("ReSBM_pm", "3e8db303c0badfafa2119550cecf18c7");
+        ("Fhelipe", "b344e2c93991f1d04a4972f42b88f496");
+      ] );
+    ( "AlexNet",
+      [
+        ("ReSBM", "8d6655b5fe4ce4e92240106f2db8bf38");
+        ("ReSBM_eva", "4a233a6bf684aa1f293719c2794d29b7");
+        ("ReSBM_max", "8b493e0dbff44565c95fa895f9bca424");
+        ("ReSBM_pm", "d5302d6f9fddb924318ff7ca249e2315");
+        ("Fhelipe", "464dcefe7d7ddd57f8f9bbbbe8bab2f2");
+      ] );
+    ( "VGG16",
+      [
+        ("ReSBM", "ff20876bbd3a470e08981b18fb961104");
+        ("ReSBM_eva", "2c049cfc9f68c7cfab30f116815a01fa");
+        ("ReSBM_max", "4b63a43db7963d6025088e74388213eb");
+        ("ReSBM_pm", "4afa1c48ce7ddb4dcdd0aa877af3f7b1");
+        ("Fhelipe", "bad6a77c9d87297d301af6179797722e");
+      ] );
+    ( "MobileNet",
+      [
+        ("ReSBM", "e3e3064df31703691dfe741ab7cc1006");
+        ("ReSBM_eva", "0f1bcd87471cac83b944cbdfa0930caa");
+        ("ReSBM_max", "d5c97744446f7414ac9efc20649793dc");
+        ("ReSBM_pm", "94611530c8a8ed969ecbf96c5d94a7f3");
+        ("Fhelipe", "abecf3151903ad7dc00902b28938fa88");
+      ] );
+  ]
+
+let digests_pinned_on_compile_bench_models () =
+  let prm = Ckks.Params.at_l_max 16 in
+  List.iter
+    (fun (model_name, by_manager) ->
+      let model = Option.get (Nn.Model.by_name model_name) in
+      let g = (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      List.iter
+        (fun (mgr : Resbm.Variants.manager) ->
+          let managed, report = Resbm.Variants.compile mgr prm g in
+          let got =
+            Digest.to_hex
+              (Digest.string (Obs.Json.to_string (Resbm.Explain.digest prm ~managed report)))
+          in
+          check Alcotest.string
+            (model_name ^ "/" ^ mgr.Resbm.Variants.name)
+            (List.assoc mgr.Resbm.Variants.name by_manager)
+            got)
+        Resbm.Variants.all)
+    pinned_digests
+
 let suite =
   [
     case "attribution covers 100% of predicted latency" attribution_is_complete;
@@ -204,4 +264,6 @@ let suite =
     digest_renumbering_invariant;
     case "renumbering invariance holds with bootstraps placed" digest_renumbering_with_bootstraps;
     case "bench-diff gates on structural plan drift" bench_diff_carries_plan_drift;
+    case "plan digests pinned on the ungated compile-bench models"
+      digests_pinned_on_compile_bench_models;
   ]

@@ -340,6 +340,50 @@ let ms_opt_leaves_no_hoistable_hint () =
       checki (mgr.Resbm.Variants.name ^ " hoistable hints") 0 (List.length hoistable))
     ms_opt_managers
 
+(* [order] lists every live node exactly once, no dead one, and each
+   node after its arguments. *)
+let is_live_topo_order g order =
+  let pos = Array.make (Dfg.node_count g) (-1) in
+  Array.iteri
+    (fun i id -> if id >= 0 && id < Array.length pos && pos.(id) < 0 then pos.(id) <- i)
+    order;
+  let live = Dfg.live_nodes g in
+  let before a n = pos.(a) >= 0 && pos.(a) < pos.(n) in
+  Array.length order = List.length live
+  && List.for_all
+       (fun (n : Dfg.node) ->
+         pos.(n.Dfg.id) >= 0 && Array.for_all (fun a -> before a n.Dfg.id) n.Dfg.args)
+       live
+
+(* [run_from] on legalisation's closing analysis and order, as Driver
+   calls it: its info is a re-inference of the hoisted graph, its order
+   a topological order of the hoisted graph, and its hoists and graph
+   the re-infer fixpoint's. *)
+let ms_opt_run_from_on_models () =
+  List.iter
+    (fun l ->
+      let prm = Ckks.Params.at_l_max l in
+      List.iter
+        (fun model ->
+          let what = Printf.sprintf "%s at l_max %d" model.Nn.Model.name l in
+          let regioned = Resbm.Region.build (Nn.Lowering.lower model).Nn.Lowering.dfg in
+          let config = Resbm.Variants.resbm_max.Resbm.Variants.config in
+          let plan = Resbm.Btsmgr.plan ~config regioned prm in
+          let outcome = Resbm.Plan.apply regioned prm plan in
+          let g = outcome.Resbm.Plan.dfg in
+          let oracle_g = Dfg.copy g in
+          let r =
+            Passes.Ms_opt.run_from ~info:outcome.Resbm.Plan.final_info
+              ~order:outcome.Resbm.Plan.order prm g
+          in
+          checkb (what ^ ": info is a re-inference") true
+            (r.Passes.Ms_opt.info = Scale_check.infer prm g);
+          checkb (what ^ ": order") true (is_live_topo_order g r.Passes.Ms_opt.order);
+          checki (what ^ ": hoists") (reference_ms_opt prm oracle_g) r.Passes.Ms_opt.hoists;
+          checkb (what ^ ": graph") true (Dfg.export oracle_g = Dfg.export g))
+        Nn.Model.[ tiny; lenet5; resnet20; resnet44; alexnet; vgg16; squeezenet; mobilenet ])
+    [ 8; 16; 24 ]
+
 let suite =
   [
     case "dce: removes dead chains" dce_removes_dead_chain;
@@ -360,6 +404,7 @@ let suite =
     ms_opt_never_hurts;
     case "ms-opt: matches the re-infer fixpoint on models" ms_opt_matches_reference_on_models;
     ms_opt_matches_reference_random;
+    case "ms-opt: run_from hands on a re-inference and an order" ms_opt_run_from_on_models;
     case "ms-opt: modswitch chain re-queues" ms_opt_chain_requeues;
     case "ms-opt: mul_cc x x wraps both operands" ms_opt_square_wraps_both_operands;
     case "ms-opt: no hoistable lint hint after the pass" ms_opt_leaves_no_hoistable_hint;

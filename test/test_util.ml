@@ -505,3 +505,259 @@ let recovery_oracle ?(config = Resilience.Recovery.default) ~noise prog ev env =
       held_checkpoints = List.sort compare (List.map S.snapshot_at !checkpoints);
     },
     !validations )
+
+(* --- BTSMGR oracle ---------------------------------------------------------- *)
+
+(* [Resbm.Btsmgr.plan] (full segment scan, unlimited fuel, no counters) as
+   it stood before it bounded its work: every source refills the
+   production level of every region and walks its chain back to region
+   0, and every candidate segment re-checks the rescale and capacity
+   feasibility of every region it covers.  The float expressions and
+   their summation order are the planner's, so segments, actions and
+   [dp_latency_ms] must match it bit for bit. *)
+let btsmgr_oracle ?(config = Resbm.Btsmgr.resbm_config) (regioned : Resbm.Region.t) prm =
+  let module B = Resbm.Btsmgr in
+  let module S = Resbm.Scalemgr in
+  let module E = Resbm.Region_eval in
+  let count = regioned.Resbm.Region.count in
+  let last = count - 1 in
+  let l_max = prm.Ckks.Params.l_max in
+  let input_level = prm.Ckks.Params.input_level in
+  let cache = E.create_cache () in
+  let eval ~region ~entry_level ~rescales ~bts =
+    E.eval cache regioned ~smo_mode:config.B.smo_mode ~bts_mode:config.B.bts_mode ~region
+      ~entry_level ~rescales ~bts
+  in
+  let latency ~region ~entry_level ~rescales ~bts =
+    E.latency cache regioned ~smo_mode:config.B.smo_mode ~bts_mode:config.B.bts_mode ~region
+      ~entry_level ~rescales ~bts
+  in
+  (* Cross edges by consumer region, as the planner groups them. *)
+  let cross = Array.make count [] in
+  List.iter
+    (fun (n : Dfg.node) ->
+      if Op.produces_ct n.Dfg.kind then begin
+        let ra = regioned.Resbm.Region.region_of.(n.Dfg.id) in
+        Dfg.succs regioned.Resbm.Region.dfg n.Dfg.id
+        |> List.map (fun u -> regioned.Resbm.Region.region_of.(u))
+        |> List.filter (fun rb -> rb > ra + 1)
+        |> List.sort_uniq compare
+        |> List.iter (fun rb -> cross.(rb) <- (ra, n.Dfg.freq) :: cross.(rb))
+      end)
+    (Dfg.live_nodes regioned.Resbm.Region.dfg);
+  if count = 1 then
+    {
+      B.actions =
+        [|
+          {
+            B.rescales = 0;
+            entry_level = input_level;
+            entry_scale = prm.Ckks.Params.input_scale_bits;
+            smo_cut = None;
+            bts = None;
+          };
+        |];
+      segments = [];
+      dp_latency_ms = latency ~region:0 ~entry_level:input_level ~rescales:0 ~bts:None;
+    }
+  else begin
+    (* A segment: its source, bootstrap target, source entry level, top,
+       the region infos from the source on and their rescale prefix sums
+       ([lbts.(i)]: rescales of regions [(src, src + i]]), latency. *)
+    let module Seg = struct
+      type t = {
+        src : int;
+        bts : int option;
+        entry : int;
+        top : int;
+        infos : S.region_info array;
+        lbts : int array;
+        lat : float;
+      }
+    end in
+    let level (s : Seg.t) r =
+      if r = s.Seg.src then s.Seg.entry else s.Seg.top - s.Seg.lbts.(r - s.Seg.src - 1)
+    in
+    let min_lat = Array.make count infinity in
+    let best : Seg.t option array = Array.make count None in
+    let boundary_scale = Array.make count 0 and boundary_level = Array.make count 0 in
+    let prod_level = Array.make count input_level in
+    min_lat.(0) <- 0.0;
+    boundary_scale.(0) <- prm.Ckks.Params.input_scale_bits;
+    boundary_level.(0) <- input_level;
+    (* The window from [src] to [dst], grown one region per destination. *)
+    let window src ~bts_at_src =
+      let first = S.step regioned prm ~region:src ~entry_scale:boundary_scale.(src) in
+      let infos = ref [| first |] in
+      let lbts = ref [| 0 |] in
+      fun dst ->
+        while Array.length !infos <= dst - src do
+          let i = Array.length !infos in
+          let bts = i = 1 && bts_at_src in
+          let entry_scale = S.next_entry_scale prm ~bts !infos.(i - 1) in
+          let info = S.step regioned prm ~region:(src + i) ~entry_scale in
+          infos := Array.append !infos [| info |];
+          lbts := Array.append !lbts [| !lbts.(i - 1) + info.S.rescales |]
+        done;
+        (!infos, !lbts)
+    in
+    let try_segment ~src ~bts_at_src win dst =
+      let infos, lbts = win dst in
+      let info r = infos.(r - src) in
+      let no_bts = not bts_at_src in
+      let src_entry = boundary_level.(src) in
+      let k_src = (info src).S.rescales in
+      let is_final = dst = last in
+      let lbts_req =
+        if is_final then begin
+          let q = prm.Ckks.Params.scale_bits in
+          let cap_need = max 0 ((((info dst).S.peak_scale + q - 1) / q) - 1) in
+          lbts.(dst - src) - (info dst).S.rescales + cap_need
+        end
+        else lbts.(dst - src)
+      in
+      let budget = if no_bts then src_entry - k_src else l_max in
+      if lbts_req > budget || k_src > src_entry then None
+      else begin
+        let bts =
+          if no_bts then None
+          else Some (if config.B.min_level_bts then max lbts_req 1 else max l_max 1)
+        in
+        let top = match bts with Some t -> t | None -> src_entry - k_src in
+        let seg = { Seg.src; bts; entry = src_entry; top; infos; lbts; lat = 0.0 } in
+        let fits r level =
+          Ckks.Evaluator.capacity_ok prm ~scale_bits:(info r).S.peak_scale ~level
+        in
+        for r = src + 1 to dst do
+          let k = (info r).S.rescales and lv = level seg r in
+          if k > lv && not (is_final && r = dst) then raise_notrace Not_found;
+          if not (fits r lv) then raise_notrace Not_found
+        done;
+        if not (fits src src_entry) then raise_notrace Not_found;
+        let lat = ref 0.0 in
+        (try
+           lat := latency ~region:src ~entry_level:src_entry ~rescales:k_src ~bts;
+           for r = src + 1 to dst - 1 do
+             lat :=
+               !lat
+               +. latency ~region:r ~entry_level:(level seg r) ~rescales:(info r).S.rescales
+                    ~bts:None
+           done
+         with E.Infeasible _ -> raise_notrace Not_found);
+        if config.B.price_transits then
+          for rb = src + 1 to dst do
+            let need = level seg rb in
+            List.iter
+              (fun (ra, freq) ->
+                if ra < src && prod_level.(ra) < need && need <= l_max then
+                  lat :=
+                    !lat
+                    +. float_of_int freq
+                       *. Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:need)
+              cross.(rb)
+          done;
+        Some { seg with Seg.lat = !lat }
+      end
+    in
+    for src = 0 to last - 1 do
+      if min_lat.(src) < infinity then begin
+        Array.fill prod_level 0 count input_level;
+        let at = ref src in
+        while !at > 0 do
+          match best.(!at) with
+          | None -> at := 0
+          | Some seg ->
+              for r = seg.Seg.src to !at - 1 do
+                let base = level seg r - (seg.Seg.infos.(r - seg.Seg.src)).S.rescales in
+                prod_level.(r) <-
+                  (match seg.Seg.bts with
+                  | Some t when r = seg.Seg.src -> max t base
+                  | _ -> base)
+              done;
+              at := seg.Seg.src
+        done;
+        let consider d (seg : Seg.t) =
+          let cand = min_lat.(src) +. seg.Seg.lat in
+          if cand < min_lat.(d) then begin
+            min_lat.(d) <- cand;
+            best.(d) <- Some seg;
+            boundary_scale.(d) <- (seg.Seg.infos.(d - src)).S.entry_scale;
+            boundary_level.(d) <- level seg d
+          end
+        in
+        let win = window src ~bts_at_src:true in
+        let input_win = if src = 0 then Some (window src ~bts_at_src:false) else None in
+        let continue_scan = ref true and dst = ref (src + 1) in
+        while !continue_scan && !dst <= last do
+          let d = !dst in
+          Option.iter
+            (fun w ->
+              match try_segment ~src ~bts_at_src:false w d with
+              | Some seg -> consider d seg
+              | None | (exception Not_found) -> ())
+            input_win;
+          (match try_segment ~src ~bts_at_src:true win d with
+          | Some seg -> consider d seg
+          | None -> continue_scan := false
+          | exception Not_found -> ());
+          incr dst
+        done
+      end
+    done;
+    if min_lat.(last) = infinity then raise (B.No_plan "oracle: no feasible plan");
+    let segments = ref [] and at = ref last in
+    while !at > 0 do
+      match best.(!at) with
+      | None -> raise (B.No_plan "oracle: unreachable region")
+      | Some seg ->
+          segments := (seg.Seg.src, !at, seg) :: !segments;
+          at := seg.Seg.src
+    done;
+    let actions =
+      Array.make count
+        {
+          B.rescales = 0;
+          entry_level = 0;
+          entry_scale = prm.Ckks.Params.input_scale_bits;
+          smo_cut = None;
+          bts = None;
+        }
+    in
+    List.iter
+      (fun (src, dst, (seg : Seg.t)) ->
+        for r = src to dst - 1 do
+          let info = seg.Seg.infos.(r - src) in
+          let entry_level = level seg r in
+          let bts_here = if r = src then seg.Seg.bts else None in
+          let res = eval ~region:r ~entry_level ~rescales:info.S.rescales ~bts:bts_here in
+          actions.(r) <-
+            {
+              B.rescales = info.S.rescales;
+              entry_level;
+              entry_scale = info.S.entry_scale;
+              smo_cut = res.E.smo_cut;
+              bts =
+                Option.map
+                  (fun target ->
+                    { B.target; cut = res.E.bts_cut; subgraph = res.E.bts_subgraph })
+                  bts_here;
+            }
+        done)
+      !segments;
+    let final_latency =
+      latency ~region:last ~entry_level:boundary_level.(last) ~rescales:0 ~bts:None
+    in
+    actions.(last) <-
+      {
+        B.rescales = 0;
+        entry_level = boundary_level.(last);
+        entry_scale = boundary_scale.(last);
+        smo_cut = None;
+        bts = None;
+      };
+    {
+      B.actions;
+      segments = List.map (fun (s, d, _) -> (s, d)) !segments;
+      dp_latency_ms = min_lat.(last) +. final_latency;
+    }
+  end
