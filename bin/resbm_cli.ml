@@ -9,7 +9,6 @@
      sweep                     l_max sweep for one model (Figure 7 style)
      lint                      verify + lint a compiled model
      certify                   re-check min-cut certificates + level and noise safety
-     cache                     on-disk plan cache stats / clear
      bench-diff                gate a candidate bench file against a baseline
      explain                   cost waterfall + per-bootstrap min-cut rationale
      chaos                     seeded fault-injection campaign + recovery report
@@ -148,29 +147,6 @@ let profile_arg =
           "Write the compilation profile (per-phase wall times, min-cut and planner \
            counters) as JSON to $(docv).")
 
-(* The CLI's plan cache honours RESBM_CACHE_DIR out of the box so that
-   repeated compiles of unchanged models across processes are warm; an
-   explicit [--cache DIR] overrides it. *)
-let cache_dir_env () =
-  match Sys.getenv_opt "RESBM_CACHE_DIR" with
-  | Some d when String.trim d <> "" -> Some d
-  | _ -> None
-
-let cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ] ~docv:"DIR"
-        ~doc:
-          "Consult (and fill) an on-disk plan cache rooted at $(docv) — a warm hit \
-           skips planning entirely and returns a bit-identical plan.  Defaults to \
-           $(b,RESBM_CACHE_DIR) when set; without either, no cache is used.")
-
-let cache_of ~flag =
-  match (flag, cache_dir_env ()) with
-  | Some dir, _ | None, Some dir -> Some (Resbm.Plan_cache.create ~dir ())
-  | None, None -> None
-
 (* --- traced execution (shared by `trace` and `run --trace`) ---------------- *)
 
 let trace_seed = 0x7AB1E6L
@@ -307,21 +283,19 @@ let list_cmd =
 
 let compile_cmd =
   let run model manager l_max verify_each verbose emit_path profile_path trace_out robust
-      fuel cache_flag with_flight =
+      fuel with_flight =
     with_flight @@ fun fl ->
     let model = or_die (resolve_model model) in
     let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
-    let cache = cache_of ~flag:cache_flag in
     let managed, report =
       try
         if robust then
-          Resbm.Driver.compile_robust ?fuel_steps:fuel ~verify_each ?cache prm
+          Resbm.Driver.compile_robust ?fuel_steps:fuel ~verify_each prm
             lowered.Nn.Lowering.dfg
         else
           let manager = or_die (resolve_manager manager) in
-          Resbm.Variants.compile ~verify_each ?cache manager prm
-            lowered.Nn.Lowering.dfg
+          Resbm.Variants.compile ~verify_each manager prm lowered.Nn.Lowering.dfg
       with
       | Resbm.Driver.Verification_failed (pass, diags) ->
           Format.eprintf "error: verification failed after pass %s:@." pass;
@@ -436,7 +410,7 @@ let compile_cmd =
     (Cmd.info "compile" ~doc:"Compile a model and print the management report.")
     Term.(
       const run $ model_arg $ manager_arg $ l_max_arg $ verify_each $ verbose $ emit_path
-      $ profile_arg $ trace_out $ robust $ fuel $ cache_arg $ flight_arg)
+      $ profile_arg $ trace_out $ robust $ fuel $ flight_arg)
 
 (* --- run -------------------------------------------------------------------- *)
 
@@ -740,7 +714,7 @@ let lint_cmd =
 (* --- certify --------------------------------------------------------------------- *)
 
 let certify_cmd =
-  let run models managers l_max cache_flag json_path =
+  let run models managers l_max json_path =
     let all_models = Nn.Model.paper_models @ [ Nn.Model.lenet5; Nn.Model.tiny ] in
     let split s =
       String.split_on_char ',' s
@@ -757,7 +731,6 @@ let certify_cmd =
     in
     if models = [] then or_die (Error (`Msg "no models given"));
     if managers = [] then or_die (Error (`Msg "no managers given"));
-    let cache = cache_of ~flag:cache_flag in
     let prm = Ckks.Params.at_l_max l_max in
     let refuted = ref 0 in
     let cases = ref [] in
@@ -767,7 +740,7 @@ let certify_cmd =
         List.iter
           (fun manager ->
             let managed, report =
-              Resbm.Variants.compile ?cache manager prm lowered.Nn.Lowering.dfg
+              Resbm.Variants.compile manager prm lowered.Nn.Lowering.dfg
             in
             (* Re-enter the compile's profile so the certify.* spans land
                next to the compile phases they are compared with. *)
@@ -867,11 +840,9 @@ let certify_cmd =
          "Compile the model/manager matrix and check every plan's evidence: re-verify \
           each min-cut optimality certificate (LP duality), prove level/capacity \
           safety with the pass verifier's strict Table 1 rules, and check the static \
-          noise estimate against the modulus chain.  A plan-cache disk entry is \
-          re-checked on load, so a corrupted entry is recompiled rather than served.  \
-          Exit 2 when any plan is refuted.")
-    Term.(
-      const run $ models $ managers $ l_max_arg $ cache_arg $ json_path)
+          noise estimate against the modulus chain.  Exit 2 when any plan is \
+          refuted.")
+    Term.(const run $ models $ managers $ l_max_arg $ json_path)
 
 (* --- sweep ----------------------------------------------------------------------- *)
 
@@ -916,53 +887,6 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep l_max for one model (Figure 7 style).")
     Term.(const run $ model_arg $ levels $ profile_arg)
-
-(* --- cache ----------------------------------------------------------------------- *)
-
-let cache_cmd =
-  let run action dir_flag =
-    match (dir_flag, cache_dir_env ()) with
-    | None, None ->
-        Format.eprintf
-          "error: no cache directory; pass --dir or set RESBM_CACHE_DIR@.";
-        exit 1
-    | Some dir, _ | None, Some dir -> (
-        let c = Resbm.Plan_cache.create ~dir () in
-        match action with
-        | "stats" ->
-            Format.printf "%s@."
-              (Obs.Json.to_string
-                 (Resbm.Plan_cache.stats_json (Resbm.Plan_cache.stats c)))
-        | "clear" ->
-            let before = (Resbm.Plan_cache.stats c).Resbm.Plan_cache.disk_entries in
-            Resbm.Plan_cache.clear c;
-            Format.printf "cleared %d cached plan%s under %s@." before
-              (if before = 1 then "" else "s")
-              dir
-        | other ->
-            Format.eprintf "error: unknown cache action %S (stats or clear)@." other;
-            exit 1)
-  in
-  let action =
-    Arg.(
-      value
-      & pos 0 string "stats"
-      & info [] ~docv:"ACTION" ~doc:"$(b,stats) (default) or $(b,clear).")
-  in
-  let dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Cache directory (default: $(b,RESBM_CACHE_DIR)).")
-  in
-  Cmd.v
-    (Cmd.info "cache"
-       ~doc:
-         "Inspect or clear the on-disk plan cache: $(b,stats) prints the entry \
-          counts and hit/miss counters as JSON, $(b,clear) deletes every cached \
-          plan.")
-    Term.(const run $ action $ dir)
 
 (* --- bench-diff ------------------------------------------------------------------ *)
 
@@ -1036,16 +960,13 @@ let top_arg =
            explicit remainder row (never dropped).")
 
 let explain_cmd =
-  let run model manager l_max cache_flag top trace_path json_path =
+  let run model manager l_max top trace_path json_path =
     let model = or_die (resolve_model model) in
     let manager = or_die (resolve_manager manager) in
     let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
     let orig_nodes = Fhe_ir.Dfg.node_count lowered.Nn.Lowering.dfg in
-    let cache = cache_of ~flag:cache_flag in
-    let managed, report =
-      Resbm.Variants.compile ?cache manager prm lowered.Nn.Lowering.dfg
-    in
+    let managed, report = Resbm.Variants.compile manager prm lowered.Nn.Lowering.dfg in
     let wf = Resbm.Explain.attribution ~top prm ~managed report in
     let rationales = Resbm.Explain.rationales prm ~orig_nodes ~managed report in
     Format.printf "%a@."
@@ -1190,8 +1111,8 @@ let explain_cmd =
           moving it (the region's next-best cut).  Exit 2 when less than 99% of \
           the predicted latency is attributed.")
     Term.(
-      const run $ model_arg $ manager_arg $ l_max_arg $ cache_arg $ top_arg
-      $ trace_path $ json_path)
+      const run $ model_arg $ manager_arg $ l_max_arg $ top_arg $ trace_path
+      $ json_path)
 
 (* --- chaos ------------------------------------------------------------------------ *)
 
@@ -1367,7 +1288,7 @@ let chaos_cmd =
 
 let serve_cmd =
   let run model l_max dim seed arrival_rate duration slo_ms max_batch chaos_rate json_path
-      min_goodput min_attainment cache_flag with_flight =
+      min_goodput min_attainment with_flight =
     with_flight @@ fun _ ->
     ignore (or_die (resolve_model model));
     let seed =
@@ -1389,8 +1310,7 @@ let serve_cmd =
         recovery = Resilience.Recovery.default;
       }
     in
-    let cache = cache_of ~flag:cache_flag in
-    let report = Serving.Scheduler.run ?cache cfg in
+    let report = Serving.Scheduler.run cfg in
     let r = report in
     Format.printf
       "serve %s: %d arrivals -> %d admitted, %d completed, %d shed, %d failed@."
@@ -1496,8 +1416,7 @@ let serve_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:
             "Write the campaign report as JSON to $(docv) (byte-identical across \
-             runs and across plan-cache temperatures with the same seed and \
-             config).")
+             runs with the same seed and config).")
   in
   let min_goodput =
     Arg.(
@@ -1523,8 +1442,7 @@ let serve_cmd =
           floor is breached.")
     Term.(
       const run $ model $ l_max_arg $ dim $ seed $ arrival_rate $ duration $ slo_ms
-      $ max_batch $ chaos_rate $ json_path $ min_goodput $ min_attainment $ cache_arg
-      $ flight_arg)
+      $ max_batch $ chaos_rate $ json_path $ min_goodput $ min_attainment $ flight_arg)
 
 (* --- health ----------------------------------------------------------------------- *)
 
@@ -1575,7 +1493,6 @@ let () =
             export_cmd;
             lint_cmd;
             certify_cmd;
-            cache_cmd;
             bench_diff_cmd;
             explain_cmd;
             chaos_cmd;

@@ -41,10 +41,19 @@ exception No_plan of string
 
    The window also remembers how far the segment feasibility checks got:
    every region of [(src, checked]] passed the rescale and capacity checks
-   with the segment top at [checked_top].  Both checks only get easier as
-   a level rises, and a region's level rises with the top, so a later
-   destination whose top is no lower re-checks only the regions past
-   [checked]. *)
+   at some earlier destination's top.  Within a window the top never
+   falls: without a bootstrap at [src] it is [src]'s entry less its
+   rescales, and a bootstrap target is [l_max] or, under
+   [min_level_bts], the requirement [lbts(dst - src)], which grows with
+   [dst].  The final destination requires [lbts(dst - 1 - src)] plus its
+   capacity need, no less than the destination before it.  A region past
+   [src] enters at the top less the rescales before it, so its level
+   rises with the top, and both checks only get easier as a level rises
+   (the final destination drops the rescale check on itself, which
+   relaxes it further).  So every destination, the final one included,
+   re-checks only the regions past [checked].  A check that fails does so
+   past [checked], which therefore stays put, and the next destination
+   re-checks that region anyway. *)
 type window = {
   src : int;
   bts_at_src : bool;
@@ -52,7 +61,6 @@ type window = {
   mutable lbts : int array;  (* [lbts.(i)]: rescales of regions [(src, src + i]] *)
   mutable len : int;  (* regions [src, src + len) are planned *)
   mutable checked : int;  (* [src] until a check passes *)
-  mutable checked_top : int;
 }
 
 type segment_eval = {
@@ -196,7 +204,6 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
         lbts = Array.make cap 0;
         len = 1;
         checked = src;
-        checked_top = 0;
       }
     in
     let extend w =
@@ -258,17 +265,8 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
             seg_latency = 0.0;
           }
         in
-        (* Only a non-final destination reuses the window's progress.  The
-           final one prices its requirement differently (its own rescales
-           leave it, its capacity need enters), so it re-checks in full
-           rather than rely on its top staying no lower; so does a check
-           whose top fell or whose predecessor failed. *)
-        let from =
-          if (not is_final) && w.checked > src && top >= w.checked_top then w.checked + 1
-          else src + 1
-        in
         (try
-           for r = from to dst do
+           for r = w.checked + 1 to dst do
              let k = (info r).Scalemgr.rescales and level = seg_level seg r in
              if k > level && not (is_final && r = dst) then raise Exit;
              if
@@ -281,13 +279,8 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
                (Ckks.Evaluator.capacity_ok prm ~scale_bits:(info src).Scalemgr.peak_scale
                   ~level:src_entry)
            then raise Exit
-         with Exit ->
-           w.checked <- src;
-           raise_notrace Not_found);
-        if not is_final then begin
-          w.checked <- dst;
-          w.checked_top <- top
-        end;
+         with Exit -> raise_notrace Not_found);
+        if not is_final then w.checked <- dst;
         (* Latency of the regions [src, dst), left to right.  The source
            level depends on the target, which under [min_level_bts] grows
            with [dst], so the sum is re-read, not carried forward. *)

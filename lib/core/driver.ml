@@ -201,7 +201,7 @@ let compile ?(config = Btsmgr.resbm_config) ?(name = "ReSBM") ?(ms_opt = false)
         ~fallbacks prm g
   | Some c -> (
       let ckey = Plan_cache.key ~config ~name ~ms_opt ~segment_scan prm g in
-      match Plan_cache.find c prm ckey with
+      match Plan_cache.find c ckey with
       | Some (managed, report) ->
           (* Warm hit: the stored plan and report are bit-identical to
              what the cold path would produce (fallbacks belong to this

@@ -69,13 +69,13 @@ val compile :
     driver's only metric family besides {!compile_robust}'s fallback
     counter; the report is the record of the plan itself.
 
-    [cache] consults a {!Plan_cache} before planning and stores the
-    result after: a hit returns a bit-identical plan and report (with
-    [compile_ms] set to the lookup time, and [fallbacks] to this call's
-    argument) without running any phase — including [verify_each].  A
-    miss plans from scratch: no planner state is shared across compiles,
-    so a miss's counters, fuel spend and plan equal a cache-free
-    compile's.
+    [cache] consults an in-memory {!Plan_cache} before planning and
+    stores the result after: a hit returns a bit-identical plan and
+    report (with [compile_ms] set to the lookup time, and [fallbacks] to
+    this call's argument) without running any phase — including
+    [verify_each].  A miss plans from scratch: no planner state is shared
+    across compiles, so a miss's counters, fuel spend and plan equal a
+    cache-free compile's.
     @raise Btsmgr.No_plan when no feasible plan exists for [l_max].
     @raise Plan.Apply_error when plan materialisation fails.
     @raise Fuel.Exhausted when a caller-supplied step budget runs out.

@@ -1,8 +1,7 @@
 (** 64-bit FNV-1a: the one hash behind {!Plan_cache} keys and
     {!Explain}'s content labels and digests.  Each [mix_*] folds a value
-    into a running hash; start from {!offset}.  Keys and digests persist
-    on disk and in bench baselines, so the byte order is part of the
-    format. *)
+    into a running hash; start from {!offset}.  Digests persist in bench
+    baselines, so the byte order is part of the format. *)
 
 val offset : int64
 

@@ -1,6 +1,6 @@
 (* The content-addressed plan cache: warm-cache identity on fixtures and
    random graphs, key sensitivity, independence from cache history, and
-   the on-disk tier. *)
+   LRU eviction. *)
 open Test_util
 open Fhe_ir
 
@@ -53,8 +53,7 @@ let warm_cache_identity () =
   let s = Resbm.Plan_cache.stats cache in
   checki "one miss per cold attempt" (List.length Resbm.Variants.all)
     s.Resbm.Plan_cache.misses;
-  checki "one hit per warm compile" !planned s.Resbm.Plan_cache.hits;
-  checki "no disk tier" 0 s.Resbm.Plan_cache.disk_hits
+  checki "one hit per warm compile" !planned s.Resbm.Plan_cache.hits
 
 let warm_hit_graph_is_private () =
   (* A cached plan must not alias the stored graph: mutating a warm
@@ -177,194 +176,6 @@ let region_shapes_localise_edits () =
        (fun r -> same (shape r3 r) (shape shifted r))
        (List.init (r3.Resbm.Region.count - 1) (fun r -> r + 1)))
 
-(* --- on-disk tier ---------------------------------------------------------- *)
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "resbm_cache" ".d" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir && Sys.is_directory dir then begin
-        Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () -> f dir)
-
-let disk_tier_survives_processes () =
-  with_temp_dir (fun dir ->
-      let mgr = Resbm.Variants.resbm in
-      let c1 = Resbm.Plan_cache.create ~dir () in
-      let cold = Resbm.Variants.compile ~cache:c1 mgr prm (fig3_poly ()) in
-      checkb "entry written through to disk" true
-        ((Resbm.Plan_cache.stats c1).Resbm.Plan_cache.disk_entries >= 1);
-      (* a fresh cache instance models a new process over the same dir *)
-      let c2 = Resbm.Plan_cache.create ~dir () in
-      let warm = Resbm.Variants.compile ~cache:c2 mgr prm (fig3_poly ()) in
-      let s = Resbm.Plan_cache.stats c2 in
-      checki "served from the disk tier" 1 s.Resbm.Plan_cache.disk_hits;
-      checkb "disk round-trip is bit-identical" true
-        (fingerprint warm = fingerprint cold);
-      (* clear drops both tiers *)
-      Resbm.Plan_cache.clear c2;
-      checki "disk tier emptied" 0
-        (Resbm.Plan_cache.stats c2).Resbm.Plan_cache.disk_entries)
-
-(* JSON surgery for forged disk entries: [field k f] rewrites field [k]
-   of an object, [first p f] the first list element satisfying [p]. *)
-let field k f = function
-  | Obs.Json.Obj fields ->
-      Obs.Json.Obj (List.map (fun (k', v) -> (k', if k' = k then f v else v)) fields)
-  | j -> j
-
-let first p f = function
-  | Obs.Json.List xs ->
-      let rec go = function
-        | [] -> Alcotest.fail "nothing to forge"
-        | x :: rest -> if p x then f x :: rest else x :: go rest
-      in
-      Obs.Json.List (go xs)
-  | j -> j
-
-(* Add 1.0 to the value of the first SMOPLC certificate of a disk entry. *)
-let bump_smoplc_value =
-  let open Obs.Json in
-  field "certificates"
-    (first
-       (fun c -> member "pass" c = Some (String "smoplc"))
-       (field "cert"
-          (field "v" (function
-            | Float v -> Float (v +. 1.0)
-            | Int v -> Float (float_of_int v +. 1.0)
-            | j -> j))))
-
-(* Rewrite a disk entry's JSON in place. *)
-let forge_entry file f =
-  match Obs.Json.of_string (In_channel.with_open_bin file In_channel.input_all) with
-  | Ok j ->
-      let forged = Obs.Json.to_string (f j) in
-      Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc forged);
-      forged
-  | Error e -> Alcotest.fail e
-
-let only_entry dir =
-  match Array.to_list (Sys.readdir dir) with
-  | [ f ] -> Filename.concat dir f
-  | fs -> Alcotest.failf "expected one disk entry, found %d" (List.length fs)
-
-(* A disk entry is re-checked on load: one forged cut value refutes its
-   certificate, so the next cached compile counts a miss (not a disk
-   hit), logs the rejection, returns the cold plan bit for bit and
-   overwrites the entry with it. *)
-let refuted_disk_entry_recompiles () =
-  with_temp_dir (fun dir ->
-      let mgr = Resbm.Variants.resbm in
-      let g () = lowered Nn.Model.resnet20 in
-      let cold =
-        Resbm.Variants.compile ~cache:(Resbm.Plan_cache.create ~dir ()) mgr prm (g ())
-      in
-      let file = only_entry dir in
-      let read () = In_channel.with_open_bin file In_channel.input_all in
-      let forged = forge_entry file bump_smoplc_value in
-      let cache = Resbm.Plan_cache.create ~dir () in
-      let sink = Obs.Log.create () in
-      let served =
-        Obs.with_log sink (fun () -> Resbm.Variants.compile ~cache mgr prm (g ()))
-      in
-      let s = Resbm.Plan_cache.stats cache in
-      checki "counted as a miss" 1 s.Resbm.Plan_cache.misses;
-      checki "not a disk hit" 0 s.Resbm.Plan_cache.disk_hits;
-      checkb "rejection logged" true
-        (List.exists
-           (fun r -> r.Obs.Log.event = "plan_cache.disk_rejected")
-           (Obs.Log.records sink));
-      checkb "the cold plan, bit for bit" true (fingerprint served = fingerprint cold);
-      checkb "entry overwritten" true (read () <> forged);
-      let again = Resbm.Plan_cache.create ~dir () in
-      let reloaded = Resbm.Variants.compile ~cache:again mgr prm (g ()) in
-      checki "the rewritten entry is a disk hit" 1
-        (Resbm.Plan_cache.stats again).Resbm.Plan_cache.disk_hits;
-      checkb "and serves the cold plan" true (fingerprint reloaded = fingerprint cold))
-
-(* A forged argument naming a node past the end makes the entry
-   unreadable: the lookup is a miss and the compile recompiles. *)
-let unreadable_disk_entry_recompiles () =
-  with_temp_dir (fun dir ->
-      let mgr = Resbm.Variants.resbm in
-      let cold =
-        Resbm.Variants.compile ~cache:(Resbm.Plan_cache.create ~dir ()) mgr prm (fig3_poly ())
-      in
-      let dangling =
-        let open Obs.Json in
-        field "nodes"
-          (first
-             (fun n -> match member "a" n with Some (List (_ :: _)) -> true | _ -> false)
-             (field "a" (function List (_ :: rest) -> List (Int 1_000_000 :: rest) | j -> j)))
-      in
-      ignore (forge_entry (only_entry dir) dangling);
-      let cache = Resbm.Plan_cache.create ~dir () in
-      let served = Resbm.Variants.compile ~cache mgr prm (fig3_poly ()) in
-      let s = Resbm.Plan_cache.stats cache in
-      checki "counted as a miss" 1 s.Resbm.Plan_cache.misses;
-      checki "not a disk hit" 0 s.Resbm.Plan_cache.disk_hits;
-      checkb "the cold plan, bit for bit" true (fingerprint served = fingerprint cold))
-
-(* A disk entry's report fields are re-derived on load: a forged latency,
-   a segment list that does not chain the regions, or a region past the
-   partition makes the next cached compile a miss that logs the broken
-   rule and recompiles tiny's cold plan. *)
-let forged_report_fields_recompile () =
-  let mgr = Resbm.Variants.resbm in
-  let g () = lowered Nn.Model.tiny in
-  let open Obs.Json in
-  let forge_and_reload name f expected_rule =
-    with_temp_dir (fun dir ->
-        let cold =
-          Resbm.Variants.compile ~cache:(Resbm.Plan_cache.create ~dir ()) mgr prm (g ())
-        in
-        ignore (forge_entry (only_entry dir) f);
-        let cache = Resbm.Plan_cache.create ~dir () in
-        let sink = Obs.Log.create () in
-        let served = Obs.with_log sink (fun () -> Resbm.Variants.compile ~cache mgr prm (g ())) in
-        let s = Resbm.Plan_cache.stats cache in
-        checki (name ^ ": counted as a miss") 1 s.Resbm.Plan_cache.misses;
-        checki (name ^ ": not a disk hit") 0 s.Resbm.Plan_cache.disk_hits;
-        checkb (name ^ ": rejection names the rule") true
-          (List.exists
-             (fun r ->
-               r.Obs.Log.event = "plan_cache.disk_rejected"
-               && List.assoc_opt "rule" r.Obs.Log.fields = Some (String expected_rule))
-             (Obs.Log.records sink));
-        checkb (name ^ ": the cold plan, bit for bit") true (fingerprint served = fingerprint cold))
-  in
-  let segments = field "segments" (fun _ -> List [ List [ Int 0; Int 1 ] ]) in
-  forge_and_reload "latency 1.0 and segments [[0,1]]"
-    (fun j -> segments (field "latency_ms" (fun _ -> Float 1.0) j))
-    "cache-latency";
-  forge_and_reload "segments [[0,1]]" segments "cache-segments";
-  forge_and_reload "a region past the partition"
-    (fun j ->
-      let count = match member "region_count" j with Some (Int c) -> c | _ -> 0 in
-      field "region_of" (first (fun _ -> true) (fun _ -> Int count)) j)
-    "cache-regions"
-
-(* Every manager's genuine entries pass the re-derivation and load as
-   disk hits. *)
-let genuine_entries_reload () =
-  with_temp_dir (fun dir ->
-      let models = [ Nn.Model.tiny; Nn.Model.resnet20 ] in
-      let compile_all cache =
-        List.iter
-          (fun mgr ->
-            List.iter (fun m -> ignore (Resbm.Variants.compile ~cache mgr prm (lowered m))) models)
-          Resbm.Variants.all
-      in
-      compile_all (Resbm.Plan_cache.create ~dir ());
-      let cache = Resbm.Plan_cache.create ~dir () in
-      compile_all cache;
-      checki "every entry served from disk"
-        (List.length Resbm.Variants.all * List.length models)
-        (Resbm.Plan_cache.stats cache).Resbm.Plan_cache.disk_hits)
-
 let lru_eviction_is_bounded () =
   let cache = Resbm.Plan_cache.create ~capacity:2 () in
   let mgr = Resbm.Variants.resbm in
@@ -388,10 +199,5 @@ let suite =
     case "a miss's counters ignore cache history" miss_counters_ignore_cache_history;
     case "fuel-budgeted compiles ignore cache history" fuel_budget_ignores_cache_history;
     case "region shapes localise edits" region_shapes_localise_edits;
-    case "disk tier round-trips across cache instances" disk_tier_survives_processes;
     case "lru eviction respects capacity" lru_eviction_is_bounded;
-    case "a refuted disk entry is recompiled" refuted_disk_entry_recompiles;
-    case "an unreadable disk entry is recompiled" unreadable_disk_entry_recompiles;
-    case "forged report fields are recompiled" forged_report_fields_recompile;
-    case "genuine entries of every manager reload" genuine_entries_reload;
   ]
