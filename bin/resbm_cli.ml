@@ -282,30 +282,20 @@ let list_cmd =
 (* --- compile --------------------------------------------------------------- *)
 
 let compile_cmd =
-  let run model manager l_max verify_each verbose emit_path profile_path trace_out robust
-      fuel with_flight =
+  let run model manager l_max verify_each verbose emit_path profile_path trace_out
+      with_flight =
     with_flight @@ fun fl ->
     let model = or_die (resolve_model model) in
+    let manager = or_die (resolve_manager manager) in
     let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
     let managed, report =
-      try
-        if robust then
-          Resbm.Driver.compile_robust ?fuel_steps:fuel ~verify_each prm
-            lowered.Nn.Lowering.dfg
-        else
-          let manager = or_die (resolve_manager manager) in
-          Resbm.Variants.compile ~verify_each manager prm lowered.Nn.Lowering.dfg
-      with
+      try Resbm.Variants.compile ~verify_each manager prm lowered.Nn.Lowering.dfg with
       | Resbm.Driver.Verification_failed (pass, diags) ->
           Format.eprintf "error: verification failed after pass %s:@." pass;
           List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
           exit 2
     in
-    List.iter
-      (fun (tier, reason) ->
-        Format.printf "planner degraded: tier %s failed (%s)@." tier reason)
-      report.Resbm.Report.fallbacks;
     let diags = Analysis.Verify.run prm managed in
     List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
     if Analysis.Diag.has_errors diags then begin
@@ -345,14 +335,7 @@ let compile_cmd =
          (worst case)@."
         typical.Fhe_ir.Noise_check.output_precision_bits
         worst.Fhe_ir.Noise_check.output_precision_bits;
-      Format.printf "memory: %a@." Fhe_ir.Liveness.pp (Fhe_ir.Liveness.analyse prm managed);
-      let steps = Resbm.Driver.planner_steps report.Resbm.Report.profile in
-      if steps > 0 then
-        Format.printf
-          "planner steps: %d (a robust fuel budget calibrated on this compile alone: \
-           %d)@."
-          steps
-          (Resbm.Driver.calibrated_fuel_steps [ report ])
+      Format.printf "memory: %a@." Fhe_ir.Liveness.pp (Fhe_ir.Liveness.analyse prm managed)
     end;
     (match emit_path with
     | Some path ->
@@ -386,31 +369,11 @@ let compile_cmd =
              (same dialect as `resbm trace`, so compile and run phases load into one \
              Perfetto timeline).")
   in
-  let robust =
-    Arg.(
-      value & flag
-      & info [ "robust" ]
-          ~doc:
-            "Compile through the graceful-degradation chain (resbm, then waterline, \
-             then eager) instead of a single manager; planner dead-ends and budget \
-             exhaustion downgrade to the next tier rather than failing.  Ignores \
-             $(b,--manager).")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N"
-          ~doc:
-            "With $(b,--robust): per-tier planning step budget (segment evaluations \
-             and min-cuts); exhausting it downgrades to the next tier.  The last tier \
-             always runs unbounded.")
-  in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a model and print the management report.")
     Term.(
       const run $ model_arg $ manager_arg $ l_max_arg $ verify_each $ verbose $ emit_path
-      $ profile_arg $ trace_out $ robust $ fuel $ flight_arg)
+      $ profile_arg $ trace_out $ flight_arg)
 
 (* --- run -------------------------------------------------------------------- *)
 
@@ -1156,10 +1119,6 @@ let chaos_cmd =
           m.Resilience.Chaos.total_retries m.Resilience.Chaos.total_panic_refreshes
           m.Resilience.Chaos.tolerance;
         List.iter
-          (fun (tier, reason) ->
-            Format.printf "  planner degraded: tier %s failed (%s)@." tier reason)
-          m.Resilience.Chaos.compile_fallbacks;
-        List.iter
           (fun (kind, count) ->
             let ms =
               Option.value ~default:0.0
@@ -1470,7 +1429,7 @@ let health_cmd =
     (Cmd.info "health"
        ~doc:
          "Evaluate rule-based health checks (noise headroom, chaos recovery rate, \
-          SLO attainment, planner fallbacks, GC pressure, log anomalies) over a flight \
+          SLO attainment, GC pressure, log anomalies, ring overflow) over a flight \
           file written by $(b,--log-out).  Exit 0 when healthy, 2 when any rule \
           fails.")
     Term.(const run $ in_file $ json)
@@ -1480,22 +1439,38 @@ let () =
     Cmd.info "resbm" ~version:"1.0.0"
       ~doc:"Region-based scale and minimal-level bootstrapping management for RNS-CKKS."
   in
+  let cmd =
+    Cmd.group info
+      [
+        list_cmd;
+        compile_cmd;
+        run_cmd;
+        trace_cmd;
+        regions_cmd;
+        sweep_cmd;
+        export_cmd;
+        lint_cmd;
+        certify_cmd;
+        bench_diff_cmd;
+        explain_cmd;
+        chaos_cmd;
+        serve_cmd;
+        health_cmd;
+      ]
+  in
+  (* A planner dead-end is the input's fault (l_max too small for the
+     model), so it reads as a usage error, exit 1 like [or_die]; every
+     other escaping exception is a bug and keeps cmdliner's
+     internal-error report and exit code. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd;
-            compile_cmd;
-            run_cmd;
-            trace_cmd;
-            regions_cmd;
-            sweep_cmd;
-            export_cmd;
-            lint_cmd;
-            certify_cmd;
-            bench_diff_cmd;
-            explain_cmd;
-            chaos_cmd;
-            serve_cmd;
-            health_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Resbm.Btsmgr.No_plan msg ->
+        Format.eprintf "error: %s@." msg;
+        1
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Format.eprintf "resbm: @[<v>internal error, uncaught exception:@,%s@,%s@]@."
+          (Printexc.to_string e)
+          (Printexc.raw_backtrace_to_string bt);
+        Cmd.Exit.internal_error)

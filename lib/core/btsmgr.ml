@@ -111,8 +111,7 @@ let cross_edges_by_consumer regioned =
     (Fhe_ir.Dfg.live_nodes g);
   by_rb
 
-let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Full)
-    ?jobs:_ regioned prm =
+let plan ?(config = resbm_config) ?jobs:_ regioned prm =
   let count = regioned.Region.count in
   let last = count - 1 in
   let cache = Region_eval.create_cache () in
@@ -130,19 +129,19 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
     List.iter (fun (ra, _) -> lowest := Int.min ra !lowest) cross_by_rb.(src)
   done;
   let eval ~region ~entry_level ~rescales ~bts =
-    Region_eval.eval ~fuel cache regioned ~smo_mode:config.smo_mode
+    Region_eval.eval cache regioned ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
   in
   let region_latency ~region ~entry_level ~rescales ~bts =
-    Region_eval.latency ~fuel cache regioned ~smo_mode:config.smo_mode
+    Region_eval.latency cache regioned ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
   in
   (* The latency table [L[shape][level][rescales]] of the regions that do
      not bootstrap, filled from Region_eval on first use.  It only skips
-     calls Region_eval's own cache would answer, which touch no counter
-     and spend no fuel.  Rows are allocated per shape on demand; [nan]
-     marks an entry not read yet, and an infeasible entry stays unread so
-     every read re-raises. *)
+     calls Region_eval's own cache would answer, which touch no counter.
+     Rows are allocated per shape on demand; [nan] marks an entry not
+     read yet, and an infeasible entry stays unread so every read
+     re-raises. *)
   let width = 1 + max l_max prm.Ckks.Params.input_level in
   let table = Array.make (1 + Array.fold_left max 0 regioned.Region.shape_ids) [||] in
   let plain_latency ~region ~entry_level ~rescales =
@@ -227,7 +226,6 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
        bootstrap budget cannot reach [dst] (nor any later destination);
        raises Not_found when infeasible. *)
     let try_segment ~dst w =
-      Fuel.spend fuel;
       Obs.Counter.bump segment_evals;
       extend w;
       let src = w.src and no_bts = not w.bts_at_src in
@@ -340,14 +338,10 @@ let plan ?(config = resbm_config) ?(fuel = Fuel.unlimited) ?(segment_scan = `Ful
         done;
         let continue_scan = ref true in
         let dst = ref (src + 1) in
-        (* `Adjacent: every boundary is a segment boundary (one region per
-           segment, a bootstrap at each source) — the O(regions) eager
-           scan used by the last fallback tier. *)
-        let scan_last = match segment_scan with `Full -> last | `Adjacent -> src + 1 in
         let window = open_window src ~bts_at_src:true in
         (* Region 0 may also run on the fresh input levels. *)
         let input_window = if src = 0 then Some (open_window src ~bts_at_src:false) else None in
-        while !continue_scan && !dst <= scan_last do
+        while !continue_scan && !dst <= last do
           let d = !dst in
           let candidates = ref 0 in
           let consider seg =

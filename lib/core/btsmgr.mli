@@ -53,26 +53,12 @@ exception No_plan of string
 
 val plan :
   ?config:config ->
-  ?fuel:Fuel.t ->
-  ?segment_scan:[ `Full | `Adjacent ] ->
   ?jobs:int ->
   Region.t ->
   Ckks.Params.t ->
   plan
-(** [fuel] (default unlimited) is spent one unit per DP segment evaluation
-    and one per min-cut inside {!Region_eval} — the budget that lets
-    {!Driver.compile_robust} bound a tier's planning work.
-
-    [segment_scan] (default [`Full]) controls the DP's destination scan:
-    [`Adjacent] restricts every segment to one region ([dst = src + 1]),
-    the linear-time eager strategy of the last fallback tier — no search,
-    a bootstrap at every boundary.
-
-    [jobs] is ignored: planning is single-domain.  The parameter exists
-    only so existing [~jobs:1] callers still compile.  The scan is
-    deterministic for every [fuel] budget: the same budget exhausts at the
-    same step.
+(** [jobs] is ignored: planning is single-domain.  The parameter exists
+    only so existing [~jobs:1] callers still compile.
 
     @raise No_plan when no feasible bootstrapping plan exists (e.g. a
-    single region consumes more than [l_max] levels).
-    @raise Fuel.Exhausted when the step budget runs out. *)
+    single region consumes more than [l_max] levels). *)

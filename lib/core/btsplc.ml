@@ -2,8 +2,7 @@ open Fhe_ir
 
 let cuts = Obs.Counter.make "btsplc.cuts"
 
-let cut ?(fuel = Fuel.unlimited) (shape : Region.shape) ~lbts ~subgraph =
-  Fuel.spend fuel;
+let cut (shape : Region.shape) ~lbts ~subgraph =
   if lbts < 1 then invalid_arg "Btsplc.run: bootstrap target below 1";
   if subgraph = [] then invalid_arg "Btsplc.run: empty subgraph";
   let slots = shape.Region.slots in
@@ -127,10 +126,10 @@ let cut ?(fuel = Fuel.unlimited) (shape : Region.shape) ~lbts ~subgraph =
   Det.iter_sorted (fun p (fn, _) -> node_of.(fn) <- p) producers;
   { Cut.edges; value = mc.Graphlib.Maxflow.value; sink_side; cert = Some cert; node_of }
 
-let run ?fuel regioned ~lbts ~subgraph =
+let run regioned ~lbts ~subgraph =
   let region = match subgraph with id :: _ -> regioned.Region.region_of.(id) | [] -> 0 in
   let ids = Region.slots regioned region in
   let slot_of = Hashtbl.create (Array.length ids) in
   Array.iteri (fun s id -> Hashtbl.replace slot_of id s) ids;
   let subgraph = List.map (Hashtbl.find slot_of) subgraph in
-  Cut.relabel (Array.get ids) (cut ?fuel (Region.shape regioned region) ~lbts ~subgraph)
+  Cut.relabel (Array.get ids) (cut (Region.shape regioned region) ~lbts ~subgraph)

@@ -12,14 +12,12 @@
     in-degree.  Bootstrapping at the region's end (after the live-out
     producers) is the zero-increase baseline. *)
 
-val cut : ?fuel:Fuel.t -> Region.shape -> lbts:int -> subgraph:int list -> Cut.t
+val cut : Region.shape -> lbts:int -> subgraph:int list -> Cut.t
 (** The min-cut of a shape's level-0 [subgraph] (member slots, topological
     order), naming slots (see {!Cut.relabel}); producer helper nodes map
-    to the producing slot.  Each call spends one unit of [fuel] (default
-    {!Fuel.unlimited}).
-    @raise Invalid_argument on an empty subgraph or [lbts < 1].
-    @raise Fuel.Exhausted when the step budget runs out. *)
+    to the producing slot.
+    @raise Invalid_argument on an empty subgraph or [lbts < 1]. *)
 
-val run : ?fuel:Fuel.t -> Region.t -> lbts:int -> subgraph:int list -> Cut.t
+val run : Region.t -> lbts:int -> subgraph:int list -> Cut.t
 (** {!cut} over node ids: [subgraph] lists level-0 member ids of one
     region (topological order); the cut names node ids. *)

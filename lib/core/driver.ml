@@ -17,8 +17,7 @@ let compile_seq = Atomic.make 0
 let regions_counter = Obs.Counter.make "driver.regions"
 let hoists_counter = Obs.Counter.make "ms_opt.hoists"
 
-let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
-    ~fallbacks prm g =
+let compile_cold ~config ~name ~ms_opt ~verify_each ~profile prm g =
   let profile = match profile with Some p -> p | None -> Obs.Profile.create () in
   Obs.with_profile profile @@ fun () ->
   Obs.with_log_ctx ~compile_id:(Atomic.fetch_and_add compile_seq 1) @@ fun () ->
@@ -59,7 +58,7 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
       }
     g;
   let plan =
-    phase "plan" (fun () -> Btsmgr.plan ~config ~fuel ~segment_scan regioned prm)
+    phase "plan" (fun () -> Btsmgr.plan ~config regioned prm)
   in
   let outcome = phase "apply" (fun () -> Plan.apply regioned prm plan) in
   let managed = outcome.Plan.dfg in
@@ -157,7 +156,6 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
       profile;
       region_count = regioned.Region.count;
       region_of;
-      fallbacks;
       certificates;
     }
   in
@@ -193,132 +191,29 @@ let certify_diags prm managed (report : Report.t) =
   [ ("certify.cuts", cuts); ("certify.levels", levels); ("certify.noise", noise) ]
 
 let compile ?(config = Btsmgr.resbm_config) ?(name = "ReSBM") ?(ms_opt = false)
-    ?(verify_each = false) ?profile ?(fuel = Fuel.unlimited) ?(segment_scan = `Full)
-    ?(fallbacks = []) ?cache prm g =
+    ?(verify_each = false) ?profile ?cache prm g =
   match cache with
-  | None ->
-      compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel ~segment_scan
-        ~fallbacks prm g
+  | None -> compile_cold ~config ~name ~ms_opt ~verify_each ~profile prm g
   | Some c -> (
-      let ckey = Plan_cache.key ~config ~name ~ms_opt ~segment_scan prm g in
+      let ckey = Plan_cache.key ~config ~name ~ms_opt prm g in
       match Plan_cache.find c ckey with
       | Some (managed, report) ->
           (* Warm hit: the stored plan and report are bit-identical to
-             what the cold path would produce (fallbacks belong to this
-             call, compile_ms was already replaced by the lookup time). *)
+             what the cold path would produce (compile_ms was already
+             replaced by the lookup time). *)
           Obs.log_info ~event:"plan_cache.hit"
             ~fields:[ ("manager", Obs.Json.String name) ]
             "serving plan from cache";
-          (managed, { report with Report.fallbacks })
+          (managed, report)
       | None ->
           Obs.log_info ~event:"plan_cache.miss"
             ~fields:[ ("manager", Obs.Json.String name) ]
             "plan not cached, compiling cold";
           let managed, report =
-            compile_cold ~config ~name ~ms_opt ~verify_each ~profile ~fuel
-              ~segment_scan ~fallbacks prm g
+            compile_cold ~config ~name ~ms_opt ~verify_each ~profile prm g
           in
           Plan_cache.store c ckey managed report;
           (managed, report))
 
-(* --- Graceful degradation ------------------------------------------------- *)
-
-(* The fuel-metered work a compile performed, read back from its profile:
-   exactly the counters incremented alongside each [Fuel.spend] (DP
-   segment evaluations and the two placement solvers' min-cuts). *)
-let planner_steps profile =
-  List.fold_left
-    (fun acc -> function
-      | ("btsmgr.segment_evals" | "smoplc.cuts" | "btsplc.cuts"), v -> acc + v
-      | _ -> acc)
-    0
-    (Obs.Profile.counters profile)
-
-let calibrated_fuel_steps reports =
-  Fuel.calibrate
-    (List.map (fun (r : Report.t) -> planner_steps r.Report.profile) reports)
-
-type tier = {
-  tier_name : string;
-  tier_config : Btsmgr.config;
-  tier_scan : [ `Full | `Adjacent ];
-}
-
-let waterline_config =
-  {
-    Btsmgr.min_level_bts = false;
-    smo_mode = Region_eval.Smo_eva;
-    bts_mode = Region_eval.Bts_region_end;
-    price_transits = false;
-  }
-
-(* resbm → waterline → eager: from the paper's full min-cut DP down to
-   EVA-style waterline rescaling with region-end bootstraps (no min-cut,
-   still a full segment scan), down to the linear eager strategy (one
-   region per segment, a full-elevation bootstrap at every boundary) —
-   each tier strictly cheaper and more conservative than the previous. *)
-let default_chain =
-  [
-    { tier_name = "resbm"; tier_config = Btsmgr.resbm_config; tier_scan = `Full };
-    { tier_name = "waterline"; tier_config = waterline_config; tier_scan = `Full };
-    { tier_name = "eager"; tier_config = waterline_config; tier_scan = `Adjacent };
-  ]
-
-(* Exceptions that mean "this tier failed" rather than "the input is
-   broken": planning dead-ends, budget exhaustion, plan application bugs
-   and per-stage verification failures all degrade; anything else (e.g.
-   Invalid_argument from a malformed graph) escapes untouched. *)
-let degrade_reason = function
-  | Btsmgr.No_plan msg -> Some ("no plan: " ^ msg)
-  | Plan.Apply_error msg -> Some ("apply error: " ^ msg)
-  | Fuel.Exhausted stage -> Some ("fuel exhausted in " ^ stage)
-  | Region_eval.Infeasible msg -> Some ("infeasible region: " ^ msg)
-  | Verification_failed (pass, _) -> Some ("verification failed after " ^ pass)
-  | _ -> None
-
-let compile_robust ?fuel_steps ?(ms_opt = false) ?(verify_each = false) ?profile ?jobs:_
-    ?cache prm g =
-  let rec go fallbacks = function
-    | [] -> assert false
-    | [ tier ] ->
-        (* Terminal tier: unlimited fuel — it must either plan or raise
-           the real failure for the caller. *)
-        compile ~config:tier.tier_config ~name:tier.tier_name ~ms_opt ~verify_each
-          ?profile ~segment_scan:tier.tier_scan ~fallbacks:(List.rev fallbacks)
-          ?cache prm g
-    | tier :: rest -> (
-        let fuel =
-          match fuel_steps with
-          | None -> Fuel.unlimited
-          | Some n -> Fuel.create ~stage:tier.tier_name n
-        in
-        match
-          compile ~config:tier.tier_config ~name:tier.tier_name ~ms_opt ~verify_each
-            ?profile ~fuel ~segment_scan:tier.tier_scan
-            ~fallbacks:(List.rev fallbacks) ?cache prm g
-        with
-        | result -> result
-        | exception e -> (
-            match degrade_reason e with
-            | None -> raise e
-            | Some reason ->
-                Obs.metric_incr
-                  ~labels:[ ("tier", tier.tier_name) ]
-                  "planner_fallbacks_total";
-                Obs.log_warn ~event:"planner.degraded"
-                  ~fields:
-                    [
-                      ("tier", Obs.Json.String tier.tier_name);
-                      ("reason", Obs.Json.String reason);
-                    ]
-                  (Printf.sprintf "tier %s failed (%s), degrading" tier.tier_name reason);
-                Obs.trace_instant ~name:"planner_fallback"
-                  ~detail:
-                    [
-                      ("tier", Obs.Json.String tier.tier_name);
-                      ("reason", Obs.Json.String reason);
-                    ]
-                  ();
-                go ((tier.tier_name, reason) :: fallbacks) rest))
-  in
-  go [] default_chain
+(* Kept for callers that still pass [~jobs:1]; planning is single-domain. *)
+let compile_robust ?jobs:_ ?cache prm g = compile ?cache prm g

@@ -32,9 +32,6 @@ val compile :
   ?ms_opt:bool ->
   ?verify_each:bool ->
   ?profile:Obs.Profile.t ->
-  ?fuel:Fuel.t ->
-  ?segment_scan:[ `Full | `Adjacent ] ->
-  ?fallbacks:(string * string) list ->
   ?cache:Plan_cache.t ->
   Ckks.Params.t ->
   Fhe_ir.Dfg.t ->
@@ -56,74 +53,31 @@ val compile :
     wrong latency.  Each verification is timed as a [verify.<pass>] span
     (with per-rule [verify.<rule>] children) in the ambient profile.
 
-    [fuel] and [segment_scan] are forwarded to {!Btsmgr.plan};
-    [fallbacks] (default empty) is recorded verbatim in the report —
-    {!compile_robust} uses both; plain callers leave them alone.
-
     Every phase (region build, plan, apply, ms_opt, latency, stats) is
     timed as a span, and the min-cut / planner counters are collected, in
     the ambient {!Obs} profile: a caller-supplied [?profile], or a fresh
     one otherwise.  Either way it is returned in {!Report.t.profile}.
     With an {!Obs.Metrics} registry ambient, each phase's promoted
     major-heap words are observed as [gc_major_words{phase}] — the
-    driver's only metric family besides {!compile_robust}'s fallback
-    counter; the report is the record of the plan itself.
+    driver's only metric family; the report is the record of the plan
+    itself.
 
     [cache] consults an in-memory {!Plan_cache} before planning and
     stores the result after: a hit returns a bit-identical plan and
-    report (with [compile_ms] set to the lookup time, and [fallbacks] to
-    this call's argument) without running any phase — including
-    [verify_each].  A miss plans from scratch: no planner state is shared
-    across compiles, so a miss's counters, fuel spend and plan equal a
-    cache-free compile's.
+    report (with [compile_ms] set to the lookup time) without running any
+    phase — including [verify_each].  A miss plans from scratch: no
+    planner state is shared across compiles, so a miss's counters and
+    plan equal a cache-free compile's.
     @raise Btsmgr.No_plan when no feasible plan exists for [l_max].
     @raise Plan.Apply_error when plan materialisation fails.
-    @raise Fuel.Exhausted when a caller-supplied step budget runs out.
     @raise Verification_failed under [~verify_each:true], see above. *)
 
-val planner_steps : Obs.Profile.t -> int
-(** The fuel-metered planning work a compile performed, read back from
-    its {!Report.t.profile}: the sum of the [btsmgr.segment_evals],
-    [smoplc.cuts] and [btsplc.cuts] counters — exactly the steps a
-    {!Fuel} budget meters.  0 for a warm plan-cache hit (no planning
-    ran). *)
-
-val calibrated_fuel_steps : Report.t list -> int
-(** [calibrated_fuel_steps reports] derives a [fuel_steps] budget for
-    {!compile_robust} from the compile profiles of past runs:
-    {!Fuel.calibrate} (its defaults: the nearest-rank 0.95 percentile,
-    padded by 1.5) over {!planner_steps} of each report.
-    Feed it cold-compile reports of the workload mix you expect; the
-    returned budget admits the chosen fraction of them without
-    degradation.  @raise Invalid_argument on an empty list. *)
-
 val compile_robust :
-  ?fuel_steps:int ->
-  ?ms_opt:bool ->
-  ?verify_each:bool ->
-  ?profile:Obs.Profile.t ->
   ?jobs:int ->
   ?cache:Plan_cache.t ->
   Ckks.Params.t ->
   Fhe_ir.Dfg.t ->
   Fhe_ir.Dfg.t * Report.t
-(** Graceful planner degradation: try each tier of the chain [resbm →
-    waterline → eager] in order — the paper's full min-cut DP, then
-    EVA-style waterline planning (region-end bootstraps at [l_max], no
-    min-cuts, no transit pricing) over a full segment scan, then the
-    linear eager strategy (one region per segment).  A tier failing with
-    {!Btsmgr.No_plan}, {!Plan.Apply_error}, {!Fuel.Exhausted},
-    {!Region_eval.Infeasible} or {!Verification_failed} falls through to
-    the next instead of raising.
-    [fuel_steps] bounds every non-terminal tier's planning steps
-    (segment evaluations + min-cuts); the terminal tier always runs with
-    unlimited fuel.  Each downgrade is recorded in
-    {!Report.t.fallbacks} (tier name, reason), counted in the
-    [planner_fallbacks_total{tier}] metric and marked as a
-    ["planner_fallback"] trace instant.  Exceptions that indicate a
-    broken input rather than a planner dead-end (e.g.
-    [Invalid_argument]) are not caught; the terminal tier's failure, if
-    any, escapes as-is.
-
-    [jobs] is ignored: planning is single-domain.  The parameter exists
-    only so existing [~jobs:1] callers still compile. *)
+(** [compile ?cache prm g].  [jobs] is ignored (planning is
+    single-domain); the alias exists only so existing [~jobs:1] callers
+    still compile.  New code calls {!compile}. *)

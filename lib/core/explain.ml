@@ -123,11 +123,11 @@ type rationale = {
    the original node count is the cut tail / boundary producer the
    certificate talks about. *)
 let anchor_of managed ~orig_nodes id =
-  let rec go id fuel =
-    if id < orig_nodes || fuel = 0 then id
+  let rec go id hops =
+    if id < orig_nodes || hops = 0 then id
     else
       let n = Dfg.node managed id in
-      if Array.length n.Dfg.args = 0 then id else go n.Dfg.args.(0) (fuel - 1)
+      if Array.length n.Dfg.args = 0 then id else go n.Dfg.args.(0) (hops - 1)
   in
   go id (Dfg.node_count managed)
 

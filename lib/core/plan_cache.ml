@@ -67,7 +67,7 @@ let smo_tag = function
 
 let bts_tag = function Region_eval.Bts_min_cut -> 0 | Region_eval.Bts_region_end -> 1
 
-let key ~(config : Btsmgr.config) ~name ~ms_opt ~segment_scan prm g =
+let key ~(config : Btsmgr.config) ~name ~ms_opt prm g =
   let h =
     Fnv.offset |> Fun.flip mix_string name
     |> Fun.flip mix_bool config.Btsmgr.min_level_bts
@@ -75,7 +75,6 @@ let key ~(config : Btsmgr.config) ~name ~ms_opt ~segment_scan prm g =
     |> Fun.flip mix_byte (bts_tag config.Btsmgr.bts_mode)
     |> Fun.flip mix_bool config.Btsmgr.price_transits
     |> Fun.flip mix_bool ms_opt
-    |> Fun.flip mix_byte (match segment_scan with `Full -> 0 | `Adjacent -> 1)
   in
   hex (mix_graph (mix_params h prm) g)
 

@@ -20,7 +20,6 @@ val key :
   config:Btsmgr.config ->
   name:string ->
   ms_opt:bool ->
-  segment_scan:[ `Full | `Adjacent ] ->
   Ckks.Params.t ->
   Fhe_ir.Dfg.t ->
   string

@@ -150,7 +150,7 @@ let region_end_bts_cut sh ~subgraph =
   { Cut.edges; value = 0.0; sink_side = []; cert = None; node_of = [||] }
 
 (* One region solution, naming slots.  [region] only labels errors. *)
-let compute ?fuel cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
+let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
   let members = ct_members sh in
   if members = [] && rescales = 0 && bts = None then
     { latency_ms = 0.0; smo_cut = None; bts_cut = None; bts_subgraph = [] }
@@ -164,7 +164,7 @@ let compute ?fuel cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~b
       if rescales = 0 then None
       else
         match smo_mode with
-        | Smo_min_cut -> Some (Smoplc.cut ?fuel ~memo:cache.smo sh ~level:entry_level)
+        | Smo_min_cut -> Some (Smoplc.cut ~memo:cache.smo sh ~level:entry_level)
         | Smo_eva -> Some (eva_cut sh)
         | Smo_pars -> Some (pars_cut sh)
     in
@@ -210,7 +210,7 @@ let compute ?fuel cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~b
           if bts_subgraph = [] then None
           else
             match bts_mode with
-            | Bts_min_cut -> Some (Btsplc.cut ?fuel sh ~lbts ~subgraph:bts_subgraph)
+            | Bts_min_cut -> Some (Btsplc.cut sh ~lbts ~subgraph:bts_subgraph)
             | Bts_region_end -> Some (region_end_bts_cut sh ~subgraph:bts_subgraph))
     in
     let final_level s =
@@ -291,29 +291,26 @@ let compute ?fuel cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~b
 
 (* The region's solution naming slots: the per-compile cache, else a
    fresh solve stored in it. *)
-let solution ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
+let solution cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
   let shape = Region.shape regioned region in
   let key = { shape; entry_level; rescales; bts; smo_mode; bts_mode } in
   match Key_tbl.find_opt cache.tbl key with
   | Some r -> r
   | None ->
-      (* Fuel is deliberately absent from the key: a hit costs no steps,
-         and cache population order is deterministic, so degraded
-         compiles stay reproducible. *)
       Obs.Counter.bump computes;
       let r =
-        compute ?fuel cache shape ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts
+        compute cache shape ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts
       in
       Key_tbl.add cache.tbl key r;
       r
 
-let latency ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
-  (solution ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts)
+let latency cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
+  (solution cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts)
     .latency_ms
 
-let eval ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
+let eval cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
   let r =
-    solution ?fuel cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts
+    solution cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts
   in
   let id = Array.get (Region.slots regioned region) in
   {

@@ -11,7 +11,7 @@
     so each (shape, entry level, rescales, bts, modes) is solved once per
     compile and mapped back to each region's node ids through
     {!Region.slots}.  Nothing is shared across compiles, so a compile's
-    work counters, fuel spend and plan depend only on its inputs.
+    work counters and plan depend only on its inputs.
 
     Placement {e modes} select how the cuts are chosen, which is how the
     paper's substitution variants and baselines are realised on one
@@ -45,7 +45,6 @@ val create_cache : unit -> cache
 exception Infeasible of string
 
 val eval :
-  ?fuel:Fuel.t ->
   cache ->
   Region.t ->
   smo_mode:smo_mode ->
@@ -56,16 +55,10 @@ val eval :
   bts:int option ->
   result
 (** The region's solution under a candidate plan, naming node ids.
-    [fuel] (default unlimited) is spent by the min-cut solvers on a cache
-    miss; hits are free, and fuel is not part of the cache key, so
-    degraded compiles remain deterministic: the cache is filled in the
-    same order on every compile of the same inputs.
     @raise Infeasible when the region cannot run at the requested level
-    (e.g. rescaling at level 0).
-    @raise Fuel.Exhausted when the step budget runs out. *)
+    (e.g. rescaling at level 0). *)
 
 val latency :
-  ?fuel:Fuel.t ->
   cache ->
   Region.t ->
   smo_mode:smo_mode ->

@@ -16,7 +16,6 @@ type t = {
   profile : Obs.Profile.t;
   region_count : int;
   region_of : int array;
-  fallbacks : (string * string) list;
   certificates : certificate_entry list;
 }
 
@@ -40,12 +39,6 @@ let pp ppf t =
     List.iter
       (fun s -> Format.fprintf ppf " %s %.3fms" s.Obs.Profile.name s.Obs.Profile.dur_ms)
       phases
-  end;
-  if t.fallbacks <> [] then begin
-    Format.fprintf ppf "@,degraded:";
-    List.iter
-      (fun (tier, reason) -> Format.fprintf ppf "@,  %s failed: %s" tier reason)
-      t.fallbacks
   end
 
 let to_json t =
@@ -74,12 +67,6 @@ let to_json t =
             ("executed_modswitches", Int t.stats.Fhe_ir.Stats.executed_modswitches);
             ("max_depth", Int t.stats.Fhe_ir.Stats.max_depth);
           ] );
-      ( "fallbacks",
-        List
-          (List.map
-             (fun (tier, reason) ->
-               Obj [ ("tier", String tier); ("reason", String reason) ])
-             t.fallbacks) );
       ("certificates", Int (List.length t.certificates));
       ("profile", Obs.Profile.to_json t.profile);
     ]

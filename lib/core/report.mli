@@ -33,12 +33,6 @@ type t = {
           inherit the region of the value they were inserted after; [-1]
           when unattributable.  This is what gives runtime traces
           ({!Fhe_ir.Interp.run}) their per-region tracks. *)
-  fallbacks : (string * string) list;
-      (** Planner tiers that failed before the one that produced this
-          report, in attempt order, with the downgrade reason (e.g.
-          [("resbm", "fuel exhausted in plan")]).  Empty for a first-try
-          compile; non-empty means {!Driver.compile_robust} degraded and
-          [manager] names the surviving tier. *)
   certificates : certificate_entry list;
       (** Min-cut optimality certificates collected from the plan, in
           region order.  Every min-cut the placement algorithms solved

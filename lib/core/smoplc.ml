@@ -140,7 +140,7 @@ type memo = entry Region.Shape_tbl.t
 
 let create_memo () = Region.Shape_tbl.create 64
 
-let cut ?(fuel = Fuel.unlimited) ?memo shape ~level =
+let cut ?memo shape ~level =
   let e =
     match memo with
     | None -> { tp = None; cuts = Hashtbl.create 1 }
@@ -155,7 +155,6 @@ let cut ?(fuel = Fuel.unlimited) ?memo shape ~level =
   match Hashtbl.find_opt e.cuts level with
   | Some c -> c
   | None ->
-      Fuel.spend fuel;
       if level < 1 then invalid_arg "Smoplc.run: rescaling needs level >= 1";
       let tp =
         match e.tp with
@@ -169,6 +168,6 @@ let cut ?(fuel = Fuel.unlimited) ?memo shape ~level =
       Hashtbl.add e.cuts level c;
       c
 
-let run ?fuel ?memo regioned ~region ~level =
+let run ?memo regioned ~region ~level =
   let ids = Region.slots regioned region in
-  Cut.relabel (Array.get ids) (cut ?fuel ?memo (Region.shape regioned region) ~level)
+  Cut.relabel (Array.get ids) (cut ?memo (Region.shape regioned region) ~level)

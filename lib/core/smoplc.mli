@@ -32,17 +32,14 @@ type memo
 
 val create_memo : unit -> memo
 
-val cut : ?fuel:Fuel.t -> ?memo:memo -> Region.shape -> level:int -> Cut.t
+val cut : ?memo:memo -> Region.shape -> level:int -> Cut.t
 (** The min-cut of a shape at [level], naming slots (see {!Cut.relabel}).
-    A solve spends one unit of [fuel] (default {!Fuel.unlimited}) and
-    counts one [smoplc.cuts].  A [(shape, level)] already in [memo]
-    returns the stored cut without spending fuel or counting, so
-    {!Driver.planner_steps} stays equal to the fuel spent.
+    A solve counts one [smoplc.cuts]; a [(shape, level)] already in
+    [memo] returns the stored cut without counting.
     @raise Invalid_argument on a shape without ciphertext members or
-    [level < 1].
-    @raise Fuel.Exhausted when the step budget runs out. *)
+    [level < 1]. *)
 
-val run : ?fuel:Fuel.t -> ?memo:memo -> Region.t -> region:int -> level:int -> Cut.t
+val run : ?memo:memo -> Region.t -> region:int -> level:int -> Cut.t
 (** {!cut} of the region's shape, relabelled to node ids. *)
 
 val cost_of : Region.slot -> level:int -> float

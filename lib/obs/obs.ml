@@ -1674,7 +1674,6 @@ module Health = struct
   let headroom_floor_bits = 4.0
   let recovery_rate_floor = 0.9
   let slo_attainment_floor = 0.95
-  let max_fallbacks = 0
   let gc_major_words_ceiling = 2e9
 
   type check = {
@@ -1759,14 +1758,6 @@ module Health = struct
              completed admitted rate slo_attainment_floor
          else "no admitted serving requests")
     in
-    let fallbacks =
-      let v = csum "planner_fallbacks_total" in
-      check "planner-fallbacks" ~applicable:true ~warn_only:false
-        ~ok:(v <= max_fallbacks)
-        ~value:(float_of_int v)
-        ~threshold:(float_of_int max_fallbacks)
-        (Printf.sprintf "%d planner tier fallbacks (max %d)" v max_fallbacks)
-    in
     let errors =
       let v =
         List.length (List.filter (fun r -> r.Log.level = Log.Error) records)
@@ -1793,7 +1784,7 @@ module Health = struct
         ~threshold:0.0
         (Printf.sprintf "%.0f trace events / log records lost to ring wrap-around" v)
     in
-    let checks = [ headroom; recovery; slo; fallbacks; errors; gc; rings ] in
+    let checks = [ headroom; recovery; slo; errors; gc; rings ] in
     { healthy = not (List.exists (fun c -> c.severity = Fail) checks); checks }
 
   let exit_code v = if v.healthy then 0 else 2

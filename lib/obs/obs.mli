@@ -265,12 +265,12 @@ end
 
 (** Aggregate metrics: the registry {!Health} judges.  Counters, gauges
     and histogram summaries (count, sum, min, max), keyed by name and
-    labels, exposable as JSON.  The flight instrumentation writes nine
+    labels, exposable as JSON.  The flight instrumentation writes eight
     families, each read by a Health rule: [noise_headroom_bits],
     [gc_major_words] (histograms), [trace_dropped_events],
     [log_dropped_records] (gauges), [chaos_faulted_total],
-    [chaos_recovered_total], [serve_admitted_total],
-    [serve_completed_total] and [planner_fallbacks_total] (counters). *)
+    [chaos_recovered_total], [serve_admitted_total] and
+    [serve_completed_total] (counters). *)
 module Metrics : sig
   type labels = (string * string) list
   (** Label order is irrelevant; keys are canonicalised by sorting. *)
@@ -498,7 +498,6 @@ module Health : sig
       - [slo-attainment]: [serve_completed_total] /
         [serve_admitted_total] >= 0.95 (requests finished within their
         deadline over requests admitted);
-      - [planner-fallbacks]: [planner_fallbacks_total] = 0;
       - [error-logs]: no error-level record in [records];
       - [gc-pressure]: sum of [gc_major_words] <= 2e9;
       - [ring-overflow]: [trace_dropped_events] + [log_dropped_records]
@@ -597,8 +596,9 @@ val trace_instant :
 val with_metrics : Metrics.t -> (unit -> 'a) -> 'a
 (** Install [m] as the ambient metrics registry for the extent of the
     callback (restoring the previous one after, also on exceptions).
-    The driver publishes into it through {!metric_incr} and {!gc_span},
-    which cost one option check when none is installed. *)
+    The driver publishes into it through {!gc_span}, chaos and serving
+    campaigns through {!metric_incr}; both cost one option check when
+    none is installed. *)
 
 val current_metrics : unit -> Metrics.t option
 

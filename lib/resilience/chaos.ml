@@ -37,7 +37,6 @@ type trial = {
 type model_summary = {
   model : string;
   compile_manager : string;
-  compile_fallbacks : (string * string) list;
   tolerance : float;
   trials_run : int;
   faulted_trials : int;
@@ -149,7 +148,7 @@ let run_model cfg name =
   in
   let lowered = Nn.Lowering.lower model in
   let prm = Ckks.Params.at_l_max cfg.l_max in
-  let managed, report = Resbm.Driver.compile_robust prm lowered.Nn.Lowering.dfg in
+  let managed, report = Resbm.Driver.compile prm lowered.Nn.Lowering.dfg in
   (* One program serves the reference run and every trial. *)
   let program =
     Fhe_ir.Interp.Program.make ~region_of:(Resbm.Report.region_of_node report) prm managed
@@ -268,7 +267,6 @@ let run_model cfg name =
   {
     model = name;
     compile_manager = report.Resbm.Report.manager;
-    compile_fallbacks = report.Resbm.Report.fallbacks;
     tolerance;
     trials_run = List.length trials;
     faulted_trials = List.length faulted;
@@ -337,16 +335,6 @@ let model_to_json m =
     [
       ("model", Obs.Json.String m.model);
       ("compile_manager", Obs.Json.String m.compile_manager);
-      ( "compile_fallbacks",
-        Obs.Json.List
-          (List.map
-             (fun (tier, reason) ->
-               Obs.Json.Obj
-                 [
-                   ("tier", Obs.Json.String tier);
-                   ("reason", Obs.Json.String reason);
-                 ])
-             m.compile_fallbacks) );
       ("tolerance", Obs.Json.Float m.tolerance);
       ("trials_run", Obs.Json.Int m.trials_run);
       ("faulted_trials", Obs.Json.Int m.faulted_trials);

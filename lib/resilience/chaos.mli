@@ -65,8 +65,7 @@ type trial = {
 
 type model_summary = {
   model : string;
-  compile_manager : string;  (** Surviving planner tier. *)
-  compile_fallbacks : (string * string) list;
+  compile_manager : string;  (** {!Resbm.Report.t.manager} of the compile. *)
   tolerance : float;  (** |delta| bound for "recovered". *)
   trials_run : int;
   faulted_trials : int;  (** Trials with at least one injection. *)

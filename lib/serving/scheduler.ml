@@ -126,9 +126,7 @@ let run ?jobs:_ ?cache cfg =
   in
   let lowered = Nn.Lowering.lower model in
   let prm = Ckks.Params.at_l_max cfg.l_max in
-  let managed, plan_report =
-    Resbm.Driver.compile_robust ?cache prm lowered.Nn.Lowering.dfg
-  in
+  let managed, plan_report = Resbm.Driver.compile ?cache prm lowered.Nn.Lowering.dfg in
   let slot_capacity = Batcher.capacity prm ~dim:cfg.dim ~max_batch:cfg.max_batch in
   let wide = slot_capacity * cfg.dim in
   (* The lowering's resolver memoises each constant per name, so the

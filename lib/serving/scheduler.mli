@@ -137,7 +137,7 @@ type report = {
 
 val run : ?jobs:int -> ?cache:Resbm.Plan_cache.t -> config -> report
 (** Run a campaign.  [cache] feeds the planner
-    ({!Resbm.Driver.compile_robust}), whose plans are bit-identical warm
+    ({!Resbm.Driver.compile}), whose plans are bit-identical warm
     or cold — the report does not depend on it.  [jobs] is ignored:
     planning is single-domain.  The parameter exists only so existing
     [~jobs:1] callers still compile.  Log events ([serve.admit] /

@@ -93,6 +93,23 @@ let min_level_never_beyond_max_level =
       in
       minimal.Resbm.Btsmgr.dp_latency_ms <= maxed.Resbm.Btsmgr.dp_latency_ms +. 1e-6)
 
+(* Whether a plan exists does not depend on the manager: at small
+   [l_max] every manager of [Variants.all] gives up exactly where the
+   min-cut minimal-level manager does.  A planner change that made ReSBM
+   fail where a region-end manager still plans would fail this. *)
+let feasibility_is_manager_independent =
+  qcheck ~count:200 "every manager raises No_plan exactly when ReSBM does"
+    QCheck2.Gen.(pair (random_dfg_gen ~max_nodes:40 ~max_depth:12) (int_range 0 4))
+    (fun (params, l_max) ->
+      let prm = Ckks.Params.at_l_max l_max in
+      let plans (m : Resbm.Variants.manager) =
+        match Resbm.Variants.compile m prm (build_random_dfg params) with
+        | _ -> true
+        | exception Resbm.Btsmgr.No_plan _ -> false
+      in
+      let resbm = plans Resbm.Variants.resbm in
+      List.for_all (fun m -> plans m = resbm) Resbm.Variants.all)
+
 let extreme_configs_bootstrap_the_inputs () =
   (* inputs at an awkward scale (2^111, just below the rescale threshold)
      with only one fresh level: since Table 1's bootstrap re-encodes at
@@ -454,6 +471,7 @@ let suite =
     bootstrap_targets_within_l_max;
     entry_levels_cover_rescales;
     min_level_never_beyond_max_level;
+    feasibility_is_manager_independent;
     case "extreme configs bootstrap the inputs" extreme_configs_bootstrap_the_inputs;
     case "deep chains split into segments" deep_chain_uses_multiple_segments;
     case "single-region programs" single_region_program;

@@ -1,7 +1,6 @@
 (* Certified plans: adversarial checks on the min-cut optimality
    certificates, the level and noise checks behind [resbm certify], the
-   shared liveness schedule, fuel calibration, and the retry-less chaos
-   mode.
+   shared liveness schedule, and the retry-less chaos mode.
 
    The corruption tests are the point of the certificate design: a
    checker that only re-runs the planner would agree with any planner
@@ -332,30 +331,6 @@ let liveness_schedule_basics () =
   checkb "x live at its last consumer" true
     (Fhe_ir.Liveness.live_at sched ~at:last_consumer_pos 0)
 
-(* --- Fuel calibration -------------------------------------------------- *)
-
-let fuel_calibrate () =
-  checki "median with no headroom" 30
-    (Resbm.Fuel.calibrate ~percentile:0.5 ~headroom:1.0 [ 50; 10; 40; 20; 30 ]);
-  let obs = List.init 100 (fun i -> i + 1) in
-  checki "p95 of 1..100 with 1.5x headroom" 143 (Resbm.Fuel.calibrate obs);
-  checki "p100 picks the max" 100
-    (Resbm.Fuel.calibrate ~percentile:1.0 ~headroom:1.0 obs);
-  checki "singleton" 15 (Resbm.Fuel.calibrate ~headroom:1.5 [ 10 ]);
-  let invalid f = match f () with _ -> false | exception Invalid_argument _ -> true in
-  checkb "empty rejected" true (invalid (fun () -> Resbm.Fuel.calibrate []));
-  checkb "percentile > 1 rejected" true
-    (invalid (fun () -> Resbm.Fuel.calibrate ~percentile:1.5 [ 1 ]));
-  checkb "headroom < 1 rejected" true
-    (invalid (fun () -> Resbm.Fuel.calibrate ~headroom:0.5 [ 1 ]))
-
-let fuel_calibrate_covers_real_compile () =
-  let _, report = Lazy.force managed_tiny in
-  let steps = Resbm.Driver.planner_steps report.Resbm.Report.profile in
-  checkb "compile spent planner steps" true (steps > 0);
-  let budget = Resbm.Driver.calibrated_fuel_steps [ report ] in
-  checkb "calibrated budget covers the observed compile" true (budget >= steps)
-
 (* --- Retry-less chaos -------------------------------------------------- *)
 
 let chaos_no_retries () =
@@ -398,7 +373,5 @@ let suite =
     case "resnet20 noise warnings" absint_resnet20_noise_warnings;
     case "def-use liveness below the schedule" absint_liveness_below_schedule;
     case "liveness schedule basics" liveness_schedule_basics;
-    case "fuel calibration percentiles" fuel_calibrate;
-    case "fuel calibration covers a real compile" fuel_calibrate_covers_real_compile;
     case "chaos without retries" chaos_no_retries;
   ]

@@ -559,7 +559,7 @@ let noise_summary_matches_full_sort () =
   List.iter
     (fun (model : Nn.Model.t) ->
       let lowered = Nn.Lowering.lower model in
-      let managed, _ = Resbm.Driver.compile_robust prm16 lowered.Nn.Lowering.dfg in
+      let managed, _ = Resbm.Driver.compile prm16 lowered.Nn.Lowering.dfg in
       let env =
         {
           Interp.inputs =

@@ -71,9 +71,9 @@ let warm_hit_graph_is_private () =
 
 let key_sensitivity () =
   let mgr = Resbm.Variants.resbm in
-  let key ?(m = mgr) ?(p = prm) ?(scan = `Full) g =
+  let key ?(m = mgr) ?(p = prm) g =
     Resbm.Plan_cache.key ~config:m.Resbm.Variants.config ~name:m.Resbm.Variants.name
-      ~ms_opt:m.Resbm.Variants.ms_opt ~segment_scan:scan p g
+      ~ms_opt:m.Resbm.Variants.ms_opt p g
   in
   let k0 = key (fig3_poly ()) in
   check Alcotest.string "stable across rebuilds" k0 (key (fig3_poly ()));
@@ -83,7 +83,6 @@ let key_sensitivity () =
     (key ~m:Resbm.Variants.fhelipe (fig3_poly ()) <> k0);
   checkb "ms_opt configuration changes the key" true
     (key ~m:Resbm.Variants.resbm_max (fig3_poly ()) <> k0);
-  checkb "segment scan changes the key" true (key ~scan:`Adjacent (fig3_poly ()) <> k0);
   checkb "a different program changes the key" true (key (fig5_program ()) <> k0);
   (* a structural no-op that touches only derived state must not *)
   let g = fig3_poly () in
@@ -127,24 +126,6 @@ let miss_counters_ignore_cache_history () =
       checkb (mgr.Resbm.Variants.name ^ ": same plan") true
         (fingerprint shared = fingerprint fresh))
     Resbm.Variants.all
-
-(* A fuel budget one step short of ResNet-44's cold planner work makes
-   the resbm tier degrade to waterline, and it must do so whether or not
-   the cache has already planned ResNet-20, a model of the same block
-   shapes: planning work spent is a function of the compile's inputs. *)
-let fuel_budget_ignores_cache_history () =
-  let g () = lowered Nn.Model.resnet44 in
-  let _, cold = Resbm.Variants.compile Resbm.Variants.resbm prm (g ()) in
-  let fuel_steps = Resbm.Driver.planner_steps cold.Resbm.Report.profile - 1 in
-  let budgeted ?cache () = Resbm.Driver.compile_robust ~fuel_steps ?cache prm (g ()) in
-  let plain = budgeted () in
-  let cache = Resbm.Plan_cache.create () in
-  ignore (Resbm.Driver.compile_robust ~cache prm (lowered Nn.Model.resnet20));
-  let warmed = budgeted ~cache () in
-  let tier (_, (r : Resbm.Report.t)) = r.Resbm.Report.manager in
-  check Alcotest.string "a budget one step short degrades" "waterline" (tier plain);
-  check Alcotest.string "same tier after ResNet-20" (tier plain) (tier warmed);
-  checkb "same plan after ResNet-20" true (fingerprint warmed = fingerprint plain)
 
 (* Shapes are id-free and local: appending a layer keeps every earlier
    region's shape, a repeated layer shares one interned shape, and
@@ -197,7 +178,6 @@ let suite =
     case "warm hits hand out private graphs" warm_hit_graph_is_private;
     case "cache key tracks every compile input" key_sensitivity;
     case "a miss's counters ignore cache history" miss_counters_ignore_cache_history;
-    case "fuel-budgeted compiles ignore cache history" fuel_budget_ignores_cache_history;
     case "region shapes localise edits" region_shapes_localise_edits;
     case "lru eviction respects capacity" lru_eviction_is_bounded;
   ]

@@ -241,38 +241,25 @@ let smoplc_matches_oracle_random =
     (random_dfg_gen ~max_nodes:40 ~max_depth:6)
     (fun params -> smoplc_mismatches (Resbm.Region.build (build_random_dfg params)) = [])
 
-(* A memo hit is free: no fuel, no [smoplc.cuts], no max-flow run. *)
+(* A memo hit is free: no [smoplc.cuts], no max-flow run. *)
 let smoplc_memo_hit_is_free () =
   let g, _ = conv_region_graph ~channels:16 in
   let r = Resbm.Region.build g in
   let memo = Resbm.Smoplc.create_memo () in
-  let fuel = Resbm.Fuel.create ~stage:"test" 10 in
   let p = Obs.Profile.create () in
   Obs.with_profile p (fun () ->
       for _ = 1 to 3 do
-        ignore (Resbm.Smoplc.run ~fuel ~memo r ~region:1 ~level:2)
+        ignore (Resbm.Smoplc.run ~memo r ~region:1 ~level:2)
       done;
-      ignore (Resbm.Smoplc.run ~fuel ~memo r ~region:1 ~level:3));
-  checki "fuel spent once per (region, level)" 8 (Resbm.Fuel.remaining fuel);
+      ignore (Resbm.Smoplc.run ~memo r ~region:1 ~level:3));
   checki "smoplc.cuts" 2 (Obs.Profile.counter p "smoplc.cuts");
   checki "maxflow.runs" 2 (Obs.Profile.counter p "maxflow.runs")
 
-(* The fuel metered by a finite budget equals the steps the profile
-   counters report, and SMOPLC solves each distinct (shape, entry level)
-   with a rescale exactly once per region-solution cache. *)
-let planner_fuel_matches_counters () =
+(* SMOPLC solves each distinct (shape, entry level) with a rescale
+   exactly once per region-solution cache. *)
+let smoplc_cut_once_per_shape_level () =
   let g = (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
-  let budget = 1_000_000 in
-  let spent fuel = budget - Resbm.Fuel.remaining fuel in
-  let fuel = Resbm.Fuel.create budget in
-  let _, report = Resbm.Driver.compile ~fuel prm g in
-  let steps = Resbm.Driver.planner_steps report.Resbm.Report.profile in
-  checkb "fuel was spent" true (steps > 0);
-  checki "fuel spent = planner steps" steps (spent fuel);
   let r = Resbm.Region.build g in
-  let p = Obs.Profile.create () and fuel = Resbm.Fuel.create budget in
-  ignore (Obs.with_profile p (fun () -> Resbm.Btsmgr.plan ~fuel r prm));
-  checki "plan fuel spent = planner steps" (Resbm.Driver.planner_steps p) (spent fuel);
   (* Every region, every entry level, 0-2 rescales, asked twice of one
      cache: one solve per distinct (shape, entry level, rescales), and
      one SMOPLC cut per distinct (shape, entry level) with a rescale. *)
@@ -533,8 +520,8 @@ let suite =
     case "smoplc: equals the per-call oracle on ResNet-20, AlexNet, Tiny"
       smoplc_matches_oracle_on_models;
     smoplc_matches_oracle_random;
-    case "smoplc: a memo hit spends no fuel and counts no cut" smoplc_memo_hit_is_free;
-    case "smoplc: planner fuel equals the step counters" planner_fuel_matches_counters;
+    case "smoplc: a memo hit counts no cut and runs no max-flow" smoplc_memo_hit_is_free;
+    case "smoplc: one cut per distinct (shape, entry level)" smoplc_cut_once_per_shape_level;
   ]
 
 (* Theorem 1 (practical form): SMOPLC's min-cut region latency does not

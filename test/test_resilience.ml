@@ -413,7 +413,7 @@ let run_equals_run_program_with_sound_noise () =
   let l_max = 16 and dim = 16 in
   let p = Ckks.Params.at_l_max l_max in
   let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
-  let managed, report = Resbm.Driver.compile_robust p lowered.Nn.Lowering.dfg in
+  let managed, report = Resbm.Driver.compile p lowered.Nn.Lowering.dfg in
   let region_of = Resbm.Report.region_of_node report in
   let env =
     {
@@ -681,7 +681,7 @@ let live_cts_matches_definition_models () =
   List.iter
     (fun model ->
       let lowered = Nn.Lowering.lower model in
-      let managed, report = Resbm.Driver.compile_robust prm16 lowered.Nn.Lowering.dfg in
+      let managed, report = Resbm.Driver.compile prm16 lowered.Nn.Lowering.dfg in
       let attr = report.Resbm.Report.region_of in
       let region_of id = if id >= 0 && id < Array.length attr then attr.(id) else -1 in
       let image = (Nn.Dataset.images ~seed:31L ~dim ~count:1 ()).(0) in
@@ -709,120 +709,6 @@ let live_cts_matches_definition_random =
           let attr = report.Resbm.Report.region_of in
           let region_of id = if id < Array.length attr then attr.(id) else -1 in
           live_set_matches_definition ~region_of (Ckks.Evaluator.create ~seed:3L prm) managed env)
-
-(* --- graceful planner degradation ---------------------------------------- *)
-
-let robust_compile_no_degradation () =
-  let g = fig3_poly () in
-  let _, report = Resbm.Driver.compile_robust prm g in
-  check Alcotest.string "first tier wins" "resbm" report.Resbm.Report.manager;
-  checkb "no fallbacks recorded" true (report.Resbm.Report.fallbacks = [])
-
-let robust_compile_degrades_on_fuel () =
-  let g = fig3_poly () in
-  let m = Obs.Metrics.create () in
-  let managed, report =
-    Obs.with_metrics m (fun () -> Resbm.Driver.compile_robust ~fuel_steps:1 prm g)
-  in
-  check Alcotest.string "terminal tier survives" "eager" report.Resbm.Report.manager;
-  checki "two recorded downgrades" 2 (List.length report.Resbm.Report.fallbacks);
-  List.iter
-    (fun (tier, reason) ->
-      checkb (tier ^ " reason mentions fuel") true
-        (String.length reason >= 4 && String.sub reason 0 4 = "fuel"))
-    report.Resbm.Report.fallbacks;
-  checki "fallbacks counted per tier" 1
-    (Obs.Metrics.counter_value ~labels:[ ("tier", "resbm") ] m "planner_fallbacks_total");
-  checki "fallbacks counted per tier" 1
-    (Obs.Metrics.counter_value
-       ~labels:[ ("tier", "waterline") ]
-       m "planner_fallbacks_total");
-  (* the degraded plan must still be a legal, runnable program *)
-  checkb "eager-tier graph is scale-legal" true
-    (Result.is_ok (Scale_check.run prm managed));
-  let env = { Interp.inputs = [ ("x", input_env ~dim 3L) ]; consts = const_env ~dim } in
-  let result = Interp.run (Ckks.Evaluator.create prm) managed env in
-  checkb "eager-tier graph executes" true (result.Interp.op_count > 0)
-
-let fallbacks_render_in_report () =
-  let g = fig3_poly () in
-  let _, report = Resbm.Driver.compile_robust ~fuel_steps:1 prm g in
-  let rendered = Format.asprintf "%a" Resbm.Report.pp report in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  checkb "pp lists the failed tiers" true (contains rendered "degraded");
-  checkb "pp names resbm" true (contains rendered "resbm failed");
-  match Resbm.Report.to_json report with
-  | Obs.Json.Obj fields ->
-      (match List.assoc_opt "fallbacks" fields with
-      | Some (Obs.Json.List l) -> checki "two JSON fallbacks" 2 (List.length l)
-      | _ -> Alcotest.fail "fallbacks missing from report JSON")
-  | _ -> Alcotest.fail "report JSON not an object"
-
-let fuel_spend_is_metered () =
-  let fuel = Resbm.Fuel.create ~stage:"test" 3 in
-  Resbm.Fuel.spend fuel;
-  checki "one spend metered" 2 (Resbm.Fuel.remaining fuel);
-  Resbm.Fuel.spend fuel;
-  checki "two spends metered" 1 (Resbm.Fuel.remaining fuel);
-  let sink = Obs.Log.create () in
-  Obs.with_log sink (fun () ->
-      match Resbm.Fuel.spend ~cost:2 fuel with
-      | _ -> Alcotest.fail "expected exhaustion"
-      | exception Resbm.Fuel.Exhausted stage -> check Alcotest.string "stage" "test" stage);
-  checki "an exhausting spend consumes nothing" 1 (Resbm.Fuel.remaining fuel);
-  checkb "exhaustion logged once, naming the stage" true
-    (List.map
-       (fun r -> (r.Obs.Log.event, List.assoc_opt "stage" r.Obs.Log.fields))
-       (Obs.Log.records sink)
-    = [ ("fuel.exhausted", Some (Obs.Json.String "test")) ])
-
-let fuel_drains_exactly () =
-  (* One spend per unit: a drained budget reads 0, and spends past it
-     raise without consuming. *)
-  let fuel = Resbm.Fuel.create ~stage:"drain" 100 in
-  for i = 1 to 100 do
-    Resbm.Fuel.spend fuel;
-    if i = 37 then checki "each spend takes exactly one unit" 63 (Resbm.Fuel.remaining fuel)
-  done;
-  checki "budget fully drained" 0 (Resbm.Fuel.remaining fuel);
-  let fuel = Resbm.Fuel.create ~stage:"drain" 30 in
-  let spends = ref 0 in
-  (match
-     for _ = 1 to 100 do
-       Resbm.Fuel.spend fuel;
-       incr spends
-     done
-   with
-  | () -> Alcotest.fail "expected exhaustion"
-  | exception Resbm.Fuel.Exhausted stage -> check Alcotest.string "stage" "drain" stage);
-  checki "successful spends only" 30 !spends;
-  checki "exhausted at zero" 0 (Resbm.Fuel.remaining fuel);
-  let fuel = Resbm.Fuel.create ~stage:"drain" 5 in
-  (match Resbm.Fuel.spend ~cost:6 fuel with
-  | () -> Alcotest.fail "expected exhaustion"
-  | exception Resbm.Fuel.Exhausted _ -> ());
-  checki "a failed spend consumes nothing" 5 (Resbm.Fuel.remaining fuel)
-
-let finite_fuel_degrades_reproducibly () =
-  (* Half the planning steps of an unlimited ResNet-20 compile: the same
-     budget must exhaust at the same step, so both degraded compiles pick
-     the same tier and the same plan. *)
-  let dfg () = (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
-  let _, full = Resbm.Variants.compile Resbm.Variants.resbm prm (dfg ()) in
-  let fuel_steps = Resbm.Driver.planner_steps full.Resbm.Report.profile / 2 in
-  checkb "the budget bounds real work" true (fuel_steps > 0);
-  let degraded () = Resbm.Driver.compile_robust ~fuel_steps prm (dfg ()) in
-  let ((_, a) as ra) = degraded () in
-  let ((_, b) as rb) = degraded () in
-  checkb "the resbm tier ran out of fuel" true (a.Resbm.Report.fallbacks <> []);
-  checkb "same fallbacks" true (a.Resbm.Report.fallbacks = b.Resbm.Report.fallbacks);
-  check Alcotest.string "same terminal manager" a.Resbm.Report.manager
-    b.Resbm.Report.manager;
-  checkb "same plan" true (fingerprint ra = fingerprint rb)
 
 (* --- chaos campaigns ------------------------------------------------------ *)
 
@@ -978,7 +864,7 @@ let recovery_resnet20_is_pinned () =
 let chaos_setup name =
   let lowered = Nn.Lowering.lower (Option.get (Nn.Model.by_name name)) in
   let p = Ckks.Params.at_l_max 9 in
-  let managed, report = Resbm.Driver.compile_robust p lowered.Nn.Lowering.dfg in
+  let managed, report = Resbm.Driver.compile p lowered.Nn.Lowering.dfg in
   let program =
     Interp.Program.make ~region_of:(Resbm.Report.region_of_node report) p managed
   in
@@ -1445,17 +1331,9 @@ let suite =
     case "live_cts and snapshots match the liveness definition, refresh included (Tiny, LeNet-5, ResNet-20)"
       live_cts_matches_definition_models;
     live_cts_matches_definition_random;
-    case "compile_robust: first tier wins when healthy" robust_compile_no_degradation;
-    case "compile_robust: fuel exhaustion degrades to eager"
-      robust_compile_degrades_on_fuel;
-    case "fallbacks render in pp and JSON" fallbacks_render_in_report;
-    case "fuel spend and exhaustion are metered" fuel_spend_is_metered;
     case "chaos campaign is byte-deterministic" chaos_campaign_is_deterministic;
     case "chaos campaign recovers injected faults" chaos_campaign_recovers;
     case "chaos trial plans draw in a pinned order" trial_plan_draws_are_pinned;
-    case "fuel: spends drain a budget exactly" fuel_drains_exactly;
-    case "compile_robust: a finite budget degrades reproducibly"
-      finite_fuel_degrades_reproducibly;
     case "recovery under a seeded injector is pinned (ResNet-20)"
       recovery_resnet20_is_pinned;
     validate_once_matches_oracle;

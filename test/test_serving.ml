@@ -189,7 +189,7 @@ let served_batch () =
   let l_max = 16 and dim = 16 in
   let prm16 = Ckks.Params.at_l_max l_max in
   let lowered = Nn.Lowering.lower Nn.Model.resnet20 in
-  let managed, report = Resbm.Driver.compile_robust ~cache prm16 lowered.Nn.Lowering.dfg in
+  let managed, report = Resbm.Driver.compile ~cache prm16 lowered.Nn.Lowering.dfg in
   let region_of = Resbm.Report.region_of_node report in
   let cap = Serving.Batcher.capacity prm16 ~dim ~max_batch:8 in
   checki "eight requests in the batch" 8 cap;
@@ -275,7 +275,7 @@ let served_batch_validates_each_value_once () =
 let ran_and_priced model ~l_max ~dim =
   let prm = Ckks.Params.at_l_max l_max in
   let lowered = Nn.Lowering.lower model in
-  let managed, _ = Resbm.Driver.compile_robust ~cache prm lowered.Nn.Lowering.dfg in
+  let managed, _ = Resbm.Driver.compile ~cache prm lowered.Nn.Lowering.dfg in
   let env =
     {
       Fhe_ir.Interp.inputs =

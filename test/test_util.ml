@@ -245,8 +245,7 @@ let fingerprint ((g : Dfg.t), (r : Resbm.Report.t)) =
     r.Resbm.Report.repair_bootstraps,
     r.Resbm.Report.ms_opt_hoists,
     r.Resbm.Report.region_count,
-    Array.to_list r.Resbm.Report.region_of,
-    r.Resbm.Report.fallbacks )
+    Array.to_list r.Resbm.Report.region_of )
 
 (* Renumber a graph: map node i to perm(i) for a seeded random
    permutation, rewriting args and outputs.  Plan digests must not see
@@ -508,7 +507,7 @@ let recovery_oracle ?(config = Resilience.Recovery.default) ~noise prog ev env =
 
 (* --- BTSMGR oracle ---------------------------------------------------------- *)
 
-(* [Resbm.Btsmgr.plan] (full segment scan, unlimited fuel, no counters) as
+(* [Resbm.Btsmgr.plan] (without its counters) as
    it stood before it bounded its work: every source refills the
    production level of every region and walks its chain back to region
    0, and every candidate segment re-checks the rescale and capacity
