@@ -72,15 +72,18 @@ let write_json path json =
   output_char oc '\n';
   close_out oc
 
-(* --- flight files (structured logs + metrics) ------------------------------ *)
+(* --- flight files (structured logs + profile) ------------------------------ *)
 
-(* One collector bundle for [--log-out]: a log sink and a metrics
-   registry installed ambiently around the command's work and exported
-   together as a "flight" file that [resbm health] can judge offline. *)
-type flight = { fl_log : Obs.Log.t; fl_metrics : Obs.Metrics.t }
+(* One collector bundle for [--log-out]: a log sink and a profile
+   installed ambiently around the command's work and exported together
+   as a "flight" file that [resbm health] can judge offline.  A compile
+   inside keeps its own profile, so the flight holds what runs around
+   compiles: campaign counts, execution counters, the traced noise
+   headroom. *)
+type flight = { fl_log : Obs.Log.t; fl_profile : Obs.Profile.t }
 
 let write_flight path fl =
-  write_json path (Obs.Flight.to_json fl.fl_log fl.fl_metrics);
+  write_json path (Obs.Flight.to_json fl.fl_log fl.fl_profile);
   Format.printf "wrote flight log (%d records, %d dropped) to %s@."
     (List.length (Obs.Log.records fl.fl_log))
     (Obs.Log.dropped fl.fl_log) path
@@ -107,8 +110,10 @@ let load_flight path =
 
 (* The [--log-out] term: a runner for a command body that returns its exit
    code.  With a path, the body runs under a fresh flight collector and the
-   flight file is written when it returns — before a non-zero code exits,
-   so a failed gate still leaves its flight behind. *)
+   flight file is written when it returns or raises — before a non-zero
+   code exits, so a failed gate or a planner dead-end still leaves its
+   flight behind.  Bodies return their codes rather than call [exit],
+   which would skip the write. *)
 let flight_arg =
   let log_out =
     Arg.(
@@ -116,7 +121,7 @@ let flight_arg =
       & opt (some string) None
       & info [ "log-out" ] ~docv:"FILE"
           ~doc:
-            "Collect structured logs and aggregate metrics during the command and \
+            "Collect structured logs and runtime counters during the command and \
              write them as a flight file to $(docv) (judged offline by $(b,resbm \
              health --in)).  Chrome trace exports made by the same invocation gain \
              the log instants.")
@@ -126,13 +131,10 @@ let flight_arg =
       match log_out with
       | None -> f None
       | Some path ->
-          let fl = { fl_log = Obs.Log.create (); fl_metrics = Obs.Metrics.create () } in
-          let code =
-            Obs.with_log fl.fl_log @@ fun () ->
-            Obs.with_metrics fl.fl_metrics @@ fun () -> f (Some fl)
-          in
-          write_flight path fl;
-          code
+          let fl = { fl_log = Obs.Log.create (); fl_profile = Obs.Profile.create () } in
+          Fun.protect ~finally:(fun () -> write_flight path fl) @@ fun () ->
+          Obs.with_log fl.fl_log @@ fun () ->
+          Obs.with_profile fl.fl_profile @@ fun () -> f (Some fl)
     in
     if code <> 0 then exit code
   in
@@ -146,6 +148,16 @@ let profile_arg =
         ~doc:
           "Write the compilation profile (per-phase wall times, min-cut and planner \
            counters) as JSON to $(docv).")
+
+(* [Ok] the managed graph and report, or [Error 2] once the per-pass
+   verification failure is printed. *)
+let compile_verified ~verify_each manager prm g =
+  match Resbm.Variants.compile ~verify_each manager prm g with
+  | compiled -> Ok compiled
+  | exception Resbm.Driver.Verification_failed (pass, diags) ->
+      Format.eprintf "error: verification failed after pass %s:@." pass;
+      List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
+      Error 2
 
 (* --- traced execution (shared by `trace` and `run --trace`) ---------------- *)
 
@@ -289,60 +301,60 @@ let compile_cmd =
     let manager = or_die (resolve_manager manager) in
     let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
-    let managed, report =
-      try Resbm.Variants.compile ~verify_each manager prm lowered.Nn.Lowering.dfg with
-      | Resbm.Driver.Verification_failed (pass, diags) ->
-          Format.eprintf "error: verification failed after pass %s:@." pass;
-          List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
-          exit 2
-    in
-    let diags = Analysis.Verify.run prm managed in
-    List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
-    if Analysis.Diag.has_errors diags then begin
-      Format.eprintf "error: managed graph is illegal@.";
-      exit 2
-    end;
-    Format.printf "%a@." Resbm.Report.pp report;
-    (match profile_path with
-    | Some path ->
-        write_json path (report_json ~model:model.Nn.Model.name ~l_max report);
-        Format.printf "wrote profile to %s@." path
-    | None -> ());
-    (match trace_out with
-    | Some path ->
-        let extra =
-          match fl with None -> [] | Some fl -> flight_chrome_events fl
-        in
-        write_json path
-          (Obs.chrome_trace
-             (Obs.profile_chrome_events report.Resbm.Report.profile @ extra));
-        Format.printf "wrote compile-pipeline Chrome trace to %s@." path
-    | None -> ());
-    if verbose then begin
-      (* one scale/level inference shared by every analysis below *)
-      let info = Fhe_ir.Scale_check.infer prm managed in
-      Format.printf "@.latency by operation kind:@.";
-      List.iter
-        (fun (op, ms) -> Format.printf "  %-16s %14.1f ms@." (Ckks.Cost_model.op_name op) ms)
-        (Fhe_ir.Latency.by_kind ~info prm managed);
-      let const_magnitude = Nn.Lowering.(const_magnitude (resolver lowered ~dim:8)) in
-      let worst = Fhe_ir.Noise_check.analyse ~const_magnitude prm managed in
-      let typical =
-        Fhe_ir.Noise_check.analyse ~const_magnitude ~magnitude_cap:0.5 prm managed
-      in
-      Format.printf
-        "@.predicted output precision: %.1f bits (typical activations), %.1f bits \
-         (worst case)@."
-        typical.Fhe_ir.Noise_check.output_precision_bits
-        worst.Fhe_ir.Noise_check.output_precision_bits;
-      Format.printf "memory: %a@." Fhe_ir.Liveness.pp (Fhe_ir.Liveness.analyse prm managed)
-    end;
-    (match emit_path with
-    | Some path ->
-        Fhe_ir.Emit.write_file ~program_name:model.Nn.Model.name prm ~path managed;
-        Format.printf "emitted C program to %s@." path
-    | None -> ());
-    0
+    match compile_verified ~verify_each manager prm lowered.Nn.Lowering.dfg with
+    | Error code -> code
+    | Ok (managed, report) ->
+        let diags = Analysis.Verify.run prm managed in
+        List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
+        if Analysis.Diag.has_errors diags then begin
+          Format.eprintf "error: managed graph is illegal@.";
+          2
+        end
+        else begin
+          Format.printf "%a@." Resbm.Report.pp report;
+          (match profile_path with
+          | Some path ->
+              write_json path (report_json ~model:model.Nn.Model.name ~l_max report);
+              Format.printf "wrote profile to %s@." path
+          | None -> ());
+          (match trace_out with
+          | Some path ->
+              let extra =
+                match fl with None -> [] | Some fl -> flight_chrome_events fl
+              in
+              write_json path
+                (Obs.chrome_trace
+                   (Obs.profile_chrome_events report.Resbm.Report.profile @ extra));
+              Format.printf "wrote compile-pipeline Chrome trace to %s@." path
+          | None -> ());
+          if verbose then begin
+            (* one scale/level inference shared by every analysis below *)
+            let info = Fhe_ir.Scale_check.infer prm managed in
+            Format.printf "@.latency by operation kind:@.";
+            List.iter
+              (fun (op, ms) ->
+                Format.printf "  %-16s %14.1f ms@." (Ckks.Cost_model.op_name op) ms)
+              (Fhe_ir.Latency.by_kind ~info prm managed);
+            let const_magnitude = Nn.Lowering.(const_magnitude (resolver lowered ~dim:8)) in
+            let worst = Fhe_ir.Noise_check.analyse ~const_magnitude prm managed in
+            let typical =
+              Fhe_ir.Noise_check.analyse ~const_magnitude ~magnitude_cap:0.5 prm managed
+            in
+            Format.printf
+              "@.predicted output precision: %.1f bits (typical activations), %.1f bits \
+               (worst case)@."
+              typical.Fhe_ir.Noise_check.output_precision_bits
+              worst.Fhe_ir.Noise_check.output_precision_bits;
+            Format.printf "memory: %a@." Fhe_ir.Liveness.pp
+              (Fhe_ir.Liveness.analyse prm managed)
+          end;
+          (match emit_path with
+          | Some path ->
+              Fhe_ir.Emit.write_file ~program_name:model.Nn.Model.name prm ~path managed;
+              Format.printf "emitted C program to %s@." path
+          | None -> ());
+          0
+        end
   in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print latency/noise/memory analyses.")
@@ -425,52 +437,58 @@ let trace_cmd =
     let manager = or_die (resolve_manager manager) in
     let prm = Ckks.Params.at_l_max l_max in
     let lowered = Nn.Lowering.lower model in
-    let managed, report =
-      try Resbm.Variants.compile ~verify_each manager prm lowered.Nn.Lowering.dfg
-      with Resbm.Driver.Verification_failed (pass, diags) ->
-        Format.eprintf "error: verification failed after pass %s:@." pass;
-        List.iter (fun d -> Format.eprintf "%a@." Analysis.Diag.pp d) diags;
-        exit 2
-    in
-    Format.printf "compiled %s with %s in %.1f ms@." model.Nn.Model.name
-      manager.Resbm.Variants.name report.Resbm.Report.compile_ms;
-    let tr, outcome = traced_inference prm lowered ~managed ~report ~dim in
-    (* The flight's metrics carry the traced noise headroom too, so a
-       health judgement of this flight can apply the noise-headroom rule. *)
-    (match fl with Some fl -> Obs.Metrics.add_trace fl.fl_metrics tr | None -> ());
-    (match out with
-    | Some path -> write_chrome_trace ?flight:fl path report tr
-    | None -> ());
-    (match jsonl with Some path -> write_jsonl path tr | None -> ());
-    match outcome with
-    | Error msg ->
-        Format.eprintf
-          "error: execution failed (the trace above ends with the fhe_error \
-           instant):@.%s@."
-          msg;
-        2
-    | Ok result ->
-        if summary then print_trace_summary report tr result;
-        if not verify_each then 0
-        else begin
-          let const_magnitude = Nn.Lowering.(const_magnitude (resolver lowered ~dim)) in
-          let static = Fhe_ir.Noise_check.analyse ~const_magnitude prm managed in
-          let mismatches =
-            Fhe_ir.Noise_check.check_trace static (Obs.Trace.op_events tr)
-          in
-          if mismatches = [] then begin
-            Format.printf "noise cross-validation: traced noise within the static \
-                           estimate on every attributed op@.";
-            0
-          end
-          else begin
-            Format.eprintf "error: traced noise exceeds the static estimate:@.";
+    match compile_verified ~verify_each manager prm lowered.Nn.Lowering.dfg with
+    | Error code -> code
+    | Ok (managed, report) ->
+        Format.printf "compiled %s with %s in %.1f ms@." model.Nn.Model.name
+          manager.Resbm.Variants.name report.Resbm.Report.compile_ms;
+        let tr, outcome = traced_inference prm lowered ~managed ~report ~dim in
+        (* The flight's profile carries the traced noise headroom and the
+           ring's loss too, for Health's noise-headroom and ring-overflow
+           rules. *)
+        (match fl with
+        | Some fl ->
             List.iter
-              (fun m -> Format.eprintf "  %a@." Fhe_ir.Noise_check.pp_trace_mismatch m)
-              mismatches;
+              (fun (e : Obs.Trace.op_event) ->
+                Obs.Profile.observe_min fl.fl_profile "noise_headroom_bits"
+                  (Obs.Trace.headroom_bits e.noise_after))
+              (Obs.Trace.op_events tr);
+            Obs.Profile.incr ~by:(Obs.Trace.dropped tr) fl.fl_profile
+              "trace_dropped_events"
+        | None -> ());
+        (match out with
+        | Some path -> write_chrome_trace ?flight:fl path report tr
+        | None -> ());
+        (match jsonl with Some path -> write_jsonl path tr | None -> ());
+        match outcome with
+        | Error msg ->
+            Format.eprintf
+              "error: execution failed (the trace above ends with the fhe_error \
+               instant):@.%s@."
+              msg;
             2
-          end
-        end
+        | Ok result ->
+            if summary then print_trace_summary report tr result;
+            if not verify_each then 0
+            else begin
+              let const_magnitude = Nn.Lowering.(const_magnitude (resolver lowered ~dim)) in
+              let static = Fhe_ir.Noise_check.analyse ~const_magnitude prm managed in
+              let mismatches =
+                Fhe_ir.Noise_check.check_trace static (Obs.Trace.op_events tr)
+              in
+              if mismatches = [] then begin
+                Format.printf "noise cross-validation: traced noise within the static \
+                               estimate on every attributed op@.";
+                0
+              end
+              else begin
+                Format.eprintf "error: traced noise exceeds the static estimate:@.";
+                List.iter
+                  (fun m -> Format.eprintf "  %a@." Fhe_ir.Noise_check.pp_trace_mismatch m)
+                  mismatches;
+                2
+              end
+            end
   in
   let dim =
     Arg.(value & opt int 64 & info [ "dim" ] ~docv:"D" ~doc:"Slots per synthetic image.")
@@ -1407,8 +1425,8 @@ let serve_cmd =
 
 let health_cmd =
   let run in_file json =
-    let records, metrics = load_flight in_file in
-    let verdict = Obs.Health.evaluate ~records metrics in
+    let records, profile = load_flight in_file in
+    let verdict = Obs.Health.evaluate ~records profile in
     if json then print_string (Obs.Json.to_string (Obs.Health.to_json verdict) ^ "\n")
     else Format.printf "%a@." Obs.Health.pp verdict;
     exit (Obs.Health.exit_code verdict)
@@ -1420,7 +1438,7 @@ let health_cmd =
       & info [ "in" ] ~docv:"FILE"
           ~doc:
             "The flight file to judge, as written by $(b,--log-out); its records and \
-             metrics feed every rule.")
+             profile feed every rule.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the verdict as JSON.")
@@ -1429,7 +1447,7 @@ let health_cmd =
     (Cmd.info "health"
        ~doc:
          "Evaluate rule-based health checks (noise headroom, chaos recovery rate, \
-          SLO attainment, GC pressure, log anomalies, ring overflow) over a flight \
+          SLO attainment, log anomalies, ring overflow) over a flight \
           file written by $(b,--log-out).  Exit 0 when healthy, 2 when any rule \
           fails.")
     Term.(const run $ in_file $ json)

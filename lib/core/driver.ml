@@ -23,8 +23,8 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile prm g =
   Obs.with_log_ctx ~compile_id:(Atomic.fetch_and_add compile_seq 1) @@ fun () ->
   let t0 = Unix.gettimeofday () in
   (* A pipeline phase: timed span, pass context on every log record
-     emitted inside, GC pressure published to the ambient metrics. *)
-  let phase pname f = Obs.with_log_ctx ~pass:pname (fun () -> Obs.gc_span pname f) in
+     emitted inside. *)
+  let phase pname f = Obs.with_log_ctx ~pass:pname (fun () -> Obs.span pname f) in
   Obs.log_info ~event:"compile.start"
     ~fields:
       [

@@ -56,11 +56,8 @@ val compile :
     Every phase (region build, plan, apply, ms_opt, latency, stats) is
     timed as a span, and the min-cut / planner counters are collected, in
     the ambient {!Obs} profile: a caller-supplied [?profile], or a fresh
-    one otherwise.  Either way it is returned in {!Report.t.profile}.
-    With an {!Obs.Metrics} registry ambient, each phase's promoted
-    major-heap words are observed as [gc_major_words{phase}] — the
-    driver's only metric family; the report is the record of the plan
-    itself.
+    one otherwise.  Either way it is returned in {!Report.t.profile}, and
+    nothing the compile records reaches a profile installed around it.
 
     [cache] consults an in-memory {!Plan_cache} before planning and
     stores the result after: a hit returns a bit-identical plan and

@@ -1,5 +1,5 @@
 (* Lightweight observability for the compile pipeline: wall-clock spans,
-   monotonic counters, float series, and dependency-free JSON.  A profile
+   monotonic counters, float minima, and dependency-free JSON.  A profile
    is installed as the ambient collector for the dynamic extent of one
    compile; instrumentation sites record through the conveniences at the
    bottom, which are no-ops when no profile is installed. *)
@@ -284,6 +284,7 @@ module Profile = struct
     mutable stack : (string * float) list;  (* open spans *)
     counters : (string, int) Hashtbl.t;
     mutable slots : int array;  (* per handle; [unset] until bumped *)
+    mutable minima : (string * float) list;  (* by name, unsorted *)
   }
 
   let unset = min_int
@@ -295,6 +296,7 @@ module Profile = struct
       stack = [];
       counters = Hashtbl.create 16;
       slots = Array.make (Array.length !Handles.names) unset;
+      minima = [];
     }
 
   let now_ms t = 1000.0 *. (Unix.gettimeofday () -. t.epoch)
@@ -312,6 +314,12 @@ module Profile = struct
     end;
     let v = t.slots.(h) in
     t.slots.(h) <- (if v = unset then by else v + by)
+
+  let observe_min t name v =
+    let v = match List.assoc_opt name t.minima with Some m -> Float.min m v | None -> v in
+    t.minima <- (name, v) :: List.remove_assoc name t.minima
+
+  let minimum t name = List.assoc_opt name t.minima
 
   let span t name f =
     let start = now_ms t in
@@ -341,7 +349,11 @@ module Profile = struct
 
   let counter t name = Option.value (List.assoc_opt name (counters t)) ~default:0
 
-  let to_json t =
+  (* [counters] stands in for the profile's own: a flight file adds its
+     log sink's loss to the document without touching the ledger.  The
+     [minima] object appears only when some minimum was observed, so a
+     compile profile serialises as it always has. *)
+  let to_json_with ~counters t =
     let span_json s =
       Json.Obj
         [
@@ -351,11 +363,58 @@ module Profile = struct
           ("dur_ms", Json.Float s.dur_ms);
         ]
     in
+    let minima = List.sort (fun (a, _) (b, _) -> compare a b) t.minima in
     Json.Obj
-      [
-        ("spans", Json.List (List.map span_json (spans t)));
-        ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
-      ]
+      ([
+         ("spans", Json.List (List.map span_json (spans t)));
+         ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters));
+       ]
+      @
+      if minima = [] then []
+      else [ ("minima", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) minima)) ])
+
+  let to_json t = to_json_with ~counters:(counters t) t
+
+  exception Malformed of string
+
+  (* The inverse of [to_json]; a missing section loads as empty. *)
+  let of_json j =
+    let t = create () in
+    let bad fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt in
+    let number what = function
+      | Json.Int i -> float_of_int i
+      | Json.Float f -> f
+      | _ -> bad "%s is not a number" what
+    in
+    let section name =
+      match Json.member name j with
+      | None -> []
+      | Some (Json.Obj fs) -> fs
+      | Some _ -> bad "profile section %S is not an object" name
+    in
+    let span s =
+      match Json.(member "name" s, member "depth" s, member "start_ms" s, member "dur_ms" s) with
+      | Some (Json.String name), Some (Json.Int depth), Some start, Some dur ->
+          t.finished <-
+            { name; depth; start_ms = number "start_ms" start; dur_ms = number "dur_ms" dur }
+            :: t.finished
+      | _ -> bad "malformed span"
+    in
+    match
+      (match Json.member "spans" j with
+      | None -> ()
+      | Some (Json.List ss) -> List.iter span ss
+      | Some _ -> bad "profile section \"spans\" is not a list");
+      List.iter
+        (fun (k, v) ->
+          match v with
+          | Json.Int v -> Hashtbl.replace t.counters k v
+          | _ -> bad "counter %s has no integer value" k)
+        (section "counters");
+      List.iter (fun (k, v) -> observe_min t k (number ("minimum " ^ k) v)) (section "minima")
+    with
+    | () -> Ok t
+    | exception Malformed m -> Error m
 
   let pp ppf t =
     let top = List.filter (fun s -> s.depth = 0) (spans t) in
@@ -645,8 +704,8 @@ end
    filled in by the ambient helpers at the bottom of this file) plus free-form
    structured fields, and a simulated-clock stamp when a trace was
    ambient at emission time so the record lands as an instant on the
-   execution timeline.  The sink is mutex-protected, like the metrics
-   registry, so a caller may share one across its own domains. *)
+   execution timeline.  The sink is mutex-protected, so a caller may
+   share one across its own domains. *)
 module Log = struct
   type level = Debug | Info | Warn | Error
 
@@ -834,209 +893,6 @@ module Log = struct
                 @ ctx @ r.fields) );
           ])
       rs
-end
-
-(* Aggregate metrics: the registry Health judges — counters, gauges and
-   count/sum/min/max histogram summaries, exposable as JSON. *)
-module Metrics = struct
-  type labels = (string * string) list
-
-  type hist = {
-    mutable count : int;
-    mutable sum : float;
-    mutable minv : float;
-    mutable maxv : float;
-  }
-
-  type t = {
-    counters : (string * labels, int ref) Hashtbl.t;
-    gauges : (string * labels, float ref) Hashtbl.t;
-    hists : (string * labels, hist) Hashtbl.t;
-    (* Mutators take this lock so a registry a caller shares across its
-       own domains keeps exact counters. *)
-    lock : Mutex.t;
-  }
-
-  let create () =
-    {
-      counters = Hashtbl.create 16;
-      gauges = Hashtbl.create 4;
-      hists = Hashtbl.create 16;
-      lock = Mutex.create ();
-    }
-
-  let key name labels = (name, List.sort compare labels)
-
-  let incr ?(by = 1) ?(labels = []) t name =
-    let k = key name labels in
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.counters k with
-        | Some r -> r := !r + by
-        | None -> Hashtbl.add t.counters k (ref by))
-
-  let set ?(labels = []) t name v =
-    let k = key name labels in
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.gauges k with
-        | Some r -> r := v
-        | None -> Hashtbl.add t.gauges k (ref v))
-
-  let observe ?(labels = []) t name v =
-    let k = key name labels in
-    Mutex.protect t.lock (fun () ->
-        let h =
-          match Hashtbl.find_opt t.hists k with
-          | Some h -> h
-          | None ->
-              let h = { count = 0; sum = 0.0; minv = infinity; maxv = neg_infinity } in
-              Hashtbl.add t.hists k h;
-              h
-        in
-        h.count <- h.count + 1;
-        h.sum <- h.sum +. v;
-        if v < h.minv then h.minv <- v;
-        if v > h.maxv then h.maxv <- v)
-
-  let counter_value ?(labels = []) t name =
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.counters (key name labels) with Some r -> !r | None -> 0)
-
-  let gauge ?(labels = []) t name =
-    Mutex.protect t.lock (fun () ->
-        Option.map ( ! ) (Hashtbl.find_opt t.gauges (key name labels)))
-
-  type hstats = { hcount : int; hsum : float; hmin : float; hmax : float }
-
-  let stats_of_hist h =
-    {
-      hcount = h.count;
-      hsum = h.sum;
-      hmin = (if h.count = 0 then nan else h.minv);
-      hmax = (if h.count = 0 then nan else h.maxv);
-    }
-
-  let histogram ?(labels = []) t name =
-    Mutex.protect t.lock (fun () ->
-        Option.map stats_of_hist (Hashtbl.find_opt t.hists (key name labels)))
-
-  let sorted_bindings tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] (* det-ok: sorted *)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-  let snapshot t tbl f =
-    Mutex.protect t.lock (fun () ->
-        List.map (fun ((name, labels), v) -> (name, labels, f v)) (sorted_bindings tbl))
-
-  let all_counters t = snapshot t t.counters ( ! )
-  let all_gauges t = snapshot t t.gauges ( ! )
-  let all_histograms t = snapshot t t.hists stats_of_hist
-
-  let labels_json labels = Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
-
-  let to_json t =
-    let section rows fields =
-      Json.List
-        (List.map
-           (fun (name, labels, v) ->
-             Json.Obj (("name", Json.String name) :: ("labels", labels_json labels) :: fields v))
-           rows)
-    in
-    Json.Obj
-      [
-        ("counters", section (all_counters t) (fun v -> [ ("value", Json.Int v) ]));
-        ("gauges", section (all_gauges t) (fun v -> [ ("value", Json.Float v) ]));
-        ( "histograms",
-          section (all_histograms t) (fun s ->
-              [
-                ("count", Json.Int s.hcount);
-                ("sum", Json.Float s.hsum);
-                ("min", Json.Float s.hmin);
-                ("max", Json.Float s.hmax);
-              ]) );
-      ]
-
-  (* The inverse of [to_json].  Fields it does not read — older flight
-     files carry quantiles and cumulative buckets per histogram — are
-     ignored, and a missing section loads as empty. *)
-  let of_json j =
-    let ( let* ) = Result.bind in
-    let t = create () in
-    let number = function
-      | Json.Int i -> Some (float_of_int i)
-      | Json.Float f -> Some f
-      | Json.Null -> Some nan
-      | _ -> None
-    in
-    let each section f =
-      match Json.member section j with
-      | None -> Ok ()
-      | Some (Json.List es) ->
-          List.fold_left
-            (fun acc e ->
-              let* () = acc in
-              let* name =
-                match Json.member "name" e with
-                | Some (Json.String s) -> Ok s
-                | _ -> Error "metric entry without a name"
-              in
-              let labels =
-                match Json.member "labels" e with
-                | Some (Json.Obj fs) ->
-                    List.filter_map
-                      (fun (k, v) -> match v with Json.String s -> Some (k, s) | _ -> None)
-                      fs
-                | _ -> []
-              in
-              let num field =
-                match Option.bind (Json.member field e) number with
-                | Some v -> Ok v
-                | None -> Error (Printf.sprintf "%s %s: field %S missing" section name field)
-              in
-              f (key name labels) e num)
-            (Ok ()) es
-      | Some _ -> Error (Printf.sprintf "metrics section %S is not a list" section)
-    in
-    let int e field =
-      match Json.member field e with Some (Json.Int v) -> Some v | _ -> None
-    in
-    let* () =
-      each "counters" (fun k e _ ->
-          match int e "value" with
-          | Some v ->
-              Hashtbl.replace t.counters k (ref v);
-              Ok ()
-          | None -> Error (Printf.sprintf "counter %s has no integer value" (fst k)))
-    in
-    let* () =
-      each "gauges" (fun k _ num ->
-          let* v = num "value" in
-          Hashtbl.replace t.gauges k (ref v);
-          Ok ())
-    in
-    let* () =
-      each "histograms" (fun k e num ->
-          let* count =
-            Option.to_result (int e "count")
-              ~none:(Printf.sprintf "histogram %s: field \"count\" missing" (fst k))
-          in
-          let* sum = num "sum" in
-          let* minv = num "min" in
-          let* maxv = num "max" in
-          let minv, maxv = if count = 0 then (infinity, neg_infinity) else (minv, maxv) in
-          Hashtbl.replace t.hists k { count; sum; minv; maxv };
-          Ok ())
-    in
-    Ok t
-
-  (* The traced run's noise headroom per op kind and the trace ring's
-     loss, the two trace facts Health judges. *)
-  let add_trace t tr =
-    List.iter
-      (fun (e : Trace.op_event) ->
-        observe t ~labels:[ ("op", e.op) ] "noise_headroom_bits"
-          (Trace.headroom_bits e.noise_after))
-      (Trace.op_events tr);
-    set t "trace_dropped_events" (float_of_int (Trace.dropped tr))
 end
 
 (* Generic explanation rendering: hierarchical cost waterfalls and
@@ -1659,8 +1515,8 @@ module Bench_diff = struct
       (if o.added <> [] then Printf.sprintf ", %d added" (List.length o.added) else "")
 end
 
-(* Rule-based health evaluation over a finished run's metrics registry
-   and log records: each rule compares one aggregate against a threshold
+(* Rule-based health evaluation over a finished run's profile and log
+   records: each rule compares one aggregate against a threshold
    and the verdict is healthy iff no rule fails.  Rules that need signals
    the run did not produce (no traced execution, no chaos campaign) stay
    applicable=false and pass vacuously, so one evaluator serves compile,
@@ -1674,7 +1530,6 @@ module Health = struct
   let headroom_floor_bits = 4.0
   let recovery_rate_floor = 0.9
   let slo_attainment_floor = 0.95
-  let gc_major_words_ceiling = 2e9
 
   type check = {
     rule : string;
@@ -1687,23 +1542,8 @@ module Health = struct
 
   type verdict = { healthy : bool; checks : check list }
 
-  let evaluate ?(records = []) m =
-    let counters = Metrics.all_counters m in
-    let gauges = Metrics.all_gauges m in
-    let hists = Metrics.all_histograms m in
-    let csum name =
-      List.fold_left (fun acc (n, _, v) -> if n = name then acc + v else acc) 0 counters
-    in
-    let gsum name =
-      List.fold_left
-        (fun acc (n, _, v) -> if n = name then acc +. v else acc)
-        0.0 gauges
-    in
-    let hfold name f init =
-      List.fold_left
-        (fun acc (n, _, s) -> if n = name && s.Metrics.hcount > 0 then f acc s else acc)
-        init hists
-    in
+  let evaluate ?(records = []) p =
+    let count = Profile.counter p in
     let check rule ~applicable ~warn_only ~ok ~value ~threshold detail =
       let severity =
         if (not applicable) || ok then Pass else if warn_only then Warn else Fail
@@ -1711,20 +1551,20 @@ module Health = struct
       { rule; severity; applicable; value; threshold; detail }
     in
     let headroom =
-      let v = hfold "noise_headroom_bits" (fun acc s -> Float.min acc s.Metrics.hmin) infinity in
-      let applicable = v < infinity in
+      let minimum = Profile.minimum p "noise_headroom_bits" in
+      let applicable = Option.is_some minimum in
+      let v = Option.value minimum ~default:nan in
       check "noise-headroom" ~applicable ~warn_only:false
         ~ok:(v >= headroom_floor_bits)
-        ~value:(if applicable then v else nan)
-        ~threshold:headroom_floor_bits
+        ~value:v ~threshold:headroom_floor_bits
         (if applicable then
            Printf.sprintf "minimum traced noise headroom %.1f bits (floor %.1f)" v
              headroom_floor_bits
          else "no traced noise-headroom observations")
     in
     let recovery =
-      let faulted = csum "chaos_faulted_total" in
-      let recovered = csum "chaos_recovered_total" in
+      let faulted = count "chaos_faulted_total" in
+      let recovered = count "chaos_recovered_total" in
       let applicable = faulted > 0 in
       let rate =
         if applicable then float_of_int recovered /. float_of_int faulted else nan
@@ -1738,13 +1578,13 @@ module Health = struct
          else "no faulted chaos trials")
     in
     let slo =
-      (* Serving campaigns fold [serve_admitted_total] /
-         [serve_completed_total] into the registry; attainment is the
+      (* Serving campaigns count [serve_admitted_total] /
+         [serve_completed_total] on the profile; attainment is the
          fraction of admitted requests completed within their deadline
          (shed requests never count against the SLO — shedding is the
          intended response to overload, missing deadlines is not). *)
-      let admitted = csum "serve_admitted_total" in
-      let completed = csum "serve_completed_total" in
+      let admitted = count "serve_admitted_total" in
+      let completed = count "serve_completed_total" in
       let applicable = admitted > 0 in
       let rate =
         if applicable then float_of_int completed /. float_of_int admitted else nan
@@ -1766,25 +1606,13 @@ module Health = struct
         ~value:(float_of_int v) ~threshold:0.0
         (Printf.sprintf "%d error-level log records" v)
     in
-    let gc =
-      let applicable = List.exists (fun (n, _, _) -> n = "gc_major_words") hists in
-      let v = hfold "gc_major_words" (fun acc s -> acc +. s.Metrics.hsum) 0.0 in
-      check "gc-pressure" ~applicable ~warn_only:false
-        ~ok:(v <= gc_major_words_ceiling)
-        ~value:(if applicable then v else nan)
-        ~threshold:gc_major_words_ceiling
-        (if applicable then
-           Printf.sprintf "%.0f major-heap words promoted (ceiling %.0f)" v
-             gc_major_words_ceiling
-         else "no GC telemetry recorded")
-    in
     let rings =
-      let v = gsum "trace_dropped_events" +. gsum "log_dropped_records" in
-      check "ring-overflow" ~applicable:true ~warn_only:true ~ok:(v = 0.0) ~value:v
-        ~threshold:0.0
-        (Printf.sprintf "%.0f trace events / log records lost to ring wrap-around" v)
+      let v = count "trace_dropped_events" + count "log_dropped_records" in
+      check "ring-overflow" ~applicable:true ~warn_only:true ~ok:(v = 0)
+        ~value:(float_of_int v) ~threshold:0.0
+        (Printf.sprintf "%d trace events / log records lost to ring wrap-around" v)
     in
-    let checks = [ headroom; recovery; slo; errors; gc; rings ] in
+    let checks = [ headroom; recovery; slo; errors; rings ] in
     { healthy = not (List.exists (fun c -> c.severity = Fail) checks); checks }
 
   let exit_code v = if v.healthy then 0 else 2
@@ -1819,35 +1647,48 @@ module Health = struct
     Format.fprintf ppf "verdict: %s@]" (if v.healthy then "healthy" else "UNHEALTHY")
 end
 
-(* A flight file: one run's log records and metrics registry, the input
-   Health judges offline. *)
+(* A flight file: one run's log records and profile, the input Health
+   judges offline. *)
 module Flight = struct
-  let to_json sink m =
-    (* Stamp the drop gauge at export time so the flight file carries its
-       own loss accounting (read back by Health's ring-overflow rule). *)
-    Metrics.set m "log_dropped_records" (float_of_int (Log.dropped sink));
+  let version = 2
+
+  (* The sink's loss goes into the document's counters, not the profile,
+     so exporting twice writes the same bytes. *)
+  let to_json sink p =
+    let name = "log_dropped_records" in
+    let counters = Profile.counters p in
+    let prior = Option.value (List.assoc_opt name counters) ~default:0 in
+    let counters =
+      List.sort
+        (fun (a, _) (b, _) -> compare a b)
+        ((name, prior + Log.dropped sink) :: List.remove_assoc name counters)
+    in
     Json.Obj
       [
-        ("resbm_flight", Json.Int 1);
+        ("resbm_flight", Json.Int version);
         ("records", Json.List (List.map Log.record_to_json (Log.records sink)));
-        ("metrics", Metrics.to_json m);
+        ("profile", Profile.to_json_with ~counters p);
       ]
 
   let of_json json =
     match Json.member "resbm_flight" json with
-    | Some (Json.Int 1) -> (
+    | Some (Json.Int v) when v = version -> (
         let records =
           match Json.member "records" json with
           | Some (Json.List rs) ->
               List.filter_map (fun r -> Result.to_option (Log.record_of_json r)) rs
           | _ -> []
         in
-        match Json.member "metrics" json with
-        | None -> Ok (records, Metrics.create ())
+        match Json.member "profile" json with
+        | None -> Ok (records, Profile.create ())
         | Some j -> (
-            match Metrics.of_json j with
-            | Ok m -> Ok (records, m)
-            | Error msg -> Error ("bad metrics section: " ^ msg)))
+            match Profile.of_json j with
+            | Ok p -> Ok (records, p)
+            | Error msg -> Error ("bad profile section: " ^ msg)))
+    | Some (Json.Int v) ->
+        Error
+          (Printf.sprintf "flight file version %d is not supported (this build reads version %d)"
+             v version)
     | _ -> Error "not a resbm flight file"
 end
 
@@ -1894,7 +1735,6 @@ let chrome_trace events =
 type ctx = {
   mutable profile : Profile.t option;
   mutable trace : Trace.t option;
-  mutable metrics : Metrics.t option;
   mutable log : Log.t option;
   mutable compile_id : int;  (* -1 = outside any compile *)
   mutable pass : string;  (* "" = no pass *)
@@ -1907,7 +1747,6 @@ let ctx_key : ctx Domain.DLS.key =
       {
         profile = None;
         trace = None;
-        metrics = None;
         log = None;
         compile_id = -1;
         pass = "";
@@ -1949,16 +1788,6 @@ let trace_instant ~name ?node ?detail () =
   | Some tr -> Trace.instant tr ~name ?node ?detail ()
   | None -> ()
 
-let with_metrics m f =
-  scoped (fun c -> c.metrics) (fun c v -> c.metrics <- v) (Some m) f
-
-let current_metrics () = (ctx ()).metrics
-
-let metric_incr ?by ?labels name =
-  match current_metrics () with
-  | Some m -> Metrics.incr ?by ?labels m name
-  | None -> ()
-
 let set_node ~region n =
   let c = ctx () in
   c.node <- n;
@@ -1998,18 +1827,3 @@ let log_debug ~event ?fields msg = log ~level:Log.Debug ~event ~msg ?fields ()
 let log_info ~event ?fields msg = log ~level:Log.Info ~event ~msg ?fields ()
 let log_warn ~event ?fields msg = log ~level:Log.Warn ~event ~msg ?fields ()
 let log_error ~event ?fields msg = log ~level:Log.Error ~event ~msg ?fields ()
-
-(* A profile span that additionally publishes the words the phase
-   promoted to the major heap into the ambient metrics registry, for
-   Health's gc-pressure rule.  The delta goes to Metrics only — never to
-   the Profile — so compile reports stay bit-identical whether or not GC
-   telemetry is being collected. *)
-let gc_span name f =
-  match current_metrics () with
-  | None -> span name f
-  | Some m ->
-      let before = (Gc.quick_stat ()).Gc.major_words in
-      let r = span name f in
-      Metrics.observe ~labels:[ ("phase", name) ] m "gc_major_words"
-        ((Gc.quick_stat ()).Gc.major_words -. before);
-      r

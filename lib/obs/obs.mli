@@ -1,13 +1,13 @@
 (** Lightweight observability for the compile pipeline.
 
-    Two primitives — wall-clock {e spans} and monotonic {e counters} —
-    collected into a {!Profile.t} and serialised as JSON with no external
-    dependencies.  The compiler driver installs a profile as the ambient
-    collector for the dynamic extent of one compile ({!with_profile});
-    instrumentation sites deep in the pipeline (min-cut engine, planners)
-    record through the module-level conveniences, which are no-ops when
-    no profile is installed, so un-profiled callers pay only an option
-    check. *)
+    Wall-clock {e spans}, monotonic {e counters} and float {e minima},
+    collected into one ledger, a {!Profile.t}, and serialised as JSON
+    with no external dependencies.  The compiler driver installs a
+    profile as the ambient collector for the dynamic extent of one
+    compile ({!with_profile}); instrumentation sites deep in the pipeline
+    (min-cut engine, planners) record through the module-level
+    conveniences, which are no-ops when no profile is installed, so
+    un-profiled callers pay only an option check. *)
 
 module Json : sig
   type t =
@@ -62,9 +62,16 @@ module Profile : sig
   val counters : t -> (string * int) list
   (** All counters, sorted by name. *)
 
+  val observe_min : t -> string -> float -> unit
+  (** Keep the least value observed under [name]. *)
+
+  val minimum : t -> string -> float option
+  (** The least value observed under [name]; [None] when never observed. *)
+
   val to_json : t -> Json.t
   (** [{"spans": [{name, depth, start_ms, dur_ms}],
-       "counters": {name: int}}] *)
+       "counters": {name: int}}], plus ["minima": {name: float}] when a
+      minimum was observed. *)
 
   val pp : Format.formatter -> t -> unit
   (** Top-level phase durations and counters, one per line. *)
@@ -193,8 +200,7 @@ end
     ambient at emission time — so a record emitted mid-execution lands as
     an instant on its region's thread of the execution timeline,
     correlated with the op spans around it.  The sink is
-    mutex-protected, like the metrics registry, so a caller may share one
-    across its own domains. *)
+    mutex-protected, so a caller may share one across its own domains. *)
 module Log : sig
   type level = Debug | Info | Warn | Error
 
@@ -261,60 +267,6 @@ module Log : sig
       the execution process (pid 1) at its simulated time on its region's
       thread; one without lands on the compile process (pid 0) at its
       host timestamp.  Wrap with {!chrome_trace}. *)
-end
-
-(** Aggregate metrics: the registry {!Health} judges.  Counters, gauges
-    and histogram summaries (count, sum, min, max), keyed by name and
-    labels, exposable as JSON.  The flight instrumentation writes eight
-    families, each read by a Health rule: [noise_headroom_bits],
-    [gc_major_words] (histograms), [trace_dropped_events],
-    [log_dropped_records] (gauges), [chaos_faulted_total],
-    [chaos_recovered_total], [serve_admitted_total] and
-    [serve_completed_total] (counters). *)
-module Metrics : sig
-  type labels = (string * string) list
-  (** Label order is irrelevant; keys are canonicalised by sorting. *)
-
-  type t
-
-  val create : unit -> t
-  val incr : ?by:int -> ?labels:labels -> t -> string -> unit
-  val set : ?labels:labels -> t -> string -> float -> unit
-  (** Gauge assignment. *)
-
-  val observe : ?labels:labels -> t -> string -> float -> unit
-  (** Record one histogram observation. *)
-
-  val counter_value : ?labels:labels -> t -> string -> int
-  (** 0 when never incremented. *)
-
-  val gauge : ?labels:labels -> t -> string -> float option
-
-  type hstats = { hcount : int; hsum : float; hmin : float; hmax : float }
-  (** [hmin] and [hmax] are [nan] when [hcount = 0]. *)
-
-  val histogram : ?labels:labels -> t -> string -> hstats option
-
-  val add_trace : t -> Trace.t -> unit
-  (** Fold a flight-recorded trace in: every op event's result headroom
-      ({!Trace.headroom_bits}) into [noise_headroom_bits{op}], and the
-      ring's loss into the [trace_dropped_events] gauge. *)
-
-  val all_counters : t -> (string * labels * int) list
-  (** Every counter as (name, labels, value), sorted. *)
-
-  val all_gauges : t -> (string * labels * float) list
-  val all_histograms : t -> (string * labels * hstats) list
-
-  val to_json : t -> Json.t
-  (** Deterministically ordered [counters], [gauges] and [histograms]
-      lists; a histogram entry carries count/sum/min/max. *)
-
-  val of_json : Json.t -> (t, string) result
-  (** Rebuild a registry from its {!to_json} form, so
-      [to_json (of_json (to_json m))] equals [to_json m].  Fields it does
-      not read are ignored (older flight files carry quantiles and
-      buckets per histogram); missing sections load as empty. *)
 end
 
 (** Generic explanation rendering: hierarchical cost waterfalls with
@@ -467,13 +419,13 @@ module Bench_diff : sig
   (** Changed cells (all cells with [all]) plus a one-line summary. *)
 end
 
-(** Rule-based health evaluation over a finished run's metrics registry
-    and log records.  Each rule compares one aggregate against a
-    threshold; the verdict is healthy iff no rule fails.  Rules whose
-    signals the run did not produce (no traced execution, no chaos
-    campaign, no GC telemetry) report [applicable = false] and pass
-    vacuously, so one evaluator serves compile, trace and chaos flights
-    alike.  Surfaced by the [resbm health] subcommand. *)
+(** Rule-based health evaluation over a finished run's profile and log
+    records.  Each rule compares one aggregate against a threshold; the
+    verdict is healthy iff no rule fails.  Rules whose signals the run
+    did not produce (no traced execution, no chaos campaign, no serving
+    campaign) report [applicable = false] and pass vacuously, so one
+    evaluator serves compile, trace, chaos and serve flights alike.
+    Surfaced by the [resbm health] subcommand. *)
 module Health : sig
   type severity = Pass | Warn | Fail
 
@@ -490,18 +442,17 @@ module Health : sig
 
   type verdict = { healthy : bool; checks : check list }
 
-  val evaluate : ?records:Log.record list -> Metrics.t -> verdict
+  val evaluate : ?records:Log.record list -> Profile.t -> verdict
   (** Run every rule against its fixed threshold:
-      - [noise-headroom]: minimum of [noise_headroom_bits] >= 4.0 bits;
-      - [recovery-rate]: [chaos_recovered_total] / [chaos_faulted_total]
-        >= 0.9;
-      - [slo-attainment]: [serve_completed_total] /
+      - [noise-headroom]: the [noise_headroom_bits] minimum >= 4.0 bits;
+      - [recovery-rate]: counters [chaos_recovered_total] /
+        [chaos_faulted_total] >= 0.9;
+      - [slo-attainment]: counters [serve_completed_total] /
         [serve_admitted_total] >= 0.95 (requests finished within their
         deadline over requests admitted);
       - [error-logs]: no error-level record in [records];
-      - [gc-pressure]: sum of [gc_major_words] <= 2e9;
-      - [ring-overflow]: [trace_dropped_events] + [log_dropped_records]
-        = 0.
+      - [ring-overflow]: counters [trace_dropped_events] +
+        [log_dropped_records] = 0.
       [Warn]-severity findings (error-level logs, ring overflow) never flip
       the verdict to unhealthy. *)
 
@@ -515,18 +466,21 @@ module Health : sig
   (** One line per check plus the verdict. *)
 end
 
-(** Flight files: one run's log records and metrics registry in one JSON
+(** Flight files: one run's log records and profile in one JSON
     document, the input [resbm health --in] judges. *)
 module Flight : sig
-  val to_json : Log.t -> Metrics.t -> Json.t
-  (** [{"resbm_flight": 1, "records": [...], "metrics": {...}}].  First
-      sets the registry's [log_dropped_records] gauge to the sink's
-      {!Log.dropped}, so the file carries its own loss accounting. *)
+  val to_json : Log.t -> Profile.t -> Json.t
+  (** [{"resbm_flight": 2, "records": [...], "profile": {...}}], the
+      profile in its {!Profile.to_json} form with the sink's {!Log.dropped}
+      added to its [log_dropped_records] counter, so the file carries its
+      own loss accounting.  The profile itself is not changed: exporting
+      twice gives the same document. *)
 
-  val of_json : Json.t -> (Log.record list * Metrics.t, string) result
-  (** Records (malformed ones skipped) and the registry ({!Metrics.of_json};
-      empty when the section is missing).  [Error] on a document that is
-      not a flight file or carries a malformed metrics section. *)
+  val of_json : Json.t -> (Log.record list * Profile.t, string) result
+  (** Records (malformed ones skipped) and the profile (empty when the
+      section is missing).  [Error] on a document that is not a flight
+      file, on a flight file of another version (naming it), or on a
+      malformed profile section. *)
 end
 
 val profile_chrome_events : Profile.t -> Json.t list
@@ -540,7 +494,7 @@ val chrome_trace : Json.t list -> Json.t
 (** {1 Ambient context}
 
     One domain-local record holds every ambient handle — profile, trace,
-    metrics registry, log sink — plus the log context (compile id, pass)
+    log sink — plus the log context (compile id, pass)
     and the DFG node executing with its region.  Each [with_*] sets one
     field for the extent of its callback and restores it after, also on
     exceptions.  A domain spawned by a library caller starts with no
@@ -593,18 +547,6 @@ val trace_instant :
   name:string -> ?node:int -> ?detail:(string * Json.t) list -> unit -> unit
 (** Record an instant on the ambient trace; no-op when none. *)
 
-val with_metrics : Metrics.t -> (unit -> 'a) -> 'a
-(** Install [m] as the ambient metrics registry for the extent of the
-    callback (restoring the previous one after, also on exceptions).
-    The driver publishes into it through {!gc_span}, chaos and serving
-    campaigns through {!metric_incr}; both cost one option check when
-    none is installed. *)
-
-val current_metrics : unit -> Metrics.t option
-
-val metric_incr : ?by:int -> ?labels:Metrics.labels -> string -> unit
-(** Increment a counter on the ambient registry; no-op when none. *)
-
 val set_node : region:int -> int -> unit
 (** Publish the DFG node about to execute and its region ([-1] = none).
     The interpreter sets both before each node, whether or not anything
@@ -640,9 +582,3 @@ val log_info : event:string -> ?fields:(string * Json.t) list -> string -> unit
 val log_warn : event:string -> ?fields:(string * Json.t) list -> string -> unit
 val log_error : event:string -> ?fields:(string * Json.t) list -> string -> unit
 (** [log_error ~event msg] = [log ~level:Error ~event ~msg ()]. *)
-
-val gc_span : string -> (unit -> 'a) -> 'a
-(** {!span}, plus — when a metrics registry is ambient — the words the
-    phase promoted to the major heap, observed as [gc_major_words{phase}].
-    The delta goes to Metrics only, never to the Profile, so compile
-    reports stay bit-identical with telemetry off or on. *)

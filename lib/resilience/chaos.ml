@@ -290,14 +290,10 @@ let run cfg =
   let models = List.map (run_model cfg) cfg.models in
   let total_faulted = List.fold_left (fun a m -> a + m.faulted_trials) 0 models in
   let total_recovered = List.fold_left (fun a m -> a + m.recovered_trials) 0 models in
-  (* The two counts Health's recovery-rate rule reads, published once per
-     model from its summary. *)
-  List.iter
-    (fun ms ->
-      let labels = [ ("model", ms.model) ] in
-      Obs.metric_incr ~labels ~by:ms.faulted_trials "chaos_faulted_total";
-      Obs.metric_incr ~labels ~by:ms.recovered_trials "chaos_recovered_total")
-    models;
+  (* The two counts Health's recovery-rate rule reads, published once
+     from the campaign totals. *)
+  Obs.incr ~by:total_faulted "chaos_faulted_total";
+  Obs.incr ~by:total_recovered "chaos_recovered_total";
   {
     config_seed = cfg.seed;
     models;

@@ -116,11 +116,11 @@ val run : config -> report
     ({!Fhe_ir.Interp.Program.make}, counted as [interp.programs] on the
     ambient profile): its reference run and every trial execute that one
     program, and the trials' static noise prediction reads the same
-    memoised constant payloads the runs encode.  At the end, each
-    model's [faulted_trials] and [recovered_trials] are added to the
-    ambient metrics registry (when one is installed) as
-    [chaos_faulted_total{model}] / [chaos_recovered_total{model}], the
-    pair {!Obs.Health}'s recovery-rate rule reads.
+    memoised constant payloads the runs encode.  At the end, the
+    campaign's [total_faulted] and [total_recovered] are added to the
+    ambient profile (when one is installed) as the counters
+    [chaos_faulted_total] / [chaos_recovered_total], the pair
+    {!Obs.Health}'s recovery-rate rule reads.
     @raise Invalid_argument on an unknown model name. *)
 
 val to_json : report -> Obs.Json.t

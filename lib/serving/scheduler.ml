@@ -502,8 +502,8 @@ let run ?jobs:_ ?cache cfg =
   in
   (* The two counts Health's slo-attainment rule reads, published once
      from the report's own fields. *)
-  Obs.metric_incr ~by:!admitted "serve_admitted_total";
-  Obs.metric_incr ~by:completed "serve_completed_total";
+  Obs.incr ~by:!admitted "serve_admitted_total";
+  Obs.incr ~by:completed "serve_completed_total";
   {
     config_seed = cfg.seed;
     model = cfg.model;

@@ -149,9 +149,10 @@ val run : ?jobs:int -> ?cache:Resbm.Plan_cache.t -> config -> report
     {!Resilience.Recovery.run_program}; the constants are resolved once,
     through one memoising {!Nn.Lowering.resolver}.  At campaign end the
     report's [admitted] and [completed] counts are added to the ambient
-    metrics registry as [serve_admitted_total] / [serve_completed_total]
-    (what {!Obs.Health}'s slo-attainment rule reads); the report is
-    computed from plain state, so it is identical either way.
+    profile as the counters [serve_admitted_total] /
+    [serve_completed_total] (what {!Obs.Health}'s slo-attainment rule
+    reads); the report is computed from plain state, so it is identical
+    either way.
 
     Invariants (asserted or test-enforced): every arrival terminates as
     completed, shed, or failed exactly once;

@@ -1,8 +1,8 @@
 (* The flight-deck observability tier: the Log ring buffer (overflow,
    ambient context, JSON round-trip) and its Perfetto instants, Health
-   verdicts and exit codes, gc_span metric publication, the metric
-   families each flight shape writes, the stdout-in-lib source lint —
-   and the headline contract that installing all of it changes no
+   verdicts and exit codes, the flight file's round-trip and version
+   check, the counters each flight shape writes, the stdout-in-lib source
+   lint — and the headline contract that installing all of it changes no
    compile result bit. *)
 open Test_util
 
@@ -65,7 +65,6 @@ let spawned_domain_starts_empty () =
   let child_sink = Obs.Log.create () in
   Obs.with_profile p @@ fun () ->
   Obs.with_trace (Obs.Trace.create ()) @@ fun () ->
-  Obs.with_metrics (Obs.Metrics.create ()) @@ fun () ->
   Obs.with_log sink @@ fun () ->
   Obs.with_log_ctx ~compile_id:5 ~pass:"plan" @@ fun () ->
   Obs.set_node ~region:2 9;
@@ -74,7 +73,6 @@ let spawned_domain_starts_empty () =
         let fresh =
           Obs.current () = None
           && Obs.current_trace () = None
-          && Obs.current_metrics () = None
           && Obs.current_node () = -1
         in
         (* no sink here yet: this record must reach no one *)
@@ -208,42 +206,56 @@ let flight_off_identity =
       let plain = compile (build_random_dfg params) in
       let flown =
         Obs.with_log (Obs.Log.create ()) @@ fun () ->
-        Obs.with_metrics (Obs.Metrics.create ()) @@ fun () ->
+        Obs.with_profile (Obs.Profile.create ()) @@ fun () ->
         compile (build_random_dfg params)
       in
       plain = flown)
 
-let gc_span_publishes_pressure () =
-  let m = Obs.Metrics.create () in
-  Obs.with_metrics m (fun () ->
-      Obs.gc_span "flight_phase" (fun () ->
-          ignore (Sys.opaque_identity (Array.init 4096 float_of_int))));
-  (match
-     Obs.Metrics.histogram ~labels:[ ("phase", "flight_phase") ] m "gc_major_words"
-   with
-  | None -> Alcotest.fail "gc_major_words{flight_phase} not published"
-  | Some h -> checkb "one observation, non-negative" true
-        (h.Obs.Metrics.hcount = 1 && h.Obs.Metrics.hsum >= 0.0));
-  checkb "gc_major_words is the only family" true
-    (Obs.Metrics.all_counters m = [] && Obs.Metrics.all_gauges m = []
-    && List.length (Obs.Metrics.all_histograms m) = 1);
-  (* without an ambient registry the span publishes nowhere *)
-  let m' = Obs.Metrics.create () in
-  Obs.gc_span "orphan" (fun () -> ());
-  checkb "no ambient registry, no metrics" true (Obs.Metrics.all_histograms m' = [])
-
+(* A flight profile with spans, counters and a minimum survives the file
+   format: the loaded profile serialises to the section it was read
+   from, the sink's loss included. *)
 let metrics_json_round_trip () =
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.incr ~by:3 ~labels:[ ("model", "tiny") ] m "chaos_trials_total";
-  Obs.Metrics.set m "log_dropped_records" 6.0;
-  List.iter
-    (Obs.Metrics.observe ~labels:[ ("op", "mul_cc") ] m "noise_headroom_bits")
-    [ 5.5; 7.25; 12.0 ];
-  let dump m = Obs.Json.to_string (Obs.Metrics.to_json m) in
-  match Obs.Metrics.of_json (Obs.Metrics.to_json m) with
+  let sink = Obs.Log.create ~capacity:2 () in
+  for _ = 1 to 8 do
+    Obs.Log.record sink ~level:Obs.Log.Info ~event:"e" ()
+  done;
+  let p = Obs.Profile.create () in
+  Obs.Profile.incr ~by:3 p "chaos_faulted_total";
+  Obs.Profile.incr p "interp.programs";
+  ignore (Obs.Profile.span p "phase" (fun () -> ()));
+  List.iter (Obs.Profile.observe_min p "noise_headroom_bits") [ 12.0; 5.5; 7.25 ];
+  let flight = Obs.Flight.to_json sink p in
+  match Result.bind (Obs.Json.of_string (Obs.Json.to_string flight)) Obs.Flight.of_json with
   | Error e -> Alcotest.failf "of_json failed: %s" e
-  | Ok m' -> check Alcotest.string "to_json . of_json . to_json is stable"
-        (dump m) (dump m')
+  | Ok (records, p') ->
+      checki "surviving records load" 2 (List.length records);
+      checki "sink loss carried in the file" 6 (Obs.Profile.counter p' "log_dropped_records");
+      checkb "minimum carried" true (Obs.Profile.minimum p' "noise_headroom_bits" = Some 5.5);
+      check Alcotest.string "profile section stable"
+        (Obs.Json.to_string (Option.get (Obs.Json.member "profile" flight)))
+        (Obs.Json.to_string (Obs.Profile.to_json p'));
+      let malformed = {|{"resbm_flight":2,"profile":{"counters":{"x":1.5}}}|} in
+      checkb "a non-integer counter is refused" true
+        (Result.bind (Obs.Json.of_string malformed) Obs.Flight.of_json
+        = Error "bad profile section: counter x has no integer value")
+
+(* Export reads the ledger and writes the sink's loss into the document
+   only, so a second export is the same bytes and the profile is left as
+   it was. *)
+let export_twice_is_identical () =
+  let sink = Obs.Log.create ~capacity:1 () in
+  Obs.Log.record sink ~level:Obs.Log.Info ~event:"a" ();
+  Obs.Log.record sink ~level:Obs.Log.Warn ~event:"b" ();
+  let p = Obs.Profile.create () in
+  Obs.Profile.incr ~by:2 p "chaos_faulted_total";
+  let first = Obs.Json.to_string (Obs.Flight.to_json sink p) in
+  let second = Obs.Json.to_string (Obs.Flight.to_json sink p) in
+  check Alcotest.string "byte-identical" first second;
+  check
+    Alcotest.(list (pair string int))
+    "ledger untouched"
+    [ ("chaos_faulted_total", 2) ]
+    (Obs.Profile.counters p)
 
 (* --- health --------------------------------------------------------------- *)
 
@@ -253,7 +265,7 @@ let find_check rule (v : Obs.Health.verdict) =
   | None -> Alcotest.failf "rule %s missing from the verdict" rule
 
 let health_vacuous_run_is_healthy () =
-  let v = Obs.Health.evaluate (Obs.Metrics.create ()) in
+  let v = Obs.Health.evaluate (Obs.Profile.create ()) in
   checkb "nothing measured, nothing failed" true v.Obs.Health.healthy;
   checki "exit code" 0 (Obs.Health.exit_code v);
   List.iter
@@ -261,13 +273,13 @@ let health_vacuous_run_is_healthy () =
       let c = find_check rule v in
       checkb (rule ^ " inapplicable") false c.Obs.Health.applicable;
       checkb (rule ^ " passes vacuously") true (c.Obs.Health.severity = Obs.Health.Pass))
-    [ "noise-headroom"; "recovery-rate"; "gc-pressure" ]
+    [ "noise-headroom"; "recovery-rate"; "slo-attainment" ]
 
 let health_recovery_floor_fails () =
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.incr ~by:10 ~labels:[ ("model", "tiny") ] m "chaos_faulted_total";
-  Obs.Metrics.incr ~by:5 ~labels:[ ("model", "tiny") ] m "chaos_recovered_total";
-  let v = Obs.Health.evaluate m in
+  let p = Obs.Profile.create () in
+  Obs.Profile.incr ~by:10 p "chaos_faulted_total";
+  Obs.Profile.incr ~by:5 p "chaos_recovered_total";
+  let v = Obs.Health.evaluate p in
   let c = find_check "recovery-rate" v in
   checkb "applicable once trials faulted" true c.Obs.Health.applicable;
   check_float "measured rate" 0.5 c.Obs.Health.value;
@@ -276,17 +288,17 @@ let health_recovery_floor_fails () =
   checki "exit code" 2 (Obs.Health.exit_code v);
   check_float "fixed floor" 0.9 c.Obs.Health.threshold;
   (* 9/10 sits exactly on the floor and passes *)
-  Obs.Metrics.incr ~by:4 ~labels:[ ("model", "lenet5") ] m "chaos_recovered_total";
-  checkb "rate on the floor passes" true (Obs.Health.evaluate m).Obs.Health.healthy
+  Obs.Profile.incr ~by:4 p "chaos_recovered_total";
+  checkb "rate on the floor passes" true (Obs.Health.evaluate p).Obs.Health.healthy
 
 let health_warn_rules_never_flip () =
   (* Error-level logs and ring overflow are anomalies worth surfacing but
      not gating: severity Warn, verdict stays healthy. *)
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.set m "log_dropped_records" 3.0;
+  let p = Obs.Profile.create () in
+  Obs.Profile.incr ~by:3 p "log_dropped_records";
   let sink = Obs.Log.create () in
   Obs.with_log sink (fun () -> Obs.log_error ~event:"run.failed" "boom");
-  let v = Obs.Health.evaluate ~records:(Obs.Log.records sink) m in
+  let v = Obs.Health.evaluate ~records:(Obs.Log.records sink) p in
   checkb "error-logs warns" true
     ((find_check "error-logs" v).Obs.Health.severity = Obs.Health.Warn);
   checkb "ring-overflow warns" true
@@ -296,143 +308,160 @@ let health_warn_rules_never_flip () =
 
 (* --- flight shapes ---------------------------------------------------------- *)
 
-(* The metric families Health's rules read.  A flight writes no other. *)
-let health_families =
-  [
-    "noise_headroom_bits";
-    "chaos_faulted_total";
-    "chaos_recovered_total";
-    "serve_admitted_total";
-    "serve_completed_total";
-    "gc_major_words";
-    "trace_dropped_events";
-    "log_dropped_records";
-  ]
+(* Run [f] under a fresh log sink and profile, as [--log-out] does, and
+   return the flight file written after it. *)
+let flight_of f =
+  let sink = Obs.Log.create () and p = Obs.Profile.create () in
+  Obs.with_log sink (fun () -> Obs.with_profile p (fun () -> f p));
+  (sink, p, Obs.Flight.to_json sink p)
 
-(* Run [f] under a fresh log sink and registry, as [--log-out] does, and
-   return the sorted metric-family names of the flight file written
-   after it. *)
-let flight_families f =
-  let sink = Obs.Log.create () and m = Obs.Metrics.create () in
-  Obs.with_log sink (fun () -> Obs.with_metrics m (fun () -> f m));
-  let metrics = Option.get (Obs.Json.member "metrics" (Obs.Flight.to_json sink m)) in
-  List.concat_map
-    (fun section ->
-      match Obs.Json.member section metrics with
-      | Some (Obs.Json.List es) ->
-          List.filter_map
-            (fun e ->
-              match Obs.Json.member "name" e with
-              | Some (Obs.Json.String n) -> Some n
-              | _ -> None)
-            es
-      | _ -> [])
-    [ "counters"; "gauges"; "histograms" ]
-  |> List.sort_uniq compare
+let names section flight =
+  match Option.bind (Obs.Json.member "profile" flight) (Obs.Json.member section) with
+  | Some (Obs.Json.Obj fs) -> List.map fst fs
+  | _ -> []
 
-let flight_shapes_write_only_health_families () =
+let tiny_serve =
+  {
+    Serving.Scheduler.default with
+    Serving.Scheduler.model = "tiny";
+    l_max = 9;
+    dim = 16;
+    max_batch = 4;
+    arrival = Serving.Scheduler.Poisson 40.0;
+    duration_ms = 300.0;
+    chaos_rate = 0.1;
+  }
+
+let tiny_chaos = { Resilience.Chaos.default with Resilience.Chaos.trials = 4; dim = 16 }
+
+(* A trace flight as the [trace] command writes it: the run's counters,
+   then the surviving ops' least noise headroom and the ring's loss. *)
+let traced_fig1 p =
+  let prm = Ckks.Params.fig1 in
+  let managed, _ = Resbm.Driver.compile prm (fig1_block ()) in
+  let env =
+    { Fhe_ir.Interp.inputs = [ ("x", input_env ~dim:8 5L) ]; consts = const_env ~dim:8 }
+  in
+  let tr = Obs.Trace.create () in
+  ignore (Fhe_ir.Interp.run ~trace:tr (Ckks.Evaluator.create prm) managed env);
+  List.iter
+    (fun (e : Obs.Trace.op_event) ->
+      Obs.Profile.observe_min p "noise_headroom_bits" (Obs.Trace.headroom_bits e.noise_after))
+    (Obs.Trace.op_events tr);
+  Obs.Profile.incr ~by:(Obs.Trace.dropped tr) p "trace_dropped_events"
+
+(* Each flight shape's counters and minima, pinned.  A compile keeps its
+   own profile, so a compile flight holds only the sink's loss; the
+   runtime counters (programs prepared, values validated) reach chaos,
+   serve and trace flights next to the counts Health reads.  Every name a
+   Health rule reads from a shape is in that shape. *)
+let flight_shapes_pin_counter_names () =
   let tiny () = (Nn.Lowering.lower Nn.Model.tiny).Nn.Lowering.dfg in
+  (* shape, run, counters, minima, the names a Health rule reads there *)
   let shapes =
     [
       ( "compile",
         (fun _ -> ignore (Resbm.Variants.compile Resbm.Variants.resbm prm (tiny ()))),
-        [ "gc_major_words"; "log_dropped_records" ] );
+        [ "log_dropped_records" ],
+        [],
+        [ "log_dropped_records" ] );
       ( "trace",
-        (fun m ->
-          let p = Ckks.Params.fig1 in
-          let managed, _ = Resbm.Driver.compile p (fig1_block ()) in
-          let env =
-            { Fhe_ir.Interp.inputs = [ ("x", input_env ~dim:8 5L) ]; consts = const_env ~dim:8 }
-          in
-          let tr = Obs.Trace.create () in
-          ignore (Fhe_ir.Interp.run ~trace:tr (Ckks.Evaluator.create p) managed env);
-          Obs.Metrics.add_trace m tr),
-        [
-          "gc_major_words"; "log_dropped_records"; "noise_headroom_bits"; "trace_dropped_events";
-        ] );
+        traced_fig1,
+        [ "interp.programs"; "log_dropped_records"; "trace_dropped_events" ],
+        [ "noise_headroom_bits" ],
+        [ "log_dropped_records"; "noise_headroom_bits"; "trace_dropped_events" ] );
       ( "chaos",
-        (fun _ ->
-          ignore
-            (Resilience.Chaos.run
-               { Resilience.Chaos.default with Resilience.Chaos.trials = 4; dim = 16 })),
-        [ "chaos_faulted_total"; "chaos_recovered_total"; "gc_major_words"; "log_dropped_records" ]
-      );
+        (fun _ -> ignore (Resilience.Chaos.run tiny_chaos)),
+        [
+          "chaos_faulted_total";
+          "chaos_recovered_total";
+          "interp.programs";
+          "log_dropped_records";
+          "recovery.validations";
+        ],
+        [],
+        [ "chaos_faulted_total"; "chaos_recovered_total"; "log_dropped_records" ] );
       ( "serve",
-        (fun _ ->
-          ignore
-            (Serving.Scheduler.run
-               {
-                 Serving.Scheduler.default with
-                 Serving.Scheduler.model = "tiny";
-                 l_max = 9;
-                 dim = 16;
-                 max_batch = 4;
-                 arrival = Serving.Scheduler.Poisson 40.0;
-                 duration_ms = 300.0;
-                 chaos_rate = 0.1;
-               })),
-        [ "gc_major_words"; "log_dropped_records"; "serve_admitted_total"; "serve_completed_total" ]
-      );
+        (fun _ -> ignore (Serving.Scheduler.run tiny_serve)),
+        [
+          "interp.programs";
+          "log_dropped_records";
+          "recovery.validations";
+          "serve_admitted_total";
+          "serve_completed_total";
+        ],
+        [],
+        [ "log_dropped_records"; "serve_admitted_total"; "serve_completed_total" ] );
     ]
   in
   List.iter
-    (fun (shape, run, expected) ->
-      let families = flight_families run in
-      checkb (shape ^ " flight families pinned") true (families = expected);
+    (fun (shape, run, counters, minima, reads) ->
+      let _, _, flight = flight_of run in
+      check Alcotest.(list string) (shape ^ " counters") counters (names "counters" flight);
+      check Alcotest.(list string) (shape ^ " minima") minima (names "minima" flight);
       List.iter
-        (fun n -> checkb (shape ^ ": " ^ n ^ " is read by Health") true (List.mem n health_families))
-        families)
+        (fun n -> checkb (shape ^ " carries " ^ n) true (List.mem n (counters @ minima)))
+        reads)
     shapes
 
-(* A flight file in the older format: histograms carry p50/p90/p99 and
-   cumulative buckets, and families no rule reads (per-op evaluator
-   counts, pipeline counters, serve_* and latency histograms) sit next to
-   the ones Health judges.  It loads, and its verdict is the one the
-   older evaluator gave, byte for byte, less two checks whose sources
-   are gone: refutations (the compile-time certification path) and the
-   planner's tier-fallback count (the degradation ladder). *)
-let parent_format_flight = {|{"resbm_flight":1,
+(* Health judges a flight the same in memory and after the file
+   round-trip, on each shape that makes a rule applicable. *)
+let verdict_survives_round_trip () =
+  List.iter
+    (fun (shape, run) ->
+      let sink, p, flight = flight_of run in
+      let in_memory = Obs.Health.evaluate ~records:(Obs.Log.records sink) p in
+      match Obs.Flight.of_json flight with
+      | Error e -> Alcotest.failf "%s flight does not load: %s" shape e
+      | Ok (records, p') ->
+          check Alcotest.string (shape ^ " verdict")
+            (Obs.Json.to_string (Obs.Health.to_json in_memory))
+            (Obs.Json.to_string (Obs.Health.to_json (Obs.Health.evaluate ~records p'))))
+    [
+      ("trace", traced_fig1);
+      ("chaos", fun _ -> ignore (Resilience.Chaos.run tiny_chaos));
+      ("serve", fun _ -> ignore (Serving.Scheduler.run tiny_serve));
+    ]
+
+(* The facts of a flight the previous file format judged (two records,
+   41 faulted and 15 recovered chaos trials over two models, 11 of 12
+   admitted requests in SLO, a 43.148-bit headroom minimum) in the
+   current format, beside counters no rule reads.  Its verdict is the one
+   the older evaluator gave, byte for byte, less its check of the deleted
+   major-heap GC rule. *)
+let v2_flight = {|{"resbm_flight":2,
  "records":[
   {"seq":0,"level":"info","event":"compile.done","msg":"compiled","ts_ms":1.5,"compile_id":0,"pass":"","region":-1,"node":-1,"domain":0,"fields":{"manager":"resbm"}},
   {"seq":1,"level":"error","event":"run.failed","msg":"boom","ts_ms":2.0,"sim_ms":12.5,"compile_id":-1,"pass":"","region":3,"node":17,"domain":0}],
- "metrics":{
-  "counters":[
-   {"name":"chaos_faulted_total","labels":{"model":"lenet5"},"value":28},
-   {"name":"chaos_faulted_total","labels":{"model":"tiny"},"value":13},
-   {"name":"chaos_faults_total","labels":{"kind":"noise_spike","model":"tiny"},"value":13},
-   {"name":"chaos_recovered_total","labels":{"model":"lenet5"},"value":12},
-   {"name":"chaos_recovered_total","labels":{"model":"tiny"},"value":3},
-   {"name":"fhe_ops_total","labels":{"op":"rotate"},"value":87},
-   {"name":"pipeline_events_total","labels":{"counter":"maxflow.runs"},"value":12},
-   {"name":"serve_admitted_total","labels":{},"value":12},
-   {"name":"serve_arrivals_total","labels":{},"value":73},
-   {"name":"serve_completed_total","labels":{},"value":11},
-   {"name":"serve_shed_total","labels":{"reason":"predicted_miss"},"value":61}],
-  "gauges":[
-   {"name":"gc_top_heap_words","labels":{},"value":1234567.0},
-   {"name":"log_dropped_records","labels":{},"value":0.0},
-   {"name":"serve_queue_depth_peak","labels":{},"value":8.0},
-   {"name":"trace_dropped_events","labels":{},"value":0.0}],
-  "histograms":[
-   {"name":"fhe_noise_headroom_bits","labels":{"op":"rotate"},"count":2,"sum":7.0,"min":3.5,"max":3.5,"p50":3.5,"p90":3.5,"p99":3.5,"buckets":[[4.0,2]]},
-   {"name":"gc_major_words","labels":{"phase":"plan"},"count":1,"sum":1024.0,"min":1024.0,"max":1024.0,"p50":1024.0,"p90":1024.0,"p99":1024.0,"buckets":[[1024.0,1]]},
-   {"name":"gc_major_words","labels":{"phase":"apply"},"count":0,"sum":0.0,"min":null,"max":null,"p50":null,"p90":null,"p99":null,"buckets":[]},
-   {"name":"noise_headroom_bits","labels":{"op":"add_cc"},"count":87,"sum":4135.125621604487,"min":43.14801581191209,"max":49.2559395873916,"p50":49.2559395873916,"p90":49.2559395873916,"p99":49.2559395873916,"buckets":[[45.254833995939045,6],[64.0,87]]},
-   {"name":"noise_headroom_bits","labels":{"op":"rotate"},"count":87,"sum":3829.24104801294,"min":43.829791543753885,"max":47.47088698014746,"p50":43.829791543753885,"p90":44.46585578189505,"p99":47.47088698014746,"buckets":[[45.254833995939045,84],[64.0,87]]},
-   {"name":"service_latency_ms","labels":{},"count":12,"sum":587358.4568348536,"min":24511.87599999999,"max":73378.69628910102,"p50":55938.47500592079,"p90":73378.69628910102,"p99":73378.69628910102,"buckets":[[32768.0,4],[65536.0,8],[92681.90002368316,12]]}]}}|}
+ "profile":{
+  "spans":[],
+  "counters":{"chaos_faulted_total":41,"chaos_recovered_total":15,"interp.programs":2,
+   "log_dropped_records":0,"recovery.validations":5213,"serve_admitted_total":12,
+   "serve_completed_total":11,"trace_dropped_events":0},
+  "minima":{"noise_headroom_bits":43.14801581191209}}}|}
 
 let parent_format_verdict =
-  {|{"healthy":false,"checks":[{"rule":"noise-headroom","severity":"pass","applicable":true,"value":43.14801581191209,"threshold":4.0,"detail":"minimum traced noise headroom 43.1 bits (floor 4.0)"},{"rule":"recovery-rate","severity":"fail","applicable":true,"value":0.36585365853658536,"threshold":0.9,"detail":"15/41 faulted trials recovered (rate 0.366, floor 0.900)"},{"rule":"slo-attainment","severity":"fail","applicable":true,"value":0.9166666666666666,"threshold":0.95,"detail":"11/12 admitted requests completed in SLO (attainment 0.917, floor 0.950)"},{"rule":"error-logs","severity":"warn","applicable":true,"value":1.0,"threshold":0.0,"detail":"1 error-level log records"},{"rule":"gc-pressure","severity":"pass","applicable":true,"value":1024.0,"threshold":2e+09,"detail":"1024 major-heap words promoted (ceiling 2000000000)"},{"rule":"ring-overflow","severity":"pass","applicable":true,"value":0.0,"threshold":0.0,"detail":"0 trace events / log records lost to ring wrap-around"}]}|}
+  {|{"healthy":false,"checks":[{"rule":"noise-headroom","severity":"pass","applicable":true,"value":43.14801581191209,"threshold":4.0,"detail":"minimum traced noise headroom 43.1 bits (floor 4.0)"},{"rule":"recovery-rate","severity":"fail","applicable":true,"value":0.36585365853658536,"threshold":0.9,"detail":"15/41 faulted trials recovered (rate 0.366, floor 0.900)"},{"rule":"slo-attainment","severity":"fail","applicable":true,"value":0.9166666666666666,"threshold":0.95,"detail":"11/12 admitted requests completed in SLO (attainment 0.917, floor 0.950)"},{"rule":"error-logs","severity":"warn","applicable":true,"value":1.0,"threshold":0.0,"detail":"1 error-level log records"},{"rule":"ring-overflow","severity":"pass","applicable":true,"value":0.0,"threshold":0.0,"detail":"0 trace events / log records lost to ring wrap-around"}]}|}
 
-let parent_format_flight_same_verdict () =
-  match Result.bind (Obs.Json.of_string parent_format_flight) Obs.Flight.of_json with
-  | Error e -> Alcotest.failf "older flight does not load: %s" e
-  | Ok (records, m) ->
+let v2_flight_same_verdict () =
+  match Result.bind (Obs.Json.of_string v2_flight) Obs.Flight.of_json with
+  | Error e -> Alcotest.failf "flight does not load: %s" e
+  | Ok (records, p) ->
       checki "both records load" 2 (List.length records);
-      let v = Obs.Health.evaluate ~records m in
+      let v = Obs.Health.evaluate ~records p in
       check Alcotest.string "same verdict" parent_format_verdict
         (Obs.Json.to_string (Obs.Health.to_json v));
       checki "unhealthy exit" 2 (Obs.Health.exit_code v)
+
+(* A file in the previous flight format is refused, naming its version,
+   not judged on an empty profile. *)
+let v1_flight_refused () =
+  let v1 = {|{"resbm_flight":1,"records":[],"metrics":{"counters":[],"gauges":[],"histograms":[]}}|} in
+  match Result.bind (Obs.Json.of_string v1) Obs.Flight.of_json with
+  | Ok _ -> Alcotest.fail "a version-1 flight loaded"
+  | Error e ->
+      check Alcotest.string "error names the version"
+        "flight file version 1 is not supported (this build reads version 2)" e
 
 (* --- stdout-in-lib lint ---------------------------------------------------- *)
 
@@ -490,15 +519,16 @@ let suite =
     case "log jsonl round-trip is exact" jsonl_round_trip;
     case "log instants land on the right process" log_instants_land_on_the_right_process;
     flight_off_identity;
-    case "gc_span publishes pressure to ambient metrics" gc_span_publishes_pressure;
     case "metrics json round-trip is stable" metrics_json_round_trip;
+    case "export twice is byte-identical" export_twice_is_identical;
     case "health: vacuous run is healthy" health_vacuous_run_is_healthy;
     case "health: recovery floor breach fails" health_recovery_floor_fails;
     case "health: warn-only rules never flip the verdict" health_warn_rules_never_flip;
     case "lint: stdout-in-lib flags raw prints" lint_flags_raw_stdout;
     case "spawned domain starts with an empty context" spawned_domain_starts_empty;
     case "interp publishes the executing node" interp_publishes_executing_node;
-    case "flight shapes write only Health's metric families"
-      flight_shapes_write_only_health_families;
-    case "older flight format loads with the same verdict" parent_format_flight_same_verdict;
+    case "flight shapes pin their counter names" flight_shapes_pin_counter_names;
+    case "health verdict survives the flight round-trip" verdict_survives_round_trip;
+    case "new flight format keeps the older verdict" v2_flight_same_verdict;
+    case "older flight format is refused by its version" v1_flight_refused;
   ]

@@ -3,7 +3,6 @@ let () =
     [
       ("graphlib", Test_graphlib.suite);
       ("obs", Test_obs.suite);
-      ("metrics", Test_metrics.suite);
       ("bench-diff", Test_bench_diff.suite);
       ("trace", Test_trace.suite);
       ("ckks", Test_ckks.suite);

@@ -1,5 +1,5 @@
-(* Obs: timers, counters, spans, JSON round-trip, and the compile-pipeline
-   profile regression. *)
+(* Obs: timers, the median, counters, minima, spans, JSON round-trip, and
+   the compile-pipeline profile regression. *)
 open Test_util
 
 (* --- Timer -------------------------------------------------------------- *)
@@ -10,6 +10,15 @@ let timer_monotone () =
   let b = Obs.Timer.elapsed_ms t in
   checkb "non-negative" true (a >= 0.0);
   checkb "monotone" true (b >= a)
+
+(* --- Stat ----------------------------------------------------------------- *)
+
+let stat_median () =
+  checkb "empty median is nan" true (Float.is_nan (Obs.Stat.median []));
+  check_float "singleton" 3.0 (Obs.Stat.median [ 3.0 ]);
+  check_float "odd count picks the middle" 2.0 (Obs.Stat.median [ 3.0; 1.0; 2.0 ]);
+  check_float "even count averages the midpoints" 2.5
+    (Obs.Stat.median [ 4.0; 1.0; 2.0; 3.0 ])
 
 (* --- Counters ------------------------------------------------------------ *)
 
@@ -46,6 +55,33 @@ let counter_handles_share_names () =
   check counter_list "listing" [ ("test.handle", 42); ("test.zero", 0) ] (Obs.Profile.counters p);
   check Alcotest.string "json"
     {|{"spans":[],"counters":{"test.handle":42,"test.zero":0}}|}
+    (Obs.Json.to_string (Obs.Profile.to_json p))
+
+(* A traced run folded in as a trace flight does: the least surviving
+   op's noise headroom as a minimum, the ring's loss as a counter. *)
+let minimum_and_trace_loss () =
+  let tr = Obs.Trace.create ~capacity:2 () in
+  Obs.Trace.set_ctx tr (Some { Obs.Trace.node = 1; region = 0; freq = 1; cost_ms = 2.0 });
+  Obs.Trace.record tr ~op:"mul_cc" ~level:8 ~scale_bits:56 ~size:3 ~noise:0.5 ();
+  Obs.Trace.record tr ~op:"mul_cc" ~level:8 ~scale_bits:56 ~size:3 ~noise:0.25 ();
+  Obs.Trace.record tr ~op:"rotate" ~level:8 ~scale_bits:56 ~size:2 ~noise:1e-9 ();
+  let p = Obs.Profile.create () in
+  checkb "never observed" true (Obs.Profile.minimum p "noise_headroom_bits" = None);
+  List.iter
+    (fun (e : Obs.Trace.op_event) ->
+      Obs.Profile.observe_min p "noise_headroom_bits" (Obs.Trace.headroom_bits e.noise_after))
+    (Obs.Trace.op_events tr);
+  Obs.Profile.incr ~by:(Obs.Trace.dropped tr) p "trace_dropped_events";
+  (* the ring keeps the last two events, so the dropped op's 1 bit does
+     not count: the minimum is the noise-0.25 op's 2 bits *)
+  checkb "least surviving headroom" true
+    (Obs.Profile.minimum p "noise_headroom_bits" = Some 2.0);
+  checki "ring loss" 1 (Obs.Profile.counter p "trace_dropped_events");
+  Obs.Profile.observe_min p "noise_headroom_bits" 7.0;
+  checkb "a larger value keeps the minimum" true
+    (Obs.Profile.minimum p "noise_headroom_bits" = Some 2.0);
+  check Alcotest.string "json"
+    {|{"spans":[],"counters":{"trace_dropped_events":1},"minima":{"noise_headroom_bits":2.0}}|}
     (Obs.Json.to_string (Obs.Profile.to_json p))
 
 let counter_bump_without_profile () =
@@ -132,11 +168,15 @@ let ambient_noop_and_install () =
   Obs.incr "nope";
   checki "span passes through" 3 (Obs.span "s" (fun () -> 3));
   let p = Obs.Profile.create () in
-  Obs.with_profile p (fun () ->
-      Obs.incr "hit";
-      ignore (Obs.span "timed" (fun () -> ()));
-      checkb "installed" true
-        (match Obs.current () with Some q -> q == p | None -> false));
+  let v =
+    Obs.with_profile p (fun () ->
+        Obs.incr "hit";
+        ignore (Obs.span "timed" (fun () -> ()));
+        checkb "installed" true
+          (match Obs.current () with Some q -> q == p | None -> false);
+        17)
+  in
+  checki "with_profile returns the callback result" 17 v;
   checkb "restored after" true (Obs.current () = None);
   checki "counter recorded" 1 (Obs.Profile.counter p "hit");
   checki "span recorded" 1 (List.length (Obs.Profile.spans p))
@@ -248,9 +288,11 @@ let ms_opt_hoists_reported () =
 let suite =
   [
     case "timer: monotone" timer_monotone;
+    case "stat: median" stat_median;
     case "counter: semantics" counter_semantics;
     case "counter: handles share names with incr" counter_handles_share_names;
     case "counter: a bump without a profile is a no-op" counter_bump_without_profile;
+    case "minimum: trace headroom and ring loss" minimum_and_trace_loss;
     case "counter: compile counters pinned" compile_counters_pinned;
     case "span: nesting and results" span_semantics;
     case "span: recorded on exception" span_records_on_exception;

@@ -729,8 +729,8 @@ let chaos_campaign_is_deterministic () =
     (Obs.Json.to_string (Resilience.Chaos.to_json r2))
 
 let chaos_campaign_recovers () =
-  let m = Obs.Metrics.create () in
-  let r = Obs.with_metrics m (fun () -> Resilience.Chaos.run chaos_config) in
+  let p = Obs.Profile.create () in
+  let r = Obs.with_profile p (fun () -> Resilience.Chaos.run chaos_config) in
   let ms = List.hd r.Resilience.Chaos.models in
   checki "all trials ran" 8 ms.Resilience.Chaos.trials_run;
   checkb "faults were injected" true (ms.Resilience.Chaos.injected_faults > 0);
@@ -738,9 +738,9 @@ let chaos_campaign_recovers () =
     ms.Resilience.Chaos.clean_identical;
   checkb "faulted trials recover" true (r.Resilience.Chaos.overall_recovery_rate >= 0.95);
   checki "faulted trials published" ms.Resilience.Chaos.faulted_trials
-    (Obs.Metrics.counter_value ~labels:[ ("model", "tiny") ] m "chaos_faulted_total");
+    (Obs.Profile.counter p "chaos_faulted_total");
   checki "recovered trials published" ms.Resilience.Chaos.recovered_trials
-    (Obs.Metrics.counter_value ~labels:[ ("model", "tiny") ] m "chaos_recovered_total");
+    (Obs.Profile.counter p "chaos_recovered_total");
   (* The report shares the serving recovery-accounting schema at every
      level: trial, model, and campaign JSON all carry a "recovery" object. *)
   let contains s sub =

@@ -526,15 +526,15 @@ let recovery_sums_per_request () =
   in
   check_float ~eps:1e-6 "campaign merge preserves the total" batch_total report_total
 
-(* --- metrics + health --------------------------------------------------- *)
+(* --- profile counters + health ------------------------------------------- *)
 
 let campaign_feeds_metrics () =
-  let m = Obs.Metrics.create () in
-  let r = Obs.with_metrics m (fun () -> run det_config) in
+  let p = Obs.Profile.create () in
+  let r = Obs.with_profile p (fun () -> run det_config) in
   checki "admissions counted" r.Serving.Scheduler.admitted
-    (Obs.Metrics.counter_value m "serve_admitted_total");
+    (Obs.Profile.counter p "serve_admitted_total");
   checki "completions counted" r.Serving.Scheduler.completed
-    (Obs.Metrics.counter_value m "serve_completed_total");
+    (Obs.Profile.counter p "serve_completed_total");
   let plain = run det_config in
   check Alcotest.string "report is independent of instrumentation"
     (Obs.Json.to_string (Serving.Scheduler.to_json r))
@@ -546,21 +546,21 @@ let find_check rule (v : Obs.Health.verdict) =
   | None -> Alcotest.failf "missing %s check" rule
 
 let slo_rule_reads_serving_counters () =
-  let m = Obs.Metrics.create () in
-  Obs.with_metrics m (fun () ->
-      Obs.metric_incr ~by:10 "serve_admitted_total";
-      Obs.metric_incr ~by:8 "serve_completed_total");
-  let c = find_check "slo-attainment" (Obs.Health.evaluate m) in
+  let p = Obs.Profile.create () in
+  Obs.with_profile p (fun () ->
+      Obs.incr ~by:10 "serve_admitted_total";
+      Obs.incr ~by:8 "serve_completed_total");
+  let c = find_check "slo-attainment" (Obs.Health.evaluate p) in
   checkb "applicable once requests were admitted" true c.Obs.Health.applicable;
   check_float "attainment measured" 0.8 c.Obs.Health.value;
   checkb "0.8 fails the 0.95 floor" true (c.Obs.Health.severity = Obs.Health.Fail);
   check_float "fixed floor" 0.95 c.Obs.Health.threshold;
   (* 19/20 sits exactly on the floor and passes *)
-  Obs.Metrics.incr ~by:10 m "serve_admitted_total";
-  Obs.Metrics.incr ~by:11 m "serve_completed_total";
-  let c = find_check "slo-attainment" (Obs.Health.evaluate m) in
+  Obs.Profile.incr ~by:10 p "serve_admitted_total";
+  Obs.Profile.incr ~by:11 p "serve_completed_total";
+  let c = find_check "slo-attainment" (Obs.Health.evaluate p) in
   checkb "attainment on the floor passes" true (c.Obs.Health.severity = Obs.Health.Pass);
-  let idle = find_check "slo-attainment" (Obs.Health.evaluate (Obs.Metrics.create ())) in
+  let idle = find_check "slo-attainment" (Obs.Health.evaluate (Obs.Profile.create ())) in
   checkb "vacuous with no admissions" false idle.Obs.Health.applicable
 
 let suite =
