@@ -168,18 +168,25 @@ let ambient_noop_and_install () =
   Obs.incr "nope";
   checki "span passes through" 3 (Obs.span "s" (fun () -> 3));
   let p = Obs.Profile.create () in
-  let v =
-    Obs.with_profile p (fun () ->
-        Obs.incr "hit";
-        ignore (Obs.span "timed" (fun () -> ()));
-        checkb "installed" true
-          (match Obs.current () with Some q -> q == p | None -> false);
-        17)
-  in
-  checki "with_profile returns the callback result" 17 v;
+  Obs.with_profile p (fun () ->
+      Obs.incr "hit";
+      ignore (Obs.span "timed" (fun () -> ()));
+      checkb "installed" true
+        (match Obs.current () with Some q -> q == p | None -> false));
   checkb "restored after" true (Obs.current () = None);
   checki "counter recorded" 1 (Obs.Profile.counter p "hit");
   checki "span recorded" 1 (List.length (Obs.Profile.spans p))
+
+let ambient_install_restore () =
+  let p = Obs.Profile.create () in
+  let v =
+    Obs.with_profile p (fun () ->
+        Obs.incr ~by:2 "x";
+        17)
+  in
+  checki "with_profile returns the callback result" 17 v;
+  checkb "restored on exit" true (Obs.current () = None);
+  checki "incr landed" 2 (Obs.Profile.counter p "x")
 
 let ambient_maxflow_counters () =
   let p = Obs.Profile.create () in
@@ -297,6 +304,7 @@ let suite =
     case "span: nesting and results" span_semantics;
     case "span: recorded on exception" span_records_on_exception;
     case "ambient: no-op without profile, records with one" ambient_noop_and_install;
+    case "ambient: with_profile install/restore" ambient_install_restore;
     case "ambient: maxflow reports counters" ambient_maxflow_counters;
     case "json: handwritten round-trip" json_roundtrip_handwritten;
     case "json: parses foreign input" json_parse_foreign;
