@@ -471,7 +471,7 @@ let memory () =
 (* --- Bechamel micro-benchmarks ----------------------------------------------------------------- *)
 
 let micro () =
-  section "Micro-benchmarks" "wall-clock costs of the compiler itself (Bechamel)";
+  section "Micro-benchmarks" "wall-clock costs of the compiler and the serving kernels (Bechamel)";
   let open Bechamel in
   let g20 = (lowered Nn.Model.resnet20).Nn.Lowering.dfg in
   let galex = (lowered Nn.Model.alexnet).Nn.Lowering.dfg in
@@ -486,6 +486,43 @@ let micro () =
       acc := !acc +. Ckks.Cost_model.cost ops.(k mod 9) ~level:(k mod 20)
     done;
     !acc
+  in
+  (* The serving kernels on one 128-slot vector, and one fault-free
+     served ResNet-20 batch: 8 packed 16-slot images through
+     [Recovery.run_program] on a program and noise analysis prepared as
+     [Serving.Scheduler.run] prepares them, once per campaign. *)
+  let slots = Array.init 128 (fun i -> Float.of_int ((i * 37) mod 101) /. 101.0 -. 0.5) in
+  let ev = Ckks.Evaluator.create prm in
+  let ct = Ckks.Evaluator.encrypt ev slots in
+  let pt = Ckks.Evaluator.encode ev slots in
+  let serve_batch =
+    let prm = Ckks.Params.at_l_max 16 in
+    let lowered = lowered Nn.Model.resnet20 in
+    let managed, report = Resbm.Driver.compile prm lowered.Nn.Lowering.dfg in
+    let dim = 16 in
+    let cap = Serving.Batcher.capacity prm ~dim ~max_batch:8 in
+    let images = Nn.Dataset.images ~seed:0x5E17EL ~dim ~count:cap () in
+    let requests =
+      List.init cap (fun rid ->
+          { Serving.Batcher.rid; arrival_ms = 0.0; deadline_ms = 0.0; payload = images.(rid) })
+    in
+    let consts = Nn.Lowering.resolver lowered ~dim:(cap * dim) in
+    let program =
+      Interp.Program.make ~region_of:(Resbm.Report.region_of_node report) prm managed
+    in
+    let noise =
+      Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts)
+        ~scales:(Interp.Program.info program) ~order:(Interp.Program.order program) prm managed
+    in
+    let env =
+      {
+        Interp.inputs =
+          [ (lowered.Nn.Lowering.input_name, Serving.Batcher.pack ~dim ~slots:(cap * dim) requests) ];
+        consts;
+      }
+    in
+    fun () ->
+      Resilience.Recovery.run_program ~noise program (Ckks.Evaluator.create ~seed:7L prm) env
   in
   let tests =
     [
@@ -510,6 +547,11 @@ let micro () =
              ignore (Resbm.Variants.compile Resbm.Variants.fhelipe prm g20)));
       Test.make ~name:"scale-check resnet20"
         (Staged.stage (fun () -> ignore (Scale_check.infer prm g20)));
+      Test.make ~name:"max-abs 128 slots"
+        (Staged.stage (fun () -> ignore (Ckks.Ciphertext.max_abs ct)));
+      Test.make ~name:"mul-cp 128 slots"
+        (Staged.stage (fun () -> ignore (Ckks.Evaluator.mul_cp ev ct pt)));
+      Test.make ~name:"serve-batch resnet20" (Staged.stage (fun () -> ignore (serve_batch ())));
     ]
   in
   let instance = Toolkit.Instance.monotonic_clock in
@@ -522,6 +564,8 @@ let micro () =
       Hashtbl.iter
         (fun name result ->
           match Analyze.OLS.estimates result with
+          | Some [ est ] when est < 1e5 ->
+              Format.printf "  %-28s %12.3f us/run@." name (est /. 1e3)
           | Some [ est ] -> Format.printf "  %-28s %12.3f ms/run@." name (est /. 1e6)
           | _ -> Format.printf "  %-28s (no estimate)@." name)
         stats)

@@ -213,7 +213,7 @@ let print_trace_summary (report : Resbm.Report.t) tr (result : Fhe_ir.Interp.res
     report.Resbm.Report.latency_ms;
   Format.printf "trace: %d events recorded, %d dropped by the ring buffer@."
     (Obs.Trace.recorded tr) (Obs.Trace.dropped tr);
-  let n = result.Fhe_ir.Interp.noise in
+  let n = Lazy.force result.Fhe_ir.Interp.noise in
   Format.printf "min noise headroom: %.1f bits (node %d)@."
     n.Fhe_ir.Interp.min_headroom_bits n.Fhe_ir.Interp.min_headroom_node;
   let bts = n.Fhe_ir.Interp.bootstrap_headroom in

@@ -311,7 +311,7 @@ let mul_cp t (a : Ciphertext.t) (pt : Plaintext.t) =
   check_capacity t ~what:"mul_cp" ~scale_bits ~level:a.level;
   let fresh = pow2 (fresh_noise_bits -. float_of_int scale_bits) in
   let err =
-    mul_err ~a_max:(Ciphertext.max_abs a) ~b_max:(Plaintext.max_abs pt) ~a_err:a.err
+    mul_err ~a_max:(Ciphertext.max_abs a) ~b_max:pt.Plaintext.max_abs ~a_err:a.err
       ~b_err:pt.err ~fresh
   in
   let slots = product_slots t ~what:"mul_cp" ~bound:fresh a.slots pt.slots in

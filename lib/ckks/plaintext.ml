@@ -1,4 +1,4 @@
-type t = { slots : float array; scale_bits : int; err : float }
+type t = { slots : float array; scale_bits : int; err : float; max_abs : float }
 
 (* A loop into [Array.create_float], not an [Array.map] closure, so no
    slot is boxed. *)
@@ -18,11 +18,17 @@ let quantise ~scale_bits slots =
 let encode ~scale_bits slots =
   if scale_bits <= 0 then invalid_arg "Plaintext.encode: scale must be positive";
   let quantised = quantise ~scale_bits slots in
-  { slots = quantised; scale_bits; err = 2.0 ** float_of_int (-scale_bits) }
+  {
+    slots = quantised;
+    scale_bits;
+    err = 2.0 ** float_of_int (-scale_bits);
+    max_abs = Slots.max_abs quantised;
+  }
 
 let re_encode pt ~scale_bits = encode ~scale_bits pt.slots
 
-let max_abs pt = Slots.max_abs pt.slots
+let max_abs pt = pt.max_abs
+let max_abs_slots = Slots.max_abs
 
 let pp ppf pt =
   Format.fprintf ppf "@[<h>pt(%d slots, scale 2^%d)@]" (Array.length pt.slots)

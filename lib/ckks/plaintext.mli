@@ -8,6 +8,10 @@ type t = private {
   slots : float array;
   scale_bits : int;
   err : float;  (** Absolute bound on the per-slot encoding error. *)
+  max_abs : float;
+      (** {!max_abs_slots} of [slots], taken once by {!encode}: a
+          constant is encoded once per program and multiplied in every
+          batch. *)
 }
 
 val encode : scale_bits:int -> float array -> t
@@ -18,6 +22,12 @@ val re_encode : t -> scale_bits:int -> t
     encodes the plaintext at the ciphertext's scale). *)
 
 val max_abs : t -> float
-(** As {!Ciphertext.max_abs}. *)
+(** As {!Ciphertext.max_abs}: the [max_abs] field. *)
+
+val max_abs_slots : float array -> float
+(** The largest [|v|] of a slot vector, bit for bit
+    [Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0]: the
+    kernel behind {!Ciphertext.max_abs}, for payloads not yet
+    encoded. *)
 
 val pp : Format.formatter -> t -> unit

@@ -58,7 +58,20 @@ let compile_cold ~config ~name ~ms_opt ~verify_each ~profile prm g =
       }
     g;
   let plan =
-    phase "plan" (fun () -> Btsmgr.plan ~config regioned prm)
+    match phase "plan" (fun () -> Btsmgr.plan ~config regioned prm) with
+    | plan -> plan
+    | exception (Btsmgr.No_plan msg as e) ->
+        (* The compile ends here: say so in the log, so a flight of the
+           failed command reads unhealthy. *)
+        Obs.log_error ~event:"compile.no_plan"
+          ~fields:
+            [
+              ("manager", Obs.Json.String name);
+              ("l_max", Obs.Json.Int prm.Ckks.Params.l_max);
+              ("message", Obs.Json.String msg);
+            ]
+          msg;
+        raise e
   in
   let outcome = phase "apply" (fun () -> Plan.apply regioned prm plan) in
   let managed = outcome.Plan.dfg in

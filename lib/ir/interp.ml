@@ -14,7 +14,7 @@ type result = {
   latency_ms : float;
   op_count : int;
   node_costs : node_cost list;
-  noise : noise_summary;
+  noise : noise_summary Lazy.t;
 }
 
 exception Missing_input of string
@@ -470,7 +470,7 @@ module Session = struct
     }
 
   let snapshot_at snap = snap.snap_at
-  let snapshot_bytes snap =
+  let[@inline] snapshot_bytes snap =
     Liveness.ciphertext_bytes snap.owner.prog.Program.prm ~level:(snap.s_levels - 1)
 
   let rollback s snap =
@@ -500,7 +500,9 @@ module Session = struct
       latency_ms = s.clock.latency;
       op_count = s.ops;
       node_costs = Lazy.force s.prog.Program.node_costs;
-      noise = summarise_noise s.prog.Program.g (order s) s.err ~top_k:5;
+      noise =
+        (let g = s.prog.Program.g and order = order s and err = s.err in
+         lazy (summarise_noise g order err ~top_k:5));
     }
 end
 

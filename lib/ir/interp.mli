@@ -74,7 +74,10 @@ type result = {
           run's final path executes every scheduled node once, rollbacks
           included, so this is the program's list, built once on first
           ask and shared by all its runs. *)
-  noise : noise_summary;
+  noise : noise_summary Lazy.t;
+      (** Built when first forced, from the per-node noise bounds the
+          session recorded: a server that never reads it never pays for
+          it.  [resbm trace --summary] prints it. *)
 }
 
 exception Missing_input of string
@@ -241,10 +244,12 @@ module Session : sig
 
   val finish : t -> result
   (** Collect outputs and summaries.  The session must have executed every
-      node in {!order}.  The noise summary covers every executed
-      ciphertext, freed or not — it reads a per-node noise bound recorded
-      by {!exec} and {!refresh}, so after a {!rollback} it still counts
-      the values dropped before the checkpoint. *)
+      node in {!order}, and is done: its result's [noise] is built, on
+      first force, from the session's state, so the session takes no
+      further {!exec} or {!refresh}.  The noise summary covers every
+      executed ciphertext, freed or not — it reads a per-node noise bound
+      recorded by {!exec} and {!refresh}, so after a {!rollback} it still
+      counts the values dropped before the checkpoint. *)
 end
 
 val run_program :

@@ -5,7 +5,7 @@ type report = {
   final_live : int;
 }
 
-let ciphertext_bytes prm ~level =
+let[@inline] ciphertext_bytes prm ~level =
   let n = float_of_int (1 lsl prm.Ckks.Params.log2_degree) in
   2.0 *. float_of_int (level + 1) *. n *. 8.0
 

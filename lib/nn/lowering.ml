@@ -12,7 +12,7 @@ let lower_f_stage g x =
   let x5 = Dfg.mul_cc g x2 x3 in
   let x7 = Dfg.mul_cc g x3 x4 in
   let term power idx =
-    Dfg.mul_cp g power (Dfg.const g (Printf.sprintf "f7c%d" idx))
+    Dfg.mul_cp g power (Dfg.const g ("f7c" ^ string_of_int idx))
   in
   let t1 = term x 0 and t3 = term x3 1 and t5 = term x5 2 and t7 = term x7 3 in
   Dfg.add_cc g (Dfg.add_cc g t1 t3) (Dfg.add_cc g t5 t7)
@@ -41,7 +41,7 @@ let lower_conv g ~name ~taps ~channels x =
   let term t =
     let offset = t - (taps / 2) in
     let src = if offset = 0 then x else Dfg.rotate g x offset in
-    Dfg.mul_cp g ~freq:channels src (Dfg.const g (Printf.sprintf "%s_w%d" name t))
+    Dfg.mul_cp g ~freq:channels src (Dfg.const g (name ^ "_w" ^ string_of_int t))
   in
   let acc = ref (term 0) in
   for t = 1 to taps - 1 do
@@ -61,7 +61,7 @@ let lower_fc g ~name ~taps ~blocks x =
   let term t =
     let offset = (t + 1) * 16 in
     let src = if t = 0 then x else Dfg.rotate g x offset in
-    Dfg.mul_cp g ~freq:blocks src (Dfg.const g (Printf.sprintf "%s_w%d" name t))
+    Dfg.mul_cp g ~freq:blocks src (Dfg.const g (name ^ "_w" ^ string_of_int t))
   in
   let acc = ref (term 0) in
   for t = 1 to taps - 1 do
@@ -85,7 +85,7 @@ let rec lower_layer g layer x =
       let outs = List.map (fun branch -> lower_seq g branch x) branches in
       let masked =
         List.mapi
-          (fun i o -> Dfg.mul_cp g o (Dfg.const g (Printf.sprintf "%s_mask%d" name i)))
+          (fun i o -> Dfg.mul_cp g o (Dfg.const g (name ^ "_mask" ^ string_of_int i)))
           outs
       in
       (match masked with
@@ -115,13 +115,18 @@ let hash_name name =
     name;
   !h
 
+(* [sub] occurs in [name] at offset [i], compared in place. *)
+let occurs_at name sub i =
+  let ls = String.length sub in
+  let rec eq k = k = ls || (name.[i + k] = sub.[k] && eq (k + 1)) in
+  i >= 0 && i + ls <= String.length name && eq 0
+
 let has_suffix ~suffix name =
-  let ls = String.length suffix and ln = String.length name in
-  ln >= ls && String.sub name (ln - ls) ls = suffix
+  occurs_at name suffix (String.length name - String.length suffix)
 
 let contains_sub name sub =
-  let ls = String.length sub and ln = String.length name in
-  let rec go i = i + ls <= ln && (String.sub name i ls = sub || go (i + 1)) in
+  let last = String.length name - String.length sub in
+  let rec go i = i <= last && (occurs_at name sub i || go (i + 1)) in
   go 0
 
 let taps_of_layer model name =
@@ -142,7 +147,7 @@ let taps_of_layer model name =
 
 let base_resolver t ~dim name =
   let fill v = Array.make dim v in
-  if String.length name >= 4 && String.sub name 0 3 = "f7c" then
+  if String.length name >= 4 && occurs_at name "f7c" 0 then
     fill Poly_approx.f7.(Char.code name.[3] - Char.code '0')
   else if name = "apr_half" then fill 0.5
   else if name = "apr_bias" then fill 0.5
@@ -175,5 +180,14 @@ let resolver t ~dim =
         Hashtbl.add memo name payload;
         payload
 
-let const_magnitude consts name =
-  Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 (consts name)
+(* One scan per name: a model's constant nodes repeat names (ResNet-20's
+   402 nodes have 218), and the analysis asks once per node. *)
+let const_magnitude consts =
+  let memo = Hashtbl.create 256 in
+  fun name ->
+    match Hashtbl.find_opt memo name with
+    | Some m -> m
+    | None ->
+        let m = Ckks.Plaintext.max_abs_slots (consts name) in
+        Hashtbl.add memo name m;
+        m

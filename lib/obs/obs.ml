@@ -536,9 +536,15 @@ module Trace = struct
   (* Noise is an absolute per-slot RMS error estimate; headroom is how many
      bits of precision remain before that error reaches magnitude 1.  Zero
      (never produced by the evaluator — every op injects fresh noise) and
-     sub-2^-200 errors are clamped so the exported counters stay finite. *)
-  let headroom_bits err =
-    if err <= 0.0 then 200.0 else Float.max 0.0 (Float.min 200.0 (-.Float.log2 err))
+     sub-2^-200 errors are clamped so the exported counters stay finite.
+     [Float.max 0.0 (Float.min 200.0 b)] spelled as compares (a NaN
+     passes through, -0.0 reads +0.0), so that the recovery validator's
+     two calls per value inline and box nothing. *)
+  let[@inline] headroom_bits err =
+    if err <= 0.0 then 200.0
+    else
+      let b = -.Float.log2 err in
+      if b <> b then b else if b >= 200.0 then 200.0 else if b > 0.0 then b else 0.0
 
   let usec ms = Float.round (ms *. 1000.0)
 
@@ -1542,6 +1548,9 @@ module Health = struct
 
   type verdict = { healthy : bool; checks : check list }
 
+  (* Error records a compile logs as it dies: the command failed. *)
+  let fatal_events = [ "compile.no_plan"; "verify.failed" ]
+
   let evaluate ?(records = []) p =
     let count = Profile.counter p in
     let check rule ~applicable ~warn_only ~ok ~value ~threshold detail =
@@ -1599,12 +1608,14 @@ module Health = struct
          else "no admitted serving requests")
     in
     let errors =
-      let v =
-        List.length (List.filter (fun r -> r.Log.level = Log.Error) records)
-      in
-      check "error-logs" ~applicable:(records <> []) ~warn_only:true ~ok:(v = 0)
+      let errs = List.filter (fun r -> r.Log.level = Log.Error) records in
+      let v = List.length errs in
+      let fatal = List.find_opt (fun r -> List.mem r.Log.event fatal_events) errs in
+      check "error-logs" ~applicable:(records <> []) ~warn_only:(Option.is_none fatal) ~ok:(v = 0)
         ~value:(float_of_int v) ~threshold:0.0
-        (Printf.sprintf "%d error-level log records" v)
+        (match fatal with
+        | None -> Printf.sprintf "%d error-level log records" v
+        | Some r -> Printf.sprintf "%d error-level log records; %s ended a compile" v r.Log.event)
     in
     let rings =
       let v = count "trace_dropped_events" + count "log_dropped_records" in

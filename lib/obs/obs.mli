@@ -454,7 +454,9 @@ module Health : sig
       - [ring-overflow]: counters [trace_dropped_events] +
         [log_dropped_records] = 0.
       [Warn]-severity findings (error-level logs, ring overflow) never flip
-      the verdict to unhealthy. *)
+      the verdict to unhealthy, but for the records a compile logs as it
+      dies ([compile.no_plan], [verify.failed]): with one of them,
+      [error-logs] fails. *)
 
   val exit_code : verdict -> int
   (** 0 = healthy, 2 = unhealthy. *)

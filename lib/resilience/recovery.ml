@@ -97,6 +97,31 @@ let blame ~mark ~fallback =
       | Some i -> Ckks.Fault.kind_name i.Ckks.Fault.inj_kind
       | None -> fallback)
 
+(* The run's float accounting in one all-float record: its fields hold
+   unboxed floats, so an update allocates nothing, where a [float ref]
+   that a closure captures boxes each value it is given. *)
+type books = {
+  mutable retained : float;
+      (** Bytes of the retained checkpoints, kept as a running total: the
+          sizes are integer-valued floats, so adding and subtracting
+          stays exact. *)
+  mutable bytes_peak : float;
+  mutable backoff_total : float;
+}
+
+(* One boundary's validator verdicts, reset at each boundary and filled
+   by a callback built once per run: a boundary whose values pass
+   builds no closure, ref or option. *)
+type scan = {
+  mutable checked : int;
+  mutable corrupt : (int * Ckks.Ciphertext.t) option;  (** Least failing id. *)
+  mutable diverged : (int * Ckks.Ciphertext.t) option;  (** Least failing id. *)
+  mutable noisy : (int * Ckks.Ciphertext.t) list;  (** Every failing value. *)
+}
+
+let keep_least found id ct =
+  match found with Some (j, _) when j < id -> found | _ -> Some (id, ct)
+
 let run_program ?(config = default) ?trace ~noise prog ev env =
   let s = Session.create ?trace prog ev in
   let order = Program.order prog in
@@ -110,7 +135,7 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
   in
   let retries = ref 0 and refreshes = ref 0 in
   let n_checkpoints = ref 0 and evictions = ref 0 in
-  let bytes_peak = ref 0.0 and backoff_total = ref 0.0 in
+  let books = { retained = 0.0; bytes_peak = 0.0; backoff_total = 0.0 } in
   let capped = ref 0 in
   (* Recovery latency as (blamed kind, ms) charges, newest first: each
      rollback charges its wasted re-execution, then its backoff. *)
@@ -124,17 +149,19 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
      so it alone is kept as a session snapshot. *)
   let cp_at = ref (Array.make 16 0) and cp_bytes = ref (Array.make 16 0.0) in
   let cp_value = ref (Array.make 16 0.0) in
-  let held = ref 0 and newest = ref None in
+  let held = ref 0 in
+  (* The newest checkpoint, the rollback target: the run's first one is
+     taken at position 0, before any node runs. *)
+  let newest = ref (Session.snapshot s) in
   (* A checkpoint's value is the simulated latency of the span it saves
      re-executing: its position's prefix cost minus that of the
-     next-older retained checkpoint (position 0 past the oldest). *)
-  let value_at k =
-    Program.prefix_ms prog !cp_at.(k)
-    -. Program.prefix_ms prog (if k = 0 then 0 else !cp_at.(k - 1))
+     next-older retained checkpoint (position 0 past the oldest).
+     Stored in place, so no float is returned and boxed. *)
+  let set_value k =
+    !cp_value.(k) <-
+      Program.prefix_ms prog !cp_at.(k)
+      -. Program.prefix_ms prog (if k = 0 then 0 else !cp_at.(k - 1))
   in
-  (* Bytes of the retained checkpoints, kept as a running total: the sizes
-     are integer-valued floats, so adding and subtracting stays exact. *)
-  let retained = ref 0.0 in
   (* Validation mark: every live ciphertext whose write stamp
      ({!Session.writes}) is at most [!validated] has passed all three
      boundary validators.  A ciphertext never changes once built, and the
@@ -158,7 +185,7 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
      expensive suffix of the run; value-based eviction keeps it and sheds
      the cheapest span instead.  Ties evict the oldest. *)
   let evict_to_budget () =
-    while !retained > budget && !held > 1 do
+    while books.retained > budget && !held > 1 do
       let at = !cp_at and bytes = !cp_bytes and values = !cp_value in
       let best = ref 0 and best_value = ref values.(0) in
       for k = 1 to !held - 2 do
@@ -169,71 +196,73 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
         end
       done;
       incr evictions;
-      retained := !retained -. bytes.(!best);
+      books.retained <- books.retained -. bytes.(!best);
       let tail = !held - !best - 1 in
       Array.blit at (!best + 1) at !best tail;
       Array.blit bytes (!best + 1) bytes !best tail;
       Array.blit values (!best + 1) values !best tail;
       decr held;
       (* The evicted checkpoint's successor now saves its span too. *)
-      values.(!best) <- value_at !best
+      set_value !best
     done
   in
+  let hold cp =
+    if !held = Array.length !cp_at then begin
+      cp_at := Array.append !cp_at !cp_at;
+      cp_bytes := Array.append !cp_bytes !cp_bytes;
+      cp_value := Array.append !cp_value !cp_value
+    end;
+    let bytes = Session.snapshot_bytes cp in
+    !cp_at.(!held) <- Session.snapshot_at cp;
+    !cp_bytes.(!held) <- bytes;
+    set_value !held;
+    incr held;
+    incr n_checkpoints;
+    books.retained <- books.retained +. bytes;
+    if books.retained > books.bytes_peak then books.bytes_peak <- books.retained;
+    evict_to_budget ()
+  in
   let take_checkpoint i =
-    if !held = 0 || !cp_at.(!held - 1) <> i then begin
+    if !cp_at.(!held - 1) <> i then begin
       let cp = Session.snapshot s in
-      newest := Some cp;
-      if !held = Array.length !cp_at then begin
-        cp_at := Array.append !cp_at !cp_at;
-        cp_bytes := Array.append !cp_bytes !cp_bytes;
-        cp_value := Array.append !cp_value !cp_value
-      end;
-      !cp_at.(!held) <- Session.snapshot_at cp;
-      !cp_bytes.(!held) <- Session.snapshot_bytes cp;
-      !cp_value.(!held) <- value_at !held;
-      incr held;
-      incr n_checkpoints;
-      retained := !retained +. Session.snapshot_bytes cp;
-      bytes_peak := Float.max !bytes_peak !retained;
-      evict_to_budget ()
+      newest := cp;
+      hold cp
     end;
     attempts := 0;
     fault_mark := injected_now ()
   in
   let do_rollback ~why =
-    match !newest with
-    | None -> assert false
-    | Some cp ->
-        let kind = blame ~mark:!fault_mark ~fallback:why in
-        incr retries;
-        let before = Session.latency_ms s in
-        let resume = Session.rollback s cp in
-        let wasted = before -. Session.latency_ms s in
-        incr attempts;
-        let raw = config.backoff_ms *. (2.0 ** float_of_int (!attempts - 1)) in
-        let delay = Float.min raw config.max_backoff_ms in
-        if delay < raw then incr capped;
-        Session.charge_ms s delay;
-        backoff_total := !backoff_total +. delay;
-        charges := (kind, delay) :: (kind, wasted) :: !charges;
-        instant "rollback"
-          [
-            ("to", Obs.Json.Int resume);
-            ("attempt", Obs.Json.Int !attempts);
-            ("blame", Obs.Json.String kind);
-            ("backoff_ms", Obs.Json.Float delay);
-          ];
-        Obs.log_warn ~event:"recovery.rollback"
-          ~fields:
-            [
-              ("to", Obs.Json.Int resume);
-              ("attempt", Obs.Json.Int !attempts);
-              ("blame", Obs.Json.String kind);
-              ("backoff_ms", Obs.Json.Float delay);
-            ]
-          (Printf.sprintf "rolled back to node %d (%s)" resume kind);
-        fault_mark := injected_now ();
-        pos := resume
+    let cp = !newest in
+    let kind = blame ~mark:!fault_mark ~fallback:why in
+    incr retries;
+    let before = Session.latency_ms s in
+    let resume = Session.rollback s cp in
+    let wasted = before -. Session.latency_ms s in
+    incr attempts;
+    let raw = config.backoff_ms *. (2.0 ** float_of_int (!attempts - 1)) in
+    let delay = Float.min raw config.max_backoff_ms in
+    if delay < raw then incr capped;
+    Session.charge_ms s delay;
+    books.backoff_total <- books.backoff_total +. delay;
+    charges := (kind, delay) :: (kind, wasted) :: !charges;
+    instant "rollback"
+      [
+        ("to", Obs.Json.Int resume);
+        ("attempt", Obs.Json.Int !attempts);
+        ("blame", Obs.Json.String kind);
+        ("backoff_ms", Obs.Json.Float delay);
+      ];
+    Obs.log_warn ~event:"recovery.rollback"
+      ~fields:
+        [
+          ("to", Obs.Json.Int resume);
+          ("attempt", Obs.Json.Int !attempts);
+          ("blame", Obs.Json.String kind);
+          ("backoff_ms", Obs.Json.Float delay);
+        ]
+      (Printf.sprintf "rolled back to node %d (%s)" resume kind);
+    fault_mark := injected_now ();
+    pos := resume
   in
   let handle_exec_error e =
     let faults_since = injected_now () > !fault_mark in
@@ -248,45 +277,47 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
          ~scale_bits:ct.Ckks.Ciphertext.scale_bits ~noise:ct.Ckks.Ciphertext.err
          Ckks.Evaluator.State_divergence ~op:"recovery" msg)
   in
+  (* One pass over the values written since the mark keeps the least-id
+     value failing each of the first two validators and every value
+     failing the third.  Slot integrity comes first: a corrupted slot far
+     below the noise floor changes neither level, scale nor the bookkept
+     noise estimate, so the structural and noise validators wave it
+     through — only the checksum carried from construction time can
+     expose it. *)
+  let scan = { checked = 0; corrupt = None; diverged = None; noisy = [] } in
+  let validate id (ct : Ckks.Ciphertext.t) =
+    scan.checked <- scan.checked + 1;
+    if not (Ckks.Ciphertext.integrity_ok ct) then scan.corrupt <- keep_least scan.corrupt id ct;
+    let expect = info.(id) in
+    if
+      expect.Fhe_ir.Scale_check.is_ct
+      && (ct.Ckks.Ciphertext.level <> expect.Fhe_ir.Scale_check.level
+         || ct.Ckks.Ciphertext.scale_bits <> expect.Fhe_ir.Scale_check.scale_bits)
+    then scan.diverged <- keep_least scan.diverged id ct;
+    if
+      id < Array.length predicted
+      &&
+      let actual = headroom ct.Ckks.Ciphertext.err in
+      let pred = headroom predicted.(id).Fhe_ir.Noise_check.noise in
+      (* Damaged iff the observed headroom fell below a floor the static
+         analysis predicted safe — either the absolute floor, or the
+         node's own predicted headroom minus the validated model slack (a
+         spike can hurt precision long before the absolute floor is
+         near). *)
+      (actual < noise_floor_bits && pred >= noise_floor_bits)
+      || pred -. actual > noise_slack_bits
+    then scan.noisy <- (id, ct) :: scan.noisy
+  in
   let handle_boundary i =
     let upto = Session.writes s in
-    (* One pass over the values written since the mark keeps the
-       least-id value failing each of the first two validators and every
-       value failing the third.  Slot integrity comes first: a corrupted
-       slot far below the noise floor changes neither level, scale nor
-       the bookkept noise estimate, so the structural and noise
-       validators wave it through — only the checksum carried from
-       construction time can expose it. *)
-    let checked = ref 0 and corrupt = ref None and diverged = ref None in
-    let noisy = ref [] in
-    let keep_least found id (ct : Ckks.Ciphertext.t) =
-      match !found with Some (j, _) when j < id -> () | _ -> found := Some (id, ct)
-    in
-    Session.iter_live_cts ~after:!validated s (fun id (ct : Ckks.Ciphertext.t) ->
-        incr checked;
-        if not (Ckks.Ciphertext.integrity_ok ct) then keep_least corrupt id ct;
-        let expect = info.(id) in
-        if
-          expect.Fhe_ir.Scale_check.is_ct
-          && (ct.Ckks.Ciphertext.level <> expect.Fhe_ir.Scale_check.level
-             || ct.Ckks.Ciphertext.scale_bits <> expect.Fhe_ir.Scale_check.scale_bits)
-        then keep_least diverged id ct;
-        if
-          id < Array.length predicted
-          &&
-          let actual = headroom ct.Ckks.Ciphertext.err in
-          let pred = headroom predicted.(id).Fhe_ir.Noise_check.noise in
-          (* Damaged iff the observed headroom fell below a floor the
-             static analysis predicted safe — either the absolute floor,
-             or the node's own predicted headroom minus the validated
-             model slack (a spike can hurt precision long before the
-             absolute floor is near). *)
-          (actual < noise_floor_bits && pred >= noise_floor_bits)
-          || pred -. actual > noise_slack_bits
-        then noisy := (id, ct) :: !noisy);
-    if !checked > 0 then Obs.Counter.add validations !checked;
+    scan.checked <- 0;
+    scan.corrupt <- None;
+    scan.diverged <- None;
+    scan.noisy <- [];
+    Session.iter_live_cts ~after:!validated s validate;
+    if scan.checked > 0 then Obs.Counter.add validations scan.checked;
     let faults_since = injected_now () > !fault_mark in
-    match (!corrupt, !diverged, !noisy) with
+    match (scan.corrupt, scan.diverged, scan.noisy) with
     | Some (id, (ct : Ckks.Ciphertext.t)), _, _ ->
         if faults_since && !attempts < config.max_attempts then
           do_rollback ~why:"slot_integrity"
@@ -346,7 +377,7 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
     Fun.protect
       ~finally:(fun () -> Session.clear_ctx s)
       (fun () ->
-        take_checkpoint 0;
+        hold !newest;
         while !pos < n do
           let i = !pos in
           (match Session.exec s env order.(i) with
@@ -364,11 +395,11 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
       panic_refreshes = !refreshes;
       checkpoints = !n_checkpoints;
       evictions = !evictions;
-      checkpoint_bytes_peak = !bytes_peak;
+      checkpoint_bytes_peak = books.bytes_peak;
       recovery =
         {
           recovery_ms_by_kind = tally ( +. ) 0.0 (List.rev !charges);
-          backoff_ms_total = !backoff_total;
+          backoff_ms_total = books.backoff_total;
           capped_backoffs = !capped;
         };
       injected_faults = injected_now () - start_mark;

@@ -451,25 +451,79 @@ let integrity_by_construction =
 
 (* The [Float.max] fold the compare loops replaced: bit for bit, a NaN
    slot (whatever its payload or sign) and -0.0 included. *)
+let max_abs_fold a = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 a
+
+(* NaN payloads of either sign, -0.0, the infinities, subnormals and the
+   largest finite value (four of which overflow the kernel's sum). *)
+let max_abs_specials =
+  List.map Int64.float_of_bits
+    [ 0L; Int64.min_int (* -0.0 *); 0x7FF8000000000000L; 0x7FF0000000000001L;
+      0xFFF8DEADBEEF0001L; 0x7FFFFFFFFFFFFFFFL; 0x7FF0000000000000L;
+      0xFFF0000000000000L (* -inf *); 0x0000000000000001L; 0x8000000000000001L;
+      0x7FEFFFFFFFFFFFFFL (* max_float *) ]
+
+(* The ciphertext's max and the plaintext's (from 52 scale bits up,
+   encoding keeps every value as it is) both read the fold's bits. *)
+let max_abs_agrees slots =
+  let want = Int64.bits_of_float (max_abs_fold slots) in
+  let ct = Ckks.Ciphertext.make ~slots ~scale_bits:40 ~level:3 ~size:2 ~err:0.0 in
+  let pt = Ckks.Plaintext.encode ~scale_bits:60 slots in
+  Int64.equal want (Int64.bits_of_float (Ckks.Ciphertext.max_abs ct))
+  && Int64.equal want (Int64.bits_of_float (Ckks.Plaintext.max_abs pt))
+
+(* Lengths 0-130: the kernel's four-lane body, every tail length, and
+   specials mixed in anywhere. *)
 let max_abs_matches_fold =
-  let special =
-    List.map Int64.float_of_bits
-      [ 0L; Int64.min_int (* -0.0 *); 0x7FF8000000000000L; 0x7FF0000000000001L;
-        0xFFF8DEADBEEF0001L; 0x7FFFFFFFFFFFFFFFL; 0x7FF0000000000000L;
-        0xFFF0000000000000L (* -inf *); 0x0000000000000001L; 0x8000000000000001L ]
-  in
-  let fold a = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 a in
   qcheck ~count:500 "max_abs equals the Float.max fold (NaN payloads, -0.0, infinities)"
     QCheck2.Gen.(
-      array_size (int_range 0 40)
-        (oneof [ map Int64.float_of_bits int64; float; oneofl special; oneofl special ]))
-    (fun slots ->
-      let want = Int64.bits_of_float (fold slots) in
-      let ct = Ckks.Ciphertext.make ~slots ~scale_bits:40 ~level:3 ~size:2 ~err:0.0 in
-      (* From 52 scale bits up, encoding keeps every value as it is. *)
-      let pt = Ckks.Plaintext.encode ~scale_bits:60 slots in
-      Int64.equal want (Int64.bits_of_float (Ckks.Ciphertext.max_abs ct))
-      && Int64.equal want (Int64.bits_of_float (Ckks.Plaintext.max_abs pt)))
+      array_size (int_range 0 130)
+        (oneof
+           [ map Int64.float_of_bits int64; float; oneofl max_abs_specials;
+             oneofl max_abs_specials ]))
+    max_abs_agrees
+
+(* Each special, alone and twice (a later NaN must win), in each lane of
+   the first and last blocks and in the tail, at every length 0-130. *)
+let max_abs_special_in_every_lane () =
+  let bad = ref 0 in
+  for n = 0 to 130 do
+    let base = Array.init n (fun i -> float_of_int ((i * 37) mod 11) -. 5.0) in
+    let positions = List.sort_uniq compare (List.filter (fun p -> p >= 0 && p < n)
+        [ 0; 1; 2; 3; 4; 5; 6; 7; n / 2; n - 8; n - 5; n - 4; n - 3; n - 2; n - 1 ]) in
+    List.iter
+      (fun sp ->
+        List.iter
+          (fun p ->
+            let a = Array.copy base in
+            a.(p) <- sp;
+            if not (max_abs_agrees a) then incr bad;
+            List.iter
+              (fun sq ->
+                let b = Array.copy a in
+                b.(n - 1 - p) <- sq;
+                if not (max_abs_agrees b) then incr bad)
+              max_abs_specials)
+          positions)
+      max_abs_specials
+  done;
+  checki "lengths 0-130 disagreeing with the fold" 0 !bad
+
+(* A re-encoded plaintext's carried max is its new slots' fold. *)
+let plaintext_max_abs_after_re_encode =
+  qcheck ~count:300 "Plaintext.max_abs after re_encode is the fold of its slots"
+    QCheck2.Gen.(
+      triple
+        (array_size (int_range 0 130)
+           (oneof [ float_range (-4.0) 4.0; float; oneofl max_abs_specials ]))
+        (int_range 1 60) (int_range 1 60))
+    (fun (slots, s1, s2) ->
+      let pt = Ckks.Plaintext.re_encode (Ckks.Plaintext.encode ~scale_bits:s1 slots) ~scale_bits:s2 in
+      Int64.equal
+        (Int64.bits_of_float (max_abs_fold pt.Ckks.Plaintext.slots))
+        (Int64.bits_of_float (Ckks.Plaintext.max_abs pt))
+      && Int64.equal
+           (Int64.bits_of_float pt.Ckks.Plaintext.max_abs)
+           (Int64.bits_of_float (Ckks.Plaintext.max_abs_slots pt.Ckks.Plaintext.slots)))
 
 (* --- PRNG streams, pinned ---------------------------------------------------- *)
 
@@ -734,6 +788,8 @@ let suite =
     case "ciphertext: checksum sees negated and swapped slots" checksum_sees_sign_flips_and_swaps;
     integrity_by_construction;
     max_abs_matches_fold;
+    case "max_abs: a special value in every lane and tail" max_abs_special_in_every_lane;
+    plaintext_max_abs_after_re_encode;
     case "prng: streams pinned" prng_streams_are_pinned;
     prng_add_uniform_matches_draws;
     kernels_match_scalar_reference;

@@ -453,6 +453,36 @@ let v2_flight_same_verdict () =
         (Obs.Json.to_string (Obs.Health.to_json v));
       checki "unhealthy exit" 2 (Obs.Health.exit_code v)
 
+(* A compile with no feasible plan ([l_max] 0) logs one error record
+   naming its [l_max] as it raises, and its flight reads unhealthy, in
+   memory and after the file round-trip: the command failed. *)
+let failed_compile_flight_unhealthy () =
+  let sink, p, flight =
+    flight_of (fun _ ->
+        match
+          Resbm.Driver.compile (Ckks.Params.at_l_max 0)
+            (Nn.Lowering.lower Nn.Model.tiny).Nn.Lowering.dfg
+        with
+        | _ -> Alcotest.fail "l_max 0 compiled"
+        | exception Resbm.Btsmgr.No_plan _ -> ())
+  in
+  let errors =
+    List.filter (fun r -> r.Obs.Log.level = Obs.Log.Error) (Obs.Log.records sink)
+  in
+  (match errors with
+  | [ r ] ->
+      check Alcotest.string "event" "compile.no_plan" r.Obs.Log.event;
+      checkb "names l_max" true (List.assoc_opt "l_max" r.Obs.Log.fields = Some (Obs.Json.Int 0))
+  | rs -> Alcotest.failf "%d error records, expected one" (List.length rs));
+  let v = Obs.Health.evaluate ~records:(Obs.Log.records sink) p in
+  checkb "error-logs fails" true
+    ((find_check "error-logs" v).Obs.Health.severity = Obs.Health.Fail);
+  checki "unhealthy exit" 2 (Obs.Health.exit_code v);
+  match Obs.Flight.of_json flight with
+  | Error e -> Alcotest.failf "flight does not load: %s" e
+  | Ok (records, p') ->
+      checki "loaded: unhealthy exit" 2 (Obs.Health.exit_code (Obs.Health.evaluate ~records p'))
+
 (* A file in the previous flight format is refused, naming its version,
    not judged on an empty profile. *)
 let v1_flight_refused () =
@@ -531,4 +561,5 @@ let suite =
     case "health verdict survives the flight round-trip" verdict_survives_round_trip;
     case "new flight format keeps the older verdict" v2_flight_same_verdict;
     case "older flight format is refused by its version" v1_flight_refused;
+    case "a failed compile's flight reads unhealthy" failed_compile_flight_unhealthy;
   ]

@@ -553,7 +553,7 @@ let noise_summary_matches_full_sort () =
       Alcotest.(list string)
       (name ^ ": noise summary = full-sort reference")
       (render_noise_summary (full_sort_noise_summary managed order tr))
-      (render_noise_summary result.Interp.noise)
+      (render_noise_summary (Lazy.force result.Interp.noise))
   in
   let ties = ref 0 in
   List.iter
@@ -573,7 +573,7 @@ let noise_summary_matches_full_sort () =
       let tr = Obs.Trace.create () in
       let ev = Ckks.Evaluator.create ~seed:7L prm16 in
       let result = Interp.run ~trace:tr ev managed env in
-      (match result.Interp.noise.Interp.noisiest with
+      (match (Lazy.force result.Interp.noise).Interp.noisiest with
       | (_, a) :: (_, b) :: _ when a = b -> incr ties
       | _ -> ());
       summarised model.Nn.Model.name result managed tr)

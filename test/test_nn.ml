@@ -82,6 +82,38 @@ let lowering_valid_graphs () =
         (List.length (Dfg.outputs lowered.Nn.Lowering.dfg)))
     (Nn.Model.paper_models @ [ Nn.Model.lenet5; Nn.Model.tiny ])
 
+(* The memoised constant magnitude is bit for bit the [Float.max] fold
+   over the payload, for every constant of the nine models at 16 and 128
+   slots, on the first ask of a name and on the repeats. *)
+let const_magnitude_matches_fold () =
+  let fold a = Array.fold_left (fun m v -> Float.max m (Float.abs v)) 0.0 a in
+  List.iter
+    (fun model ->
+      let lowered = Nn.Lowering.lower model in
+      let g = lowered.Nn.Lowering.dfg in
+      List.iter
+        (fun dim ->
+          let consts = Nn.Lowering.resolver lowered ~dim in
+          let magnitude = Nn.Lowering.const_magnitude consts in
+          let bad = ref [] and seen = ref 0 in
+          for id = 0 to Dfg.node_count g - 1 do
+            match (Dfg.node g id).Dfg.kind with
+            | Op.Const { name } ->
+                incr seen;
+                if
+                  not
+                    (Int64.equal
+                       (Int64.bits_of_float (fold (consts name)))
+                       (Int64.bits_of_float (magnitude name)))
+                then bad := name :: !bad
+            | _ -> ()
+          done;
+          let what = Printf.sprintf "%s at %d slots" model.Nn.Model.name dim in
+          checkb (what ^ " has constants") true (!seen > 0);
+          check Alcotest.(list string) (what ^ ": names off the fold") [] !bad)
+        [ 16; 128 ])
+    (Nn.Model.paper_models @ [ Nn.Model.lenet5; Nn.Model.tiny ])
+
 let lowering_depth_matches_spec () =
   List.iter
     (fun model ->
@@ -226,4 +258,6 @@ let suite =
     case "plain eval: APR matches reference" plain_eval_apr_close_to_relu;
     case "fidelity: tiny model (Table 6 machinery)" fidelity_tiny_model;
     case "fidelity: across bootstraps" fidelity_with_bootstrapping;
+    case "lowering: const_magnitude is the fold, every constant of nine models"
+      const_magnitude_matches_fold;
   ]

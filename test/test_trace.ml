@@ -209,7 +209,7 @@ let interp_noise_summary () =
   let g = small_program () in
   let env = { Interp.inputs = [ ("x", input_env ~dim:4 3L) ]; consts = const_env ~dim:4 } in
   let result = Interp.run (Ckks.Evaluator.create prm) g env in
-  let n = result.Interp.noise in
+  let n = Lazy.force result.Interp.noise in
   checkb "finite min headroom" true (Float.is_finite n.Interp.min_headroom_bits);
   checkb "min node identified" true (n.Interp.min_headroom_node >= 0);
   checkb "headroom positive for a healthy run" true (n.Interp.min_headroom_bits > 0.0);
@@ -269,12 +269,12 @@ let managed_bootstrap_headroom () =
   let _, report, result = managed_run () in
   checki "one headroom sample per executed bootstrap"
     report.Resbm.Report.stats.Stats.bootstrap_count
-    (List.length result.Interp.noise.Interp.bootstrap_headroom);
+    (List.length (Lazy.force result.Interp.noise).Interp.bootstrap_headroom);
   List.iter
     (fun (node, bits) ->
       checkb "bootstrap node id valid" true (node >= 0);
       checkb "operand still had budget" true (bits > 0.0))
-    result.Interp.noise.Interp.bootstrap_headroom
+    (Lazy.force result.Interp.noise).Interp.bootstrap_headroom
 
 let trace_cross_validation () =
   let g = fig1_block () in
