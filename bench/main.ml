@@ -487,6 +487,48 @@ let micro () =
     done;
     !acc
   in
+  (* Every distinct ResNet-20 region shape that SMOPLC can solve, cut at
+     levels 1..16 on a fresh memo per run: one template (and flow
+     topology) per shape, then sixteen capacity refills and solves. *)
+  let shapes20 =
+    let r = Resbm.Region.build g20 in
+    List.sort_uniq compare (Array.to_list r.Resbm.Region.shape_ids)
+    |> List.filter_map (fun id ->
+           let region = ref 0 in
+           while r.Resbm.Region.shape_ids.(!region) <> id do
+             incr region
+           done;
+           let shape = Resbm.Region.shape r !region in
+           match Resbm.Smoplc.cut shape ~level:1 with
+           | _ -> Some shape
+           | exception Invalid_argument _ -> None)
+  in
+  let smoplc_solves () =
+    let memo = Resbm.Smoplc.create_memo () in
+    List.iter
+      (fun shape ->
+        for level = 1 to 16 do
+          ignore (Resbm.Smoplc.cut ~memo shape ~level)
+        done)
+      shapes20
+  in
+  (* One seeded random network: 64 nodes, each with 6 arcs to random
+     nodes, capacities 1..16 with one in eight infinite; built and cut
+     from node 0 to node 63 per run. *)
+  let random64 =
+    let rng = Ckks.Prng.create 64L in
+    List.init (64 * 6) (fun i ->
+        let cap =
+          if Ckks.Prng.int rng ~bound:8 = 0 then infinity
+          else float_of_int (1 + Ckks.Prng.int rng ~bound:16)
+        in
+        (i / 6, Ckks.Prng.int rng ~bound:64, cap))
+  in
+  let dinic64 () =
+    let net = Graphlib.Maxflow.create 64 in
+    List.iter (fun (src, dst, cap) -> Graphlib.Maxflow.add_edge net ~src ~dst ~cap) random64;
+    Graphlib.Maxflow.min_cut net ~source:0 ~sink:63
+  in
   (* The serving kernels on one 128-slot vector, and one fault-free
      served ResNet-20 batch: 8 packed 16-slot images through
      [Recovery.run_program] on a program and noise analysis prepared as
@@ -511,8 +553,10 @@ let micro () =
       Interp.Program.make ~region_of:(Resbm.Report.region_of_node report) prm managed
     in
     let noise =
-      Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts)
-        ~scales:(Interp.Program.info program) ~order:(Interp.Program.order program) prm managed
+      Resilience.Recovery.expect
+        (Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts)
+           ~scales:(Interp.Program.info program) ~order:(Interp.Program.order program) prm
+           managed)
     in
     let env =
       {
@@ -539,6 +583,9 @@ let micro () =
         (Staged.stage (fun () -> ignore (Resbm.Driver.compile prm galex)));
       Test.make ~name:"btsmgr-plan resnet44"
         (Staged.stage (fun () -> ignore (Resbm.Btsmgr.plan regioned44 prm)));
+      Test.make ~name:"smoplc-solve resnet20 shapes x 16 levels" (Staged.stage smoplc_solves);
+      Test.make ~name:"maxflow dinic random 64 nodes"
+        (Staged.stage (fun () -> ignore (dinic64 ())));
       Test.make ~name:"compile resnet20 resbm_max"
         (Staged.stage (fun () ->
              ignore (Resbm.Variants.compile Resbm.Variants.resbm_max prm g20)));

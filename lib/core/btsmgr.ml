@@ -1,6 +1,7 @@
 let scalemgr_plans = Obs.Counter.make "scalemgr.plans"
 let segment_evals = Obs.Counter.make "btsmgr.segment_evals"
 let candidates_counter = Obs.Counter.make "btsmgr.candidates"
+let pruned_counter = Obs.Counter.make "btsmgr.pruned"
 
 type config = {
   min_level_bts : bool;
@@ -53,7 +54,19 @@ exception No_plan of string
    relaxes it further).  So every destination, the final one included,
    re-checks only the regions past [checked].  A check that fails does so
    past [checked], which therefore stays put, and the next destination
-   re-checks that region anyway. *)
+   re-checks that region anyway.
+
+   Pricing a feasible segment stops as soon as it cannot win.  Its latency
+   is a left-to-right sum of non-negative terms (region latencies, then
+   transit repairs), and the DP takes it only when [min_lat.(src) +.
+   latency < min_lat.(dst)].  Rounded addition is monotone, so every
+   partial sum is at most the full one and [min_lat.(src) +. partial] at
+   most the candidate: once it reaches [min_lat.(dst)] the candidate
+   cannot win, and the rest is skipped (counted as [btsmgr.pruned]).  The
+   same holds before the first term, so a source already no better than
+   the destination's best skips even its own bootstrap evaluation.  The
+   bound is compared as a sum, never as [min_lat.(dst) -. min_lat.(src)]:
+   that difference is rounded too, and could prune a winner by one ulp. *)
 type window = {
   src : int;
   bts_at_src : bool;
@@ -74,11 +87,14 @@ type segment_eval = {
 let seg_src seg = seg.seg_window.src
 let seg_info seg r = seg.seg_window.infos.(r - seg_src seg)
 
-(* Entry level of region [r] in [src, dst]: past the source, every region
-   enters at [top] less the rescales of the regions before it. *)
-let seg_level seg r =
-  let i = r - seg_src seg in
-  if i = 0 then seg.seg_entry else seg.seg_top - seg.seg_window.lbts.(i - 1)
+(* Entry level of region [r] in [src, dst] of window [w]: past the source,
+   every region enters at [top] less the rescales of the regions before
+   it. *)
+let level_in w ~entry ~top r =
+  let i = r - w.src in
+  if i = 0 then entry else top - w.lbts.(i - 1)
+
+let seg_level seg r = level_in seg.seg_window ~entry:seg.seg_entry ~top:seg.seg_top r
 
 (* Ciphertext edges that fly over region boundaries: producer region,
    consumer region, frequency.  When a bootstrap raises the main chain
@@ -86,7 +102,7 @@ let seg_level seg r =
    flying value too ("level-deficit repair"); the DP charges that cost so
    segment boundaries gravitate away from live residual spans.  Edges are
    grouped by consumer region for incremental accumulation in the DP's
-   inner loop. *)
+   inner loop, as producer regions and frequencies in two arrays. *)
 let cross_edges_by_consumer regioned =
   let g = regioned.Region.dfg in
   let count = regioned.Region.count in
@@ -109,14 +125,15 @@ let cross_edges_by_consumer regioned =
           consumer_regions
       end)
     (Fhe_ir.Dfg.live_nodes g);
-  by_rb
+  ( Array.map (fun l -> Array.of_list (List.map fst l)) by_rb,
+    Array.map (fun l -> Array.of_list (List.map snd l)) by_rb )
 
 let plan ?(config = resbm_config) ?jobs:_ regioned prm =
   let count = regioned.Region.count in
   let last = count - 1 in
   let cache = Region_eval.create_cache () in
   let l_max = prm.Ckks.Params.l_max in
-  let cross_by_rb = cross_edges_by_consumer regioned in
+  let cross_ra, cross_freq = cross_edges_by_consumer regioned in
   (* [minra.(src)]: the lowest producer region of a cross edge spanning
      [src] (produced below it, consumed above it), or [src] when none
      does.  Transit pricing from source [src] reads production levels only
@@ -126,7 +143,7 @@ let plan ?(config = resbm_config) ?jobs:_ regioned prm =
   let lowest = ref max_int in
   for src = count - 1 downto 0 do
     minra.(src) <- Int.min src !lowest;
-    List.iter (fun (ra, _) -> lowest := Int.min ra !lowest) cross_by_rb.(src)
+    Array.iter (fun ra -> lowest := Int.min ra !lowest) cross_ra.(src)
   done;
   let eval ~region ~entry_level ~rescales ~bts =
     Region_eval.eval cache regioned ~smo_mode:config.smo_mode
@@ -135,30 +152,6 @@ let plan ?(config = resbm_config) ?jobs:_ regioned prm =
   let region_latency ~region ~entry_level ~rescales ~bts =
     Region_eval.latency cache regioned ~smo_mode:config.smo_mode
       ~bts_mode:config.bts_mode ~region ~entry_level ~rescales ~bts
-  in
-  (* The latency table [L[shape][level][rescales]] of the regions that do
-     not bootstrap, filled from Region_eval on first use.  It only skips
-     calls Region_eval's own cache would answer, which touch no counter.
-     Rows are allocated per shape on demand; [nan] marks an entry not
-     read yet, and an infeasible entry stays unread so every read
-     re-raises. *)
-  let width = 1 + max l_max prm.Ckks.Params.input_level in
-  let table = Array.make (1 + Array.fold_left max 0 regioned.Region.shape_ids) [||] in
-  let plain_latency ~region ~entry_level ~rescales =
-    if entry_level < 0 || entry_level >= width || rescales < 0 || rescales > entry_level then
-      region_latency ~region ~entry_level ~rescales ~bts:None
-    else begin
-      let shape = regioned.Region.shape_ids.(region) in
-      if Array.length table.(shape) = 0 then table.(shape) <- Array.make (width * width) nan;
-      let row = table.(shape) and i = (entry_level * width) + rescales in
-      let l = row.(i) in
-      if Float.is_nan l then begin
-        let l = region_latency ~region ~entry_level ~rescales ~bts:None in
-        row.(i) <- l;
-        l
-      end
-      else l
-    end
   in
   if count = 1 then
     {
@@ -224,7 +217,8 @@ let plan ?(config = resbm_config) ?jobs:_ regioned prm =
     (* Evaluate the candidate segment from [w]'s source to [dst]; [w]
        covers [[src, dst)] and grows to [dst] here.  [None] when the
        bootstrap budget cannot reach [dst] (nor any later destination);
-       raises Not_found when infeasible. *)
+       raises Not_found when infeasible or when the bound shows it cannot
+       beat [min_lat.(dst)]. *)
     let try_segment ~dst w =
       Obs.Counter.bump segment_evals;
       extend w;
@@ -254,18 +248,10 @@ let plan ?(config = resbm_config) ?jobs:_ regioned prm =
           else Some (if config.min_level_bts then max lbts_req 1 else max l_max 1)
         in
         let top = match bts_target with Some t -> t | None -> src_entry - k_src in
-        let seg =
-          {
-            seg_bts = bts_target;
-            seg_entry = src_entry;
-            seg_top = top;
-            seg_window = w;
-            seg_latency = 0.0;
-          }
-        in
+        let level r = level_in w ~entry:src_entry ~top r in
         (try
            for r = w.checked + 1 to dst do
-             let k = (info r).Scalemgr.rescales and level = seg_level seg r in
+             let k = (info r).Scalemgr.rescales and level = level r in
              if k > level && not (is_final && r = dst) then raise Exit;
              if
                not
@@ -279,39 +265,61 @@ let plan ?(config = resbm_config) ?jobs:_ regioned prm =
            then raise Exit
          with Exit -> raise_notrace Not_found);
         if not is_final then w.checked <- dst;
-        (* Latency of the regions [src, dst), left to right.  The source
-           level depends on the target, which under [min_level_bts] grows
-           with [dst], so the sum is re-read, not carried forward. *)
-        let latency = ref 0.0 in
-        (try
-           latency :=
-             (match bts_target with
-             | Some _ ->
-                 region_latency ~region:src ~entry_level:src_entry ~rescales:k_src ~bts:bts_target
-             | None -> plain_latency ~region:src ~entry_level:src_entry ~rescales:k_src);
-           for r = src + 1 to dst - 1 do
-             latency :=
-               !latency
-               +. plain_latency ~region:r ~entry_level:(seg_level seg r)
-                    ~rescales:(info r).Scalemgr.rescales
-           done
-         with Region_eval.Infeasible _ -> raise_notrace Not_found);
+        (* Latency of the regions [src, dst), left to right, stopping at
+           the bound (see [window]).  The source level depends on the
+           target, which under [min_level_bts] grows with [dst], so the
+           sum is re-read, not carried forward. *)
+        let base = min_lat.(src) and bound = min_lat.(dst) in
+        let pruned () =
+          Obs.Counter.bump pruned_counter;
+          raise_notrace Not_found
+        in
+        if base >= bound then pruned ();
+        let regions_latency =
+          try
+            let latency =
+              ref
+                (region_latency ~region:src ~entry_level:src_entry ~rescales:k_src
+                   ~bts:bts_target)
+            in
+            if base +. !latency >= bound then pruned ();
+            for r = src + 1 to dst - 1 do
+              latency :=
+                !latency
+                +. region_latency ~region:r ~entry_level:(level r)
+                     ~rescales:(info r).Scalemgr.rescales ~bts:None;
+              if base +. !latency >= bound then pruned ()
+            done;
+            !latency
+          with Region_eval.Infeasible _ -> raise_notrace Not_found
+        in
         (* Exact repair pricing: values produced before [src] (levels
            already final) and consumed inside [(src, dst]] above their
            production level will be bootstrapped by the repair pass. *)
+        let latency = ref regions_latency in
         if config.price_transits then
-        for rb = src + 1 to dst do
-          let need = seg_level seg rb in
-          List.iter
-            (fun (ra, freq) ->
-              if ra < src && prod_level.(ra) < need && need <= l_max then
+          for rb = src + 1 to dst do
+            let need = level rb in
+            let ras = cross_ra.(rb) and freqs = cross_freq.(rb) in
+            for j = 0 to Array.length ras - 1 do
+              let ra = ras.(j) in
+              if ra < src && prod_level.(ra) < need && need <= l_max then begin
                 latency :=
                   !latency
-                  +. float_of_int freq
-                     *. Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:need)
-            cross_by_rb.(rb)
-        done;
-        Some { seg with seg_latency = !latency }
+                  +. float_of_int freqs.(j)
+                     *. Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:need;
+                if base +. !latency >= bound then pruned ()
+              end
+            done
+          done;
+        Some
+          {
+            seg_bts = bts_target;
+            seg_entry = src_entry;
+            seg_top = top;
+            seg_window = w;
+            seg_latency = !latency;
+          }
       end
     in
     for src = 0 to last - 1 do

@@ -21,8 +21,6 @@ let pp ppf t =
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") pp_edge)
     t.edges
 
-let sink_side_mem t id = List.mem id t.sink_side
-
 let relabel f t =
   let edge = function
     | Internal { tail; head } -> Internal { tail = f tail; head = f head }

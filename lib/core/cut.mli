@@ -36,8 +36,6 @@ type t = {
 
 val pp : Format.formatter -> t -> unit
 
-val sink_side_mem : t -> int -> bool
-
 val relabel : (int -> int) -> t -> t
 (** [relabel f t] renames every node [t] names — edge endpoints,
     [sink_side] and the non-negative [node_of] entries — through [f].

@@ -8,9 +8,6 @@
 
 (* det-ok: this module is the one sanctioned home of raw hashtable folds. *)
 
-let sorted_keys tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
-
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -6,9 +6,6 @@
     through these helpers instead; the source lint
     ({!Analysis.Lint.scan_planner_sources}) flags raw iteration. *)
 
-val sorted_keys : ('a, 'b) Hashtbl.t -> 'a list
-(** All keys, ascending ({!compare} order). *)
-
 val sorted_bindings : ('a, 'b) Hashtbl.t -> ('a * 'b) list
 (** All bindings, ascending by key. *)
 

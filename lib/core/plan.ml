@@ -187,20 +187,24 @@ let apply regioned prm (plan : Btsmgr.plan) =
                 tips))
     plan.Btsmgr.actions;
   (* 3. Level-deficit repair: operands arriving below the planned level of
-     their consuming join are bootstrapped up to exactly that level. *)
+     their consuming join are bootstrapped up to exactly that level.  A
+     cut's sink side names members of its own region, so one mark per
+     original node says which cut of its region it sits below. *)
+  let below_smo = Array.make orig_count false and below_bts = Array.make orig_count false in
+  let mark below (c : Cut.t) = List.iter (fun id -> below.(id) <- true) c.Cut.sink_side in
+  Array.iter
+    (fun act ->
+      Option.iter (mark below_smo) act.Btsmgr.smo_cut;
+      match act.Btsmgr.bts with
+      | Some { Btsmgr.cut = Some c; _ } -> mark below_bts c
+      | _ -> ())
+    plan.Btsmgr.actions;
   let intended_level id =
     match region_of id with
     | None -> None
     | Some r ->
         let act = plan.Btsmgr.actions.(r) in
-        let below_smo =
-          match act.Btsmgr.smo_cut with Some c -> Cut.sink_side_mem c id | None -> false
-        in
-        let below_bts =
-          match act.Btsmgr.bts with
-          | Some { Btsmgr.cut = Some c; _ } -> Cut.sink_side_mem c id
-          | _ -> false
-        in
+        let below_smo = below_smo.(id) and below_bts = below_bts.(id) in
         let l =
           if below_bts then
             match act.Btsmgr.bts with Some b -> b.Btsmgr.target | None -> assert false

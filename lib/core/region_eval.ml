@@ -12,34 +12,42 @@ type result = {
   bts_subgraph : int list;
 }
 
-type key = {
-  shape : Region.shape;
-  entry_level : int;
-  rescales : int;
-  bts : int option;
-  smo_mode : smo_mode;
-  bts_mode : bts_mode;
+(* The per-compile cache lives inside one {!Btsmgr.plan} call and holds
+   solutions by shape, naming slots, under one int per (shape index,
+   modes, entry level, rescales, bootstrap target).  Shape indices are
+   those of the first regioned graph asked about, which the cache is
+   then bound to.  The SMOPLC memo (templates by shape, cuts by shape and
+   entry level — SMOPLC reads neither [rescales] nor [bts]) lives here
+   too, so it dies with the compile. *)
+module Int_tbl = Hashtbl.Make (Int)
+
+type cache = {
+  mutable owner : Region.t option;
+  tbl : result Int_tbl.t;
+  smo : Smoplc.memo;
 }
 
-module Key_tbl = Hashtbl.Make (struct
-  type t = key
+let create_cache () = { owner = None; tbl = Int_tbl.create 256; smo = Smoplc.create_memo () }
 
-  let equal a b =
-    a.entry_level = b.entry_level && a.rescales = b.rescales && a.bts = b.bts
-    && a.smo_mode = b.smo_mode && a.bts_mode = b.bts_mode
-    && Region.Shape.equal a.shape b.shape
+(* The key packs the entry level and the rescales ([x + 2048]) and the
+   target (0 for none, [t + 2049] for [Some t]) into 12 bits each, above
+   [(shape * 3 + smo) * 2 + bts].  A value outside its field, or a shape
+   past 2^23, gets [no_key]: solved without caching. *)
+let no_key = -1
 
-  let hash k =
-    Hashtbl.hash (k.shape.Region.hash, k.entry_level, k.rescales, k.bts, k.smo_mode, k.bts_mode)
-end)
-
-(* The per-compile cache lives inside one {!Btsmgr.plan} call and holds
-   solutions by shape, naming slots.  The SMOPLC memo (templates by
-   shape, cuts by shape and entry level — SMOPLC reads neither [rescales]
-   nor [bts]) lives here too, so it dies with the compile. *)
-type cache = { tbl : result Key_tbl.t; smo : Smoplc.memo }
-
-let create_cache () = { tbl = Key_tbl.create 256; smo = Smoplc.create_memo () }
+let key ~shape ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
+  let field x = if x >= -2048 && x < 2048 then x + 2048 else no_key in
+  let entry = field entry_level and rescales = field rescales in
+  let target =
+    match bts with None -> 0 | Some t -> if t >= -2048 && t < 2047 then t + 2049 else no_key
+  in
+  if entry < 0 || rescales < 0 || target < 0 || shape >= 1 lsl 23 then no_key
+  else begin
+    let smo = match smo_mode with Smo_min_cut -> 0 | Smo_eva -> 1 | Smo_pars -> 2 in
+    let bts = match bts_mode with Bts_min_cut -> 0 | Bts_region_end -> 1 in
+    let modes = (((shape * 3) + smo) * 2) + bts in
+    (((((modes lsl 12) lor entry) lsl 12) lor rescales) lsl 12) lor target
+  end
 
 exception Infeasible of string
 
@@ -50,28 +58,53 @@ let infeasible fmt = Format.kasprintf (fun m -> raise (Infeasible m)) fmt
 
 let kind (sh : Region.shape) s = sh.Region.slots.(s).Region.kind
 
+(* Ciphertext-producing members, ascending. *)
 let ct_members (sh : Region.shape) =
-  List.filter (fun s -> Op.produces_ct (kind sh s)) (List.init sh.Region.members Fun.id)
+  let l = ref [] in
+  for s = sh.Region.members - 1 downto 0 do
+    if Op.produces_ct (kind sh s) then l := s :: !l
+  done;
+  !l
 
 let liveout (sh : Region.shape) s = sh.Region.slots.(s).Region.live_out
 
+(* Sets of slots as one byte per slot. *)
+let marks (sh : Region.shape) = Bytes.make (Array.length sh.Region.slots) '\000'
+let mark m s = Bytes.set m s '\001'
+let marked m s = Bytes.get m s <> '\000'
+
+let mark_all sh l =
+  let m = marks sh in
+  List.iter (mark m) l;
+  m
+
+(* The marked slots, ascending. *)
+let marked_list m =
+  let l = ref [] in
+  for s = Bytes.length m - 1 downto 0 do
+    if marked m s then l := s :: !l
+  done;
+  !l
+
 (* Distinct tails of a cut (one inserted operation serves all cut edges
-   sharing a tail), with the external producers of boundary-in heads. *)
-let cut_tails (sh : Region.shape) cut ~subgraph_mem =
-  let tails = Hashtbl.create 8 in
+   sharing a tail), with the external producers of boundary-in heads
+   outside [subgraph] (when given), ascending. *)
+let cut_tails (sh : Region.shape) cut ~subgraph =
+  let tails = marks sh in
   List.iter
     (fun edge ->
       match edge with
-      | Cut.Internal { tail; _ } | Cut.Boundary_out { tail } ->
-          Hashtbl.replace tails tail ()
+      | Cut.Internal { tail; _ } | Cut.Boundary_out { tail } -> mark tails tail
       | Cut.Boundary_in { head } ->
           List.iter
             (fun p ->
-              if Op.produces_ct (kind sh p) && not (subgraph_mem p) then
-                Hashtbl.replace tails p ())
+              if
+                Op.produces_ct (kind sh p)
+                && match subgraph with Some sub -> not (marked sub p) | None -> false
+              then mark tails p)
             sh.Region.slots.(head).Region.preds)
     cut.Cut.edges;
-  Det.sorted_keys tails
+  marked_list tails
 
 (* Forced cut of EVA's waterline strategy: a rescale immediately after
    every multiplication unit (Mul_cp directly; Mul_cc through its relin). *)
@@ -106,7 +139,7 @@ let eva_cut sh =
 let pars_cut sh =
   let members = ct_members sh in
   let in_region s = s < sh.Region.members && Op.produces_ct (kind sh s) in
-  let forced = Hashtbl.create 8 in
+  let forced = marks sh in
   List.iter
     (fun s ->
       let preds = sh.Region.slots.(s).Region.preds in
@@ -114,35 +147,39 @@ let pars_cut sh =
         kind sh s = Op.Add_cc
         && List.exists (fun p -> Op.produces_ct (kind sh p) && not (in_region p)) preds
       in
-      let pred_forced = List.exists (Hashtbl.mem forced) preds in
-      if cross_join || pred_forced then Hashtbl.add forced s ())
+      if cross_join || List.exists (marked forced) preds then mark forced s)
     members;
   let edges =
     List.concat_map
       (fun s ->
-        if Hashtbl.mem forced s then []
+        if marked forced s then []
         else
           let internal =
             sh.Region.slots.(s).Region.succs
-            |> List.filter (fun u -> in_region u && Hashtbl.mem forced u)
+            |> List.filter (fun u -> in_region u && marked forced u)
             |> List.map (fun head -> Cut.Internal { tail = s; head })
           in
           if liveout sh s then Cut.Boundary_out { tail = s } :: internal else internal)
       members
   in
-  { Cut.edges; value = 0.0; sink_side = List.filter (Hashtbl.mem forced) members; cert = None; node_of = [||] }
+  {
+    Cut.edges;
+    value = 0.0;
+    sink_side = List.filter (marked forced) members;
+    cert = None;
+    node_of = [||];
+  }
 
 (* Forced bootstrap placement at the region's end (Fhelipe / DaCapo):
    bootstrap every live-out of the level-0 subgraph. *)
 let region_end_bts_cut sh ~subgraph =
-  let in_sub = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.add in_sub s ()) subgraph;
+  let in_sub = mark_all sh subgraph in
   let edges =
     List.filter_map
       (fun s ->
         let out =
           liveout sh s
-          || List.exists (fun u -> not (Hashtbl.mem in_sub u)) sh.Region.slots.(s).Region.succs
+          || List.exists (fun u -> not (marked in_sub u)) sh.Region.slots.(s).Region.succs
         in
         if out then Some (Cut.Boundary_out { tail = s }) else None)
       subgraph
@@ -168,10 +205,11 @@ let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
         | Smo_eva -> Some (eva_cut sh)
         | Smo_pars -> Some (pars_cut sh)
     in
+    let below_smo = Option.map (fun cut -> mark_all sh cut.Cut.sink_side) smo_cut in
     let member_level s =
-      match smo_cut with
+      match below_smo with
       | None -> entry_level
-      | Some cut -> if Cut.sink_side_mem cut s then low_level else entry_level
+      | Some below -> if marked below s then low_level else entry_level
     in
     let bts_subgraph =
       match bts with
@@ -185,22 +223,23 @@ let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
                  reset the scale to q *before* a multiplication and shift
                  the whole downstream scale chain (visible when the entry
                  scale differs from q, i.e. q_w < q). *)
-              let muls =
-                List.filter (fun s -> Op.is_mul (kind sh s)) (List.init sh.Region.members Fun.id)
-              in
-              if muls = [] then members
+              let below = marks sh and muls = ref false in
+              for s = 0 to sh.Region.members - 1 do
+                if Op.is_mul (kind sh s) then begin
+                  mark below s;
+                  muls := true
+                end
+              done;
+              if not !muls then members
               else begin
-                let below = Hashtbl.create 16 in
-                List.iter (fun m -> Hashtbl.add below m ()) muls;
-                let member s = List.mem s members in
                 List.iter
                   (fun s ->
                     if
-                      (not (Hashtbl.mem below s))
-                      && List.exists (Hashtbl.mem below) sh.Region.slots.(s).Region.preds
-                    then Hashtbl.add below s ())
+                      (not (marked below s))
+                      && List.exists (marked below) sh.Region.slots.(s).Region.preds
+                    then mark below s)
                   members;
-                List.filter (fun s -> Hashtbl.mem below s && not (List.mem s muls) && member s) members
+                List.filter (fun s -> marked below s && not (Op.is_mul (kind sh s))) members
               end)
     in
     let bts_cut =
@@ -213,9 +252,14 @@ let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
             | Bts_min_cut -> Some (Btsplc.cut sh ~lbts ~subgraph:bts_subgraph)
             | Bts_region_end -> Some (region_end_bts_cut sh ~subgraph:bts_subgraph))
     in
-    let final_level s =
+    let below_bts =
       match (bts, bts_cut) with
-      | Some lbts, Some cut when Cut.sink_side_mem cut s -> lbts
+      | Some lbts, Some cut -> Some (lbts, mark_all sh cut.Cut.sink_side)
+      | _ -> None
+    in
+    let final_level s =
+      match below_bts with
+      | Some (lbts, below) when marked below s -> lbts
       | _ -> member_level s
     in
     let op_latency =
@@ -228,7 +272,7 @@ let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
       match smo_cut with
       | None -> 0.0
       | Some cut ->
-          let tails = cut_tails sh cut ~subgraph_mem:(fun _ -> true) in
+          let tails = cut_tails sh cut ~subgraph:None in
           List.fold_left
             (fun acc tail ->
               let stacked = ref 0.0 in
@@ -250,8 +294,8 @@ let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
           in
           match bts_cut with
           | Some cut ->
-              let subgraph_mem s = List.mem s bts_subgraph in
-              let base = tails_cost (cut_tails sh cut ~subgraph_mem) in
+              let subgraph = Some (mark_all sh bts_subgraph) in
+              let base = tails_cost (cut_tails sh cut ~subgraph) in
               (* Rescale tips whose live-out branch bypasses the subgraph
                  carry their own bootstrap, unless the bootstrap cut sits
                  directly on the boundary (then the insertion is shared). *)
@@ -274,7 +318,7 @@ let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
               base +. boundary_extra
           | None -> (
               match smo_cut with
-              | Some cut -> tails_cost (cut_tails sh cut ~subgraph_mem:(fun _ -> true))
+              | Some cut -> tails_cost (cut_tails sh cut ~subgraph:None)
               | None ->
                   (* neither a rescale nor a level-0 subgraph: the
                      bootstrap lands on the region's live-out edges *)
@@ -292,16 +336,21 @@ let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
 (* The region's solution naming slots: the per-compile cache, else a
    fresh solve stored in it. *)
 let solution cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
-  let shape = Region.shape regioned region in
-  let key = { shape; entry_level; rescales; bts; smo_mode; bts_mode } in
-  match Key_tbl.find_opt cache.tbl key with
+  (match cache.owner with
+  | Some r when r == regioned -> ()
+  | Some _ -> invalid_arg "Region_eval: the cache serves another regioned graph"
+  | None -> cache.owner <- Some regioned);
+  let shape = regioned.Region.shape_ids.(region) in
+  let key = key ~shape ~smo_mode ~bts_mode ~entry_level ~rescales ~bts in
+  match if key = no_key then None else Int_tbl.find_opt cache.tbl key with
   | Some r -> r
   | None ->
       Obs.Counter.bump computes;
       let r =
-        compute cache shape ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts
+        compute cache (Region.shape regioned region) ~region ~smo_mode ~bts_mode ~entry_level
+          ~rescales ~bts
       in
-      Key_tbl.add cache.tbl key r;
+      if key <> no_key then Int_tbl.add cache.tbl key r;
       r
 
 let latency cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =

@@ -6,11 +6,13 @@
     rescale cut run at the entry level, nodes between the cuts at
     [entry - rescales], and nodes below the bootstrap cut at the bootstrap
     target.  Results are memoised — the paper's "caching min-cut results"
-    — by region {!Region.shape} rather than region index: the DP revisits
-    regions once per candidate entry level, and networks repeat one block,
-    so each (shape, entry level, rescales, bts, modes) is solved once per
+    — by region shape rather than region index: the DP revisits regions
+    once per candidate entry level, and networks repeat one block, so
+    each (shape, entry level, rescales, bts, modes) is solved once per
     compile and mapped back to each region's node ids through
-    {!Region.slots}.  Nothing is shared across compiles, so a compile's
+    {!Region.slots}.  Within a solve, sets of slots (cut sides, the
+    level-0 subgraph, cut tails) are byte marks walked in ascending slot
+    order, the order every latency sum folds in.  Nothing is shared across compiles, so a compile's
     work counters and plan depend only on its inputs.
 
     Placement {e modes} select how the cuts are chosen, which is how the
@@ -36,9 +38,14 @@ type result = {
 }
 
 type cache
-(** Per-compile memo, keyed by region shape and candidate plan, holding
-    solutions that name slots.  One {!Btsmgr.plan} call creates and owns
-    it. *)
+(** Per-compile memo holding solutions that name slots.  One
+    {!Btsmgr.plan} call creates and owns it.  A solution is keyed by one
+    int packing the region's shape index ({!Region.t.shape_ids}), the
+    placement modes, the entry level, the rescales and the bootstrap
+    target (levels in [[-2048, 2047]]; a request outside that range is
+    solved without being stored), so a lookup hashes no shape.  Shape
+    indices belong to one regioned graph: the first one a cache is asked
+    about binds it, and asking about another raises [Invalid_argument]. *)
 
 val create_cache : unit -> cache
 

@@ -16,10 +16,13 @@ type template = {
   entry : bool array;
   preds : int array array;  (* in-region predecessors, in [Dfg.preds] order *)
   degree : int array;  (* in-region successors, plus one when live-out *)
-  (* [(src, dst, w)] in insertion order.  [w >= 0] names the member whose
-     weight caps the arc (added with its infinite reverse arc when finite);
-     [-1] is an infinite arc without reverse. *)
-  arcs : (int * int * int) array;
+  (* The network, its arcs added once in Algorithm 4's order.  Its shape
+     does not depend on the level: a weighted arc gets its infinite
+     reverse arc exactly when its weight is finite, i.e. when its tail is
+     not a [Mul_cc].  [weighted.(e) >= 0] names the member whose weight
+     caps arc [e], refilled per level; [-1] marks an infinite arc. *)
+  net : Graphlib.Maxflow.t;
+  weighted : int array;
 }
 
 let template (shape : Region.shape) =
@@ -46,12 +49,24 @@ let template (shape : Region.shape) =
       Array.map (fun s -> Op.is_mul (kind s)) node_at
     else Array.map (fun ps -> not (List.exists in_region ps)) preds
   in
-  let arcs = ref [] in
-  let arc src dst w = arcs := (src, dst, w) :: !arcs in
+  let net = Graphlib.Maxflow.create (k + 2) in
+  let weighted = ref [] in
+  let infinite src dst =
+    Graphlib.Maxflow.add_edge net ~src ~dst ~cap:infinity;
+    weighted := -1 :: !weighted
+  in
+  let arc src dst w =
+    if kind node_at.(w) = Op.Mul_cc then infinite src dst
+    else begin
+      Graphlib.Maxflow.add_edge net ~src ~dst ~cap:0.0;
+      weighted := w :: !weighted;
+      infinite dst src
+    end
+  in
   let degree =
     Array.mapi
       (fun i slot ->
-        if entry.(i) then arc s i (-1);
+        if entry.(i) then infinite s i;
         let internal_heads = List.filter in_region slots.(slot).Region.succs in
         let liveout = slots.(slot).Region.live_out in
         let degree = List.length internal_heads + if liveout then 1 else 0 in
@@ -64,7 +79,7 @@ let template (shape : Region.shape) =
         if
           kind slot = Op.Add_cc
           && List.exists (fun p -> Op.produces_ct (kind p) && not (in_region p)) preds.(i)
-        then arc i t (-1);
+        then infinite i t;
         degree)
       node_at
   in
@@ -77,11 +92,12 @@ let template (shape : Region.shape) =
         (fun ps -> Array.of_list (List.map (Array.get index) (List.filter in_region ps)))
         preds;
     degree;
-    arcs = Array.of_list (List.rev !arcs);
+    net;
+    weighted = Array.of_list (List.rev !weighted);
   }
 
-(* The level-dependent half: capacities from the Table 2 costs at [level],
-   then one Dinic run on a fresh network. *)
+(* The level-dependent half: capacities from the Table 2 costs at [level]
+   filled into the template's network, then one Dinic run. *)
 let solve tp ~level =
   let k = Array.length tp.node_at in
   let s = k and t = k + 1 in
@@ -98,24 +114,18 @@ let solve tp ~level =
           (cost i ~level -. cost i ~level:(level - 1))
           tp.preds.(i)
   done;
-  let weight =
-    Array.init k (fun i ->
-        let slot = tp.slots.(tp.node_at.(i)) in
-        if tp.degree.(i) = 0 then 0.0
-        else if slot.Region.kind = Op.Mul_cc then infinity
-        else
-          ((float_of_int slot.Region.freq *. Ckks.Cost_model.cost Ckks.Cost_model.Rescale ~level)
-          +. linc.(i))
-          /. float_of_int tp.degree.(i))
+  (* Arcs out of a [Mul_cc] are infinite in the template; every other
+     weighted tail has a positive degree. *)
+  let rescale = Ckks.Cost_model.cost Ckks.Cost_model.Rescale ~level in
+  let weight i =
+    let slot = tp.slots.(tp.node_at.(i)) in
+    ((float_of_int slot.Region.freq *. rescale) +. linc.(i)) /. float_of_int tp.degree.(i)
   in
-  let net = Graphlib.Maxflow.create (k + 2) in
-  Array.iter
-    (fun (src, dst, w) ->
-      if w < 0 then Graphlib.Maxflow.add_edge net ~src ~dst ~cap:infinity
-      else Maxflow_util.add_with_reverse net ~src ~dst ~cap:weight.(w))
-    tp.arcs;
-  let mc = Graphlib.Maxflow.min_cut net ~source:s ~sink:t in
-  let cert = Graphlib.Maxflow.certificate net ~source:s ~sink:t mc in
+  Array.iteri
+    (fun e w -> if w >= 0 then Graphlib.Maxflow.set_capacity tp.net e (weight w))
+    tp.weighted;
+  let mc = Graphlib.Maxflow.min_cut tp.net ~source:s ~sink:t in
+  let cert = Graphlib.Maxflow.certificate tp.net ~source:s ~sink:t mc in
   Obs.Counter.bump cuts;
   let edges =
     List.filter_map
@@ -125,13 +135,18 @@ let solve tp ~level =
         else Some (Cut.Internal { tail = tp.node_at.(u); head = tp.node_at.(v) }))
       mc.Graphlib.Maxflow.edges
   in
-  let sink_side =
-    List.filteri
-      (fun i _ -> not mc.Graphlib.Maxflow.source_side.(i))
-      (Array.to_list tp.node_at)
-  in
+  let sink_side = ref [] in
+  for i = k - 1 downto 0 do
+    if not mc.Graphlib.Maxflow.source_side.(i) then sink_side := tp.node_at.(i) :: !sink_side
+  done;
   let node_of = Array.append tp.node_at [| -1; -1 |] in
-  { Cut.edges; value = mc.Graphlib.Maxflow.value; sink_side; cert = Some cert; node_of }
+  {
+    Cut.edges;
+    value = mc.Graphlib.Maxflow.value;
+    sink_side = !sink_side;
+    cert = Some cert;
+    node_of;
+  }
 
 (* Per-compile memo, one entry per shape: its template once built, and
    its cuts by level. *)

@@ -18,17 +18,22 @@
     The solve reads only the region's {!Region.shape}, so regions of one
     shape share one cut, named by slot.  Only the capacities depend on
     [level], so a solve has two steps.  The shape's {e template} —
-    members, entry flags, in-region predecessors, out-degrees and the arc
-    list in insertion order, each arc naming the member whose weight caps
-    it or marked infinite — is built once per shape.  Each
-    [(shape, level)] solve then computes the weights, adds the template's
-    arcs to a fresh {!Graphlib.Maxflow} network and runs one min-cut, so
-    cuts and certificates do not depend on whether the template was fresh
-    or reused. *)
+    members, entry flags, in-region predecessors, out-degrees — owns the
+    shape's {!Graphlib.Maxflow} network, its arcs added once in
+    Algorithm 4's order with each arc naming the member whose weight caps
+    it or marked infinite.  The network's shape does not depend on the
+    level either: a weighted arc gets its infinite reverse arc exactly
+    when its weight is finite, which is when its tail is not a [Mul_cc].
+    Each [(shape, level)] solve then computes the weights, refills the
+    capacities ({!Graphlib.Maxflow.set_capacity}) and runs one min-cut
+    from zero flow, so cuts and certificates are bit for bit those of a
+    fresh network and do not depend on whether the template was fresh or
+    reused. *)
 
 type memo
-(** Per-compile memo: templates by shape and cuts by [(shape, level)].
-    {!Region_eval.cache} owns one; nothing is kept between compiles. *)
+(** Per-compile memo: templates (with their networks) by shape and cuts
+    by [(shape, level)].  {!Region_eval.cache} owns one; nothing is kept
+    between compiles. *)
 
 val create_memo : unit -> memo
 

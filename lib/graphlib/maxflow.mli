@@ -5,7 +5,26 @@
     capacity and is used both for super-source/super-sink arcs and for the
     reverse arcs that make the source side of the cut closed under
     predecessors (so every source-to-sink path crosses the cut exactly
-    once — the property SMO/bootstrap insertion relies on). *)
+    once — the property SMO/bootstrap insertion relies on).
+
+    {b Layout.}  The first solve lays the residual graph out in
+    compressed-sparse-row form: node [u]'s arcs are one contiguous range
+    of flat arrays (head, paired-arc index, residual capacity in a
+    [float array]).  A user arc contributes its forward arc to its tail's
+    range and a zero-capacity residual companion to its head's, and each
+    node's arcs sit in {e insertion order}: the order [add_edge] touched
+    the node.  That order is part of the contract — it steers the level
+    BFS and the current-arc search, hence which of several minimum cuts
+    is returned and the flow a certificate reports — so two networks
+    built by the same [add_edge] sequence solve identically.
+
+    {b Re-solving.}  A network's topology is fixed by its first solve,
+    but its capacities are not: {!set_capacity} changes one arc's
+    capacity, and every {!max_flow} / {!min_cut} starts from zero flow on
+    the current capacities.  A caller whose networks share one topology
+    (SMOPLC solves one region shape at several levels) builds it once
+    and only refills the capacities; each solve gives bit for bit what a
+    fresh network with the same arcs and capacities gives. *)
 
 type t
 
@@ -13,24 +32,34 @@ val create : int -> t
 (** [create n] is an empty flow network over nodes [0 .. n-1]. *)
 
 val add_edge : t -> src:int -> dst:int -> cap:float -> unit
-(** Add a directed arc in O(1) (adjacency lists are materialised once by
-    the first [max_flow]).  Negative capacities raise [Invalid_argument]. *)
+(** Add a directed arc in amortised O(1); arcs are numbered from 0 in
+    insertion order.  The CSR layout is built once by the first solve;
+    adding an arc after it, or with a negative capacity, raises
+    [Invalid_argument]. *)
+
+val set_capacity : t -> int -> float -> unit
+(** [set_capacity net e cap] sets the capacity of arc [e] (its insertion
+    index) for the next solve, which starts from zero flow.  Allowed
+    before and after a solve; a certificate needs a solve after it.
+    @raise Invalid_argument on an unknown arc or a negative capacity. *)
 
 type stats = {
   nodes : int;
   arcs : int;  (** Arc records, i.e. 2 per [add_edge] (forward + residual). *)
-  bfs_phases : int;  (** Level-graph constructions run by Dinic so far. *)
-  aug_paths : int;  (** Augmenting paths pushed so far. *)
+  bfs_phases : int;  (** Level-graph constructions run by the last solve. *)
+  aug_paths : int;  (** Augmenting paths pushed by the last solve. *)
 }
 
 val stats : t -> stats
-(** Counters of the work done on this network.  [bfs_phases] and
-    [aug_paths] are 0 until [max_flow] runs.  The same counters are also
-    reported to the ambient {!Obs} profile under ["maxflow.*"]. *)
+(** Counters of the work done by the last solve.  [bfs_phases] and
+    [aug_paths] are 0 until [max_flow] runs.  Every solve also reports
+    them to the ambient {!Obs} profile under ["maxflow.*"]. *)
 
 val max_flow : t -> source:int -> sink:int -> float
-(** Run Dinic's algorithm and return the max-flow value.  Consumes the
-    capacities; call at most once per network. *)
+(** Run Dinic's algorithm from zero flow on the current capacities and
+    return the max-flow value.  The level graph is built by a BFS over an
+    int-array queue; augmenting paths are found by an iterative
+    current-arc search. *)
 
 type cut = {
   value : float;  (** Total capacity crossing the cut. *)
@@ -40,10 +69,10 @@ type cut = {
 
 val min_cut : t -> source:int -> sink:int -> cut
 (** Max-flow followed by a residual-graph reachability pass.  Only arcs
-    that were added with a finite capacity are reported in [edges]. *)
+    with a finite capacity are reported in [edges]. *)
 
 (** One user arc of the network with its final flow assignment.  [fa_cap]
-    is the capacity as added ([infinity] is legal); [fa_flow] is the net
+    is the capacity the solve ran with ([infinity] is legal); [fa_flow] is the net
     flow Dinic routed through it (always [>= 0] and [<= fa_cap]). *)
 type flow_arc = { fa_src : int; fa_dst : int; fa_cap : float; fa_flow : float }
 
@@ -68,7 +97,8 @@ type certificate = {
 val certificate : t -> source:int -> sink:int -> cut -> certificate
 (** Export the flow assignment left behind by {!min_cut} together with the
     returned cut.  Call after {!min_cut} on the same network; raises
-    [Invalid_argument] if the network was never run. *)
+    [Invalid_argument] if the network was not solved since it was built
+    or since its last {!set_capacity}. *)
 
 val of_certificate : ?forbid:(int * int) list -> certificate -> t
 (** Rebuild a fresh, unsolved network from a certificate's arc list: same

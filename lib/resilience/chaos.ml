@@ -194,6 +194,7 @@ let run_model cfg name =
       ~order:(Fhe_ir.Interp.Program.order program)
       prm managed
   in
+  let expected = Recovery.expect noise in
   let fault_targets =
     match ref_trace with
     | None -> []
@@ -220,7 +221,7 @@ let run_model cfg name =
         let ev = Ckks.Evaluator.create ~seed:ev_seed prm in
         let outcome =
           Ckks.Fault.with_faults injector (fun () ->
-              match Recovery.run_program ~config:rcfg ~noise program ev env with
+              match Recovery.run_program ~config:rcfg ~noise:expected program ev env with
               | r -> Ok r
               | exception Ckks.Evaluator.Fhe_error e -> Error e)
         in

@@ -122,12 +122,19 @@ type scan = {
 let keep_least found id ct =
   match found with Some (j, _) when j < id -> found | _ -> Some (id, ct)
 
+type expectation = float array
+
+let expect (noise : Fhe_ir.Noise_check.report) =
+  Array.map
+    (fun (i : Fhe_ir.Noise_check.info) -> headroom i.Fhe_ir.Noise_check.noise)
+    noise.per_node
+
 let run_program ?(config = default) ?trace ~noise prog ev env =
   let s = Session.create ?trace prog ev in
   let order = Program.order prog in
   let n = Array.length order in
   let info = Program.info prog in
-  let predicted = noise.Fhe_ir.Noise_check.per_node in
+  let predicted = noise in
   let budget =
     match config.checkpoint_budget_bytes with
     | Some b -> b
@@ -298,7 +305,7 @@ let run_program ?(config = default) ?trace ~noise prog ev env =
       id < Array.length predicted
       &&
       let actual = headroom ct.Ckks.Ciphertext.err in
-      let pred = headroom predicted.(id).Fhe_ir.Noise_check.noise in
+      let pred = predicted.(id) in
       (* Damaged iff the observed headroom fell below a floor the static
          analysis predicted safe — either the absolute floor, or the
          node's own predicted headroom minus the validated model slack (a
@@ -419,4 +426,4 @@ let run ?config ?trace ?region_of ?noise ev g env =
         Fhe_ir.Noise_check.analyse ~magnitude_cap:Float.infinity ~scales:(Program.info prog)
           ~order:(Program.order prog) (Program.params prog) g
   in
-  run_program ?config ?trace ~noise prog ev env
+  run_program ?config ?trace ~noise:(expect noise) prog ev env

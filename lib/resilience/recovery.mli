@@ -129,10 +129,19 @@ type stats = {
           eviction chose to keep guarding. *)
 }
 
+type expectation
+(** The boundary noise validator's static side: every node's predicted
+    headroom ({!Obs.Trace.headroom_bits} of its {!Fhe_ir.Noise_check}
+    estimate), one [log2] per node, taken once.  It depends only on the
+    program and its noise report, so a server builds it once per
+    campaign, next to the report, and every batch and retry reads it. *)
+
+val expect : Fhe_ir.Noise_check.report -> expectation
+
 val run_program :
   ?config:config ->
   ?trace:Obs.Trace.t ->
-  noise:Fhe_ir.Noise_check.report ->
+  noise:expectation ->
   Fhe_ir.Interp.Program.t ->
   Ckks.Evaluator.t ->
   Fhe_ir.Interp.env ->
@@ -143,9 +152,10 @@ val run_program :
     {!Fhe_ir.Interp.Program.peak_bytes}, and eviction values are
     differences of its {!Fhe_ir.Interp.Program.prefix_ms}.  The run does
     no static work of its own, so a server shares one program and one
-    [noise] analysis across every batch and retry.  [noise] is the
+    [noise] expectation across every batch and retry.  [noise] is the
     static per-node prediction the boundary validator compares observed
-    headroom against: the sound uncapped estimate
+    headroom against, taken by {!expect} from a noise report: the sound
+    uncapped estimate
     ([Noise_check.analyse ~magnitude_cap:infinity], {!run}'s default)
     can never flag a fault-free run; a sharper analysis (e.g. with the
     lowering's constant amplitudes) widens the detection window.

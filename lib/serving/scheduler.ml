@@ -141,12 +141,14 @@ let run ?jobs:_ ?cache cfg =
   in
   (* Sharp static noise prediction for the recovery supervisor's boundary
      validator, as the chaos harness does, over the program's scales and
-     order: no second scale pass or sort. *)
+     order: no second scale pass or sort.  Its per-node headrooms are
+     taken here, once per campaign. *)
   let noise =
-    Fhe_ir.Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts)
-      ~scales:(Fhe_ir.Interp.Program.info program)
-      ~order:(Fhe_ir.Interp.Program.order program)
-      prm managed
+    Resilience.Recovery.expect
+      (Fhe_ir.Noise_check.analyse ~const_magnitude:(Nn.Lowering.const_magnitude consts)
+         ~scales:(Fhe_ir.Interp.Program.info program)
+         ~order:(Fhe_ir.Interp.Program.order program)
+         prm managed)
   in
   let ev_base = Int64.logxor cfg.seed ev_salt in
   (* The fault-free latency of one batch prices it: slot batching is

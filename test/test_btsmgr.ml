@@ -462,6 +462,51 @@ let bounded_dp_on_skip_dfgs =
             oracle_configs)
         skip_prms)
 
+(* --- The exact bound against the unpruned oracle ------------------------- *)
+
+(* The scan stops pricing a candidate once it cannot win; the oracle
+   prices every candidate in full.  Every manager, every budget: equal
+   plans bit for bit, or both [No_plan]. *)
+let pruning_managers =
+  List.map (fun m -> (m.Resbm.Variants.name, m.Resbm.Variants.config)) Resbm.Variants.all
+
+let pruned_dp_on_models () =
+  List.iter
+    (fun model ->
+      let r = Resbm.Region.build (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      List.iter
+        (fun l ->
+          List.iter
+            (fun (what, config) ->
+              checkb
+                (Printf.sprintf "%s l_max %d %s" model.Nn.Model.name l what)
+                true
+                (matches_oracle ~config r (oracle_prm l)))
+            pruning_managers)
+        [ 3; 8; 16; 24 ])
+    [ Nn.Model.resnet20; Nn.Model.squeezenet; Nn.Model.lenet5; Nn.Model.tiny ]
+
+let pruned_dp_on_random_dfgs =
+  qcheck ~count:40 "pruned DP equals the unpruned oracle on random DFGs"
+    (random_dfg_gen ~max_nodes:60 ~max_depth:10)
+    (fun params ->
+      let r = Resbm.Region.build (build_random_dfg params) in
+      List.for_all
+        (fun l ->
+          List.for_all
+            (fun (what, config) ->
+              matches_oracle ~config r (oracle_prm l)
+              || QCheck2.Test.fail_reportf "l_max %d, %s: plans differ" l what)
+            pruning_managers)
+        [ 3; 8 ])
+
+(* The bound does skip work: on ResNet-20 most candidates stop early. *)
+let pruning_skips_work () =
+  let p = Obs.Profile.create () in
+  let r = Resbm.Region.build (Nn.Lowering.lower Nn.Model.resnet20).Nn.Lowering.dfg in
+  ignore (Obs.with_profile p (fun () -> Resbm.Btsmgr.plan r Ckks.Params.default));
+  checkb "btsmgr.pruned > 0" true (Obs.Profile.counter p "btsmgr.pruned" > 0)
+
 let suite =
   [
     case "input budget avoids bootstrapping" no_bootstrap_when_budget_suffices;
@@ -479,4 +524,7 @@ let suite =
     oracle_on_random_dfgs;
     case "bounded DP equals the unbounded oracle on paper models" bounded_dp_on_models;
     bounded_dp_on_skip_dfgs;
+    case "pruned DP equals the unpruned oracle under every manager" pruned_dp_on_models;
+    pruned_dp_on_random_dfgs;
+    case "the bound prunes candidates on ResNet-20" pruning_skips_work;
   ]

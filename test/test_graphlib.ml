@@ -380,6 +380,147 @@ let maxflow_cut_separates =
       go 0;
       not seen.(n - 1))
 
+(* --- Flat Dinic against the list-of-records oracle ------------------------ *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_arc (a : Graphlib.Maxflow.flow_arc) (b : Graphlib.Maxflow.flow_arc) =
+  a.Graphlib.Maxflow.fa_src = b.Graphlib.Maxflow.fa_src
+  && a.Graphlib.Maxflow.fa_dst = b.Graphlib.Maxflow.fa_dst
+  && same_bits a.Graphlib.Maxflow.fa_cap b.Graphlib.Maxflow.fa_cap
+  && same_bits a.Graphlib.Maxflow.fa_flow b.Graphlib.Maxflow.fa_flow
+
+let same_cert (a : Graphlib.Maxflow.certificate) (b : Graphlib.Maxflow.certificate) =
+  a.Graphlib.Maxflow.cert_nodes = b.Graphlib.Maxflow.cert_nodes
+  && a.Graphlib.Maxflow.cert_source = b.Graphlib.Maxflow.cert_source
+  && a.Graphlib.Maxflow.cert_sink = b.Graphlib.Maxflow.cert_sink
+  && same_bits a.Graphlib.Maxflow.cert_value b.Graphlib.Maxflow.cert_value
+  && a.Graphlib.Maxflow.cert_source_side = b.Graphlib.Maxflow.cert_source_side
+  && Array.length a.Graphlib.Maxflow.cert_arcs = Array.length b.Graphlib.Maxflow.cert_arcs
+  && Array.for_all2 same_arc a.Graphlib.Maxflow.cert_arcs b.Graphlib.Maxflow.cert_arcs
+
+(* One solve of [net] under a fresh profile against the oracle on the
+   same arcs: value, source side, cut edges, certificate (arcs and
+   flows), stats and the [maxflow.*] counters, all bit for bit.  [None]
+   when they agree, else what differs. *)
+let against_oracle net ~nodes arcs ~source ~sink =
+  let p = Obs.Profile.create () in
+  let cut, cert =
+    Obs.with_profile p (fun () ->
+        let cut = Graphlib.Maxflow.min_cut net ~source ~sink in
+        (cut, Graphlib.Maxflow.certificate net ~source ~sink cut))
+  in
+  let o_cut, o_cert, o_stats = maxflow_oracle ~nodes arcs ~source ~sink in
+  let counter = Obs.Profile.counter p in
+  let checks =
+    [
+      ("value", same_bits cut.Graphlib.Maxflow.value o_cut.Graphlib.Maxflow.value);
+      ("source side", cut.Graphlib.Maxflow.source_side = o_cut.Graphlib.Maxflow.source_side);
+      ("cut edges", cut.Graphlib.Maxflow.edges = o_cut.Graphlib.Maxflow.edges);
+      ("certificate", same_cert cert o_cert);
+      ("stats", Graphlib.Maxflow.stats net = o_stats);
+      ("maxflow.runs", counter "maxflow.runs" = 1);
+      ("maxflow.bfs_phases", counter "maxflow.bfs_phases" = o_stats.Graphlib.Maxflow.bfs_phases);
+      ("maxflow.aug_paths", counter "maxflow.aug_paths" = o_stats.Graphlib.Maxflow.aug_paths);
+      ( "maxflow.cut_edges",
+        counter "maxflow.cut_edges" = List.length o_cut.Graphlib.Maxflow.edges );
+    ]
+  in
+  List.find_map (fun (what, ok) -> if ok then None else Some what) checks
+
+(* Random networks: parallel and antiparallel copies of drawn arcs,
+   self-loops, zero and infinite capacities, sometimes no arc into the
+   sink; then re-solves of the same topology under fresh capacities. *)
+let oracle_network_gen =
+  let open QCheck2.Gen in
+  let cap =
+    frequency
+      [
+        (1, return 0.0);
+        (1, return infinity);
+        (3, map float_of_int (int_range 1 9));
+        (3, float_range 0.0 10.0);
+      ]
+  in
+  let* n = int_range 2 10 in
+  let* drawn = list_size (int_range 0 30) (triple (int_bound (n - 1)) (int_bound (n - 1)) cap) in
+  let* copies = list_size (int_range 0 6) (triple (int_bound 1000) bool cap) in
+  let copies =
+    match drawn with
+    | [] -> []
+    | _ ->
+        List.map
+          (fun (i, flip, c) ->
+            let u, v, _ = List.nth drawn (i mod List.length drawn) in
+            if flip then (v, u, c) else (u, v, c))
+          copies
+  in
+  let* cut_off = frequency [ (1, return true); (4, return false) ] in
+  let arcs = drawn @ copies in
+  let arcs = if cut_off then List.filter (fun (_, v, _) -> v <> n - 1) arcs else arcs in
+  let* resolves = list_size (int_range 1 3) (list_repeat (List.length arcs) cap) in
+  return (n, arcs, resolves)
+
+let maxflow_matches_oracle =
+  qcheck ~count:300 "flat Dinic equals the list-of-records oracle, re-solves included"
+    oracle_network_gen (fun (n, arcs, resolves) ->
+      let net = Graphlib.Maxflow.create n in
+      List.iter (fun (u, v, c) -> Graphlib.Maxflow.add_edge net ~src:u ~dst:v ~cap:c) arcs;
+      let solve what arcs =
+        match against_oracle net ~nodes:n arcs ~source:0 ~sink:(n - 1) with
+        | None -> true
+        | Some diff -> QCheck2.Test.fail_reportf "%s: %s differs" what diff
+      in
+      solve "first solve" arcs
+      && List.for_all
+           (fun caps ->
+             List.iteri (fun e c -> Graphlib.Maxflow.set_capacity net e c) caps;
+             solve "re-solve" (List.map2 (fun (u, v, _) c -> (u, v, c)) arcs caps))
+           resolves)
+
+(* Every certificate a paper model's plan carries, rebuilt by
+   [of_certificate] and solved again, agrees with the oracle on the
+   rebuilt arcs, keeps the arcs as exported, and reproduces the cut's
+   value. *)
+let of_certificate_round_trips () =
+  List.iter
+    (fun model ->
+      let g = (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      let _, r = Resbm.Variants.compile Resbm.Variants.resbm Ckks.Params.default g in
+      List.iter
+        (fun (e : Resbm.Report.certificate_entry) ->
+          let cert = e.Resbm.Report.ce_cert in
+          let arcs =
+            Array.to_list
+              (Array.map
+                 (fun (a : Graphlib.Maxflow.flow_arc) ->
+                   (a.Graphlib.Maxflow.fa_src, a.Graphlib.Maxflow.fa_dst, a.Graphlib.Maxflow.fa_cap))
+                 cert.Graphlib.Maxflow.cert_arcs)
+          in
+          let net = Graphlib.Maxflow.of_certificate cert in
+          let source = cert.Graphlib.Maxflow.cert_source
+          and sink = cert.Graphlib.Maxflow.cert_sink in
+          let where =
+            Printf.sprintf "%s %s region %d" model.Nn.Model.name e.Resbm.Report.ce_pass
+              e.Resbm.Report.ce_region
+          in
+          (match against_oracle net ~nodes:cert.Graphlib.Maxflow.cert_nodes arcs ~source ~sink with
+          | None -> ()
+          | Some diff -> Alcotest.failf "%s: %s differs from the oracle" where diff);
+          let cut = Graphlib.Maxflow.min_cut net ~source ~sink in
+          let again = Graphlib.Maxflow.certificate net ~source ~sink cut in
+          checkb (where ^ ": arcs as exported") true
+            (Array.for_all2
+               (fun (a : Graphlib.Maxflow.flow_arc) (b : Graphlib.Maxflow.flow_arc) ->
+                 a.Graphlib.Maxflow.fa_src = b.Graphlib.Maxflow.fa_src
+                 && a.Graphlib.Maxflow.fa_dst = b.Graphlib.Maxflow.fa_dst
+                 && same_bits a.Graphlib.Maxflow.fa_cap b.Graphlib.Maxflow.fa_cap)
+               cert.Graphlib.Maxflow.cert_arcs again.Graphlib.Maxflow.cert_arcs);
+          check_float ~eps:1e-9 (where ^ ": value") cert.Graphlib.Maxflow.cert_value
+            cut.Graphlib.Maxflow.value)
+        r.Resbm.Report.certificates)
+    Nn.Model.paper_models
+
 let suite =
   [
     case "digraph: basics" digraph_basics;
@@ -403,4 +544,6 @@ let suite =
     case "maxflow: wide star construction (10k edges)" maxflow_wide_star_construction;
     case "maxflow: work counters" maxflow_stats_counters;
     maxflow_cut_separates;
+    maxflow_matches_oracle;
+    case "maxflow: of_certificate round-trips on paper models" of_certificate_round_trips;
   ]

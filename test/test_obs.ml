@@ -101,10 +101,11 @@ let compile_counters_pinned () =
     let _, r = Resbm.Variants.compile variant prm g in
     Obs.Profile.counters r.Resbm.Report.profile
   in
-  let planner ~candidates ~segment_evals ~btsplc ~regions ~aug ~bfs ~cut_edges ~runs
-      ?hoists ~computes ~plans ~smoplc () =
+  let planner ~candidates ~pruned ~segment_evals ~btsplc ~regions ~aug ~bfs ~cut_edges
+      ~runs ?hoists ~computes ~plans ~smoplc () =
     [
       ("btsmgr.candidates", candidates);
+      ("btsmgr.pruned", pruned);
       ("btsmgr.segment_evals", segment_evals);
       ("btsplc.cuts", btsplc);
       ("driver.regions", regions);
@@ -121,16 +122,16 @@ let compile_counters_pinned () =
       ]
   in
   check counter_list "tiny"
-    (planner ~candidates:90 ~segment_evals:90 ~btsplc:15 ~regions:13 ~aug:148 ~bfs:165
-       ~cut_edges:121 ~runs:74 ~computes:139 ~plans:13 ~smoplc:59 ())
+    (planner ~candidates:12 ~pruned:78 ~segment_evals:90 ~btsplc:15 ~regions:13 ~aug:60
+       ~bfs:65 ~cut_edges:56 ~runs:26 ~computes:91 ~plans:13 ~smoplc:11 ())
     (counters Resbm.Variants.resbm Nn.Model.tiny);
   check counter_list "tiny, resbm_max"
-    (planner ~candidates:90 ~segment_evals:90 ~btsplc:3 ~regions:13 ~aug:127 ~bfs:132
-       ~cut_edges:99 ~runs:60 ~hoists:10 ~computes:71 ~plans:13 ~smoplc:57 ())
+    (planner ~candidates:12 ~pruned:78 ~segment_evals:90 ~btsplc:3 ~regions:13 ~aug:26
+       ~bfs:30 ~cut_edges:22 ~runs:14 ~hoists:10 ~computes:25 ~plans:13 ~smoplc:11 ())
     (counters Resbm.Variants.resbm_max Nn.Model.tiny);
   check counter_list "resnet20"
-    (planner ~candidates:3272 ~segment_evals:3468 ~btsplc:147 ~regions:212 ~aug:992
-       ~bfs:952 ~cut_edges:892 ~runs:423 ~computes:775 ~plans:212 ~smoplc:276 ())
+    (planner ~candidates:718 ~pruned:2554 ~segment_evals:3468 ~btsplc:147 ~regions:212
+       ~aug:978 ~bfs:924 ~cut_edges:878 ~runs:409 ~computes:761 ~plans:212 ~smoplc:262 ())
     (counters Resbm.Variants.resbm Nn.Model.resnet20)
 
 (* --- Spans --------------------------------------------------------------- *)

@@ -438,7 +438,8 @@ let run_equals_run_program_with_sound_noise () =
   let noise = Noise_check.analyse ~magnitude_cap:Float.infinity p managed in
   let program = Interp.Program.make ~region_of p managed in
   let prepared, s2 =
-    supervised (fun ev -> Resilience.Recovery.run_program ~noise program ev env)
+    supervised (fun ev ->
+        Resilience.Recovery.run_program ~noise:(Resilience.Recovery.expect noise) program ev env)
   in
   checkb "faults injected" true (s1.Resilience.Recovery.injected_faults > 0);
   checki "the supervisor rolled back twice" 2 s1.Resilience.Recovery.retries;
@@ -901,7 +902,9 @@ let supervise ?config ~oracle (p, program, env, noise) plan =
         if oracle then
           let r, s, _ = recovery_oracle ?config ~noise program ev env in
           (r, s)
-        else Resilience.Recovery.run_program ?config ~noise program ev env
+        else
+          Resilience.Recovery.run_program ?config ~noise:(Resilience.Recovery.expect noise)
+            program ev env
       with
       | r, s -> Finished (r, s)
       | exception Ckks.Evaluator.Fhe_error e -> Raised e)
@@ -1236,7 +1239,9 @@ let constants_encoded_once_per_resolver () =
   checki "the table was refilled" (2 * consts) !asks;
   let ev = Ckks.Evaluator.create ~seed:0x5E1L p in
   let r, _ =
-    Resilience.Recovery.run_program ~noise:(Noise_check.analyse p (Interp.Program.graph prog)) prog ev
+    Resilience.Recovery.run_program
+      ~noise:(Resilience.Recovery.expect (Noise_check.analyse p (Interp.Program.graph prog)))
+      prog ev
       { env with Interp.consts = counting }
   in
   checkb "a supervised warm run too" true (output_bits r = want)

@@ -230,7 +230,8 @@ let served_batch_is_pinned () =
         run (Ckks.Evaluator.create ~seed:0x5E1L prm16))
   in
   let result, stats =
-    supervised (fun ev -> Resilience.Recovery.run_program ~noise program ev env)
+    supervised (fun ev ->
+        Resilience.Recovery.run_program ~noise:(Resilience.Recovery.expect noise) program ev env)
   in
   checki "injected" 2 stats.Resilience.Recovery.injected_faults;
   checki "retries" 2 stats.Resilience.Recovery.retries;
@@ -255,7 +256,7 @@ let served_batch_validates_each_value_once () =
   let prof = Obs.Profile.create () in
   let result, stats =
     Obs.with_profile prof (fun () ->
-        Resilience.Recovery.run_program ~noise program
+        Resilience.Recovery.run_program ~noise:(Resilience.Recovery.expect noise) program
           (Ckks.Evaluator.create ~seed:0x5E1L prm16)
           env)
   in

@@ -175,6 +175,144 @@ let topo_oracle g =
   end;
   List.filter (fun id -> not (Dfg.node g id).Dfg.dead) (List.rev !order)
 
+(* --- Max-flow oracle ---------------------------------------------------- *)
+
+(* [Graphlib.Maxflow] as it stood before the CSR layout: Dinic over
+   adjacency lists of arc records (prepended, reversed once), a [Queue]
+   BFS and a recursive current-arc DFS, one fresh network per solve.
+   [maxflow_oracle ~nodes arcs ~source ~sink] adds [arcs] in order and
+   returns the min cut, its certificate and the solve's stats. *)
+let maxflow_oracle ~nodes arcs ~source ~sink =
+  let module M = Graphlib.Maxflow in
+  let eps = 1e-9 in
+  let module A = struct
+    type arc = {
+      dst : int;
+      mutable cap : float;
+      rev : int;
+      original : bool;
+      user : bool;
+      init_cap : float;
+    }
+  end in
+  let open A in
+  let pending = Array.make (max nodes 1) [] and deg = Array.make (max nodes 1) 0 in
+  List.iter
+    (fun (src, dst, cap) ->
+      let fwd_pos = deg.(src) in
+      deg.(src) <- fwd_pos + 1;
+      let bwd_pos = deg.(dst) in
+      deg.(dst) <- bwd_pos + 1;
+      pending.(src) <-
+        { dst; cap; rev = bwd_pos; original = cap < infinity; user = true; init_cap = cap }
+        :: pending.(src);
+      pending.(dst) <-
+        { dst = src; cap = 0.0; rev = fwd_pos; original = false; user = false; init_cap = 0.0 }
+        :: pending.(dst))
+    arcs;
+  let adj = Array.map (fun l -> Array.of_list (List.rev l)) (Array.sub pending 0 nodes) in
+  let bfs_phases = ref 0 and aug_paths = ref 0 in
+  let level = Array.make nodes (-1) in
+  let bfs () =
+    incr bfs_phases;
+    Array.fill level 0 nodes (-1);
+    level.(source) <- 0;
+    let queue = Queue.create () in
+    Queue.add source queue;
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      Array.iter
+        (fun a ->
+          if a.cap > eps && level.(a.dst) < 0 then begin
+            level.(a.dst) <- level.(u) + 1;
+            Queue.add a.dst queue
+          end)
+        adj.(u)
+    done;
+    level.(sink) >= 0
+  in
+  let rec dfs iter u pushed =
+    if u = sink then pushed
+    else begin
+      let res = ref 0.0 in
+      while !res = 0.0 && iter.(u) < Array.length adj.(u) do
+        let a = adj.(u).(iter.(u)) in
+        if a.cap > eps && level.(a.dst) = level.(u) + 1 then begin
+          let d = dfs iter a.dst (min pushed a.cap) in
+          if d > eps then begin
+            a.cap <- a.cap -. d;
+            let back = adj.(a.dst).(a.rev) in
+            back.cap <- back.cap +. d;
+            res := d
+          end
+          else iter.(u) <- iter.(u) + 1
+        end
+        else iter.(u) <- iter.(u) + 1
+      done;
+      !res
+    end
+  in
+  let flow = ref 0.0 in
+  (try
+     while bfs () do
+       let iter = Array.make nodes 0 in
+       let pushed = ref (dfs iter source infinity) in
+       while !pushed > eps do
+         flow := !flow +. !pushed;
+         incr aug_paths;
+         if !flow = infinity then raise Exit;
+         pushed := dfs iter source infinity
+       done
+     done
+   with Exit -> ());
+  let side = Array.make nodes false in
+  side.(source) <- true;
+  let queue = Queue.create () in
+  Queue.add source queue;
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    Array.iter
+      (fun a ->
+        if a.cap > eps && not side.(a.dst) then begin
+          side.(a.dst) <- true;
+          Queue.add a.dst queue
+        end)
+      adj.(u)
+  done;
+  let edges = ref [] in
+  for u = 0 to nodes - 1 do
+    if side.(u) then
+      Array.iter
+        (fun a -> if a.original && not side.(a.dst) then edges := (u, a.dst) :: !edges)
+        adj.(u)
+  done;
+  let cut = { M.value = !flow; source_side = side; edges = List.rev !edges } in
+  let cert_arcs = ref [] in
+  for u = nodes - 1 downto 0 do
+    let row = adj.(u) in
+    for i = Array.length row - 1 downto 0 do
+      let a = row.(i) in
+      if a.user then
+        cert_arcs :=
+          { M.fa_src = u; fa_dst = a.dst; fa_cap = a.init_cap; fa_flow = adj.(a.dst).(a.rev).cap }
+          :: !cert_arcs
+    done
+  done;
+  let cert =
+    {
+      M.cert_nodes = nodes;
+      cert_source = source;
+      cert_sink = sink;
+      cert_value = !flow;
+      cert_source_side = Array.copy side;
+      cert_arcs = Array.of_list !cert_arcs;
+    }
+  in
+  let stats =
+    { M.nodes; arcs = 2 * List.length arcs; bfs_phases = !bfs_phases; aug_paths = !aug_paths }
+  in
+  (cut, cert, stats)
+
 (* --- Table 1 oracle -------------------------------------------------- *)
 
 (* A second, independent reading of Table 1 with the clamping of
