@@ -315,7 +315,7 @@ let fig4 () =
   section "Figure 4" "SMO placement for the first convolution region of Figure 1";
   let g = fig1_block () in
   let r = Resbm.Region.build g in
-  let cache = Resbm.Region_eval.create_cache () in
+  let cache = Resbm.Region_eval.create_cache prm in
   let eval smo_mode =
     (Resbm.Region_eval.eval cache r ~smo_mode ~bts_mode:Resbm.Region_eval.Bts_min_cut
        ~region:1 ~entry_level:1 ~rescales:1 ~bts:None)
@@ -489,7 +489,8 @@ let micro () =
   in
   (* Every distinct ResNet-20 region shape that SMOPLC can solve, cut at
      levels 1..16 on a fresh memo per run: one template (and flow
-     topology) per shape, then sixteen capacity refills and solves. *)
+     topology) per shape, then sixteen capacity refills and solves, each
+     keeping its certificate deferred as the planner's search does. *)
   let shapes20 =
     let r = Resbm.Region.build g20 in
     List.sort_uniq compare (Array.to_list r.Resbm.Region.shape_ids)
@@ -508,7 +509,24 @@ let micro () =
     List.iter
       (fun shape ->
         for level = 1 to 16 do
-          ignore (Resbm.Smoplc.cut ~memo shape ~level)
+          ignore (Resbm.Smoplc.solve ~memo shape ~level)
+        done)
+      shapes20
+  in
+  (* The same shapes' BTSPLC cuts over all their ciphertext members at
+     targets 1..16 on a fresh memo per run: one template per shape, then
+     sixteen refills and re-solves. *)
+  let btsplc_solves () =
+    let memo = Resbm.Btsplc.create_memo () in
+    List.iter
+      (fun (shape : Resbm.Region.shape) ->
+        let subgraph =
+          List.filter
+            (fun s -> Op.produces_ct shape.Resbm.Region.slots.(s).Resbm.Region.kind)
+            (List.init shape.Resbm.Region.members Fun.id)
+        in
+        for lbts = 1 to 16 do
+          ignore (Resbm.Btsplc.solve ~memo shape ~lbts ~subgraph)
         done)
       shapes20
   in
@@ -584,6 +602,8 @@ let micro () =
       Test.make ~name:"btsmgr-plan resnet44"
         (Staged.stage (fun () -> ignore (Resbm.Btsmgr.plan regioned44 prm)));
       Test.make ~name:"smoplc-solve resnet20 shapes x 16 levels" (Staged.stage smoplc_solves);
+      Test.make ~name:"btsplc-resolve resnet20 shapes x 16 targets"
+        (Staged.stage btsplc_solves);
       Test.make ~name:"maxflow dinic random 64 nodes"
         (Staged.stage (fun () -> ignore (dinic64 ())));
       Test.make ~name:"compile resnet20 resbm_max"

@@ -15,7 +15,7 @@
     - ["cert-conservation"] — zero net flow at every non-terminal node;
     - ["cert-source-side"] — source on the source side, sink off it;
     - ["cert-closure"] — no infinite arc crosses the cut (the reverse
-      arcs of [Maxflow_util.add_with_reverse] make the source side closed
+      arcs SMOPLC and BTSPLC give every finite arc make the source side closed
       under predecessors; an infinite crossing arc refutes both the cut
       and that closure);
     - ["cert-unsaturated"] — every finite source-to-sink crossing arc is

@@ -131,7 +131,7 @@ let cross_edges_by_consumer regioned =
 let plan ?(config = resbm_config) ?jobs:_ regioned prm =
   let count = regioned.Region.count in
   let last = count - 1 in
-  let cache = Region_eval.create_cache () in
+  let cache = Region_eval.create_cache prm in
   let l_max = prm.Ckks.Params.l_max in
   let cross_ra, cross_freq = cross_edges_by_consumer regioned in
   (* [minra.(src)]: the lowest producer region of a cross edge spanning

@@ -33,3 +33,10 @@ let relabel f t =
     sink_side = List.map f t.sink_side;
     node_of = Array.map (fun n -> if n < 0 then n else f n) t.node_of;
   }
+
+type deferred = { cut : t; full : t Lazy.t }
+
+let defer cut certify = { cut; full = lazy { cut with cert = Some (certify ()) } }
+let settled cut = { cut; full = Lazy.from_val cut }
+let uncertified d = d.cut
+let certified d = Lazy.force d.full

@@ -41,3 +41,27 @@ val relabel : (int -> int) -> t -> t
     [sink_side] and the non-negative [node_of] entries — through [f].
     The value and the flow-indexed certificate are unchanged.  Maps a cut
     solved over a {!Region.shape}'s slots back to node ids. *)
+
+(** {1 Deferred certificates}
+
+    A planner prices many more cuts than it keeps.  A {e deferred} cut is
+    a solved cut whose certificate is built on first demand: pricing reads
+    {!uncertified}, and only the cuts a plan keeps pay for
+    {!certified}. *)
+
+type deferred
+
+val defer : t -> (unit -> Graphlib.Maxflow.certificate) -> deferred
+(** [defer cut certify]: [cut] without its certificate, and the function
+    that builds it (called at most once). *)
+
+val settled : t -> deferred
+(** A cut with nothing to defer: both views are [cut] itself. *)
+
+val uncertified : deferred -> t
+(** The cut as solved, [cert = None] when its certificate is deferred. *)
+
+val certified : deferred -> t
+(** The cut with its certificate, built on the first call; every call
+    returns the same physical cut, so the cuts a plan keeps share one
+    certificate per solve. *)

@@ -12,42 +12,60 @@ type result = {
   bts_subgraph : int list;
 }
 
-(* The per-compile cache lives inside one {!Btsmgr.plan} call and holds
-   solutions by shape, naming slots, under one int per (shape index,
-   modes, entry level, rescales, bootstrap target).  Shape indices are
-   those of the first regioned graph asked about, which the cache is
-   then bound to.  The SMOPLC memo (templates by shape, cuts by shape and
-   entry level — SMOPLC reads neither [rescales] nor [bts]) lives here
-   too, so it dies with the compile. *)
-module Int_tbl = Hashtbl.Make (Int)
-
-type cache = {
-  mutable owner : Region.t option;
-  tbl : result Int_tbl.t;
-  smo : Smoplc.memo;
+(* A region solution naming slots, as the cache keeps it: the cuts with
+   their certificates deferred. *)
+type solved = {
+  s_latency : float;
+  s_smo : Cut.deferred option;
+  s_bts : Cut.deferred option;
+  s_subgraph : int list;
 }
 
-let create_cache () = { owner = None; tbl = Int_tbl.create 256; smo = Smoplc.create_memo () }
+(* The solutions of one (shape, modes, rescales), by entry level and
+   bootstrap target: [(entry * (levels + 2)) + target] with target 0 for
+   none and [t + 1] for [Some t]; [unsolved] until computed. *)
+type table = solved array
 
-(* The key packs the entry level and the rescales ([x + 2048]) and the
-   target (0 for none, [t + 2049] for [Some t]) into 12 bits each, above
-   [(shape * 3 + smo) * 2 + bts].  A value outside its field, or a shape
-   past 2^23, gets [no_key]: solved without caching. *)
-let no_key = -1
+(* What a compile reads of one shape more than once: its ciphertext
+   members, the forced EVA and PARS cuts and the no-rescale bootstrap
+   subgraph (each built on first use: they depend on the shape alone),
+   and its tables by [(modes * (levels + 1)) + rescales], allocated on
+   first use. *)
+type per_shape = {
+  sh : Region.shape;
+  members : int list;
+  eva : Cut.deferred Lazy.t;
+  pars : Cut.deferred Lazy.t;
+  plain_subgraph : int list Lazy.t;
+  tables : table array;
+}
 
-let key ~shape ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
-  let field x = if x >= -2048 && x < 2048 then x + 2048 else no_key in
-  let entry = field entry_level and rescales = field rescales in
-  let target =
-    match bts with None -> 0 | Some t -> if t >= -2048 && t < 2047 then t + 2049 else no_key
-  in
-  if entry < 0 || rescales < 0 || target < 0 || shape >= 1 lsl 23 then no_key
-  else begin
-    let smo = match smo_mode with Smo_min_cut -> 0 | Smo_eva -> 1 | Smo_pars -> 2 in
-    let bts = match bts_mode with Bts_min_cut -> 0 | Bts_region_end -> 1 in
-    let modes = (((shape * 3) + smo) * 2) + bts in
-    (((((modes lsl 12) lor entry) lsl 12) lor rescales) lsl 12) lor target
-  end
+(* The per-compile cache lives inside one {!Btsmgr.plan} call and holds
+   solutions by shape index, naming slots.  Shape indices are those of
+   the first regioned graph asked about, which the cache is then bound
+   to.  The SMOPLC memo (templates by shape, cuts by shape and entry level
+   — SMOPLC reads neither [rescales] nor [bts]) and the BTSPLC memo
+   (templates by shape and level-0 subgraph, cuts by target) live here
+   too, so they die with the compile. *)
+type cache = {
+  levels : int;
+  mutable owner : Region.t option;
+  mutable shapes : per_shape array;
+  smo : Smoplc.memo;
+  bts : Btsplc.memo;
+}
+
+let create_cache (prm : Ckks.Params.t) =
+  {
+    levels = Int.max 1 (Int.max prm.Ckks.Params.l_max prm.Ckks.Params.input_level);
+    owner = None;
+    shapes = [||];
+    smo = Smoplc.create_memo ();
+    bts = Btsplc.create_memo ();
+  }
+
+let unsolved = { s_latency = nan; s_smo = None; s_bts = None; s_subgraph = [] }
+let no_table : table = [||]
 
 exception Infeasible of string
 
@@ -186,25 +204,51 @@ let region_end_bts_cut sh ~subgraph =
   in
   { Cut.edges; value = 0.0; sink_side = []; cert = None; node_of = [||] }
 
+(* The bootstrap subgraph of a region without a rescale: the bootstrap
+   must still sit strictly below the multiplications, otherwise it would
+   reset the scale to q *before* a multiplication and shift the whole
+   downstream scale chain (visible when the entry scale differs from q,
+   i.e. q_w < q). *)
+let plain_subgraph sh members =
+  let below = marks sh and muls = ref false in
+  for s = 0 to sh.Region.members - 1 do
+    if Op.is_mul (kind sh s) then begin
+      mark below s;
+      muls := true
+    end
+  done;
+  if not !muls then members
+  else begin
+    List.iter
+      (fun s ->
+        if
+          (not (marked below s))
+          && List.exists (marked below) sh.Region.slots.(s).Region.preds
+        then mark below s)
+      members;
+    List.filter (fun s -> marked below s && not (Op.is_mul (kind sh s))) members
+  end
+
 (* One region solution, naming slots.  [region] only labels errors. *)
-let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
-  let members = ct_members sh in
+let compute cache ps ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
+  let sh = ps.sh and members = ps.members in
   if members = [] && rescales = 0 && bts = None then
-    { latency_ms = 0.0; smo_cut = None; bts_cut = None; bts_subgraph = [] }
+    { s_latency = 0.0; s_smo = None; s_bts = None; s_subgraph = [] }
   else begin
     if entry_level < 0 then infeasible "region %d: negative entry level" region;
     if rescales > entry_level then
       infeasible "region %d: %d rescales exceed entry level %d" region rescales
         entry_level;
     let low_level = entry_level - rescales in
-    let smo_cut =
+    let smo =
       if rescales = 0 then None
       else
         match smo_mode with
-        | Smo_min_cut -> Some (Smoplc.cut ~memo:cache.smo sh ~level:entry_level)
-        | Smo_eva -> Some (eva_cut sh)
-        | Smo_pars -> Some (pars_cut sh)
+        | Smo_min_cut -> Some (Smoplc.solve ~memo:cache.smo sh ~level:entry_level)
+        | Smo_eva -> Some (Lazy.force ps.eva)
+        | Smo_pars -> Some (Lazy.force ps.pars)
     in
+    let smo_cut = Option.map Cut.uncertified smo in
     let below_smo = Option.map (fun cut -> mark_all sh cut.Cut.sink_side) smo_cut in
     let member_level s =
       match below_smo with
@@ -217,41 +261,21 @@ let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
       | Some _ -> (
           match smo_cut with
           | Some cut -> cut.Cut.sink_side
-          | None ->
-              (* No rescale in this region: the bootstrap must still sit
-                 strictly below the multiplications, otherwise it would
-                 reset the scale to q *before* a multiplication and shift
-                 the whole downstream scale chain (visible when the entry
-                 scale differs from q, i.e. q_w < q). *)
-              let below = marks sh and muls = ref false in
-              for s = 0 to sh.Region.members - 1 do
-                if Op.is_mul (kind sh s) then begin
-                  mark below s;
-                  muls := true
-                end
-              done;
-              if not !muls then members
-              else begin
-                List.iter
-                  (fun s ->
-                    if
-                      (not (marked below s))
-                      && List.exists (marked below) sh.Region.slots.(s).Region.preds
-                    then mark below s)
-                  members;
-                List.filter (fun s -> marked below s && not (Op.is_mul (kind sh s))) members
-              end)
+          | None -> Lazy.force ps.plain_subgraph)
     in
-    let bts_cut =
+    let bts_d =
       match bts with
       | None -> None
       | Some lbts -> (
           if bts_subgraph = [] then None
           else
             match bts_mode with
-            | Bts_min_cut -> Some (Btsplc.cut sh ~lbts ~subgraph:bts_subgraph)
-            | Bts_region_end -> Some (region_end_bts_cut sh ~subgraph:bts_subgraph))
+            | Bts_min_cut ->
+                Some (Btsplc.solve ~memo:cache.bts sh ~lbts ~subgraph:bts_subgraph)
+            | Bts_region_end ->
+                Some (Cut.settled (region_end_bts_cut sh ~subgraph:bts_subgraph)))
     in
+    let bts_cut = Option.map Cut.uncertified bts_d in
     let below_bts =
       match (bts, bts_cut) with
       | Some lbts, Some cut -> Some (lbts, mark_all sh cut.Cut.sink_side)
@@ -326,45 +350,102 @@ let compute cache sh ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
                   if outs = [] then unit_cost else tails_cost outs))
     in
     {
-      latency_ms = op_latency +. rescale_latency +. bts_latency;
-      smo_cut;
-      bts_cut;
-      bts_subgraph;
+      s_latency = op_latency +. rescale_latency +. bts_latency;
+      s_smo = smo;
+      s_bts = bts_d;
+      s_subgraph = bts_subgraph;
     }
   end
 
-(* The region's solution naming slots: the per-compile cache, else a
-   fresh solve stored in it. *)
-let solution cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
-  (match cache.owner with
-  | Some r when r == regioned -> ()
+(* The shape record of [region], binding the cache to [regioned] on
+   first use. *)
+let per_shape cache regioned region =
+  match cache.owner with
+  | Some r when r == regioned -> cache.shapes.(regioned.Region.shape_ids.(region))
   | Some _ -> invalid_arg "Region_eval: the cache serves another regioned graph"
-  | None -> cache.owner <- Some regioned);
-  let shape = regioned.Region.shape_ids.(region) in
-  let key = key ~shape ~smo_mode ~bts_mode ~entry_level ~rescales ~bts in
-  match if key = no_key then None else Int_tbl.find_opt cache.tbl key with
-  | Some r -> r
   | None ->
-      Obs.Counter.bump computes;
-      let r =
-        compute cache (Region.shape regioned region) ~region ~smo_mode ~bts_mode ~entry_level
-          ~rescales ~bts
-      in
-      if key <> no_key then Int_tbl.add cache.tbl key r;
+      let ids = regioned.Region.shape_ids in
+      let n = 1 + Array.fold_left Int.max (-1) ids in
+      let shapes = Array.make n None in
+      Array.iteri
+        (fun r id ->
+          match shapes.(id) with
+          | Some _ -> ()
+          | None ->
+              let sh = Region.shape regioned r in
+              let members = ct_members sh in
+              shapes.(id) <-
+                Some
+                  {
+                    sh;
+                    members;
+                    eva = lazy (Cut.settled (eva_cut sh));
+                    pars = lazy (Cut.settled (pars_cut sh));
+                    plain_subgraph = lazy (plain_subgraph sh members);
+                    tables = Array.make (6 * (cache.levels + 1)) no_table;
+                  })
+        ids;
+      cache.shapes <- Array.map Option.get shapes;
+      cache.owner <- Some regioned;
+      cache.shapes.(ids.(region))
+
+let fresh cache ps ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts =
+  Obs.Counter.bump computes;
+  compute cache ps ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts
+
+(* The region's solution naming slots: the per-compile table, else a
+   fresh solve stored in it.  A region that cannot run as asked (a
+   negative entry level, more rescales than the entry level) is solved
+   uncached, which raises {!Infeasible} unless the region has nothing to
+   run. *)
+let solution cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
+  let ps = per_shape cache regioned region in
+  if entry_level < 0 || rescales > entry_level then
+    fresh cache ps ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts
+  else begin
+    let levels = cache.levels in
+    let target = match bts with None -> 0 | Some t when t >= 0 -> t + 1 | Some _ -> -1 in
+    if entry_level > levels || rescales < 0 || target < 0 || target > levels + 1 then
+      invalid_arg "Region_eval: level outside the cache's range";
+    let modes =
+      (match smo_mode with Smo_min_cut -> 0 | Smo_eva -> 2 | Smo_pars -> 4)
+      + match bts_mode with Bts_min_cut -> 0 | Bts_region_end -> 1
+    in
+    let t = (modes * (levels + 1)) + rescales in
+    let table =
+      let tb = ps.tables.(t) in
+      if tb != no_table then tb
+      else begin
+        let tb = Array.make ((levels + 1) * (levels + 2)) unsolved in
+        ps.tables.(t) <- tb;
+        tb
+      end
+    in
+    let i = (entry_level * (levels + 2)) + target in
+    let r = table.(i) in
+    if r != unsolved then r
+    else begin
+      let r = fresh cache ps ~region ~smo_mode ~bts_mode ~entry_level ~rescales ~bts in
+      table.(i) <- r;
       r
+    end
+  end
 
 let latency cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
   (solution cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts)
-    .latency_ms
+    .s_latency
 
+(* Only here are certificates built: once per distinct cut, shared by
+   every region whose solution names it. *)
 let eval cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts =
   let r =
     solution cache regioned ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts
   in
   let id = Array.get (Region.slots regioned region) in
+  let certified = Option.map (fun d -> Cut.relabel id (Cut.certified d)) in
   {
-    r with
-    smo_cut = Option.map (Cut.relabel id) r.smo_cut;
-    bts_cut = Option.map (Cut.relabel id) r.bts_cut;
-    bts_subgraph = List.map id r.bts_subgraph;
+    latency_ms = r.s_latency;
+    smo_cut = certified r.s_smo;
+    bts_cut = certified r.s_bts;
+    bts_subgraph = List.map id r.s_subgraph;
   }

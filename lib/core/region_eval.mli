@@ -39,15 +39,27 @@ type result = {
 
 type cache
 (** Per-compile memo holding solutions that name slots.  One
-    {!Btsmgr.plan} call creates and owns it.  A solution is keyed by one
-    int packing the region's shape index ({!Region.t.shape_ids}), the
-    placement modes, the entry level, the rescales and the bootstrap
-    target (levels in [[-2048, 2047]]; a request outside that range is
-    solved without being stored), so a lookup hashes no shape.  Shape
+    {!Btsmgr.plan} call creates and owns it.  Solutions sit in flat
+    tables, one per region shape ({!Region.t.shape_ids}), placement modes
+    and rescale count, indexed by entry level and bootstrap target; each
+    table is allocated on first use, so a lookup hashes nothing.  Shape
     indices belong to one regioned graph: the first one a cache is asked
-    about binds it, and asking about another raises [Invalid_argument]. *)
+    about binds it, and asking about another raises [Invalid_argument].
 
-val create_cache : unit -> cache
+    Cuts are kept with their certificates deferred ({!Cut.deferred}):
+    {!latency} builds none, and {!eval} builds each distinct cut's
+    certificate once, shared by every region whose solution names it.
+    The cache also holds the SMOPLC memo (by shape and entry level) and
+    the BTSPLC memo (by shape, level-0 subgraph and target), so a BTSPLC
+    cut already solved counts no [btsplc.cuts]. *)
+
+val create_cache : Ckks.Params.t -> cache
+(** A cache for entry levels and bootstrap targets in
+    [[0, max 1 (max l_max input_level)]], the range {!Btsmgr.plan} asks
+    about.  A request outside that range raises [Invalid_argument],
+    except that a negative entry level or more rescales than the entry
+    level is solved uncached (and raises {!Infeasible} unless the region
+    has nothing to run). *)
 
 exception Infeasible of string
 

@@ -97,8 +97,9 @@ let template (shape : Region.shape) =
   }
 
 (* The level-dependent half: capacities from the Table 2 costs at [level]
-   filled into the template's network, then one Dinic run. *)
-let solve tp ~level =
+   filled into the template's network, then one Dinic run.  The
+   certificate is deferred: built from the solve's snapshot on demand. *)
+let solve_at tp ~level =
   let k = Array.length tp.node_at in
   let s = k and t = k + 1 in
   let cost i ~level = cost_of tp.slots.(tp.node_at.(i)) ~level in
@@ -125,7 +126,8 @@ let solve tp ~level =
     (fun e w -> if w >= 0 then Graphlib.Maxflow.set_capacity tp.net e (weight w))
     tp.weighted;
   let mc = Graphlib.Maxflow.min_cut tp.net ~source:s ~sink:t in
-  let cert = Graphlib.Maxflow.certificate tp.net ~source:s ~sink:t mc in
+  (* The next level refills this network: keep what a certificate reads. *)
+  let snapshot = Graphlib.Maxflow.snapshot tp.net in
   Obs.Counter.bump cuts;
   let edges =
     List.filter_map
@@ -140,22 +142,24 @@ let solve tp ~level =
     if not mc.Graphlib.Maxflow.source_side.(i) then sink_side := tp.node_at.(i) :: !sink_side
   done;
   let node_of = Array.append tp.node_at [| -1; -1 |] in
-  {
-    Cut.edges;
-    value = mc.Graphlib.Maxflow.value;
-    sink_side = !sink_side;
-    cert = Some cert;
-    node_of;
-  }
+  Cut.defer
+    {
+      Cut.edges;
+      value = mc.Graphlib.Maxflow.value;
+      sink_side = !sink_side;
+      cert = None;
+      node_of;
+    }
+    (fun () -> Graphlib.Maxflow.certificate ~snapshot tp.net ~source:s ~sink:t mc)
 
 (* Per-compile memo, one entry per shape: its template once built, and
    its cuts by level. *)
-type entry = { mutable tp : template option; cuts : (int, Cut.t) Hashtbl.t }
+type entry = { mutable tp : template option; cuts : (int, Cut.deferred) Hashtbl.t }
 type memo = entry Region.Shape_tbl.t
 
 let create_memo () = Region.Shape_tbl.create 64
 
-let cut ?memo shape ~level =
+let solve ?memo shape ~level =
   let e =
     match memo with
     | None -> { tp = None; cuts = Hashtbl.create 1 }
@@ -179,9 +183,11 @@ let cut ?memo shape ~level =
             e.tp <- Some tp;
             tp
       in
-      let c = solve tp ~level in
+      let c = solve_at tp ~level in
       Hashtbl.add e.cuts level c;
       c
+
+let cut ?memo shape ~level = Cut.certified (solve ?memo shape ~level)
 
 let run ?memo regioned ~region ~level =
   let ids = Region.slots regioned region in

@@ -37,12 +37,19 @@ type memo
 
 val create_memo : unit -> memo
 
-val cut : ?memo:memo -> Region.shape -> level:int -> Cut.t
-(** The min-cut of a shape at [level], naming slots (see {!Cut.relabel}).
-    A solve counts one [smoplc.cuts]; a [(shape, level)] already in
-    [memo] returns the stored cut without counting.
+val solve : ?memo:memo -> Region.shape -> level:int -> Cut.deferred
+(** The min-cut of a shape at [level], naming slots (see {!Cut.relabel}),
+    with its certificate deferred: the solve keeps a
+    {!Graphlib.Maxflow.snapshot} of its network, and {!Cut.certified}
+    builds the certificate from it, bit for bit the one an immediate
+    export gives.  A solve counts one [smoplc.cuts]; a [(shape, level)]
+    already in [memo] returns the stored cut without counting (and its
+    certificate, once built, is shared).
     @raise Invalid_argument on a shape without ciphertext members or
     [level < 1]. *)
+
+val cut : ?memo:memo -> Region.shape -> level:int -> Cut.t
+(** {!solve}, certified. *)
 
 val run : ?memo:memo -> Region.t -> region:int -> level:int -> Cut.t
 (** {!cut} of the region's shape, relabelled to node ids. *)

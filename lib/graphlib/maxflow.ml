@@ -306,13 +306,27 @@ let[@inline never] boxed (a : float array) i =
   let c = a.(i) in
   if c = infinity then infinity else if c = 0.0 && not (Float.sign_bit c) then 0.0 else c
 
+(* A solve's capacities and residuals, copied out of the network so that
+   a refill and re-solve of the same topology leaves them intact. *)
+type snapshot = { s_cap : float array; s_resid : float array }
+
+let snapshot net =
+  if not net.solved then invalid_arg "Maxflow.snapshot: network not solved";
+  { s_cap = Array.copy net.e_cap; s_resid = Array.copy net.cap }
+
 (* The net flow routed through a user arc is exactly its residual
    companion's final capacity: the companion starts at 0.0, every forward
    push adds to it and every cancellation subtracts, and it never goes
    negative.  This also works for infinite-capacity user arcs, whose own
    residual capacity stays [infinity]. *)
-let certificate net ~source ~sink (c : cut) =
-  if not net.solved then invalid_arg "Maxflow.certificate: network not solved";
+let certificate ?snapshot net ~source ~sink (c : cut) =
+  let e_cap, resid =
+    match snapshot with
+    | Some s -> (s.s_cap, s.s_resid)
+    | None ->
+        if not net.solved then invalid_arg "Maxflow.certificate: network not solved";
+        (net.e_cap, net.cap)
+  in
   let none = { fa_src = 0; fa_dst = 0; fa_cap = 0.0; fa_flow = 0.0 } in
   let arcs = Array.make net.m none and k = ref 0 in
   for u = 0 to net.n - 1 do
@@ -323,8 +337,8 @@ let certificate net ~source ~sink (c : cut) =
           {
             fa_src = u;
             fa_dst = net.head.(a);
-            fa_cap = boxed net.e_cap e;
-            fa_flow = boxed net.cap net.rev.(a);
+            fa_cap = boxed e_cap e;
+            fa_flow = boxed resid net.rev.(a);
           };
         incr k
       end

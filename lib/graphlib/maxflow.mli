@@ -94,11 +94,28 @@ type certificate = {
           (source node, insertion order) order. *)
 }
 
-val certificate : t -> source:int -> sink:int -> cut -> certificate
+type snapshot
+(** The capacities and residual capacities a solve left behind, copied as
+    two flat float arrays: everything {!certificate} reads that a later
+    {!set_capacity} and re-solve of the same network overwrites.  A
+    caller that re-solves one topology at several capacities keeps a
+    snapshot per solve and builds a certificate only for the cuts it
+    keeps. *)
+
+val snapshot : t -> snapshot
+(** Copy the state the last solve left.  Raises [Invalid_argument] if
+    the network was not solved since it was built or since its last
+    {!set_capacity}. *)
+
+val certificate : ?snapshot:snapshot -> t -> source:int -> sink:int -> cut -> certificate
 (** Export the flow assignment left behind by {!min_cut} together with the
-    returned cut.  Call after {!min_cut} on the same network; raises
-    [Invalid_argument] if the network was not solved since it was built
-    or since its last {!set_capacity}. *)
+    returned cut.  Without [snapshot], call after {!min_cut} on the same
+    network; raises [Invalid_argument] if the network was not solved since
+    it was built or since its last {!set_capacity}.  With [snapshot] (of
+    the solve that returned the cut), the capacities and flows are read
+    from it, so the network may have been refilled and re-solved since:
+    the certificate is bit for bit the one an immediate call would have
+    exported. *)
 
 val of_certificate : ?forbid:(int * int) list -> certificate -> t
 (** Rebuild a fresh, unsolved network from a certificate's arc list: same

@@ -264,7 +264,7 @@ let price_chain r prm (config : Resbm.Btsmgr.config) cache cross ~bts_at_0 bound
    [infinity] when no set is feasible. *)
 let enumerated_optimum r prm config =
   let last = r.Resbm.Region.count - 1 in
-  let cache = Resbm.Region_eval.create_cache () and cross = transits r in
+  let cache = Resbm.Region_eval.create_cache prm and cross = transits r in
   if last = 0 then
     Option.value ~default:infinity (price_chain r prm config cache cross ~bts_at_0:false [ 0 ])
   else begin

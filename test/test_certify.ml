@@ -47,7 +47,7 @@ let cert_roundtrip_reverse_closed () =
      companion so the source side is closed under predecessors. *)
   let net = MF.create 4 in
   List.iter
-    (fun (u, v, c) -> Resbm.Maxflow_util.add_with_reverse net ~src:u ~dst:v ~cap:c)
+    (fun (u, v, c) -> add_with_reverse net ~src:u ~dst:v ~cap:c)
     [ (0, 1, 3.0); (0, 2, 2.0); (1, 3, 2.0); (2, 3, 3.0) ];
   let cut = MF.min_cut net ~source:0 ~sink:3 in
   let cert = MF.certificate net ~source:0 ~sink:3 cut in
@@ -182,7 +182,7 @@ let cert_accepts_planner_style_cuts =
       done;
       let net = MF.create n in
       List.iter
-        (fun (u, v, c) -> Resbm.Maxflow_util.add_with_reverse net ~src:u ~dst:v ~cap:c)
+        (fun (u, v, c) -> add_with_reverse net ~src:u ~dst:v ~cap:c)
         !edges;
       let cut = MF.min_cut net ~source:0 ~sink:(n - 1) in
       let cert = MF.certificate net ~source:0 ~sink:(n - 1) cut in

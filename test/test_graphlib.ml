@@ -478,6 +478,32 @@ let maxflow_matches_oracle =
              solve "re-solve" (List.map2 (fun (u, v, _) c -> (u, v, c)) arcs caps))
            resolves)
 
+(* A snapshot outlives the re-solves after it: the certificate built
+   from each solve's snapshot once every re-solve has run equals the one
+   exported right after that solve. *)
+let snapshot_certificates_outlive_resolves =
+  qcheck ~count:300 "a certificate from a snapshot equals the immediate one after re-solves"
+    oracle_network_gen (fun (n, arcs, resolves) ->
+      let net = Graphlib.Maxflow.create n in
+      List.iter (fun (u, v, c) -> Graphlib.Maxflow.add_edge net ~src:u ~dst:v ~cap:c) arcs;
+      let source = 0 and sink = n - 1 in
+      let solve () =
+        let cut = Graphlib.Maxflow.min_cut net ~source ~sink in
+        (cut, Graphlib.Maxflow.certificate net ~source ~sink cut, Graphlib.Maxflow.snapshot net)
+      in
+      let first = solve () in
+      let later =
+        List.map
+          (fun caps ->
+            List.iteri (fun e c -> Graphlib.Maxflow.set_capacity net e c) caps;
+            solve ())
+          resolves
+      in
+      List.for_all
+        (fun (cut, eager, snapshot) ->
+          same_cert eager (Graphlib.Maxflow.certificate ~snapshot net ~source ~sink cut))
+        (first :: later))
+
 (* Every certificate a paper model's plan carries, rebuilt by
    [of_certificate] and solved again, agrees with the oracle on the
    rebuilt arcs, keeps the arcs as exported, and reproduces the cut's
@@ -546,4 +572,5 @@ let suite =
     maxflow_cut_separates;
     maxflow_matches_oracle;
     case "maxflow: of_certificate round-trips on paper models" of_certificate_round_trips;
+    snapshot_certificates_outlive_resolves;
   ]

@@ -130,8 +130,8 @@ let compile_counters_pinned () =
        ~bfs:30 ~cut_edges:22 ~runs:14 ~hoists:10 ~computes:25 ~plans:13 ~smoplc:11 ())
     (counters Resbm.Variants.resbm_max Nn.Model.tiny);
   check counter_list "resnet20"
-    (planner ~candidates:718 ~pruned:2554 ~segment_evals:3468 ~btsplc:147 ~regions:212
-       ~aug:978 ~bfs:924 ~cut_edges:878 ~runs:409 ~computes:761 ~plans:212 ~smoplc:262 ())
+    (planner ~candidates:718 ~pruned:2554 ~segment_evals:3468 ~btsplc:115 ~regions:212
+       ~aug:946 ~bfs:860 ~cut_edges:846 ~runs:377 ~computes:761 ~plans:212 ~smoplc:262 ())
     (counters Resbm.Variants.resbm Nn.Model.resnet20)
 
 (* --- Spans --------------------------------------------------------------- *)

@@ -153,7 +153,7 @@ let oracle_smoplc regioned ~region ~level =
   List.iter
     (fun id ->
       let i = Hashtbl.find index id in
-      if is_entry id then Resbm.Maxflow_util.add_with_reverse net ~src:s ~dst:i ~cap:infinity;
+      if is_entry id then add_with_reverse net ~src:s ~dst:i ~cap:infinity;
       let internal_heads = List.filter in_region (Dfg.succs g id) in
       let degree = List.length internal_heads + if is_liveout id then 1 else 0 in
       if degree > 0 then begin
@@ -163,10 +163,10 @@ let oracle_smoplc regioned ~region ~level =
         in
         List.iter
           (fun h ->
-            Resbm.Maxflow_util.add_with_reverse net ~src:i ~dst:(Hashtbl.find index h)
+            add_with_reverse net ~src:i ~dst:(Hashtbl.find index h)
               ~cap:weight)
           internal_heads;
-        if is_liveout id then Resbm.Maxflow_util.add_with_reverse net ~src:i ~dst:t ~cap:weight
+        if is_liveout id then add_with_reverse net ~src:i ~dst:t ~cap:weight
       end;
       if forces_sink id then Graphlib.Maxflow.add_edge net ~src:i ~dst:t ~cap:infinity)
     nodes;
@@ -263,7 +263,7 @@ let smoplc_cut_once_per_shape_level () =
   (* Every region, every entry level, 0-2 rescales, asked twice of one
      cache: one solve per distinct (shape, entry level, rescales), and
      one SMOPLC cut per distinct (shape, entry level) with a rescale. *)
-  let cache = Resbm.Region_eval.create_cache () and p = Obs.Profile.create () in
+  let cache = Resbm.Region_eval.create_cache prm and p = Obs.Profile.create () in
   let asked = ref [] in
   Obs.with_profile p (fun () ->
       for _ = 1 to 2 do
@@ -330,7 +330,7 @@ let names_region_nodes r region (res : Resbm.Region_eval.result) =
    (region, entry level, rescales). *)
 let region_eval_mismatches r =
   let open Resbm.Region_eval in
-  let cache = create_cache () in
+  let cache = create_cache prm in
   let bad = ref [] in
   for region = 0 to r.Resbm.Region.count - 1 do
     List.iter
@@ -342,7 +342,7 @@ let region_eval_mismatches r =
               | res -> Ok res
               | exception e -> Error (Printexc.to_string e)
             in
-            let cold = eval (create_cache ()) in
+            let cold = eval (create_cache prm) in
             let cold_ok =
               match cold with
               | Error _ -> true
@@ -534,7 +534,7 @@ let min_cut_dominates_forced_placements =
     (fun (params, entry_level) ->
       let g = build_random_dfg params in
       let r = Resbm.Region.build g in
-      let cache = Resbm.Region_eval.create_cache () in
+      let cache = Resbm.Region_eval.create_cache prm in
       let ok = ref true in
       for region = 1 to r.Resbm.Region.count - 1 do
         if Resbm.Region.muls r region <> [] then begin
@@ -561,7 +561,7 @@ let bts_min_cut_dominates_region_end =
     (fun (params, lbts) ->
       let g = build_random_dfg params in
       let r = Resbm.Region.build g in
-      let cache = Resbm.Region_eval.create_cache () in
+      let cache = Resbm.Region_eval.create_cache prm in
       let ok = ref true in
       for region = 1 to r.Resbm.Region.count - 1 do
         if Resbm.Region.muls r region <> [] then begin
@@ -582,6 +582,248 @@ let bts_min_cut_dominates_region_end =
       done;
       !ok)
 
+(* --- BTSPLC templates: re-solves against fresh networks ---------------------- *)
+
+(* The level-0 subgraphs BTSPLC is asked about on a shape: all its
+   ciphertext members, and the sink side of its SMOPLC cut at every level
+   in [1, l_max]. *)
+let btsplc_subgraphs (shape : Resbm.Region.shape) =
+  let members =
+    List.filter
+      (fun s -> Op.produces_ct shape.Resbm.Region.slots.(s).Resbm.Region.kind)
+      (List.init shape.Resbm.Region.members Fun.id)
+  in
+  if members = [] then []
+  else
+    members
+    :: List.init prm.Ckks.Params.l_max (fun i ->
+           (Resbm.Smoplc.cut shape ~level:(i + 1)).Resbm.Cut.sink_side)
+    |> List.filter (( <> ) [])
+    |> List.sort_uniq compare
+
+(* Every distinct shape of [r] and each of its subgraphs, every target in
+   [1, l_max] solved on one shared memo in a shuffled order: each template
+   re-solve equals the fresh-network oracle bit for bit, and asking again
+   returns the memoised cut itself.  Returns the mismatching (shape index,
+   target) pairs. *)
+let btsplc_template_mismatches r =
+  let memo = Resbm.Btsplc.create_memo () and bad = ref [] in
+  let seen = Hashtbl.create 16 in
+  Array.iteri
+    (fun region id ->
+      if not (Hashtbl.mem seen id) then begin
+        Hashtbl.add seen id ();
+        let shape = Resbm.Region.shape r region in
+        let rng = Random.State.make [| id; region |] in
+        List.iter
+          (fun subgraph ->
+            let order =
+              List.init prm.Ckks.Params.l_max succ
+              |> List.map (fun t -> (Random.State.bits rng, t))
+              |> List.sort compare |> List.map snd
+            in
+            List.iter
+              (fun lbts ->
+                let cut = Resbm.Btsplc.cut ~memo shape ~lbts ~subgraph in
+                if
+                  not
+                    (same_cut cut (btsplc_oracle shape ~lbts ~subgraph)
+                    && Resbm.Btsplc.cut ~memo shape ~lbts ~subgraph == cut)
+                then bad := (id, lbts) :: !bad)
+              order)
+          (btsplc_subgraphs shape)
+      end)
+    r.Resbm.Region.shape_ids;
+  List.sort_uniq compare !bad
+
+let btsplc_template_matches_oracle_on_models () =
+  List.iter
+    (fun model ->
+      let r = Resbm.Region.build (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+        (model.Nn.Model.name ^ ": (shape, target) mismatches")
+        [] (btsplc_template_mismatches r))
+    (Nn.Model.paper_models @ [ Nn.Model.lenet5; Nn.Model.tiny ])
+
+let btsplc_template_matches_oracle_random =
+  qcheck ~count:40 "btsplc template re-solves equal fresh networks, shuffled targets"
+    (random_dfg_gen ~max_nodes:40 ~max_depth:6)
+    (fun params ->
+      btsplc_template_mismatches (Resbm.Region.build (build_random_dfg params)) = [])
+
+(* A memo hit is free: no [btsplc.cuts], no max-flow run, and a
+   physically shared certificate. *)
+let btsplc_memo_hit_is_free () =
+  let g, _ = conv_region_graph ~channels:16 in
+  let r = Resbm.Region.build g in
+  let shape = Resbm.Region.shape r 1 in
+  let subgraph = btsplc_subgraphs shape |> List.hd in
+  let memo = Resbm.Btsplc.create_memo () and p = Obs.Profile.create () in
+  let certs =
+    Obs.with_profile p (fun () ->
+        let certs =
+          List.init 3 (fun _ -> (Resbm.Btsplc.cut ~memo shape ~lbts:2 ~subgraph).Resbm.Cut.cert)
+        in
+        ignore (Resbm.Btsplc.cut ~memo shape ~lbts:3 ~subgraph);
+        certs)
+  in
+  checki "btsplc.cuts" 2 (Obs.Profile.counter p "btsplc.cuts");
+  checki "maxflow.runs" 2 (Obs.Profile.counter p "maxflow.runs");
+  checkb "one certificate" true
+    (match certs with
+    | [ Some a; Some b; Some c ] -> a == b && b == c
+    | _ -> false)
+
+(* --- Deferred certificates --------------------------------------------------- *)
+
+(* Every certificate a plan keeps was built from its solve's snapshot
+   after later solves refilled the shared template networks; it must equal
+   the certificate an eager solve of the same cut on a fresh network
+   exports (the id-based SMOPLC oracle, the BTSPLC oracle), and pass the
+   independent checker.  Certificates are built once per distinct kept
+   cut: two kept cuts share a certificate exactly when they are the same
+   (shape, entry level) SMOPLC cut or the same (shape, subgraph, target)
+   BTSPLC cut. *)
+let deferred_certificates_match_eager () =
+  List.iter
+    (fun model ->
+      let r = Resbm.Region.build (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      List.iter
+        (fun l_max ->
+          let prm = Ckks.Params.at_l_max l_max in
+          List.iter
+            (fun (m : Resbm.Variants.manager) ->
+              let where region what =
+                Printf.sprintf "%s %s l_max %d region %d: %s" model.Nn.Model.name
+                  m.Resbm.Variants.name l_max region what
+              in
+              match Resbm.Btsmgr.plan ~config:m.Resbm.Variants.config r prm with
+              | exception Resbm.Btsmgr.No_plan _ -> ()
+              | plan ->
+                  let kept = ref [] in
+                  let keep region pass key (cut : Resbm.Cut.t) eager =
+                    match cut.Resbm.Cut.cert with
+                    | None -> ()
+                    | Some c ->
+                        checkb (where region (pass ^ " equals the eager solve")) true
+                          (same_cut cut eager);
+                        checkb (where region (pass ^ " certificate checks")) true
+                          (Analysis.Certify.ok (Analysis.Certify.check ~pass ~region c));
+                        kept := (key, c) :: !kept
+                  in
+                  Array.iteri
+                    (fun region (a : Resbm.Btsmgr.region_action) ->
+                      let shape_id = r.Resbm.Region.shape_ids.(region) in
+                      let ids = Resbm.Region.slots r region in
+                      let slot id =
+                        let s = ref 0 in
+                        while ids.(!s) <> id do
+                          incr s
+                        done;
+                        !s
+                      in
+                      Option.iter
+                        (fun cut ->
+                          keep region "smoplc"
+                            (`Smo (shape_id, a.Resbm.Btsmgr.entry_level))
+                            cut
+                            (oracle_smoplc r ~region ~level:a.Resbm.Btsmgr.entry_level))
+                        a.Resbm.Btsmgr.smo_cut;
+                      match a.Resbm.Btsmgr.bts with
+                      | Some { Resbm.Btsmgr.target; cut = Some cut; subgraph } ->
+                          let subgraph = List.map slot subgraph in
+                          keep region "btsplc"
+                            (`Bts (shape_id, subgraph, target))
+                            cut
+                            (Resbm.Cut.relabel (Array.get ids)
+                               (btsplc_oracle (Resbm.Region.shape r region) ~lbts:target
+                                  ~subgraph))
+                      | _ -> ())
+                    plan.Resbm.Btsmgr.actions;
+                  List.iter
+                    (fun (k1, c1) ->
+                      List.iter
+                        (fun (k2, c2) ->
+                          if k1 = k2 <> (c1 == c2) then
+                            Alcotest.failf "%s %s l_max %d: certificates shared %b for keys equal %b"
+                              model.Nn.Model.name m.Resbm.Variants.name l_max (c1 == c2) (k1 = k2))
+                        !kept)
+                    !kept)
+            Resbm.Variants.all)
+        [ 3; 8; 16 ])
+    Nn.Model.[ resnet20; squeezenet; lenet5; tiny ]
+
+(* --- The flat latency table ---------------------------------------------------- *)
+
+(* A table warmed over a grid of candidate plans answers sampled requests
+   (any modes, region, entry level, rescales and target) bit for bit as an
+   uncached solve on a fresh cache does.  Requests the region cannot run
+   (a negative entry level, more rescales than the entry level) raise
+   [Infeasible] every time they are asked; levels past the cache's range
+   are refused. *)
+let latency_table_matches_uncached () =
+  let open Resbm.Region_eval in
+  let modes =
+    [|
+      (Smo_min_cut, Bts_min_cut); (Smo_min_cut, Bts_region_end); (Smo_eva, Bts_min_cut);
+      (Smo_eva, Bts_region_end); (Smo_pars, Bts_min_cut); (Smo_pars, Bts_region_end);
+    |]
+  in
+  let l_max = prm.Ckks.Params.l_max in
+  List.iter
+    (fun model ->
+      let r = Resbm.Region.build (Nn.Lowering.lower model).Nn.Lowering.dfg in
+      let cache = create_cache prm in
+      let ask cache (smo_mode, bts_mode) ~region ~entry_level ~rescales ~bts =
+        match latency cache r ~smo_mode ~bts_mode ~region ~entry_level ~rescales ~bts with
+        | l -> Ok (Int64.bits_of_float l)
+        | exception Infeasible m -> Error m
+      in
+      for region = 0 to r.Resbm.Region.count - 1 do
+        for entry_level = 0 to l_max do
+          for rescales = 0 to min 2 entry_level do
+            List.iter
+              (fun bts ->
+                ignore (ask cache modes.(0) ~region ~entry_level ~rescales ~bts);
+                ignore (ask cache modes.(region mod 6) ~region ~entry_level ~rescales ~bts))
+              [ None; Some 1; Some (max 1 (entry_level - rescales)); Some l_max ]
+          done
+        done
+      done;
+      let rng = Random.State.make [| 40 |] in
+      for _ = 1 to 400 do
+        let region = Random.State.int rng r.Resbm.Region.count in
+        let entry_level = Random.State.int rng (l_max + 1) in
+        let rescales = Random.State.int rng (entry_level + 1) in
+        let bts = if Random.State.bool rng then None else Some (1 + Random.State.int rng l_max) in
+        let m = modes.(Random.State.int rng 6) in
+        let warm = ask cache m ~region ~entry_level ~rescales ~bts in
+        if warm <> ask (create_cache prm) m ~region ~entry_level ~rescales ~bts then
+          Alcotest.failf "%s region %d entry %d rescales %d: warm table differs"
+            model.Nn.Model.name region entry_level rescales
+      done;
+      for region = 0 to r.Resbm.Region.count - 1 do
+        if Resbm.Region.ct_members r region <> [] then
+          List.iter
+            (fun (entry_level, rescales) ->
+              for _ = 1 to 2 do
+                checkb
+                  (Printf.sprintf "region %d entry %d rescales %d is infeasible" region
+                     entry_level rescales)
+                  true
+                  (match ask cache modes.(0) ~region ~entry_level ~rescales ~bts:None with
+                  | Error _ -> true
+                  | Ok _ -> false)
+              done)
+            [ (-1, 0); (-1, 1); (0, 1); (3, 4) ]
+      done;
+      checkb "entry level past the range refused" true
+        (match ask cache modes.(0) ~region:1 ~entry_level:(l_max + 1) ~rescales:0 ~bts:None with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    Nn.Model.[ resnet20; squeezenet ]
+
 let theorem_suite =
   [ min_cut_dominates_forced_placements; bts_min_cut_dominates_region_end ]
 
@@ -591,4 +833,12 @@ let suite =
       case "region_eval: shape-cached eval equals a cold solve on ResNet-20, SqueezeNet"
         region_eval_matches_cold_on_models;
       region_eval_matches_cold_random;
+      case "btsplc: template re-solves equal fresh networks on every paper model"
+        btsplc_template_matches_oracle_on_models;
+      btsplc_template_matches_oracle_random;
+      case "btsplc: a memo hit counts no cut and runs no max-flow" btsplc_memo_hit_is_free;
+      case "certificates: deferred equals eager, one per distinct kept cut"
+        deferred_certificates_match_eager;
+      case "region_eval: warm latency table equals uncached solves"
+        latency_table_matches_uncached;
     ]

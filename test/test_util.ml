@@ -177,6 +177,14 @@ let topo_oracle g =
 
 (* --- Max-flow oracle ---------------------------------------------------- *)
 
+(* The planners' arc idiom: a finite arc with the infinite reverse arc
+   that keeps the cut's source side closed under predecessors (so each
+   path crosses the cut exactly once); an infinite arc gets no
+   companion. *)
+let add_with_reverse net ~src ~dst ~cap =
+  Graphlib.Maxflow.add_edge net ~src ~dst ~cap;
+  if cap < infinity then Graphlib.Maxflow.add_edge net ~src:dst ~dst:src ~cap:infinity
+
 (* [Graphlib.Maxflow] as it stood before the CSR layout: Dinic over
    adjacency lists of arc records (prepended, reversed once), a [Queue]
    BFS and a recursive current-arc DFS, one fresh network per solve.
@@ -660,7 +668,7 @@ let btsmgr_oracle ?(config = Resbm.Btsmgr.resbm_config) (regioned : Resbm.Region
   let last = count - 1 in
   let l_max = prm.Ckks.Params.l_max in
   let input_level = prm.Ckks.Params.input_level in
-  let cache = E.create_cache () in
+  let cache = E.create_cache prm in
   let eval ~region ~entry_level ~rescales ~bts =
     E.eval cache regioned ~smo_mode:config.B.smo_mode ~bts_mode:config.B.bts_mode ~region
       ~entry_level ~rescales ~bts
@@ -898,3 +906,147 @@ let btsmgr_oracle ?(config = Resbm.Btsmgr.resbm_config) (regioned : Resbm.Region
       dp_latency_ms = min_lat.(last) +. final_latency;
     }
   end
+
+(* --- BTSPLC oracle ------------------------------------------------------------ *)
+
+(* [Resbm.Btsplc.cut] as it stood before its templates: one fresh flow
+   network per call, arcs added in Algorithm 5's order with their
+   capacities (no refill), the certificate exported right after the
+   solve.  Template re-solves must give its cuts and certificates bit for
+   bit. *)
+let btsplc_oracle (shape : Resbm.Region.shape) ~lbts ~subgraph =
+  let module Region = Resbm.Region in
+  let module Cut = Resbm.Cut in
+  let module Smoplc = Resbm.Smoplc in
+  if lbts < 1 then invalid_arg "Btsplc.run: bootstrap target below 1";
+  if subgraph = [] then invalid_arg "Btsplc.run: empty subgraph";
+  let slots = shape.Region.slots in
+  let node_at = Array.of_list subgraph in
+  let k = Array.length node_at in
+  (* [index.(s)]: slot [s]'s flow node, or -1 outside the subgraph. *)
+  let index = Array.make (Array.length slots) (-1) in
+  Array.iteri (fun i s -> index.(s) <- i) node_at;
+  let in_sub s = index.(s) >= 0 in
+  let unit_cost = Ckks.Cost_model.cost Ckks.Cost_model.Bootstrap ~level:lbts in
+  let bts_cost s = float_of_int slots.(s).Region.freq *. unit_cost in
+  (* Per flow node: in-subgraph successors and predecessors, and the
+     external ciphertext producers it reads, each in slot-list order. *)
+  let internal_succs = Array.map (fun s -> List.filter in_sub slots.(s).Region.succs) node_at in
+  let internal_preds = Array.map (fun s -> List.filter in_sub slots.(s).Region.preds) node_at in
+  let external_preds =
+    Array.map
+      (fun s ->
+        List.filter
+          (fun p -> Op.produces_ct slots.(p).Region.kind && not (in_sub p))
+          slots.(s).Region.preds)
+      node_at
+  in
+  let indeg i = List.length external_preds.(i) + List.length internal_preds.(i) in
+  (* In-region successors are the only ones a shape names; any other
+     consumer makes the slot live-out. *)
+  let is_liveout s =
+    slots.(s).Region.live_out
+    || List.exists (fun u -> not (in_sub u)) slots.(s).Region.succs
+  in
+  (* Cumulative increase of running a node and its in-subgraph successors
+     at l_bts instead of level 0 (Algorithm 5, lines 5-10, reverse topo). *)
+  let linc = Array.make k 0.0 in
+  for i = k - 1 downto 0 do
+    let s = node_at.(i) in
+    if internal_succs.(i) <> [] then
+      linc.(i) <-
+        List.fold_left
+          (fun acc m -> acc +. linc.(index.(m)))
+          (Smoplc.cost_of slots.(s) ~level:lbts -. Smoplc.cost_of slots.(s) ~level:0)
+          internal_succs.(i)
+  done;
+  (* External ciphertext producers feeding the subgraph.  A bootstrap on a
+     boundary edge is inserted once after the producer and serves every
+     head it feeds, so each producer becomes one flow node whose
+     source-side arc carries the full (grouped) insertion cost.  Flow
+     nodes are numbered in first-read order; [heads_of.(p)] lists the
+     heads reading producer [p], latest first. *)
+  let flow_of = Array.make (Array.length slots) (-1) in
+  let heads_of = Array.make (Array.length slots) [] in
+  let next_flow = ref (k + 2) in
+  Array.iteri
+    (fun i h ->
+      List.iter
+        (fun p ->
+          if flow_of.(p) < 0 then begin
+            flow_of.(p) <- !next_flow;
+            incr next_flow
+          end;
+          heads_of.(p) <- h :: heads_of.(p))
+        external_preds.(i))
+    node_at;
+  let net = Graphlib.Maxflow.create !next_flow in
+  let s = k and t = k + 1 in
+  (* Source-side arcs through the producer nodes, in ascending producer
+     slot order: arc insertion order steers the augmenting-path search,
+     so it must be a function of the shape alone. *)
+  Array.iteri
+    (fun p fn ->
+      if fn >= 0 then begin
+        let share =
+          List.fold_left
+            (fun acc h ->
+              let i = index.(h) in
+              acc +. (linc.(i) /. float_of_int (max (indeg i) 1)))
+            0.0 heads_of.(p)
+        in
+        add_with_reverse net ~src:s ~dst:fn ~cap:(bts_cost p +. share);
+        List.iter
+          (fun h -> Graphlib.Maxflow.add_edge net ~src:fn ~dst:index.(h) ~cap:infinity)
+          heads_of.(p)
+      end)
+    flow_of;
+  Array.iteri
+    (fun i sl ->
+      let indeg = indeg i in
+      (* Entry nodes with no inputs at all still anchor to the source so
+         their downstream paths get covered. *)
+      if indeg = 0 then add_with_reverse net ~src:s ~dst:i ~cap:infinity;
+      let weight_in =
+        if indeg = 0 then infinity
+        else if slots.(sl).Region.kind = Op.Relin then infinity
+          (* never separate a relin from its multiplication *)
+        else (bts_cost sl +. linc.(i)) /. float_of_int indeg
+      in
+      List.iter
+        (fun p ->
+          let wp = if slots.(p).Region.kind = Op.Mul_cc then infinity else weight_in in
+          add_with_reverse net ~src:index.(p) ~dst:i ~cap:wp)
+        internal_preds.(i);
+      (* Baseline: bootstrap after the live-out producers (region end). *)
+      if internal_succs.(i) = [] || is_liveout sl then
+        add_with_reverse net ~src:i ~dst:t ~cap:(bts_cost sl))
+    node_at;
+  let mc = Graphlib.Maxflow.min_cut net ~source:s ~sink:t in
+  let cert = Graphlib.Maxflow.certificate net ~source:s ~sink:t mc in
+  let node_of = Array.make !next_flow (-1) in
+  Array.blit node_at 0 node_of 0 k;
+  Array.iteri (fun p fn -> if fn >= 0 then node_of.(fn) <- p) flow_of;
+  let edges =
+    List.concat_map
+      (fun (u, v) ->
+        if u = s then
+          if v >= k + 2 then
+            (* Arc into a producer node: bootstrap its boundary edges. *)
+            List.map (fun h -> Cut.Boundary_in { head = h }) heads_of.(node_of.(v))
+          else [ Cut.Boundary_in { head = node_at.(v) } ]
+        else if v = t then [ Cut.Boundary_out { tail = node_at.(u) } ]
+        else [ Cut.Internal { tail = node_at.(u); head = node_at.(v) } ])
+      mc.Graphlib.Maxflow.edges
+  in
+  let sink_side = ref [] in
+  for i = k - 1 downto 0 do
+    if not mc.Graphlib.Maxflow.source_side.(i) then sink_side := node_at.(i) :: !sink_side
+  done;
+  {
+    Cut.edges;
+    value = mc.Graphlib.Maxflow.value;
+    sink_side = !sink_side;
+    cert = Some cert;
+    node_of;
+  }
